@@ -78,7 +78,7 @@ struct WorkloadResult {
   double cpu_ms = 0.0;
   double io_ms = 0.0;
   double reads = 0.0;
-  double voronoi_cpu_ms = 0.0;
+  double voronoi_ms = 0.0;
   double voronoi_io_ms = 0.0;
   QueryStats totals;
 
@@ -97,7 +97,7 @@ inline WorkloadResult RunWorkload(Engine* engine,
   out.cpu_ms = out.totals.cpu_ms / n;
   out.reads = static_cast<double>(out.totals.TotalReads()) / n;
   out.io_ms = out.reads * env.io_ms;
-  out.voronoi_cpu_ms = out.totals.voronoi_cpu_ms / n;
+  out.voronoi_ms = out.totals.PhaseMillis(QueryPhase::kVoronoi) / n;
   out.voronoi_io_ms =
       static_cast<double>(out.totals.voronoi_reads) / n * env.io_ms;
   return out;
@@ -129,7 +129,7 @@ inline void PrintVoronoiHeader() {
 inline void PrintVoronoiRow(const std::string& param, const char* index,
                             const WorkloadResult& r) {
   std::printf("%-24s %-6s %12.3f %12.3f %12.3f %12.3f %12.3f\n",
-              param.c_str(), index, r.cpu_ms, r.io_ms, r.voronoi_cpu_ms,
+              param.c_str(), index, r.cpu_ms, r.io_ms, r.voronoi_ms,
               r.voronoi_io_ms, r.total_ms());
 }
 

@@ -391,7 +391,7 @@ BENCHMARK(BM_TraceInstantIdle);
 void BM_TraceSpanIdle(benchmark::State& state) {
   Tracer::Global().Stop();
   for (auto _ : state) {
-    STPQ_TRACE_SPAN(TraceEventType::kComponentScore, 0, 0);
+    Span span(TraceEventType::kComponentScore);
     benchmark::ClobberMemory();
   }
 }
@@ -417,7 +417,7 @@ void BM_TraceSpanActive(benchmark::State& state) {
   uint64_t i = 0;
   for (auto _ : state) {
     {
-      STPQ_TRACE_SPAN(TraceEventType::kComponentScore, 0, 0);
+      Span span(TraceEventType::kComponentScore);
       benchmark::ClobberMemory();
     }
     if ((++i & 0x1fff) == 0) Tracer::DrainCurrentThread(0, nullptr);

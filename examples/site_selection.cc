@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
               "(%llu clip features)\n"
               "  page reads          %8llu (of which Voronoi %llu)\n"
               "  combinations        %8llu emitted\n",
-              result.stats.cpu_ms, result.stats.voronoi_cpu_ms,
+              result.stats.cpu_ms,
+              result.stats.PhaseMillis(QueryPhase::kVoronoi),
               static_cast<unsigned long long>(result.stats.voronoi_cells),
               static_cast<unsigned long long>(
                   result.stats.voronoi_clip_features),

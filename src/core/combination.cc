@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "core/score.h"
-#include "obs/phase.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -38,7 +37,7 @@ SortedFeatureStream::SortedFeatureStream(const FeatureIndex* index,
 }
 
 std::optional<SortedFeatureStream::Item> SortedFeatureStream::Next() {
-  STPQ_TRACE_PHASE(*stats_, QueryPhase::kComponentScore);
+  Span span(*stats_, QueryPhase::kComponentScore, index_->set_ordinal());
   const uint8_t tree = TraceTreeForSet(index_->set_ordinal());
   while (!heap_.empty()) {
     HeapEntry top = heap_.top();
@@ -312,10 +311,9 @@ void CombinationIterator::ExpandSuccessors(const RankTuple& ranks) {
 }
 
 std::optional<Combination> CombinationIterator::Next() {
-  STPQ_TRACE_PHASE(*stats_, QueryPhase::kCombination);
-  STPQ_TRACE_SPAN(TraceEventType::kCombinationRound,
-                  static_cast<uint32_t>(indexes_.size()),
-                  stats_->combinations_emitted);
+  Span span(*stats_, QueryPhase::kCombination,
+            static_cast<uint32_t>(indexes_.size()),
+            stats_->combinations_emitted);
   if (!initialized_) {
     for (size_t i = 0; i < indexes_.size(); ++i) Pull(i);
     initialized_ = true;

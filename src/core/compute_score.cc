@@ -4,7 +4,6 @@
 
 #include "core/score.h"
 #include "geom/rect.h"
-#include "obs/phase.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -15,8 +14,7 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
                              double r, QueryStats& stats,
                              TraversalScratch& scratch) {
   if (index.RootId() == kInvalidNodeId) return {};
-  STPQ_TRACE_PHASE(stats, QueryPhase::kComponentScore);
-  STPQ_TRACE_SPAN(TraceEventType::kComponentScore, index.set_ordinal(), 0);
+  Span span(stats, QueryPhase::kComponentScore, index.set_ordinal());
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const double r2 = r * r;
@@ -68,8 +66,7 @@ BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
                                  double r, QueryStats& stats,
                                  TraversalScratch& scratch) {
   if (index.RootId() == kInvalidNodeId) return {};
-  STPQ_TRACE_PHASE(stats, QueryPhase::kComponentScore);
-  STPQ_TRACE_SPAN(TraceEventType::kComponentScore, index.set_ordinal(), 0);
+  Span span(stats, QueryPhase::kComponentScore, index.set_ordinal());
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   BorrowedMaxHeap heap(scratch.heap);
@@ -120,8 +117,7 @@ BestFeature ComputeBestNearestNeighbor(const FeatureIndex& index,
                                        double lambda, QueryStats& stats,
                                        TraversalScratch& scratch) {
   if (index.RootId() == kInvalidNodeId) return {};
-  STPQ_TRACE_PHASE(stats, QueryPhase::kComponentScore);
-  STPQ_TRACE_SPAN(TraceEventType::kComponentScore, index.set_ordinal(), 0);
+  Span span(stats, QueryPhase::kComponentScore, index.set_ordinal());
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   BorrowedMinHeap heap(scratch.heap);
@@ -192,8 +188,7 @@ void ComputeScoresRangeBatch(const FeatureIndex& index,
   STPQ_CHECK(scores.size() == batch.size());
   std::fill(scores.begin(), scores.end(), 0.0);
   if (index.RootId() == kInvalidNodeId || batch.empty()) return;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kComponentScore);
-  STPQ_TRACE_SPAN(TraceEventType::kComponentScore, index.set_ordinal(), 0);
+  Span span(stats, QueryPhase::kComponentScore, index.set_ordinal());
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const double r2 = r * r;

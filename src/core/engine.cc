@@ -10,7 +10,6 @@
 #include "obs/query_metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace stpq {
 
@@ -68,13 +67,6 @@ Result<Engine> Engine::Build(std::vector<DataObject> objects,
   Status st = ValidateOptions(options);
   if (!st.ok()) return st;
   return Engine(options, std::move(objects), std::move(feature_tables));
-}
-
-Result<Engine> Engine::Create(std::vector<DataObject> objects,
-                              std::vector<FeatureTable> feature_tables,
-                              EngineOptions options) {
-  return Build(std::move(objects), std::move(feature_tables),
-               std::move(options));
 }
 
 Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
@@ -278,9 +270,8 @@ Result<QueryResult> Engine::Execute(const Query& query,
   ExecutionSession session(object_pool_.get(), feature_pool_.get(),
                            options_.cold_cache_per_query);
   ExecutionSession::Scope scope(&session);
-  TraceQueryScope trace_scope;
-  Timer timer;
   QueryResult result;
+  Span query_span(result.stats);
   if (options.algorithm == Algorithm::kStds) {
     Stds stds(object_index_.get(), index_ptrs_);
     result = stds.Execute(query, options_.stds_batching, &session.scratch());
@@ -289,13 +280,13 @@ Result<QueryResult> Engine::Execute(const Query& query,
               voronoi_cache_.get());
     result = stps.Execute(query, options_.pulling, &session.scratch());
   }
-  result.stats.cpu_ms = timer.ElapsedMillis();
+  // Closing the query span sets cpu_ms.  It closes before the slow log
+  // drains this thread's ring so the end event is part of any captured
+  // record.
+  query_span.End();
   session.ExportIoCounters(result.stats);
-  // Close the query span before the slow log drains this thread's ring so
-  // the end event is part of any captured record.
-  trace_scope.End();
   if (options.slow_log != nullptr) {
-    options.slow_log->Offer(trace_scope.id(), result.stats.cpu_ms,
+    options.slow_log->Offer(query_span.trace_id(), result.stats.cpu_ms,
                             result.stats);
   }
   if (options.stats_sink != nullptr) {

@@ -138,11 +138,6 @@ class Engine {
   [[nodiscard]] static Result<Engine> Open(const std::string& path,
                                            EngineOptions options = {});
 
-  /// Deprecated alias of Build, kept while callers migrate.
-  [[nodiscard]] static Result<Engine> Create(std::vector<DataObject> objects,
-                               std::vector<FeatureTable> feature_tables,
-                               EngineOptions options = {});
-
   /// Persists the whole index set to `path` for Engine::Open.
   /// `vocabularies` (one per feature table, table order) ride along so a
   /// reopened CLI can still parse query keywords; pass empty to persist

@@ -1,7 +1,6 @@
 #include "core/object_retrieval.h"
 
 #include "geom/rect.h"
-#include "obs/phase.h"
 #include "obs/trace.h"
 #include "rtree/rtree.h"
 
@@ -14,10 +13,9 @@ void CollectObjectsInRange(const ObjectIndex& objects,
                            std::vector<ResultEntry>* result,
                            QueryStats& stats, TraversalScratch& scratch) {
   if (objects.tree().root_id() == kInvalidNodeId || remaining == 0) return;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kObjectRetrieval);
-  STPQ_TRACE_SPAN(TraceEventType::kRetrievalBatch,
-                  static_cast<uint32_t>(remaining),
-                  static_cast<uint64_t>(member_pos.size()));
+  Span span(stats, QueryPhase::kObjectRetrieval,
+            static_cast<uint32_t>(remaining),
+            static_cast<uint64_t>(member_pos.size()));
   const double r2 = radius * radius;
   size_t added = 0;
   std::vector<NodeId>& stack = scratch.stack;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/compute_score.h"
-#include "obs/phase.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/topk.h"
 
@@ -60,7 +60,7 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
   const size_t c = feature_indexes_.size();
   // The leaf-block scan itself is object retrieval; the component-score
   // lookups inside it carve out their own (child) phase.
-  STPQ_TRACE_PHASE(stats, QueryPhase::kObjectRetrieval);
+  Span span(stats, QueryPhase::kObjectRetrieval);
 
   if (query.variant == ScoreVariant::kRange && use_batching) {
     // Batched STDS: every object-R-tree leaf block is one batch.

@@ -9,7 +9,6 @@
 #include "core/compute_score.h"
 #include "core/score.h"
 #include "core/stps.h"
-#include "obs/phase.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/topk.h"
@@ -33,9 +32,8 @@ std::vector<ScoredObject> TopKInfluenceObjects(
     double stop_threshold, QueryStats& stats, TraversalScratch& scratch) {
   std::vector<ScoredObject> out;
   if (objects.tree().root_id() == kInvalidNodeId) return out;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kObjectRetrieval);
-  STPQ_TRACE_SPAN(TraceEventType::kRetrievalBatch, static_cast<uint32_t>(k),
-                  static_cast<uint64_t>(member_pos.size()));
+  Span span(stats, QueryPhase::kObjectRetrieval, static_cast<uint32_t>(k),
+            static_cast<uint64_t>(member_pos.size()));
   HeapWatermark watermark;
 
   auto bound_for = [&](const Rect2& rect, bool exact_point) {
@@ -221,9 +219,7 @@ std::vector<ObjectId> NearestObjects(const ObjectIndex& objects,
                                      TraversalScratch& scratch) {
   std::vector<ObjectId> out;
   if (objects.tree().root_id() == kInvalidNodeId) return out;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kObjectRetrieval);
-  STPQ_TRACE_SPAN(TraceEventType::kRetrievalBatch, static_cast<uint32_t>(k),
-                  0);
+  Span span(stats, QueryPhase::kObjectRetrieval, static_cast<uint32_t>(k));
   HeapWatermark watermark;
   // Min-heap on squared distance.
   BorrowedMinHeap heap(scratch.heap);

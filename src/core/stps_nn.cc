@@ -4,6 +4,9 @@
 // relevant feature of every F_i is C's member t_i — the intersection of the
 // members' Voronoi cells.  Cells are computed incrementally and cached per
 // feature; combinations whose intersection turns empty are discarded early.
+// The intersected polygons prefilter candidate objects, and each member's
+// cell confirms them exactly (VoronoiCell::Owns), so near-ties resolve as
+// under the brute-force definition.
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -11,7 +14,6 @@
 #include "core/combination.h"
 #include "core/stps.h"
 #include "core/voronoi.h"
-#include "obs/phase.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -19,17 +21,18 @@ namespace stpq {
 
 namespace {
 
-/// Appends up to `remaining` unclaimed objects inside `region` to `result`
-/// with score `score`.
+/// Appends up to `remaining` unclaimed objects inside `region` for which
+/// `owned(p)` holds to `result` with score `score`.
+template <typename OwnedFn>
 void CollectObjectsInRegion(const ObjectIndex& objects,
-                            const ConvexPolygon& region, double score,
-                            size_t remaining, std::vector<bool>* claimed,
+                            const ConvexPolygon& region, const OwnedFn& owned,
+                            double score, size_t remaining,
+                            std::vector<bool>* claimed,
                             std::vector<ResultEntry>* result,
                             QueryStats& stats, TraversalScratch& scratch) {
   if (objects.tree().root_id() == kInvalidNodeId || remaining == 0) return;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kObjectRetrieval);
-  STPQ_TRACE_SPAN(TraceEventType::kRetrievalBatch,
-                  static_cast<uint32_t>(remaining), 0);
+  Span span(stats, QueryPhase::kObjectRetrieval,
+            static_cast<uint32_t>(remaining));
   const Rect2 bbox = region.BoundingBox();
   size_t added = 0;
   std::vector<NodeId>& stack = scratch.stack;
@@ -52,7 +55,7 @@ void CollectObjectsInRegion(const ObjectIndex& objects,
           continue;
         }
         Point p{e.rect.lo[0], e.rect.lo[1]};
-        if (!region.Contains(p)) {
+        if (!region.Contains(p) || !owned(p)) {
           ++pruned;
           continue;
         }
@@ -99,21 +102,21 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
   // members.  With an engine-level cache attached, cells are additionally
   // reused across queries with the same keyword sets (Section 8.5's
   // precomputation remark).
-  std::unordered_map<uint64_t, ConvexPolygon> cell_cache;
+  std::unordered_map<uint64_t, VoronoiCell> cell_cache;
   const Rect2& domain = objects_->domain();
-  auto cell_for = [&](size_t i, ObjectId member) -> const ConvexPolygon& {
+  auto cell_for = [&](size_t i, ObjectId member) -> const VoronoiCell& {
     uint64_t key = (static_cast<uint64_t>(i) << 32) | member;
     auto local = cell_cache.find(key);
     if (local != cell_cache.end()) return local->second;
     if (voronoi_cache_ != nullptr) {
-      std::optional<ConvexPolygon> shared =
+      std::optional<VoronoiCell> shared =
           voronoi_cache_->Find(i, member, query.keywords[i]);
       if (shared.has_value()) {
         ++result.stats.voronoi_cache_hits;
         return cell_cache.emplace(key, *std::move(shared)).first->second;
       }
     }
-    ConvexPolygon cell =
+    VoronoiCell cell =
         ComputeVoronoiCell(*feature_indexes_[i], member, query.keywords[i],
                            query.lambda, domain, result.stats, scratch);
     if (voronoi_cache_ != nullptr) {
@@ -122,6 +125,19 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
     return cell_cache.emplace(key, std::move(cell)).first->second;
   };
 
+  // The cells of the current combination's real members (nullptr for a
+  // virtual member).
+  const VoronoiCell* cells[kMaxFeatureSets] = {};
+  const auto owned = [&](const Point& p) {
+    for (size_t i = 0; i < c; ++i) {
+      if (cells[i] != nullptr &&
+          !cells[i]->Owns(feature_indexes_[i]->table(), p, query.keywords[i],
+                          query.lambda)) {
+        return false;
+      }
+    }
+    return true;
+  };
   while (result.entries.size() < query.k) {
     std::optional<Combination> combo = it.Next();
     if (!combo.has_value()) break;
@@ -129,16 +145,18 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
     bool feasible = true;
     for (size_t i = 0; i < c && feasible; ++i) {
       ObjectId member = combo->members[i];
+      cells[i] = nullptr;
       if (member == kVirtualFeature) {
         // tau_i(p) = 0 is only possible when F_i has nothing relevant.
         if (set_has_relevant[i]) feasible = false;
         continue;
       }
-      IntersectConvex(&region, cell_for(i, member));
+      cells[i] = &cell_for(i, member);
+      IntersectConvex(&region, cells[i]->polygon);
       if (region.IsEmpty()) feasible = false;
     }
     if (!feasible || region.IsEmpty()) continue;
-    CollectObjectsInRegion(*objects_, region, combo->score,
+    CollectObjectsInRegion(*objects_, region, owned, combo->score,
                            query.k - result.entries.size(), &claimed,
                            &result.entries, result.stats, scratch);
   }

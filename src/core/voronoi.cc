@@ -1,26 +1,39 @@
 #include "core/voronoi.h"
 
-#include "obs/phase.h"
+#include "core/score.h"
 #include "obs/trace.h"
-#include "util/timer.h"
 
 namespace stpq {
 
-ConvexPolygon ComputeVoronoiCell(const FeatureIndex& index,
-                                 ObjectId center_id,
-                                 const KeywordSet& query_kw, double lambda,
-                                 const Rect2& domain, QueryStats& stats,
-                                 TraversalScratch& scratch) {
-  Timer timer;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kVoronoi);
-  STPQ_TRACE_SPAN(TraceEventType::kVoronoiCell, index.set_ordinal(),
-                  center_id);
+bool VoronoiCell::Owns(const FeatureTable& table, const Point& p,
+                       const KeywordSet& query_kw, double lambda) const {
+  const FeatureObject& c = table.Get(center);
+  const double d2 = SquaredDistance(p, c.pos);
+  for (ObjectId id : sites) {
+    const FeatureObject& t = table.Get(id);
+    const double t_d2 = SquaredDistance(p, t.pos);
+    if (t_d2 < d2) return false;
+    if (t_d2 == d2 && PreferenceScore(t, query_kw, lambda) >
+                          PreferenceScore(c, query_kw, lambda)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+VoronoiCell ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
+                               const KeywordSet& query_kw, double lambda,
+                               const Rect2& domain, QueryStats& stats,
+                               TraversalScratch& scratch) {
+  Span span(stats, QueryPhase::kVoronoi, index.set_ordinal(), center_id);
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const BufferPoolStats before =
       index.buffer_pool() != nullptr ? index.buffer_pool()->stats()
                                      : BufferPoolStats{};
   const Point center = index.table().Get(center_id).pos;
-  ConvexPolygon cell = ConvexPolygon::FromRect(domain);
+  VoronoiCell cell;
+  cell.center = center_id;
+  cell.polygon = ConvexPolygon::FromRect(domain);
   ++stats.voronoi_cells;
 
   // Min-heap on squared mindist from the center.
@@ -29,8 +42,8 @@ ConvexPolygon ComputeVoronoiCell(const FeatureIndex& index,
     heap.push({0.0, index.RootId(), false});
   }
   std::vector<FeatureBranch>& branches = scratch.branches;
-  double max_vertex = cell.MaxDistanceFrom(center);
-  while (!heap.empty() && !cell.IsEmpty()) {
+  double max_vertex = cell.polygon.MaxDistanceFrom(center);
+  while (!heap.empty() && !cell.polygon.IsEmpty()) {
     SearchHeapItem top = heap.top();
     // Termination: a feature at distance d can only cut the cell if
     // d / 2 < max vertex distance.
@@ -39,10 +52,11 @@ ConvexPolygon ComputeVoronoiCell(const FeatureIndex& index,
     if (top.is_leaf_item) {
       if (top.id == center_id) continue;
       const FeatureObject& t = index.table().Get(top.id);
+      cell.sites.push_back(top.id);
       if (t.pos == center) continue;  // co-located: bisector undefined
       ++stats.voronoi_clip_features;
-      cell.Clip(BisectorHalfPlane(center, t.pos));
-      max_vertex = cell.MaxDistanceFrom(center);
+      cell.polygon.Clip(BisectorHalfPlane(center, t.pos));
+      max_vertex = cell.polygon.MaxDistanceFrom(center);
       continue;
     }
     const uint16_t level = index.NodeLevel(top.id);
@@ -64,7 +78,6 @@ ConvexPolygon ComputeVoronoiCell(const FeatureIndex& index,
   if (index.buffer_pool() != nullptr) {
     stats.voronoi_reads += (index.buffer_pool()->stats() - before).reads;
   }
-  stats.voronoi_cpu_ms += timer.ElapsedMillis();
   return cell;
 }
 

@@ -2,7 +2,7 @@
 
 namespace stpq {
 
-std::optional<ConvexPolygon> VoronoiCellCache::Find(
+std::optional<VoronoiCell> VoronoiCellCache::Find(
     size_t feature_set, ObjectId feature, const KeywordSet& query_kw) {
   Key key{static_cast<uint32_t>(feature_set), feature, query_kw.blocks()};
   MutexLock lock(mu_);
@@ -16,7 +16,7 @@ std::optional<ConvexPolygon> VoronoiCellCache::Find(
 }
 
 void VoronoiCellCache::Put(size_t feature_set, ObjectId feature,
-                           const KeywordSet& query_kw, ConvexPolygon cell) {
+                           const KeywordSet& query_kw, VoronoiCell cell) {
   Key key{static_cast<uint32_t>(feature_set), feature, query_kw.blocks()};
   MutexLock lock(mu_);
   cells_.try_emplace(std::move(key), std::move(cell));

@@ -24,7 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "geom/polygon.h"
+#include "core/voronoi.h"
 #include "index/feature.h"
 #include "text/keyword_set.h"
 #include "util/thread_annotations.h"
@@ -36,14 +36,14 @@ namespace stpq {
 class VoronoiCellCache {
  public:
   /// Returns a copy of the cached cell, or nullopt on a miss.
-  std::optional<ConvexPolygon> Find(size_t feature_set, ObjectId feature,
+  std::optional<VoronoiCell> Find(size_t feature_set, ObjectId feature,
                                     const KeywordSet& query_kw)
       STPQ_EXCLUDES(mu_);
 
   /// Stores a cell.  If another thread already stored one for the same key
   /// the existing entry wins (both are the same cell).
   void Put(size_t feature_set, ObjectId feature, const KeywordSet& query_kw,
-           ConvexPolygon cell) STPQ_EXCLUDES(mu_);
+           VoronoiCell cell) STPQ_EXCLUDES(mu_);
 
   void Clear() STPQ_EXCLUDES(mu_);
 
@@ -72,7 +72,7 @@ class VoronoiCellCache {
   };
 
   mutable Mutex mu_;
-  std::unordered_map<Key, ConvexPolygon, KeyHash> cells_ STPQ_GUARDED_BY(mu_);
+  std::unordered_map<Key, VoronoiCell, KeyHash> cells_ STPQ_GUARDED_BY(mu_);
   uint64_t hits_ STPQ_GUARDED_BY(mu_) = 0;
   uint64_t misses_ STPQ_GUARDED_BY(mu_) = 0;
 };

@@ -850,7 +850,7 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // Phase 0: survey the dataset (counts, segment sizes, sort domains).
   Survey survey;
   {
-    STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 0, 0);
+    Span span(TraceEventType::kBuildPhase, 0);
     STPQ_RETURN_NOT_OK(RunSurvey(dataset_path, params, &survey));
   }
   if (survey.object_count > kMaxRecordCount) {
@@ -887,7 +887,7 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
 
   // Phase 1: stream the objects segment and pack the object tree.
   {
-    STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 1, survey.object_count);
+    Span span(TraceEventType::kBuildPhase, 1, survey.object_count);
     SegmentPlan& objects_seg = plan.segments[plan.objects_seg];
     SegmentWriter seg(&out, objects_seg.offset);
     ExternalSorter sorter(
@@ -927,7 +927,7 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // feature tree.  One sorter lives at a time, so each gets the whole
   // budget.
   {
-    STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 2, stats.features);
+    Span span(TraceEventType::kBuildPhase, 2, stats.features);
     Result<uint32_t> tables_r = scan.ReadTableCount();
     if (!tables_r.ok()) return tables_r.status();
     if (tables_r.value() != survey.table_count) {
@@ -1030,7 +1030,7 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // Phase 3: header (superblock + catalog with the final checksums),
   // exact file size, durable commit.
   {
-    STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 3, 0);
+    Span span(TraceEventType::kBuildPhase, 3);
     std::string header;
     header.reserve(plan.header_bytes);
     AppendSuperblock(&header, params.page_size_bytes,

@@ -252,7 +252,7 @@ AdminResponse AdminServer::Route(const std::string& method,
   const std::string query_string =
       qmark == std::string::npos ? "" : target.substr(qmark + 1);
 
-  STPQ_TRACE_SPAN(TraceEventType::kAdminRequest, EndpointOrdinal(path), 0);
+  Span span(TraceEventType::kAdminRequest, EndpointOrdinal(path));
 
   if (method != "GET" && method != "HEAD") {
     return JsonError(405, "only GET is supported on the admin plane");
@@ -305,11 +305,6 @@ AdminResponse AdminServer::RenderStatusz() {
   body += ",\"assertions\":false";
 #else
   body += ",\"assertions\":true";
-#endif
-#if defined(STPQ_DISABLE_TRACING)
-  body += ",\"tracing_compiled\":false";
-#else
-  body += ",\"tracing_compiled\":true";
 #endif
   body += "},\"sampler\":{";
   if (options_.recorder != nullptr) {

@@ -10,11 +10,10 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-/// Epoch every timestamp is relative to: fixed once per process so rings
-/// from different threads share one timeline.
-std::chrono::steady_clock::time_point Epoch() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
+/// Epoch every timestamp is relative to (a SteadyClockNs() reading): fixed
+/// once per process so rings from different threads share one timeline.
+int64_t EpochNs() {
+  static const int64_t epoch = SteadyClockNs();
   return epoch;
 }
 
@@ -89,7 +88,7 @@ thread_local uint32_t Tracer::tls_trace_id_ = 0;
 Tracer& Tracer::Global() {
   static Tracer* tracer = new Tracer();
   // Pin the epoch before the first event so timestamps never go negative.
-  (void)Epoch();
+  (void)EpochNs();
   return *tracer;
 }
 
@@ -140,8 +139,20 @@ TraceRing* Tracer::RingForThisThread() {
 void Tracer::Emit(TraceEventType type, TraceMark mark, uint8_t arg_a,
                   uint8_t arg_b, uint32_t arg_c, uint64_t arg_d) {
   if (!Active()) return;
+  Record(NowNs(), type, mark, arg_a, arg_b, arg_c, arg_d);
+}
+
+void Tracer::EmitAt(int64_t clock_ns, TraceEventType type, TraceMark mark,
+                    uint32_t arg_c, uint64_t arg_d) {
+  Record(static_cast<uint64_t>(clock_ns - EpochNs()), type, mark, 0, 0, arg_c,
+         arg_d);
+}
+
+void Tracer::Record(uint64_t ts_ns, TraceEventType type, TraceMark mark,
+                    uint8_t arg_a, uint8_t arg_b, uint32_t arg_c,
+                    uint64_t arg_d) {
   TraceEvent e;
-  e.ts_ns = NowNs();
+  e.ts_ns = ts_ns;
   e.trace_id = tls_trace_id_;
   e.type = type;
   e.mark = mark;
@@ -159,21 +170,16 @@ void Tracer::DrainCurrentThread(uint32_t trace_id,
 }
 
 uint64_t Tracer::NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - Epoch())
-          .count());
+  return static_cast<uint64_t>(SteadyClockNs() - EpochNs());
 }
 
 void SlowQueryLog::Offer(uint32_t trace_id, double elapsed_ms,
                          const QueryStats& stats) {
   std::vector<TraceEvent> events;
-#if !defined(STPQ_DISABLE_TRACING)
   // Consume this thread's pending events whether or not the query was
   // slow: discarding fast queries keeps the ring from filling up over a
   // long capture session.
   Tracer::DrainCurrentThread(trace_id, &events);
-#endif
   if (elapsed_ms < threshold_ms_) return;
   SlowQueryRecord record;
   record.trace_id = trace_id;

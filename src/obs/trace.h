@@ -1,4 +1,10 @@
-// Per-query event tracing (DESIGN.md §14).
+// Query timing and per-query event tracing (DESIGN.md §12, §14).
+//
+// Span is the one timing primitive of the query path.  It reads the steady
+// clock once when opened and once when closed; from that pair it adds its
+// phase self-time to QueryStats, sets the query's cpu_ms, and — when the
+// tracer is armed — emits begin/end events carrying the same two readings,
+// so trace durations and QueryStats agree to the nanosecond.
 //
 // Every worker thread owns one fixed-capacity SPSC ring of 32-byte POD
 // trace events.  Emission is wait-free and allocation-free after the
@@ -9,18 +15,14 @@
 // golden-I/O guarantees of §13 hold with tracing active.
 //
 // Span events (query, component-score search, combination round, retrieval
-// batch, Voronoi construction) are emitted as begin/end pairs by the RAII
-// TraceSpan; instant events record individual node visits (tree, level,
+// batch, Voronoi construction, build phase, admin request) are begin/end
+// pairs; instant events record individual node visits (tree, level,
 // prune/descend verdicts), buffer-pool hits/misses/evictions, and search
 // heap high-water marks.  Each event carries the per-query trace id
-// assigned by TraceQueryScope in Engine::Execute, so one ring can hold
+// assigned by the query span in Engine::Execute, so one ring can hold
 // interleaved queries and the exporter (obs/trace_export.h) can still
-// attribute every event.
-//
-// Defining STPQ_DISABLE_TRACING compiles every emission point away (the
-// macros expand to nothing and TraceSpan/TraceQueryScope become empty);
-// the TraversalProfile counters in QueryStats are *not* part of tracing
-// and stay on in every build.
+// attribute every event.  The TraversalProfile counters in QueryStats are
+// not part of tracing and are always recorded.
 #ifndef STPQ_OBS_TRACE_H_
 #define STPQ_OBS_TRACE_H_
 
@@ -157,6 +159,13 @@ struct TraceCollection {
   bool Empty() const { return TotalEvents() == 0; }
 };
 
+/// Steady-clock reading in nanoseconds: the clock every Span reads.
+inline int64_t SteadyClockNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// The process-wide tracer.  Start() arms recording; rings register
 /// lazily on each thread's first emission and live for the process
 /// lifetime (reused if the same thread traces again).
@@ -191,10 +200,17 @@ class Tracer {
   /// Discards all pending events and drop counts (tests / re-arming).
   void Discard() STPQ_EXCLUDES(mu_);
 
-  /// Records one event on the calling thread's ring.  No-op when the
-  /// tracer is idle.  The first call on a thread allocates its ring.
+  /// Records one event on the calling thread's ring, stamped now.  No-op
+  /// when the tracer is idle.  The first call on a thread allocates its
+  /// ring.
   static void Emit(TraceEventType type, TraceMark mark, uint8_t arg_a,
                    uint8_t arg_b, uint32_t arg_c, uint64_t arg_d);
+
+  /// Records one span event stamped with `clock_ns`, a SteadyClockNs()
+  /// reading taken while the tracer was armed.  Records even if the tracer
+  /// was stopped since, so a recorded begin always gets its end.
+  static void EmitAt(int64_t clock_ns, TraceEventType type, TraceMark mark,
+                     uint32_t arg_c, uint64_t arg_d);
 
   /// Consumes the calling thread's pending events, keeping those with
   /// `trace_id` (slow-query capture).  Nothing happens if the thread has
@@ -211,13 +227,18 @@ class Tracer {
     return tls_ring_ != nullptr ? tls_ring_->thread_ordinal() : 0;
   }
 
-  /// Nanoseconds since the tracer epoch (process start).
+  /// Nanoseconds since the tracer epoch (pinned by the first Global()).
   static uint64_t NowNs();
 
  private:
   Tracer() = default;
 
   TraceRing* RingForThisThread() STPQ_EXCLUDES(mu_);
+
+  /// Appends one event to the calling thread's ring.
+  static void Record(uint64_t ts_ns, TraceEventType type, TraceMark mark,
+                     uint8_t arg_a, uint8_t arg_b, uint32_t arg_c,
+                     uint64_t arg_d);
 
   Mutex mu_;
   std::vector<std::unique_ptr<TraceRing>> rings_ STPQ_GUARDED_BY(mu_);
@@ -229,66 +250,124 @@ class Tracer {
   static thread_local uint32_t tls_trace_id_;
 };
 
-#if !defined(STPQ_DISABLE_TRACING)
-
-/// RAII span: emits a begin event now and the matching end event at scope
-/// exit.  When the tracer is idle both ends cost one branch.
-class TraceSpan {
- public:
-  explicit TraceSpan(TraceEventType type, uint32_t arg_c = 0,
-                     uint64_t arg_d = 0)
-      : type_(type), active_(Tracer::Active()) {
-    if (active_) {
-      Tracer::Emit(type_, TraceMark::kBegin, 0, 0, arg_c, arg_d);
-    }
-  }
-
-  ~TraceSpan() {
-    if (active_) Tracer::Emit(type_, TraceMark::kEnd, 0, 0, 0, 0);
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  TraceEventType type_;
-  bool active_;
+/// The span event type each QueryPhase emits, indexed by phase.
+inline constexpr TraceEventType kPhaseSpanEvent[kNumQueryPhases] = {
+    TraceEventType::kCombinationRound,  // QueryPhase::kCombination
+    TraceEventType::kComponentScore,    // QueryPhase::kComponentScore
+    TraceEventType::kRetrievalBatch,    // QueryPhase::kObjectRetrieval
+    TraceEventType::kVoronoiCell,       // QueryPhase::kVoronoi
 };
 
-/// RAII query scope: assigns a trace id, stamps it on the thread, and
-/// brackets the query in a kQuery span.  End() may be called early so the
-/// end event lands before slow-query capture drains the ring.
-class TraceQueryScope {
+/// RAII span over the rest of the enclosing block.  Three forms:
+///
+///   Span span(stats, phase, arg_c, arg_d);  // phase span
+///   Span span(stats);                       // query span
+///   Span span(type, arg_c, arg_d);          // trace-only span
+///
+/// Spans with a stats target read the clock at open and at close.  A
+/// phase span adds its self-time — elapsed time minus the elapsed time of
+/// the stats-target spans nested in it, whichever QueryStats those write
+/// to — to `stats.phase_ms[phase]`, so phase entries never double-count.
+/// The query span sets `stats.cpu_ms` to its elapsed time; when the tracer
+/// is armed it also assigns a fresh trace id and stamps it on the thread
+/// until it closes.  Such spans nest through a thread-local slot and must
+/// close in LIFO order on the thread that opened them.
+///
+/// When the tracer is armed at open, a span emits a begin event and, at
+/// close, an end event, stamped with those same two clock readings; the
+/// event type of a phase span comes from kPhaseSpanEvent.  A trace-only
+/// span (build phases, admin requests) has no stats target: it reads no
+/// clock while the tracer is idle and takes no part in self-time.
+class Span {
  public:
-  TraceQueryScope() {
-    if (Tracer::Active()) {
-      id_ = Tracer::Global().NextTraceId();
-      prev_ = Tracer::CurrentTraceId();
-      Tracer::SetCurrentTraceId(id_);
-      Tracer::Emit(TraceEventType::kQuery, TraceMark::kBegin, 0, 0, id_, 0);
-    }
+  Span(QueryStats& stats, QueryPhase phase, uint32_t arg_c = 0,
+       uint64_t arg_d = 0)
+      : type_(kPhaseSpanEvent[static_cast<size_t>(phase)]),
+        phase_(static_cast<uint8_t>(phase)),
+        stats_(&stats) {
+    Open(arg_c, arg_d);
   }
 
-  ~TraceQueryScope() { End(); }
+  explicit Span(QueryStats& stats)
+      : type_(TraceEventType::kQuery), stats_(&stats) {
+    if (recording_) {
+      trace_id_ = Tracer::Global().NextTraceId();
+      prev_trace_id_ = Tracer::CurrentTraceId();
+      Tracer::SetCurrentTraceId(trace_id_);
+    }
+    Open(trace_id_, 0);
+  }
 
+  explicit Span(TraceEventType type, uint32_t arg_c = 0, uint64_t arg_d = 0)
+      : type_(type) {
+    Open(arg_c, arg_d);
+  }
+
+  ~Span() { End(); }
+
+  /// Closes the span early (the query span closes before the slow-query
+  /// log drains the ring); later calls and the destructor do nothing.
   void End() {
-    if (id_ != 0 && !ended_) {
-      ended_ = true;
-      Tracer::Emit(TraceEventType::kQuery, TraceMark::kEnd, 0, 0, id_, 0);
-      Tracer::SetCurrentTraceId(prev_);
+    if (closed_) return;
+    closed_ = true;
+    const int64_t end_ns =
+        stats_ != nullptr || recording_ ? SteadyClockNs() : 0;
+    if (stats_ != nullptr) {
+      const int64_t elapsed_ns = end_ns - begin_ns_;
+      if (phase_ == kQuerySpan) {
+        stats_->cpu_ms = NsToMillis(elapsed_ns);
+      } else {
+        stats_->phase_ms[phase_] += NsToMillis(elapsed_ns - child_ns_);
+      }
+      if (parent_ != nullptr) parent_->child_ns_ += elapsed_ns;
+      current_ = parent_;
+    }
+    if (recording_) {
+      Tracer::EmitAt(end_ns, type_, TraceMark::kEnd, trace_id_, 0);
+      if (trace_id_ != 0) Tracer::SetCurrentTraceId(prev_trace_id_);
     }
   }
 
-  /// The query's trace id (0 when the tracer was idle at construction).
-  uint32_t id() const { return id_; }
+  /// The query span's trace id (0 when the tracer was idle at open, and
+  /// for every other span).
+  uint32_t trace_id() const { return trace_id_; }
 
-  TraceQueryScope(const TraceQueryScope&) = delete;
-  TraceQueryScope& operator=(const TraceQueryScope&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
  private:
-  uint32_t id_ = 0;
-  uint32_t prev_ = 0;
-  bool ended_ = false;
+  static constexpr uint8_t kQuerySpan = kNumQueryPhases;
+
+  static double NsToMillis(int64_t ns) {
+    return static_cast<double>(ns) / 1e6;
+  }
+
+  void Open(uint32_t arg_c, uint64_t arg_d) {
+    if (stats_ != nullptr) {
+      parent_ = current_;
+      current_ = this;
+    }
+    if (stats_ != nullptr || recording_) begin_ns_ = SteadyClockNs();
+    if (recording_) {
+      Tracer::EmitAt(begin_ns_, type_, TraceMark::kBegin, arg_c, arg_d);
+    }
+  }
+
+  /// Innermost open stats-target span on this thread.
+  static inline thread_local Span* current_ = nullptr;
+
+  // recording_ comes first: the tracer flag is read before any other field
+  // is stored, so an idle trace-only span folds down to that one load.
+  bool recording_ = Tracer::Active();
+  bool closed_ = false;
+  TraceEventType type_;
+  uint8_t phase_ = kQuerySpan;  ///< QueryPhase, or kQuerySpan
+  uint32_t trace_id_ = 0;
+  uint32_t prev_trace_id_ = 0;
+  QueryStats* stats_ = nullptr;
+  Span* parent_ = nullptr;
+  int64_t begin_ns_ = 0;
+  int64_t child_ns_ = 0;  ///< elapsed time of the spans nested in this one
 };
 
 /// Tracks a search heap's high-water mark and emits one kHeapHighWater
@@ -317,26 +396,6 @@ class HeapWatermark {
   size_t high_water_ = 0;
 };
 
-#else  // STPQ_DISABLE_TRACING
-
-class TraceSpan {
- public:
-  explicit TraceSpan(TraceEventType, uint32_t = 0, uint64_t = 0) {}
-};
-
-class TraceQueryScope {
- public:
-  void End() {}
-  uint32_t id() const { return 0; }
-};
-
-class HeapWatermark {
- public:
-  void Observe(size_t) {}
-};
-
-#endif  // STPQ_DISABLE_TRACING
-
 /// kNodeVisit `tree` value for feature set `ordinal` (clamped below the
 /// object-tree sentinel; real ordinals are bounded by kMaxFeatureSets).
 inline uint8_t TraceTreeForSet(uint32_t ordinal) {
@@ -355,7 +414,6 @@ inline void RecordNodeVisit(QueryStats& stats, uint8_t tree, unsigned level,
                                     ? stats.traversal.object_tree
                                     : stats.traversal.FeatureTree(tree);
   counts.RecordVisit(level, pruned, descended);
-#if !defined(STPQ_DISABLE_TRACING)
   if (Tracer::Active()) {
     const uint32_t verdicts =
         (std::min<uint32_t>(pruned, 0xffff) << 16) |
@@ -364,7 +422,6 @@ inline void RecordNodeVisit(QueryStats& stats, uint8_t tree, unsigned level,
                  static_cast<uint8_t>(level < 0xff ? level : 0xff), verdicts,
                  node_id);
   }
-#endif
 }
 
 /// One captured slow query: its trace id, latency, final stats, and the
@@ -407,30 +464,6 @@ class SlowQueryLog {
 
 }  // namespace stpq
 
-// Emission macros.  All expand to nothing under STPQ_DISABLE_TRACING.
-#if defined(STPQ_DISABLE_TRACING)
-
-#define STPQ_TRACE_ACTIVE() false
-#define STPQ_TRACE_SPAN(type, arg_c, arg_d) \
-  do {                                      \
-  } while (false)
-#define STPQ_TRACE_INSTANT(type, arg_a, arg_b, arg_c, arg_d) \
-  do {                                                       \
-  } while (false)
-
-#else
-
-#define STPQ_TRACE_CAT2(a, b) a##b
-#define STPQ_TRACE_CAT(a, b) STPQ_TRACE_CAT2(a, b)
-
-/// Whether the tracer is recording (hoist out of hot loops).
-#define STPQ_TRACE_ACTIVE() (::stpq::Tracer::Active())
-
-/// Opens a trace span for the rest of the enclosing block.
-#define STPQ_TRACE_SPAN(type, arg_c, arg_d)                 \
-  ::stpq::TraceSpan STPQ_TRACE_CAT(stpq_trace_span_,        \
-                                   __LINE__)(type, arg_c, arg_d)
-
 /// Records one instant event when the tracer is recording.
 #define STPQ_TRACE_INSTANT(type, arg_a, arg_b, arg_c, arg_d)               \
   do {                                                                     \
@@ -439,7 +472,5 @@ class SlowQueryLog {
                            arg_b, arg_c, arg_d);                           \
     }                                                                      \
   } while (false)
-
-#endif  // STPQ_DISABLE_TRACING
 
 #endif  // STPQ_OBS_TRACE_H_

@@ -3,7 +3,7 @@
 // The paper reports average execution time per query broken down into I/O
 // time (proportional to page reads) and CPU time.  QueryStats carries both,
 // plus algorithm-internal counters that the ablation benches inspect, plus
-// a per-phase wall-time breakdown filled by obs/phase.h's PhaseTimer
+// a per-phase wall-time breakdown filled by obs/trace.h's Span
 // (DESIGN.md §12).
 #ifndef STPQ_UTIL_METRICS_H_
 #define STPQ_UTIL_METRICS_H_
@@ -14,12 +14,12 @@
 
 namespace stpq {
 
-/// Named query-execution phases that PhaseTimer (obs/phase.h) attributes
+/// Named query-execution phases that Span (obs/trace.h) attributes
 /// wall-time to.  The taxonomy follows the algorithmic structure shared by
 /// STDS and STPS (DESIGN.md §12): combination enumeration (Algorithm 4),
 /// component-score search over the feature indexes (Algorithm 2 and the
 /// sorted feature streams), data-object retrieval/scanning, and Voronoi
-/// cell construction (NN variant).  Time not covered by any timer is
+/// cell construction (NN variant).  Time not covered by any span is
 /// reported as "other" (total CPU minus the traced phases); simulated
 /// buffer-pool I/O is priced separately from page reads, so it is a
 /// *derived* phase, not a timed one.
@@ -149,14 +149,16 @@ struct QueryStats {
   uint64_t voronoi_cells = 0;          ///< Voronoi cells computed (NN variant)
   uint64_t voronoi_clip_features = 0;  ///< features streamed for cell clipping
   uint64_t voronoi_reads = 0;          ///< page reads charged to cell computation
-  double voronoi_cpu_ms = 0.0;         ///< CPU time spent computing cells
   uint64_t voronoi_cache_hits = 0;     ///< cells served from the shared cache
 
-  // Wall-clock CPU time of the query (filled by the caller's timer).
+  /// Wall time of the query span (Engine::Execute), read from the same
+  /// clock as the phase spans nested in it.
   double cpu_ms = 0.0;
 
-  /// Self-time per phase (PhaseTimer attributes exclusive time, so nested
-  /// timers never double-count and the entries sum to at most cpu_ms).
+  /// Self-time per phase (spans attribute exclusive time, so nested spans
+  /// never double-count and the entries sum to at most cpu_ms).  Cell
+  /// construction nests no span, so phase_ms[kVoronoi] is the whole time
+  /// spent computing Voronoi cells.
   double phase_ms[kNumQueryPhases] = {};
 
   /// Per-tree-level visited/pruned/descended counts (DESIGN.md §14).
@@ -179,7 +181,8 @@ struct QueryStats {
     return phase_ms[static_cast<size_t>(phase)];
   }
 
-  /// Sum of all traced phase self-times (<= cpu_ms up to timer resolution).
+  /// Sum of all traced phase self-times (<= cpu_ms when every phase span
+  /// nests in the query span).
   double TracedMillis() const;
 
   /// CPU time not attributed to any traced phase (never negative).

@@ -25,21 +25,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates elapsed time of the enclosing scope into a double (in ms).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* accumulator_ms)
-      : accumulator_ms_(accumulator_ms) {}
-  ~ScopedTimer() { *accumulator_ms_ += timer_.ElapsedMillis(); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* accumulator_ms_;
-  Timer timer_;
-};
-
 }  // namespace stpq
 
 #endif  // STPQ_UTIL_TIMER_H_

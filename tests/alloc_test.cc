@@ -94,10 +94,8 @@ TEST(AllocationTest, WarmTracedRangeTraversalAllocatesNothing) {
       << "warm traced range traversal performed " << (after - before)
       << " heap allocations";
   EXPECT_DOUBLE_EQ(steady_total, warm_total);
-#if !defined(STPQ_DISABLE_TRACING)
   // The traced run really recorded node visits (same counters either way).
   EXPECT_GT(stats.traversal.FeatureVisited(), 0u);
-#endif
 }
 
 TEST(AllocationTest, WarmScratchRangeTraversalAllocatesNothing) {

@@ -154,10 +154,13 @@ TEST(VoronoiCacheTest, BasicFindPut) {
   VoronoiCellCache cache;
   KeywordSet kw(16, {1, 2});
   EXPECT_FALSE(cache.Find(0, 7, kw).has_value());
-  cache.Put(0, 7, kw, ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1)));
-  std::optional<ConvexPolygon> cell = cache.Find(0, 7, kw);
+  cache.Put(0, 7, kw,
+            VoronoiCell{7, ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1)),
+                        {3}});
+  std::optional<VoronoiCell> cell = cache.Find(0, 7, kw);
   ASSERT_TRUE(cell.has_value());
-  EXPECT_NEAR(cell->Area(), 1.0, 1e-12);
+  EXPECT_NEAR(cell->polygon.Area(), 1.0, 1e-12);
+  EXPECT_EQ(cell->sites, std::vector<ObjectId>{3});
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   // Different keywords / set / feature are distinct keys.

@@ -1,5 +1,5 @@
-// stpq_lint fixture: the raw-clock rule.  Timing must flow through the
-// obs/ layer (Timer, PhaseTimer, Tracer), not raw chrono clocks.
+// stpq_lint fixture: the raw-clock rule.  Timing must flow through Span
+// (obs/trace.h) or Timer (util/timer.h), not raw chrono clocks.
 // Never compiled — linter input only.
 #include <chrono>
 

@@ -1,4 +1,4 @@
-// Tests for src/obs/: phase tracing, latency histograms, the metrics
+// Tests for src/obs/: phase spans, latency histograms, the metrics
 // registry with Prometheus exposition, and the engine's metric feeding —
 // including QueryStats merging under the parallel workload runner.
 #include <gtest/gtest.h>
@@ -17,14 +17,14 @@
 #include "gen/synthetic.h"
 #include "obs/histogram.h"
 #include "obs/metrics_registry.h"
-#include "obs/phase.h"
 #include "obs/query_metrics.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 
 namespace stpq {
 namespace {
 
-// -------------------------------------------------------------- PhaseTimer
+// -------------------------------------------------------------- phase Span
 
 /// Burns a little CPU so a span has measurable (nonzero-ish) duration
 /// without sleeping; returns a value to keep the loop alive.
@@ -34,10 +34,10 @@ double Spin(int iters) {
   return x;
 }
 
-TEST(PhaseTimerTest, AttributesToNamedPhase) {
+TEST(PhaseSpanTest, AttributesToNamedPhase) {
   QueryStats stats;
   {
-    PhaseTimer t(stats, QueryPhase::kCombination);
+    Span t(stats, QueryPhase::kCombination);
     Spin(10);
   }
   EXPECT_GT(stats.PhaseMillis(QueryPhase::kCombination), 0.0);
@@ -46,14 +46,14 @@ TEST(PhaseTimerTest, AttributesToNamedPhase) {
   EXPECT_EQ(stats.PhaseMillis(QueryPhase::kVoronoi), 0.0);
 }
 
-TEST(PhaseTimerTest, NestedSpansAttributeSelfTimeOnly) {
+TEST(PhaseSpanTest, NestedSpansAttributeSelfTimeOnly) {
   QueryStats stats;
   const auto wall_start = std::chrono::steady_clock::now();
   {
-    PhaseTimer outer(stats, QueryPhase::kObjectRetrieval);
+    Span outer(stats, QueryPhase::kObjectRetrieval);
     Spin(2);
     {
-      PhaseTimer inner(stats, QueryPhase::kComponentScore);
+      Span inner(stats, QueryPhase::kComponentScore);
       Spin(50);  // much more work than the outer span's own
     }
     Spin(2);
@@ -75,32 +75,32 @@ TEST(PhaseTimerTest, NestedSpansAttributeSelfTimeOnly) {
   EXPECT_LE(stats.TracedMillis(), wall_ms + 1e-6);
 }
 
-TEST(PhaseTimerTest, ReentrantSamePhaseAccumulates) {
+TEST(PhaseSpanTest, ReentrantSamePhaseAccumulates) {
   QueryStats stats;
   for (int i = 0; i < 3; ++i) {
-    PhaseTimer t(stats, QueryPhase::kCombination);
+    Span t(stats, QueryPhase::kCombination);
     Spin(2);
   }
   EXPECT_GT(stats.PhaseMillis(QueryPhase::kCombination), 0.0);
 }
 
-TEST(PhaseTimerTest, MacroCompilesAndRecords) {
+TEST(PhaseSpanTest, OneLinePhaseSiteRecords) {
   QueryStats stats;
   {
-    STPQ_TRACE_PHASE(stats, QueryPhase::kVoronoi);
+    Span span(stats, QueryPhase::kVoronoi, /*arg_c=*/3, /*arg_d=*/7);
     Spin(5);
   }
   EXPECT_GT(stats.PhaseMillis(QueryPhase::kVoronoi), 0.0);
 }
 
-TEST(PhaseTimerTest, NestedTimersMayTargetDifferentStats) {
+TEST(PhaseSpanTest, NestedSpansMayTargetDifferentStats) {
   // A cursor drained inside another query's span writes to its own stats;
   // the parent still excludes the nested time from its self-time.
   QueryStats parent_stats, child_stats;
   {
-    PhaseTimer parent(parent_stats, QueryPhase::kCombination);
+    Span parent(parent_stats, QueryPhase::kCombination);
     {
-      PhaseTimer child(child_stats, QueryPhase::kObjectRetrieval);
+      Span child(child_stats, QueryPhase::kObjectRetrieval);
       Spin(10);
     }
   }
@@ -111,17 +111,17 @@ TEST(PhaseTimerTest, NestedTimersMayTargetDifferentStats) {
             child_stats.PhaseMillis(QueryPhase::kObjectRetrieval));
 }
 
-TEST(PhaseTimerTest, UntracedMillisCoversCrossStatsNesting) {
+TEST(PhaseSpanTest, UntracedMillisCoversCrossStatsNesting) {
   // A nested span that writes to a *different* stats object (cursor inside
   // a query) is invisible to the parent's phase breakdown: its time shows
   // up as the parent's untraced remainder, never as negative slack.
   QueryStats parent_stats, child_stats;
   const auto wall_start = std::chrono::steady_clock::now();
   {
-    PhaseTimer parent(parent_stats, QueryPhase::kCombination);
+    Span parent(parent_stats, QueryPhase::kCombination);
     Spin(2);
     {
-      PhaseTimer child(child_stats, QueryPhase::kObjectRetrieval);
+      Span child(child_stats, QueryPhase::kObjectRetrieval);
       Spin(50);
     }
     Spin(2);
@@ -142,7 +142,8 @@ TEST(QueryStatsTest, UntracedMillisClampsAtZero) {
   QueryStats s;
   s.phase_ms[static_cast<size_t>(QueryPhase::kCombination)] = 5.0;
   EXPECT_DOUBLE_EQ(s.TracedMillis(), 5.0);
-  // Timer resolution can push traced past cpu_ms; the remainder clamps.
+  // Phase time recorded outside a query span (or stats filled by hand) can
+  // exceed cpu_ms; the remainder clamps.
   s.cpu_ms = 1.0;
   EXPECT_DOUBLE_EQ(s.UntracedMillis(), 0.0);
   s.cpu_ms = 8.0;

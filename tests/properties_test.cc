@@ -147,7 +147,8 @@ TEST(VoronoiPartitionTest, RelevantCellsPartitionTheDomain) {
   ASSERT_GT(relevant.size(), 10u);
   for (ObjectId id : relevant) {
     ConvexPolygon cell =
-        ComputeVoronoiCell(index, id, query, 0.5, domain, stats, scratch);
+        ComputeVoronoiCell(index, id, query, 0.5, domain, stats, scratch)
+            .polygon;
     total_area += cell.Area();
   }
   EXPECT_NEAR(total_area, 1.0, 1e-6);

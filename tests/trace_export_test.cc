@@ -1,7 +1,8 @@
 // Tests for src/obs/trace.h + trace_export.h: ring emission/drain/drop
 // semantics, slow-query capture, Chrome trace JSON rendering (balanced
-// B/E pairs, instants, drop counter), and the TraversalProfile invariant
-// that per-tree visited totals reconcile with the buffer-pool counters.
+// B/E pairs, instants, drop counter), the reconciliation of trace events
+// with QueryStats timing, and the TraversalProfile invariant that per-tree
+// visited totals reconcile with the buffer-pool counters.
 //
 // The global Tracer is process-wide state; every test that arms it stops
 // and discards before returning so suites stay order-independent.
@@ -124,8 +125,6 @@ TEST(TraceRingTest, FullRingDropsAndCounts) {
 
 // ------------------------------------------------------------------ Tracer
 
-#if !defined(STPQ_DISABLE_TRACING)
-
 TEST(TracerTest, IdleTracerRecordsNothing) {
   Tracer& tracer = Tracer::Global();
   tracer.Stop();
@@ -153,14 +152,15 @@ TEST(TracerTest, StartCollectStopRoundTrip) {
   tracer.Discard();
 }
 
-TEST(TracerTest, TraceQueryScopeBracketsAndRestoresId) {
+TEST(TracerTest, QuerySpanBracketsAndRestoresId) {
   Tracer& tracer = Tracer::Global();
   tracer.Discard();
   tracer.Start();
+  QueryStats stats;
   {
-    TraceQueryScope scope;
-    EXPECT_NE(scope.id(), 0u);
-    EXPECT_EQ(Tracer::CurrentTraceId(), scope.id());
+    Span scope(stats);
+    EXPECT_NE(scope.trace_id(), 0u);
+    EXPECT_EQ(Tracer::CurrentTraceId(), scope.trace_id());
   }
   EXPECT_EQ(Tracer::CurrentTraceId(), 0u);
   tracer.Stop();
@@ -170,10 +170,25 @@ TEST(TracerTest, TraceQueryScopeBracketsAndRestoresId) {
   EXPECT_EQ(events[0].mark, TraceMark::kBegin);
   EXPECT_EQ(events[1].mark, TraceMark::kEnd);
   EXPECT_EQ(events[0].type, TraceEventType::kQuery);
+  // cpu_ms comes from the same two clock readings as the events.
+  EXPECT_DOUBLE_EQ(stats.cpu_ms,
+                   static_cast<double>(events[1].ts_ns - events[0].ts_ns) /
+                       1e6);
   tracer.Discard();
 }
 
-#endif  // !STPQ_DISABLE_TRACING
+TEST(TracerTest, TraceOnlySpanIsSilentWhenIdle) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Stop();
+  tracer.Discard();
+  QueryStats stats;
+  {
+    Span build(TraceEventType::kBuildPhase, 1, 2);
+    Span phase(stats, QueryPhase::kCombination);
+  }
+  EXPECT_TRUE(tracer.Collect().Empty());
+  EXPECT_EQ(stats.cpu_ms, 0.0);  // only the query span sets cpu_ms
+}
 
 // ----------------------------------------------------- Chrome trace render
 
@@ -325,8 +340,6 @@ TEST(CollectionFromSlowQueriesTest, GroupsRecordsByThreadOrdinal) {
 
 // ------------------------------------------------ engine integration tests
 
-#if !defined(STPQ_DISABLE_TRACING)
-
 TEST(EngineTracingTest, WorkloadProducesBalancedChromeTrace) {
   Dataset ds = SmallDataset();
   std::vector<Query> queries = SmallWorkload(ds, 6);
@@ -416,7 +429,93 @@ TEST(EngineTracingTest, SlowQueryLogCapturesPerQueryEvents) {
   tracer.Discard();
 }
 
-#endif  // !STPQ_DISABLE_TRACING
+/// The QueryPhase whose spans emit `type`, or kNumQueryPhases.
+size_t PhaseOfSpanEvent(TraceEventType type) {
+  size_t phase = 0;
+  while (phase < kNumQueryPhases && kPhaseSpanEvent[phase] != type) ++phase;
+  return phase;
+}
+
+TEST(EngineTracingTest, SpanEventsReconcileWithQueryStats) {
+  // Every span reads the clock once at open and once at close, and the
+  // trace events carry those readings.  So for each query the `query`
+  // span's duration is cpu_ms, and phase self-times rebuilt from the
+  // begin/end events are phase_ms — to the nanosecond, on both algorithms
+  // and all three score variants.
+  Tracer& tracer = Tracer::Global();
+  tracer.Discard();
+  tracer.Start();
+  SlowQueryLog log(/*threshold_ms=*/0.0);  // capture everything
+  ExecuteOptions opts;
+  opts.slow_log = &log;
+  size_t executed = 0;
+  for (ScoreVariant variant : {ScoreVariant::kRange, ScoreVariant::kInfluence,
+                               ScoreVariant::kNearestNeighbor}) {
+    Dataset ds = SmallDataset();
+    QueryWorkloadConfig qcfg;
+    qcfg.count = 2;
+    qcfg.k = 5;
+    qcfg.radius = 0.05;
+    qcfg.variant = variant;
+    std::vector<Query> queries = GenerateQueries(ds, qcfg);
+    Engine engine = Engine::Build(std::move(ds.objects),
+                                  std::move(ds.feature_tables), {})
+                        .TakeValue();
+    for (const Query& q : queries) {
+      for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
+        opts.algorithm = algo;
+        ASSERT_TRUE(engine.Execute(q, opts).ok());
+        ++executed;
+      }
+    }
+  }
+  tracer.Stop();
+  EXPECT_EQ(tracer.Collect().dropped, 0u);
+
+  std::vector<SlowQueryRecord> records = log.Snapshot();
+  ASSERT_EQ(records.size(), executed);
+  for (const SlowQueryRecord& r : records) {
+    struct OpenSpan {
+      TraceEventType type;
+      uint64_t begin_ns;
+      uint64_t child_ns;
+    };
+    std::vector<OpenSpan> open;
+    double query_ms = -1.0;
+    double phase_ms[kNumQueryPhases] = {};
+    for (const TraceEvent& e : r.events) {
+      if (e.mark == TraceMark::kInstant) continue;
+      if (e.mark == TraceMark::kBegin) {
+        open.push_back({e.type, e.ts_ns, 0});
+        continue;
+      }
+      ASSERT_FALSE(open.empty()) << "orphan end in query " << r.trace_id;
+      const OpenSpan span = open.back();
+      open.pop_back();
+      ASSERT_EQ(span.type, e.type);
+      const uint64_t elapsed_ns = e.ts_ns - span.begin_ns;
+      if (!open.empty()) open.back().child_ns += elapsed_ns;
+      if (e.type == TraceEventType::kQuery) {
+        query_ms = static_cast<double>(elapsed_ns) / 1e6;
+        continue;
+      }
+      const size_t phase = PhaseOfSpanEvent(e.type);
+      ASSERT_LT(phase, kNumQueryPhases) << TraceEventTypeName(e.type);
+      phase_ms[phase] += static_cast<double>(elapsed_ns - span.child_ns) / 1e6;
+    }
+    EXPECT_TRUE(open.empty());
+    EXPECT_NEAR(query_ms, r.stats.cpu_ms, 1e-6) << "query " << r.trace_id;
+    for (size_t p = 0; p < kNumQueryPhases; ++p) {
+      EXPECT_NEAR(phase_ms[p], r.stats.phase_ms[p], 1e-6)
+          << QueryPhaseName(static_cast<QueryPhase>(p)) << " in query "
+          << r.trace_id;
+    }
+    EXPECT_GT(r.stats.TracedMillis(), 0.0);
+    // Checked directly, not through UntracedMillis()'s clamp at zero.
+    EXPECT_LE(r.stats.TracedMillis(), r.stats.cpu_ms + 1e-6);
+  }
+  tracer.Discard();
+}
 
 // --------------------------------------------- traversal profile invariant
 

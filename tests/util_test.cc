@@ -212,7 +212,6 @@ QueryStats DistinctStats() {
   s.voronoi_cells = 109;
   s.voronoi_clip_features = 110;
   s.voronoi_reads = 111;
-  s.voronoi_cpu_ms = 112.5;
   s.voronoi_cache_hits = 113;
   s.cpu_ms = 114.5;
   for (size_t i = 0; i < kNumQueryPhases; ++i) {
@@ -239,8 +238,7 @@ TEST(QueryStatsContract, ToStringMentionsEveryCounter) {
   for (const char* needle :
        {"obj=101", "feat=102", "hits=103", "heap_pushes=104",
         "features=105", "combos=107/106", "scored=108", "cpu_ms=114.5",
-        "cells=109", "clip_features=110", "reads=111", "cpu_ms=112.5",
-        "cache_hits=113", "combination=120.5", "component_score=121.5",
+        "cells=109", "clip_features=110", "reads=111", "cache_hits=113", "combination=120.5", "component_score=121.5",
         "object_retrieval=122.5", "voronoi=123.5", "obj_visited=",
         "obj_pruned=", "obj_descended=", "feat_visited=", "feat_pruned=",
         "feat_descended="}) {

@@ -170,7 +170,8 @@ TEST(VoronoiTest, CellContainsExactlyNearestRegion) {
   for (int c = 0; c < 5; ++c) {
     ObjectId center = relevant[rng.UniformInt(0, relevant.size() - 1)];
     ConvexPolygon cell = ComputeVoronoiCell(index, center, query, 0.5,
-                                            domain, stats, scratch);
+                                            domain, stats, scratch)
+                             .polygon;
     const Point cpos = ds.feature_tables[0].Get(center).pos;
     for (int s = 0; s < 200; ++s) {
       Point p{rng.Uniform(), rng.Uniform()};
@@ -207,8 +208,10 @@ TEST(VoronoiTest, SingleFeatureOwnsWholeDomain) {
   KeywordSet query(4, {0});
   QueryStats stats;
   TraversalScratch scratch;
-  ConvexPolygon cell = ComputeVoronoiCell(
-      index, 0, query, 0.5, MakeRect2(0, 0, 1, 1), stats, scratch);
+  ConvexPolygon cell = ComputeVoronoiCell(index, 0, query, 0.5,
+                                          MakeRect2(0, 0, 1, 1), stats,
+                                          scratch)
+                           .polygon;
   EXPECT_NEAR(cell.Area(), 1.0, 1e-12);
 }
 
@@ -407,6 +410,41 @@ TEST(VariantEdgeCases, NnWithOneEmptyFeatureSet) {
   ExpectSameScores(engine.Execute(q, Algorithm::kStps).TakeValue().entries, expected, "nn empty set");
 }
 
+TEST(VariantEdgeCases, NnNearTieGoesToTheNearerFeature) {
+  // Object 0 at (0.5, 0.5) is 0.01 from B and 0.01 + 1e-9 from A, in
+  // opposite directions.  That is inside the slack of ConvexPolygon's
+  // Contains test on the A/B bisector, so A's polygon admits object 0;
+  // but its nearest relevant feature is B, so tau = s(B) = 0.55, not
+  // s(A) = 1.0.
+  const double da = 0.01 + 1e-9;
+  std::vector<FeatureObject> f;
+  f.push_back({0, {0.5 + 0.6 * da, 0.5 + 0.8 * da}, 1.0, KeywordSet(4, {1}),
+               "A"});
+  f.push_back({0, {0.494, 0.492}, 0.1, KeywordSet(4, {1}), "B"});
+  std::vector<FeatureTable> tables;
+  tables.emplace_back(std::move(f), 4);
+  std::vector<DataObject> objects = {
+      {0, {0.5, 0.5}, ""}, {0, {0.0, 0.0}, ""}, {0, {1.0, 1.0}, ""}};
+  Query q;
+  q.k = 3;
+  q.lambda = 0.5;
+  q.variant = ScoreVariant::kNearestNeighbor;
+  q.keywords.push_back(KeywordSet(4, {1}));
+  BruteForceEvaluator brute(&objects, {&tables[0]});
+  ASSERT_NEAR(brute.Tau(objects[0].pos, q), 0.55, 1e-12);
+
+  Engine engine = Engine::Build(objects, tables, {}).TakeValue();
+  for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
+    QueryResult r = engine.Execute(q, algo).TakeValue();
+    ASSERT_EQ(r.entries.size(), 3u);
+    for (const ResultEntry& e : r.entries) {
+      EXPECT_NEAR(e.score, brute.Tau(objects[e.object].pos, q), 1e-12)
+          << "object " << e.object << " algorithm "
+          << static_cast<int>(algo);
+    }
+  }
+}
+
 TEST(VariantEdgeCases, NnVoronoiStatsPopulated) {
   SyntheticConfig cfg;
   cfg.num_objects = 300;
@@ -422,7 +460,7 @@ TEST(VariantEdgeCases, NnVoronoiStatsPopulated) {
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
   QueryResult r = engine.Execute(queries[0], Algorithm::kStps).TakeValue();
   EXPECT_GT(r.stats.voronoi_cells, 0u);
-  EXPECT_GT(r.stats.voronoi_cpu_ms, 0.0);
+  EXPECT_GT(r.stats.PhaseMillis(QueryPhase::kVoronoi), 0.0);
 }
 
 }  // namespace

@@ -20,8 +20,10 @@ Clang thread-safety layer in src/util/thread_annotations.h:
                     suppression explaining why no member can be guarded.
   raw-clock         No direct steady_clock/system_clock/
                     high_resolution_clock ::now() outside src/obs/ and
-                    src/util/ — timing flows through Timer, PhaseTimer and
-                    the Tracer so it can be compiled out and attributed.
+                    src/util/ — query timing flows through Span
+                    (obs/trace.h), whose one clock-read pair feeds phase
+                    self-time, cpu_ms and trace events alike; other
+                    timing uses util/timer.h's Timer.
   nodiscard-status  Every public function declared in a header that
                     returns Status or Result<T> must be [[nodiscard]].
 
@@ -777,9 +779,9 @@ def rule_raw_clock(files, findings):
                     rule="raw-clock", file=sf.path, line=ln,
                     symbol=sf.path,
                     message=f"direct {t}::now() outside obs/ and util/; "
-                            "route timing through Timer / PhaseTimer / "
-                            "Tracer so it stays attributable and "
-                            "compile-out-able",
+                            "time query phases with Span (obs/trace.h) "
+                            "and anything else with Timer, so every "
+                            "reading stays attributable",
                     key=f"raw-clock|{sf.path}|{t}#{count[t]}",
                 ))
 
