@@ -28,9 +28,15 @@ int64_t CellIndex(double v, double cell) {
 
 SortedFeatureStream::SortedFeatureStream(const FeatureIndex* index,
                                          const KeywordSet* query_kw,
-                                         double lambda, QueryStats* stats)
-    : index_(index), query_kw_(query_kw), lambda_(lambda), stats_(stats) {
+                                         double lambda, QueryStats* stats,
+                                         ChildrenMemo* children)
+    : index_(index),
+      query_kw_(query_kw),
+      lambda_(lambda),
+      stats_(stats),
+      children_(children) {
   STPQ_CHECK(stats_ != nullptr);
+  STPQ_CHECK(children_ != nullptr);
   if (index_->RootId() != kInvalidNodeId) {
     heap_.push({1.0, index_->RootId(), false});
   }
@@ -39,6 +45,8 @@ SortedFeatureStream::SortedFeatureStream(const FeatureIndex* index,
 std::optional<SortedFeatureStream::Item> SortedFeatureStream::Next() {
   Span span(*stats_, QueryPhase::kComponentScore, index_->set_ordinal());
   const uint8_t tree = TraceTreeForSet(index_->set_ordinal());
+  ChildrenMemo::IndexMemo& children =
+      children_->Bind(*index_, *query_kw_, lambda_);
   while (!heap_.empty()) {
     HeapEntry top = heap_.top();
     heap_.pop();
@@ -46,22 +54,17 @@ std::optional<SortedFeatureStream::Item> SortedFeatureStream::Next() {
       ++stats_->features_retrieved;
       return Item{top.id, top.priority};
     }
-    const uint16_t level = index_->NodeLevel(top.id);
-    index_->VisitChildren(top.id, *query_kw_, lambda_, &scratch_);
-    uint32_t pruned = 0;
+    // Textual pruning only: sorted feature retrieval has no spatial
+    // constraint (the 2r test applies to combinations, not features).
+    const NodeChildren node = children.Visit(top.id);
     uint32_t descended = 0;
-    for (const FeatureBranch& b : scratch_) {
-      // Textual pruning only: sorted feature retrieval has no spatial
-      // constraint (the 2r test applies to combinations, not features).
-      if (!b.text_match) {
-        ++pruned;
-        continue;
-      }
+    for (const FeatureBranch& b : node.relevant) {
       heap_.push({b.score_bound, b.id, b.is_feature});
       ++descended;
       ++stats_->heap_pushes;
     }
-    RecordNodeVisit(*stats_, tree, level, top.id, pruned, descended);
+    RecordNodeVisit(*stats_, tree, node.level, top.id, node.text_pruned,
+                    descended);
   }
   if (!virtual_emitted_) {
     // heap_i.pop() "returns a virtual feature object as final object".
@@ -74,7 +77,7 @@ std::optional<SortedFeatureStream::Item> SortedFeatureStream::Next() {
 CombinationIterator::CombinationIterator(
     std::vector<const FeatureIndex*> indexes, const Query& query,
     bool enforce_range_constraint, PullingStrategy strategy,
-    QueryStats* stats)
+    QueryStats* stats, ChildrenMemo* children)
     : indexes_(std::move(indexes)),
       query_(query),
       enforce_range_(enforce_range_constraint),
@@ -86,7 +89,7 @@ CombinationIterator::CombinationIterator(
   streams_.reserve(c);
   for (size_t i = 0; i < c; ++i) {
     streams_.emplace_back(indexes_[i], &query_.keywords[i], query_.lambda,
-                          stats_);
+                          stats_, children);
   }
   STPQ_CHECK(c >= 1 && c <= kMaxFeatureSets);
   retrieved_.resize(c);

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/query.h"
+#include "core/scratch.h"
 #include "index/feature_index.h"
 #include "util/attributes.h"
 
@@ -62,10 +63,13 @@ struct Combination {
 /// sim(t, W) > 0, with the virtual feature appended last.
 class SortedFeatureStream {
  public:
-  /// Pointers are not owned.  `query_kw` and `stats` must stay valid;
-  /// `stats` must be non-null (checked at construction).
+  /// Pointers are not owned.  `query_kw`, `stats` and `children` must stay
+  /// valid; `stats` and `children` must be non-null (checked at
+  /// construction).  `children` is the query's relevant-children memo
+  /// (core/scratch.h), shared with every other traversal of the query.
   SortedFeatureStream(const FeatureIndex* index, const KeywordSet* query_kw,
-                      double lambda, QueryStats* stats);
+                      double lambda, QueryStats* stats,
+                      ChildrenMemo* children);
 
   struct Item {
     ObjectId id;
@@ -92,8 +96,8 @@ class SortedFeatureStream {
   const KeywordSet* query_kw_;
   double lambda_;
   QueryStats* stats_;
+  ChildrenMemo* children_;
   std::priority_queue<HeapEntry> heap_;
-  std::vector<FeatureBranch> scratch_;
   bool virtual_emitted_ = false;
 };
 
@@ -103,10 +107,12 @@ class CombinationIterator {
   /// `enforce_range_constraint` applies Definition 4's pairwise
   /// dist(t_i, t_j) <= 2r filter (range variant); the influence and NN
   /// variants construct the iterator without it (Section 7).  `stats`
-  /// must be non-null (checked at construction).
+  /// and `children` must be non-null (checked at construction);
+  /// `children` is handed to every feature stream.
   CombinationIterator(std::vector<const FeatureIndex*> indexes,
                       const Query& query, bool enforce_range_constraint,
-                      PullingStrategy strategy, QueryStats* stats);
+                      PullingStrategy strategy, QueryStats* stats,
+                      ChildrenMemo* children);
 
   /// The next valid combination with the highest score, or nullopt when no
   /// combinations remain.

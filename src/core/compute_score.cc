@@ -18,9 +18,10 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const double r2 = r * r;
+  ChildrenMemo::IndexMemo& children =
+      scratch.children.Bind(index, query_kw, lambda);
   BorrowedMaxHeap heap(scratch.heap);
   heap.push({1.0, index.RootId(), false});
-  std::vector<FeatureBranch>& branches = scratch.branches;
   while (!heap.empty()) {
     SearchHeapItem top = heap.top();
     heap.pop();
@@ -31,15 +32,10 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
       return {top.id, top.priority,
               Distance(p, index.table().Get(top.id).pos)};
     }
-    const uint16_t level = index.NodeLevel(top.id);
-    index.VisitChildren(top.id, query_kw, lambda, &branches);
-    uint32_t pruned = 0;
+    const NodeChildren node = children.Visit(top.id);
+    uint32_t pruned = node.text_pruned;
     uint32_t descended = 0;
-    for (const FeatureBranch& b : branches) {
-      if (!b.text_match) {
-        ++pruned;
-        continue;
-      }
+    for (const FeatureBranch& b : node.relevant) {
       if (MinSquaredDistance(p, b.mbr) > r2) {
         ++pruned;
         continue;
@@ -48,7 +44,7 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
       ++descended;
       ++stats.heap_pushes;
     }
-    RecordNodeVisit(stats, tree, level, top.id, pruned, descended);
+    RecordNodeVisit(stats, tree, node.level, top.id, pruned, descended);
     watermark.Observe(heap.size());
   }
   return {};
@@ -69,9 +65,10 @@ BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
   Span span(stats, QueryPhase::kComponentScore, index.set_ordinal());
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
+  ChildrenMemo::IndexMemo& children =
+      scratch.children.Bind(index, query_kw, lambda);
   BorrowedMaxHeap heap(scratch.heap);
   heap.push({1.0, index.RootId(), false});
-  std::vector<FeatureBranch>& branches = scratch.branches;
   while (!heap.empty()) {
     SearchHeapItem top = heap.top();
     heap.pop();
@@ -80,15 +77,9 @@ BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
       return {top.id, top.priority,
               Distance(p, index.table().Get(top.id).pos)};
     }
-    const uint16_t level = index.NodeLevel(top.id);
-    index.VisitChildren(top.id, query_kw, lambda, &branches);
-    uint32_t pruned = 0;
+    const NodeChildren node = children.Visit(top.id);
     uint32_t descended = 0;
-    for (const FeatureBranch& b : branches) {
-      if (!b.text_match) {
-        ++pruned;
-        continue;
-      }
+    for (const FeatureBranch& b : node.relevant) {
       // s-hat(e) decayed at mindist upper-bounds the influence score of
       // every feature below e (score <= s-hat, distance >= mindist).
       double pri =
@@ -97,7 +88,8 @@ BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
       ++descended;
       ++stats.heap_pushes;
     }
-    RecordNodeVisit(stats, tree, level, top.id, pruned, descended);
+    RecordNodeVisit(stats, tree, node.level, top.id, node.text_pruned,
+                    descended);
     watermark.Observe(heap.size());
   }
   return {};
@@ -120,9 +112,10 @@ BestFeature ComputeBestNearestNeighbor(const FeatureIndex& index,
   Span span(stats, QueryPhase::kComponentScore, index.set_ordinal());
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
+  ChildrenMemo::IndexMemo& children =
+      scratch.children.Bind(index, query_kw, lambda);
   BorrowedMinHeap heap(scratch.heap);
   heap.push({0.0, index.RootId(), false});
-  std::vector<FeatureBranch>& branches = scratch.branches;
   bool found = false;
   double nearest_d2 = std::numeric_limits<double>::infinity();
   BestFeature best;
@@ -151,20 +144,15 @@ BestFeature ComputeBestNearestNeighbor(const FeatureIndex& index,
       }
       continue;
     }
-    const uint16_t level = index.NodeLevel(top.id);
-    index.VisitChildren(top.id, query_kw, lambda, &branches);
-    uint32_t pruned = 0;
+    const NodeChildren node = children.Visit(top.id);
     uint32_t descended = 0;
-    for (const FeatureBranch& b : branches) {
-      if (!b.text_match) {
-        ++pruned;
-        continue;
-      }
+    for (const FeatureBranch& b : node.relevant) {
       heap.push({MinSquaredDistance(p, b.mbr), b.id, b.is_feature});
       ++descended;
       ++stats.heap_pushes;
     }
-    RecordNodeVisit(stats, tree, level, top.id, pruned, descended);
+    RecordNodeVisit(stats, tree, node.level, top.id, node.text_pruned,
+                    descended);
     watermark.Observe(heap.size());
   }
   return found ? best : BestFeature{};
@@ -198,9 +186,10 @@ void ComputeScoresRangeBatch(const FeatureIndex& index,
   active.resize(batch.size());
   for (uint32_t i = 0; i < batch.size(); ++i) active[i] = i;
 
+  ChildrenMemo::IndexMemo& children =
+      scratch.children.Bind(index, query_kw, lambda);
   BorrowedMaxHeap heap(scratch.heap);
   heap.push({1.0, index.RootId(), false});
-  std::vector<FeatureBranch>& branches = scratch.branches;
   while (!heap.empty() && !active.empty()) {
     SearchHeapItem top = heap.top();
     heap.pop();
@@ -221,15 +210,10 @@ void ComputeScoresRangeBatch(const FeatureIndex& index,
       }
       continue;
     }
-    const uint16_t level = index.NodeLevel(top.id);
-    index.VisitChildren(top.id, query_kw, lambda, &branches);
-    uint32_t pruned = 0;
+    const NodeChildren node = children.Visit(top.id);
+    uint32_t pruned = node.text_pruned;
     uint32_t descended = 0;
-    for (const FeatureBranch& b : branches) {
-      if (!b.text_match) {
-        ++pruned;
-        continue;
-      }
+    for (const FeatureBranch& b : node.relevant) {
       // Cheap prefilter on the whole batch MBR, then the exact exists-test
       // of Section 5: expand only if at least one active p is in range.
       if (MinDistance(batch_mbr, b.mbr) > r) {
@@ -251,7 +235,7 @@ void ComputeScoresRangeBatch(const FeatureIndex& index,
       ++descended;
       ++stats.heap_pushes;
     }
-    RecordNodeVisit(stats, tree, level, top.id, pruned, descended);
+    RecordNodeVisit(stats, tree, node.level, top.id, pruned, descended);
     watermark.Observe(heap.size());
   }
 }

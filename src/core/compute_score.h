@@ -5,9 +5,10 @@
 // All traversals are best-first over s-hat(e) (or distance, for the NN
 // variant); sub-trees are pruned when the spatial constraint cannot be met
 // or no query keyword can occur below the entry.  Every function borrows
-// its heap and child-visit buffers from a caller-provided TraversalScratch
-// (see core/scratch.h), so a warm session runs these kernels without
-// allocating.
+// its heap from a caller-provided TraversalScratch and reads node children
+// through the scratch's relevant-children memo (see core/scratch.h), so a
+// warm session runs these kernels without allocating, and a node the
+// query already evaluated costs a memo lookup instead of a re-evaluation.
 //
 // Stats contract: every function takes `QueryStats&` and unconditionally
 // accumulates its work counters — callers that do not care still pass a

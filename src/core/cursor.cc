@@ -22,7 +22,7 @@ StpsCursor::StpsCursor(const ObjectIndex* objects,
   if (session_ != nullptr) scope.emplace(session_.get());
   iterator_ = std::make_unique<CombinationIterator>(
       feature_indexes_, query_, /*enforce_range_constraint=*/true, strategy,
-      &stats_);
+      &stats_, &scratch_.children);
 }
 
 StpsCursor::~StpsCursor() = default;

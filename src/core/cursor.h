@@ -62,8 +62,10 @@ class StpsCursor {
   Query query_;  // owned copy; the iterator references it
   QueryStats stats_;
   std::unique_ptr<ExecutionSession> session_;
+  /// Reused across Next()/RefillBuffer calls; its children memo is the
+  /// iterator's, so it is declared before (and outlives) the iterator.
+  TraversalScratch scratch_;
   std::unique_ptr<CombinationIterator> iterator_;
-  TraversalScratch scratch_;  ///< reused across Next()/RefillBuffer calls
   std::vector<bool> claimed_;
   std::deque<ResultEntry> buffer_;
   bool exhausted_ = false;

@@ -237,6 +237,19 @@ Status Engine::ValidateQuery(const Query& query) const {
         " keyword sets but the engine indexes " +
         std::to_string(num_feature_sets()) + " feature sets");
   }
+  // Keyword-set algebra assumes one universe per feature set: a smaller
+  // query universe would be read past its blocks, a larger one would have
+  // its extra terms silently ignored.
+  for (size_t i = 0; i < query.keywords.size(); ++i) {
+    const uint32_t universe = feature_table(i).universe_size();
+    if (query.keywords[i].universe_size() != universe) {
+      return Status::InvalidArgument(
+          "keyword set " + std::to_string(i) + " is over " +
+          std::to_string(query.keywords[i].universe_size()) +
+          " terms but feature set " + std::to_string(i) + " has " +
+          std::to_string(universe));
+    }
+  }
   if (query.k == 0) {
     return Status::InvalidArgument("k must be >= 1");
   }

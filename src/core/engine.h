@@ -153,9 +153,10 @@ class Engine {
   /// Executes `query` with the given algorithm.  The result carries the
   /// entries sorted by descending tau(p) and the cost counters (CPU time,
   /// simulated page reads per index family).  Returns InvalidArgument for
-  /// malformed queries: keyword-set count != num_feature_sets(), k == 0,
-  /// lambda outside [0, 1], or radius <= 0 (NN-variant queries ignore the
-  /// radius and are exempt from the radius check).
+  /// malformed queries: keyword-set count != num_feature_sets(), a keyword
+  /// set over another universe than its feature table's, k == 0, lambda
+  /// outside [0, 1], or radius <= 0 (NN-variant queries ignore the radius
+  /// and are exempt from the radius check).
   ///
   /// Thread-safe: any number of Execute/OpenCursor calls may run
   /// concurrently on one engine.
@@ -176,8 +177,9 @@ class Engine {
   [[nodiscard]] Result<std::unique_ptr<StpsCursor>> OpenCursor(
       const Query& query) const;
 
-  /// Checks `query` against this engine's shape: keyword-set count,
-  /// k >= 1, lambda in [0, 1], radius > 0 for radius-dependent variants.
+  /// Checks `query` against this engine's shape: keyword-set count, each
+  /// set's universe size against its feature table's, k >= 1, lambda in
+  /// [0, 1], radius > 0 for radius-dependent variants.
   [[nodiscard]] Status ValidateQuery(const Query& query) const;
 
   /// The shared Voronoi cell cache (nullptr unless reuse_voronoi_cells).

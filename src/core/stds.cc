@@ -54,6 +54,7 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
   STPQ_CHECK(query.keywords.size() == feature_indexes_.size());
   TraversalScratch local_scratch;
   TraversalScratch& scr = scratch != nullptr ? *scratch : local_scratch;
+  scr.children.Clear();
   QueryResult result;
   QueryStats& stats = result.stats;
   TopK<ObjectId> topk(query.k);

@@ -13,6 +13,7 @@ QueryResult Stps::Execute(const Query& query, PullingStrategy strategy,
   STPQ_CHECK(query.keywords.size() == feature_indexes_.size());
   TraversalScratch local_scratch;
   TraversalScratch& scr = scratch != nullptr ? *scratch : local_scratch;
+  scr.children.Clear();
   switch (query.variant) {
     case ScoreVariant::kRange:
       return ExecuteRange(query, strategy, scr);
@@ -31,7 +32,7 @@ QueryResult Stps::ExecuteRange(const Query& query, PullingStrategy strategy,
   QueryResult result;
   CombinationIterator it(feature_indexes_, query,
                          /*enforce_range_constraint=*/true, strategy,
-                         &result.stats);
+                         &result.stats, &scratch.children);
   std::vector<bool> claimed(objects_->size(), false);
   std::vector<Point> member_pos;
   // Algorithm 3: emit combinations best-first; objects qualified by their

@@ -128,7 +128,7 @@ QueryResult Stps::ExecuteInfluence(const Query& query,
   // nextCombination without the 2r validity filter (Section 7.1).
   CombinationIterator it(feature_indexes_, query,
                          /*enforce_range_constraint=*/false, strategy,
-                         &result.stats);
+                         &result.stats, &scratch.children);
   // Influence scores of a data object differ per combination; keep the max
   // over all combinations processed (Algorithm 5, line 6).
   std::unordered_map<ObjectId, double> best;
@@ -258,7 +258,7 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
   streams.reserve(c);
   for (size_t i = 0; i < c; ++i) {
     streams.emplace_back(feature_indexes_[i], &query.keywords[i],
-                         query.lambda, &result.stats);
+                         query.lambda, &result.stats, &scratch.children);
   }
 
   // Per-set bookkeeping: the top score (fixed after the first pull) and

@@ -82,7 +82,7 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
   QueryResult result;
   CombinationIterator it(feature_indexes_, query,
                          /*enforce_range_constraint=*/false, strategy,
-                         &result.stats);
+                         &result.stats, &scratch.children);
   const size_t c = feature_indexes_.size();
 
   // A virtual member at position i matches an object only when F_i has no
@@ -91,7 +91,8 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
   std::vector<bool> set_has_relevant(c, false);
   for (size_t i = 0; i < c; ++i) {
     SortedFeatureStream probe(feature_indexes_[i], &query.keywords[i],
-                              query.lambda, &result.stats);
+                              query.lambda, &result.stats,
+                              &scratch.children);
     std::optional<SortedFeatureStream::Item> first = probe.Next();
     set_has_relevant[i] =
         first.has_value() && first->id != kVirtualFeature;

@@ -36,12 +36,15 @@ VoronoiCell ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
   cell.polygon = ConvexPolygon::FromRect(domain);
   ++stats.voronoi_cells;
 
+  // Only relevant features define cells: the memo's views hold exactly
+  // the entries that may lead to one.
+  ChildrenMemo::IndexMemo& children =
+      scratch.children.Bind(index, query_kw, lambda);
   // Min-heap on squared mindist from the center.
   BorrowedMinHeap heap(scratch.heap);
   if (index.RootId() != kInvalidNodeId) {
     heap.push({0.0, index.RootId(), false});
   }
-  std::vector<FeatureBranch>& branches = scratch.branches;
   double max_vertex = cell.polygon.MaxDistanceFrom(center);
   while (!heap.empty() && !cell.polygon.IsEmpty()) {
     SearchHeapItem top = heap.top();
@@ -59,20 +62,12 @@ VoronoiCell ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
       max_vertex = cell.polygon.MaxDistanceFrom(center);
       continue;
     }
-    const uint16_t level = index.NodeLevel(top.id);
-    index.VisitChildren(top.id, query_kw, lambda, &branches);
-    uint32_t pruned = 0;
-    uint32_t descended = 0;
-    for (const FeatureBranch& b : branches) {
-      if (!b.text_match) {
-        // Only relevant features define cells.
-        ++pruned;
-        continue;
-      }
+    const NodeChildren node = children.Visit(top.id);
+    for (const FeatureBranch& b : node.relevant) {
       heap.push({MinSquaredDistance(center, b.mbr), b.id, b.is_feature});
-      ++descended;
     }
-    RecordNodeVisit(stats, tree, level, top.id, pruned, descended);
+    RecordNodeVisit(stats, tree, node.level, top.id, node.text_pruned,
+                    static_cast<uint32_t>(node.relevant.size()));
   }
 
   if (index.buffer_pool() != nullptr) {

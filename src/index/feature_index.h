@@ -49,6 +49,13 @@ class FeatureIndex {
                              double lambda,
                              std::vector<FeatureBranch>* out) const = 0;
 
+  /// Charges the page access of visiting `node_id` exactly as
+  /// VisitChildren does, without evaluating its children.  The
+  /// relevant-children memo (core/scratch.h) calls it when it answers a
+  /// repeated visit from memory, so reads, hits and evictions stay those
+  /// of one page access per node visit.
+  virtual void TouchNode(NodeId node_id) const = 0;
+
   /// The record store this index was built over.
   virtual const FeatureTable& table() const = 0;
 

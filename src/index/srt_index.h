@@ -84,6 +84,7 @@ class SrtIndex : public FeatureIndex {
   void VisitChildren(NodeId node_id, const KeywordSet& query_kw,
                      double lambda,
                      std::vector<FeatureBranch>* out) const override;
+  void TouchNode(NodeId node_id) const override { tree_.ReadNode(node_id); }
   const FeatureTable& table() const override { return *table_; }
   BufferPool* buffer_pool() const override;
   const char* Name() const override { return "SRT"; }

@@ -3,11 +3,21 @@
 // paper's worked example (Section 6.4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+
 #include "core/brute_force.h"
 #include "core/compute_score.h"
 #include "core/engine.h"
+#include "core/score.h"
+#include "core/stds.h"
+#include "core/stps.h"
 #include "gen/queries.h"
 #include "gen/synthetic.h"
+#include "index/ir2_tree.h"
+#include "index/srt_index.h"
 #include "paper_example.h"
 #include "util/rng.h"
 
@@ -362,6 +372,340 @@ TEST(StatsTest, WarmCacheReducesReads) {
   EXPECT_LT(again.stats.TotalReads(), first.stats.TotalReads());
   EXPECT_GT(again.stats.buffer_hits, 0u);
 }
+
+// ------------------------------------------------ relevant-children memo
+
+/// Forwards every call to `inner`, counting child evaluations per node and
+/// charge-only touches.
+class CountingIndex : public FeatureIndex {
+ public:
+  explicit CountingIndex(const FeatureIndex* inner)
+      : FeatureIndex(inner->set_ordinal()), inner_(inner) {}
+
+  NodeId RootId() const override { return inner_->RootId(); }
+  uint16_t NodeLevel(NodeId node_id) const override {
+    return inner_->NodeLevel(node_id);
+  }
+  void VisitChildren(NodeId node_id, const KeywordSet& query_kw,
+                     double lambda,
+                     std::vector<FeatureBranch>* out) const override {
+    ++evaluations_[node_id];
+    inner_->VisitChildren(node_id, query_kw, lambda, out);
+  }
+  void TouchNode(NodeId node_id) const override {
+    ++touches_;
+    inner_->TouchNode(node_id);
+  }
+  const FeatureTable& table() const override { return inner_->table(); }
+  BufferPool* buffer_pool() const override { return inner_->buffer_pool(); }
+  const char* Name() const override { return inner_->Name(); }
+
+  uint64_t Evaluations(NodeId node_id) const {
+    auto it = evaluations_.find(node_id);
+    return it == evaluations_.end() ? 0 : it->second;
+  }
+  uint64_t MaxEvaluationsPerNode() const {
+    uint64_t most = 0;
+    for (const auto& [node, n] : evaluations_) most = std::max(most, n);
+    return most;
+  }
+  uint64_t touches() const { return touches_; }
+  void ResetCounts() {
+    evaluations_.clear();
+    touches_ = 0;
+  }
+
+ private:
+  const FeatureIndex* inner_;
+  mutable std::map<NodeId, uint64_t> evaluations_;
+  mutable uint64_t touches_ = 0;
+};
+
+std::unique_ptr<FeatureIndex> BuildFeatureIndex(
+    FeatureIndexKind kind, const FeatureTable* table,
+    const FeatureIndexOptions& opts) {
+  if (kind == FeatureIndexKind::kSrt) {
+    return std::make_unique<SrtIndex>(table, opts);
+  }
+  return std::make_unique<Ir2Tree>(table, opts);
+}
+
+/// Every node id of `index`, found by walking all children from the root.
+std::vector<NodeId> AllNodes(const FeatureIndex& index) {
+  std::vector<NodeId> nodes;
+  if (index.RootId() == kInvalidNodeId) return nodes;
+  std::vector<NodeId> stack = {index.RootId()};
+  std::vector<FeatureBranch> children;
+  const KeywordSet any(index.table().universe_size());
+  while (!stack.empty()) {
+    NodeId node = stack.back();
+    stack.pop_back();
+    nodes.push_back(node);
+    index.VisitChildren(node, any, 0.5, &children);
+    for (const FeatureBranch& b : children) {
+      if (!b.is_feature) stack.push_back(b.id);
+    }
+  }
+  return nodes;
+}
+
+/// The memo's view of `node` must be VisitChildren filtered to text_match,
+/// entry for entry.
+void ExpectViewMatchesFiltered(const FeatureIndex& index, NodeId node,
+                               const KeywordSet& kw, double lambda,
+                               const NodeChildren& got) {
+  std::vector<FeatureBranch> all;
+  index.VisitChildren(node, kw, lambda, &all);
+  std::vector<FeatureBranch> want;
+  uint32_t pruned = 0;
+  for (const FeatureBranch& b : all) {
+    if (b.text_match) {
+      want.push_back(b);
+    } else {
+      ++pruned;
+    }
+  }
+  EXPECT_EQ(got.level, index.NodeLevel(node)) << "node " << node;
+  EXPECT_EQ(got.text_pruned, pruned) << "node " << node;
+  ASSERT_EQ(got.relevant.size(), want.size()) << "node " << node;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const FeatureBranch& g = got.relevant[i];
+    EXPECT_EQ(g.id, want[i].id) << "node " << node << " entry " << i;
+    EXPECT_EQ(g.is_feature, want[i].is_feature);
+    EXPECT_EQ(g.score_bound, want[i].score_bound);
+    EXPECT_EQ(g.mbr.lo, want[i].mbr.lo);
+    EXPECT_EQ(g.mbr.hi, want[i].mbr.hi);
+    EXPECT_TRUE(g.text_match);
+  }
+}
+
+class ChildrenMemoTest : public ::testing::TestWithParam<FeatureIndexKind> {
+ protected:
+  static Dataset Features() {
+    SyntheticConfig cfg;
+    cfg.seed = 41;
+    cfg.num_objects = 0;
+    cfg.num_features_per_set = 600;
+    cfg.num_feature_sets = 1;
+    cfg.vocabulary_size = 32;
+    cfg.num_clusters = 40;
+    return GenerateSynthetic(cfg);
+  }
+};
+
+TEST_P(ChildrenMemoTest, ViewsAreVisitChildrenFilteredToTextMatches) {
+  Dataset ds = Features();
+  FeatureIndexOptions opts;
+  opts.page_size_bytes = 512;  // small pages: a deep tree
+  std::unique_ptr<FeatureIndex> index =
+      BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
+  const std::vector<NodeId> nodes = AllNodes(*index);
+  ASSERT_GT(nodes.size(), 20u);
+  const std::vector<KeywordSet> keyword_sets = {
+      KeywordSet(32, {0}), KeywordSet(32, {1, 7, 30}), KeywordSet(32)};
+  ChildrenMemo memo;
+  for (const KeywordSet& kw : keyword_sets) {
+    for (double lambda : {0.0, 0.3, 1.0}) {
+      ChildrenMemo::IndexMemo& bound = memo.Bind(*index, kw, lambda);
+      // The first pass evaluates every node, the second reads the memo.
+      for (int pass = 0; pass < 2; ++pass) {
+        for (NodeId node : nodes) {
+          ExpectViewMatchesFiltered(*index, node, kw, lambda,
+                                    bound.Visit(node));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ChildrenMemoTest, RepeatVisitIsOnePoolHitAndNoEvaluation) {
+  Dataset ds = Features();
+  BufferPool pool(0);
+  FeatureIndexOptions opts;
+  opts.page_size_bytes = 512;
+  opts.buffer_pool = &pool;
+  std::unique_ptr<FeatureIndex> index =
+      BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
+  CountingIndex counting(index.get());
+  pool.Clear();
+  pool.ResetStats();
+
+  const KeywordSet kw(32, {1, 2});
+  ChildrenMemo memo;
+  ChildrenMemo::IndexMemo& bound = memo.Bind(counting, kw, 0.5);
+  const NodeId root = counting.RootId();
+  const size_t first_size = bound.Visit(root).relevant.size();
+  EXPECT_EQ(counting.Evaluations(root), 1u);
+  EXPECT_EQ(pool.stats().reads, 1u);
+  EXPECT_EQ(pool.stats().hits, 0u);
+  for (uint64_t repeat = 1; repeat <= 3; ++repeat) {
+    const NodeChildren again = bound.Visit(root);
+    EXPECT_EQ(again.relevant.size(), first_size);
+    EXPECT_EQ(counting.Evaluations(root), 1u);
+    EXPECT_EQ(counting.touches(), repeat);
+    EXPECT_EQ(pool.stats().reads, 1u);
+    EXPECT_EQ(pool.stats().hits, repeat);
+  }
+}
+
+TEST_P(ChildrenMemoTest, AnotherBindingReevaluates) {
+  Dataset ds = Features();
+  FeatureIndexOptions opts;
+  opts.page_size_bytes = 512;
+  std::unique_ptr<FeatureIndex> index =
+      BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
+  std::unique_ptr<FeatureIndex> twin =
+      BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
+  CountingIndex counting(index.get());
+  CountingIndex other(twin.get());
+  const NodeId root = counting.RootId();
+  ChildrenMemo memo;
+  KeywordSet kw(32, {0});
+  auto visit_root = [&](const CountingIndex& idx, double lambda) {
+    return memo.Bind(idx, kw, lambda).Visit(idx.RootId());
+  };
+
+  visit_root(counting, 0.5);
+  visit_root(counting, 0.5);
+  EXPECT_EQ(counting.Evaluations(root), 1u);
+
+  kw.Insert(9);  // same object, new contents
+  ExpectViewMatchesFiltered(*index, root, kw, 0.5, visit_root(counting, 0.5));
+  EXPECT_EQ(counting.Evaluations(root), 2u);
+
+  ExpectViewMatchesFiltered(*index, root, kw, 0.25,
+                            visit_root(counting, 0.25));
+  EXPECT_EQ(counting.Evaluations(root), 3u);
+
+  // Another index under the same keywords and lambda is evaluated on its
+  // own and leaves the first index's entries in place.
+  visit_root(other, 0.25);
+  EXPECT_EQ(other.Evaluations(other.RootId()), 1u);
+  visit_root(counting, 0.25);
+  EXPECT_EQ(counting.Evaluations(root), 3u);
+
+  // A query start drops every binding.
+  memo.Clear();
+  visit_root(counting, 0.25);
+  EXPECT_EQ(counting.Evaluations(root), 4u);
+}
+
+// STPS (range, both influence modes, NN) and STDS (batched and per object)
+// over decorated indexes: within one query every node of every feature
+// set is evaluated at most once, and entries, page reads and buffer hits
+// equal the undecorated run's.
+TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
+  SyntheticConfig cfg;
+  cfg.seed = 5;
+  cfg.num_objects = 400;
+  cfg.num_features_per_set = 800;
+  cfg.num_feature_sets = 2;
+  cfg.vocabulary_size = 32;
+  cfg.num_clusters = 40;
+  Dataset ds = GenerateSynthetic(cfg);
+  BufferPool object_pool(0);
+  BufferPool feature_pool(0);
+  ObjectIndexOptions oopts;
+  oopts.page_size_bytes = 512;
+  oopts.buffer_pool = &object_pool;
+  ObjectIndex objects(&ds.objects, oopts);
+  std::vector<std::unique_ptr<FeatureIndex>> indexes;
+  std::vector<std::unique_ptr<CountingIndex>> counters;
+  std::vector<const FeatureIndex*> plain;
+  std::vector<const FeatureIndex*> decorated;
+  for (uint32_t i = 0; i < cfg.num_feature_sets; ++i) {
+    FeatureIndexOptions opts;  // the engine's page layout
+    opts.page_size_bytes = 512;
+    opts.buffer_pool = &feature_pool;
+    opts.page_base = kIndexPageStride * (i + 1);
+    opts.set_ordinal = i;
+    indexes.push_back(
+        BuildFeatureIndex(GetParam(), &ds.feature_tables[i], opts));
+    counters.push_back(std::make_unique<CountingIndex>(indexes.back().get()));
+    plain.push_back(indexes.back().get());
+    decorated.push_back(counters.back().get());
+  }
+
+  struct Run {
+    std::vector<ResultEntry> entries;
+    BufferPoolStats object_io;
+    BufferPoolStats feature_io;
+  };
+  enum class Executor { kStdsBatched, kStdsPerObject, kStps, kStpsCombos };
+  auto run = [&](Executor executor, const std::vector<const FeatureIndex*>& ix,
+                 const Query& q) {
+    object_pool.Clear();
+    object_pool.ResetStats();
+    feature_pool.Clear();
+    feature_pool.ResetStats();
+    TraversalScratch scratch;
+    QueryResult r;
+    switch (executor) {
+      case Executor::kStdsBatched:
+        r = Stds(&objects, ix).Execute(q, true, &scratch);
+        break;
+      case Executor::kStdsPerObject:
+        r = Stds(&objects, ix).Execute(q, false, &scratch);
+        break;
+      case Executor::kStps:
+        r = Stps(&objects, ix).Execute(q, PullingStrategy::kPrioritized,
+                                       &scratch);
+        break;
+      case Executor::kStpsCombos:
+        r = Stps(&objects, ix, InfluenceMode::kCombinations)
+                .Execute(q, PullingStrategy::kPrioritized, &scratch);
+        break;
+    }
+    return Run{r.entries, object_pool.stats(), feature_pool.stats()};
+  };
+
+  uint64_t touches = 0;
+  for (ScoreVariant variant :
+       {ScoreVariant::kRange, ScoreVariant::kInfluence,
+        ScoreVariant::kNearestNeighbor}) {
+    QueryWorkloadConfig qcfg;
+    qcfg.count = 3;
+    qcfg.k = 5;
+    qcfg.radius = 0.05;
+    qcfg.keywords_per_set = 2;
+    qcfg.variant = variant;
+    for (const Query& q : GenerateQueries(ds, qcfg)) {
+      for (Executor executor :
+           {Executor::kStdsBatched, Executor::kStdsPerObject, Executor::kStps,
+            Executor::kStpsCombos}) {
+        if (executor == Executor::kStpsCombos &&
+            variant != ScoreVariant::kInfluence) {
+          continue;
+        }
+        const std::string label = std::string(VariantName(variant)) +
+                                  " executor " +
+                                  std::to_string(static_cast<int>(executor));
+        const Run want = run(executor, plain, q);
+        for (auto& c : counters) c->ResetCounts();
+        const Run got = run(executor, decorated, q);
+        for (const auto& c : counters) {
+          EXPECT_LE(c->MaxEvaluationsPerNode(), 1u) << label;
+          touches += c->touches();
+        }
+        ASSERT_EQ(got.entries.size(), want.entries.size()) << label;
+        for (size_t i = 0; i < want.entries.size(); ++i) {
+          EXPECT_EQ(got.entries[i].object, want.entries[i].object) << label;
+          EXPECT_EQ(got.entries[i].score, want.entries[i].score) << label;
+        }
+        EXPECT_EQ(got.object_io.reads, want.object_io.reads) << label;
+        EXPECT_EQ(got.object_io.hits, want.object_io.hits) << label;
+        EXPECT_EQ(got.feature_io.reads, want.feature_io.reads) << label;
+        EXPECT_EQ(got.feature_io.hits, want.feature_io.hits) << label;
+      }
+    }
+  }
+  // The queries did revisit nodes, so the memo answered from memory.
+  EXPECT_GT(touches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Indexes, ChildrenMemoTest,
+                         ::testing::Values(FeatureIndexKind::kSrt,
+                                           FeatureIndexKind::kIr2));
 
 }  // namespace
 }  // namespace stpq

@@ -133,7 +133,7 @@ TEST(AllocationTest, WarmScratchRangeTraversalAllocatesNothing) {
     return total;
   };
 
-  // Warm-up: grows scratch.heap / scratch.branches to steady state.
+  // Warm-up: grows scratch.heap / scratch.children to steady state.
   const double warm_total = run_all();
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);

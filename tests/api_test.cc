@@ -277,6 +277,46 @@ TEST(ValidationTest, OpenCursorRejectsMalformedAndNonRangeQueries) {
             StatusCode::kInvalidArgument);
 }
 
+/// An engine over two 128-term feature sets, plus a valid query for it
+/// whose second keyword set is then rebuilt over `universe` terms.
+void ExpectUniverseRejected(uint32_t universe) {
+  SyntheticConfig cfg;
+  cfg.num_objects = 100;
+  cfg.num_features_per_set = 200;
+  cfg.num_feature_sets = 2;
+  cfg.vocabulary_size = 128;
+  cfg.num_clusters = 20;
+  Dataset ds = GenerateSynthetic(cfg);
+  Engine engine =
+      Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
+  Query good;
+  good.k = 5;
+  good.radius = 0.05;
+  good.keywords = {KeywordSet(128, {1, 2}), KeywordSet(128, {3})};
+  ASSERT_TRUE(engine.Execute(good, Algorithm::kStps).ok());
+  ASSERT_TRUE(engine.OpenCursor(good).ok());
+
+  Query bad = good;
+  bad.keywords[1] = KeywordSet(universe, {3});
+  for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
+    EXPECT_EQ(engine.Execute(bad, algo).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine.OpenCursor(bad).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A query universe smaller than the feature table's would be read past its
+// blocks by the keyword-set algebra.
+TEST(ValidationTest, RejectsKeywordSetOverSmallerUniverse) {
+  ExpectUniverseRejected(64);
+}
+
+// A larger one would have its extra terms silently ignored.
+TEST(ValidationTest, RejectsKeywordSetOverLargerUniverse) {
+  ExpectUniverseRejected(256);
+}
+
 TEST(ValidationTest, CreateRejectsBadOptionsAndBuildsGoodEngines) {
   Dataset ds = ex::ExampleDataset();
 

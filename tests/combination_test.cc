@@ -39,7 +39,8 @@ TEST(SortedFeatureStreamTest, YieldsNonIncreasingScores) {
   SrtIndex index(&table, opts);
   KeywordSet query(32, {0, 1, 2});
   QueryStats stats;
-  SortedFeatureStream stream(&index, &query, 0.5, &stats);
+  ChildrenMemo children;
+  SortedFeatureStream stream(&index, &query, 0.5, &stats, &children);
   double prev = std::numeric_limits<double>::infinity();
   size_t real_count = 0;
   while (auto item = stream.Next()) {
@@ -71,7 +72,8 @@ TEST(SortedFeatureStreamTest, EmptyIndexYieldsOnlyVirtual) {
   SrtIndex index(&table, opts);
   KeywordSet query(8, {0});
   QueryStats stats;
-  SortedFeatureStream stream(&index, &query, 0.5, &stats);
+  ChildrenMemo children;
+  SortedFeatureStream stream(&index, &query, 0.5, &stats, &children);
   auto item = stream.Next();
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->id, kVirtualFeature);
@@ -84,7 +86,8 @@ TEST(SortedFeatureStreamTest, NoRelevantFeaturesYieldsOnlyVirtual) {
   SrtIndex index(&table, opts);
   KeywordSet query(32);  // empty query: sim = 0 for everything
   QueryStats stats;
-  SortedFeatureStream stream(&index, &query, 0.5, &stats);
+  ChildrenMemo children;
+  SortedFeatureStream stream(&index, &query, 0.5, &stats, &children);
   auto item = stream.Next();
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->id, kVirtualFeature);
@@ -161,8 +164,9 @@ TEST_P(CombinationIteratorTest, EmitsAllValidCombinationsInScoreOrder) {
   q.lambda = 0.5;
   q.keywords = {KeywordSet(16, {0, 1, 2}), KeywordSet(16, {3, 4})};
   QueryStats stats;
+  ChildrenMemo children;
   CombinationIterator it({&i1, &i2}, q, /*enforce_range_constraint=*/true,
-                         GetParam(), &stats);
+                         GetParam(), &stats, &children);
   std::vector<BruteCombo> expected = BruteCombos({&t1, &t2}, q, true);
   double prev = std::numeric_limits<double>::infinity();
   size_t count = 0;
@@ -185,8 +189,9 @@ TEST_P(CombinationIteratorTest, UnconstrainedEnumeratesFullProduct) {
   q.lambda = 0.3;
   q.keywords = {KeywordSet(8, {0, 1}), KeywordSet(8, {2, 3})};
   QueryStats stats;
+  ChildrenMemo children;
   CombinationIterator it({&i1, &i2}, q, /*enforce_range_constraint=*/false,
-                         GetParam(), &stats);
+                         GetParam(), &stats, &children);
   std::vector<BruteCombo> expected = BruteCombos({&t1, &t2}, q, false);
   size_t count = 0;
   double prev = std::numeric_limits<double>::infinity();
@@ -212,7 +217,9 @@ TEST_P(CombinationIteratorTest, ThreeFeatureSets) {
   q.keywords = {KeywordSet(8, {0, 1}), KeywordSet(8, {2, 3}),
                 KeywordSet(8, {4, 5})};
   QueryStats stats;
-  CombinationIterator it({&i1, &i2, &i3}, q, true, GetParam(), &stats);
+  ChildrenMemo children;
+  CombinationIterator it({&i1, &i2, &i3}, q, true, GetParam(), &stats,
+                         &children);
   std::vector<BruteCombo> expected = BruteCombos({&t1, &t2, &t3}, q, true);
   size_t count = 0;
   while (auto c = it.Next()) {
@@ -229,7 +236,8 @@ TEST_P(CombinationIteratorTest, FirstCombinationIsPaperExample) {
   FeatureIndexOptions opts;
   SrtIndex i1(&ds.feature_tables[0], opts), i2(&ds.feature_tables[1], opts);
   QueryStats stats;
-  CombinationIterator it({&i1, &i2}, q, true, GetParam(), &stats);
+  ChildrenMemo children;
+  CombinationIterator it({&i1, &i2}, q, true, GetParam(), &stats, &children);
   auto first = it.Next();
   ASSERT_TRUE(first.has_value());
   // {Ontario's Pizza, Royal Coffe Shop}: dist((7,6),(5,5)) = sqrt(5) <= 7.
@@ -249,7 +257,8 @@ TEST_P(CombinationIteratorTest, LastCombinationIsAllVirtual) {
   q.radius = 0.05;
   q.keywords = {KeywordSet(8, {0}), KeywordSet(8, {1})};
   QueryStats stats;
-  CombinationIterator it({&i1, &i2}, q, true, GetParam(), &stats);
+  ChildrenMemo children;
+  CombinationIterator it({&i1, &i2}, q, true, GetParam(), &stats, &children);
   Combination last;
   while (auto c = it.Next()) last = *c;
   EXPECT_EQ(last.members,
@@ -281,7 +290,8 @@ TEST(CombinationIteratorTest, PrioritizedPullsFewerFeatures) {
   q.keywords = {KeywordSet(16, {0, 1, 2}), KeywordSet(16, {3, 4, 5})};
   auto pulls = [&](PullingStrategy s) {
     QueryStats stats;
-    CombinationIterator it({&i1, &i2}, q, true, s, &stats);
+    ChildrenMemo children;
+    CombinationIterator it({&i1, &i2}, q, true, s, &stats, &children);
     for (int i = 0; i < 5; ++i) {
       if (!it.Next()) break;
     }
@@ -299,8 +309,9 @@ TEST(CombinationIteratorTest, SingleFeatureSet) {
   q.radius = 0.1;
   q.keywords = {KeywordSet(8, {0, 1})};
   QueryStats stats;
+  ChildrenMemo children;
   CombinationIterator it({&i1}, q, true, PullingStrategy::kPrioritized,
-                         &stats);
+                         &stats, &children);
   std::vector<BruteCombo> expected = BruteCombos({&t1}, q, true);
   size_t count = 0;
   while (auto c = it.Next()) {

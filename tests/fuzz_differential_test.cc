@@ -13,6 +13,8 @@
 #include "core/brute_force.h"
 #include "core/engine.h"
 #include "core/score.h"
+#include "core/stds.h"
+#include "core/stps.h"
 #include "gen/synthetic.h"
 #include "util/rng.h"
 
@@ -142,6 +144,72 @@ TEST(FuzzDifferentialTest, BatchedAndUnbatchedStdsAgree) {
     Query q = RandomQuery(&rng, 1, 32, ScoreVariant::kInfluence);
     ExpectSameScores(engine.Execute(q, Algorithm::kStds).TakeValue().entries,
                      brute.TopK(q), "unbatched/trial" + std::to_string(trial));
+  }
+}
+
+// One TraversalScratch carried across a random mix of variants, keyword
+// sets, lambdas and executors: its relevant-children memo is rebound from
+// query to query, and every answer must equal both a fresh scratch's
+// (entry for entry) and brute force's.
+TEST(FuzzDifferentialTest, SharedScratchAcrossQueriesMatchesFreshScratch) {
+  const ScoreVariant variants[] = {ScoreVariant::kRange,
+                                   ScoreVariant::kInfluence,
+                                   ScoreVariant::kNearestNeighbor};
+  for (FeatureIndexKind kind :
+       {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
+    Dataset ds = MakeDataset(2, /*seed=*/41);
+    std::vector<const FeatureTable*> tables;
+    for (const FeatureTable& t : ds.feature_tables) tables.push_back(&t);
+    BruteForceEvaluator brute(&ds.objects, tables);
+    EngineOptions opts;
+    opts.index_kind = kind;
+    Engine engine =
+        Engine::Build(ds.objects, ds.feature_tables, opts).TakeValue();
+    const std::vector<const FeatureIndex*> indexes = {
+        &engine.feature_index(0), &engine.feature_index(1)};
+    const Stds stds(&engine.object_index(), indexes);
+    const Stps stps(&engine.object_index(), indexes);
+    const Stps stps_combos(&engine.object_index(), indexes,
+                           InfluenceMode::kCombinations);
+
+    Rng rng(kind == FeatureIndexKind::kSrt ? 4141 : 4242);
+    TraversalScratch shared;
+    Query prev;
+    for (int trial = 0; trial < 40; ++trial) {
+      const ScoreVariant variant = variants[rng.UniformInt(0, 2)];
+      Query q = RandomQuery(&rng, 2, 32, variant);
+      // Now and then keep the previous keyword sets (same values, so only
+      // lambda or nothing changes the binding) or the previous lambda.
+      if (trial > 0 && rng.Bernoulli(0.3)) q.keywords = prev.keywords;
+      if (trial > 0 && rng.Bernoulli(0.3)) q.lambda = prev.lambda;
+      const int executor = static_cast<int>(rng.UniformInt(0, 3));
+      auto execute = [&](TraversalScratch* scratch) {
+        switch (executor) {
+          case 0:
+            return stds.Execute(q, /*use_batching=*/true, scratch);
+          case 1:
+            return stds.Execute(q, /*use_batching=*/false, scratch);
+          case 2:
+            return stps.Execute(q, PullingStrategy::kPrioritized, scratch);
+          default:
+            return stps_combos.Execute(q, PullingStrategy::kPrioritized,
+                                       scratch);
+        }
+      };
+      const std::string label = std::string(VariantName(variant)) +
+                                "/trial" + std::to_string(trial) +
+                                "/executor" + std::to_string(executor);
+      const QueryResult got = execute(&shared);
+      TraversalScratch fresh;
+      const QueryResult want = execute(&fresh);
+      ASSERT_EQ(got.entries.size(), want.entries.size()) << label;
+      for (size_t i = 0; i < want.entries.size(); ++i) {
+        EXPECT_EQ(got.entries[i].object, want.entries[i].object) << label;
+        EXPECT_EQ(got.entries[i].score, want.entries[i].score) << label;
+      }
+      ExpectSameScores(got.entries, brute.TopK(q), label + "/brute");
+      prev = q;
+    }
   }
 }
 

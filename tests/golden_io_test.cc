@@ -1,9 +1,10 @@
-// Golden I/O regression test: page-read counts for the paper-example
-// workloads (and one bounded shared-pool workload whose hit/miss split
-// pins the exact LRU eviction order) are checked against constants
-// captured before the buffer-pool rewrite and the keyword-signature fast
-// paths.  The hot-path optimizations must change no query result and no
-// I/O accounting, so these counts are byte-identical by design.
+// Golden I/O regression test: page-read counts and feature-tree traversal
+// totals for the paper-example workloads (and one bounded shared-pool
+// workload whose hit/miss split pins the exact LRU eviction order) are
+// checked against constants captured before the buffer-pool rewrite, the
+// keyword-signature fast paths and the relevant-children memo.  The
+// hot-path optimizations must change no query result, no I/O accounting
+// and no pruning verdict, so these counts are byte-identical by design.
 //
 // To re-capture after an *intentional* I/O-behavior change, run with
 // STPQ_GOLDEN_PRINT=1 and paste the printed tables over the constants.
@@ -30,13 +31,31 @@ struct GoldenRow {
   uint64_t object_reads;
   uint64_t feature_reads;
   uint64_t buffer_hits;
+  // Feature-tree traversal profile totals (child entries pruned / pushed
+  // over every feature-index node visit).
+  uint64_t feature_pruned;
+  uint64_t feature_descended;
 
   bool operator==(const GoldenRow& other) const {
     return object_reads == other.object_reads &&
            feature_reads == other.feature_reads &&
-           buffer_hits == other.buffer_hits;
+           buffer_hits == other.buffer_hits &&
+           feature_pruned == other.feature_pruned &&
+           feature_descended == other.feature_descended;
   }
 };
+
+GoldenRow MakeRow(const char* index, const char* algo, const char* variant,
+                  const QueryStats& stats) {
+  return {index,
+          algo,
+          variant,
+          stats.object_index_reads,
+          stats.feature_index_reads,
+          stats.buffer_hits,
+          stats.traversal.FeaturePruned(),
+          stats.traversal.FeatureDescended()};
+}
 
 const char* VariantName(ScoreVariant v) {
   switch (v) {
@@ -53,11 +72,15 @@ const char* VariantName(ScoreVariant v) {
 void PrintRows(const char* label, const std::vector<GoldenRow>& rows) {
   std::fprintf(stderr, "// %s\n", label);
   for (const GoldenRow& r : rows) {
-    std::fprintf(stderr, "    {\"%s\", \"%s\", \"%s\", %llu, %llu, %llu},\n",
+    std::fprintf(stderr,
+                 "    {\"%s\", \"%s\", \"%s\", %llu, %llu, %llu, %llu, "
+                 "%llu},\n",
                  r.index, r.algo, r.variant,
                  static_cast<unsigned long long>(r.object_reads),
                  static_cast<unsigned long long>(r.feature_reads),
-                 static_cast<unsigned long long>(r.buffer_hits));
+                 static_cast<unsigned long long>(r.buffer_hits),
+                 static_cast<unsigned long long>(r.feature_pruned),
+                 static_cast<unsigned long long>(r.feature_descended));
   }
 }
 
@@ -88,11 +111,9 @@ std::vector<GoldenRow> RunPaperMatrix() {
         Result<QueryResult> result = engine.Execute(q, algo);
         EXPECT_TRUE(result.ok()) << result.status().ToString();
         if (!result.ok()) return rows;
-        const QueryStats& stats = result.value().stats;
-        rows.push_back({kind == FeatureIndexKind::kSrt ? "SRT" : "IR2",
-                        algo == Algorithm::kStds ? "STDS" : "STPS",
-                        VariantName(variant), stats.object_index_reads,
-                        stats.feature_index_reads, stats.buffer_hits});
+        rows.push_back(MakeRow(kind == FeatureIndexKind::kSrt ? "SRT" : "IR2",
+                               algo == Algorithm::kStds ? "STDS" : "STPS",
+                               VariantName(variant), result.value().stats));
       }
     }
   }
@@ -145,9 +166,8 @@ std::vector<GoldenRow> RunSharedPoolWorkload() {
       if (!result.ok()) return rows;
       total += result.value().stats;
     }
-    rows.push_back({kind == FeatureIndexKind::kSrt ? "SRT" : "IR2", "mixed",
-                    "warm40", total.object_index_reads,
-                    total.feature_index_reads, total.buffer_hits});
+    rows.push_back(MakeRow(kind == FeatureIndexKind::kSrt ? "SRT" : "IR2",
+                           "mixed", "warm40", total));
   }
   return rows;
 }
@@ -161,38 +181,43 @@ void ExpectRowsMatch(const std::vector<GoldenRow>& expected,
         << label << " row " << i << " (" << actual[i].index << "/"
         << actual[i].algo << "/" << actual[i].variant << "): expected "
         << expected[i].object_reads << "/" << expected[i].feature_reads << "/"
-        << expected[i].buffer_hits << " (object reads / feature reads / "
-        << "hits), got " << actual[i].object_reads << "/"
-        << actual[i].feature_reads << "/" << actual[i].buffer_hits;
+        << expected[i].buffer_hits << "/" << expected[i].feature_pruned << "/"
+        << expected[i].feature_descended << " (object reads / feature reads "
+        << "/ hits / feature pruned / feature descended), got "
+        << actual[i].object_reads << "/" << actual[i].feature_reads << "/"
+        << actual[i].buffer_hits << "/" << actual[i].feature_pruned << "/"
+        << actual[i].feature_descended;
     all_match = all_match && expected[i] == actual[i];
   }
   if (!all_match) PrintRows(label, actual);
 }
 
-// Captured on the pre-rewrite seed (std::list LRU pool, no keyword
-// signatures); the optimizations must reproduce them exactly.
+// Read/hit columns captured on the pre-rewrite seed (std::list LRU pool,
+// no keyword signatures); the feature-tree pruned/descended columns
+// captured before the relevant-children memo moved the text filter out of
+// the traversal kernels.  The optimizations must reproduce them exactly.
 const std::vector<GoldenRow>& ExpectedPaperMatrix() {
   static const std::vector<GoldenRow> kRows = {
-      {"SRT", "STDS", "range", 4, 5, 6},
-      {"SRT", "STDS", "influence", 4, 5, 33},
-      {"SRT", "STDS", "nn", 4, 5, 35},
-      {"SRT", "STPS", "range", 2, 5, 0},
-      {"SRT", "STPS", "influence", 3, 5, 24},
-      {"SRT", "STPS", "nn", 2, 5, 10},
-      {"IR2", "STDS", "range", 4, 5, 6},
-      {"IR2", "STDS", "influence", 4, 5, 33},
-      {"IR2", "STDS", "nn", 4, 5, 33},
-      {"IR2", "STPS", "range", 2, 5, 0},
-      {"IR2", "STPS", "influence", 3, 5, 24},
-      {"IR2", "STPS", "nn", 2, 5, 10},
+      {"SRT", "STDS", "range", 4, 5, 6, 21, 13},
+      {"SRT", "STDS", "influence", 4, 5, 33, 50, 70},
+      {"SRT", "STDS", "nn", 4, 5, 35, 52, 74},
+      {"SRT", "STPS", "range", 2, 5, 0, 7, 9},
+      {"SRT", "STPS", "influence", 3, 5, 24, 28, 36},
+      {"SRT", "STPS", "nn", 2, 5, 10, 21, 27},
+      {"IR2", "STDS", "range", 4, 5, 6, 21, 13},
+      {"IR2", "STDS", "influence", 4, 5, 33, 50, 70},
+      {"IR2", "STDS", "nn", 4, 5, 33, 46, 72},
+      {"IR2", "STPS", "range", 2, 5, 0, 7, 9},
+      {"IR2", "STPS", "influence", 3, 5, 24, 28, 36},
+      {"IR2", "STPS", "nn", 2, 5, 10, 21, 27},
   };
   return kRows;
 }
 
 const std::vector<GoldenRow>& ExpectedSharedPool() {
   static const std::vector<GoldenRow> kRows = {
-      {"SRT", "mixed", "warm40", 3632, 83187, 139311},
-      {"IR2", "mixed", "warm40", 3632, 18716, 112042},
+      {"SRT", "mixed", "warm40", 3632, 83187, 139311, 405028, 477306},
+      {"IR2", "mixed", "warm40", 3632, 18716, 112042, 219101, 296977},
   };
   return kRows;
 }
@@ -246,11 +271,9 @@ std::vector<GoldenRow> RunPaperMatrixFileBacked() {
         Result<QueryResult> result = engine.Execute(q, algo);
         EXPECT_TRUE(result.ok()) << result.status().ToString();
         if (!result.ok()) return rows;
-        const QueryStats& stats = result.value().stats;
-        rows.push_back({kind == FeatureIndexKind::kSrt ? "SRT" : "IR2",
-                        algo == Algorithm::kStds ? "STDS" : "STPS",
-                        VariantName(variant), stats.object_index_reads,
-                        stats.feature_index_reads, stats.buffer_hits});
+        rows.push_back(MakeRow(kind == FeatureIndexKind::kSrt ? "SRT" : "IR2",
+                               algo == Algorithm::kStds ? "STDS" : "STPS",
+                               VariantName(variant), result.value().stats));
       }
     }
     // A reopened engine really serves misses from the file.

@@ -47,8 +47,9 @@ TEST(Lemma1Test, EveryObjectScoreIsAValidCombinationScore) {
   for (const Query& q : queries) {
     // Enumerate every valid combination score.
     QueryStats stats;
+    ChildrenMemo children;
     CombinationIterator it({&i0, &i1}, q, /*enforce_range_constraint=*/true,
-                           PullingStrategy::kPrioritized, &stats);
+                           PullingStrategy::kPrioritized, &stats, &children);
     std::vector<double> combo_scores;
     while (auto c = it.Next()) combo_scores.push_back(c->score);
     for (const DataObject& p : ds.objects) {
