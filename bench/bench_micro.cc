@@ -6,10 +6,13 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/combination.h"
 #include "core/compute_score.h"
+#include "core/voronoi.h"
 #include "gen/synthetic.h"
 #include "hilbert/hilbert.h"
 #include "hilbert/keyword_hilbert.h"
@@ -236,6 +239,113 @@ void BM_ComputeScoresRangeBatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComputeScoresRangeBatch)->Unit(benchmark::kMicrosecond);
+
+/// Two clustered feature sets with SRT-indexes (no buffer pool) and
+/// two-set range queries: the combination and Voronoi kernels below run
+/// what one STPS query runs, on a warm scratch.
+struct CombinationFixture {
+  Dataset ds;
+  std::vector<std::unique_ptr<SrtIndex>> owned;
+  std::vector<const FeatureIndex*> indexes;
+  std::vector<Query> queries;
+
+  CombinationFixture() {
+    SyntheticConfig cfg;
+    cfg.seed = 14;
+    cfg.num_objects = 64;
+    cfg.num_features_per_set = 10'000;
+    cfg.num_feature_sets = 2;
+    cfg.vocabulary_size = 128;
+    cfg.num_clusters = 512;
+    ds = GenerateSynthetic(cfg);
+    FeatureIndexOptions opts;
+    for (const FeatureTable& table : ds.feature_tables) {
+      owned.push_back(std::make_unique<SrtIndex>(&table, opts));
+      indexes.push_back(owned.back().get());
+    }
+    Rng rng(15);
+    for (int i = 0; i < 16; ++i) {
+      Query q;
+      q.radius = 0.02;
+      for (size_t s = 0; s < indexes.size(); ++s) {
+        KeywordSet kw(cfg.vocabulary_size);
+        for (int j = 0; j < 3; ++j) {
+          kw.Insert(static_cast<TermId>(
+              rng.UniformInt(0, cfg.vocabulary_size - 1)));
+        }
+        q.keywords.push_back(std::move(kw));
+      }
+      queries.push_back(std::move(q));
+    }
+  }
+
+  static const CombinationFixture& Get() {
+    static CombinationFixture fixture;
+    return fixture;
+  }
+};
+
+// Product mode (the range variant's 2r-constrained enumeration): one
+// iteration opens an iterator and takes its first 32 combinations, as an
+// STPS range query does before k objects are found.
+void BM_CombinationIteratorProductNext(benchmark::State& state) {
+  const CombinationFixture& fx = CombinationFixture::Get();
+  QueryStats stats;
+  TraversalScratch scratch;
+  size_t qi = 0;
+  for (auto _ : state) {
+    scratch.children.Clear();  // a new query
+    CombinationIterator it(fx.indexes, fx.queries[qi], true,
+                           PullingStrategy::kPrioritized, &stats, scratch);
+    for (int n = 0; n < 32; ++n) {
+      std::optional<Combination> combo = it.Next();
+      if (!combo.has_value()) break;
+      benchmark::DoNotOptimize(combo->score);
+    }
+    qi = (qi + 1) % fx.queries.size();
+  }
+  state.counters["features"] = benchmark::Counter(
+      static_cast<double>(stats.features_retrieved),
+      benchmark::Counter::kAvgIterations);
+  state.counters["combinations"] = benchmark::Counter(
+      static_cast<double>(stats.combinations_emitted),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CombinationIteratorProductNext)->Unit(benchmark::kMicrosecond);
+
+// One Voronoi cell per iteration, on a warm scratch: 64 cells of relevant
+// features per keyword set share the set's relevant-children memo, as the
+// cells of one NN query do.
+void BM_ComputeVoronoiCell(benchmark::State& state) {
+  const CombinationFixture& fx = CombinationFixture::Get();
+  const FeatureIndex& index = *fx.indexes[0];
+  std::vector<std::vector<ObjectId>> centers;
+  for (const Query& q : fx.queries) {
+    std::vector<ObjectId> ids;
+    for (const FeatureObject& t : index.table().All()) {
+      if (ids.size() == 64) break;
+      if (t.keywords.Intersects(q.keywords[0])) ids.push_back(t.id);
+    }
+    centers.push_back(std::move(ids));
+  }
+  const Rect2 domain = MakeRect2(0, 0, 1, 1);
+  QueryStats stats;
+  TraversalScratch scratch;
+  VoronoiCell cell;
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t qi = (i / 64) % fx.queries.size();
+    const std::vector<ObjectId>& ids = centers[qi];
+    if (!ids.empty()) {
+      ComputeVoronoiCell(index, ids[i % ids.size()],
+                         fx.queries[qi].keywords[0], 0.5, domain, stats,
+                         scratch, &cell);
+      benchmark::DoNotOptimize(cell.polygon.vertices().data());
+    }
+    ++i;
+  }
+}
+BENCHMARK(BM_ComputeVoronoiCell)->Unit(benchmark::kMicrosecond);
 
 void BM_KeywordIntersectsSigned(benchmark::State& state) {
   const uint32_t w = static_cast<uint32_t>(state.range(0));

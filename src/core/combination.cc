@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "core/score.h"
@@ -29,12 +28,14 @@ int64_t CellIndex(double v, double cell) {
 SortedFeatureStream::SortedFeatureStream(const FeatureIndex* index,
                                          const KeywordSet* query_kw,
                                          double lambda, QueryStats* stats,
-                                         ChildrenMemo* children)
+                                         ChildrenMemo* children,
+                                         std::vector<SearchHeapItem>* heap)
     : index_(index),
       query_kw_(query_kw),
       lambda_(lambda),
       stats_(stats),
-      children_(children) {
+      children_(children),
+      heap_(*heap) {
   STPQ_CHECK(stats_ != nullptr);
   STPQ_CHECK(children_ != nullptr);
   if (index_->RootId() != kInvalidNodeId) {
@@ -48,9 +49,9 @@ std::optional<SortedFeatureStream::Item> SortedFeatureStream::Next() {
   ChildrenMemo::IndexMemo& children =
       children_->Bind(*index_, *query_kw_, lambda_);
   while (!heap_.empty()) {
-    HeapEntry top = heap_.top();
+    SearchHeapItem top = heap_.top();
     heap_.pop();
-    if (top.is_feature) {
+    if (top.is_leaf_item) {
       ++stats_->features_retrieved;
       return Item{top.id, top.priority};
     }
@@ -75,109 +76,115 @@ std::optional<SortedFeatureStream::Item> SortedFeatureStream::Next() {
 }
 
 CombinationIterator::CombinationIterator(
-    std::vector<const FeatureIndex*> indexes, const Query& query,
+    std::span<const FeatureIndex* const> indexes, const Query& query,
     bool enforce_range_constraint, PullingStrategy strategy,
-    QueryStats* stats, ChildrenMemo* children)
-    : indexes_(std::move(indexes)),
+    QueryStats* stats, TraversalScratch& scratch)
+    : c_(indexes.size()),
       query_(query),
       enforce_range_(enforce_range_constraint),
       strategy_(strategy),
-      stats_(stats) {
+      stats_(stats),
+      buf_(scratch.combination),
+      cell_size_(std::max(2.0 * query.radius, 1e-12)),
+      tuple_heap_(scratch.combination.tuples) {
   STPQ_CHECK(stats_ != nullptr);
-  const size_t c = indexes_.size();
-  STPQ_CHECK(query_.keywords.size() == c);
-  streams_.reserve(c);
-  for (size_t i = 0; i < c; ++i) {
-    streams_.emplace_back(indexes_[i], &query_.keywords[i], query_.lambda,
-                          stats_, children);
+  STPQ_CHECK(c_ >= 1 && c_ <= kMaxFeatureSets);
+  STPQ_CHECK(query_.keywords.size() == c_);
+  STPQ_CHECK(!buf_.in_use && "one CombinationIterator per scratch at a time");
+  buf_.in_use = true;
+  for (size_t i = 0; i < c_; ++i) {
+    indexes_[i] = indexes[i];
+    streams_[i].emplace(indexes_[i], &query_.keywords[i], query_.lambda,
+                        stats_, &scratch.children, &buf_.stream_heaps[i]);
+    buf_.retrieved[i].clear();
+    buf_.stalled[i].clear();
+    buf_.grids[i].Clear();
+    min_score_[i] = std::numeric_limits<double>::infinity();
   }
-  STPQ_CHECK(c >= 1 && c <= kMaxFeatureSets);
-  retrieved_.resize(c);
-  max_score_.assign(c, 0.0);
-  min_score_.assign(c, std::numeric_limits<double>::infinity());
-  stream_done_.assign(c, false);
-  stalled_.resize(c);
-  grids_.resize(c);
-  has_virtual_.assign(c, false);
 }
+
+CombinationIterator::~CombinationIterator() { buf_.in_use = false; }
 
 void CombinationIterator::Pull(size_t m) {
   STPQ_DCHECK(!stream_done_[m]);
-  std::optional<SortedFeatureStream::Item> item = streams_[m].Next();
+  std::optional<SortedFeatureStream::Item> item = streams_[m]->Next();
   STPQ_DCHECK(item.has_value());
-  Retrieved rec;
+  RetrievedFeature rec{};
   rec.id = item->id;
   rec.score = item->score;
   rec.is_virtual = item->id == kVirtualFeature;
   if (!rec.is_virtual) {
     rec.pos = indexes_[m]->table().Get(item->id).pos;
   }
-  if (retrieved_[m].empty()) max_score_[m] = rec.score;
+  std::vector<RetrievedFeature>& list = buf_.retrieved[m];
+  if (list.empty()) max_score_[m] = rec.score;
   min_score_[m] = rec.score;
-  retrieved_[m].push_back(rec);
+  list.push_back(rec);
   if (rec.is_virtual) stream_done_[m] = true;
+  const uint32_t new_rank = static_cast<uint32_t>(list.size() - 1);
 
   if (enforce_range_) {
     // Product mode: index the new member and materialize every valid
     // combination it completes (Algorithm 4, line 9).
-    const uint32_t new_rank = static_cast<uint32_t>(retrieved_[m].size() - 1);
     if (rec.is_virtual) {
       has_virtual_[m] = true;
     } else {
-      double cell = std::max(2.0 * query_.radius, 1e-12);
-      grids_[m][CellKey(CellIndex(rec.pos.x, cell),
-                        CellIndex(rec.pos.y, cell))]
-          .push_back(new_rank);
+      buf_.grids[m].Insert(CellKey(CellIndex(rec.pos.x, cell_size_),
+                                   CellIndex(rec.pos.y, cell_size_)),
+                           new_rank);
     }
     if (initialized_) GenerateValidWithNew(m);
     return;
   }
 
-  // Lattice mode: reactivate tuples stalled on this set.
-  const uint32_t new_rank = static_cast<uint32_t>(retrieved_[m].size() - 1);
-  std::vector<RankTuple> still_waiting;
-  for (const RankTuple& ranks : stalled_[m]) {
+  // Lattice mode: reactivate tuples stalled on this set (in stall order),
+  // compacting the ones still waiting in place.
+  std::vector<RankTuple>& stalled = buf_.stalled[m];
+  size_t waiting = 0;
+  for (size_t q = 0; q < stalled.size(); ++q) {
+    const RankTuple ranks = stalled[q];
     if (ranks[m] <= new_rank) {
       PushTuple(ranks);
     } else {
-      still_waiting.push_back(ranks);
+      stalled[waiting++] = ranks;
     }
   }
-  stalled_[m] = std::move(still_waiting);
+  stalled.resize(waiting);
 }
 
 void CombinationIterator::GenerateValidWithNew(size_t m) {
-  const size_t c = indexes_.size();
-  const Retrieved& fresh = retrieved_[m].back();
-  const uint32_t fresh_rank = static_cast<uint32_t>(retrieved_[m].size() - 1);
+  const RetrievedFeature& fresh = buf_.retrieved[m].back();
+  const uint32_t fresh_rank =
+      static_cast<uint32_t>(buf_.retrieved[m].size() - 1);
   const double limit = 2.0 * query_.radius;
   const double limit2 = limit * limit;
-  const double cell = std::max(limit, 1e-12);
 
   // Candidate partners per other set: members within 2r of the fresh
   // feature (all members if the fresh one is the virtual feature), plus
   // the virtual member where available.
-  std::vector<size_t> others;
-  std::vector<std::vector<uint32_t>> candidates(c);
-  for (size_t j = 0; j < c; ++j) {
+  std::array<size_t, kMaxFeatureSets> others{};
+  size_t num_others = 0;
+  for (size_t j = 0; j < c_; ++j) {
     if (j == m) continue;
-    others.push_back(j);
-    std::vector<uint32_t>& cand = candidates[j];
+    others[num_others++] = j;
+    const std::vector<RetrievedFeature>& dj = buf_.retrieved[j];
+    std::vector<uint32_t>& cand = buf_.candidates[j];
+    cand.clear();
     if (fresh.is_virtual) {
       // dist(t, virtual) = 0: every member of D_j is compatible with it
       // (pairwise checks among the chosen members still apply).
-      for (uint32_t r = 0; r < retrieved_[j].size(); ++r) {
-        if (!retrieved_[j][r].is_virtual) cand.push_back(r);
+      for (uint32_t r = 0; r < dj.size(); ++r) {
+        if (!dj[r].is_virtual) cand.push_back(r);
       }
     } else {
-      int64_t bx = CellIndex(fresh.pos.x, cell);
-      int64_t by = CellIndex(fresh.pos.y, cell);
+      const CellGrid& grid = buf_.grids[j];
+      const int64_t bx = CellIndex(fresh.pos.x, cell_size_);
+      const int64_t by = CellIndex(fresh.pos.y, cell_size_);
       for (int64_t dx = -1; dx <= 1; ++dx) {
         for (int64_t dy = -1; dy <= 1; ++dy) {
-          auto it = grids_[j].find(CellKey(bx + dx, by + dy));
-          if (it == grids_[j].end()) continue;
-          for (uint32_t r : it->second) {
-            if (SquaredDistance(fresh.pos, retrieved_[j][r].pos) <= limit2) {
+          for (uint32_t r = grid.First(CellKey(bx + dx, by + dy));
+               r != CellGrid::kEnd; r = grid.Next(r)) {
+            if (SquaredDistance(fresh.pos, dj[r].pos) <= limit2) {
               cand.push_back(r);
             }
           }
@@ -185,52 +192,52 @@ void CombinationIterator::GenerateValidWithNew(size_t m) {
       }
     }
     if (has_virtual_[j]) {
-      cand.push_back(static_cast<uint32_t>(retrieved_[j].size() - 1));
+      cand.push_back(static_cast<uint32_t>(dj.size() - 1));
     }
     if (cand.empty()) return;  // no combination can include the fresh member
   }
 
-  // Depth-first product over the candidate lists with incremental pairwise
-  // distance checks among the chosen members.
   RankTuple ranks{};
   ranks[m] = fresh_rank;
-  std::vector<size_t> chosen;  // positions already assigned (excluding m)
-  std::function<void(size_t)> rec = [&](size_t oi) {
-    if (oi == others.size()) {
-      ++stats_->combinations_generated;
-      tuple_heap_.push(Tuple{TupleScore(ranks), ranks});
-      return;
-    }
-    size_t j = others[oi];
-    for (uint32_t r : candidates[j]) {
-      const Retrieved& cj = retrieved_[j][r];
-      bool ok = true;
-      if (!cj.is_virtual) {
-        for (size_t pi : chosen) {
-          const Retrieved& prev = retrieved_[pi][ranks[pi]];
-          if (prev.is_virtual) continue;
-          if (SquaredDistance(cj.pos, prev.pos) > limit2) {
-            ok = false;
-            break;
-          }
+  EmitProduct(std::span<const size_t>(others.data(), num_others), 0, ranks,
+              limit2);
+}
+
+void CombinationIterator::EmitProduct(std::span<const size_t> others,
+                                      size_t depth, RankTuple& ranks,
+                                      double limit2) {
+  if (depth == others.size()) {
+    ++stats_->combinations_generated;
+    tuple_heap_.push(ScoredTuple{TupleScore(ranks), ranks});
+    return;
+  }
+  const size_t j = others[depth];
+  for (uint32_t r : buf_.candidates[j]) {
+    const RetrievedFeature& cj = buf_.retrieved[j][r];
+    bool ok = true;
+    if (!cj.is_virtual) {
+      for (size_t q = 0; q < depth; ++q) {
+        const size_t pi = others[q];
+        const RetrievedFeature& prev = buf_.retrieved[pi][ranks[pi]];
+        if (prev.is_virtual) continue;
+        if (SquaredDistance(cj.pos, prev.pos) > limit2) {
+          ok = false;
+          break;
         }
       }
-      if (!ok) continue;
-      ranks[j] = r;
-      chosen.push_back(j);
-      rec(oi + 1);
-      chosen.pop_back();
     }
-  };
-  rec(0);
+    if (!ok) continue;
+    ranks[j] = r;
+    EmitProduct(others, depth + 1, ranks, limit2);
+  }
 }
 
 double CombinationIterator::Threshold() const {
   // tau = max_j ( max_1 + ... + min_j + ... + max_c ) over live streams.
   double sum_max = 0.0;
-  for (double m : max_score_) sum_max += m;
+  for (size_t j = 0; j < c_; ++j) sum_max += max_score_[j];
   double tau = -std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < indexes_.size(); ++j) {
+  for (size_t j = 0; j < c_; ++j) {
     if (stream_done_[j]) continue;
     tau = std::max(tau, sum_max - max_score_[j] + min_score_[j]);
   }
@@ -238,12 +245,11 @@ double CombinationIterator::Threshold() const {
 }
 
 size_t CombinationIterator::NextFeatureSet() {
-  const size_t c = indexes_.size();
   if (strategy_ == PullingStrategy::kRoundRobin) {
-    for (size_t step = 0; step < c; ++step) {
-      size_t m = (round_robin_next_ + step) % c;
+    for (size_t step = 0; step < c_; ++step) {
+      size_t m = (round_robin_next_ + step) % c_;
       if (!stream_done_[m]) {
-        round_robin_next_ = (m + 1) % c;
+        round_robin_next_ = (m + 1) % c_;
         return m;
       }
     }
@@ -252,11 +258,11 @@ size_t CombinationIterator::NextFeatureSet() {
   // Prioritized strategy (Definition 5): pull from the set responsible for
   // the threshold; only lowering its min_m can lower tau.
   double sum_max = 0.0;
-  for (double m : max_score_) sum_max += m;
+  for (size_t j = 0; j < c_; ++j) sum_max += max_score_[j];
   size_t best = 0;
   double best_value = -std::numeric_limits<double>::infinity();
   bool found = false;
-  for (size_t j = 0; j < c; ++j) {
+  for (size_t j = 0; j < c_; ++j) {
     if (stream_done_[j]) continue;
     double value = sum_max - max_score_[j] + min_score_[j];
     if (!found || value > best_value) {
@@ -271,41 +277,38 @@ size_t CombinationIterator::NextFeatureSet() {
 
 double CombinationIterator::TupleScore(const RankTuple& ranks) const {
   double s = 0.0;
-  for (size_t i = 0; i < indexes_.size(); ++i) {
-    s += retrieved_[i][ranks[i]].score;
+  for (size_t i = 0; i < c_; ++i) {
+    s += buf_.retrieved[i][ranks[i]].score;
   }
   return s;
 }
 
-Combination CombinationIterator::MakeCombination(const RankTuple& ranks)
-    const {
-  Combination c;
-  c.members.reserve(indexes_.size());
-  for (size_t i = 0; i < indexes_.size(); ++i) {
-    c.members.push_back(retrieved_[i][ranks[i]].id);
+Combination CombinationIterator::MakeCombination(const RankTuple& ranks) {
+  for (size_t i = 0; i < c_; ++i) {
+    members_[i] = buf_.retrieved[i][ranks[i]].id;
   }
-  c.score = TupleScore(ranks);
-  return c;
+  return Combination{std::span<const ObjectId>(members_.data(), c_),
+                     TupleScore(ranks)};
 }
 
 void CombinationIterator::PushTuple(const RankTuple& ranks) {
   // Find whether any rank points past its list; at most one can (tuples
   // advance one rank at a time).
-  for (size_t i = 0; i < indexes_.size(); ++i) {
-    if (ranks[i] >= retrieved_[i].size()) {
+  for (size_t i = 0; i < c_; ++i) {
+    if (ranks[i] >= buf_.retrieved[i].size()) {
       if (stream_done_[i]) return;  // no further features will ever arrive
-      stalled_[i].push_back(ranks);
+      buf_.stalled[i].push_back(ranks);
       return;
     }
   }
   ++stats_->combinations_generated;
-  tuple_heap_.push(Tuple{TupleScore(ranks), ranks});
+  tuple_heap_.push(ScoredTuple{TupleScore(ranks), ranks});
 }
 
 void CombinationIterator::ExpandSuccessors(const RankTuple& ranks) {
   // Canonical children: increment position i only while every earlier rank
   // is zero, so each tuple is generated by exactly one parent.
-  for (size_t i = 0; i < indexes_.size(); ++i) {
+  for (size_t i = 0; i < c_; ++i) {
     RankTuple next = ranks;
     ++next[i];
     PushTuple(next);
@@ -314,25 +317,24 @@ void CombinationIterator::ExpandSuccessors(const RankTuple& ranks) {
 }
 
 std::optional<Combination> CombinationIterator::Next() {
-  Span span(*stats_, QueryPhase::kCombination,
-            static_cast<uint32_t>(indexes_.size()),
+  Span span(*stats_, QueryPhase::kCombination, static_cast<uint32_t>(c_),
             stats_->combinations_emitted);
   if (!initialized_) {
-    for (size_t i = 0; i < indexes_.size(); ++i) Pull(i);
+    for (size_t i = 0; i < c_; ++i) Pull(i);
     initialized_ = true;
     if (enforce_range_) {
       // The initial pulls happened before combination generation was armed;
       // seed with the combinations among the first members.  Re-running the
       // generator for the last set covers exactly the initial cross-set
       // product (every combination's "newest" member is the set-(c-1) one).
-      GenerateValidWithNew(indexes_.size() - 1);
+      GenerateValidWithNew(c_ - 1);
     } else {
       PushTuple(RankTuple{});
     }
   }
   while (true) {
     bool all_done = true;
-    for (size_t i = 0; i < indexes_.size(); ++i) {
+    for (size_t i = 0; i < c_; ++i) {
       if (!stream_done_[i]) {
         all_done = false;
         break;
@@ -341,7 +343,7 @@ std::optional<Combination> CombinationIterator::Next() {
     if (!tuple_heap_.empty()) {
       double tau = Threshold();
       if (all_done || tuple_heap_.top().score >= tau) {
-        Tuple top = tuple_heap_.top();
+        ScoredTuple top = tuple_heap_.top();
         tuple_heap_.pop();
         if (!enforce_range_) {
           // Lattice mode: expand successors; the tuple itself is valid.

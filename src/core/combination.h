@@ -16,7 +16,8 @@
 //     already-retrieved members of the other D_j lists, discarding pairs
 //     farther than 2r.  A spatial grid over each D_j makes partner lookup
 //     O(nearby) instead of O(|D_j|), so only *valid* combinations are ever
-//     materialized.
+//     materialized.  Partners are tried cell by cell, and within a cell in
+//     retrieval order.
 //   * Influence/NN variants (no distance filter): the product would
 //     materialize prod |D_i| tuples, so candidates are enumerated
 //     lattice-style over rank tuples into the sorted D_i lists, seeded at
@@ -25,14 +26,19 @@
 //     needed; every popped tuple is valid, so pops == emissions.
 // Both modes emit combinations in globally non-increasing s(C) order under
 // the same threshold scheme.
+//
+// Buffers.  The D_i lists, the grids, the stalled lists, the stream heaps
+// and the tuple heap live in the caller's TraversalScratch
+// (CombinationScratch, core/scratch.h), so a warm session enumerates
+// combinations without allocating.  One iterator at a time may borrow a
+// scratch; emitted members are a view into the iterator.
 #ifndef STPQ_CORE_COMBINATION_H_
 #define STPQ_CORE_COMBINATION_H_
 
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <queue>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/query.h"
@@ -45,17 +51,12 @@ namespace stpq {
 /// Marker id of the virtual feature (the paper's empty-set member).
 inline constexpr ObjectId kVirtualFeature = 0xffffffffu;
 
-/// Maximum number of feature sets c supported per query.
-inline constexpr size_t kMaxFeatureSets = 8;
-
-/// A fixed-size rank tuple indexing into the per-set retrieved lists.
-using RankTuple = std::array<uint32_t, kMaxFeatureSets>;
-
 /// A valid combination C = {t_1, ..., t_c} with s(C) = sum s(t_i).
 struct Combination {
   /// One feature id per feature set; kVirtualFeature encodes the empty
-  /// member (dist 0 to everything, score 0).
-  std::vector<ObjectId> members;
+  /// member (dist 0 to everything, score 0).  A view into the emitting
+  /// iterator, valid until its next Next() call or its destruction.
+  std::span<const ObjectId> members;
   double score = 0.0;
 };
 
@@ -63,13 +64,16 @@ struct Combination {
 /// sim(t, W) > 0, with the virtual feature appended last.
 class SortedFeatureStream {
  public:
-  /// Pointers are not owned.  `query_kw`, `stats` and `children` must stay
-  /// valid; `stats` and `children` must be non-null (checked at
+  /// Pointers are not owned.  `query_kw`, `stats`, `children` and `heap`
+  /// must stay valid; `stats` and `children` must be non-null (checked at
   /// construction).  `children` is the query's relevant-children memo
   /// (core/scratch.h), shared with every other traversal of the query.
+  /// `heap` is the stream's search-heap storage (cleared here), which no
+  /// other live traversal may use.
   SortedFeatureStream(const FeatureIndex* index, const KeywordSet* query_kw,
                       double lambda, QueryStats* stats,
-                      ChildrenMemo* children);
+                      ChildrenMemo* children,
+                      std::vector<SearchHeapItem>* heap);
 
   struct Item {
     ObjectId id;
@@ -83,55 +87,40 @@ class SortedFeatureStream {
   bool Exhausted() const { return virtual_emitted_; }
 
  private:
-  struct HeapEntry {
-    double priority;
-    uint32_t id;
-    bool is_feature;
-    bool operator<(const HeapEntry& other) const {
-      return priority < other.priority;
-    }
-  };
-
   const FeatureIndex* index_;
   const KeywordSet* query_kw_;
   double lambda_;
   QueryStats* stats_;
   ChildrenMemo* children_;
-  std::priority_queue<HeapEntry> heap_;
+  BorrowedMaxHeap heap_;
   bool virtual_emitted_ = false;
 };
 
 /// Emits valid combinations in non-increasing s(C) (Algorithm 4).
 class CombinationIterator {
  public:
-  /// `enforce_range_constraint` applies Definition 4's pairwise
-  /// dist(t_i, t_j) <= 2r filter (range variant); the influence and NN
-  /// variants construct the iterator without it (Section 7).  `stats`
-  /// and `children` must be non-null (checked at construction);
-  /// `children` is handed to every feature stream.
-  CombinationIterator(std::vector<const FeatureIndex*> indexes,
+  /// `indexes` holds one feature index per feature set (1 to
+  /// kMaxFeatureSets; copied).  `enforce_range_constraint` applies
+  /// Definition 4's pairwise dist(t_i, t_j) <= 2r filter (range variant);
+  /// the influence and NN variants construct the iterator without it
+  /// (Section 7).  `stats` must be non-null (checked at construction).
+  /// `query`, `stats` and `scratch` must outlive the iterator, which
+  /// borrows scratch.combination (one iterator per scratch at a time) and
+  /// hands scratch.children to every feature stream.
+  CombinationIterator(std::span<const FeatureIndex* const> indexes,
                       const Query& query, bool enforce_range_constraint,
                       PullingStrategy strategy, QueryStats* stats,
-                      ChildrenMemo* children);
+                      TraversalScratch& scratch);
+  ~CombinationIterator();
+
+  CombinationIterator(const CombinationIterator&) = delete;
+  CombinationIterator& operator=(const CombinationIterator&) = delete;
 
   /// The next valid combination with the highest score, or nullopt when no
   /// combinations remain.
   STPQ_HOT std::optional<Combination> Next();
 
  private:
-  struct Retrieved {
-    ObjectId id;
-    double score;
-    Point pos;       // undefined for the virtual feature
-    bool is_virtual;
-  };
-
-  struct Tuple {
-    double score;
-    RankTuple ranks;
-    bool operator<(const Tuple& other) const { return score < other.score; }
-  };
-
   /// Pulls the next feature from stream `m` into D_m, reactivating tuples
   /// stalled on m.
   void Pull(size_t m);
@@ -155,28 +144,34 @@ class CombinationIterator {
   /// `m` is the newest retrieved feature (grid-accelerated, Definition 4).
   void GenerateValidWithNew(size_t m);
 
-  double TupleScore(const RankTuple& ranks) const;
-  Combination MakeCombination(const RankTuple& ranks) const;
+  /// Product mode: depth-first product over the candidate lists of
+  /// `others[depth..]`, checking each new member against the members
+  /// already chosen for `others[0..depth)`.
+  void EmitProduct(std::span<const size_t> others, size_t depth,
+                   RankTuple& ranks, double limit2);
 
-  std::vector<const FeatureIndex*> indexes_;
+  double TupleScore(const RankTuple& ranks) const;
+  Combination MakeCombination(const RankTuple& ranks);
+
+  std::array<const FeatureIndex*, kMaxFeatureSets> indexes_{};
+  size_t c_;
   const Query& query_;
   bool enforce_range_;
   PullingStrategy strategy_;
   QueryStats* stats_;
+  /// Borrowed D_i lists, grids, stalled lists and heaps.
+  CombinationScratch& buf_;
+  /// Product mode: side of a grid cell (2r).
+  double cell_size_;
 
-  std::vector<SortedFeatureStream> streams_;
-  std::vector<std::vector<Retrieved>> retrieved_;  // D_i
-  std::vector<double> max_score_;                  // max_i
-  std::vector<double> min_score_;                  // min_i
-  std::vector<bool> stream_done_;                  // virtual emitted
-
-  std::priority_queue<Tuple> tuple_heap_;
-  /// Lattice mode: tuples waiting for D_j to grow, per feature set j.
-  std::vector<std::vector<RankTuple>> stalled_;
-  /// Product mode: spatial grid (cell size 2r) over each D_j's real
-  /// members, mapping cell -> ranks, for partner lookup within 2r.
-  std::vector<std::unordered_map<uint64_t, std::vector<uint32_t>>> grids_;
-  std::vector<bool> has_virtual_;  ///< whether the empty member is in D_j
+  std::array<std::optional<SortedFeatureStream>, kMaxFeatureSets> streams_;
+  std::array<double, kMaxFeatureSets> max_score_{};  // max_i
+  std::array<double, kMaxFeatureSets> min_score_{};  // min_i
+  std::array<bool, kMaxFeatureSets> stream_done_{};  // virtual emitted
+  std::array<bool, kMaxFeatureSets> has_virtual_{};  // empty member in D_j
+  BorrowedHeap<ScoredTupleOrder, ScoredTuple> tuple_heap_;
+  /// Members of the last emitted combination.
+  std::array<ObjectId, kMaxFeatureSets> members_{};
 
   size_t round_robin_next_ = 0;
   bool initialized_ = false;

@@ -81,14 +81,9 @@ STPQ_HOT double ComputeScoreNearestNeighbor(const FeatureIndex& index, const Poi
                                    QueryStats& stats,
                                    TraversalScratch& scratch);
 
-/// One member of a batched score computation.
-struct BatchObject {
-  ObjectId id = 0;
-  Point pos;
-};
-
 /// Batched Definition 2 scores (the "performance improvements" of
-/// Section 5): one index traversal resolves every object in `batch`.
+/// Section 5): one index traversal resolves every object in `batch`
+/// (BatchObject, core/scratch.h).
 /// `scores[i]` receives tau_i for batch[i] (0 if no feature qualifies).
 /// `batch_mbr` must cover all batch positions.
 STPQ_HOT void ComputeScoresRangeBatch(const FeatureIndex& index,

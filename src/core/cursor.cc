@@ -1,16 +1,19 @@
 #include "core/cursor.h"
 
+#include <array>
+#include <span>
+
 #include "core/object_retrieval.h"
 #include "util/logging.h"
 
 namespace stpq {
 
 StpsCursor::StpsCursor(const ObjectIndex* objects,
-                       std::vector<const FeatureIndex*> feature_indexes,
+                       std::span<const FeatureIndex* const> feature_indexes,
                        Query query, PullingStrategy strategy,
                        std::unique_ptr<ExecutionSession> session)
     : objects_(objects),
-      feature_indexes_(std::move(feature_indexes)),
+      feature_indexes_(feature_indexes),
       query_(std::move(query)),
       session_(std::move(session)),
       claimed_(objects->size(), false) {
@@ -22,31 +25,32 @@ StpsCursor::StpsCursor(const ObjectIndex* objects,
   if (session_ != nullptr) scope.emplace(session_.get());
   iterator_ = std::make_unique<CombinationIterator>(
       feature_indexes_, query_, /*enforce_range_constraint=*/true, strategy,
-      &stats_, &scratch_.children);
+      &stats_, scratch_);
 }
 
 StpsCursor::~StpsCursor() = default;
 
 void StpsCursor::RefillBuffer() {
-  std::vector<Point> member_pos;
-  std::vector<ResultEntry> batch;
+  buffer_.clear();
+  next_ = 0;
+  std::array<Point, kMaxFeatureSets> member_pos;
   while (buffer_.empty() && !exhausted_) {
     std::optional<Combination> combo = iterator_->Next();
     if (!combo.has_value()) {
       exhausted_ = true;
       return;
     }
-    member_pos.clear();
+    size_t real = 0;
     for (size_t i = 0; i < combo->members.size(); ++i) {
       if (combo->members[i] == kVirtualFeature) continue;
-      member_pos.push_back(
-          feature_indexes_[i]->table().Get(combo->members[i]).pos);
+      member_pos[real++] =
+          feature_indexes_[i]->table().Get(combo->members[i]).pos;
     }
-    batch.clear();
-    CollectObjectsInRange(*objects_, member_pos, query_.radius, combo->score,
-                          /*remaining=*/SIZE_MAX, &claimed_, &batch,
+    CollectObjectsInRange(*objects_,
+                          std::span<const Point>(member_pos.data(), real),
+                          query_.radius, combo->score,
+                          /*remaining=*/SIZE_MAX, &claimed_, &buffer_,
                           stats_, scratch_);
-    for (ResultEntry& e : batch) buffer_.push_back(e);
   }
 }
 
@@ -56,11 +60,9 @@ std::optional<ResultEntry> StpsCursor::Next() {
   // another query's scope (bindings nest).
   std::optional<ExecutionSession::Scope> scope;
   if (session_ != nullptr) scope.emplace(session_.get());
-  if (buffer_.empty()) RefillBuffer();
-  if (buffer_.empty()) return std::nullopt;
-  ResultEntry e = buffer_.front();
-  buffer_.pop_front();
-  return e;
+  if (next_ == buffer_.size()) RefillBuffer();
+  if (next_ == buffer_.size()) return std::nullopt;
+  return buffer_[next_++];
 }
 
 QueryStats StpsCursor::stats() const {

@@ -18,9 +18,9 @@
 #ifndef STPQ_CORE_CURSOR_H_
 #define STPQ_CORE_CURSOR_H_
 
-#include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/combination.h"
@@ -34,12 +34,14 @@ namespace stpq {
 /// Streams range-score results in non-increasing tau(p).
 class StpsCursor {
  public:
-  /// `objects` and `feature_indexes` are not owned and must outlive the
-  /// cursor.  `query.k` is ignored — the cursor is unbounded.
-  /// `query.variant` must be kRange.  `session` (may be null) receives the
-  /// cursor's page-read accounting; Engine::OpenCursor always provides one.
+  /// `objects`, `feature_indexes` and the storage it views are not owned
+  /// and must outlive the cursor.  `query.k` is ignored — the cursor is
+  /// unbounded.  `query.variant` must be kRange.  `session` (may be null)
+  /// receives the cursor's page-read accounting; Engine::OpenCursor always
+  /// provides one.
   StpsCursor(const ObjectIndex* objects,
-             std::vector<const FeatureIndex*> feature_indexes, Query query,
+             std::span<const FeatureIndex* const> feature_indexes,
+             Query query,
              PullingStrategy strategy = PullingStrategy::kPrioritized,
              std::unique_ptr<ExecutionSession> session = nullptr);
 
@@ -58,7 +60,7 @@ class StpsCursor {
   void RefillBuffer();
 
   const ObjectIndex* objects_;
-  std::vector<const FeatureIndex*> feature_indexes_;
+  std::span<const FeatureIndex* const> feature_indexes_;
   Query query_;  // owned copy; the iterator references it
   QueryStats stats_;
   std::unique_ptr<ExecutionSession> session_;
@@ -67,7 +69,9 @@ class StpsCursor {
   TraversalScratch scratch_;
   std::unique_ptr<CombinationIterator> iterator_;
   std::vector<bool> claimed_;
-  std::deque<ResultEntry> buffer_;
+  /// Results of the last combination; buffer_[next_..] are undelivered.
+  std::vector<ResultEntry> buffer_;
+  size_t next_ = 0;
   bool exhausted_ = false;
 };
 

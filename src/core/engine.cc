@@ -56,6 +56,15 @@ Status Engine::ValidateOptions(const EngineOptions& options) {
   return Status::OK();
 }
 
+Status Engine::ValidateFeatureSetCount(size_t count) {
+  if (count > kMaxFeatureSets) {
+    return Status::InvalidArgument(
+        "an engine indexes at most " + std::to_string(kMaxFeatureSets) +
+        " feature sets, got " + std::to_string(count));
+  }
+  return Status::OK();
+}
+
 Result<Engine> Engine::Build(std::vector<DataObject> objects,
                              std::vector<FeatureTable> feature_tables,
                              EngineOptions options) {
@@ -65,6 +74,8 @@ Result<Engine> Engine::Build(std::vector<DataObject> objects,
         "use Engine::Open for the file backend");
   }
   Status st = ValidateOptions(options);
+  if (!st.ok()) return st;
+  st = ValidateFeatureSetCount(feature_tables.size());
   if (!st.ok()) return st;
   return Engine(options, std::move(objects), std::move(feature_tables));
 }
@@ -117,6 +128,8 @@ Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
   if (options_.reuse_voronoi_cells) {
     voronoi_cache_ = std::make_unique<VoronoiCellCache>();
   }
+  sessions_ = std::make_unique<SessionPool>(
+      object_pool_.get(), feature_pool_.get(), options_.cold_cache_per_query);
 
   // Construction touched the pools; queries start from a clean slate.
   object_pool_->Clear();
@@ -141,6 +154,8 @@ Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
   options.storage.path = path;
   options.storage.page_size = loaded.params.page_size_bytes;
   Status st = ValidateOptions(options);
+  if (!st.ok()) return st;
+  st = ValidateFeatureSetCount(loaded.feature_tables.size());
   if (!st.ok()) return st;
 
   Result<std::unique_ptr<FilePageStore>> store_r =
@@ -195,6 +210,8 @@ Engine::Engine(EngineOptions options, LoadedIndex loaded,
   if (options_.reuse_voronoi_cells) {
     voronoi_cache_ = std::make_unique<VoronoiCellCache>();
   }
+  sessions_ = std::make_unique<SessionPool>(
+      object_pool_.get(), feature_pool_.get(), options_.cold_cache_per_query);
   // Restoration reads no pages, but start from an explicit clean slate
   // like the build path does.
   object_pool_->Clear();
@@ -278,10 +295,11 @@ Result<QueryResult> Engine::Execute(const Query& query,
     return st;
   }
 
-  // All per-query mutable state lives in the session (I/O accounting) and
-  // in the executor's stack frames; the engine itself is only read.
-  ExecutionSession session(object_pool_.get(), feature_pool_.get(),
-                           options_.cold_cache_per_query);
+  // All per-query mutable state lives in the leased session (I/O
+  // accounting, scratch buffers) and in the executor's stack frames; the
+  // engine itself is only read, apart from the idle-session list.
+  SessionPool::Lease lease(sessions_.get());
+  ExecutionSession& session = lease.session();
   ExecutionSession::Scope scope(&session);
   QueryResult result;
   Span query_span(result.stats);

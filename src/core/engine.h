@@ -4,10 +4,12 @@
 // simulated-disk buffer pools, and executes top-k spatio-textual preference
 // queries with either algorithm.  See examples/quickstart.cc for usage.
 //
-// Concurrency (DESIGN.md §11): a fully constructed Engine is immutable, and
-// Execute/OpenCursor are const and safe to call from any number of threads
-// concurrently.  Each call runs inside its own ExecutionSession, which owns
-// all per-query mutable state including the simulated-I/O accounting; with
+// Concurrency (DESIGN.md §11): a fully constructed Engine is immutable
+// apart from its list of idle execution sessions, and Execute/OpenCursor
+// are const and safe to call from any number of threads concurrently.
+// Each call runs inside its own ExecutionSession, which owns all per-query
+// mutable state including the simulated-I/O accounting; Execute leases one
+// from the engine's SessionPool and returns it when the query ends.  With
 // the default cold_cache_per_query option the per-query page-read counters
 // are identical to a sequential run regardless of thread count.
 #ifndef STPQ_CORE_ENGINE_H_
@@ -118,9 +120,10 @@ class Engine {
  public:
   /// Builds all indexes in memory over `objects` and `feature_tables`.
   /// Checks `options` (page size, fill factor, signature and storage
-  /// parameters) and returns InvalidArgument instead of building a broken
-  /// engine.  The storage backend must be kSimulated — a file-backed
-  /// engine comes from Engine::Open on a file written by Save.
+  /// parameters) and the table count (at most kMaxFeatureSets), and
+  /// returns InvalidArgument instead of building a broken engine.  The
+  /// storage backend must be kSimulated — a file-backed engine comes from
+  /// Engine::Open on a file written by Save.
   [[nodiscard]] static Result<Engine> Build(std::vector<DataObject> objects,
                                             std::vector<FeatureTable> feature_tables,
                                             EngineOptions options = {});
@@ -134,7 +137,8 @@ class Engine {
   /// answers every query with results and per-query page-read counters
   /// identical to the engine that built the file.  Typed errors:
   /// IoError (unreadable/truncated), InvalidArgument (not an index file /
-  /// unsupported version), Corruption (checksum or structural damage).
+  /// unsupported version / more than kMaxFeatureSets tables), Corruption
+  /// (checksum or structural damage).
   [[nodiscard]] static Result<Engine> Open(const std::string& path,
                                            EngineOptions options = {});
 
@@ -221,6 +225,9 @@ class Engine {
          std::unique_ptr<PageStore> store);
 
   static Status ValidateOptions(const EngineOptions& options);
+  /// STPS keeps per-feature-set state in arrays of kMaxFeatureSets, so
+  /// Build and Open refuse more tables than that.
+  static Status ValidateFeatureSetCount(size_t count);
 
   EngineOptions options_;
   // The indexes and executors hold raw pointers into the object and
@@ -238,6 +245,9 @@ class Engine {
   /// construction and handed to the per-call executors.
   std::vector<const FeatureIndex*> index_ptrs_;
   std::unique_ptr<VoronoiCellCache> voronoi_cache_;
+  /// Idle execution sessions that Execute leases (core/exec_session.h).
+  /// Behind a pointer so the engine stays movable.
+  std::unique_ptr<SessionPool> sessions_;
 };
 
 }  // namespace stpq

@@ -11,16 +11,23 @@
 // thread's page accesses to them, so N concurrent queries each see their
 // own counters (DESIGN.md §11).
 //
-// Sessions are cheap to construct (two empty page tables) and are created
-// per Execute call; cursors own one for their whole lifetime, binding it
-// during each Next() so a cursor can outlive the query that opened it and
-// be drained from any thread (one thread at a time).
+// Execute leases a session from the engine's SessionPool and returns it
+// afterwards, so the session's scratch buffers (and its private pools'
+// frames and page-table slots) carry their capacity from one query to the
+// next: a warm query allocates nothing but the entries it returns.  Cursors
+// own a session for their whole lifetime, binding it during each Next() so
+// a cursor can outlive the query that opened it and be drained from any
+// thread (one thread at a time).
 #ifndef STPQ_CORE_EXEC_SESSION_H_
 #define STPQ_CORE_EXEC_SESSION_H_
+
+#include <memory>
+#include <vector>
 
 #include "core/scratch.h"
 #include "storage/buffer_pool.h"
 #include "util/metrics.h"
+#include "util/thread_annotations.h"
 
 namespace stpq {
 
@@ -62,6 +69,15 @@ class ExecutionSession {
   /// at a time.
   TraversalScratch& scratch() { return scratch_; }
 
+  /// Readies the session for another query: zeroes both pool sessions'
+  /// counters and empties their private cold pools, keeping frames and
+  /// page-table slots.  The scratch needs no reset — every user clears
+  /// what it borrows.
+  void Reset() {
+    object_session_.Reset();
+    feature_session_.Reset();
+  }
+
   /// Writes this session's I/O counters into `stats` (overwriting the
   /// read/hit fields; the algorithm counters are untouched).
   void ExportIoCounters(QueryStats& stats) const {
@@ -76,6 +92,73 @@ class ExecutionSession {
   BufferPool::Session object_session_;
   BufferPool::Session feature_session_;
   TraversalScratch scratch_;
+};
+
+/// An engine's idle execution sessions (DESIGN.md §11, §13).  Execute
+/// leases one for the duration of a query and hands it back, so the
+/// sessions' buffers are reused instead of reallocated.  The pool holds at
+/// most as many sessions as queries ever ran at once on the engine, and
+/// each keeps the capacity of the largest query it ran.  Thread-safe.
+class SessionPool {
+ public:
+  /// Sessions are created over the engine's pools (not owned, must outlive
+  /// the SessionPool) in the engine's cold-cache mode.
+  SessionPool(BufferPool* object_pool, BufferPool* feature_pool,
+              bool isolated)
+      : object_pool_(object_pool),
+        feature_pool_(feature_pool),
+        isolated_(isolated) {}
+
+  SessionPool(const SessionPool&) = delete;
+  SessionPool& operator=(const SessionPool&) = delete;
+
+  /// RAII: an idle session, reset for a new query (or a new session when
+  /// none is idle), returned to the pool on destruction.
+  class Lease {
+   public:
+    explicit Lease(SessionPool* pool)
+        : pool_(pool), session_(pool->Take()) {}
+    ~Lease() { pool_->Put(std::move(session_)); }
+
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    ExecutionSession& session() { return *session_; }
+
+   private:
+    SessionPool* pool_;
+    std::unique_ptr<ExecutionSession> session_;
+  };
+
+ private:
+  std::unique_ptr<ExecutionSession> Take() STPQ_EXCLUDES(mu_) {
+    std::unique_ptr<ExecutionSession> session;
+    {
+      MutexLock lock(mu_);
+      if (!idle_.empty()) {
+        session = std::move(idle_.back());
+        idle_.pop_back();
+      }
+    }
+    if (session == nullptr) {
+      // First use, or more queries in flight than ever before.
+      return std::make_unique<ExecutionSession>(object_pool_, feature_pool_,
+                                                isolated_);
+    }
+    session->Reset();
+    return session;
+  }
+
+  void Put(std::unique_ptr<ExecutionSession> session) STPQ_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    idle_.push_back(std::move(session));
+  }
+
+  BufferPool* object_pool_;
+  BufferPool* feature_pool_;
+  bool isolated_;
+  Mutex mu_;
+  std::vector<std::unique_ptr<ExecutionSession>> idle_ STPQ_GUARDED_BY(mu_);
 };
 
 }  // namespace stpq

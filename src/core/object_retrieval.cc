@@ -7,7 +7,7 @@
 namespace stpq {
 
 void CollectObjectsInRange(const ObjectIndex& objects,
-                           const std::vector<Point>& member_pos,
+                           std::span<const Point> member_pos,
                            double radius, double score, size_t remaining,
                            std::vector<bool>* claimed,
                            std::vector<ResultEntry>* result,

@@ -3,6 +3,7 @@
 #define STPQ_CORE_OBJECT_RETRIEVAL_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/query.h"
@@ -18,7 +19,7 @@ namespace stpq {
 /// `remaining` objects were added (SIZE_MAX = unbounded).  Entries whose
 /// MBR is out of range of any member are pruned.
 STPQ_HOT void CollectObjectsInRange(const ObjectIndex& objects,
-                           const std::vector<Point>& member_pos,
+                           std::span<const Point> member_pos,
                            double radius, double score, size_t remaining,
                            std::vector<bool>* claimed,
                            std::vector<ResultEntry>* result,

@@ -1,15 +1,6 @@
 #include "core/scratch.h"
 
-#include <bit>
-
 namespace stpq {
-
-namespace {
-
-/// Table size of a memo's first Grow.
-constexpr size_t kInitialMemoSlots = 64;
-
-}  // namespace
 
 ChildrenMemo::IndexMemo& ChildrenMemo::Bind(const FeatureIndex& index,
                                             const KeywordSet& query_kw,
@@ -45,13 +36,8 @@ void ChildrenMemo::IndexMemo::Rebind(const FeatureIndex& index,
   index_ = &index;
   keywords_ = query_kw;  // copy-assignment reuses the block capacity
   lambda_ = lambda;
-  live_ = 0;
+  entries_.Clear();
   children_.clear();
-  if (++epoch_ == 0) {
-    // Wrapped: a stale stamp could now alias the new epoch.
-    for (Entry& e : slots_) e.stamp = 0;
-    epoch_ = 1;
-  }
 }
 
 NodeChildren ChildrenMemo::IndexMemo::Evaluate(NodeId node, Entry& e) {
@@ -66,29 +52,10 @@ NodeChildren ChildrenMemo::IndexMemo::Evaluate(NodeId node, Entry& e) {
       ++text_pruned;
     }
   }
-  e = Entry{epoch_,
-            node,
-            static_cast<uint32_t>(begin),
-            static_cast<uint32_t>(children_.size() - begin),
-            text_pruned,
+  e = Entry{static_cast<uint32_t>(begin),
+            static_cast<uint32_t>(children_.size() - begin), text_pruned,
             level};
-  ++live_;
   return ViewOf(e);
-}
-
-void ChildrenMemo::IndexMemo::Grow() {
-  spare_.swap(slots_);
-  const size_t size =
-      spare_.empty() ? kInitialMemoSlots : 2 * spare_.size();
-  slots_.assign(size, Entry{});
-  shift_ = 32 - static_cast<uint32_t>(std::countr_zero(size));
-  const size_t mask = size - 1;
-  for (const Entry& e : spare_) {
-    if (e.stamp != epoch_) continue;
-    size_t i = Hash(e.node);
-    while (slots_[i].stamp == epoch_) i = (i + 1) & mask;
-    slots_[i] = e;
-  }
 }
 
 }  // namespace stpq

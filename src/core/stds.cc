@@ -1,6 +1,8 @@
 #include "core/stds.h"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "core/compute_score.h"
 #include "obs/trace.h"
@@ -14,7 +16,7 @@ namespace {
 /// Scores one object against every feature set with partial-score pruning
 /// (Algorithm 1, lines 3-6).  Returns tau(p), or a negative value if the
 /// object was pruned.
-double ScoreObjectPruned(const std::vector<const FeatureIndex*>& indexes,
+double ScoreObjectPruned(std::span<const FeatureIndex* const> indexes,
                          const Query& query, const Point& pos,
                          double threshold, QueryStats& stats,
                          TraversalScratch& scratch) {
@@ -56,8 +58,9 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
   TraversalScratch& scr = scratch != nullptr ? *scratch : local_scratch;
   scr.children.Clear();
   QueryResult result;
+  result.entries.reserve(std::min<size_t>(query.k, objects_->size()));
   QueryStats& stats = result.stats;
-  TopK<ObjectId> topk(query.k);
+  TopK<ObjectId> topk(query.k, &scr.topk);
   const size_t c = feature_indexes_.size();
   // The leaf-block scan itself is object retrieval; the component-score
   // lookups inside it carve out their own (child) phase.
@@ -65,9 +68,13 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
 
   if (query.variant == ScoreVariant::kRange && use_batching) {
     // Batched STDS: every object-R-tree leaf block is one batch.
-    std::vector<BatchObject> batch;
-    std::vector<double> partial;
-    std::vector<double> set_scores;
+    BatchScratch& b = scr.batch;
+    std::vector<BatchObject>& batch = b.batch;
+    std::vector<double>& partial = b.partial;
+    std::vector<bool>& alive = b.alive;
+    std::vector<BatchObject>& sub = b.sub;
+    std::vector<uint32_t>& sub_index = b.sub_index;
+    std::vector<double>& set_scores = b.set_scores;
     objects_->ForEachLeafBlock([&](std::span<const ObjectId> ids,
                                    const Rect2& mbr) {
       batch.clear();
@@ -75,9 +82,7 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
         batch.push_back(BatchObject{id, objects_->Get(id).pos});
       }
       partial.assign(batch.size(), 0.0);
-      std::vector<bool> alive(batch.size(), true);
-      std::vector<BatchObject> sub;
-      std::vector<uint32_t> sub_index;
+      alive.assign(batch.size(), true);
       for (size_t i = 0; i < c; ++i) {
         // Prune objects whose upper bound cannot beat the k-th score.
         double remaining = static_cast<double>(c - i);
@@ -110,7 +115,7 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
         ++stats.objects_scored;
         topk.Push(partial[j], batch[j].id);
       }
-    }, &stats);
+    }, &scr.stack, &scr.objects, &stats);
   } else {
     // Per-object scan (Algorithm 1 verbatim).
     objects_->ForEachLeafBlock([&](std::span<const ObjectId> ids,
@@ -125,10 +130,10 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
           topk.Push(tau, id);
         }
       }
-    }, &stats);
+    }, &scr.stack, &scr.objects, &stats);
   }
 
-  for (auto& scored : topk.TakeSortedDescending()) {
+  for (const auto& scored : topk.SortDescending()) {
     result.entries.push_back(ResultEntry{scored.item, scored.score});
   }
   return result;

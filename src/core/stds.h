@@ -11,7 +11,7 @@
 #ifndef STPQ_CORE_STDS_H_
 #define STPQ_CORE_STDS_H_
 
-#include <vector>
+#include <span>
 
 #include "core/query.h"
 #include "core/scratch.h"
@@ -24,15 +24,16 @@ namespace stpq {
 /// STDS executor bound to one object index and c feature indexes.
 ///
 /// Stateless between queries: Execute is const and all per-query state
-/// (the top-k heap, batch scratch, stats) lives on the call's stack, so
-/// the engine constructs one per Execute call and concurrent queries
-/// share nothing mutable (DESIGN.md §11).
+/// (the top-k heap, batch buffers, stats) lives on the call's stack or in
+/// the caller's TraversalScratch, so the engine constructs one per Execute
+/// call and concurrent queries share nothing mutable (DESIGN.md §11).
 class Stds {
  public:
-  /// Pointers are not owned and must outlive the executor.
+  /// Pointers are not owned and must outlive the executor, and so must the
+  /// storage `feature_indexes` views.
   Stds(const ObjectIndex* objects,
-       std::vector<const FeatureIndex*> feature_indexes)
-      : objects_(objects), feature_indexes_(std::move(feature_indexes)) {}
+       std::span<const FeatureIndex* const> feature_indexes)
+      : objects_(objects), feature_indexes_(feature_indexes) {}
 
   /// Runs the query; `use_batching` toggles the Section 5 improvement
   /// (ignored for non-range variants, which always score per object).
@@ -43,7 +44,7 @@ class Stds {
 
  private:
   const ObjectIndex* objects_;
-  std::vector<const FeatureIndex*> feature_indexes_;
+  std::span<const FeatureIndex* const> feature_indexes_;
 };
 
 }  // namespace stpq

@@ -1,5 +1,8 @@
 #include "core/stps.h"
 
+#include <algorithm>
+#include <array>
+#include <span>
 #include <vector>
 
 #include "core/combination.h"
@@ -11,6 +14,7 @@ namespace stpq {
 QueryResult Stps::Execute(const Query& query, PullingStrategy strategy,
                           TraversalScratch* scratch) const {
   STPQ_CHECK(query.keywords.size() == feature_indexes_.size());
+  STPQ_CHECK(feature_indexes_.size() <= kMaxFeatureSets);
   TraversalScratch local_scratch;
   TraversalScratch& scr = scratch != nullptr ? *scratch : local_scratch;
   scr.children.Clear();
@@ -30,23 +34,27 @@ QueryResult Stps::Execute(const Query& query, PullingStrategy strategy,
 QueryResult Stps::ExecuteRange(const Query& query, PullingStrategy strategy,
                                TraversalScratch& scratch) const {
   QueryResult result;
+  result.entries.reserve(std::min<size_t>(query.k, objects_->size()));
   CombinationIterator it(feature_indexes_, query,
                          /*enforce_range_constraint=*/true, strategy,
-                         &result.stats, &scratch.children);
-  std::vector<bool> claimed(objects_->size(), false);
-  std::vector<Point> member_pos;
+                         &result.stats, scratch);
+  std::vector<bool>& claimed = scratch.flags;
+  claimed.assign(objects_->size(), false);
+  std::array<Point, kMaxFeatureSets> member_pos;
   // Algorithm 3: emit combinations best-first; objects qualified by their
   // best covering combination have exactly tau(p) = s(C).
   while (result.entries.size() < query.k) {
     std::optional<Combination> combo = it.Next();
     if (!combo.has_value()) break;
-    member_pos.clear();
+    size_t real = 0;
     for (size_t i = 0; i < combo->members.size(); ++i) {
       if (combo->members[i] == kVirtualFeature) continue;
-      member_pos.push_back(
-          feature_indexes_[i]->table().Get(combo->members[i]).pos);
+      member_pos[real++] =
+          feature_indexes_[i]->table().Get(combo->members[i]).pos;
     }
-    CollectObjectsInRange(*objects_, member_pos, query.radius, combo->score,
+    CollectObjectsInRange(*objects_,
+                          std::span<const Point>(member_pos.data(), real),
+                          query.radius, combo->score,
                           query.k - result.entries.size(), &claimed,
                           &result.entries, result.stats, scratch);
   }

@@ -8,7 +8,7 @@
 #ifndef STPQ_CORE_STPS_H_
 #define STPQ_CORE_STPS_H_
 
-#include <vector>
+#include <span>
 
 #include "core/query.h"
 #include "core/scratch.h"
@@ -40,22 +40,23 @@ enum class InfluenceMode {
 ///
 /// The executor is stateless between queries: it is fully configured at
 /// construction, Execute is const, and every piece of per-query state
-/// (heaps, combination iterators, stats) lives on the call's stack.  The
-/// engine constructs one per Execute call (construction is a handful of
-/// pointer copies), which keeps concurrent queries from sharing anything
-/// mutable (DESIGN.md §11).
+/// lives on the call's stack or in the caller's TraversalScratch.  The
+/// engine constructs one per Execute call (construction copies three
+/// pointers and a length), which keeps concurrent queries from sharing
+/// anything mutable (DESIGN.md §11).
 class Stps {
  public:
-  /// Pointers are not owned and must outlive the executor.  `voronoi_cache`
+  /// Pointers are not owned and must outlive the executor, and so must the
+  /// storage `feature_indexes` views.  `voronoi_cache`
   /// (may be null) enables cross-query Voronoi cell reuse for the NN
   /// variant (Section 8.5's precomputation remark); `influence_mode`
   /// selects the influence-variant strategy (default: anchored).
   Stps(const ObjectIndex* objects,
-       std::vector<const FeatureIndex*> feature_indexes,
+       std::span<const FeatureIndex* const> feature_indexes,
        InfluenceMode influence_mode = InfluenceMode::kAnchored,
        VoronoiCellCache* voronoi_cache = nullptr)
       : objects_(objects),
-        feature_indexes_(std::move(feature_indexes)),
+        feature_indexes_(feature_indexes),
         voronoi_cache_(voronoi_cache),
         influence_mode_(influence_mode) {}
 
@@ -80,7 +81,7 @@ class Stps {
                                      TraversalScratch& scratch) const;
 
   const ObjectIndex* objects_;
-  std::vector<const FeatureIndex*> feature_indexes_;
+  std::span<const FeatureIndex* const> feature_indexes_;
   VoronoiCellCache* voronoi_cache_ = nullptr;
   InfluenceMode influence_mode_ = InfluenceMode::kAnchored;
 };

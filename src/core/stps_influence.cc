@@ -1,8 +1,9 @@
 // STPS for the influence score variant (Section 7.1, Algorithm 5).
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/combination.h"
@@ -17,21 +18,19 @@ namespace stpq {
 
 namespace {
 
-struct ScoredObject {
-  ObjectId id;
-  double score;
-};
-
 /// Top-k traversal of the object R-tree ordered by the combination's
-/// influence score sum_i s(t_i) * 2^(-dist(p, t_i)/r).  Internal entries
-/// are bounded via mindist; retrieval stops after k objects or when the
-/// bound falls to `stop_threshold` (both Section 7.1 optimizations).
-std::vector<ScoredObject> TopKInfluenceObjects(
-    const ObjectIndex& objects, const std::vector<Point>& member_pos,
-    const std::vector<double>& member_score, double radius, size_t k,
-    double stop_threshold, QueryStats& stats, TraversalScratch& scratch) {
-  std::vector<ScoredObject> out;
-  if (objects.tree().root_id() == kInvalidNodeId) return out;
+/// influence score sum_i s(t_i) * 2^(-dist(p, t_i)/r), into `out`.
+/// Internal entries are bounded via mindist; retrieval stops after k
+/// objects or when the bound falls to `stop_threshold` (both Section 7.1
+/// optimizations).
+void TopKInfluenceObjects(const ObjectIndex& objects,
+                          std::span<const Point> member_pos,
+                          std::span<const double> member_score,
+                          double radius, size_t k, double stop_threshold,
+                          QueryStats& stats, TraversalScratch& scratch,
+                          std::vector<ResultEntry>* out) {
+  out->clear();
+  if (objects.tree().root_id() == kInvalidNodeId) return;
   Span span(stats, QueryPhase::kObjectRetrieval, static_cast<uint32_t>(k),
             static_cast<uint64_t>(member_pos.size()));
   HeapWatermark watermark;
@@ -52,14 +51,14 @@ std::vector<ScoredObject> TopKInfluenceObjects(
   for (double s : member_score) root_bound += s;
   BorrowedMaxHeap heap(scratch.heap);
   heap.push({root_bound, objects.tree().root_id(), false});
-  while (!heap.empty() && out.size() < k) {
+  while (!heap.empty() && out->size() < k) {
     SearchHeapItem top = heap.top();
     heap.pop();
     // Strict comparison: candidates tied with the threshold may still fill
     // result slots (e.g. all-zero scores when nothing is relevant).
     if (top.priority < stop_threshold) break;
     if (top.is_leaf_item) {
-      out.push_back(ScoredObject{top.id, top.priority});
+      out->push_back(ResultEntry{top.id, top.priority});
       ++stats.objects_scored;
       continue;
     }
@@ -80,15 +79,14 @@ std::vector<ScoredObject> TopKInfluenceObjects(
                     descended);
     watermark.Observe(heap.size());
   }
-  return out;
 }
 
 /// Current k-th best score among the merged candidates (0 if fewer than k).
-double KthScore(const std::unordered_map<ObjectId, double>& best, size_t k) {
-  if (best.size() < k) return 0.0;
-  std::vector<double> scores;
-  scores.reserve(best.size());
-  for (const auto& [id, s] : best) scores.push_back(s);
+double KthScore(InfluenceScratch& merged, size_t k) {
+  if (merged.seen.size() < k) return 0.0;
+  std::vector<double>& scores = merged.scores;
+  scores.clear();
+  for (ObjectId id : merged.seen) scores.push_back(merged.best[id]);
   std::nth_element(scores.begin(), scores.begin() + (k - 1), scores.end(),
                    std::greater<>());
   return scores[k - 1];
@@ -102,8 +100,8 @@ double KthScore(const std::unordered_map<ObjectId, double>& best, size_t k) {
 /// Minimizing over pairs (others bounded by factor 1) tightens s(C) for
 /// spread-out combinations, letting the search skip their object retrieval
 /// once the k-th candidate beats the bound.
-double AchievableBound(const std::vector<Point>& pos,
-                       const std::vector<double>& score, double radius) {
+double AchievableBound(std::span<const Point> pos,
+                       std::span<const double> score, double radius) {
   double total = 0.0;
   for (double s : score) total += s;
   double bound = total;
@@ -128,62 +126,73 @@ QueryResult Stps::ExecuteInfluence(const Query& query,
   // nextCombination without the 2r validity filter (Section 7.1).
   CombinationIterator it(feature_indexes_, query,
                          /*enforce_range_constraint=*/false, strategy,
-                         &result.stats, &scratch.children);
+                         &result.stats, scratch);
   // Influence scores of a data object differ per combination; keep the max
   // over all combinations processed (Algorithm 5, line 6).
-  std::unordered_map<ObjectId, double> best;
+  InfluenceScratch& merged = scratch.influence;
+  std::vector<bool>& seen = scratch.flags;
+  seen.assign(objects_->size(), false);
+  merged.best.resize(objects_->size());
+  merged.seen.clear();
   double tau = 0.0;
-  std::vector<Point> member_pos;
-  std::vector<double> member_score;
+  std::array<Point, kMaxFeatureSets> member_pos;
+  std::array<double, kMaxFeatureSets> member_score;
   while (true) {
     std::optional<Combination> combo = it.Next();
     if (!combo.has_value()) break;
     // s(C) bounds the influence score of any object under any unseen
     // combination (it is the score at distance 0); terminate when it can
     // no longer improve the top-k (Algorithm 5, line 3).
-    if (best.size() >= query.k && combo->score <= tau) break;
-    member_pos.clear();
-    member_score.clear();
+    if (merged.seen.size() >= query.k && combo->score <= tau) break;
+    size_t real = 0;
     for (size_t i = 0; i < combo->members.size(); ++i) {
       if (combo->members[i] == kVirtualFeature) continue;
       const FeatureObject& t =
           feature_indexes_[i]->table().Get(combo->members[i]);
-      member_pos.push_back(t.pos);
-      member_score.push_back(
-          PreferenceScore(t, query.keywords[i], query.lambda));
+      member_pos[real] = t.pos;
+      member_score[real] =
+          PreferenceScore(t, query.keywords[i], query.lambda);
+      ++real;
     }
+    const std::span<const Point> pos(member_pos.data(), real);
+    const std::span<const double> score(member_score.data(), real);
     // Spread-out combinations cannot produce a competitive object: skip
     // their retrieval entirely.
-    if (best.size() >= query.k &&
-        AchievableBound(member_pos, member_score, query.radius) <= tau) {
+    if (merged.seen.size() >= query.k &&
+        AchievableBound(pos, score, query.radius) <= tau) {
       continue;
     }
-    std::vector<ScoredObject> candidates = TopKInfluenceObjects(
-        *objects_, member_pos, member_score, query.radius, query.k, tau,
-        result.stats, scratch);
+    TopKInfluenceObjects(*objects_, pos, score, query.radius, query.k, tau,
+                         result.stats, scratch, &merged.objects);
     bool changed = false;
-    for (const ScoredObject& c : candidates) {
-      auto [iter, inserted] = best.try_emplace(c.id, c.score);
-      if (inserted) {
+    for (const ResultEntry& c : merged.objects) {
+      if (!seen[c.object]) {
+        seen[c.object] = true;
+        merged.best[c.object] = c.score;
+        merged.seen.push_back(c.object);
         changed = true;
-      } else if (c.score > iter->second) {
-        iter->second = c.score;
+      } else if (c.score > merged.best[c.object]) {
+        merged.best[c.object] = c.score;
         changed = true;
       }
     }
-    if (changed) tau = KthScore(best, query.k);
+    if (changed) tau = KthScore(merged, query.k);
   }
 
-  std::vector<ResultEntry> all;
-  all.reserve(best.size());
-  for (const auto& [id, s] : best) all.push_back(ResultEntry{id, s});
-  std::sort(all.begin(), all.end(), [](const ResultEntry& a,
-                                       const ResultEntry& b) {
+  std::vector<ResultEntry>& ranked = merged.objects;
+  ranked.clear();
+  for (ObjectId id : merged.seen) {
+    ranked.push_back(ResultEntry{id, merged.best[id]});
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const ResultEntry& a,
+                                             const ResultEntry& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.object < b.object;
   });
-  if (all.size() > query.k) all.resize(query.k);
-  result.entries = std::move(all);
+  result.entries.assign(
+      ranked.begin(),
+      ranked.begin() + static_cast<std::ptrdiff_t>(
+                           std::min<size_t>(ranked.size(), query.k)));
   return result;
 }
 
@@ -212,23 +221,23 @@ QueryResult Stps::ExecuteInfluence(const Query& query,
 namespace {
 
 /// Ids of the `k` objects nearest to `center` (incremental NN on the
-/// object R-tree); used to seed tau_k before any radius can be bounded.
-std::vector<ObjectId> NearestObjects(const ObjectIndex& objects,
-                                     const Point& center, size_t k,
-                                     QueryStats& stats,
-                                     TraversalScratch& scratch) {
-  std::vector<ObjectId> out;
-  if (objects.tree().root_id() == kInvalidNodeId) return out;
+/// object R-tree), into `out`; used to seed tau_k before any radius can be
+/// bounded.
+void NearestObjects(const ObjectIndex& objects, const Point& center,
+                    size_t k, QueryStats& stats, TraversalScratch& scratch,
+                    std::vector<ObjectId>* out) {
+  out->clear();
+  if (objects.tree().root_id() == kInvalidNodeId) return;
   Span span(stats, QueryPhase::kObjectRetrieval, static_cast<uint32_t>(k));
   HeapWatermark watermark;
   // Min-heap on squared distance.
   BorrowedMinHeap heap(scratch.heap);
   heap.push({0.0, objects.tree().root_id(), false});
-  while (!heap.empty() && out.size() < k) {
+  while (!heap.empty() && out->size() < k) {
     SearchHeapItem top = heap.top();
     heap.pop();
     if (top.is_leaf_item) {
-      out.push_back(top.id);
+      out->push_back(top.id);
       continue;
     }
     const RTree<2>::Node& node = objects.tree().ReadNode(top.id);
@@ -244,7 +253,6 @@ std::vector<ObjectId> NearestObjects(const ObjectIndex& objects,
                     static_cast<uint32_t>(node.entries.size()));
     watermark.Observe(heap.size());
   }
-  return out;
 }
 
 }  // namespace
@@ -253,21 +261,25 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
                                            PullingStrategy strategy,
                                            TraversalScratch& scratch) const {
   QueryResult result;
+  result.entries.reserve(std::min<size_t>(query.k, objects_->size()));
   const size_t c = feature_indexes_.size();
-  std::vector<SortedFeatureStream> streams;
-  streams.reserve(c);
+  // The streams borrow the combination heaps: no iterator runs here.
+  std::array<std::optional<SortedFeatureStream>, kMaxFeatureSets> streams;
   for (size_t i = 0; i < c; ++i) {
-    streams.emplace_back(feature_indexes_[i], &query.keywords[i],
-                         query.lambda, &result.stats, &scratch.children);
+    streams[i].emplace(feature_indexes_[i], &query.keywords[i], query.lambda,
+                       &result.stats, &scratch.children,
+                       &scratch.combination.stream_heaps[i]);
   }
 
   // Per-set bookkeeping: the top score (fixed after the first pull) and
   // the score of the most recent pull (upper-bounds the next one).
-  std::vector<double> max_score(c, 0.0), last_score(c, 0.0);
-  std::vector<bool> done(c, false);
-  std::vector<std::optional<SortedFeatureStream::Item>> pending(c);
+  std::array<double, kMaxFeatureSets> max_score{};
+  std::array<double, kMaxFeatureSets> last_score{};
+  std::array<bool, kMaxFeatureSets> done{};
+  std::array<std::optional<SortedFeatureStream::Item>, kMaxFeatureSets>
+      pending;
   for (size_t i = 0; i < c; ++i) {
-    pending[i] = streams[i].Next();
+    pending[i] = streams[i]->Next();
     if (pending[i].has_value() && pending[i]->id != kVirtualFeature) {
       max_score[i] = pending[i]->score;
       last_score[i] = pending[i]->score;
@@ -276,10 +288,11 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
     }
   }
   double sum_max = 0.0;
-  for (double m : max_score) sum_max += m;
+  for (size_t i = 0; i < c; ++i) sum_max += max_score[i];
 
-  TopK<ObjectId> topk(query.k);
-  std::vector<bool> scored(objects_->size(), false);
+  TopK<ObjectId> topk(query.k, &scratch.topk);
+  std::vector<bool>& scored = scratch.flags;
+  scored.assign(objects_->size(), false);
   auto exactify = [&](ObjectId id) {
     if (scored[id]) return;
     scored[id] = true;
@@ -324,7 +337,7 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
 
     // Take the pending item (or pull the next) from the chosen stream.
     std::optional<SortedFeatureStream::Item> item = pending[pick];
-    pending[pick] = streams[pick].Next();
+    pending[pick] = streams[pick]->Next();
     if (!pending[pick].has_value() ||
         pending[pick]->id == kVirtualFeature) {
       done[pick] = true;
@@ -339,18 +352,16 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
 
     // Seed tau_k near this anchor while the result set is short.
     if (!topk.Full()) {
-      for (ObjectId id : NearestObjects(*objects_, anchor.pos, query.k,
-                                        result.stats, scratch)) {
-        exactify(id);
-      }
+      NearestObjects(*objects_, anchor.pos, query.k, result.stats, scratch,
+                     &scratch.objects);
+      for (ObjectId id : scratch.objects) exactify(id);
     }
     double tau_now = topk.Threshold();
     if (topk.Full() && tau_now > 0.0 && cap > tau_now) {
       double radius = query.radius * std::log2(cap / tau_now);
-      for (ObjectId id :
-           objects_->RangeQuery(anchor.pos, radius, &result.stats)) {
-        exactify(id);
-      }
+      objects_->RangeQuery(anchor.pos, radius, &scratch.objects,
+                           &scratch.stack, &result.stats);
+      for (ObjectId id : scratch.objects) exactify(id);
     }
   }
 
@@ -363,7 +374,7 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
     }
   }
 
-  for (auto& e : topk.TakeSortedDescending()) {
+  for (const auto& e : topk.SortDescending()) {
     result.entries.push_back(ResultEntry{e.item, e.score});
   }
   return result;

@@ -7,8 +7,9 @@
 // The intersected polygons prefilter candidate objects, and each member's
 // cell confirms them exactly (VoronoiCell::Owns), so near-ties resolve as
 // under the brute-force definition.
+#include <algorithm>
+#include <array>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/combination.h"
@@ -80,80 +81,93 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
                                          PullingStrategy strategy,
                                          TraversalScratch& scratch) const {
   QueryResult result;
+  result.entries.reserve(std::min<size_t>(query.k, objects_->size()));
   CombinationIterator it(feature_indexes_, query,
                          /*enforce_range_constraint=*/false, strategy,
-                         &result.stats, &scratch.children);
+                         &result.stats, scratch);
   const size_t c = feature_indexes_.size();
 
   // A virtual member at position i matches an object only when F_i has no
   // relevant feature at all (otherwise every object has a real nearest
   // neighbor in F_i).  Probe each set once.
-  std::vector<bool> set_has_relevant(c, false);
+  std::array<bool, kMaxFeatureSets> set_has_relevant{};
   for (size_t i = 0; i < c; ++i) {
     SortedFeatureStream probe(feature_indexes_[i], &query.keywords[i],
                               query.lambda, &result.stats,
-                              &scratch.children);
+                              &scratch.children, &scratch.heap);
     std::optional<SortedFeatureStream::Item> first = probe.Next();
     set_has_relevant[i] =
         first.has_value() && first->id != kVirtualFeature;
   }
 
-  std::vector<bool> claimed(objects_->size(), false);
-  // Voronoi cells cached per (feature set, feature): combinations share
+  std::vector<bool>& claimed = scratch.flags;
+  claimed.assign(objects_->size(), false);
+  // Voronoi cells kept per (feature set, feature): combinations share
   // members.  With an engine-level cache attached, cells are additionally
   // reused across queries with the same keyword sets (Section 8.5's
   // precomputation remark).
-  std::unordered_map<uint64_t, VoronoiCell> cell_cache;
+  VoronoiScratch& voronoi = scratch.voronoi;
+  voronoi.used = 0;
+  voronoi.index.Clear();
   const Rect2& domain = objects_->domain();
-  auto cell_for = [&](size_t i, ObjectId member) -> const VoronoiCell& {
-    uint64_t key = (static_cast<uint64_t>(i) << 32) | member;
-    auto local = cell_cache.find(key);
-    if (local != cell_cache.end()) return local->second;
+  // Position of the cell in voronoi.cells, computed on first use.
+  auto cell_for = [&](size_t i, ObjectId member) -> uint32_t {
+    const uint64_t key = (static_cast<uint64_t>(i) << 32) | member;
+    bool inserted = false;
+    uint32_t& slot = voronoi.index.FindOrInsert(key, &inserted);
+    if (!inserted) return slot;
+    const uint32_t pos = static_cast<uint32_t>(voronoi.used++);
+    slot = pos;
+    if (pos == voronoi.cells.size()) voronoi.cells.emplace_back();
+    VoronoiCell& cell = voronoi.cells[pos];
     if (voronoi_cache_ != nullptr) {
       std::optional<VoronoiCell> shared =
           voronoi_cache_->Find(i, member, query.keywords[i]);
       if (shared.has_value()) {
         ++result.stats.voronoi_cache_hits;
-        return cell_cache.emplace(key, *std::move(shared)).first->second;
+        cell = *std::move(shared);
+        return pos;
       }
     }
-    VoronoiCell cell =
-        ComputeVoronoiCell(*feature_indexes_[i], member, query.keywords[i],
-                           query.lambda, domain, result.stats, scratch);
+    ComputeVoronoiCell(*feature_indexes_[i], member, query.keywords[i],
+                       query.lambda, domain, result.stats, scratch, &cell);
     if (voronoi_cache_ != nullptr) {
       voronoi_cache_->Put(i, member, query.keywords[i], cell);
     }
-    return cell_cache.emplace(key, std::move(cell)).first->second;
+    return pos;
   };
 
-  // The cells of the current combination's real members (nullptr for a
-  // virtual member).
-  const VoronoiCell* cells[kMaxFeatureSets] = {};
+  // The cells of the current combination's real members (kNoCell for a
+  // virtual member), as positions in voronoi.cells.
+  constexpr uint32_t kNoCell = 0xffffffffu;
+  std::array<uint32_t, kMaxFeatureSets> cell_of{};
   const auto owned = [&](const Point& p) {
     for (size_t i = 0; i < c; ++i) {
-      if (cells[i] != nullptr &&
-          !cells[i]->Owns(feature_indexes_[i]->table(), p, query.keywords[i],
-                          query.lambda)) {
+      if (cell_of[i] != kNoCell &&
+          !voronoi.cells[cell_of[i]].Owns(feature_indexes_[i]->table(), p,
+                                          query.keywords[i], query.lambda)) {
         return false;
       }
     }
     return true;
   };
+  ConvexPolygon& region = voronoi.region;
   while (result.entries.size() < query.k) {
     std::optional<Combination> combo = it.Next();
     if (!combo.has_value()) break;
-    ConvexPolygon region = ConvexPolygon::FromRect(domain);
+    region.AssignRect(domain);
     bool feasible = true;
     for (size_t i = 0; i < c && feasible; ++i) {
       ObjectId member = combo->members[i];
-      cells[i] = nullptr;
+      cell_of[i] = kNoCell;
       if (member == kVirtualFeature) {
         // tau_i(p) = 0 is only possible when F_i has nothing relevant.
         if (set_has_relevant[i]) feasible = false;
         continue;
       }
-      cells[i] = &cell_for(i, member);
-      IntersectConvex(&region, cells[i]->polygon);
+      cell_of[i] = cell_for(i, member);
+      IntersectConvex(&region, voronoi.cells[cell_of[i]].polygon,
+                      &voronoi.clip);
       if (region.IsEmpty()) feasible = false;
     }
     if (!feasible || region.IsEmpty()) continue;

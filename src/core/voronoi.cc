@@ -1,5 +1,6 @@
 #include "core/voronoi.h"
 
+#include "core/scratch.h"
 #include "core/score.h"
 #include "obs/trace.h"
 
@@ -21,19 +22,20 @@ bool VoronoiCell::Owns(const FeatureTable& table, const Point& p,
   return true;
 }
 
-VoronoiCell ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
-                               const KeywordSet& query_kw, double lambda,
-                               const Rect2& domain, QueryStats& stats,
-                               TraversalScratch& scratch) {
+void ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
+                        const KeywordSet& query_kw, double lambda,
+                        const Rect2& domain, QueryStats& stats,
+                        TraversalScratch& scratch, VoronoiCell* out) {
   Span span(stats, QueryPhase::kVoronoi, index.set_ordinal(), center_id);
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const BufferPoolStats before =
       index.buffer_pool() != nullptr ? index.buffer_pool()->stats()
                                      : BufferPoolStats{};
   const Point center = index.table().Get(center_id).pos;
-  VoronoiCell cell;
+  VoronoiCell& cell = *out;
   cell.center = center_id;
-  cell.polygon = ConvexPolygon::FromRect(domain);
+  cell.polygon.AssignRect(domain);
+  cell.sites.clear();
   ++stats.voronoi_cells;
 
   // Only relevant features define cells: the memo's views hold exactly
@@ -58,7 +60,8 @@ VoronoiCell ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
       cell.sites.push_back(top.id);
       if (t.pos == center) continue;  // co-located: bisector undefined
       ++stats.voronoi_clip_features;
-      cell.polygon.Clip(BisectorHalfPlane(center, t.pos));
+      cell.polygon.Clip(BisectorHalfPlane(center, t.pos),
+                        &scratch.voronoi.clip);
       max_vertex = cell.polygon.MaxDistanceFrom(center);
       continue;
     }
@@ -73,12 +76,12 @@ VoronoiCell ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
   if (index.buffer_pool() != nullptr) {
     stats.voronoi_reads += (index.buffer_pool()->stats() - before).reads;
   }
-  return cell;
 }
 
-void IntersectConvex(ConvexPolygon* poly, const ConvexPolygon& other) {
+void IntersectConvex(ConvexPolygon* poly, const ConvexPolygon& other,
+                     std::vector<Point>* clip_buffer) {
   if (other.IsEmpty()) {
-    *poly = ConvexPolygon();
+    poly->Clear();
     return;
   }
   const std::vector<Point>& v = other.vertices();
@@ -89,7 +92,7 @@ void IntersectConvex(ConvexPolygon* poly, const ConvexPolygon& other) {
     // cross(b - a, p - a) >= 0  <=>  (-dy)*p.x + dx*p.y <= dx*a.y - dy*a.x.
     double dx = b.x - a.x;
     double dy = b.y - a.y;
-    poly->Clip(HalfPlane{dy, -dx, dy * a.x - dx * a.y});
+    poly->Clip(HalfPlane{dy, -dx, dy * a.x - dx * a.y}, clip_buffer);
   }
 }
 

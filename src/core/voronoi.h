@@ -17,7 +17,6 @@
 
 #include <vector>
 
-#include "core/scratch.h"
 #include "geom/polygon.h"
 #include "index/feature_index.h"
 #include "text/keyword_set.h"
@@ -25,6 +24,8 @@
 #include "util/metrics.h"
 
 namespace stpq {
+
+struct TraversalScratch;  // core/scratch.h
 
 /// The Voronoi cell of feature `center` among the relevant features of its
 /// feature set.
@@ -45,20 +46,23 @@ struct VoronoiCell {
             const KeywordSet& query_kw, double lambda) const;
 };
 
-/// Computes the Voronoi cell of feature `center_id` among the features of
-/// `index` with sim(t, query_kw) > 0, clipped to `domain`.  Charges the
+/// Computes into `cell` the Voronoi cell of feature `center_id` among the
+/// features of `index` with sim(t, query_kw) > 0, clipped to `domain`.
+/// `cell` is overwritten; its vectors keep their capacity.  Charges the
 /// feature index's buffer pool; cost is recorded in the voronoi_* counters
 /// of `stats` (the striped bars of the paper's Figures 13-14).
-STPQ_HOT VoronoiCell ComputeVoronoiCell(const FeatureIndex& index,
-                                        ObjectId center_id,
-                                        const KeywordSet& query_kw,
-                                        double lambda, const Rect2& domain,
-                                        QueryStats& stats,
-                                        TraversalScratch& scratch);
+STPQ_HOT void ComputeVoronoiCell(const FeatureIndex& index,
+                                 ObjectId center_id,
+                                 const KeywordSet& query_kw, double lambda,
+                                 const Rect2& domain, QueryStats& stats,
+                                 TraversalScratch& scratch,
+                                 VoronoiCell* cell);
 
 /// Intersects `poly` with `other` in place (clips by every edge of
-/// `other`); both must be convex with CCW vertex order.
-STPQ_HOT void IntersectConvex(ConvexPolygon* poly, const ConvexPolygon& other);
+/// `other`); both must be convex with CCW vertex order.  `clip_buffer` is
+/// ConvexPolygon::Clip's working storage.
+STPQ_HOT void IntersectConvex(ConvexPolygon* poly, const ConvexPolygon& other,
+                              std::vector<Point>* clip_buffer);
 
 }  // namespace stpq
 

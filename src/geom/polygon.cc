@@ -17,17 +17,26 @@ HalfPlane BisectorHalfPlane(const Point& keep, const Point& other) {
 }
 
 ConvexPolygon ConvexPolygon::FromRect(const Rect2& r) {
-  if (r.IsEmpty()) return ConvexPolygon();
-  return ConvexPolygon({{r.lo[0], r.lo[1]},
-                        {r.hi[0], r.lo[1]},
-                        {r.hi[0], r.hi[1]},
-                        {r.lo[0], r.hi[1]}});
+  ConvexPolygon p;
+  p.AssignRect(r);
+  return p;
 }
 
-void ConvexPolygon::Clip(const HalfPlane& hp) {
+void ConvexPolygon::AssignRect(const Rect2& r) {
+  if (r.IsEmpty()) {
+    vertices_.clear();
+    return;
+  }
+  vertices_.assign({{r.lo[0], r.lo[1]},
+                    {r.hi[0], r.lo[1]},
+                    {r.hi[0], r.hi[1]},
+                    {r.lo[0], r.hi[1]}});
+}
+
+void ConvexPolygon::Clip(const HalfPlane& hp, std::vector<Point>* buffer) {
   if (IsEmpty()) return;
-  std::vector<Point> out;
-  out.reserve(vertices_.size() + 1);
+  std::vector<Point>& out = *buffer;
+  out.clear();
   const size_t n = vertices_.size();
   for (size_t i = 0; i < n; ++i) {
     const Point& cur = vertices_[i];
@@ -49,8 +58,11 @@ void ConvexPolygon::Clip(const HalfPlane& hp) {
           {cur.x + s * (nxt.x - cur.x), cur.y + s * (nxt.y - cur.y)});
     }
   }
-  vertices_ = std::move(out);
-  if (vertices_.size() < 3) vertices_.clear();
+  if (out.size() < 3) {
+    vertices_.clear();
+  } else {
+    vertices_.assign(out.begin(), out.end());
+  }
 }
 
 bool ConvexPolygon::Contains(const Point& p, double eps) const {

@@ -45,8 +45,18 @@ class ConvexPolygon {
   /// Rectangle as a polygon (the Voronoi domain bounding box).
   static ConvexPolygon FromRect(const Rect2& r);
 
-  /// Clips the polygon by `hp`, keeping the inside part.
-  void Clip(const HalfPlane& hp);
+  /// Makes this polygon the rectangle `r` (empty if `r` is), reusing the
+  /// vertex storage.
+  void AssignRect(const Rect2& r);
+
+  /// Makes this polygon empty, keeping the vertex storage.
+  void Clear() { vertices_.clear(); }
+
+  /// Clips the polygon by `hp`, keeping the inside part.  The clipped
+  /// vertices are built in `buffer` (caller-owned working storage, so a
+  /// warm caller clips without allocating) and copied back, which keeps
+  /// each polygon's own capacity in place.
+  void Clip(const HalfPlane& hp, std::vector<Point>* buffer);
 
   bool IsEmpty() const { return vertices_.size() < 3; }
 
@@ -67,9 +77,6 @@ class ConvexPolygon {
   double Area() const;
 
  private:
-  explicit ConvexPolygon(std::vector<Point> vertices)
-      : vertices_(std::move(vertices)) {}
-
   std::vector<Point> vertices_;
 };
 

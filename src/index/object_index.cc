@@ -42,21 +42,22 @@ ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
   STPQ_VALIDATE(ValidateObjectIndex(*this));
 }
 
-std::vector<ObjectId> ObjectIndex::RangeQuery(const Point& center,
-                                              double radius,
-                                              QueryStats* stats) const {
-  std::vector<ObjectId> out;
-  if (tree_.root_id() == kInvalidNodeId) return out;
+void ObjectIndex::RangeQuery(const Point& center, double radius,
+                             std::vector<ObjectId>* out,
+                             std::vector<NodeId>* stack,
+                             QueryStats* stats) const {
+  out->clear();
+  if (tree_.root_id() == kInvalidNodeId) return;
   Rect2 box = MakeRect2(center.x - radius, center.y - radius,
                         center.x + radius, center.y + radius);
   const double r2 = radius * radius;
   // Same traversal as RTree::ForEachInRange (LIFO stack, identical page
   // order), unrolled here so node expansions can feed the traversal
   // profile.
-  std::vector<NodeId> stack{tree_.root_id()};
-  while (!stack.empty()) {
-    NodeId nid = stack.back();
-    stack.pop_back();
+  stack->assign(1, tree_.root_id());
+  while (!stack->empty()) {
+    NodeId nid = stack->back();
+    stack->pop_back();
     const RTree<2>::Node& node = tree_.ReadNode(nid);
     uint32_t pruned = 0;
     uint32_t descended = 0;
@@ -68,49 +69,19 @@ std::vector<ObjectId> ObjectIndex::RangeQuery(const Point& center,
       if (node.IsLeaf()) {
         Point p{e.rect.lo[0], e.rect.lo[1]};
         if (SquaredDistance(p, center) <= r2) {
-          out.push_back(e.id);
+          out->push_back(e.id);
           ++descended;
         } else {
           ++pruned;
         }
       } else {
-        stack.push_back(e.id);
+        stack->push_back(e.id);
         ++descended;
       }
     }
     if (stats != nullptr) {
       RecordNodeVisit(*stats, kTraceObjectTree, node.level, nid, pruned,
                       descended);
-    }
-  }
-  return out;
-}
-
-void ObjectIndex::ForEachLeafBlock(
-    const std::function<void(std::span<const ObjectId>, const Rect2&)>& fn,
-    QueryStats* stats) const {
-  if (tree_.root_id() == kInvalidNodeId) return;
-  std::vector<NodeId> stack{tree_.root_id()};
-  std::vector<ObjectId> ids;
-  while (!stack.empty()) {
-    NodeId nid = stack.back();
-    stack.pop_back();
-    const RTree<2>::Node& node = tree_.ReadNode(nid);
-    if (node.IsLeaf()) {
-      ids.clear();
-      Rect2 mbr = Rect2::Empty();
-      for (const auto& e : node.entries) {
-        ids.push_back(e.id);
-        mbr.Enlarge(e.rect);
-      }
-      fn(ids, mbr);
-    } else {
-      for (const auto& e : node.entries) stack.push_back(e.id);
-    }
-    if (stats != nullptr) {
-      // A full scan prunes nothing: every entry is handed on.
-      RecordNodeVisit(*stats, kTraceObjectTree, node.level, nid, 0,
-                      static_cast<uint32_t>(node.entries.size()));
     }
   }
 }

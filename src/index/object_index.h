@@ -2,11 +2,11 @@
 #ifndef STPQ_INDEX_OBJECT_INDEX_H_
 #define STPQ_INDEX_OBJECT_INDEX_H_
 
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "index/feature.h"
+#include "obs/trace.h"
 #include "rtree/rtree.h"
 #include "util/metrics.h"
 
@@ -37,19 +37,25 @@ class ObjectIndex {
   const DataObject& Get(ObjectId id) const { return (*objects_)[id]; }
   size_t size() const { return objects_->size(); }
 
-  /// Ids of all objects within Euclidean distance `radius` of `center`.
-  /// With `stats`, node expansions land in the object-tree traversal
-  /// profile (and as trace instants).
-  std::vector<ObjectId> RangeQuery(const Point& center, double radius,
-                                   QueryStats* stats = nullptr) const;
+  /// Ids of all objects within Euclidean distance `radius` of `center`,
+  /// into `out` (cleared first).  `stack` is the traversal's working
+  /// storage; both keep their capacity for the caller's next walk.  With
+  /// `stats`, node expansions land in the object-tree traversal profile
+  /// (and as trace instants).
+  void RangeQuery(const Point& center, double radius,
+                  std::vector<ObjectId>* out, std::vector<NodeId>* stack,
+                  QueryStats* stats = nullptr) const;
 
-  /// Calls `fn` once per leaf node with the leaf's object ids and its MBR.
-  /// Used by batched STDS: each leaf is a spatially clustered batch.
-  /// With `stats`, node expansions land in the object-tree traversal
-  /// profile (and as trace instants).
-  void ForEachLeafBlock(
-      const std::function<void(std::span<const ObjectId>, const Rect2&)>& fn,
-      QueryStats* stats = nullptr) const;
+  /// Calls `fn(std::span<const ObjectId> ids, const Rect2& mbr)` once per
+  /// leaf node with the leaf's object ids and its MBR.  Used by batched
+  /// STDS: each leaf is a spatially clustered batch.  `stack` and `ids`
+  /// are the walk's working storage (`fn` must not touch them).  With
+  /// `stats`, node expansions land in the object-tree traversal profile
+  /// (and as trace instants).
+  template <typename LeafFn>
+  void ForEachLeafBlock(const LeafFn& fn, std::vector<NodeId>* stack,
+                        std::vector<ObjectId>* ids,
+                        QueryStats* stats = nullptr) const;
 
   /// Underlying tree for custom traversals (STPS object retrieval).
   const RTree<2>& tree() const { return tree_; }
@@ -68,6 +74,36 @@ class ObjectIndex {
   RTree<2> tree_;
   Rect2 domain_ = Rect2::Empty();
 };
+
+template <typename LeafFn>
+void ObjectIndex::ForEachLeafBlock(const LeafFn& fn,
+                                   std::vector<NodeId>* stack,
+                                   std::vector<ObjectId>* ids,
+                                   QueryStats* stats) const {
+  if (tree_.root_id() == kInvalidNodeId) return;
+  stack->assign(1, tree_.root_id());
+  while (!stack->empty()) {
+    NodeId nid = stack->back();
+    stack->pop_back();
+    const RTree<2>::Node& node = tree_.ReadNode(nid);
+    if (node.IsLeaf()) {
+      ids->clear();
+      Rect2 mbr = Rect2::Empty();
+      for (const auto& e : node.entries) {
+        ids->push_back(e.id);
+        mbr.Enlarge(e.rect);
+      }
+      fn(std::span<const ObjectId>(*ids), mbr);
+    } else {
+      for (const auto& e : node.entries) stack->push_back(e.id);
+    }
+    if (stats != nullptr) {
+      // A full scan prunes nothing: every entry is handed on.
+      RecordNodeVisit(*stats, kTraceObjectTree, node.level, nid, 0,
+                      static_cast<uint32_t>(node.entries.size()));
+    }
+  }
+}
 
 }  // namespace stpq
 

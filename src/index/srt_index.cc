@@ -88,10 +88,11 @@ void SrtIndex::VisitChildren(NodeId node_id, const KeywordSet& query_kw,
     // Spatial projection of the 4-D MBR.
     b.mbr = Rect2{{e.rect.lo[0], e.rect.lo[1]}, {e.rect.hi[0], e.rect.hi[1]}};
     if (b.is_feature) {
-      // Exact preference score s(t) (Definition 1).
-      const FeatureObject& f = table_->Get(e.id);
-      double sim = f.keywords.Jaccard(query_kw);
-      b.score_bound = (1.0 - lambda) * f.score + lambda * sim;
+      // Exact preference score s(t) (Definition 1), from the leaf entry:
+      // its e.s and e.W are the record's t.s and t.W (Section 4.1;
+      // ValidateSrtIndex checks the equality), so no table read is needed.
+      double sim = e.aug.keywords.Jaccard(query_kw);
+      b.score_bound = (1.0 - lambda) * e.aug.max_score + lambda * sim;
       b.text_match = sim > 0.0;
     } else {
       // e.W is the decoded aggregated Hilbert value (cached at build time,

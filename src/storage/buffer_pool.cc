@@ -312,6 +312,14 @@ bool BufferPool::Session::Access(PageId page) {
   return hit;
 }
 
+void BufferPool::Session::Reset() {
+  if (isolated_) {
+    private_pool_->Clear();
+    private_pool_->ResetStats();
+  }
+  stats_ = {};
+}
+
 BufferPoolStats BufferPool::Session::stats() const {
   if (isolated_) {
     return {private_pool_->reads_.load(std::memory_order_relaxed),

@@ -278,6 +278,12 @@ class BufferPool::Session {
   /// Charges one page access to this session; returns true on a hit.
   STPQ_HOT bool Access(PageId page);
 
+  /// Forgets the session's traffic so it can account for another query:
+  /// zeroes the counters and empties an isolated session's private pool
+  /// (Clear + ResetStats; its frames and page-table slots are kept, so
+  /// refilling it does not allocate).
+  void Reset();
+
   /// Pages read (misses) and hits charged to this session so far.
   BufferPoolStats stats() const;
 

@@ -37,7 +37,7 @@ inline constexpr size_t kNumQueryPhases = 4;
 const char* QueryPhaseName(QueryPhase phase);
 
 /// Feature sets the traversal profile resolves individually.  Mirrors
-/// combination.h's kMaxFeatureSets (a static_assert there keeps the two in
+/// core/scratch.h's kMaxFeatureSets (a static_assert there keeps the two in
 /// sync); deeper ordinals fold into the last slot.
 inline constexpr size_t kMaxProfiledFeatureSets = 8;
 

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <queue>
+#include <span>
 #include <vector>
 
 namespace stpq {
@@ -13,7 +13,9 @@ namespace stpq {
 ///
 /// Push is O(log k); Threshold() returns the current k-th best score (the
 /// pruning threshold used by both STDS and STPS), or `floor` while fewer
-/// than k items have been pushed.
+/// than k items have been pushed.  The heap lives in a caller-owned
+/// vector, whose capacity carries over to the next TopK (the query
+/// executors borrow session scratch this way).
 template <typename Item>
 class TopK {
  public:
@@ -22,38 +24,48 @@ class TopK {
     Item item;
   };
 
-  explicit TopK(size_t k, double floor = 0.0) : k_(k), floor_(floor) {}
+  /// Keeps the heap in `storage` (cleared here), which must outlive the
+  /// TopK.
+  TopK(size_t k, std::vector<Scored>* storage, double floor = 0.0)
+      : k_(k), floor_(floor), heap_(storage) {
+    heap_->clear();
+  }
+
+  TopK(const TopK&) = delete;
+  TopK& operator=(const TopK&) = delete;
 
   /// Offers an item; it is kept only if it ranks among the best k.
   void Push(double score, Item item) {
     if (k_ == 0) return;
-    if (heap_.size() < k_) {
-      heap_.push_back({score, std::move(item)});
-      std::push_heap(heap_.begin(), heap_.end(), MinFirst);
-    } else if (score > heap_.front().score) {
-      std::pop_heap(heap_.begin(), heap_.end(), MinFirst);
-      heap_.back() = {score, std::move(item)};
-      std::push_heap(heap_.begin(), heap_.end(), MinFirst);
+    std::vector<Scored>& heap = *heap_;
+    if (heap.size() < k_) {
+      heap.push_back({score, std::move(item)});
+      std::push_heap(heap.begin(), heap.end(), MinFirst);
+    } else if (score > heap.front().score) {
+      std::pop_heap(heap.begin(), heap.end(), MinFirst);
+      heap.back() = {score, std::move(item)};
+      std::push_heap(heap.begin(), heap.end(), MinFirst);
     }
   }
 
   /// True once k items are held; from then on Threshold() is the k-th score.
-  bool Full() const { return heap_.size() >= k_; }
+  bool Full() const { return heap_->size() >= k_; }
 
   /// Current k-th best score, or the floor if fewer than k items were seen.
   double Threshold() const {
-    return Full() && k_ > 0 ? heap_.front().score : floor_;
+    return Full() && k_ > 0 ? heap_->front().score : floor_;
   }
 
-  size_t Size() const { return heap_.size(); }
+  size_t Size() const { return heap_->size(); }
 
-  /// Extracts the items sorted by descending score (destructive).
-  std::vector<Scored> TakeSortedDescending() {
-    std::vector<Scored> out = std::move(heap_);
-    std::sort(out.begin(), out.end(), [](const Scored& a, const Scored& b) {
-      return a.score > b.score;
-    });
-    return out;
+  /// Sorts the items by descending score in place and returns them; the
+  /// TopK must not be pushed to afterwards.
+  std::span<const Scored> SortDescending() {
+    std::sort(heap_->begin(), heap_->end(),
+              [](const Scored& a, const Scored& b) {
+                return a.score > b.score;
+              });
+    return *heap_;
   }
 
  private:
@@ -63,7 +75,7 @@ class TopK {
 
   size_t k_;
   double floor_;
-  std::vector<Scored> heap_;
+  std::vector<Scored>* heap_;  ///< borrowed storage
 };
 
 }  // namespace stpq

@@ -1,17 +1,26 @@
-// Allocation-count spot check for the query hot path (DESIGN.md §13).
+// Allocation-count checks for the query path (DESIGN.md §13).
 //
-// Replaces the global allocator with a counting shim and asserts that a
+// Replaces the global allocator with a counting shim.  Kernel level: a
 // *warm* traversal scratch executes the range-variant component-score
-// kernel with zero heap allocations: after one warm-up pass has grown the
+// kernel with zero heap allocations — after one warm-up pass has grown the
 // scratch vectors to their steady-state capacity, repeating the same
-// queries must not allocate at all.
+// queries must not allocate at all.  Query level: a warm Engine::Execute
+// allocates only the entries it returns.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/compute_score.h"
+#include "core/engine.h"
+#include "gen/queries.h"
 #include "gen/synthetic.h"
 #include "index/srt_index.h"
 #include "obs/trace.h"
@@ -144,6 +153,99 @@ TEST(AllocationTest, WarmScratchRangeTraversalAllocatesNothing) {
       << "warm range traversal performed " << (after - before)
       << " heap allocations";
   EXPECT_DOUBLE_EQ(steady_total, warm_total);
+}
+
+// End-to-end form of the contract.  A query pool runs twice through
+// Engine::Execute; in the second pass every query reuses a pooled session
+// whose buffers already have their steady-state capacity, so the only
+// allocation left is the returned entries vector (reserved to k up front).
+// `reopened` runs the pool on the Save + Open (file-backed) engine.
+void ExpectWarmExecuteAllocatesOnlyEntries(Algorithm algorithm,
+                                           ScoreVariant variant,
+                                           bool reopened) {
+  SyntheticConfig cfg;
+  cfg.seed = 41;
+  cfg.num_objects = 1500;
+  cfg.num_features_per_set = 1500;
+  cfg.num_feature_sets = 2;
+  cfg.vocabulary_size = 48;
+  cfg.num_clusters = 60;
+  Dataset ds = GenerateSynthetic(cfg);
+  QueryWorkloadConfig qcfg;
+  qcfg.count = 24;
+  qcfg.k = 10;
+  qcfg.radius = 0.04;
+  qcfg.keywords_per_set = 2;
+  qcfg.variant = variant;
+  const std::vector<Query> queries = GenerateQueries(ds, qcfg);
+
+  Engine built = Engine::Build(std::move(ds.objects),
+                               std::move(ds.feature_tables))
+                     .TakeValue();
+  std::filesystem::path dir;
+  std::optional<Engine> file_backed;
+  if (reopened) {
+    dir = std::filesystem::temp_directory_path() /
+          ("stpq_alloc_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "alloc.stpqx").string();
+    ASSERT_TRUE(built.Save(path).ok());
+    Result<Engine> opened = Engine::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    file_backed.emplace(opened.TakeValue());
+  }
+  const Engine& engine = reopened ? *file_backed : built;
+
+  // Pass 1 warms the session pool, decodes the nodes the pool touches and
+  // records the answers.
+  std::vector<std::vector<ResultEntry>> first;
+  for (const Query& q : queries) {
+    first.push_back(engine.Execute(q, algorithm).TakeValue().entries);
+  }
+  std::vector<uint64_t> allocations(queries.size(), 0);
+  std::vector<bool> same(queries.size(), false);
+  size_t answered = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    Result<QueryResult> r = engine.Execute(queries[i], algorithm);
+    const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    allocations[i] = after - before;
+    same[i] = r.ok() && r.value().entries == first[i];
+    if (r.ok() && !r.value().entries.empty()) ++answered;
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_LE(allocations[i], 1u) << "query " << i << ": a warm Execute "
+                                  << "performed " << allocations[i]
+                                  << " heap allocations";
+    EXPECT_TRUE(same[i]) << "query " << i << " answered differently";
+  }
+  EXPECT_GT(answered, 0u) << "the pool must exercise result assembly";
+  if (!dir.empty()) std::filesystem::remove_all(dir);
+}
+
+TEST(EngineAllocationTest, WarmStpsRangeAllocatesOnlyTheEntries) {
+  ExpectWarmExecuteAllocatesOnlyEntries(Algorithm::kStps,
+                                        ScoreVariant::kRange, false);
+}
+
+TEST(EngineAllocationTest, WarmStpsInfluenceAllocatesOnlyTheEntries) {
+  ExpectWarmExecuteAllocatesOnlyEntries(Algorithm::kStps,
+                                        ScoreVariant::kInfluence, false);
+}
+
+TEST(EngineAllocationTest, WarmStpsNearestNeighborAllocatesOnlyTheEntries) {
+  ExpectWarmExecuteAllocatesOnlyEntries(
+      Algorithm::kStps, ScoreVariant::kNearestNeighbor, false);
+}
+
+TEST(EngineAllocationTest, WarmReopenedStpsRangeAllocatesOnlyTheEntries) {
+  ExpectWarmExecuteAllocatesOnlyEntries(Algorithm::kStps,
+                                        ScoreVariant::kRange, true);
+}
+
+TEST(EngineAllocationTest, WarmStdsBatchedRangeAllocatesOnlyTheEntries) {
+  ExpectWarmExecuteAllocatesOnlyEntries(Algorithm::kStds,
+                                        ScoreVariant::kRange, false);
 }
 
 }  // namespace

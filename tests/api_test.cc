@@ -3,8 +3,12 @@
 // deletion.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "core/brute_force.h"
 #include "core/cursor.h"
@@ -14,6 +18,8 @@
 #include "gen/queries.h"
 #include "gen/synthetic.h"
 #include "index/index_stats.h"
+#include "io/bulk_load.h"
+#include "io/dataset_io.h"
 #include "paper_example.h"
 #include "rtree/rtree.h"
 #include "util/rng.h"
@@ -351,6 +357,79 @@ TEST(ValidationTest, CreateRejectsBadOptionsAndBuildsGoodEngines) {
   Query q = ex::TouristQuery(ds.vocabularies[0], ds.vocabularies[1], 3);
   QueryResult r = engine.Execute(q, Algorithm::kStps).TakeValue();
   EXPECT_FALSE(r.entries.empty());
+}
+
+// STPS keeps per-feature-set state in arrays of kMaxFeatureSets, so an
+// engine over more tables is refused by Build and by Open (the external
+// loader writes any table count the file format allows), and one over
+// exactly that many answers every variant (influence in the default
+// anchored mode), the cursor and STDS exactly.
+TEST(ValidationTest, EngineAcceptsAtMostMaxFeatureSets) {
+  SyntheticConfig cfg;
+  cfg.num_objects = 100;
+  cfg.num_features_per_set = 15;
+  cfg.num_feature_sets = kMaxFeatureSets + 1;
+  cfg.vocabulary_size = 16;
+  cfg.num_clusters = 10;
+  Dataset ds = GenerateSynthetic(cfg);
+  Result<Engine> too_many = Engine::Build(
+      ds.objects, std::vector<FeatureTable>(ds.feature_tables), {});
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("stpq_api_wide_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string data = (dir / "wide.stpq").string();
+  const std::string index = (dir / "wide.stpqx").string();
+  ASSERT_TRUE(WriteDatasetBinary(data, ds).ok());
+  ExternalBuildOptions build_opts;
+  build_opts.params.page_size_bytes = 256;
+  Result<ExternalBuildStats> written =
+      BuildIndexFileExternal(data, index, build_opts);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written.value().tables, kMaxFeatureSets + 1);
+  Result<Engine> opened = Engine::Open(index);
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+
+  ds.feature_tables.pop_back();
+  ds.vocabularies.pop_back();
+  BruteForceEvaluator brute(&ds.objects, TablePtrs(ds));
+  Result<Engine> built = Engine::Build(
+      ds.objects, std::vector<FeatureTable>(ds.feature_tables), {});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = built.TakeValue();
+  QueryWorkloadConfig qcfg;
+  qcfg.count = 2;
+  qcfg.k = 5;
+  qcfg.radius = 0.2;
+  qcfg.keywords_per_set = 2;
+  for (ScoreVariant variant :
+       {ScoreVariant::kRange, ScoreVariant::kInfluence,
+        ScoreVariant::kNearestNeighbor}) {
+    qcfg.variant = variant;
+    for (const Query& q : GenerateQueries(ds, qcfg)) {
+      std::vector<ResultEntry> expected = brute.TopK(q);
+      for (Algorithm algo : {Algorithm::kStps, Algorithm::kStds}) {
+        QueryResult got = engine.Execute(q, algo).TakeValue();
+        ASSERT_EQ(got.entries.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_NEAR(got.entries[i].score, expected[i].score, 1e-9)
+              << "variant " << static_cast<int>(variant) << " rank " << i;
+        }
+      }
+      if (variant != ScoreVariant::kRange) continue;
+      std::unique_ptr<StpsCursor> cursor = engine.OpenCursor(q).TakeValue();
+      for (const ResultEntry& e : expected) {
+        std::optional<ResultEntry> next = cursor->Next();
+        ASSERT_TRUE(next.has_value());
+        EXPECT_NEAR(next->score, e.score, 1e-9);
+      }
+    }
+  }
 }
 
 TEST(ValidationTest, BuildRejectsBadStorageOptions) {

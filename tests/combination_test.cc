@@ -39,8 +39,9 @@ TEST(SortedFeatureStreamTest, YieldsNonIncreasingScores) {
   SrtIndex index(&table, opts);
   KeywordSet query(32, {0, 1, 2});
   QueryStats stats;
-  ChildrenMemo children;
-  SortedFeatureStream stream(&index, &query, 0.5, &stats, &children);
+  TraversalScratch scratch;
+  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch.children,
+                             &scratch.heap);
   double prev = std::numeric_limits<double>::infinity();
   size_t real_count = 0;
   while (auto item = stream.Next()) {
@@ -72,8 +73,9 @@ TEST(SortedFeatureStreamTest, EmptyIndexYieldsOnlyVirtual) {
   SrtIndex index(&table, opts);
   KeywordSet query(8, {0});
   QueryStats stats;
-  ChildrenMemo children;
-  SortedFeatureStream stream(&index, &query, 0.5, &stats, &children);
+  TraversalScratch scratch;
+  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch.children,
+                             &scratch.heap);
   auto item = stream.Next();
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->id, kVirtualFeature);
@@ -86,8 +88,9 @@ TEST(SortedFeatureStreamTest, NoRelevantFeaturesYieldsOnlyVirtual) {
   SrtIndex index(&table, opts);
   KeywordSet query(32);  // empty query: sim = 0 for everything
   QueryStats stats;
-  ChildrenMemo children;
-  SortedFeatureStream stream(&index, &query, 0.5, &stats, &children);
+  TraversalScratch scratch;
+  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch.children,
+                             &scratch.heap);
   auto item = stream.Next();
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->id, kVirtualFeature);
@@ -164,9 +167,10 @@ TEST_P(CombinationIteratorTest, EmitsAllValidCombinationsInScoreOrder) {
   q.lambda = 0.5;
   q.keywords = {KeywordSet(16, {0, 1, 2}), KeywordSet(16, {3, 4})};
   QueryStats stats;
-  ChildrenMemo children;
-  CombinationIterator it({&i1, &i2}, q, /*enforce_range_constraint=*/true,
-                         GetParam(), &stats, &children);
+  TraversalScratch scratch;
+  const std::vector<const FeatureIndex*> indexes{&i1, &i2};
+  CombinationIterator it(indexes, q, /*enforce_range_constraint=*/true,
+                         GetParam(), &stats, scratch);
   std::vector<BruteCombo> expected = BruteCombos({&t1, &t2}, q, true);
   double prev = std::numeric_limits<double>::infinity();
   size_t count = 0;
@@ -189,9 +193,10 @@ TEST_P(CombinationIteratorTest, UnconstrainedEnumeratesFullProduct) {
   q.lambda = 0.3;
   q.keywords = {KeywordSet(8, {0, 1}), KeywordSet(8, {2, 3})};
   QueryStats stats;
-  ChildrenMemo children;
-  CombinationIterator it({&i1, &i2}, q, /*enforce_range_constraint=*/false,
-                         GetParam(), &stats, &children);
+  TraversalScratch scratch;
+  const std::vector<const FeatureIndex*> indexes{&i1, &i2};
+  CombinationIterator it(indexes, q, /*enforce_range_constraint=*/false,
+                         GetParam(), &stats, scratch);
   std::vector<BruteCombo> expected = BruteCombos({&t1, &t2}, q, false);
   size_t count = 0;
   double prev = std::numeric_limits<double>::infinity();
@@ -217,9 +222,10 @@ TEST_P(CombinationIteratorTest, ThreeFeatureSets) {
   q.keywords = {KeywordSet(8, {0, 1}), KeywordSet(8, {2, 3}),
                 KeywordSet(8, {4, 5})};
   QueryStats stats;
-  ChildrenMemo children;
-  CombinationIterator it({&i1, &i2, &i3}, q, true, GetParam(), &stats,
-                         &children);
+  TraversalScratch scratch;
+  const std::vector<const FeatureIndex*> indexes{&i1, &i2, &i3};
+  CombinationIterator it(indexes, q, true, GetParam(), &stats,
+                         scratch);
   std::vector<BruteCombo> expected = BruteCombos({&t1, &t2, &t3}, q, true);
   size_t count = 0;
   while (auto c = it.Next()) {
@@ -236,8 +242,9 @@ TEST_P(CombinationIteratorTest, FirstCombinationIsPaperExample) {
   FeatureIndexOptions opts;
   SrtIndex i1(&ds.feature_tables[0], opts), i2(&ds.feature_tables[1], opts);
   QueryStats stats;
-  ChildrenMemo children;
-  CombinationIterator it({&i1, &i2}, q, true, GetParam(), &stats, &children);
+  TraversalScratch scratch;
+  const std::vector<const FeatureIndex*> indexes{&i1, &i2};
+  CombinationIterator it(indexes, q, true, GetParam(), &stats, scratch);
   auto first = it.Next();
   ASSERT_TRUE(first.has_value());
   // {Ontario's Pizza, Royal Coffe Shop}: dist((7,6),(5,5)) = sqrt(5) <= 7.
@@ -257,13 +264,19 @@ TEST_P(CombinationIteratorTest, LastCombinationIsAllVirtual) {
   q.radius = 0.05;
   q.keywords = {KeywordSet(8, {0}), KeywordSet(8, {1})};
   QueryStats stats;
-  ChildrenMemo children;
-  CombinationIterator it({&i1, &i2}, q, true, GetParam(), &stats, &children);
-  Combination last;
-  while (auto c = it.Next()) last = *c;
-  EXPECT_EQ(last.members,
+  TraversalScratch scratch;
+  const std::vector<const FeatureIndex*> indexes{&i1, &i2};
+  CombinationIterator it(indexes, q, true, GetParam(), &stats, scratch);
+  // Members are a view valid until the next Next(): copy them out.
+  std::vector<ObjectId> last_members;
+  double last_score = -1.0;
+  while (auto c = it.Next()) {
+    last_members.assign(c->members.begin(), c->members.end());
+    last_score = c->score;
+  }
+  EXPECT_EQ(last_members,
             (std::vector<ObjectId>{kVirtualFeature, kVirtualFeature}));
-  EXPECT_EQ(last.score, 0.0);
+  EXPECT_EQ(last_score, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, CombinationIteratorTest,
@@ -290,8 +303,9 @@ TEST(CombinationIteratorTest, PrioritizedPullsFewerFeatures) {
   q.keywords = {KeywordSet(16, {0, 1, 2}), KeywordSet(16, {3, 4, 5})};
   auto pulls = [&](PullingStrategy s) {
     QueryStats stats;
-    ChildrenMemo children;
-    CombinationIterator it({&i1, &i2}, q, true, s, &stats, &children);
+    TraversalScratch scratch;
+    const std::vector<const FeatureIndex*> indexes{&i1, &i2};
+    CombinationIterator it(indexes, q, true, s, &stats, scratch);
     for (int i = 0; i < 5; ++i) {
       if (!it.Next()) break;
     }
@@ -309,9 +323,10 @@ TEST(CombinationIteratorTest, SingleFeatureSet) {
   q.radius = 0.1;
   q.keywords = {KeywordSet(8, {0, 1})};
   QueryStats stats;
-  ChildrenMemo children;
-  CombinationIterator it({&i1}, q, true, PullingStrategy::kPrioritized,
-                         &stats, &children);
+  TraversalScratch scratch;
+  const std::vector<const FeatureIndex*> indexes{&i1};
+  CombinationIterator it(indexes, q, true, PullingStrategy::kPrioritized,
+                         &stats, scratch);
   std::vector<BruteCombo> expected = BruteCombos({&t1}, q, true);
   size_t count = 0;
   while (auto c = it.Next()) {

@@ -216,6 +216,61 @@ TEST(ConcurrencyTest, WarmSharedPoolKeepsResultsCorrect) {
   for (std::thread& t : pool) t.join();
 }
 
+// Execute leases pooled sessions: threads lease and return them
+// concurrently, in both accounting modes, and a session that served other
+// threads' queries answers the next one exactly like a fresh session.
+TEST(ConcurrencyTest, PooledSessionsReturnCleanAfterConcurrentUse) {
+  const Dataset ds = MakeDataset(1'000, 800);
+  const std::vector<Query> queries = MixedWorkload(ds, 48);
+  for (bool cold : {true, false}) {
+    EngineOptions opts;
+    opts.cold_cache_per_query = cold;
+    Dataset d = MakeDataset(1'000, 800);
+    Engine engine =
+        Engine::Build(d.objects, std::move(d.feature_tables), opts)
+            .TakeValue();
+    std::vector<QueryResult> stps;
+    std::vector<std::vector<ResultEntry>> stds;
+    for (const Query& q : queries) {
+      stps.push_back(engine.Execute(q, Algorithm::kStps).TakeValue());
+      stds.push_back(engine.Execute(q, Algorithm::kStds).TakeValue().entries);
+    }
+
+    constexpr size_t kThreads = 6;
+    std::vector<std::thread> pool;
+    for (size_t t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t]() {
+        for (size_t round = 0; round < 2; ++round) {
+          for (size_t i = t; i < queries.size(); i += kThreads) {
+            const bool use_stds = (i + round) % 2 == 0;
+            QueryResult r =
+                engine
+                    .Execute(queries[i], use_stds ? Algorithm::kStds
+                                                  : Algorithm::kStps)
+                    .TakeValue();
+            EXPECT_EQ(r.entries, use_stds ? stds[i] : stps[i].entries)
+                << (cold ? "cold" : "warm") << " query " << i;
+          }
+        }
+      });
+    }
+    for (std::thread& t : pool) t.join();
+
+    for (size_t i = 0; i < queries.size(); ++i) {
+      QueryResult r = engine.Execute(queries[i], Algorithm::kStps).TakeValue();
+      EXPECT_EQ(r.entries, stps[i].entries)
+          << (cold ? "cold" : "warm") << " query " << i;
+      if (cold) {
+        // Warm pools keep pages across queries, so only cold accounting
+        // repeats the first run's counters.
+        ExpectIdentical(stps[i], r, i);
+        EXPECT_EQ(r.stats.buffer_hits, stps[i].stats.buffer_hits)
+            << "query " << i;
+      }
+    }
+  }
+}
+
 // The shared Voronoi cell cache under concurrent NN queries: first writer
 // wins on identical cells, results stay correct.
 TEST(ConcurrencyTest, SharedVoronoiCacheUnderConcurrentNnQueries) {

@@ -110,8 +110,9 @@ TEST(PolygonTest, FromRectIsCcwSquare) {
 
 TEST(PolygonTest, ClipHalvesSquare) {
   ConvexPolygon p = ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1));
+  std::vector<Point> buffer;
   // Keep x <= 0.5.
-  p.Clip(HalfPlane{1, 0, 0.5});
+  p.Clip(HalfPlane{1, 0, 0.5}, &buffer);
   EXPECT_NEAR(p.Area(), 0.5, 1e-12);
   EXPECT_TRUE(p.Contains({0.25, 0.5}));
   EXPECT_FALSE(p.Contains({0.75, 0.5}));
@@ -119,18 +120,20 @@ TEST(PolygonTest, ClipHalvesSquare) {
 
 TEST(PolygonTest, ClipToEmpty) {
   ConvexPolygon p = ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1));
-  p.Clip(HalfPlane{1, 0, -1.0});  // x <= -1: nothing survives
+  std::vector<Point> buffer;
+  p.Clip(HalfPlane{1, 0, -1.0}, &buffer);  // x <= -1: nothing survives
   EXPECT_TRUE(p.IsEmpty());
   EXPECT_DOUBLE_EQ(p.Area(), 0.0);
   // Clipping an empty polygon stays empty.
-  p.Clip(HalfPlane{0, 1, 10});
+  p.Clip(HalfPlane{0, 1, 10}, &buffer);
   EXPECT_TRUE(p.IsEmpty());
 }
 
 TEST(PolygonTest, DiagonalClipKeepsTriangle) {
   ConvexPolygon p = ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1));
+  std::vector<Point> buffer;
   // Keep x + y <= 1 (lower-left triangle).
-  p.Clip(HalfPlane{1, 1, 1});
+  p.Clip(HalfPlane{1, 1, 1}, &buffer);
   EXPECT_NEAR(p.Area(), 0.5, 1e-12);
   EXPECT_TRUE(p.Contains({0.2, 0.2}));
   EXPECT_FALSE(p.Contains({0.9, 0.9}));
@@ -140,12 +143,13 @@ TEST(PolygonTest, RepeatedClipsMatchVoronoiCell) {
   // Cell of the origin-centered site among a 3x3 grid of sites is the
   // center square of side 1/3 (sites at spacing 1/3).
   ConvexPolygon cell = ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1));
+  std::vector<Point> buffer;
   Point center{0.5, 0.5};
   for (int dx = -1; dx <= 1; ++dx) {
     for (int dy = -1; dy <= 1; ++dy) {
       if (dx == 0 && dy == 0) continue;
       Point other{0.5 + dx / 3.0, 0.5 + dy / 3.0};
-      cell.Clip(BisectorHalfPlane(center, other));
+      cell.Clip(BisectorHalfPlane(center, other), &buffer);
     }
   }
   EXPECT_NEAR(cell.Area(), 1.0 / 9.0, 1e-9);
@@ -167,6 +171,7 @@ TEST(PolygonTest, ClipPreservesContainmentSemantics) {
   // Property: after clipping by a random half-plane, contained points are
   // exactly those inside both the original polygon and the half-plane.
   Rng rng(17);
+  std::vector<Point> buffer;
   for (int iter = 0; iter < 50; ++iter) {
     ConvexPolygon p = ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1));
     Point keep{rng.Uniform(), rng.Uniform()};
@@ -174,7 +179,7 @@ TEST(PolygonTest, ClipPreservesContainmentSemantics) {
     if (keep == other) continue;
     HalfPlane hp = BisectorHalfPlane(keep, other);
     ConvexPolygon clipped = p;
-    clipped.Clip(hp);
+    clipped.Clip(hp, &buffer);
     for (int s = 0; s < 30; ++s) {
       Point q{rng.Uniform(), rng.Uniform()};
       bool expectation = p.Contains(q) && hp.Contains(q, -1e-9);

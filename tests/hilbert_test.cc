@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "hilbert/hilbert.h"
 #include "hilbert/keyword_hilbert.h"
@@ -81,8 +82,13 @@ INSTANTIATE_TEST_SUITE_P(
                       DimsBits{4, 2}, DimsBits{4, 4}, DimsBits{5, 1},
                       DimsBits{8, 1}, DimsBits{8, 2}, DimsBits{16, 1}),
     [](const ::testing::TestParamInfo<DimsBits>& param_info) {
-      return "d" + std::to_string(param_info.param.dims) + "b" +
-             std::to_string(param_info.param.bits);
+      // Appended piecewise: GCC 12's -Wrestrict misfires on
+      // "literal" + std::to_string(...).
+      std::string name = "d";
+      name += std::to_string(param_info.param.dims);
+      name += "b";
+      name += std::to_string(param_info.param.bits);
+      return name;
     });
 
 TEST(HilbertKeyTest, UnitCoordinatesClamped) {
@@ -170,7 +176,9 @@ INSTANTIATE_TEST_SUITE_P(Universes, KeywordHilbertUniverseTest,
                                            192u, 256u, 300u),
                          [](const ::testing::TestParamInfo<uint32_t>&
                                 param_info) {
-                           return "w" + std::to_string(param_info.param);
+                           std::string name = "w";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 TEST(KeywordHilbertTest, LocalityAdjacentValuesDifferInOneKeyword) {

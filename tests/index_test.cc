@@ -2,10 +2,16 @@
 // (bound validity, textual filters, I/O accounting), and the ObjectIndex.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <bit>
 #include <cmath>
+#include <filesystem>
 #include <functional>
 #include <set>
+#include <string>
 
+#include "core/engine.h"
 #include "core/score.h"
 #include "gen/synthetic.h"
 #include "index/ir2_tree.h"
@@ -263,6 +269,94 @@ TEST(SrtIndexTest, NodeSummariesAreExactKeywordUnions) {
   verify(tree.root_id());
 }
 
+// SRT leaves are scored from the leaf entry's e.s and e.W (Section 4.1)
+// instead of the feature table.  Walks every leaf of `index` through
+// VisitChildren and checks, bit for bit, the table-based preference score
+// (1-lambda) * t.s + lambda * Jaccard(t.W, W) and the text match sim > 0.
+void ExpectLeavesScoredAsTableRecords(const FeatureIndex& index,
+                                      const std::vector<KeywordSet>& queries,
+                                      const std::string& label) {
+  const FeatureTable& table = index.table();
+  std::vector<FeatureBranch> branches;
+  for (const KeywordSet& kw : queries) {
+    for (double lambda : {0.0, 0.3, 0.5, 1.0}) {
+      size_t leaves = 0;
+      size_t matches = 0;
+      std::vector<NodeId> stack{index.RootId()};
+      while (!stack.empty()) {
+        const NodeId nid = stack.back();
+        stack.pop_back();
+        index.VisitChildren(nid, kw, lambda, &branches);
+        for (const FeatureBranch& b : branches) {
+          if (!b.is_feature) {
+            stack.push_back(b.id);
+            continue;
+          }
+          ++leaves;
+          const FeatureObject& t = table.Get(b.id);
+          const double sim = t.keywords.Jaccard(kw);
+          const double want = (1.0 - lambda) * t.score + lambda * sim;
+          EXPECT_EQ(std::bit_cast<uint64_t>(b.score_bound),
+                    std::bit_cast<uint64_t>(want))
+              << label << " feature " << b.id << " lambda " << lambda;
+          EXPECT_EQ(b.text_match, sim > 0.0)
+              << label << " feature " << b.id << " lambda " << lambda;
+          if (b.text_match) ++matches;
+        }
+      }
+      EXPECT_EQ(leaves, table.size()) << label;
+      if (kw.Count() > 0) {
+        EXPECT_GT(matches, 0u) << label;
+      }
+    }
+  }
+}
+
+TEST(SrtIndexTest, LeafRecordsScoreAsTheFeatureTable) {
+  // 150 keywords: three bitmap blocks, so Jaccard runs its block loop.
+  SyntheticConfig cfg;
+  cfg.seed = 57;
+  cfg.num_objects = 50;
+  cfg.num_features_per_set = 1500;
+  cfg.num_feature_sets = 2;
+  cfg.vocabulary_size = 150;
+  cfg.num_clusters = 60;
+  Rng rng(58);
+  std::vector<KeywordSet> queries{KeywordSet(cfg.vocabulary_size)};
+  for (int i = 0; i < 6; ++i) {
+    KeywordSet kw(cfg.vocabulary_size);
+    for (int j = 0; j <= i % 4; ++j) {
+      kw.Insert(static_cast<TermId>(
+          rng.UniformInt(0, cfg.vocabulary_size - 1)));
+    }
+    queries.push_back(std::move(kw));
+  }
+
+  Dataset ds = GenerateSynthetic(cfg);
+  Engine built = Engine::Build(std::move(ds.objects),
+                               std::move(ds.feature_tables))
+                     .TakeValue();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("stpq_srt_leaves_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "srt.stpqx").string();
+  ASSERT_TRUE(built.Save(path).ok());
+  Result<Engine> reopened = Engine::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (size_t i = 0; i < built.num_feature_sets(); ++i) {
+    ASSERT_NE(dynamic_cast<const SrtIndex*>(&built.feature_index(i)),
+              nullptr);
+    ExpectLeavesScoredAsTableRecords(built.feature_index(i), queries,
+                                     "built set " + std::to_string(i));
+    // Opened nodes are decoded lazily from the file on first visit.
+    ExpectLeavesScoredAsTableRecords(reopened.value().feature_index(i),
+                                     queries,
+                                     "reopened set " + std::to_string(i));
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SrtIndexTest, FourthDimensionIsHilbertValue) {
   FeatureTable table = RandomFeatures(10, 200, 32);
   FeatureIndexOptions opts;
@@ -349,10 +443,12 @@ TEST(ObjectIndexTest, RangeQueryMatchesBruteForce) {
   }
   ObjectIndexOptions opts;
   ObjectIndex index(&objects, opts);
+  std::vector<ObjectId> got;
+  std::vector<NodeId> stack;
   for (int q = 0; q < 30; ++q) {
     Point c{rng.Uniform(), rng.Uniform()};
     double r = rng.Uniform(0.01, 0.2);
-    std::vector<ObjectId> got = index.RangeQuery(c, r);
+    index.RangeQuery(c, r, &got, &stack);
     std::set<ObjectId> got_set(got.begin(), got.end());
     std::set<ObjectId> expect;
     for (const DataObject& o : objects) {
@@ -371,12 +467,16 @@ TEST(ObjectIndexTest, LeafBlocksPartitionObjects) {
   ObjectIndexOptions opts;
   ObjectIndex index(&objects, opts);
   std::set<ObjectId> seen;
-  index.ForEachLeafBlock([&](std::span<const ObjectId> ids, const Rect2& mbr) {
-    for (ObjectId id : ids) {
-      EXPECT_TRUE(seen.insert(id).second) << "object in two leaf blocks";
-      EXPECT_TRUE(mbr.Contains({objects[id].pos.x, objects[id].pos.y}));
-    }
-  });
+  std::vector<NodeId> stack;
+  std::vector<ObjectId> ids_buffer;
+  index.ForEachLeafBlock(
+      [&](std::span<const ObjectId> ids, const Rect2& mbr) {
+        for (ObjectId id : ids) {
+          EXPECT_TRUE(seen.insert(id).second) << "object in two leaf blocks";
+          EXPECT_TRUE(mbr.Contains({objects[id].pos.x, objects[id].pos.y}));
+        }
+      },
+      &stack, &ids_buffer);
   EXPECT_EQ(seen.size(), objects.size());
 }
 

@@ -3,7 +3,13 @@
 // agreement sweeps than the per-module tests.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <iterator>
 #include <map>
+#include <string>
 
 #include "core/brute_force.h"
 #include "core/engine.h"
@@ -221,6 +227,138 @@ TEST(IntegrationTest, ResultEntriesCarryValidObjectIds) {
       EXPECT_TRUE(seen.insert(e.object).second) << "duplicate object";
     }
   }
+}
+
+// Pooled execution sessions (DESIGN.md §13).  Execute leases a session
+// that earlier queries used; the query's answer and every cost counter must
+// be those of a fresh engine, on both backends, and a move-constructed
+// engine must keep its pool and answer identically.
+Dataset SessionPoolDataset() {
+  SyntheticConfig cfg;
+  cfg.seed = 23;
+  cfg.num_objects = 700;
+  cfg.num_features_per_set = 600;
+  cfg.num_feature_sets = 2;
+  cfg.vocabulary_size = 32;
+  cfg.num_clusters = 40;
+  return GenerateSynthetic(cfg);
+}
+
+bool SameCounts(const TreeTraversalCounts& a, const TreeTraversalCounts& b) {
+  return std::equal(std::begin(a.visited), std::end(a.visited),
+                    std::begin(b.visited)) &&
+         std::equal(std::begin(a.pruned), std::end(a.pruned),
+                    std::begin(b.pruned)) &&
+         std::equal(std::begin(a.descended), std::end(a.descended),
+                    std::begin(b.descended));
+}
+
+void ExpectSameRun(const QueryResult& got, const QueryResult& want,
+                   const std::string& label) {
+  EXPECT_EQ(got.entries, want.entries) << label;
+  const QueryStats& g = got.stats;
+  const QueryStats& w = want.stats;
+  EXPECT_EQ(g.object_index_reads, w.object_index_reads) << label;
+  EXPECT_EQ(g.feature_index_reads, w.feature_index_reads) << label;
+  EXPECT_EQ(g.buffer_hits, w.buffer_hits) << label;
+  EXPECT_EQ(g.heap_pushes, w.heap_pushes) << label;
+  EXPECT_EQ(g.features_retrieved, w.features_retrieved) << label;
+  EXPECT_EQ(g.combinations_generated, w.combinations_generated) << label;
+  EXPECT_EQ(g.combinations_emitted, w.combinations_emitted) << label;
+  EXPECT_EQ(g.objects_scored, w.objects_scored) << label;
+  EXPECT_EQ(g.voronoi_cells, w.voronoi_cells) << label;
+  EXPECT_EQ(g.voronoi_reads, w.voronoi_reads) << label;
+  EXPECT_TRUE(SameCounts(g.traversal.object_tree, w.traversal.object_tree))
+      << label;
+  for (size_t i = 0; i < kMaxProfiledFeatureSets; ++i) {
+    EXPECT_TRUE(
+        SameCounts(g.traversal.feature_tree[i], w.traversal.feature_tree[i]))
+        << label << " feature set " << i;
+  }
+}
+
+TEST(SessionPoolTest, LeasedSessionRunsQueriesAsAFreshEngine) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("stpq_session_pool_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const Dataset ds = SessionPoolDataset();
+  // Unrelated traffic between the checked queries: every variant, another
+  // radius, k and keyword draw.
+  std::vector<Query> noise;
+  QueryWorkloadConfig ncfg;
+  ncfg.seed = 501;
+  ncfg.count = 1;
+  ncfg.k = 7;
+  ncfg.radius = 0.08;
+  for (ScoreVariant v : {ScoreVariant::kNearestNeighbor,
+                         ScoreVariant::kRange, ScoreVariant::kInfluence}) {
+    ncfg.variant = v;
+    ++ncfg.seed;
+    for (Query& q : GenerateQueries(ds, ncfg)) noise.push_back(std::move(q));
+  }
+
+  for (FeatureIndexKind kind :
+       {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
+    EngineOptions opts;
+    opts.index_kind = kind;
+    const std::string path = (dir / "pool.stpqx").string();
+    {
+      Dataset d = SessionPoolDataset();
+      Engine saver = Engine::Build(std::move(d.objects),
+                                   std::move(d.feature_tables), opts)
+                         .TakeValue();
+      ASSERT_TRUE(saver.Save(path).ok());
+    }
+    for (bool file_backed : {false, true}) {
+      auto make_engine = [&]() {
+        if (file_backed) return Engine::Open(path, opts).TakeValue();
+        Dataset d = SessionPoolDataset();
+        return Engine::Build(std::move(d.objects),
+                             std::move(d.feature_tables), opts)
+            .TakeValue();
+      };
+      struct Checked {
+        Query query;
+        Algorithm algorithm;
+        QueryResult want;
+        std::string label;
+      };
+      std::vector<Checked> checked;
+      Engine shared = make_engine();
+      for (ScoreVariant variant :
+           {ScoreVariant::kRange, ScoreVariant::kInfluence,
+            ScoreVariant::kNearestNeighbor}) {
+        QueryWorkloadConfig qcfg;
+        qcfg.seed = 17;
+        qcfg.count = 2;
+        qcfg.radius = 0.04;
+        qcfg.variant = variant;
+        for (const Query& q : GenerateQueries(ds, qcfg)) {
+          for (Algorithm alg : {Algorithm::kStds, Algorithm::kStps}) {
+            const std::string label =
+                std::string(kind == FeatureIndexKind::kSrt ? "SRT" : "IR2") +
+                (file_backed ? "/file/" : "/memory/") +
+                VariantName(variant) +
+                (alg == Algorithm::kStds ? "/STDS" : "/STPS");
+            QueryResult want = make_engine().Execute(q, alg).TakeValue();
+            for (const Query& n : noise) {
+              ASSERT_TRUE(shared.Execute(n, Algorithm::kStps).ok());
+              ASSERT_TRUE(shared.Execute(n, Algorithm::kStds).ok());
+            }
+            ExpectSameRun(shared.Execute(q, alg).TakeValue(), want, label);
+            checked.push_back(Checked{q, alg, std::move(want), label});
+          }
+        }
+      }
+      Engine moved(std::move(shared));
+      for (const Checked& c : checked) {
+        ExpectSameRun(moved.Execute(c.query, c.algorithm).TakeValue(),
+                      c.want, c.label + "/moved");
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

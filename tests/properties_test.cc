@@ -47,9 +47,10 @@ TEST(Lemma1Test, EveryObjectScoreIsAValidCombinationScore) {
   for (const Query& q : queries) {
     // Enumerate every valid combination score.
     QueryStats stats;
-    ChildrenMemo children;
-    CombinationIterator it({&i0, &i1}, q, /*enforce_range_constraint=*/true,
-                           PullingStrategy::kPrioritized, &stats, &children);
+    TraversalScratch scratch;
+    const std::vector<const FeatureIndex*> indexes{&i0, &i1};
+    CombinationIterator it(indexes, q, /*enforce_range_constraint=*/true,
+                           PullingStrategy::kPrioritized, &stats, scratch);
     std::vector<double> combo_scores;
     while (auto c = it.Next()) combo_scores.push_back(c->score);
     for (const DataObject& p : ds.objects) {
@@ -147,10 +148,9 @@ TEST(VoronoiPartitionTest, RelevantCellsPartitionTheDomain) {
   }
   ASSERT_GT(relevant.size(), 10u);
   for (ObjectId id : relevant) {
-    ConvexPolygon cell =
-        ComputeVoronoiCell(index, id, query, 0.5, domain, stats, scratch)
-            .polygon;
-    total_area += cell.Area();
+    VoronoiCell cell;
+    ComputeVoronoiCell(index, id, query, 0.5, domain, stats, scratch, &cell);
+    total_area += cell.polygon.Area();
   }
   EXPECT_NEAR(total_area, 1.0, 1e-6);
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
@@ -120,7 +121,10 @@ TEST_P(RTreeInsertTest, BulkLoadStrMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Sizes, RTreeInsertTest,
                          ::testing::Values(1, 7, 8, 9, 64, 257, 1000, 4096),
                          [](const ::testing::TestParamInfo<int>& param_info) {
-                           return "n" + std::to_string(param_info.param);
+                           // Appended, not "n" + ...: see hilbert_test.cc.
+                           std::string name = "n";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 TEST(RTreeTest, HeightGrowsLogarithmically) {

@@ -3,6 +3,7 @@
 
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "util/metrics.h"
 #include "util/result.h"
@@ -61,9 +62,10 @@ TEST(ResultTest, HoldsError) {
 }
 
 TEST(TopKTest, KeepsBestK) {
-  TopK<int> topk(3);
+  std::vector<TopK<int>::Scored> storage;
+  TopK<int> topk(3, &storage);
   for (int i = 0; i < 10; ++i) topk.Push(static_cast<double>(i), i);
-  auto out = topk.TakeSortedDescending();
+  auto out = topk.SortDescending();
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].item, 9);
   EXPECT_EQ(out[1].item, 8);
@@ -71,7 +73,8 @@ TEST(TopKTest, KeepsBestK) {
 }
 
 TEST(TopKTest, ThresholdIsKthBest) {
-  TopK<int> topk(2);
+  std::vector<TopK<int>::Scored> storage;
+  TopK<int> topk(2, &storage);
   EXPECT_FALSE(topk.Full());
   EXPECT_EQ(topk.Threshold(), 0.0);
   topk.Push(5.0, 1);
@@ -86,35 +89,40 @@ TEST(TopKTest, ThresholdIsKthBest) {
 }
 
 TEST(TopKTest, CustomFloor) {
-  TopK<int> topk(5, -1.0);
+  std::vector<TopK<int>::Scored> storage;
+  TopK<int> topk(5, &storage, -1.0);
   EXPECT_EQ(topk.Threshold(), -1.0);
 }
 
 TEST(TopKTest, ZeroKIsEmpty) {
-  TopK<int> topk(0);
+  std::vector<TopK<int>::Scored> storage;
+  TopK<int> topk(0, &storage);
   topk.Push(1.0, 1);
   EXPECT_EQ(topk.Size(), 0u);
 }
 
 TEST(TopKTest, FewerItemsThanK) {
-  TopK<int> topk(10);
+  std::vector<TopK<int>::Scored> storage;
+  TopK<int> topk(10, &storage);
   topk.Push(2.0, 1);
   topk.Push(1.0, 2);
-  auto out = topk.TakeSortedDescending();
+  auto out = topk.SortDescending();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].score, 2.0);
 }
 
 TEST(TopKTest, ZeroKThresholdStaysFloor) {
-  TopK<int> topk(0, 7.5);
+  std::vector<TopK<int>::Scored> storage;
+  TopK<int> topk(0, &storage, 7.5);
   topk.Push(9.0, 1);
   EXPECT_EQ(topk.Size(), 0u);
   EXPECT_EQ(topk.Threshold(), 7.5);
-  EXPECT_TRUE(topk.TakeSortedDescending().empty());
+  EXPECT_TRUE(topk.SortDescending().empty());
 }
 
 TEST(TopKTest, UnderfilledNonzeroFloorKeepsFloorThreshold) {
-  TopK<int> topk(3, -2.5);
+  std::vector<TopK<int>::Scored> storage;
+  TopK<int> topk(3, &storage, -2.5);
   EXPECT_EQ(topk.Threshold(), -2.5);
   topk.Push(1.0, 1);
   topk.Push(0.5, 2);
@@ -125,18 +133,19 @@ TEST(TopKTest, UnderfilledNonzeroFloorKeepsFloorThreshold) {
   topk.Push(-3.0, 3);  // below the floor but still among the best 3
   EXPECT_TRUE(topk.Full());
   EXPECT_EQ(topk.Threshold(), -3.0);
-  auto out = topk.TakeSortedDescending();
+  auto out = topk.SortDescending();
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2].item, 3);
 }
 
 TEST(TopKTest, DuplicateScoresAtThresholdDoNotEvict) {
-  TopK<int> topk(2);
+  std::vector<TopK<int>::Scored> storage;
+  TopK<int> topk(2, &storage);
   topk.Push(3.0, 1);
   topk.Push(3.0, 2);
   topk.Push(3.0, 3);  // ties the threshold exactly: must not displace
   EXPECT_EQ(topk.Threshold(), 3.0);
-  auto out = topk.TakeSortedDescending();
+  auto out = topk.SortDescending();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ((std::set<int>{out[0].item, out[1].item}),
             (std::set<int>{1, 2}));

@@ -169,9 +169,10 @@ TEST(VoronoiTest, CellContainsExactlyNearestRegion) {
   ASSERT_GE(relevant.size(), 5u);
   for (int c = 0; c < 5; ++c) {
     ObjectId center = relevant[rng.UniformInt(0, relevant.size() - 1)];
-    ConvexPolygon cell = ComputeVoronoiCell(index, center, query, 0.5,
-                                            domain, stats, scratch)
-                             .polygon;
+    VoronoiCell voronoi;
+    ComputeVoronoiCell(index, center, query, 0.5, domain, stats, scratch,
+                       &voronoi);
+    const ConvexPolygon& cell = voronoi.polygon;
     const Point cpos = ds.feature_tables[0].Get(center).pos;
     for (int s = 0; s < 200; ++s) {
       Point p{rng.Uniform(), rng.Uniform()};
@@ -208,28 +209,28 @@ TEST(VoronoiTest, SingleFeatureOwnsWholeDomain) {
   KeywordSet query(4, {0});
   QueryStats stats;
   TraversalScratch scratch;
-  ConvexPolygon cell = ComputeVoronoiCell(index, 0, query, 0.5,
-                                          MakeRect2(0, 0, 1, 1), stats,
-                                          scratch)
-                           .polygon;
-  EXPECT_NEAR(cell.Area(), 1.0, 1e-12);
+  VoronoiCell cell;
+  ComputeVoronoiCell(index, 0, query, 0.5, MakeRect2(0, 0, 1, 1), stats,
+                     scratch, &cell);
+  EXPECT_NEAR(cell.polygon.Area(), 1.0, 1e-12);
 }
 
 TEST(VoronoiTest, IntersectConvexMatchesSequentialClipping) {
+  std::vector<Point> buffer;
   ConvexPolygon a = ConvexPolygon::FromRect(MakeRect2(0, 0, 0.6, 0.6));
   ConvexPolygon b = ConvexPolygon::FromRect(MakeRect2(0.4, 0.4, 1, 1));
-  IntersectConvex(&a, b);
+  IntersectConvex(&a, b, &buffer);
   EXPECT_NEAR(a.Area(), 0.04, 1e-12);
   EXPECT_TRUE(a.Contains({0.5, 0.5}));
   EXPECT_FALSE(a.Contains({0.3, 0.3}));
   // Disjoint intersection is empty.
   ConvexPolygon c = ConvexPolygon::FromRect(MakeRect2(0, 0, 0.2, 0.2));
   ConvexPolygon d = ConvexPolygon::FromRect(MakeRect2(0.5, 0.5, 1, 1));
-  IntersectConvex(&c, d);
+  IntersectConvex(&c, d, &buffer);
   EXPECT_TRUE(c.IsEmpty());
   // Intersection with empty is empty.
   ConvexPolygon e = ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1));
-  IntersectConvex(&e, ConvexPolygon());
+  IntersectConvex(&e, ConvexPolygon(), &buffer);
   EXPECT_TRUE(e.IsEmpty());
 }
 
