@@ -113,7 +113,7 @@ void BM_RTreeRangeQuery(benchmark::State& state) {
                    static_cast<uint32_t>(i),
                    {}});
   }
-  SortByHilbertKey<2, NoAug>(&pts, ComputeDomain<2, NoAug>(pts), 16);
+  SortByHilbertKey<2, NoAug>(&pts, ComputeDomain<2, NoAug>(pts));
   RTreeOptions opts;
   opts.max_entries = 64;
   RTree<2> tree(opts);

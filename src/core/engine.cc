@@ -15,10 +15,21 @@ namespace stpq {
 
 namespace {
 
-/// Smallest page that holds the 16-byte node header plus at least one
-/// 2-D entry (rect + id); FanOutForPage clamps fan-out to >= 4 anyway,
-/// but a page below this is a configuration error, not a layout choice.
-constexpr uint32_t kMinPageSizeBytes = 64;
+/// Build options of feature index `i` under the engine's options.
+FeatureIndexOptions FeatureOptions(const EngineOptions& options,
+                                   BufferPool* pool, size_t i) {
+  FeatureIndexOptions fopts;
+  fopts.page_size_bytes = options.storage.page_size;
+  fopts.buffer_pool = pool;
+  // Feature indexes share one pool; page bases keep their page ids apart.
+  fopts.page_base = TreePageBase(i + 1);
+  fopts.bulk_load = options.bulk_load;
+  fopts.fill = options.fill;
+  fopts.signature_bits = options.signature_bits;
+  fopts.signature_hashes = options.signature_hashes;
+  fopts.set_ordinal = static_cast<uint32_t>(i);
+  return fopts;
+}
 
 }  // namespace
 
@@ -77,19 +88,21 @@ Result<Engine> Engine::Build(std::vector<DataObject> objects,
   if (!st.ok()) return st;
   st = ValidateFeatureSetCount(feature_tables.size());
   if (!st.ok()) return st;
-  return Engine(options, std::move(objects), std::move(feature_tables));
+  for (size_t i = 0; i < objects.size(); ++i) {
+    objects[i].id = static_cast<ObjectId>(i);
+  }
+  return Engine(options, std::move(objects), std::move(feature_tables),
+                std::make_unique<SimulatedPageStore>(), nullptr);
 }
 
 Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
-               std::vector<FeatureTable> feature_tables)
+               std::vector<FeatureTable> feature_tables,
+               std::unique_ptr<PageStore> store, LoadedIndex* restored)
     : options_(std::move(options)),
       objects_(std::make_unique<std::vector<DataObject>>(std::move(objects))),
       feature_tables_(std::make_unique<std::vector<FeatureTable>>(
-          std::move(feature_tables))) {
-  for (size_t i = 0; i < objects_->size(); ++i) {
-    (*objects_)[i].id = static_cast<ObjectId>(i);
-  }
-  page_store_ = std::make_unique<SimulatedPageStore>();
+          std::move(feature_tables))),
+      page_store_(std::move(store)) {
   object_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
                                               page_store_.get());
   feature_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
@@ -98,28 +111,32 @@ Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
   ObjectIndexOptions obj_opts;
   obj_opts.page_size_bytes = options_.storage.page_size;
   obj_opts.buffer_pool = object_pool_.get();
+  obj_opts.page_base = TreePageBase(0);
   obj_opts.fill = options_.fill;
-  object_index_ = std::make_unique<ObjectIndex>(objects_.get(), obj_opts);
+  object_index_ =
+      restored == nullptr
+          ? std::make_unique<ObjectIndex>(objects_.get(), obj_opts)
+          : std::make_unique<ObjectIndex>(objects_.get(), obj_opts,
+                                          std::move(restored->object_tree));
 
-  // Feature indexes share one pool; page_base keeps their page ids apart.
   for (size_t i = 0; i < feature_tables_->size(); ++i) {
-    FeatureIndexOptions fopts;
-    fopts.page_size_bytes = options_.storage.page_size;
-    fopts.buffer_pool = feature_pool_.get();
-    fopts.page_base = kIndexPageStride * (i + 1);
-    fopts.bulk_load = options_.bulk_load;
-    fopts.fill = options_.fill;
-    fopts.signature_bits = options_.signature_bits;
-    fopts.signature_hashes = options_.signature_hashes;
-    fopts.set_ordinal = static_cast<uint32_t>(i);
+    const FeatureTable* table = &(*feature_tables_)[i];
+    const FeatureIndexOptions fopts =
+        FeatureOptions(options_, feature_pool_.get(), i);
     switch (options_.index_kind) {
       case FeatureIndexKind::kSrt:
         feature_indexes_.push_back(
-            std::make_unique<SrtIndex>(&(*feature_tables_)[i], fopts));
+            restored == nullptr
+                ? std::make_unique<SrtIndex>(table, fopts)
+                : std::make_unique<SrtIndex>(
+                      table, fopts, std::move(restored->srt_trees[i])));
         break;
       case FeatureIndexKind::kIr2:
         feature_indexes_.push_back(
-            std::make_unique<Ir2Tree>(&(*feature_tables_)[i], fopts));
+            restored == nullptr
+                ? std::make_unique<Ir2Tree>(table, fopts)
+                : std::make_unique<Ir2Tree>(
+                      table, fopts, std::move(restored->ir2_trees[i])));
         break;
     }
     index_ptrs_.push_back(feature_indexes_.back().get());
@@ -131,7 +148,8 @@ Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
   sessions_ = std::make_unique<SessionPool>(
       object_pool_.get(), feature_pool_.get(), options_.cold_cache_per_query);
 
-  // Construction touched the pools; queries start from a clean slate.
+  // Building touched the pools (restoring reads no pages); queries start
+  // from a clean slate either way.
   object_pool_->Clear();
   object_pool_->ResetStats();
   feature_pool_->Clear();
@@ -161,63 +179,9 @@ Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
   Result<std::unique_ptr<FilePageStore>> store_r =
       FilePageStore::Open(path, std::move(loaded.extents));
   if (!store_r.ok()) return store_r.status();
-  return Engine(std::move(options), std::move(loaded), store_r.TakeValue());
-}
-
-Engine::Engine(EngineOptions options, LoadedIndex loaded,
-               std::unique_ptr<PageStore> store)
-    : options_(std::move(options)),
-      objects_(std::make_unique<std::vector<DataObject>>(
-          std::move(loaded.objects))),
-      feature_tables_(std::make_unique<std::vector<FeatureTable>>(
-          std::move(loaded.feature_tables))) {
-  page_store_ = std::move(store);
-  object_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
-                                              page_store_.get());
-  feature_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
-                                               page_store_.get());
-
-  ObjectIndexOptions obj_opts;
-  obj_opts.page_size_bytes = options_.storage.page_size;
-  obj_opts.buffer_pool = object_pool_.get();
-  obj_opts.fill = options_.fill;
-  object_index_ = std::make_unique<ObjectIndex>(
-      objects_.get(), obj_opts, std::move(loaded.object_tree));
-
-  for (size_t i = 0; i < feature_tables_->size(); ++i) {
-    FeatureIndexOptions fopts;
-    fopts.page_size_bytes = options_.storage.page_size;
-    fopts.buffer_pool = feature_pool_.get();
-    fopts.page_base = kIndexPageStride * (i + 1);
-    fopts.bulk_load = options_.bulk_load;
-    fopts.fill = options_.fill;
-    fopts.signature_bits = options_.signature_bits;
-    fopts.signature_hashes = options_.signature_hashes;
-    fopts.set_ordinal = static_cast<uint32_t>(i);
-    switch (options_.index_kind) {
-      case FeatureIndexKind::kSrt:
-        feature_indexes_.push_back(std::make_unique<SrtIndex>(
-            &(*feature_tables_)[i], fopts, std::move(loaded.srt_trees[i])));
-        break;
-      case FeatureIndexKind::kIr2:
-        feature_indexes_.push_back(std::make_unique<Ir2Tree>(
-            &(*feature_tables_)[i], fopts, std::move(loaded.ir2_trees[i])));
-        break;
-    }
-    index_ptrs_.push_back(feature_indexes_.back().get());
-  }
-
-  if (options_.reuse_voronoi_cells) {
-    voronoi_cache_ = std::make_unique<VoronoiCellCache>();
-  }
-  sessions_ = std::make_unique<SessionPool>(
-      object_pool_.get(), feature_pool_.get(), options_.cold_cache_per_query);
-  // Restoration reads no pages, but start from an explicit clean slate
-  // like the build path does.
-  object_pool_->Clear();
-  object_pool_->ResetStats();
-  feature_pool_->Clear();
-  feature_pool_->ResetStats();
+  return Engine(std::move(options), std::move(loaded.objects),
+                std::move(loaded.feature_tables), store_r.TakeValue(),
+                &loaded);
 }
 
 Status Engine::Save(const std::string& path,

@@ -214,15 +214,12 @@ class Engine {
   }
 
  private:
-  /// Builds the object index and one feature index per table; `options`
-  /// must already be validated.
+  /// Builds the object index and one feature index per table, or with
+  /// `restored` (a loaded .stpqx image) adopts its trees instead.  `store`
+  /// backs both buffer pools; `options` must already be validated.
   Engine(EngineOptions options, std::vector<DataObject> objects,
-         std::vector<FeatureTable> feature_tables);
-
-  /// Restores indexes from a loaded .stpqx image; `store` (the file's
-  /// FilePageStore) backs both buffer pools.
-  Engine(EngineOptions options, LoadedIndex loaded,
-         std::unique_ptr<PageStore> store);
+         std::vector<FeatureTable> feature_tables,
+         std::unique_ptr<PageStore> store, LoadedIndex* restored);
 
   static Status ValidateOptions(const EngineOptions& options);
   /// STPS keeps per-feature-set state in arrays of kMaxFeatureSets, so

@@ -36,7 +36,7 @@ void CollectLeavesInOrder(const RTree<D, Aug>& tree, NodeId nid,
 /// Checks that leaf records appear in non-decreasing Hilbert-key order —
 /// the packing contract of BulkLoadKind::kHilbert (Kamel & Faloutsos).
 /// Recomputes the build-time keys: centers quantized to 16 bits/dim inside
-/// the record-set domain, exactly as SortByHilbertKey does.
+/// the record-set domain, exactly as HilbertSortKey does.
 template <int D, typename Aug>
 Status CheckHilbertLeafOrder(const RTree<D, Aug>& tree) {
   if (tree.root_id() == kInvalidNodeId) return Status::OK();

@@ -7,20 +7,10 @@ namespace stpq {
 
 namespace {
 
-uint32_t EffectiveSignatureBits(const FeatureIndexOptions& opts,
-                                uint32_t universe_size) {
-  // The signature must scale with the vocabulary so that larger keyword
-  // universes preserve selectivity (the paper's Fig 7(d) observes node
-  // capacity dropping with more indexed keywords for both indexes).
-  return opts.signature_bits != 0 ? opts.signature_bits
-                                  : std::max(64u, 2 * universe_size);
-}
-
 RTreeOptions MakeTreeOptions(const FeatureIndexOptions& opts,
                              uint32_t signature_bits) {
   RTreeOptions t;
-  uint32_t aug_bytes = 8 + signature_bits / 8;
-  t.max_entries = FanOutForPage(opts.page_size_bytes, 2, aug_bytes);
+  t.max_entries = Ir2Tree::FanOut(opts.page_size_bytes, signature_bits);
   t.buffer_pool = opts.buffer_pool;
   t.page_base = opts.page_base;
   return t;
@@ -28,24 +18,39 @@ RTreeOptions MakeTreeOptions(const FeatureIndexOptions& opts,
 
 }  // namespace
 
+uint32_t Ir2Tree::SignatureBits(uint32_t configured_bits,
+                                uint32_t universe_size) {
+  return configured_bits != 0 ? configured_bits
+                              : std::max(64u, 2 * universe_size);
+}
+
+uint32_t Ir2Tree::FanOut(uint32_t page_size, uint32_t signature_bits) {
+  return FanOutForPage(page_size, 2, 8 + signature_bits / 8);
+}
+
+RTree<2, Ir2Aug>::Entry Ir2Tree::LeafEntry(uint32_t id, const FeatureObject& f,
+                                           const SignatureScheme& scheme) {
+  return {PointRect(f.pos), id,
+          Ir2Aug{f.score, scheme.SetSignature(f.keywords)}};
+}
+
 Ir2Tree::Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options)
     : FeatureIndex(options.set_ordinal),
       table_(table),
-      scheme_(EffectiveSignatureBits(options, table->universe_size()),
+      scheme_(SignatureBits(options.signature_bits, table->universe_size()),
               options.signature_hashes),
       tree_(MakeTreeOptions(options, scheme_.signature_bits())) {
   using Entry = RTree<2, Ir2Aug>::Entry;
   std::vector<Entry> records;
   records.reserve(table_->size());
   for (const FeatureObject& f : table_->All()) {
-    records.push_back(Entry{PointRect(f.pos), f.id,
-                            Ir2Aug{f.score, scheme_.SetSignature(f.keywords)}});
+    records.push_back(LeafEntry(f.id, f, scheme_));
   }
   switch (options.bulk_load) {
     case BulkLoadKind::kHilbert: {
       // Spatial-only Hilbert packing: the IR2-tree clusters by location.
       Rect2 domain = ComputeDomain<2, Ir2Aug>(records);
-      SortByHilbertKey<2, Ir2Aug>(&records, domain, /*bits_per_dim=*/16);
+      SortByHilbertKey<2, Ir2Aug>(&records, domain);
       tree_.BulkLoadSorted(records, options.fill);
       break;
     }
@@ -67,7 +72,7 @@ Ir2Tree::Ir2Tree(const FeatureTable* table,
                  RestoredTreeData<2, Ir2Aug> restored)
     : FeatureIndex(options.set_ordinal),
       table_(table),
-      scheme_(EffectiveSignatureBits(options, table->universe_size()),
+      scheme_(SignatureBits(options.signature_bits, table->universe_size()),
               options.signature_hashes),
       tree_(MakeTreeOptions(options, scheme_.signature_bits())) {
   AdoptRestoredTree(&tree_, std::move(restored));

@@ -57,6 +57,21 @@ class Ir2Tree : public FeatureIndex {
   const RTree<2, Ir2Aug>& tree() const { return tree_; }
   const SignatureScheme& scheme() const { return scheme_; }
 
+  /// Signature width: `configured_bits`, or when 0, scaled to the keyword
+  /// universe so larger vocabularies keep their selectivity (the paper's
+  /// Fig 7(d) sees node capacity drop with more indexed keywords).
+  static uint32_t SignatureBits(uint32_t configured_bits,
+                                uint32_t universe_size);
+
+  /// Fan-out on a page of `page_size` bytes: an entry charges the 2-D
+  /// rect, the id, e.s and the signature's bytes.
+  static uint32_t FanOut(uint32_t page_size, uint32_t signature_bits);
+
+  /// Leaf entry of feature `f` stored under record id `id`: its location,
+  /// with e.s = t.s and the signature of t.W under `scheme`.
+  static RTree<2, Ir2Aug>::Entry LeafEntry(uint32_t id, const FeatureObject& f,
+                                           const SignatureScheme& scheme);
+
   /// Mutable tree access for deliberate-corruption invariant tests only.
   [[nodiscard]] RTree<2, Ir2Aug>& mutable_tree_for_test() { return tree_; }
 

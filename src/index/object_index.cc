@@ -9,12 +9,16 @@ namespace stpq {
 namespace {
 RTreeOptions MakeTreeOptions(const ObjectIndexOptions& opts) {
   RTreeOptions t;
-  t.max_entries = FanOutForPage(opts.page_size_bytes, 2, /*aug_bytes=*/0);
+  t.max_entries = ObjectIndex::FanOut(opts.page_size_bytes);
   t.buffer_pool = opts.buffer_pool;
   t.page_base = opts.page_base;
   return t;
 }
 }  // namespace
+
+uint32_t ObjectIndex::FanOut(uint32_t page_size) {
+  return FanOutForPage(page_size, 2, /*aug_bytes=*/0);
+}
 
 ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
                          const ObjectIndexOptions& options)
@@ -23,11 +27,10 @@ ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
   std::vector<Entry> records;
   records.reserve(objects_->size());
   for (size_t i = 0; i < objects_->size(); ++i) {
-    records.push_back(
-        Entry{PointRect((*objects_)[i].pos), static_cast<uint32_t>(i), {}});
+    records.push_back(LeafEntry(static_cast<uint32_t>(i), (*objects_)[i]));
   }
   domain_ = ComputeDomain<2, NoAug>(records);
-  SortByHilbertKey<2, NoAug>(&records, domain_, /*bits_per_dim=*/16);
+  SortByHilbertKey<2, NoAug>(&records, domain_);
   tree_.BulkLoadSorted(records, options.fill);
   STPQ_VALIDATE(ValidateObjectIndex(*this));
 }

@@ -34,6 +34,14 @@ class ObjectIndex {
               const ObjectIndexOptions& options,
               RestoredTreeData<2, NoAug> restored);
 
+  /// Fan-out on a page of `page_size` bytes (2-D rect + id entries).
+  static uint32_t FanOut(uint32_t page_size);
+
+  /// Leaf entry of object `o` stored under record id `id`: its location.
+  static RTree<2>::Entry LeafEntry(uint32_t id, const DataObject& o) {
+    return {PointRect(o.pos), id, {}};
+  }
+
   const DataObject& Get(ObjectId id) const { return (*objects_)[id]; }
   size_t size() const { return objects_->size(); }
 

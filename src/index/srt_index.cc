@@ -10,15 +10,25 @@ namespace {
 RTreeOptions MakeTreeOptions(const FeatureIndexOptions& opts,
                              uint32_t universe_size) {
   RTreeOptions t;
-  // Aug bytes: 8 (max score) + the aggregated Hilbert value.
-  uint32_t aug_bytes = 8 + 8 * ((universe_size + 63) / 64);
-  t.max_entries = FanOutForPage(opts.page_size_bytes, 4, aug_bytes);
+  t.max_entries = SrtIndex::FanOut(opts.page_size_bytes, universe_size);
   t.buffer_pool = opts.buffer_pool;
   t.page_base = opts.page_base;
   return t;
 }
 
 }  // namespace
+
+uint32_t SrtIndex::FanOut(uint32_t page_size, uint32_t universe_size) {
+  // Aug bytes: 8 (max score) + the aggregated Hilbert value.
+  return FanOutForPage(page_size, 4, 8 + 8 * ((universe_size + 63) / 64));
+}
+
+RTree<4, SrtAug>::Entry SrtIndex::LeafEntry(uint32_t id,
+                                            const FeatureObject& f) {
+  HilbertValue hv = EncodeKeywords(f.keywords);
+  std::array<double, 4> p{f.pos.x, f.pos.y, f.score, hv.ToUnitDouble()};
+  return {Rect4::FromPoint(p), id, SrtAug{f.score, std::move(hv), f.keywords}};
+}
 
 SrtIndex::SrtIndex(const FeatureTable* table,
                    const FeatureIndexOptions& options)
@@ -30,17 +40,13 @@ SrtIndex::SrtIndex(const FeatureTable* table,
   std::vector<Entry> records;
   records.reserve(table_->size());
   for (const FeatureObject& f : table_->All()) {
-    HilbertValue hv = EncodeKeywords(f.keywords);
-    // The mapped 4-D point of Section 4.2: {x, y, score, H(W)}.
-    std::array<double, 4> p{f.pos.x, f.pos.y, f.score, hv.ToUnitDouble()};
-    records.push_back(Entry{Rect4::FromPoint(p), f.id,
-                            SrtAug{f.score, std::move(hv), f.keywords}});
+    records.push_back(LeafEntry(f.id, f));
   }
   switch (options.bulk_load) {
     case BulkLoadKind::kHilbert: {
       // Bulk insertion [9]: sort by the Hilbert key of the mapped 4-D point.
       Rect4 domain = ComputeDomain<4, SrtAug>(records);
-      SortByHilbertKey<4, SrtAug>(&records, domain, /*bits_per_dim=*/16);
+      SortByHilbertKey<4, SrtAug>(&records, domain);
       tree_.BulkLoadSorted(records, options.fill);
       break;
     }

@@ -89,6 +89,16 @@ class SrtIndex : public FeatureIndex {
   BufferPool* buffer_pool() const override;
   const char* Name() const override { return "SRT"; }
 
+  /// Fan-out on a page of `page_size` bytes: an entry charges the 4-D
+  /// rect, the id, e.s and the aggregated Hilbert value of the universe.
+  static uint32_t FanOut(uint32_t page_size, uint32_t universe_size);
+
+  /// Leaf entry of feature `f` stored under record id `id`: the mapped
+  /// 4-D point {x, y, t.s, H(t.W)} of Section 4.2, with e.s = t.s and
+  /// e.W = t.W.
+  static RTree<4, SrtAug>::Entry LeafEntry(uint32_t id,
+                                           const FeatureObject& f);
+
   /// Underlying tree (tests and ablations).
   const RTree<4, SrtAug>& tree() const { return tree_; }
 

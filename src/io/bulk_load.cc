@@ -1,7 +1,6 @@
 #include "io/bulk_load.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -10,17 +9,15 @@
 #include <utility>
 #include <vector>
 
-#include "geom/rect.h"
-#include "hilbert/hilbert.h"
-#include "hilbert/keyword_hilbert.h"
 #include "index/ir2_tree.h"
+#include "index/object_index.h"
 #include "index/srt_index.h"
-#include "io/atomic_file.h"
 #include "io/dataset_io.h"
 #include "io/index_format.h"
+#include "io/index_writer.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
-#include "rtree/rtree.h"
+#include "rtree/bulk_load.h"
 #include "text/signature.h"
 #include "util/logging.h"
 
@@ -30,82 +27,14 @@ using namespace index_format;  // NOLINT(build/namespaces) format primitives
 
 namespace {
 
-constexpr uint32_t kMinExternalPageSize = 64;  // engine.cc kMinPageSizeBytes
 constexpr uint64_t kMinMemoryBudget = 4096;
-constexpr size_t kStreamBufferBytes = size_t{1} << 20;
-
-// --------------------------------------------------------- tree geometry
-//
-// BulkLoadSorted's shape is fully determined by (entry count, fan-out,
-// fill): leaves take `per_node` sorted records each, every parent level
-// chunks its children `per_node` at a time, node ids are assigned level by
-// level bottom-up.  Computing that shape up front lets the packer write
-// every slot at its final id the moment the node closes.
-
-struct TreeLayout {
-  uint64_t entry_count = 0;
-  uint32_t max_entries = 0;
-  uint32_t per_node = 0;
-  uint32_t entry_bytes = 0;
-  uint32_t slot_bytes = 0;
-  std::vector<uint64_t> level_counts;  ///< nodes per level, leaves first
-  std::vector<uint64_t> level_base;    ///< first node id of each level
-  uint64_t node_count = 0;
-  uint32_t height = 0;
-  uint32_t root = kInvalidNodeId;
-};
-
-TreeLayout ComputeTreeLayout(uint64_t entry_count, uint32_t max_entries,
-                             double fill, uint32_t entry_bytes,
-                             uint32_t page_size) {
-  TreeLayout l;
-  l.entry_count = entry_count;
-  l.max_entries = max_entries;
-  l.entry_bytes = entry_bytes;
-  l.slot_bytes = SlotBytesFor(max_entries, entry_bytes, page_size);
-  // Mirrors RTree: min_entries = max(2, max_entries * min_fill) with the
-  // default min_fill of 0.4, then per_node clamped into [min, max].
-  const uint32_t min_entries =
-      std::max<uint32_t>(2, static_cast<uint32_t>(max_entries * 0.4));
-  uint32_t per_node = std::max<uint32_t>(
-      min_entries, static_cast<uint32_t>(max_entries * fill));
-  l.per_node = std::min(per_node, max_entries);
-  if (entry_count == 0) return l;  // root stays invalid, height 0
-  l.level_counts.push_back((entry_count + l.per_node - 1) / l.per_node);
-  while (l.level_counts.back() > 1) {
-    const uint64_t prev = l.level_counts.back();
-    l.level_counts.push_back((prev + l.per_node - 1) / l.per_node);
-  }
-  l.level_base.resize(l.level_counts.size());
-  uint64_t base = 0;
-  for (size_t i = 0; i < l.level_counts.size(); ++i) {
-    l.level_base[i] = base;
-    base += l.level_counts[i];
-  }
-  l.node_count = base;
-  l.height = static_cast<uint32_t>(l.level_counts.size());
-  l.root = static_cast<uint32_t>(l.node_count - 1);
-  return l;
-}
-
-/// Hilbert key of a rectangle center within `domain`, exactly as
-/// SortByHilbertKey computes it (bits_per_dim = 16 in every builder).
-template <int D>
-uint64_t HilbertKeyForRect(const Rect<D>& rect, const Rect<D>& domain) {
-  double unit[D];
-  for (int d = 0; d < D; ++d) {
-    const double extent = domain.hi[d] - domain.lo[d];
-    unit[d] =
-        extent > 0.0 ? (rect.Center(d) - domain.lo[d]) / extent : 0.0;
-  }
-  return HilbertKeyFromUnit(unit, /*b=*/16, D);
-}
 
 // -------------------------------------------------------- external sort
 //
-// Fixed-width records [key u64][seq u64][entry blob]; `seq` is the
-// record's arrival position, so the (key, seq) order is exactly
-// SortByHilbertKey's (key, original index) total order.  Records
+// Fixed-width records [key u64][seq u64][entry blob]; the key is
+// HilbertSortKey and `seq` the record's arrival position, so the
+// (key, seq) order is exactly SortByHilbertKey's (key, original index)
+// total order.  Records
 // accumulate in a bounded buffer; full buffers sort and spill to run
 // files, runs merge with a bounded fan-in until one streaming pass can
 // feed the consumer.
@@ -386,199 +315,15 @@ class ExternalSorter {
   uint64_t spilled_bytes_ = 0;
 };
 
-// --------------------------------------------------------- level packer
-//
-// Consumes leaf entries in sorted order and emits finished node slots
-// bottom-up: a node closes the moment it holds `per_node` entries, its
-// summary entry (MBR union + Aug merge, exactly RTree::SummarizeNode)
-// cascades into the parent level's buffer.  Node ids come from the
-// precomputed level bases, so the interleaved close order still writes
-// every slot exactly where BulkLoadSorted's level-synchronous pass would.
-
-template <int D, typename Aug, typename Codec>
-class LevelPacker {
- public:
-  using Entry = typename RTree<D, Aug>::Entry;
-
-  LevelPacker(AtomicFile* out, uint64_t seg_offset, const TreeLayout* layout,
-              Codec codec)
-      : out_(out),
-        seg_offset_(seg_offset),
-        layout_(layout),
-        codec_(std::move(codec)),
-        buffers_(layout->height),
-        closed_(layout->height, 0) {
-    for (auto& b : buffers_) b.reserve(layout->per_node);
-  }
-
-  /// Parses one serialized leaf entry (the sorter blob) and adds it.
-  [[nodiscard]] Status AddLeafBlob(const char* blob) {
-    ByteReader r(blob, layout_->entry_bytes);
-    Entry e;
-    bool ok = true;
-    for (int d = 0; d < D && ok; ++d) ok = r.Pod(&e.rect.lo[d]);
-    for (int d = 0; d < D && ok; ++d) ok = r.Pod(&e.rect.hi[d]);
-    ok = ok && r.Pod(&e.id) && codec_.Read(r, &e.aug);
-    STPQ_CHECK(ok && "bulk-load entry blob decode failed");
-    ++leaves_added_;
-    return AddEntry(0, std::move(e));
-  }
-
-  /// Flushes every partially filled level, cascading summaries upward.
-  [[nodiscard]] Status Finish() {
-    if (leaves_added_ != layout_->entry_count) {
-      return Status::Internal("bulk load fed " +
-                              std::to_string(leaves_added_) +
-                              " records to a tree laid out for " +
-                              std::to_string(layout_->entry_count));
-    }
-    for (uint32_t level = 0; level < layout_->height; ++level) {
-      if (!buffers_[level].empty()) STPQ_RETURN_NOT_OK(CloseNode(level));
-    }
-    for (uint32_t level = 0; level < layout_->height; ++level) {
-      if (closed_[level] != layout_->level_counts[level]) {
-        return Status::Internal("bulk load closed " +
-                                std::to_string(closed_[level]) +
-                                " nodes at level " + std::to_string(level) +
-                                ", layout expects " +
-                                std::to_string(layout_->level_counts[level]));
-      }
-    }
-    return Status::OK();
-  }
-
- private:
-  [[nodiscard]] Status AddEntry(uint32_t level, Entry e) {
-    buffers_[level].push_back(std::move(e));
-    if (buffers_[level].size() == layout_->per_node) return CloseNode(level);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status CloseNode(uint32_t level) {
-    std::vector<Entry>& buf = buffers_[level];
-    const uint64_t id = layout_->level_base[level] + closed_[level];
-    ++closed_[level];
-    slot_.clear();
-    PutPod<uint16_t>(&slot_, static_cast<uint16_t>(level));
-    PutPod<uint16_t>(&slot_, 0);
-    PutPod<uint32_t>(&slot_, static_cast<uint32_t>(buf.size()));
-    for (const Entry& e : buf) {
-      for (int d = 0; d < D; ++d) PutPod(&slot_, e.rect.lo[d]);
-      for (int d = 0; d < D; ++d) PutPod(&slot_, e.rect.hi[d]);
-      PutPod<uint32_t>(&slot_, e.id);
-      codec_.Write(&slot_, e.aug);
-    }
-    if (slot_.size() > layout_->slot_bytes) {
-      return Status::Internal("index node overflows its slot: " +
-                              std::to_string(slot_.size()) + " > " +
-                              std::to_string(layout_->slot_bytes) + " bytes");
-    }
-    slot_.resize(layout_->slot_bytes);  // zero-pad to the slot boundary
-    STPQ_RETURN_NOT_OK(out_->WriteAt(seg_offset_ + id * layout_->slot_bytes,
-                                     slot_.data(), slot_.size()));
-    Entry summary;
-    summary.id = static_cast<uint32_t>(id);
-    summary.rect = buf.front().rect;
-    summary.aug = buf.front().aug;
-    for (size_t i = 1; i < buf.size(); ++i) {
-      summary.rect.Enlarge(buf[i].rect);
-      summary.aug = Aug::Merge(summary.aug, buf[i].aug);
-    }
-    buf.clear();
-    if (level + 1 < layout_->height) {
-      return AddEntry(level + 1, std::move(summary));
-    }
-    return Status::OK();  // the root's summary has no parent
-  }
-
-  AtomicFile* out_;
-  const uint64_t seg_offset_;
-  const TreeLayout* layout_;
-  const Codec codec_;
-  std::vector<std::vector<Entry>> buffers_;
-  std::vector<uint64_t> closed_;
-  std::string slot_;
-  uint64_t leaves_added_ = 0;
-};
-
-// ------------------------------------------------------ segment writing
-
-/// Buffered appender for one record segment: accumulates bytes, flushes to
-/// the AtomicFile at a running offset, and folds everything written into
-/// the segment checksum.  Errors are sticky and surface at Finish.
-class SegmentWriter {
- public:
-  SegmentWriter(AtomicFile* out, uint64_t offset)
-      : out_(out), offset_(offset) {}
-
-  template <typename T>
-  void Pod(const T& v) {
-    PutPod(&buf_, v);
-    MaybeFlush();
-  }
-
-  void Str(const std::string& s) {
-    PutString(&buf_, s);
-    MaybeFlush();
-  }
-
-  [[nodiscard]] Status Finish(uint64_t* bytes, uint64_t* checksum) {
-    Flush();
-    STPQ_RETURN_NOT_OK(status_);
-    *bytes = written_;
-    *checksum = fnv_.Digest();
-    return Status::OK();
-  }
-
- private:
-  void MaybeFlush() {
-    if (buf_.size() >= kStreamBufferBytes) Flush();
-  }
-
-  void Flush() {
-    if (buf_.empty()) return;
-    if (status_.ok()) {
-      status_ = out_->WriteAt(offset_ + written_, buf_.data(), buf_.size());
-      fnv_.Update(buf_.data(), buf_.size());
-      written_ += buf_.size();
-    }
-    buf_.clear();
-  }
-
-  AtomicFile* out_;
-  const uint64_t offset_;
-  std::string buf_;
-  Status status_ = Status::OK();
-  Fnv1a64Stream fnv_;
-  uint64_t written_ = 0;
-};
-
-/// Checksums `[offset, offset + bytes)` of the temp file by reading it
-/// back in chunks — node slots are written out of level order, so their
-/// segment digest is only computable after the fact.  Doubles as a
-/// read-back verification of every node write.
-Result<uint64_t> ChecksumRange(const AtomicFile& out, uint64_t offset,
-                               uint64_t bytes) {
-  Fnv1a64Stream fnv;
-  std::vector<char> buf(kStreamBufferBytes);
-  uint64_t done = 0;
-  while (done < bytes) {
-    const uint64_t n = std::min<uint64_t>(buf.size(), bytes - done);
-    STPQ_RETURN_NOT_OK(out.ReadAt(offset + done, buf.data(), n));
-    fnv.Update(buf.data(), static_cast<size_t>(n));
-    done += n;
-  }
-  return fnv.Digest();
-}
-
-// ------------------------------------------------------- survey + plan
+// ------------------------------------------------------------- survey
 
 struct TableSurvey {
   uint32_t universe = 0;
   uint64_t feature_count = 0;
   uint32_t vocab_terms = 0;
-  uint64_t vocab_bytes = 0;  ///< vocabulary segment payload size
-  uint64_t table_bytes = 0;  ///< feature_table segment payload size
+  uint64_t vocab_bytes = 0;     ///< vocabulary segment size
+  uint64_t table_bytes = 0;     ///< feature_table segment size
+  uint32_t signature_bits = 0;  ///< IR2 signature width
   Rect4 srt_domain = Rect4::Empty();
   Rect2 ir2_domain = Rect2::Empty();
 };
@@ -591,20 +336,43 @@ struct Survey {
   std::vector<TableSurvey> tables;
 };
 
-/// First pass: counts, serialized segment sizes, and sort domains.  The
-/// domains fold in dataset order, matching the in-memory builders'
-/// ComputeDomain folds bit for bit.
+/// Calls `fn(codec, max_entries, domain, leaf)` with the feature-tree
+/// rules of table `t` for the index kind: the entry codec, the fan-out,
+/// the sort domain (mutable when `t` is), and `leaf(id, f)`, the index
+/// class's leaf entry.
+template <typename TableSurveyT, typename Fn>
+Status WithFeatureRules(const IndexBuildParams& params, TableSurveyT& t,
+                        const Fn& fn) {
+  const uint32_t page = params.page_size_bytes;
+  if (params.index_kind == FeatureIndexKind::kSrt) {
+    return fn(SrtEntryCodec{{t.universe}}, SrtIndex::FanOut(page, t.universe),
+              t.srt_domain, SrtIndex::LeafEntry);
+  }
+  const SignatureScheme scheme(t.signature_bits, params.signature_hashes);
+  return fn(Ir2EntryCodec{{t.signature_bits}},
+            Ir2Tree::FanOut(page, t.signature_bits), t.ir2_domain,
+            [&scheme](uint32_t id, const FeatureObject& f) {
+              return Ir2Tree::LeafEntry(id, f, scheme);
+            });
+}
+
+/// First pass: counts, segment sizes (the record encoders over a
+/// ByteCounter) and the sort domains, which fold the index classes' leaf
+/// entries in dataset order exactly as the in-memory builders'
+/// ComputeDomain does.
 Status RunSurvey(const std::string& dataset_path,
                  const IndexBuildParams& params, Survey* survey) {
   Result<DatasetBinaryScanner> scan_r = DatasetBinaryScanner::Open(dataset_path);
   if (!scan_r.ok()) return scan_r.status();
   DatasetBinaryScanner scan = scan_r.TakeValue();
   survey->object_count = scan.object_count();
-  survey->objects_bytes = 8;
+  ByteCounter objects;
+  EncodeObjectsHeader(&objects, survey->object_count);
   STPQ_RETURN_NOT_OK(scan.ForEachObject([&](const DataObject& o) {
-    survey->objects_bytes += 4 + 8 + 8 + 4 + o.name.size();
-    survey->object_domain.EnlargePoint({o.pos.x, o.pos.y});
+    EncodeObject(&objects, o.id, o);
+    survey->object_domain.Enlarge(ObjectIndex::LeafEntry(o.id, o).rect);
   }));
+  survey->objects_bytes = objects.bytes();
   Result<uint32_t> tables_r = scan.ReadTableCount();
   if (!tables_r.ok()) return tables_r.status();
   survey->table_count = tables_r.value();
@@ -612,13 +380,14 @@ Status RunSurvey(const std::string& dataset_path,
     return Status::InvalidArgument("too many feature tables to persist");
   }
   survey->tables.resize(survey->table_count);
-  for (uint32_t i = 0; i < survey->table_count; ++i) {
-    TableSurvey& t = survey->tables[i];
-    t.vocab_bytes = 4;
+  for (TableSurvey& t : survey->tables) {
+    ByteCounter vocab;
+    EncodeVocabularyHeader(&vocab, 0);  // sizes the header; count unknown
     STPQ_RETURN_NOT_OK(scan.ForEachVocabTerm([&](const std::string& term) {
       ++t.vocab_terms;
-      t.vocab_bytes += 4 + term.size();
+      EncodeTerm(&vocab, term);
     }));
+    t.vocab_bytes = vocab.bytes();
     Result<DatasetBinaryScanner::TableHeader> h = scan.ReadTableHeader();
     if (!h.ok()) return h.status();
     t.universe = h.value().universe;
@@ -626,151 +395,25 @@ Status RunSurvey(const std::string& dataset_path,
     if (t.feature_count > kMaxRecordCount) {
       return Status::InvalidArgument("feature table too large to persist");
     }
-    const uint64_t blocks = (t.universe + 63) / 64;
-    t.table_bytes = 4 + 8;
-    const bool srt = params.index_kind == FeatureIndexKind::kSrt;
-    STPQ_RETURN_NOT_OK(scan.ForEachFeature(
-        t.universe, t.feature_count, [&](const FeatureObject& f) {
-          t.table_bytes += 4 + 8 + 8 + 8 + 4 + 8 * blocks + 4 + f.name.size();
-          if (srt) {
-            const HilbertValue hv = EncodeKeywords(f.keywords);
-            t.srt_domain.EnlargePoint(
-                {f.pos.x, f.pos.y, f.score, hv.ToUnitDouble()});
-          } else {
-            t.ir2_domain.EnlargePoint({f.pos.x, f.pos.y});
-          }
-        }));
+    t.signature_bits =
+        Ir2Tree::SignatureBits(params.signature_bits, t.universe);
+    ByteCounter table;
+    EncodeFeatureTableHeader(&table, t.universe, t.feature_count);
+    const auto fold = [&](const auto&, uint32_t, auto& domain,
+                          const auto& leaf) {
+      return scan.ForEachFeature(
+          t.universe, t.feature_count, [&](const FeatureObject& f) {
+            EncodeFeature(&table, f.id, f);
+            domain.Enlarge(leaf(f.id, f).rect);
+          });
+    };
+    STPQ_RETURN_NOT_OK(WithFeatureRules(params, t, fold));
+    t.table_bytes = table.bytes();
   }
   return Status::OK();
 }
 
-struct SegmentPlan {
-  uint32_t type = 0;
-  uint32_t ordinal = 0;
-  uint64_t offset = 0;
-  uint64_t bytes = 0;
-  uint64_t first_page = 0;
-  uint64_t slot_count = 0;
-  uint32_t slot_bytes = 0;
-  uint64_t checksum = 0;  // filled during the content pass
-  bool page_aligned = false;
-};
-
-constexpr uint64_t kTreeMetaBytes = 36;  // AppendTreeMeta, empty free list
-
-struct BuildPlan {
-  std::vector<SegmentPlan> segments;
-  TreeLayout object_layout;
-  std::vector<TreeLayout> feature_layouts;
-  uint64_t header_bytes = 0;
-  uint64_t file_end = 0;
-  // Catalog positions (segment order is fixed by the in-memory writer).
-  size_t objects_seg = 0;
-  size_t obj_meta_seg = 0;
-  size_t obj_nodes_seg = 0;
-  size_t VocabSeg(uint32_t i) const { return 1 + 2 * size_t{i}; }
-  size_t TableSeg(uint32_t i) const { return 2 + 2 * size_t{i}; }
-  size_t FeatMetaSeg(uint32_t i) const {
-    return obj_nodes_seg + 1 + 2 * size_t{i};
-  }
-  size_t FeatNodesSeg(uint32_t i) const {
-    return obj_nodes_seg + 2 + 2 * size_t{i};
-  }
-};
-
-/// Lays out every segment at its final offset, exactly reproducing the
-/// in-memory writer's catalog order and alignment walk.
-Status ComputePlan(const Survey& survey, const IndexBuildParams& params,
-                   BuildPlan* plan) {
-  const uint32_t page = params.page_size_bytes;
-  const uint32_t T = survey.table_count;
-  auto& segs = plan->segments;
-  segs.reserve(3 + 4 * size_t{T});
-
-  plan->objects_seg = segs.size();
-  segs.push_back({kSegObjects, 0, 0, survey.objects_bytes});
-  for (uint32_t i = 0; i < T; ++i) {
-    segs.push_back({kSegVocabulary, i, 0, survey.tables[i].vocab_bytes});
-    segs.push_back({kSegFeatureTable, i, 0, survey.tables[i].table_bytes});
-  }
-
-  // Object tree geometry.
-  plan->object_layout = ComputeTreeLayout(
-      survey.object_count, FanOutForPage(page, 2, 0), params.fill,
-      EntryBytes(2, 0), page);
-  if (plan->object_layout.node_count > kMaxNodeCount) {
-    return Status::InvalidArgument("object tree too large to persist");
-  }
-  plan->obj_meta_seg = segs.size();
-  segs.push_back({kSegObjectTreeMeta, 0, 0, kTreeMetaBytes});
-  plan->obj_nodes_seg = segs.size();
-  {
-    SegmentPlan nodes{kSegObjectTreeNodes, 0, 0,
-                      plan->object_layout.node_count *
-                          uint64_t{plan->object_layout.slot_bytes}};
-    nodes.first_page = 0;
-    nodes.slot_count = plan->object_layout.node_count;
-    nodes.slot_bytes = plan->object_layout.slot_bytes;
-    nodes.page_aligned = true;
-    segs.push_back(nodes);
-  }
-
-  plan->feature_layouts.resize(T);
-  for (uint32_t i = 0; i < T; ++i) {
-    const TableSurvey& t = survey.tables[i];
-    TreeLayout& layout = plan->feature_layouts[i];
-    switch (params.index_kind) {
-      case FeatureIndexKind::kSrt: {
-        const uint32_t aug_bytes = 8 + 8 * ((t.universe + 63) / 64);
-        layout = ComputeTreeLayout(t.feature_count,
-                                   FanOutForPage(page, 4, aug_bytes),
-                                   params.fill, EntryBytes(4, aug_bytes), page);
-        break;
-      }
-      case FeatureIndexKind::kIr2: {
-        const uint32_t sig_bits =
-            EffectiveIr2SignatureBits(params.signature_bits, t.universe);
-        // Fan-out charges the raw signature bytes; the serialized payload
-        // is word-padded (Ir2AugCodec) — the same split LoadIndexFile uses.
-        const uint32_t fanout_aug = 8 + sig_bits / 8;
-        Ir2AugCodec codec{sig_bits};
-        layout = ComputeTreeLayout(
-            t.feature_count, FanOutForPage(page, 2, fanout_aug), params.fill,
-            EntryBytes(2, codec.payload_bytes()), page);
-        break;
-      }
-    }
-    if (layout.node_count > kMaxNodeCount) {
-      return Status::InvalidArgument("feature tree too large to persist");
-    }
-    segs.push_back({kSegFeatureTreeMeta, i, 0, kTreeMetaBytes});
-    SegmentPlan nodes{kSegFeatureTreeNodes, i, 0,
-                      layout.node_count * uint64_t{layout.slot_bytes}};
-    nodes.first_page = kIndexPageStride * (uint64_t{i} + 1);
-    nodes.slot_count = layout.node_count;
-    nodes.slot_bytes = layout.slot_bytes;
-    nodes.page_aligned = true;
-    segs.push_back(nodes);
-  }
-
-  plan->header_bytes =
-      kSuperblockBytes + segs.size() * kCatalogEntryBytes;
-  uint64_t cursor = plan->header_bytes;
-  for (SegmentPlan& s : segs) {
-    if (s.page_aligned) cursor = AlignUp(cursor, page);
-    s.offset = cursor;
-    cursor += s.bytes;
-  }
-  plan->file_end = plan->header_bytes;
-  for (const SegmentPlan& s : segs) {
-    if (s.bytes > 0) {
-      plan->file_end = std::max(plan->file_end, s.offset + s.bytes);
-    }
-  }
-  return Status::OK();
-}
-
-// -------------------------------------------------------- content pass
+// ------------------------------------------------------------- content
 
 Status DatasetDrifted(const std::string& dataset_path) {
   return Status::IoError("dataset changed between bulk-load passes: " +
@@ -789,41 +432,75 @@ std::string RunPrefix(const std::string& index_path,
   return base + ".s" + std::to_string(ordinal);
 }
 
-template <int D, typename Aug, typename Codec>
-void SerializeEntryBlob(const typename RTree<D, Aug>::Entry& e,
-                        const Codec& codec, std::string* out) {
-  out->clear();
-  for (int d = 0; d < D; ++d) PutPod(out, e.rect.lo[d]);
-  for (int d = 0; d < D; ++d) PutPod(out, e.rect.hi[d]);
-  PutPod<uint32_t>(out, e.id);
-  codec.Write(out, e.aug);
+/// Plans tree `tree` of `count` leaf entries as the shared packer lays it
+/// out; a bulk-loaded tree has no free list.
+template <typename Codec>
+Status PlanPackedTree(IndexFileWriter* writer, uint32_t tree, uint64_t count,
+                      uint32_t max_entries, double fill, const Codec& codec) {
+  const TreePacker<Codec::kDims, typename Codec::Aug> packer(
+      count, max_entries, fill);
+  return writer->PlanTree(tree,
+                          TreeMeta{packer.root(), packer.height(), count,
+                                   packer.node_count(), max_entries, {}},
+                          codec);
 }
 
-/// Drains a sorter into a packer, then writes the tree-metadata segment
-/// and back-fills both segments' checksums.
-template <int D, typename Aug, typename Codec>
-Status PackTree(ExternalSorter* sorter, AtomicFile* out,
-                const TreeLayout& layout, const Codec& codec,
-                SegmentPlan* meta_seg, SegmentPlan* nodes_seg) {
-  LevelPacker<D, Aug, Codec> packer(out, nodes_seg->offset, &layout, codec);
-  STPQ_RETURN_NOT_OK(sorter->Drain(
-      [&packer](const char* blob) { return packer.AddLeafBlob(blob); }));
-  STPQ_RETURN_NOT_OK(packer.Finish());
+/// One tree of the external build.  Its leaf entries go through an
+/// external merge sort keyed by HilbertSortKey, then through the shared
+/// packer, whose sink writes each closed node's slot.
+template <typename Codec>
+class ExternalTree {
+ public:
+  using Entry = typename Codec::Entry;
 
-  std::string meta;
-  AppendTreeMeta(&meta, layout.root, layout.height, layout.entry_count,
-                 static_cast<uint32_t>(layout.node_count), layout.max_entries,
-                 codec.aug_bits(), codec.aug_words(), {});
-  STPQ_CHECK(meta.size() == meta_seg->bytes);
-  STPQ_RETURN_NOT_OK(out->WriteAt(meta_seg->offset, meta.data(), meta.size()));
-  meta_seg->checksum = Fnv1a64(meta.data(), meta.size());
+  ExternalTree(uint32_t tree, uint64_t count, uint32_t max_entries,
+               double fill, const Rect<Codec::kDims>& domain,
+               const Codec& codec, uint64_t memory_budget,
+               std::string run_prefix)
+      : tree_(tree),
+        packer_(count, max_entries, fill),
+        domain_(domain),
+        codec_(codec),
+        sorter_(codec.bytes(), memory_budget, std::move(run_prefix)) {}
 
-  Result<uint64_t> sum = ChecksumRange(*out, nodes_seg->offset,
-                                       nodes_seg->bytes);
-  if (!sum.ok()) return sum.status();
-  nodes_seg->checksum = sum.value();
-  return Status::OK();
-}
+  /// Feeds one leaf entry to the sort.
+  [[nodiscard]] Status Add(const Entry& e) {
+    blob_.clear();
+    codec_.Write(&blob_, e);
+    return sorter_.Add(HilbertSortKey(e.rect, domain_), blob_.data());
+  }
+
+  /// Drains the sort through the packer into `writer`, finishes the tree
+  /// and adds the sort's counters to `stats`.
+  [[nodiscard]] Status Pack(IndexFileWriter* writer,
+                            ExternalBuildStats* stats) {
+    Status written = Status::OK();
+    const auto sink = [&](NodeId id, typename Codec::Tree::Node&& node) {
+      if (written.ok()) written = writer->WriteNode(tree_, id, node, codec_);
+    };
+    STPQ_RETURN_NOT_OK(sorter_.Drain([&](const char* blob) {
+      ByteReader r(blob, codec_.bytes());
+      Entry e;
+      STPQ_CHECK(codec_.Read(r, &e) && "bulk-load entry blob decode failed");
+      packer_.Add(std::move(e), sink);
+      return written;
+    }));
+    packer_.Finish(sink);
+    STPQ_RETURN_NOT_OK(written);
+    stats->runs_written += sorter_.runs_written();
+    stats->merge_passes += sorter_.merge_passes();
+    stats->spilled_bytes += sorter_.spilled_bytes();
+    return writer->FinishTree(tree_);
+  }
+
+ private:
+  const uint32_t tree_;
+  TreePacker<Codec::kDims, typename Codec::Aug> packer_;
+  const Rect<Codec::kDims> domain_;
+  const Codec codec_;
+  ExternalSorter sorter_;
+  std::string blob_;
+};
 
 }  // namespace
 
@@ -835,9 +512,9 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
     return Status::InvalidArgument(
         "external build supports only the hilbert bulk-load order");
   }
-  if (params.page_size_bytes < kMinExternalPageSize) {
+  if (params.page_size_bytes < kMinPageSizeBytes) {
     return Status::InvalidArgument(
-        "page_size_bytes must be >= " + std::to_string(kMinExternalPageSize));
+        "page_size_bytes must be >= " + std::to_string(kMinPageSizeBytes));
   }
   if (options.memory_budget_bytes < kMinMemoryBudget) {
     return Status::InvalidArgument(
@@ -860,23 +537,29 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   stats.tables = survey.table_count;
   for (const TableSurvey& t : survey.tables) stats.features += t.feature_count;
 
-  BuildPlan plan;
-  STPQ_RETURN_NOT_OK(ComputePlan(survey, params, &plan));
-
-  Result<AtomicFile> out_r = AtomicFile::Create(index_path);
-  if (!out_r.ok()) return out_r.status();
-  AtomicFile out = out_r.TakeValue();
-
-  const uint64_t budget = options.memory_budget_bytes;
-  uint32_t sorter_ordinal = 0;
-  auto account = [&stats](const ExternalSorter& sorter) {
-    stats.runs_written += sorter.runs_written();
-    stats.merge_passes += sorter.merge_passes();
-    stats.spilled_bytes += sorter.spilled_bytes();
-  };
+  // Plan every segment and lay the file out.
+  const uint32_t object_fanout = ObjectIndex::FanOut(params.page_size_bytes);
+  IndexFileWriter writer(params, survey.object_count, survey.table_count);
+  writer.PlanRecords(kSegObjects, 0, survey.objects_bytes);
+  STPQ_RETURN_NOT_OK(PlanPackedTree(&writer, 0, survey.object_count,
+                                    object_fanout, params.fill,
+                                    ObjectEntryCodec{}));
+  for (uint32_t i = 0; i < survey.table_count; ++i) {
+    const TableSurvey& t = survey.tables[i];
+    writer.PlanRecords(kSegVocabulary, i, t.vocab_bytes);
+    writer.PlanRecords(kSegFeatureTable, i, t.table_bytes);
+    const auto plan_tree = [&](const auto& codec, uint32_t fanout,
+                               const auto&, const auto&) {
+      return PlanPackedTree(&writer, i + 1, t.feature_count, fanout,
+                            params.fill, codec);
+    };
+    STPQ_RETURN_NOT_OK(WithFeatureRules(params, t, plan_tree));
+  }
+  STPQ_RETURN_NOT_OK(writer.Open(index_path));
 
   // The content pass re-scans the dataset once; one sequential scanner
-  // feeds phase 1 (objects) and phase 2 (tables) in file order.
+  // feeds phase 1 (objects) and phase 2 (tables) in file order.  One tree
+  // sorts at a time, so each gets the whole memory budget.
   Result<DatasetBinaryScanner> scan_r =
       DatasetBinaryScanner::Open(dataset_path);
   if (!scan_r.ok()) return scan_r.status();
@@ -884,48 +567,34 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   if (scan.object_count() != survey.object_count) {
     return DatasetDrifted(dataset_path);
   }
+  const uint64_t budget = options.memory_budget_bytes;
 
   // Phase 1: stream the objects segment and pack the object tree.
   {
     Span span(TraceEventType::kBuildPhase, 1, survey.object_count);
-    SegmentPlan& objects_seg = plan.segments[plan.objects_seg];
-    SegmentWriter seg(&out, objects_seg.offset);
-    ExternalSorter sorter(
-        plan.object_layout.entry_bytes, budget,
-        RunPrefix(index_path, options.temp_dir, sorter_ordinal++));
-    seg.Pod<uint64_t>(survey.object_count);
-    uint64_t position = 0;
-    std::string blob;
-    Status feed = Status::OK();
-    STPQ_RETURN_NOT_OK(scan.ForEachObject([&](const DataObject& o) {
-      if (!feed.ok()) return;
-      // Ids are reassigned to positions, as Engine::Build does before Save.
-      const uint32_t id = static_cast<uint32_t>(position++);
-      seg.Pod<uint32_t>(id);
-      seg.Pod(o.pos.x);
-      seg.Pod(o.pos.y);
-      seg.Str(o.name);
-      RTree<2, NoAug>::Entry e{PointRect(o.pos), id, {}};
-      SerializeEntryBlob<2, NoAug>(e, NoAugCodec{}, &blob);
-      feed = sorter.Add(HilbertKeyForRect(e.rect, survey.object_domain),
-                        blob.data());
-    }));
-    STPQ_RETURN_NOT_OK(feed);
-    if (position != survey.object_count) return DatasetDrifted(dataset_path);
-    uint64_t written = 0;
-    STPQ_RETURN_NOT_OK(seg.Finish(&written, &objects_seg.checksum));
-    if (written != objects_seg.bytes) return DatasetDrifted(dataset_path);
-
-    STPQ_RETURN_NOT_OK((PackTree<2, NoAug>(
-        &sorter, &out, plan.object_layout, NoAugCodec{},
-        &plan.segments[plan.obj_meta_seg],
-        &plan.segments[plan.obj_nodes_seg])));
-    account(sorter);
+    ExternalTree tree(0, survey.object_count, object_fanout, params.fill,
+                      survey.object_domain, ObjectEntryCodec{}, budget,
+                      RunPrefix(index_path, options.temp_dir, 0));
+    const auto objects = [&](SegmentWriter* seg) -> Status {
+      EncodeObjectsHeader(seg, survey.object_count);
+      uint64_t position = 0;
+      Status fed = Status::OK();
+      STPQ_RETURN_NOT_OK(scan.ForEachObject([&](const DataObject& o) {
+        // Ids become positions, as Engine::Build assigns them.
+        const auto id = static_cast<uint32_t>(position++);
+        EncodeObject(seg, id, o);
+        if (fed.ok()) fed = tree.Add(ObjectIndex::LeafEntry(id, o));
+      }));
+      STPQ_RETURN_NOT_OK(fed);
+      if (position != survey.object_count) return DatasetDrifted(dataset_path);
+      return Status::OK();
+    };
+    STPQ_RETURN_NOT_OK(writer.WriteRecords(kSegObjects, 0, objects));
+    STPQ_RETURN_NOT_OK(tree.Pack(&writer, &stats));
   }
 
-  // Phase 2: per table, stream vocabulary + feature records and pack the
-  // feature tree.  One sorter lives at a time, so each gets the whole
-  // budget.
+  // Phase 2: per table, stream the vocabulary and feature records and
+  // pack the feature tree.
   {
     Span span(TraceEventType::kBuildPhase, 2, stats.features);
     Result<uint32_t> tables_r = scan.ReadTableCount();
@@ -935,95 +604,47 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
     }
     for (uint32_t i = 0; i < survey.table_count; ++i) {
       const TableSurvey& t = survey.tables[i];
-
-      SegmentPlan& vocab_seg = plan.segments[plan.VocabSeg(i)];
-      SegmentWriter vocab(&out, vocab_seg.offset);
-      vocab.Pod<uint32_t>(t.vocab_terms);
-      uint32_t terms = 0;
-      STPQ_RETURN_NOT_OK(scan.ForEachVocabTerm([&](const std::string& term) {
-        ++terms;
-        vocab.Str(term);
-      }));
-      if (terms != t.vocab_terms) return DatasetDrifted(dataset_path);
-      uint64_t written = 0;
-      STPQ_RETURN_NOT_OK(vocab.Finish(&written, &vocab_seg.checksum));
-      if (written != vocab_seg.bytes) return DatasetDrifted(dataset_path);
-
+      const auto vocabulary = [&](SegmentWriter* seg) -> Status {
+        EncodeVocabularyHeader(seg, t.vocab_terms);
+        uint32_t terms = 0;
+        STPQ_RETURN_NOT_OK(scan.ForEachVocabTerm([&](const std::string& term) {
+          ++terms;
+          EncodeTerm(seg, term);
+        }));
+        if (terms != t.vocab_terms) return DatasetDrifted(dataset_path);
+        return Status::OK();
+      };
+      STPQ_RETURN_NOT_OK(writer.WriteRecords(kSegVocabulary, i, vocabulary));
       Result<DatasetBinaryScanner::TableHeader> h = scan.ReadTableHeader();
       if (!h.ok()) return h.status();
       if (h.value().universe != t.universe ||
           h.value().feature_count != t.feature_count) {
         return DatasetDrifted(dataset_path);
       }
-
-      SegmentPlan& table_seg = plan.segments[plan.TableSeg(i)];
-      SegmentWriter table(&out, table_seg.offset);
-      table.Pod<uint32_t>(t.universe);
-      table.Pod<uint64_t>(t.feature_count);
-
-      const TreeLayout& layout = plan.feature_layouts[i];
-      ExternalSorter sorter(
-          layout.entry_bytes, budget,
-          RunPrefix(index_path, options.temp_dir, sorter_ordinal++));
-      const bool srt = params.index_kind == FeatureIndexKind::kSrt;
-      SrtAugCodec srt_codec{t.universe};
-      const uint32_t sig_bits =
-          EffectiveIr2SignatureBits(params.signature_bits, t.universe);
-      Ir2AugCodec ir2_codec{sig_bits};
-      const SignatureScheme scheme(sig_bits, params.signature_hashes);
-
-      uint64_t position = 0;
-      std::string blob;
-      Status feed = Status::OK();
-      STPQ_RETURN_NOT_OK(scan.ForEachFeature(
-          t.universe, t.feature_count, [&](const FeatureObject& f) {
-            if (!feed.ok()) return;
-            // FeatureTable reassigns ids to positions on construction.
-            const uint32_t id = static_cast<uint32_t>(position++);
-            table.Pod<uint32_t>(id);
-            table.Pod(f.pos.x);
-            table.Pod(f.pos.y);
-            table.Pod(f.score);
-            const std::vector<uint64_t>& blocks = f.keywords.blocks();
-            table.Pod<uint32_t>(static_cast<uint32_t>(blocks.size()));
-            for (uint64_t b : blocks) table.Pod(b);
-            table.Str(f.name);
-            if (srt) {
-              HilbertValue hv = EncodeKeywords(f.keywords);
-              const std::array<double, 4> p{f.pos.x, f.pos.y, f.score,
-                                            hv.ToUnitDouble()};
-              RTree<4, SrtAug>::Entry e{
-                  Rect4::FromPoint(p), id,
-                  SrtAug{f.score, std::move(hv), f.keywords}};
-              SerializeEntryBlob<4, SrtAug>(e, srt_codec, &blob);
-              feed = sorter.Add(HilbertKeyForRect(e.rect, t.srt_domain),
-                                blob.data());
-            } else {
-              RTree<2, Ir2Aug>::Entry e{
-                  PointRect(f.pos), id,
-                  Ir2Aug{f.score, scheme.SetSignature(f.keywords)}};
-              SerializeEntryBlob<2, Ir2Aug>(e, ir2_codec, &blob);
-              feed = sorter.Add(HilbertKeyForRect(e.rect, t.ir2_domain),
-                                blob.data());
-            }
-          }));
-      STPQ_RETURN_NOT_OK(feed);
-      if (position != t.feature_count) return DatasetDrifted(dataset_path);
-      STPQ_RETURN_NOT_OK(table.Finish(&written, &table_seg.checksum));
-      if (written != table_seg.bytes) return DatasetDrifted(dataset_path);
-
-      if (srt) {
-        STPQ_RETURN_NOT_OK((PackTree<4, SrtAug>(
-            &sorter, &out, layout, srt_codec,
-            &plan.segments[plan.FeatMetaSeg(i)],
-            &plan.segments[plan.FeatNodesSeg(i)])));
-      } else {
-        STPQ_RETURN_NOT_OK((PackTree<2, Ir2Aug>(
-            &sorter, &out, layout, ir2_codec,
-            &plan.segments[plan.FeatMetaSeg(i)],
-            &plan.segments[plan.FeatNodesSeg(i)])));
-      }
-      account(sorter);
+      const auto features = [&](const auto& codec, uint32_t fanout,
+                                const auto& domain, const auto& leaf) {
+        ExternalTree tree(i + 1, t.feature_count, fanout, params.fill, domain,
+                          codec, budget,
+                          RunPrefix(index_path, options.temp_dir, i + 1));
+        const auto records = [&](SegmentWriter* seg) -> Status {
+          EncodeFeatureTableHeader(seg, t.universe, t.feature_count);
+          uint64_t position = 0;
+          Status fed = Status::OK();
+          STPQ_RETURN_NOT_OK(scan.ForEachFeature(
+              t.universe, t.feature_count, [&](const FeatureObject& f) {
+                // FeatureTable reassigns ids to positions.
+                const auto id = static_cast<uint32_t>(position++);
+                EncodeFeature(seg, id, f);
+                if (fed.ok()) fed = tree.Add(leaf(id, f));
+              }));
+          STPQ_RETURN_NOT_OK(fed);
+          if (position != t.feature_count) return DatasetDrifted(dataset_path);
+          return Status::OK();
+        };
+        STPQ_RETURN_NOT_OK(writer.WriteRecords(kSegFeatureTable, i, records));
+        return tree.Pack(&writer, &stats);
+      };
+      STPQ_RETURN_NOT_OK(WithFeatureRules(params, t, features));
     }
   }
 
@@ -1031,32 +652,9 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // exact file size, durable commit.
   {
     Span span(TraceEventType::kBuildPhase, 3);
-    std::string header;
-    header.reserve(plan.header_bytes);
-    AppendSuperblock(&header, params.page_size_bytes,
-                     static_cast<uint32_t>(params.index_kind),
-                     static_cast<uint32_t>(params.bulk_load),
-                     params.signature_bits, params.signature_hashes,
-                     params.fill, survey.object_count, survey.table_count,
-                     static_cast<uint32_t>(plan.segments.size()));
-    for (const SegmentPlan& s : plan.segments) {
-      CatalogEntry e;
-      e.type = s.type;
-      e.ordinal = s.ordinal;
-      e.offset = s.offset;
-      e.bytes = s.bytes;
-      e.first_page = s.first_page;
-      e.slot_count = s.slot_count;
-      e.slot_bytes = s.slot_bytes;
-      e.checksum = s.checksum;
-      AppendCatalogEntry(&header, e);
-    }
-    STPQ_CHECK(header.size() == plan.header_bytes);
-    STPQ_RETURN_NOT_OK(out.Truncate(plan.file_end));
-    STPQ_RETURN_NOT_OK(out.WriteAt(0, header.data(), header.size()));
-    STPQ_RETURN_NOT_OK(out.Commit());
+    STPQ_RETURN_NOT_OK(writer.Commit());
   }
-  stats.output_bytes = plan.file_end;
+  stats.output_bytes = writer.file_bytes();
 
   MetricsRegistry& metrics = MetricsRegistry::Global();
   metrics

@@ -5,23 +5,21 @@
 // record and every tree node before serializing; this loader never does.
 // It streams the dataset twice:
 //
-//   survey pass    counts, name/term byte totals and the spatial domains —
-//                  enough to derive every tree's geometry (fan-out, nodes
-//                  per level, node ids) and the complete segment layout
-//                  up front.
-//   content pass   streams the record segments into place, feeding each
-//                  tree's leaf entries through an external merge sort
-//                  keyed by the same Hilbert order the in-memory builder
-//                  uses, then packs leaf and internal node levels
-//                  bottom-up, writing each fixed-width slot as soon as it
-//                  closes.  Propagated augmentations (max score, OR-folded
-//                  Hilbert keyword summaries, IR2 signatures) are computed
-//                  on the fly as each level closes.
+//   survey pass    counts, record-segment sizes (the record encoders over
+//                  a byte counter) and the sort domains — enough for the
+//                  shared packer to fix every tree's shape and node ids,
+//                  and for the writer to lay out the whole file up front.
+//   content pass   streams the record segments into place and feeds each
+//                  tree's leaf entries (the index classes' LeafEntry)
+//                  through an external merge sort keyed by HilbertSortKey
+//                  into the shared packer (rtree/bulk_load.h), whose sink
+//                  writes each node's fixed-width slot as it closes.
 //
-// Contract: the output is byte-identical to WriteIndexFile over the same
-// dataset and parameters — same superblock, catalog, segment bytes, node
-// ids and checksums — so golden I/O counts and query results match the
-// in-memory build exactly (tests/bulk_load_test.cc pins this).
+// Output: identical bytes to Engine::Build + Engine::Save over the same
+// dataset and parameters, by construction — both builds pack through
+// TreePacker, write through IndexFileWriter (io/index_writer.h), and take
+// fan-outs, leaf entries and signature widths from the index classes.
+// tests/bulk_load_test.cc guards it.
 #ifndef STPQ_IO_BULK_LOAD_H_
 #define STPQ_IO_BULK_LOAD_H_
 

@@ -13,8 +13,8 @@
 #include <utility>
 
 #include "hilbert/keyword_hilbert.h"
-#include "io/atomic_file.h"
 #include "io/index_format.h"
+#include "io/index_writer.h"
 #include "util/logging.h"
 
 namespace stpq {
@@ -284,50 +284,6 @@ Status ParseFeatureTable(std::string_view sv, FeatureTable* out) {
   return Status::OK();
 }
 
-// ------------------------------------------------------ tree serializer
-
-/// Serializes tree metadata + the node array.  Node records are laid out
-/// in fixed-width slots (slot index == NodeId) whose width is the
-/// page-aligned worst-case node size, so the reader and the FilePageStore
-/// address node i at offset i * slot_bytes.
-template <int D, typename Aug, typename Codec>
-Status SerializeTree(const RTree<D, Aug>& tree, const Codec& codec,
-                     uint32_t page_size, std::string* meta, std::string* nodes,
-                     uint64_t* slot_count, uint32_t* slot_bytes_out) {
-  const uint32_t entry_bytes = EntryBytes(D, codec.payload_bytes());
-  const uint32_t slot_bytes =
-      SlotBytesFor(tree.options().max_entries, entry_bytes, page_size);
-
-  std::vector<uint32_t> free_nodes(tree.free_nodes().begin(),
-                                   tree.free_nodes().end());
-  AppendTreeMeta(meta, tree.root_id(), tree.height(), tree.size(),
-                 tree.node_count(), tree.options().max_entries,
-                 codec.aug_bits(), codec.aug_words(), free_nodes);
-
-  nodes->reserve(uint64_t{tree.node_count()} * slot_bytes);
-  for (const auto& node : tree.nodes()) {
-    const size_t start = nodes->size();
-    PutPod<uint16_t>(nodes, node.level);
-    PutPod<uint16_t>(nodes, 0);
-    PutPod<uint32_t>(nodes, static_cast<uint32_t>(node.entries.size()));
-    for (const auto& e : node.entries) {
-      for (int d = 0; d < D; ++d) PutPod(nodes, e.rect.lo[d]);
-      for (int d = 0; d < D; ++d) PutPod(nodes, e.rect.hi[d]);
-      PutPod<uint32_t>(nodes, e.id);
-      codec.Write(nodes, e.aug);
-    }
-    if (nodes->size() - start > slot_bytes) {
-      return Status::Internal("index node overflows its slot: " +
-                              std::to_string(nodes->size() - start) + " > " +
-                              std::to_string(slot_bytes) + " bytes");
-    }
-    nodes->resize(start + slot_bytes);  // zero-pad to the slot boundary
-  }
-  *slot_count = tree.node_count();
-  *slot_bytes_out = slot_bytes;
-  return Status::OK();
-}
-
 // --------------------------------------------------------- tree reader
 //
 // Split in two: the metadata parse + one streaming verification pass over
@@ -337,10 +293,11 @@ Status SerializeTree(const RTree<D, Aug>& tree, const Codec& codec,
 
 /// Parses the tree-metadata payload and cross-checks it against the node
 /// segment's catalog entry.  Fills everything in `out` except `nodes`.
-template <int D, typename Aug, typename Codec>
+template <typename Codec>
 Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
                      const Codec& codec, uint32_t expected_max_entries,
-                     uint32_t page_size, RestoredTreeData<D, Aug>* out) {
+                     uint32_t page_size,
+                     RestoredTreeData<Codec::kDims, typename Codec::Aug>* out) {
   ByteReader m(meta.data(), meta.size());
   uint32_t root = 0, height = 0, node_count = 0, max_entries = 0;
   uint32_t aug_bits = 0, aug_words = 0, free_count = 0;
@@ -350,12 +307,12 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
       !m.Pod(&aug_words) || !m.Pod(&free_count)) {
     return Status::Corruption("tree metadata segment too short");
   }
-  if (aug_bits != codec.aug_bits() || aug_words != codec.aug_words()) {
+  if (aug_bits != codec.aug.aug_bits() || aug_words != codec.aug.aug_words()) {
     return Status::Corruption(
         "augmentation layout mismatch: file says " + std::to_string(aug_bits) +
         " bits / " + std::to_string(aug_words) + " words, parameters derive " +
-        std::to_string(codec.aug_bits()) + " / " +
-        std::to_string(codec.aug_words()));
+        std::to_string(codec.aug.aug_bits()) + " / " +
+        std::to_string(codec.aug.aug_words()));
   }
   if (max_entries != expected_max_entries) {
     return Status::Corruption(
@@ -377,8 +334,8 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
   // The lazy decoder trusts the catalog's fixed slot width, so it must
   // equal the width the page-size parameters derive (the catalog itself
   // is not checksummed).
-  const uint32_t expected_slot_bytes = SlotBytesFor(
-      max_entries, EntryBytes(D, codec.payload_bytes()), page_size);
+  const uint32_t expected_slot_bytes =
+      SlotBytesFor(max_entries, codec.bytes(), page_size);
   if (nodes_entry.slot_bytes != expected_slot_bytes) {
     return Status::Corruption(
         "node slot width mismatch: catalog says " +
@@ -448,14 +405,14 @@ Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
 /// entry fits the slot), and the codecs read exact widths — so a failure
 /// here means the file changed underneath us, which is a crash, not a
 /// Status.
-template <int D, typename Aug, typename Codec>
-std::function<void(NodeId, typename RTree<D, Aug>::Node*)> MakeNodeDecoder(
+template <typename Codec>
+std::function<void(NodeId, typename Codec::Tree::Node*)> MakeNodeDecoder(
     std::shared_ptr<IndexFileHandle> file, const CatalogEntry& entry,
     Codec codec) {
   const uint64_t offset = entry.offset;
   const uint32_t slot_bytes = entry.slot_bytes;
   return [file = std::move(file), offset, slot_bytes,
-          codec](NodeId id, typename RTree<D, Aug>::Node* node) {
+          codec](NodeId id, typename Codec::Tree::Node* node) {
     std::vector<char> buf(slot_bytes);
     const Status read =
         file->PreadExact(offset + uint64_t{id} * slot_bytes, buf.data(),
@@ -468,37 +425,101 @@ std::function<void(NodeId, typename RTree<D, Aug>::Node*)> MakeNodeDecoder(
     node->level = level;
     node->entries.reserve(count);
     for (uint32_t j = 0; j < count; ++j) {
-      typename RTree<D, Aug>::Entry e;
-      bool ok = true;
-      for (int d = 0; d < D && ok; ++d) ok = r.Pod(&e.rect.lo[d]);
-      for (int d = 0; d < D && ok; ++d) ok = r.Pod(&e.rect.hi[d]);
-      ok = ok && r.Pod(&e.id) && codec.Read(r, &e.aug);
-      STPQ_CHECK(ok && "index node entry decode failed after verification");
+      typename Codec::Entry e;
+      STPQ_CHECK(codec.Read(r, &e) &&
+                 "index node entry decode failed after verification");
       node->entries.push_back(std::move(e));
     }
   };
 }
 
-/// Eagerly verifies one tree (meta + node segment) and wires up its lazy
-/// restore payload.
-template <int D, typename Aug, typename Codec>
+/// Eagerly verifies tree `tree` (meta + node segment, numbered as in
+/// TreePageBase), wires up its lazy restore payload and maps its node
+/// segment into the page-id namespace.
+template <typename Codec>
 Status LoadTree(const std::shared_ptr<IndexFileHandle>& file,
-                const std::vector<CatalogEntry>& catalog, uint32_t meta_type,
-                uint32_t nodes_type, uint32_t ordinal, const Codec& codec,
-                uint32_t expected_max_entries, uint32_t page_size,
-                RestoredTreeData<D, Aug>* out,
-                const CatalogEntry** nodes_entry_out) {
-  Result<std::string> meta = VerifiedSegment(*file, catalog, meta_type,
-                                             ordinal);
+                const std::vector<CatalogEntry>& catalog, uint32_t tree,
+                const Codec& codec, uint32_t expected_max_entries,
+                uint32_t page_size,
+                RestoredTreeData<Codec::kDims, typename Codec::Aug>* out,
+                std::vector<FilePageStore::Extent>* extents) {
+  const TreeSegments segs = SegmentsOfTree(tree);
+  Result<std::string> meta =
+      VerifiedSegment(*file, catalog, segs.meta_type, segs.ordinal);
   if (!meta.ok()) return meta.status();
-  const CatalogEntry* entry = FindEntry(catalog, nodes_type, ordinal);
-  if (entry == nullptr) return MissingSegment(nodes_type, ordinal);
-  STPQ_RETURN_NOT_OK((ParseTreeMeta<D, Aug>(meta.value(), *entry, codec,
-                                            expected_max_entries, page_size,
-                                            out)));
+  const CatalogEntry* entry = FindEntry(catalog, segs.nodes_type, segs.ordinal);
+  if (entry == nullptr) return MissingSegment(segs.nodes_type, segs.ordinal);
+  STPQ_RETURN_NOT_OK(ParseTreeMeta(meta.value(), *entry, codec,
+                                   expected_max_entries, page_size, out));
   STPQ_RETURN_NOT_OK(VerifyNodeSegment(*file, *entry, expected_max_entries));
-  out->decoder = MakeNodeDecoder<D, Aug>(file, *entry, codec);
-  *nodes_entry_out = entry;
+  // The catalog is not checksummed, and a wrong base would send every
+  // page fetch of this tree outside its extent.
+  if (entry->first_page != TreePageBase(tree)) {
+    return Status::Corruption(std::string(SegmentName(segs.nodes_type)) +
+                              " segment #" + std::to_string(segs.ordinal) +
+                              " has the wrong page-id base");
+  }
+  out->decoder = MakeNodeDecoder(file, *entry, codec);
+  if (entry->slot_count > 0) {
+    extents->push_back(FilePageStore::Extent{
+        entry->first_page, entry->slot_count, entry->offset,
+        entry->slot_bytes});
+  }
+  return Status::OK();
+}
+
+/// Calls `fn(tree, rtree, codec)` for the object tree and then every
+/// feature tree of `request`, in tree order (TreePageBase numbering).
+template <typename Fn>
+Status ForEachTree(const IndexFileWriteRequest& request, const Fn& fn) {
+  STPQ_RETURN_NOT_OK(fn(0u, request.object_index->tree(), ObjectEntryCodec{}));
+  const FeatureIndexKind kind = request.params.index_kind;
+  for (uint32_t i = 0; i < request.feature_indexes.size(); ++i) {
+    const FeatureIndex* index = request.feature_indexes[i];
+    const auto* srt = dynamic_cast<const SrtIndex*>(index);
+    const auto* ir2 = dynamic_cast<const Ir2Tree*>(index);
+    if (kind == FeatureIndexKind::kSrt && srt != nullptr) {
+      const uint32_t universe = (*request.feature_tables)[i].universe_size();
+      STPQ_RETURN_NOT_OK(fn(i + 1, srt->tree(), SrtEntryCodec{{universe}}));
+    } else if (kind == FeatureIndexKind::kIr2 && ir2 != nullptr) {
+      const uint32_t bits = ir2->scheme().signature_bits();
+      STPQ_RETURN_NOT_OK(fn(i + 1, ir2->tree(), Ir2EntryCodec{{bits}}));
+    } else {
+      return Status::InvalidArgument(
+          "feature index " + std::to_string(i) + " is not the " +
+          (kind == FeatureIndexKind::kSrt ? "SrtIndex" : "Ir2Tree") +
+          " that params.index_kind names");
+    }
+  }
+  return Status::OK();
+}
+
+/// Calls `fn(type, ordinal, encode)` for every record segment of
+/// `request`, in catalog order; `encode(out)` writes the segment's bytes
+/// to any record sink (ByteCounter or SegmentWriter).
+template <typename Fn>
+Status ForEachRecordSegment(const IndexFileWriteRequest& request,
+                            const Fn& fn) {
+  const std::vector<DataObject>& objects = *request.objects;
+  STPQ_RETURN_NOT_OK(fn(kSegObjects, 0u, [&](auto* out) {
+    EncodeObjectsHeader(out, objects.size());
+    for (const DataObject& o : objects) EncodeObject(out, o.id, o);
+    return Status::OK();
+  }));
+  for (uint32_t i = 0; i < request.feature_tables->size(); ++i) {
+    const Vocabulary& vocab = (*request.vocabularies)[i];
+    STPQ_RETURN_NOT_OK(fn(kSegVocabulary, i, [&](auto* out) {
+      EncodeVocabularyHeader(out, vocab.size());
+      for (TermId t = 0; t < vocab.size(); ++t) EncodeTerm(out, vocab.Term(t));
+      return Status::OK();
+    }));
+    const FeatureTable& table = (*request.feature_tables)[i];
+    STPQ_RETURN_NOT_OK(fn(kSegFeatureTable, i, [&](auto* out) {
+      EncodeFeatureTableHeader(out, table.universe_size(), table.size());
+      for (const FeatureObject& f : table.All()) EncodeFeature(out, f.id, f);
+      return Status::OK();
+    }));
+  }
   return Status::OK();
 }
 
@@ -522,171 +543,45 @@ Status WriteIndexFile(const std::string& path,
   if (num_tables > kMaxTables) {
     return Status::InvalidArgument("too many feature tables to persist");
   }
-  const uint32_t page_size = request.params.page_size_bytes;
-  if (page_size == 0) {
+  if (request.params.page_size_bytes == 0) {
     return Status::InvalidArgument("page_size_bytes must be nonzero");
   }
 
-  struct SegmentBlob {
-    uint32_t type = 0;
-    uint32_t ordinal = 0;
-    std::string payload;
-    uint64_t first_page = 0;
-    uint64_t slot_count = 0;
-    uint32_t slot_bytes = 0;
-    bool page_aligned = false;
-    uint64_t offset = 0;  // assigned during layout
+  IndexFileWriter writer(request.params, request.objects->size(),
+                         static_cast<uint32_t>(num_tables));
+  const auto plan_records = [&](uint32_t type, uint32_t ordinal,
+                                const auto& encode) {
+    ByteCounter counter;
+    STPQ_RETURN_NOT_OK(encode(&counter));
+    writer.PlanRecords(type, ordinal, counter.bytes());
+    return Status::OK();
   };
-  std::vector<SegmentBlob> segments;
-  segments.reserve(3 + 4 * num_tables);
-
-  {
-    SegmentBlob s;
-    s.type = kSegObjects;
-    PutPod<uint64_t>(&s.payload, request.objects->size());
-    for (const DataObject& o : *request.objects) {
-      PutPod(&s.payload, o.id);
-      PutPod(&s.payload, o.pos.x);
-      PutPod(&s.payload, o.pos.y);
-      PutString(&s.payload, o.name);
+  const auto plan_tree = [&](uint32_t t, const auto& tree, const auto& codec) {
+    return writer.PlanTree(
+        t,
+        TreeMeta{tree.root_id(), tree.height(), tree.size(), tree.node_count(),
+                 tree.options().max_entries, tree.free_nodes()},
+        codec);
+  };
+  const auto write_records = [&](uint32_t type, uint32_t ordinal,
+                                 const auto& encode) {
+    return writer.WriteRecords(type, ordinal, encode);
+  };
+  const auto write_tree = [&](uint32_t t, const auto& tree,
+                              const auto& codec) {
+    // PeekNode decodes a lazily restored node in place without charging
+    // the buffer pool.
+    for (NodeId id = 0; id < tree.node_count(); ++id) {
+      STPQ_RETURN_NOT_OK(writer.WriteNode(t, id, tree.PeekNode(id), codec));
     }
-    segments.push_back(std::move(s));
-  }
-
-  for (size_t i = 0; i < num_tables; ++i) {
-    const Vocabulary& vocab = (*request.vocabularies)[i];
-    SegmentBlob v;
-    v.type = kSegVocabulary;
-    v.ordinal = static_cast<uint32_t>(i);
-    PutPod<uint32_t>(&v.payload, vocab.size());
-    for (uint32_t t = 0; t < vocab.size(); ++t) {
-      PutString(&v.payload, vocab.Term(t));
-    }
-    segments.push_back(std::move(v));
-
-    const FeatureTable& table = (*request.feature_tables)[i];
-    SegmentBlob s;
-    s.type = kSegFeatureTable;
-    s.ordinal = static_cast<uint32_t>(i);
-    PutPod<uint32_t>(&s.payload, table.universe_size());
-    PutPod<uint64_t>(&s.payload, table.size());
-    for (const FeatureObject& f : table.All()) {
-      PutPod(&s.payload, f.id);
-      PutPod(&s.payload, f.pos.x);
-      PutPod(&s.payload, f.pos.y);
-      PutPod(&s.payload, f.score);
-      const std::vector<uint64_t>& blocks = f.keywords.blocks();
-      PutPod<uint32_t>(&s.payload, static_cast<uint32_t>(blocks.size()));
-      for (uint64_t b : blocks) PutPod(&s.payload, b);
-      PutString(&s.payload, f.name);
-    }
-    segments.push_back(std::move(s));
-  }
-
-  {
-    SegmentBlob meta, nodes;
-    meta.type = kSegObjectTreeMeta;
-    nodes.type = kSegObjectTreeNodes;
-    nodes.page_aligned = true;
-    nodes.first_page = 0;
-    STPQ_RETURN_NOT_OK((SerializeTree<2, NoAug>(
-        request.object_index->tree(), NoAugCodec{}, page_size, &meta.payload,
-        &nodes.payload, &nodes.slot_count, &nodes.slot_bytes)));
-    segments.push_back(std::move(meta));
-    segments.push_back(std::move(nodes));
-  }
-
-  for (size_t i = 0; i < num_tables; ++i) {
-    SegmentBlob meta, nodes;
-    meta.type = kSegFeatureTreeMeta;
-    meta.ordinal = static_cast<uint32_t>(i);
-    nodes.type = kSegFeatureTreeNodes;
-    nodes.ordinal = static_cast<uint32_t>(i);
-    nodes.page_aligned = true;
-    nodes.first_page = kIndexPageStride * (i + 1);
-    switch (request.params.index_kind) {
-      case FeatureIndexKind::kSrt: {
-        const auto* srt =
-            dynamic_cast<const SrtIndex*>(request.feature_indexes[i]);
-        if (srt == nullptr) {
-          return Status::InvalidArgument(
-              "feature index " + std::to_string(i) +
-              " is not an SrtIndex but params say kind=srt");
-        }
-        SrtAugCodec codec{(*request.feature_tables)[i].universe_size()};
-        STPQ_RETURN_NOT_OK((SerializeTree<4, SrtAug>(
-            srt->tree(), codec, page_size, &meta.payload, &nodes.payload,
-            &nodes.slot_count, &nodes.slot_bytes)));
-        break;
-      }
-      case FeatureIndexKind::kIr2: {
-        const auto* ir2 =
-            dynamic_cast<const Ir2Tree*>(request.feature_indexes[i]);
-        if (ir2 == nullptr) {
-          return Status::InvalidArgument(
-              "feature index " + std::to_string(i) +
-              " is not an Ir2Tree but params say kind=ir2");
-        }
-        Ir2AugCodec codec{ir2->scheme().signature_bits()};
-        STPQ_RETURN_NOT_OK((SerializeTree<2, Ir2Aug>(
-            ir2->tree(), codec, page_size, &meta.payload, &nodes.payload,
-            &nodes.slot_count, &nodes.slot_bytes)));
-        break;
-      }
-    }
-    segments.push_back(std::move(meta));
-    segments.push_back(std::move(nodes));
-  }
-
-  // Layout: header, then segments in catalog order; node segments aligned
-  // to the page size so slot offsets are page offsets.
-  const uint64_t header_bytes =
-      kSuperblockBytes + segments.size() * kCatalogEntryBytes;
-  uint64_t cursor = header_bytes;
-  for (SegmentBlob& s : segments) {
-    if (s.page_aligned) cursor = AlignUp(cursor, page_size);
-    s.offset = cursor;
-    cursor += s.payload.size();
-  }
-
-  std::string header;
-  header.reserve(header_bytes);
-  AppendSuperblock(&header, page_size,
-                   static_cast<uint32_t>(request.params.index_kind),
-                   static_cast<uint32_t>(request.params.bulk_load),
-                   request.params.signature_bits,
-                   request.params.signature_hashes, request.params.fill,
-                   request.objects->size(), static_cast<uint32_t>(num_tables),
-                   static_cast<uint32_t>(segments.size()));
-  for (const SegmentBlob& s : segments) {
-    CatalogEntry e;
-    e.type = s.type;
-    e.ordinal = s.ordinal;
-    e.offset = s.offset;
-    e.bytes = s.payload.size();
-    e.first_page = s.first_page;
-    e.slot_count = s.slot_count;
-    e.slot_bytes = s.slot_bytes;
-    e.checksum = Fnv1a64(s.payload.data(), s.payload.size());
-    AppendCatalogEntry(&header, e);
-  }
-
-  // Crash-safe publish: assemble the whole image in `<path>.tmp`, fsync
-  // it, then atomically rename over the destination.  A crash or failure
-  // at any point leaves the previous index untouched.
-  Result<AtomicFile> out_r = AtomicFile::Create(path);
-  if (!out_r.ok()) return out_r.status();
-  AtomicFile out = out_r.TakeValue();
-  STPQ_RETURN_NOT_OK(out.WriteAt(0, header.data(), header.size()));
-  uint64_t file_end = header.size();
-  for (const SegmentBlob& s : segments) {
-    if (s.payload.empty()) continue;  // empty segments do not extend the file
-    STPQ_RETURN_NOT_OK(
-        out.WriteAt(s.offset, s.payload.data(), s.payload.size()));
-    file_end = std::max(file_end, s.offset + s.payload.size());
-  }
-  STPQ_RETURN_NOT_OK(out.Truncate(file_end));
-  return out.Commit();
+    return writer.FinishTree(t);
+  };
+  STPQ_RETURN_NOT_OK(ForEachRecordSegment(request, plan_records));
+  STPQ_RETURN_NOT_OK(ForEachTree(request, plan_tree));
+  STPQ_RETURN_NOT_OK(writer.Open(path));
+  STPQ_RETURN_NOT_OK(ForEachRecordSegment(request, write_records));
+  STPQ_RETURN_NOT_OK(ForEachTree(request, write_tree));
+  return writer.Commit();
 }
 
 // ---------------------------------------------------------------- reader
@@ -721,58 +616,35 @@ Result<LoadedIndex> LoadIndexFile(const std::string& path) {
     STPQ_RETURN_NOT_OK(ParseFeatureTable(tv.value(), &out.feature_tables[i]));
   }
 
-  // Object tree.
-  {
-    const CatalogEntry* entry = nullptr;
-    STPQ_RETURN_NOT_OK((LoadTree<2, NoAug>(
-        file, catalog, kSegObjectTreeMeta, kSegObjectTreeNodes, 0,
-        NoAugCodec{}, FanOutForPage(sb.params.page_size_bytes, 2, 0),
-        sb.params.page_size_bytes, &out.object_tree, &entry)));
-    if (entry->slot_count > 0) {
-      out.extents.push_back(FilePageStore::Extent{
-          entry->first_page, entry->slot_count, entry->offset,
-          entry->slot_bytes});
-    }
-  }
-
-  // Feature trees, one per table, matching the persisted index kind.
+  // Trees: the object tree, then one feature tree per table matching the
+  // persisted index kind.
+  const uint32_t page = sb.params.page_size_bytes;
+  STPQ_RETURN_NOT_OK(LoadTree(file, catalog, 0, ObjectEntryCodec{},
+                              ObjectIndex::FanOut(page), page,
+                              &out.object_tree, &out.extents));
   for (uint32_t i = 0; i < sb.table_count; ++i) {
     const uint32_t universe = out.feature_tables[i].universe_size();
-    const CatalogEntry* entry = nullptr;
     switch (sb.params.index_kind) {
       case FeatureIndexKind::kSrt: {
-        SrtAugCodec codec{universe};
         RestoredTreeData<4, SrtAug> tree;
-        const uint32_t aug_bytes = 8 + 8 * ((universe + 63) / 64);
-        STPQ_RETURN_NOT_OK((LoadTree<4, SrtAug>(
-            file, catalog, kSegFeatureTreeMeta, kSegFeatureTreeNodes, i,
-            codec, FanOutForPage(sb.params.page_size_bytes, 4, aug_bytes),
-            sb.params.page_size_bytes, &tree, &entry)));
+        STPQ_RETURN_NOT_OK(LoadTree(file, catalog, i + 1,
+                                    SrtEntryCodec{{universe}},
+                                    SrtIndex::FanOut(page, universe), page,
+                                    &tree, &out.extents));
         out.srt_trees.push_back(std::move(tree));
         break;
       }
       case FeatureIndexKind::kIr2: {
-        const uint32_t sig_bits =
-            EffectiveIr2SignatureBits(sb.params.signature_bits, universe);
-        Ir2AugCodec codec{sig_bits};
+        const uint32_t bits =
+            Ir2Tree::SignatureBits(sb.params.signature_bits, universe);
         RestoredTreeData<2, Ir2Aug> tree;
-        const uint32_t aug_bytes = 8 + sig_bits / 8;
-        STPQ_RETURN_NOT_OK((LoadTree<2, Ir2Aug>(
-            file, catalog, kSegFeatureTreeMeta, kSegFeatureTreeNodes, i,
-            codec, FanOutForPage(sb.params.page_size_bytes, 2, aug_bytes),
-            sb.params.page_size_bytes, &tree, &entry)));
+        STPQ_RETURN_NOT_OK(LoadTree(file, catalog, i + 1,
+                                    Ir2EntryCodec{{bits}},
+                                    Ir2Tree::FanOut(page, bits), page, &tree,
+                                    &out.extents));
         out.ir2_trees.push_back(std::move(tree));
         break;
       }
-    }
-    if (entry->first_page != kIndexPageStride * (uint64_t{i} + 1)) {
-      return Status::Corruption("feature node segment " + std::to_string(i) +
-                                " has the wrong page-id base");
-    }
-    if (entry->slot_count > 0) {
-      out.extents.push_back(FilePageStore::Extent{
-          entry->first_page, entry->slot_count, entry->offset,
-          entry->slot_bytes});
     }
   }
   return out;

@@ -63,15 +63,16 @@ struct IndexFileWriteRequest {
   std::vector<const FeatureIndex*> feature_indexes;
 };
 
-/// Serializes the whole index set to `path` (overwriting).  Typed errors:
+/// Serializes the whole index set to `path` (overwriting, crash-safe)
+/// through the one .stpqx writer (io/index_writer.h).  Typed errors:
 /// InvalidArgument on a malformed request, IoError on write failure.
 [[nodiscard]] Status WriteIndexFile(const std::string& path,
                                     const IndexFileWriteRequest& request);
 
 /// Everything LoadIndexFile recovers.  Exactly one of srt_trees /
 /// ir2_trees is populated, matching params.index_kind; `extents` maps the
-/// node segments into the engine's page-id namespace (object tree at 0,
-/// feature index i at kIndexPageStride * (i + 1)) for FilePageStore.
+/// node segments into the engine's page-id namespace (TreePageBase) for
+/// FilePageStore.
 struct LoadedIndex {
   IndexBuildParams params;
   std::vector<DataObject> objects;

@@ -1,15 +1,14 @@
-// On-disk .stpqx format primitives shared by the in-memory writer/reader
-// (io/index_file.cc) and the external-memory bulk loader (io/bulk_load.cc).
+// On-disk .stpqx format primitives shared by the writer (io/index_writer.h)
+// and the reader (io/index_file.cc).
 //
 // Everything here is layout: magic numbers, segment naming, checksums,
-// byte-buffer serializers, the fixed-width node-slot geometry, and the
-// per-index augmentation codecs.  Both writers must agree on these bit for
-// bit — the external bulk loader's contract is that its output is
-// byte-identical to Build + Save — so the definitions live in one place.
+// byte-buffer serializers, the record encoders, the node-entry codec with
+// its per-index augmentation codecs, and the fixed-width node-slot
+// geometry.  Each is defined once; the one writer and the reader both use
+// these definitions, so they agree on every byte.
 #ifndef STPQ_IO_INDEX_FORMAT_H_
 #define STPQ_IO_INDEX_FORMAT_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -46,6 +45,19 @@ enum SegmentType : uint32_t {
   kSegFeatureTreeMeta = 5,
   kSegFeatureTreeNodes = 6,
 };
+
+/// Catalog identity of tree `tree`, numbered as in TreePageBase: the
+/// object tree is tree 0, feature index i is tree i + 1.
+struct TreeSegments {
+  uint32_t meta_type;
+  uint32_t nodes_type;
+  uint32_t ordinal;
+};
+
+inline TreeSegments SegmentsOfTree(uint32_t tree) {
+  if (tree == 0) return {kSegObjectTreeMeta, kSegObjectTreeNodes, 0};
+  return {kSegFeatureTreeMeta, kSegFeatureTreeNodes, tree - 1};
+}
 
 inline const char* SegmentName(uint32_t type) {
   switch (type) {
@@ -143,6 +155,8 @@ class ByteReader {
 // superblock parameters and double-checked against the tree metadata.
 
 struct NoAugCodec {
+  using Aug = NoAug;
+
   uint32_t aug_bits() const { return 0; }
   uint32_t aug_words() const { return 0; }
   uint32_t payload_bytes() const { return 0; }
@@ -154,6 +168,8 @@ struct NoAugCodec {
 /// keyword cache is re-derived on read (DecodeKeywords is the exact
 /// inverse of the encoding, so the rebuilt aug is identical).
 struct SrtAugCodec {
+  using Aug = SrtAug;
+
   uint32_t universe = 0;
 
   uint32_t aug_bits() const { return universe; }
@@ -184,6 +200,8 @@ struct SrtAugCodec {
 
 /// Ir2Aug persists {max score, signature words}.
 struct Ir2AugCodec {
+  using Aug = Ir2Aug;
+
   uint32_t signature_bits = 0;
 
   uint32_t aug_bits() const { return signature_bits; }
@@ -209,21 +227,103 @@ struct Ir2AugCodec {
   }
 };
 
-/// The IR2 signature width rule, mirrored from the index builder: explicit
-/// when configured, else scaled to the vocabulary.
-inline uint32_t EffectiveIr2SignatureBits(uint32_t configured_bits,
-                                          uint32_t universe_size) {
-  return configured_bits != 0 ? configured_bits
-                              : std::max(64u, 2 * universe_size);
+/// The node-entry codec: D lo-doubles, D hi-doubles, the uint32
+/// child/record id, then the augmentation payload.  Node slots, the
+/// external loader's sort runs and the lazy node decoder all encode and
+/// decode entries through it.
+template <int D, typename AugCodec>
+struct EntryCodec {
+  static constexpr int kDims = D;
+  using Aug = typename AugCodec::Aug;
+  using Tree = RTree<D, Aug>;
+  using Entry = typename Tree::Entry;
+
+  AugCodec aug;
+
+  uint32_t bytes() const { return 16u * D + 4u + aug.payload_bytes(); }
+
+  void Write(std::string* out, const Entry& e) const {
+    for (int d = 0; d < D; ++d) PutPod(out, e.rect.lo[d]);
+    for (int d = 0; d < D; ++d) PutPod(out, e.rect.hi[d]);
+    PutPod<uint32_t>(out, e.id);
+    aug.Write(out, e.aug);
+  }
+
+  bool Read(ByteReader& in, Entry* e) const {
+    bool ok = true;
+    for (int d = 0; d < D && ok; ++d) ok = in.Pod(&e->rect.lo[d]);
+    for (int d = 0; d < D && ok; ++d) ok = in.Pod(&e->rect.hi[d]);
+    return ok && in.Pod(&e->id) && aug.Read(in, &e->aug);
+  }
+};
+
+using ObjectEntryCodec = EntryCodec<2, NoAugCodec>;
+using SrtEntryCodec = EntryCodec<4, SrtAugCodec>;
+using Ir2EntryCodec = EntryCodec<2, Ir2AugCodec>;
+
+// ------------------------------------------------------ record encoders
+//
+// One encoder per record segment part, the only definition of its bytes.
+// `Out` is a byte sink with Pod/Str: the writer's SegmentWriter streams
+// records into the file, a ByteCounter sizes a segment before it is laid
+// out.  The reader's Parse* functions (io/index_file.cc) are the inverses.
+
+template <typename Out>
+void EncodeObjectsHeader(Out* out, uint64_t count) {
+  out->Pod(count);
 }
+
+template <typename Out>
+void EncodeObject(Out* out, uint32_t id, const DataObject& o) {
+  out->Pod(id);
+  out->Pod(o.pos.x);
+  out->Pod(o.pos.y);
+  out->Str(o.name);
+}
+
+template <typename Out>
+void EncodeVocabularyHeader(Out* out, uint32_t terms) {
+  out->Pod(terms);
+}
+
+template <typename Out>
+void EncodeTerm(Out* out, const std::string& term) {
+  out->Str(term);
+}
+
+template <typename Out>
+void EncodeFeatureTableHeader(Out* out, uint32_t universe, uint64_t count) {
+  out->Pod(universe);
+  out->Pod(count);
+}
+
+template <typename Out>
+void EncodeFeature(Out* out, uint32_t id, const FeatureObject& f) {
+  out->Pod(id);
+  out->Pod(f.pos.x);
+  out->Pod(f.pos.y);
+  out->Pod(f.score);
+  const std::vector<uint64_t>& blocks = f.keywords.blocks();
+  out->Pod(static_cast<uint32_t>(blocks.size()));
+  for (uint64_t b : blocks) out->Pod(b);
+  out->Str(f.name);
+}
+
+/// Byte sink that only counts: sizes a record segment before layout.
+class ByteCounter {
+ public:
+  template <typename T>
+  void Pod(const T&) {
+    bytes_ += sizeof(T);
+  }
+  void Str(const std::string& s) { bytes_ += 4 + s.size(); }
+  [[nodiscard]] uint64_t bytes() const { return bytes_; }
+
+ private:
+  uint64_t bytes_ = 0;
+};
 
 // ------------------------------------------------------- slot geometry
-
-/// Serialized width of one tree entry: D lo-doubles, D hi-doubles, a
-/// uint32 child/record id, then the codec payload.
-inline uint32_t EntryBytes(int dims, uint32_t payload_bytes) {
-  return 16u * static_cast<uint32_t>(dims) + 4u + payload_bytes;
-}
 
 /// Page-aligned fixed slot width for a node segment: the worst-case node
 /// record (8-byte header + max_entries entries) rounded up to the page.
@@ -279,22 +379,29 @@ inline void AppendSuperblock(std::string* out, uint32_t page_size,
   PutPod<uint32_t>(out, segment_count);
 }
 
+/// What a tree-metadata segment records besides the augmentation layout.
+struct TreeMeta {
+  NodeId root = kInvalidNodeId;
+  uint32_t height = 0;
+  uint64_t size = 0;  ///< leaf records
+  uint64_t node_count = 0;
+  uint32_t max_entries = 0;
+  std::vector<NodeId> free_nodes;
+};
+
 /// Appends a tree-metadata payload: root, height, record count, node
 /// count, fan-out, aug layout, then the free list.
-inline void AppendTreeMeta(std::string* out, uint32_t root, uint32_t height,
-                           uint64_t size, uint32_t node_count,
-                           uint32_t max_entries, uint32_t aug_bits,
-                           uint32_t aug_words,
-                           const std::vector<uint32_t>& free_nodes) {
-  PutPod<uint32_t>(out, root);
-  PutPod<uint32_t>(out, height);
-  PutPod<uint64_t>(out, size);
-  PutPod<uint32_t>(out, node_count);
-  PutPod<uint32_t>(out, max_entries);
+inline void AppendTreeMeta(std::string* out, const TreeMeta& m,
+                           uint32_t aug_bits, uint32_t aug_words) {
+  PutPod<uint32_t>(out, m.root);
+  PutPod<uint32_t>(out, m.height);
+  PutPod<uint64_t>(out, m.size);
+  PutPod<uint32_t>(out, static_cast<uint32_t>(m.node_count));
+  PutPod<uint32_t>(out, m.max_entries);
   PutPod<uint32_t>(out, aug_bits);
   PutPod<uint32_t>(out, aug_words);
-  PutPod<uint32_t>(out, static_cast<uint32_t>(free_nodes.size()));
-  for (uint32_t id : free_nodes) PutPod<uint32_t>(out, id);
+  PutPod<uint32_t>(out, static_cast<uint32_t>(m.free_nodes.size()));
+  for (NodeId id : m.free_nodes) PutPod<uint32_t>(out, id);
 }
 
 }  // namespace index_format

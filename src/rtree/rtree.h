@@ -37,7 +37,6 @@ inline constexpr NodeId kInvalidNodeId = std::numeric_limits<NodeId>::max();
 /// Augmentation for plain R-trees (no extra per-entry payload).
 struct NoAug {
   static NoAug Merge(const NoAug&, const NoAug&) { return {}; }
-  static constexpr uint32_t kEntryBytes = 0;
 };
 
 /// R-tree sizing and storage knobs.
@@ -45,8 +44,6 @@ struct RTreeOptions {
   /// Maximum entries per node (fan-out).  Derive from the page size with
   /// FanOutForPage() to mirror a disk layout.
   uint32_t max_entries = 64;
-  /// Minimum fill after a split, as a fraction of max_entries.
-  double min_fill = 0.4;
   /// Pool charged on node access; may be nullptr (no I/O accounting).
   BufferPool* buffer_pool = nullptr;
   /// Page-id namespace offset so multiple indexes can share one pool.
@@ -61,6 +58,12 @@ inline uint32_t FanOutForPage(uint32_t page_bytes, int dims,
   uint32_t header_bytes = 16;  // level, count, page metadata
   uint32_t fanout = (page_bytes - header_bytes) / entry_bytes;
   return std::max(fanout, 4u);
+}
+
+/// Minimum entries per node: 40% of the fan-out, at least 2.  Splits keep
+/// both halves at or above it, and the bulk-load packer never packs fewer.
+inline uint32_t MinEntries(uint32_t max_entries) {
+  return std::max<uint32_t>(2, static_cast<uint32_t>(max_entries * 0.4));
 }
 
 /// R-tree over D-dimensional rectangles with Aug-augmented entries.
@@ -81,10 +84,9 @@ class RTree {
     bool IsLeaf() const { return level == 0; }
   };
 
-  explicit RTree(RTreeOptions options = {}) : options_(options) {
+  explicit RTree(RTreeOptions options = {})
+      : options_(options), min_entries_(MinEntries(options.max_entries)) {
     STPQ_CHECK(options_.max_entries >= 4);
-    min_entries_ = std::max<uint32_t>(
-        2, static_cast<uint32_t>(options_.max_entries * options_.min_fill));
   }
 
   /// Number of indexed records.
@@ -130,13 +132,9 @@ class RTree {
     return nodes_[id];
   }
 
-  /// Serialization hooks (storage/index_file.*): the raw node array and
-  /// free list.  Persisting both keeps NodeIds — and therefore page ids and
-  /// golden I/O counts — identical across a save/load round trip.
-  [[nodiscard]] const std::vector<Node>& nodes() const {
-    MaterializeAll();
-    return nodes_;
-  }
+  /// Free list, persisted by the index writer (io/index_writer.h) with
+  /// every node slot so NodeIds — and therefore page ids and golden I/O
+  /// counts — stay identical across a save/load round trip.
   [[nodiscard]] const std::vector<NodeId>& free_nodes() const {
     return free_nodes_;
   }
@@ -227,50 +225,26 @@ class RTree {
     return true;
   }
 
-  /// Bulk loads from records pre-sorted by the caller (e.g. by Hilbert key
-  /// per Kamel & Faloutsos, or by STR tiles).  Replaces any existing content.
-  /// `fill` is the target leaf/node occupancy fraction.
+  /// Bulk loads from records pre-sorted by the caller (Hilbert or STR
+  /// order).  Replaces any existing content, free list included.  `fill`
+  /// is the target node occupancy fraction.  Defined in rtree/bulk_load.h:
+  /// it is the shared packer with a sink that stores each node in place.
   void BulkLoadSorted(const std::vector<Entry>& sorted_records,
-                      double fill = 1.0) {
-    nodes_.clear();
-    node_decoder_ = nullptr;
-    node_once_.reset();
-    materialized_nodes_.reset();
-    root_ = kInvalidNodeId;
-    height_ = 0;
-    size_ = sorted_records.size();
-    if (sorted_records.empty()) return;
-    uint32_t per_node = std::max<uint32_t>(
-        min_entries_,
-        static_cast<uint32_t>(options_.max_entries * fill));
-    per_node = std::min(per_node, options_.max_entries);
+                      double fill = 1.0);
 
-    // Pack the current level into parent entries, bottom-up.
-    std::vector<Entry> level_entries;
-    uint16_t level = 0;
-    {
-      const std::vector<Entry>& recs = sorted_records;
-      for (size_t i = 0; i < recs.size(); i += per_node) {
-        size_t end = std::min(recs.size(), i + per_node);
-        NodeId nid = NewNode(0);
-        nodes_[nid].entries.assign(recs.begin() + i, recs.begin() + end);
-        level_entries.push_back(SummarizeNode(nid));
-      }
+  /// Parent entry for a node holding `entries` under id `id`: MBR union
+  /// and Aug merge, folded left to right.
+  static Entry Summarize(NodeId id, const std::vector<Entry>& entries) {
+    STPQ_DCHECK(!entries.empty());
+    Entry out;
+    out.id = id;
+    out.rect = entries.front().rect;
+    out.aug = entries.front().aug;
+    for (size_t i = 1; i < entries.size(); ++i) {
+      out.rect.Enlarge(entries[i].rect);
+      out.aug = Aug::Merge(out.aug, entries[i].aug);
     }
-    while (level_entries.size() > 1) {
-      ++level;
-      std::vector<Entry> next;
-      for (size_t i = 0; i < level_entries.size(); i += per_node) {
-        size_t end = std::min(level_entries.size(), i + per_node);
-        NodeId nid = NewNode(level);
-        nodes_[nid].entries.assign(level_entries.begin() + i,
-                                   level_entries.begin() + end);
-        next.push_back(SummarizeNode(nid));
-      }
-      level_entries = std::move(next);
-    }
-    root_ = level_entries.front().id;
-    height_ = level + 1;
+    return out;
   }
 
   /// Calls `fn(record_id, rect, aug)` for every leaf record whose rectangle
@@ -472,19 +446,9 @@ class RTree {
     }
   }
 
-  /// Parent entry summarizing node `nid` (MBR union + Aug merge).
-  Entry SummarizeNode(NodeId nid) {
-    const Node& node = nodes_[nid];
-    STPQ_DCHECK(!node.entries.empty());
-    Entry out;
-    out.id = nid;
-    out.rect = node.entries.front().rect;
-    out.aug = node.entries.front().aug;
-    for (size_t i = 1; i < node.entries.size(); ++i) {
-      out.rect.Enlarge(node.entries[i].rect);
-      out.aug = Aug::Merge(out.aug, node.entries[i].aug);
-    }
-    return out;
+  /// Parent entry summarizing node `nid`.
+  Entry SummarizeNode(NodeId nid) const {
+    return Summarize(nid, nodes_[nid].entries);
   }
 
   /// Descends to the leaf with minimal area enlargement, recording the path

@@ -60,11 +60,20 @@ using PageId = uint64_t;
 /// Default simulated page size; node fan-out is derived from it.
 inline constexpr uint32_t kDefaultPageSizeBytes = 4096;
 
+/// Smallest page that holds the 16-byte node header plus at least one
+/// 2-D entry (rect + id).  Fan-out is clamped to >= 4 anyway, but a page
+/// below this is a configuration error, not a layout choice.
+inline constexpr uint32_t kMinPageSizeBytes = 64;
+
 /// Page-id namespace stride between indexes sharing one pool (and one
-/// PageStore): the object index owns pages [0, stride), feature index i
-/// owns [stride * (i + 1), stride * (i + 2)).  Node id == offset within
-/// the index's range, which the persisted file format relies on.
+/// PageStore).  Node id == offset within the index's range, which the
+/// persisted file format relies on.
 inline constexpr PageId kIndexPageStride = PageId{1} << 32;
+
+/// First page id of tree `tree` in the engine's page-id namespace.  Tree 0
+/// is the object index, which owns pages [0, stride); tree i + 1 is
+/// feature index i, which owns [stride * (i + 1), stride * (i + 2)).
+inline PageId TreePageBase(uint64_t tree) { return kIndexPageStride * tree; }
 
 /// Counters exposed by a BufferPool.
 struct BufferPoolStats {

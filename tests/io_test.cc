@@ -4,12 +4,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/engine.h"
 #include "gen/real_like.h"
 #include "gen/synthetic.h"
 #include "io/dataset_io.h"
 #include "io/index_file.h"
+#include "io/index_format.h"
 #include "util/rng.h"
 
 namespace stpq {
@@ -214,9 +217,11 @@ class IndexFileTest : public IoTest {
     return GenerateSynthetic(cfg);
   }
 
-  static Engine BuildEngine(const Dataset& ds, FeatureIndexKind kind) {
+  static Engine BuildEngine(const Dataset& ds, FeatureIndexKind kind,
+                            BulkLoadKind bulk = BulkLoadKind::kHilbert) {
     EngineOptions opts;
     opts.index_kind = kind;
+    opts.bulk_load = bulk;
     opts.storage.page_size = 256;  // small pages -> trees with real depth
     return Engine::Build(ds.objects,
                          std::vector<FeatureTable>(ds.feature_tables), opts)
@@ -254,9 +259,18 @@ class IndexFileTest : public IoTest {
     return path;
   }
 
-  void RoundTrip(FeatureIndexKind kind) {
+  static std::string ReadAll(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }
+
+  /// Build -> Save -> Open for every bulk-load kind, so the writer is
+  /// exercised on packed and on insertion-built trees alike.
+  void RoundTrip(FeatureIndexKind kind, BulkLoadKind bulk) {
     Dataset ds = SmallDataset();
-    Engine built = BuildEngine(ds, kind);
+    Engine built = BuildEngine(ds, kind, bulk);
     std::string path = Path("rt.stpqx");
     ASSERT_TRUE(built.Save(path).ok());
 
@@ -282,12 +296,39 @@ class IndexFileTest : public IoTest {
     }
     // The reopened engine really read pages from the file.
     EXPECT_GT(reopened.value().page_store().stats().fetches, 0u);
+
+    // Saving the reopened engine, whose nodes are restored lazily from
+    // the file, reproduces the file byte for byte.
+    std::string again = Path("rt_again.stpqx");
+    ASSERT_TRUE(reopened.value().Save(again).ok());
+    EXPECT_TRUE(ReadAll(path) == ReadAll(again))
+        << "re-saving a reopened engine changed the index bytes";
   }
 };
 
-TEST_F(IndexFileTest, RoundTripSrt) { RoundTrip(FeatureIndexKind::kSrt); }
+TEST_F(IndexFileTest, RoundTripSrt) {
+  RoundTrip(FeatureIndexKind::kSrt, BulkLoadKind::kHilbert);
+}
 
-TEST_F(IndexFileTest, RoundTripIr2) { RoundTrip(FeatureIndexKind::kIr2); }
+TEST_F(IndexFileTest, RoundTripIr2) {
+  RoundTrip(FeatureIndexKind::kIr2, BulkLoadKind::kHilbert);
+}
+
+TEST_F(IndexFileTest, RoundTripSrtStr) {
+  RoundTrip(FeatureIndexKind::kSrt, BulkLoadKind::kStr);
+}
+
+TEST_F(IndexFileTest, RoundTripIr2Str) {
+  RoundTrip(FeatureIndexKind::kIr2, BulkLoadKind::kStr);
+}
+
+TEST_F(IndexFileTest, RoundTripSrtInsert) {
+  RoundTrip(FeatureIndexKind::kSrt, BulkLoadKind::kInsert);
+}
+
+TEST_F(IndexFileTest, RoundTripIr2Insert) {
+  RoundTrip(FeatureIndexKind::kIr2, BulkLoadKind::kInsert);
+}
 
 TEST_F(IndexFileTest, VocabulariesRoundTrip) {
   Dataset ds = SmallDataset();
@@ -376,6 +417,36 @@ TEST_F(IndexFileTest, RejectsChecksumDamage) {
     b = static_cast<char>(b ^ 0x5c);
     f.seekp(static_cast<std::streamoff>(size - 100));
     f.write(&b, 1);
+  }
+  Result<LoadedIndex> r = LoadIndexFile(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  Result<Engine> e = Engine::Open(path);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(IndexFileTest, RejectsWrongObjectTreePageBase) {
+  // The catalog has no checksum, so a damaged page-id base is caught only
+  // by the base check: the object tree's node segment starts at page 0.
+  std::string path = SaveSmallIndex("base.stpqx");
+  Result<IndexFileInfo> info = ReadIndexFileInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  const std::vector<IndexSegmentInfo>& segments = info.value().segments;
+  size_t row = 0;
+  while (row < segments.size() && segments[row].name != "object_tree_nodes") {
+    ++row;
+  }
+  ASSERT_LT(row, segments.size());
+  {
+    // first_page follows the row's type, ordinal, offset and length.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(index_format::kSuperblockBytes +
+                                        row * index_format::kCatalogEntryBytes +
+                                        24));
+    const uint64_t bad_first_page = 12345;
+    f.write(reinterpret_cast<const char*>(&bad_first_page),
+            sizeof(bad_first_page));
   }
   Result<LoadedIndex> r = LoadIndexFile(path);
   ASSERT_FALSE(r.ok());

@@ -88,7 +88,7 @@ TEST_P(RTreeInsertTest, BulkLoadHilbertMatchesBruteForce) {
   opts.max_entries = 8;
   Tree2 tree(opts);
   std::vector<Tree2::Entry> sorted = pts;
-  SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted), 16);
+  SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted));
   tree.BulkLoadSorted(sorted);
   EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
   EXPECT_TRUE(tree.CheckInvariants(
@@ -148,7 +148,7 @@ TEST(RTreeTest, BulkLoadPacksTighter) {
   Tree2 inserted(opts), packed(opts);
   for (const auto& e : pts) inserted.Insert(e.rect, e.id);
   std::vector<Tree2::Entry> sorted = pts;
-  SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted), 16);
+  SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted));
   packed.BulkLoadSorted(sorted);
   EXPECT_LT(packed.node_count(), inserted.node_count());
 }
@@ -162,6 +162,30 @@ TEST(RTreeTest, BulkLoadFillFactor) {
   full.BulkLoadSorted(pts, 1.0);
   seventy.BulkLoadSorted(pts, 0.7);
   EXPECT_GT(seventy.node_count(), full.node_count());
+}
+
+TEST(RTreeTest, BulkLoadAfterDeletesReplacesContent) {
+  // Deletes leave node ids on the free list.  A bulk load replaces the
+  // whole tree, so it must drop them rather than hand out ids past the end
+  // of the rebuilt node array.
+  Rng rng(19);
+  std::vector<Tree2::Entry> pts = RandomPoints(&rng, 200);
+  RTreeOptions opts;
+  opts.max_entries = 8;
+  Tree2 tree(opts);
+  for (const auto& e : pts) tree.Insert(e.rect, e.id);
+  for (int i = 0; i < 190; ++i) {
+    ASSERT_TRUE(tree.Delete(pts[i].rect, pts[i].id));
+  }
+  ASSERT_GT(tree.free_node_count(), 0u);
+  tree.BulkLoadSorted(pts);
+  EXPECT_EQ(tree.free_node_count(), 0u);
+  EXPECT_EQ(tree.size(), 200u);
+  EXPECT_TRUE(tree.CheckInvariants(
+      [](const NoAug&, const NoAug&) { return true; }));
+  std::set<uint32_t> all;
+  for (uint32_t i = 0; i < 200; ++i) all.insert(i);
+  EXPECT_EQ(TreeRange(tree, MakeRect2(0, 0, 1, 1)), all);
 }
 
 TEST(RTreeTest, DuplicatePointsAllRetrievable) {
@@ -202,7 +226,7 @@ TEST(RTreeTest, SmallRangeTouchesFewPages) {
   Tree2 tree(opts);
   Rng rng(13);
   std::vector<Tree2::Entry> pts = RandomPoints(&rng, 10000);
-  SortByHilbertKey<2, NoAug>(&pts, ComputeDomain<2, NoAug>(pts), 16);
+  SortByHilbertKey<2, NoAug>(&pts, ComputeDomain<2, NoAug>(pts));
   tree.BulkLoadSorted(pts);
   pool.Clear();
   pool.ResetStats();
@@ -286,7 +310,7 @@ TEST(BulkLoadTest, HilbertOrderingIsSpatiallyLocal) {
   Rng rng(18);
   std::vector<Tree2::Entry> pts = RandomPoints(&rng, 2000);
   std::vector<Tree2::Entry> sorted = pts;
-  SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted), 16);
+  SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted));
   auto mean_hop = [](const std::vector<Tree2::Entry>& v) {
     double sum = 0;
     for (size_t i = 1; i < v.size(); ++i) {
