@@ -161,7 +161,7 @@ void BM_BufferPoolAccess(benchmark::State& state) {
   const std::vector<PageId> seq = PageSequence(7, 4095);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Access(seq[i]));
+    benchmark::DoNotOptimize(pool.Access(seq[i]).hit());
     i = (i + 1) & (seq.size() - 1);
   }
 }
@@ -372,7 +372,7 @@ void BM_BufferPoolAccessHit(benchmark::State& state) {
   const std::vector<PageId> seq = PageSequence(14, n - 1);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Access(seq[i]));
+    benchmark::DoNotOptimize(pool.Access(seq[i]).hit());
     i = (i + 1) & (seq.size() - 1);
   }
 }
@@ -383,14 +383,15 @@ void BM_BufferPoolAccessEvict(benchmark::State& state) {
   const std::vector<PageId> seq = PageSequence(15, 65535);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Access(seq[i]));
+    benchmark::DoNotOptimize(pool.Access(seq[i]).hit());
     i = (i + 1) & (seq.size() - 1);
   }
 }
 BENCHMARK(BM_BufferPoolAccessEvict);
 
 void BM_BufferPoolSessionHit(benchmark::State& state) {
-  // The query hot path: ReadNode charges a thread-bound isolated session.
+  // The query hot path: a node read charges a thread-bound isolated
+  // session.
   // Warm the private pool first so every timed access is a hit.
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   BufferPool shared(2 * n);
@@ -399,7 +400,7 @@ void BM_BufferPoolSessionHit(benchmark::State& state) {
   const std::vector<PageId> seq = PageSequence(17, n - 1);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.Access(seq[i]));
+    benchmark::DoNotOptimize(session.Access(seq[i]).hit());
     i = (i + 1) & (seq.size() - 1);
   }
 }
@@ -411,7 +412,7 @@ void BM_BufferPoolSessionIsolated(benchmark::State& state) {
   const std::vector<PageId> seq = PageSequence(16, 2047);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.Access(seq[i]));
+    benchmark::DoNotOptimize(session.Access(seq[i]).hit());
     i = (i + 1) & (seq.size() - 1);
   }
 }
@@ -440,14 +441,16 @@ std::unique_ptr<FilePageStore> OpenFixtureStore(uint64_t pages,
 }
 
 /// Cost of serving one buffer-pool miss from the index file: an extent
-/// lookup plus one cache-line touch per 64 bytes of the mapped slot.
+/// lookup plus a read of the mapped slot's header.
 void BM_FilePageStoreFetchMmap(benchmark::State& state) {
   std::unique_ptr<FilePageStore> store =
       OpenFixtureStore(4096, FilePageStore::IoMode::kMmap);
   const std::vector<PageId> seq = PageSequence(18, 4095);
+  std::vector<uint8_t> buffer;
+  FetchFault fault;
   size_t i = 0;
   for (auto _ : state) {
-    store->FetchPage(seq[i]);
+    benchmark::DoNotOptimize(store->FetchPage(seq[i], &buffer, &fault));
     benchmark::ClobberMemory();
     i = (i + 1) & (seq.size() - 1);
   }
@@ -460,9 +463,11 @@ void BM_FilePageStoreFetchPread(benchmark::State& state) {
   std::unique_ptr<FilePageStore> store =
       OpenFixtureStore(4096, FilePageStore::IoMode::kPread);
   const std::vector<PageId> seq = PageSequence(19, 4095);
+  std::vector<uint8_t> buffer;
+  FetchFault fault;
   size_t i = 0;
   for (auto _ : state) {
-    store->FetchPage(seq[i]);
+    benchmark::DoNotOptimize(store->FetchPage(seq[i], &buffer, &fault));
     benchmark::ClobberMemory();
     i = (i + 1) & (seq.size() - 1);
   }
@@ -478,7 +483,7 @@ void BM_BufferPoolMissFileBacked(benchmark::State& state) {
   const std::vector<PageId> seq = PageSequence(20, 4095);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Access(seq[i]));
+    benchmark::DoNotOptimize(pool.Access(seq[i]).hit());
     i = (i + 1) & (seq.size() - 1);
   }
 }

@@ -61,8 +61,19 @@ std::optional<ResultEntry> StpsCursor::Next() {
   std::optional<ExecutionSession::Scope> scope;
   if (session_ != nullptr) scope.emplace(session_.get());
   if (next_ == buffer_.size()) RefillBuffer();
+  if (session_ != nullptr && session_->failed()) {
+    // An empty node stood in for a page that could not be fetched, so
+    // nothing from here on (this refill included) can be trusted.
+    exhausted_ = true;
+    buffer_.clear();
+    next_ = 0;
+  }
   if (next_ == buffer_.size()) return std::nullopt;
   return buffer_[next_++];
+}
+
+Status StpsCursor::status() const {
+  return session_ != nullptr ? session_->status() : Status::OK();
 }
 
 QueryStats StpsCursor::stats() const {

@@ -49,8 +49,13 @@ class StpsCursor {
   StpsCursor(StpsCursor&&) = delete;
   StpsCursor& operator=(StpsCursor&&) = delete;
 
-  /// The next result, or nullopt once every data object has been returned.
+  /// The next result, or nullopt once every data object has been returned
+  /// or a page could not be fetched (then status() says why).
   std::optional<ResultEntry> Next();
+
+  /// OK, or the IoError/Corruption of the first page fetch that failed;
+  /// the cursor stops at that point.
+  [[nodiscard]] Status status() const;
 
   /// Cost counters accumulated so far, including the page reads charged to
   /// the cursor's session.

@@ -6,6 +6,7 @@
 #include "core/exec_session.h"
 #include "core/stds.h"
 #include "core/stps.h"
+#include "debug/validate.h"
 #include "io/index_file.h"
 #include "obs/query_metrics.h"
 #include "obs/trace.h"
@@ -29,6 +30,31 @@ FeatureIndexOptions FeatureOptions(const EngineOptions& options,
   fopts.signature_hashes = options.signature_hashes;
   fopts.set_ordinal = static_cast<uint32_t>(i);
   return fopts;
+}
+
+ObjectIndexOptions ObjectOptions(const EngineOptions& options,
+                                 BufferPool* pool) {
+  ObjectIndexOptions opts;
+  opts.page_size_bytes = options.storage.page_size;
+  opts.buffer_pool = pool;
+  opts.page_base = TreePageBase(0);
+  opts.fill = options.fill;
+  return opts;
+}
+
+/// Deep structural check of every index over its pages.
+[[maybe_unused]] Status ValidateIndexes(
+    const ObjectIndex& objects,
+    const std::vector<std::unique_ptr<FeatureIndex>>& features) {
+  STPQ_RETURN_NOT_OK(ValidateObjectIndex(objects));
+  for (const auto& index : features) {
+    if (const auto* srt = dynamic_cast<const SrtIndex*>(index.get())) {
+      STPQ_RETURN_NOT_OK(ValidateSrtIndex(*srt));
+    } else if (const auto* ir2 = dynamic_cast<const Ir2Tree*>(index.get())) {
+      STPQ_RETURN_NOT_OK(ValidateIr2Tree(*ir2));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -91,52 +117,66 @@ Result<Engine> Engine::Build(std::vector<DataObject> objects,
   for (size_t i = 0; i < objects.size(); ++i) {
     objects[i].id = static_cast<ObjectId>(i);
   }
-  return Engine(options, std::move(objects), std::move(feature_tables),
-                std::make_unique<SimulatedPageStore>(), nullptr);
+  // Pack every tree once into its pages; the trees themselves are gone
+  // when Pack returns, and the page array is all the engine keeps.
+  std::vector<TreeImage> images;
+  images.push_back(ObjectIndex::Pack(objects, ObjectOptions(options, nullptr)));
+  for (size_t i = 0; i < feature_tables.size(); ++i) {
+    const FeatureIndexOptions fopts = FeatureOptions(options, nullptr, i);
+    images.push_back(options.index_kind == FeatureIndexKind::kSrt
+                         ? SrtIndex::Pack(feature_tables[i], fopts)
+                         : Ir2Tree::Pack(feature_tables[i], fopts));
+  }
+  std::vector<TreeMeta> trees;
+  std::vector<SimulatedPageStore::Extent> extents;
+  for (size_t t = 0; t < images.size(); ++t) {
+    TreeImage& image = images[t];
+    if (image.meta.node_count > 0) {
+      extents.push_back({TreePageBase(t), image.meta.node_count,
+                         image.slot_bytes, std::move(image.pages)});
+    }
+    trees.push_back(std::move(image.meta));
+  }
+  Engine engine(options, std::move(objects), std::move(feature_tables),
+                std::make_unique<SimulatedPageStore>(std::move(extents)),
+                std::move(trees));
+  // Debug builds check every packed index; a violation is a packing bug.
+  // (An opened file is not checked this way: damage there must reach the
+  // caller as a typed error, never an abort.)
+  STPQ_VALIDATE(ValidateIndexes(*engine.object_index_,
+                                engine.feature_indexes_));
+  return engine;
 }
 
 Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
                std::vector<FeatureTable> feature_tables,
-               std::unique_ptr<PageStore> store, LoadedIndex* restored)
+               std::unique_ptr<PageStore> store, std::vector<TreeMeta> trees)
     : options_(std::move(options)),
       objects_(std::make_unique<std::vector<DataObject>>(std::move(objects))),
       feature_tables_(std::make_unique<std::vector<FeatureTable>>(
           std::move(feature_tables))),
       page_store_(std::move(store)) {
+  STPQ_CHECK(trees.size() == feature_tables_->size() + 1);
   object_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
                                               page_store_.get());
   feature_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
                                                page_store_.get());
-
-  ObjectIndexOptions obj_opts;
-  obj_opts.page_size_bytes = options_.storage.page_size;
-  obj_opts.buffer_pool = object_pool_.get();
-  obj_opts.page_base = TreePageBase(0);
-  obj_opts.fill = options_.fill;
-  object_index_ =
-      restored == nullptr
-          ? std::make_unique<ObjectIndex>(objects_.get(), obj_opts)
-          : std::make_unique<ObjectIndex>(objects_.get(), obj_opts,
-                                          std::move(restored->object_tree));
-
+  object_index_ = std::make_unique<ObjectIndex>(
+      objects_.get(), ObjectOptions(options_, object_pool_.get()),
+      std::move(trees[0]), page_store_.get());
   for (size_t i = 0; i < feature_tables_->size(); ++i) {
     const FeatureTable* table = &(*feature_tables_)[i];
     const FeatureIndexOptions fopts =
         FeatureOptions(options_, feature_pool_.get(), i);
+    TreeMeta& meta = trees[i + 1];
     switch (options_.index_kind) {
       case FeatureIndexKind::kSrt:
-        feature_indexes_.push_back(
-            restored == nullptr
-                ? std::make_unique<SrtIndex>(table, fopts)
-                : std::make_unique<SrtIndex>(
-                      table, fopts, std::move(restored->srt_trees[i])));
+        feature_indexes_.push_back(std::make_unique<SrtIndex>(
+            table, fopts, std::move(meta), page_store_.get()));
         break;
       case FeatureIndexKind::kIr2:
-        feature_indexes_.push_back(
-            restored == nullptr
-                ? std::make_unique<Ir2Tree>(table, fopts)
-                : std::make_unique<Ir2Tree>(
-                      table, fopts, std::move(restored->ir2_trees[i])));
+        feature_indexes_.push_back(std::make_unique<Ir2Tree>(
+            table, fopts, std::move(meta), page_store_.get()));
         break;
     }
     index_ptrs_.push_back(feature_indexes_.back().get());
@@ -148,8 +188,7 @@ Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
   sessions_ = std::make_unique<SessionPool>(
       object_pool_.get(), feature_pool_.get(), options_.cold_cache_per_query);
 
-  // Building touched the pools (restoring reads no pages); queries start
-  // from a clean slate either way.
+  // Queries start from a clean slate.
   object_pool_->Clear();
   object_pool_->ResetStats();
   feature_pool_->Clear();
@@ -181,7 +220,7 @@ Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
   if (!store_r.ok()) return store_r.status();
   return Engine(std::move(options), std::move(loaded.objects),
                 std::move(loaded.feature_tables), store_r.TakeValue(),
-                &loaded);
+                std::move(loaded.trees));
 }
 
 Status Engine::Save(const std::string& path,
@@ -279,6 +318,10 @@ Result<QueryResult> Engine::Execute(const Query& query,
   // drains this thread's ring so the end event is part of any captured
   // record.
   query_span.End();
+  // A page that could not be fetched read as an empty node, so the result
+  // may be missing entries: fail the query with the fetch's typed error.
+  st = session.status();
+  if (!st.ok()) return st;
   session.ExportIoCounters(result.stats);
   if (options.slow_log != nullptr) {
     options.slow_log->Offer(query_span.trace_id(), result.stats.cpu_ms,

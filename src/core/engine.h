@@ -35,7 +35,6 @@
 
 namespace stpq {
 
-struct LoadedIndex;  // io/index_file.h
 
 /// Query processing algorithms (Sections 5 and 6).
 enum class Algorithm {
@@ -118,7 +117,9 @@ struct EngineOptions {
 /// A fully indexed dataset ready to answer STPQ queries.
 class Engine {
  public:
-  /// Builds all indexes in memory over `objects` and `feature_tables`.
+  /// Builds all indexes in memory over `objects` and `feature_tables`:
+  /// packs every tree once into node pages held in an in-memory page
+  /// array (SimulatedPageStore), which the buffer pools serve.
   /// Checks `options` (page size, fill factor, signature and storage
   /// parameters) and the table count (at most kMaxFeatureSets), and
   /// returns InvalidArgument instead of building a broken engine.  The
@@ -129,20 +130,22 @@ class Engine {
                                             EngineOptions options = {});
 
   /// Opens a prebuilt .stpqx index file (WriteIndexFile / Engine::Save):
-  /// restores every index verbatim and serves buffer-pool misses from the
-  /// file through a FilePageStore.  Build parameters (index kind, page
-  /// size, fill, signatures) come from the file's superblock and override
-  /// whatever `options` says; runtime knobs (pool capacity, cold-cache,
-  /// pulling, batching, ...) are taken from `options`.  A reopened engine
-  /// answers every query with results and per-query page-read counters
-  /// identical to the engine that built the file.  Typed errors:
-  /// IoError (unreadable/truncated), InvalidArgument (not an index file /
-  /// unsupported version / more than kMaxFeatureSets tables), Corruption
-  /// (checksum or structural damage).
+  /// verifies it, maps it, and reads every node in place from its page in
+  /// the file (FilePageStore); no node is decoded into memory.  Build
+  /// parameters (index kind, page size, fill, signatures) come from the
+  /// file's superblock and override whatever `options` says; runtime knobs
+  /// (pool capacity, cold-cache, pulling, batching, ...) are taken from
+  /// `options`.  A reopened engine answers every query with results and
+  /// per-query page-read counters identical to the engine that built the
+  /// file.  Typed errors: IoError (unreadable/truncated), InvalidArgument
+  /// (not an index file / unsupported version, version 1 included / more
+  /// than kMaxFeatureSets tables), Corruption (checksum or structural
+  /// damage).
   [[nodiscard]] static Result<Engine> Open(const std::string& path,
                                            EngineOptions options = {});
 
-  /// Persists the whole index set to `path` for Engine::Open.
+  /// Persists the whole index set to `path` for Engine::Open; the node
+  /// segments are the engine's pages, written verbatim.
   /// `vocabularies` (one per feature table, table order) ride along so a
   /// reopened CLI can still parse query keywords; pass empty to persist
   /// blank vocabularies.
@@ -160,7 +163,9 @@ class Engine {
   /// malformed queries: keyword-set count != num_feature_sets(), a keyword
   /// set over another universe than its feature table's, k == 0, lambda
   /// outside [0, 1], or radius <= 0 (NN-variant queries ignore the radius
-  /// and are exempt from the radius check).
+  /// and are exempt from the radius check).  When a page the query needs
+  /// cannot be fetched, returns that fetch's IoError or Corruption instead
+  /// of a result.
   ///
   /// Thread-safe: any number of Execute/OpenCursor calls may run
   /// concurrently on one engine.
@@ -199,8 +204,8 @@ class Engine {
   }
   const ObjectIndex& object_index() const { return *object_index_; }
   const EngineOptions& options() const { return options_; }
-  /// The page source behind both buffer pools (SimulatedPageStore for
-  /// built engines, FilePageStore for opened ones).
+  /// The page source behind both buffer pools (the in-memory page array of
+  /// a built engine, the FilePageStore of an opened one).
   const PageStore& page_store() const { return *page_store_; }
 
   /// The buffer pools, for live occupancy reporting (/statusz).  Reading
@@ -214,12 +219,13 @@ class Engine {
   }
 
  private:
-  /// Builds the object index and one feature index per table, or with
-  /// `restored` (a loaded .stpqx image) adopts its trees instead.  `store`
-  /// backs both buffer pools; `options` must already be validated.
+  /// Sets up the object index and one feature index per table over the
+  /// packed trees `trees` (tree order: the object tree, then one per
+  /// table), whose pages `store` serves; `store` also backs both buffer
+  /// pools.  `options` must already be validated.
   Engine(EngineOptions options, std::vector<DataObject> objects,
          std::vector<FeatureTable> feature_tables,
-         std::unique_ptr<PageStore> store, LoadedIndex* restored);
+         std::unique_ptr<PageStore> store, std::vector<TreeMeta> trees);
 
   static Status ValidateOptions(const EngineOptions& options);
   /// STPS keeps per-feature-set state in arrays of kMaxFeatureSets, so

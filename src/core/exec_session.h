@@ -70,12 +70,24 @@ class ExecutionSession {
   TraversalScratch& scratch() { return scratch_; }
 
   /// Readies the session for another query: zeroes both pool sessions'
-  /// counters and empties their private cold pools, keeping frames and
-  /// page-table slots.  The scratch needs no reset — every user clears
-  /// what it borrows.
+  /// counters and errors and empties their private cold pools, keeping
+  /// frames, page buffers and page-table slots.  The scratch needs no
+  /// reset — every user clears what it borrows.
   void Reset() {
     object_session_.Reset();
     feature_session_.Reset();
+  }
+
+  /// The first page fetch failure of the query (object pool first), or OK.
+  /// A failed fetch yields an empty node, so a query that saw one has no
+  /// trustworthy result; Engine::Execute and the cursor return this.
+  [[nodiscard]] Status status() const {
+    Status object = object_session_.status();
+    return object.ok() ? feature_session_.status() : object;
+  }
+  /// Whether status() is not OK, without building it.
+  [[nodiscard]] bool failed() const {
+    return object_session_.failed() || feature_session_.failed();
   }
 
   /// Writes this session's I/O counters into `stats` (overwriting the

@@ -41,20 +41,12 @@ void ChildrenMemo::IndexMemo::Rebind(const FeatureIndex& index,
 }
 
 NodeChildren ChildrenMemo::IndexMemo::Evaluate(NodeId node, Entry& e) {
-  const uint16_t level = index_->NodeLevel(node);
-  index_->VisitChildren(node, keywords_, lambda_, &visited_);
   const size_t begin = children_.size();
-  uint32_t text_pruned = 0;
-  for (const FeatureBranch& b : visited_) {
-    if (b.text_match) {
-      children_.push_back(b);
-    } else {
-      ++text_pruned;
-    }
-  }
+  const NodeVisit visit =
+      index_->VisitChildren(node, keywords_, lambda_, &children_);
   e = Entry{static_cast<uint32_t>(begin),
-            static_cast<uint32_t>(children_.size() - begin), text_pruned,
-            level};
+            static_cast<uint32_t>(children_.size() - begin),
+            visit.text_pruned, visit.level};
   return ViewOf(e);
 }
 

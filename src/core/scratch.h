@@ -214,7 +214,7 @@ class StampedMap {
 
 /// The text-relevant children of one feature-index node.
 struct NodeChildren {
-  /// The node's entries whose text_match is set, in VisitChildren order.
+  /// The node's entries whose text_match is set, in page order.
   std::span<const FeatureBranch> relevant;
   /// Entries dropped because no query keyword can occur below them.
   uint32_t text_pruned = 0;
@@ -235,9 +235,11 @@ class ChildrenMemo {
   class IndexMemo {
    public:
     /// The relevant children of `node`.  The first visit evaluates the node
-    /// with FeatureIndex::VisitChildren; later visits return the kept
-    /// children and charge the page through FeatureIndex::TouchNode.  The
-    /// view is valid until the next Visit on this memo.
+    /// with FeatureIndex::VisitChildren, which writes its level, its
+    /// text-pruned count and only its relevant children straight into the
+    /// memo; later visits return the kept children and charge the page
+    /// through FeatureIndex::TouchNode.  The view is valid until the next
+    /// Visit on this memo.
     NodeChildren Visit(NodeId node) {
       bool first = false;
       Entry& e = entries_.FindOrInsert(node, &first);
@@ -277,7 +279,6 @@ class ChildrenMemo {
     double lambda_ = 0.0;
     StampedMap<Entry> entries_;  ///< node id -> its kept children
     std::vector<FeatureBranch> children_;  ///< every entry's children
-    std::vector<FeatureBranch> visited_;   ///< VisitChildren output
   };
 
   /// The memo of `index` bound to (`query_kw`, `lambda`), reset first when

@@ -1,6 +1,7 @@
 #include "core/stds.h"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,8 +55,9 @@ double ScoreObjectPruned(std::span<const FeatureIndex* const> indexes,
 QueryResult Stds::Execute(const Query& query, bool use_batching,
                           TraversalScratch* scratch) const {
   STPQ_CHECK(query.keywords.size() == feature_indexes_.size());
-  TraversalScratch local_scratch;
-  TraversalScratch& scr = scratch != nullptr ? *scratch : local_scratch;
+  std::optional<TraversalScratch> local_scratch;
+  TraversalScratch& scr =
+      scratch != nullptr ? *scratch : local_scratch.emplace();
   scr.children.Clear();
   QueryResult result;
   result.entries.reserve(std::min<size_t>(query.k, objects_->size()));

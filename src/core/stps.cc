@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -15,8 +17,9 @@ QueryResult Stps::Execute(const Query& query, PullingStrategy strategy,
                           TraversalScratch* scratch) const {
   STPQ_CHECK(query.keywords.size() == feature_indexes_.size());
   STPQ_CHECK(feature_indexes_.size() <= kMaxFeatureSets);
-  TraversalScratch local_scratch;
-  TraversalScratch& scr = scratch != nullptr ? *scratch : local_scratch;
+  std::optional<TraversalScratch> local_scratch;
+  TraversalScratch& scr =
+      scratch != nullptr ? *scratch : local_scratch.emplace();
   scr.children.Clear();
   switch (query.variant) {
     case ScoreVariant::kRange:
@@ -28,7 +31,7 @@ QueryResult Stps::Execute(const Query& query, PullingStrategy strategy,
     case ScoreVariant::kNearestNeighbor:
       return ExecuteNearestNeighbor(query, strategy, scr);
   }
-  STPQ_CHECK(false && "unknown score variant");
+  std::abort();  // every ScoreVariant returned above
 }
 
 QueryResult Stps::ExecuteRange(const Query& query, PullingStrategy strategy,

@@ -1,12 +1,14 @@
 #include "debug/validate.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "hilbert/hilbert.h"
 #include "hilbert/keyword_hilbert.h"
-#include "rtree/bulk_load.h"
 #include "util/thread_annotations.h"
 
 namespace stpq {
@@ -18,18 +20,18 @@ using validate_internal::FormatRect;
 std::string Num(double v) { return std::to_string(v); }
 std::string Num(uint64_t v) { return std::to_string(v); }
 
-/// Collects leaf entries in left-to-right tree order (the order bulk
-/// loading packed them in).
-template <int D, typename Aug>
-void CollectLeavesInOrder(const RTree<D, Aug>& tree, NodeId nid,
-                          std::vector<typename RTree<D, Aug>::Entry>* out) {
-  const auto& node = tree.PeekNode(nid);
-  if (node.IsLeaf()) {
-    out->insert(out->end(), node.entries.begin(), node.entries.end());
-    return;
-  }
-  for (const auto& e : node.entries) {
-    CollectLeavesInOrder(tree, e.id, out);
+/// Collects leaf rectangles in left-to-right tree order (the order bulk
+/// loading packed them in), with their record ids.
+template <int D>
+void CollectLeavesInOrder(const PagedTree& tree, NodeId nid,
+                          std::vector<std::pair<Rect<D>, uint32_t>>* out) {
+  const NodeView node = tree.PeekNode(nid);
+  for (uint32_t i = 0; i < node.size(); ++i) {
+    if (node.IsLeaf()) {
+      out->emplace_back(node.rect<D>(i), node.id(i));
+    } else {
+      CollectLeavesInOrder<D>(tree, node.id(i), out);
+    }
   }
 }
 
@@ -37,29 +39,30 @@ void CollectLeavesInOrder(const RTree<D, Aug>& tree, NodeId nid,
 /// the packing contract of BulkLoadKind::kHilbert (Kamel & Faloutsos).
 /// Recomputes the build-time keys: centers quantized to 16 bits/dim inside
 /// the record-set domain, exactly as HilbertSortKey does.
-template <int D, typename Aug>
-Status CheckHilbertLeafOrder(const RTree<D, Aug>& tree) {
+template <int D>
+Status CheckHilbertLeafOrder(const PagedTree& tree) {
   if (tree.root_id() == kInvalidNodeId) return Status::OK();
-  std::vector<typename RTree<D, Aug>::Entry> leaves;
+  std::vector<std::pair<Rect<D>, uint32_t>> leaves;
   leaves.reserve(tree.size());
-  CollectLeavesInOrder(tree, tree.root_id(), &leaves);
-  Rect<D> domain = ComputeDomain<D, Aug>(leaves);
+  CollectLeavesInOrder<D>(tree, tree.root_id(), &leaves);
+  Rect<D> domain = Rect<D>::Empty();
+  for (const auto& leaf : leaves) domain.Enlarge(leaf.first);
   uint64_t prev_key = 0;
   for (size_t i = 0; i < leaves.size(); ++i) {
     double unit[D];
     for (int d = 0; d < D; ++d) {
       double extent = domain.hi[d] - domain.lo[d];
       unit[d] = extent > 0.0
-                    ? (leaves[i].rect.Center(d) - domain.lo[d]) / extent
+                    ? (leaves[i].first.Center(d) - domain.lo[d]) / extent
                     : 0.0;
     }
     uint64_t key = HilbertKeyFromUnit(unit, /*b=*/16, D);
     if (i > 0 && key < prev_key) {
       return Status::Internal(
           "leaf record " + Num(static_cast<uint64_t>(i)) + " (id " +
-          Num(static_cast<uint64_t>(leaves[i].id)) + ") breaks the Hilbert "
-          "bulk-load order: key " + Num(key) + " < predecessor key " +
-          Num(prev_key));
+          Num(static_cast<uint64_t>(leaves[i].second)) + ") breaks the "
+          "Hilbert bulk-load order: key " + Num(key) +
+          " < predecessor key " + Num(prev_key));
     }
     prev_key = key;
   }
@@ -81,11 +84,46 @@ Status CheckLeafIdBijection(std::span<const uint32_t> seen_counts,
   return Status::OK();
 }
 
+/// The keyword column of entry `i` as its words.
+std::vector<uint64_t> KeywordWords(const NodeView& node, uint32_t i) {
+  std::vector<uint64_t> words(node.keyword_words());
+  for (uint32_t w = 0; w < words.size(); ++w) {
+    words[w] = node.keyword_word(i, w);
+  }
+  return words;
+}
+
+/// Dominance of a parent entry's summary over a child entry's: the max
+/// score bounds the child's, and the parent's keyword column covers every
+/// bit of the child's.  `covers` names the set relation in the message.
+Status CheckSummaryDominance(const NodeView& parent, uint32_t i,
+                             const NodeView& child, uint32_t j,
+                             const char* what) {
+  if (parent.score(i) < child.score(j)) {
+    return Status::Internal("aggregate score bound " + Num(parent.score(i)) +
+                            " does not dominate child score " +
+                            Num(child.score(j)));
+  }
+  uint64_t child_bits = 0;
+  uint64_t covered = 0;
+  for (uint32_t w = 0; w < child.keyword_words(); ++w) {
+    const uint64_t c = child.keyword_word(j, w);
+    child_bits += std::popcount(c);
+    covered += std::popcount(c & parent.keyword_word(i, w));
+  }
+  if (covered != child_bits) {
+    return Status::Internal(std::string(what) + " (child has " +
+                            Num(child_bits) + " bits, only " + Num(covered) +
+                            " covered)");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status ValidateSrtIndex(const SrtIndex& index) {
   const FeatureTable& table = index.table();
-  const RTree<4, SrtAug>& tree = index.tree();
+  const PagedTree& tree = index.tree();
   if (tree.size() != table.size()) {
     return Status::Internal("SRT tree holds " + Num(tree.size()) +
                             " records for a table of " +
@@ -94,96 +132,82 @@ Status ValidateSrtIndex(const SrtIndex& index) {
   }
 
   std::vector<uint32_t> seen(table.size(), 0);
+  const uint32_t universe = table.universe_size();
 
-  auto summary_check = [](const RTree<4, SrtAug>::Entry& parent,
-                          const RTree<4, SrtAug>::Entry& child) {
-    if (parent.aug.max_score < child.aug.max_score) {
-      return Status::Internal("aggregate score bound " +
-                              Num(parent.aug.max_score) +
-                              " does not dominate child score " +
-                              Num(child.aug.max_score));
-    }
-    if (parent.aug.keywords.universe_size() !=
-        child.aug.keywords.universe_size()) {
-      return Status::Internal("keyword universe mismatch between parent and "
-                              "child augmentation");
-    }
-    if (parent.aug.keywords.IntersectCount(child.aug.keywords) !=
-        child.aug.keywords.Count()) {
-      return Status::Internal(
-          "node keyword set W is not a superset of its child's (child has " +
-          Num(static_cast<uint64_t>(child.aug.keywords.Count())) +
-          " keywords, only " +
-          Num(static_cast<uint64_t>(
-              parent.aug.keywords.IntersectCount(child.aug.keywords))) +
-          " covered)");
-    }
-    return Status::OK();
+  auto summary_check = [](const NodeView& parent, uint32_t i,
+                          const NodeView& child, uint32_t j) {
+    return CheckSummaryDominance(
+        parent, i, child, j,
+        "node keyword set W is not a superset of its child's");
   };
 
-  auto entry_check = [&](const RTree<4, SrtAug>::Entry& e, bool is_leaf) {
-    if (e.aug.keywords.universe_size() != table.universe_size()) {
-      return Status::Internal(
-          "augmentation keyword universe " +
-          Num(static_cast<uint64_t>(e.aug.keywords.universe_size())) +
-          " != table universe " +
-          Num(static_cast<uint64_t>(table.universe_size())));
-    }
-    // The cached decoded keyword set and the stored aggregated Hilbert
-    // value must describe the same set (Section 4.2 keeps them in sync).
-    if (EncodeKeywords(e.aug.keywords) != e.aug.keyword_hilbert) {
-      return Status::Internal(
-          "aggregated Hilbert value is not the encoding of the cached "
-          "keyword set (stale e.W cache)");
+  auto entry_check = [&](const NodeView& node, uint32_t i) {
+    const Rect4 rect = node.rect<4>(i);
+    // e.W lives in the universe: no bit past it may be set.
+    const std::vector<uint64_t> words = KeywordWords(node, i);
+    for (uint32_t w = 0; w < words.size(); ++w) {
+      const uint32_t first_bit = 64 * w;
+      uint64_t outside = 0;
+      if (first_bit >= universe) {
+        outside = ~uint64_t{0};
+      } else if (universe - first_bit < 64) {
+        outside = ~uint64_t{0} << (universe - first_bit);
+      }
+      if ((words[w] & outside) != 0) {
+        return Status::Internal("keyword column sets terms outside the "
+                                "universe of " +
+                                Num(static_cast<uint64_t>(universe)));
+      }
     }
     // Dimension 2 of the mapped 4-D space is the non-spatial score.
-    if (e.rect.lo[2] < 0.0 || e.rect.hi[2] > 1.0) {
+    if (rect.lo[2] < 0.0 || rect.hi[2] > 1.0) {
       return Status::Internal("score dimension of mapped MBR " +
-                              FormatRect(e.rect) + " leaves [0,1]");
+                              FormatRect(rect) + " leaves [0,1]");
     }
-    if (!is_leaf) return Status::OK();
+    if (!node.IsLeaf()) return Status::OK();
 
-    if (e.id >= table.size()) {
+    const uint32_t id = node.id(i);
+    if (id >= table.size()) {
       return Status::Internal("leaf record id " +
-                              Num(static_cast<uint64_t>(e.id)) +
+                              Num(static_cast<uint64_t>(id)) +
                               " out of range for table of " +
                               Num(static_cast<uint64_t>(table.size())));
     }
-    ++seen[e.id];
-    const FeatureObject& f = table.Get(e.id);
-    HilbertValue hv = EncodeKeywords(f.keywords);
+    ++seen[id];
+    const FeatureObject& f = table.Get(id);
+    // The 4th coordinate is H(t.W), re-derived from the record.
     const std::array<double, 4> p{f.pos.x, f.pos.y, f.score,
-                                  hv.ToUnitDouble()};
+                                  EncodeKeywords(f.keywords).ToUnitDouble()};
     for (int d = 0; d < 4; ++d) {
-      if (e.rect.lo[d] != p[d] || e.rect.hi[d] != p[d]) {
+      if (rect.lo[d] != p[d] || rect.hi[d] != p[d]) {
         return Status::Internal(
-            "leaf rect " + FormatRect(e.rect) + " is not the mapped 4-D "
-            "point of feature " + Num(static_cast<uint64_t>(e.id)) +
+            "leaf rect " + FormatRect(rect) + " is not the mapped 4-D "
+            "point of feature " + Num(static_cast<uint64_t>(id)) +
             " (dim " + std::to_string(d) + ")");
       }
     }
-    if (e.aug.max_score != f.score) {
+    if (node.score(i) != f.score) {
       return Status::Internal("leaf augmentation score " +
-                              Num(e.aug.max_score) + " != feature score " +
+                              Num(node.score(i)) + " != feature score " +
                               Num(f.score));
     }
-    if (!(e.aug.keywords == f.keywords)) {
+    if (words != f.keywords.blocks()) {
       return Status::Internal("leaf augmentation keywords differ from "
                               "feature " +
-                              Num(static_cast<uint64_t>(e.id)) +
+                              Num(static_cast<uint64_t>(id)) +
                               "'s keyword set");
     }
     return Status::OK();
   };
 
-  Status st = ValidateRTree<4, SrtAug>(tree, summary_check, entry_check);
+  Status st = ValidatePagedTree<4>(tree, summary_check, entry_check);
   if (!st.ok()) {
     return Status::Internal("SRT-index: " + st.message());
   }
   st = CheckLeafIdBijection(seen, "SRT-index: feature");
   STPQ_RETURN_NOT_OK(st);
   if (index.build_kind() == BulkLoadKind::kHilbert) {
-    st = CheckHilbertLeafOrder<4, SrtAug>(tree);
+    st = CheckHilbertLeafOrder<4>(tree);
     if (!st.ok()) {
       return Status::Internal("SRT-index: " + st.message());
     }
@@ -194,7 +218,7 @@ Status ValidateSrtIndex(const SrtIndex& index) {
 Status ValidateIr2Tree(const Ir2Tree& index) {
   const FeatureTable& table = index.table();
   const SignatureScheme& scheme = index.scheme();
-  const RTree<2, Ir2Aug>& tree = index.tree();
+  const PagedTree& tree = index.tree();
   if (tree.size() != table.size()) {
     return Status::Internal("IR2-tree holds " + Num(tree.size()) +
                             " records for a table of " +
@@ -204,60 +228,47 @@ Status ValidateIr2Tree(const Ir2Tree& index) {
 
   std::vector<uint32_t> seen(table.size(), 0);
 
-  auto summary_check = [](const RTree<2, Ir2Aug>::Entry& parent,
-                          const RTree<2, Ir2Aug>::Entry& child) {
-    if (parent.aug.max_score < child.aug.max_score) {
-      return Status::Internal("aggregate score bound " +
-                              Num(parent.aug.max_score) +
-                              " does not dominate child score " +
-                              Num(child.aug.max_score));
-    }
-    if (!parent.aug.signature.Covers(child.aug.signature)) {
-      return Status::Internal(
-          "node signature does not cover its child's signature (would "
-          "create false negatives)");
-    }
-    return Status::OK();
+  auto summary_check = [](const NodeView& parent, uint32_t i,
+                          const NodeView& child, uint32_t j) {
+    return CheckSummaryDominance(
+        parent, i, child, j,
+        "node signature does not cover its child's signature (would create "
+        "false negatives)");
   };
 
-  auto entry_check = [&](const RTree<2, Ir2Aug>::Entry& e, bool is_leaf) {
-    if (e.aug.signature.bits() != scheme.signature_bits()) {
-      return Status::Internal(
-          "signature width " +
-          Num(static_cast<uint64_t>(e.aug.signature.bits())) +
-          " != scheme width " +
-          Num(static_cast<uint64_t>(scheme.signature_bits())));
-    }
-    if (!is_leaf) return Status::OK();
-    if (e.id >= table.size()) {
+  auto entry_check = [&](const NodeView& node, uint32_t i) {
+    if (!node.IsLeaf()) return Status::OK();
+    const uint32_t id = node.id(i);
+    if (id >= table.size()) {
       return Status::Internal("leaf record id " +
-                              Num(static_cast<uint64_t>(e.id)) +
+                              Num(static_cast<uint64_t>(id)) +
                               " out of range for table of " +
                               Num(static_cast<uint64_t>(table.size())));
     }
-    ++seen[e.id];
-    const FeatureObject& f = table.Get(e.id);
-    if (e.rect.lo[0] != f.pos.x || e.rect.hi[0] != f.pos.x ||
-        e.rect.lo[1] != f.pos.y || e.rect.hi[1] != f.pos.y) {
-      return Status::Internal("leaf rect " + FormatRect(e.rect) +
+    ++seen[id];
+    const FeatureObject& f = table.Get(id);
+    const Rect2 rect = node.mbr(i);
+    if (rect.lo[0] != f.pos.x || rect.hi[0] != f.pos.x ||
+        rect.lo[1] != f.pos.y || rect.hi[1] != f.pos.y) {
+      return Status::Internal("leaf rect " + FormatRect(rect) +
                               " is not the point of feature " +
-                              Num(static_cast<uint64_t>(e.id)));
+                              Num(static_cast<uint64_t>(id)));
     }
-    if (e.aug.max_score != f.score) {
+    if (node.score(i) != f.score) {
       return Status::Internal("leaf augmentation score " +
-                              Num(e.aug.max_score) + " != feature score " +
+                              Num(node.score(i)) + " != feature score " +
                               Num(f.score));
     }
-    if (!(e.aug.signature == scheme.SetSignature(f.keywords))) {
+    if (KeywordWords(node, i) != scheme.SetSignature(f.keywords).words()) {
       return Status::Internal("leaf signature differs from the scheme "
                               "signature of feature " +
-                              Num(static_cast<uint64_t>(e.id)) +
+                              Num(static_cast<uint64_t>(id)) +
                               "'s keywords");
     }
     return Status::OK();
   };
 
-  Status st = ValidateRTree<2, Ir2Aug>(tree, summary_check, entry_check);
+  Status st = ValidatePagedTree<2>(tree, summary_check, entry_check);
   if (!st.ok()) {
     return Status::Internal("IR2-tree: " + st.message());
   }
@@ -265,7 +276,7 @@ Status ValidateIr2Tree(const Ir2Tree& index) {
 }
 
 Status ValidateObjectIndex(const ObjectIndex& index) {
-  const RTree<2>& tree = index.tree();
+  const PagedTree& tree = index.tree();
   if (tree.size() != index.size()) {
     return Status::Internal("object R-tree holds " + Num(tree.size()) +
                             " records for " +
@@ -273,29 +284,30 @@ Status ValidateObjectIndex(const ObjectIndex& index) {
                             " objects");
   }
   std::vector<uint32_t> seen(index.size(), 0);
-  auto no_summary = [](const RTree<2>::Entry&, const RTree<2>::Entry&) {
-    return Status::OK();
-  };
-  auto entry_check = [&](const RTree<2>::Entry& e, bool is_leaf) {
-    if (!is_leaf) return Status::OK();
-    if (e.id >= index.size()) {
+  auto no_summary = [](const NodeView&, uint32_t, const NodeView&,
+                       uint32_t) { return Status::OK(); };
+  auto entry_check = [&](const NodeView& node, uint32_t i) {
+    if (!node.IsLeaf()) return Status::OK();
+    const uint32_t id = node.id(i);
+    if (id >= index.size()) {
       return Status::Internal("leaf record id " +
-                              Num(static_cast<uint64_t>(e.id)) +
+                              Num(static_cast<uint64_t>(id)) +
                               " out of range for " +
                               Num(static_cast<uint64_t>(index.size())) +
                               " objects");
     }
-    ++seen[e.id];
-    const Point& pos = index.Get(e.id).pos;
-    if (e.rect.lo[0] != pos.x || e.rect.hi[0] != pos.x ||
-        e.rect.lo[1] != pos.y || e.rect.hi[1] != pos.y) {
-      return Status::Internal("leaf rect " + FormatRect(e.rect) +
+    ++seen[id];
+    const Point& pos = index.Get(id).pos;
+    const Rect2 rect = node.mbr(i);
+    if (rect.lo[0] != pos.x || rect.hi[0] != pos.x || rect.lo[1] != pos.y ||
+        rect.hi[1] != pos.y) {
+      return Status::Internal("leaf rect " + FormatRect(rect) +
                               " is not the position of object " +
-                              Num(static_cast<uint64_t>(e.id)));
+                              Num(static_cast<uint64_t>(id)));
     }
     return Status::OK();
   };
-  Status st = ValidateRTree<2, NoAug>(tree, no_summary, entry_check);
+  Status st = ValidatePagedTree<2>(tree, no_summary, entry_check);
   if (!st.ok()) {
     return Status::Internal("object index: " + st.message());
   }
@@ -386,7 +398,6 @@ Status ValidateBufferPool(const BufferPool& pool) {
   // range, back-links must mirror forward links, and the chain must be
   // acyclic and end at the recorded tail.
   uint64_t chain_count = 0;
-  uint64_t pinned_count = 0;
   uint32_t prev = kNil;
   for (uint32_t f = pool.head_; f != kNil; f = pool.frames_[f].next) {
     if (f >= pool.frames_.size()) {
@@ -413,7 +424,6 @@ Status ValidateBufferPool(const BufferPool& pool) {
                               Num(pool.frames_[f].page) +
                               " does not point back at its LRU frame");
     }
-    if (pool.frames_[f].pins > 0) ++pinned_count;
     prev = f;
   }
   if (prev != pool.tail_) {
@@ -434,11 +444,6 @@ Status ValidateBufferPool(const BufferPool& pool) {
         "buffer pool: LRU chain links " + Num(chain_count) +
         " frames but the page table maps " +
         Num(static_cast<uint64_t>(pool.table_.size())) + " pages");
-  }
-  if (pinned_count != pool.pinned_count_) {
-    return Status::Internal("buffer pool: " + Num(pinned_count) +
-                            " resident frames carry pins but the pinned "
-                            "counter records " + Num(pool.pinned_count_));
   }
   // Free-list frames must be disjoint from the chain: unpinned, absent
   // from the table, and the two lists together never exceed the array.

@@ -13,13 +13,16 @@
 #ifndef STPQ_DEBUG_VALIDATE_H_
 #define STPQ_DEBUG_VALIDATE_H_
 
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "index/ir2_tree.h"
 #include "index/object_index.h"
+#include "index/paged_tree.h"
 #include "index/srt_index.h"
+#include "rtree/node_page.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 #include "text/inverted_index.h"
@@ -37,6 +40,16 @@ inline std::string ChildPath(const std::string& parent_path, NodeId child,
          std::to_string(entry_slot) + "]";
 }
 
+/// The entry count a node's page header claims (NodeView clamps what it
+/// exposes to the fan-out, so the validators read the header itself).
+inline uint32_t StoredCount(const NodeView& node) {
+  const std::span<const uint8_t> bytes = node.page().bytes();
+  if (bytes.size() < kNodeHeaderBytes) return 0;
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + 4, sizeof(count));
+  return count;
+}
+
 /// "[lo0,hi0]x[lo1,hi1]..." for violation messages.
 template <int D>
 std::string FormatRect(const Rect<D>& r) {
@@ -50,28 +63,27 @@ std::string FormatRect(const Rect<D>& r) {
 
 }  // namespace validate_internal
 
-/// Structural validation of an R-tree:
+/// Structural validation of a paged tree (the pages an index reads):
 ///   * node levels decrease by exactly one per step and all leaves sit at
 ///     level 0 (uniform leaf depth);
 ///   * every node holds between 1 and max_entries entries (bulk loading may
 ///     legally leave tail nodes under the insertion-path minimum fill);
-///   * each internal entry's MBR is exactly the union of its child's entry
-///     MBRs (containment + tightness);
+///   * each internal entry's rectangle is exactly the union of its child's
+///     entry rectangles (containment + tightness), in all D dimensions;
 ///   * no node is reachable twice (no sharing/cycles) and reachable +
-///     free-listed nodes account for every allocated node;
+///     free-listed nodes account for every node;
 ///   * the number of leaf records equals tree.size().
 ///
-/// `summary_check(parent_entry, child_entry)` is called for every entry of
-/// every child node against the parent entry summarizing that node — the
+/// `summary_check(parent, i, child, j)` is called for every entry j of
+/// every child node against the parent entry i summarizing that node — the
 /// hook where augmentation dominance (max-score bounds, keyword supersets)
-/// is verified.  `entry_check(entry, is_leaf)` is called once per entry for
-/// self-consistency checks.  Both return Status; ValidateRTree prefixes the
-/// node path to whatever message they produce.
-template <int D, typename Aug, typename SummaryCheck, typename EntryCheck>
-Status ValidateRTree(const RTree<D, Aug>& tree, SummaryCheck&& summary_check,
-                     EntryCheck&& entry_check) {
-  using Tree = RTree<D, Aug>;
-  using Node = typename Tree::Node;
+/// is verified.  `entry_check(node, i)` is called once per entry for
+/// self-consistency checks.  Both return Status; ValidatePagedTree
+/// prefixes the node path to whatever message they produce.  Pages are
+/// read without charging any pool.
+template <int D, typename SummaryCheck, typename EntryCheck>
+Status ValidatePagedTree(const PagedTree& tree, SummaryCheck&& summary_check,
+                         EntryCheck&& entry_check) {
   using validate_internal::ChildPath;
   using validate_internal::FormatRect;
 
@@ -115,27 +127,27 @@ Status ValidateRTree(const RTree<D, Aug>& tree, SummaryCheck&& summary_check,
     }
     visited[frame.id] = true;
 
-    const Node& node = tree.PeekNode(frame.id);
-    if (node.level != frame.expected_level) {
+    const NodeView node = tree.PeekNode(frame.id);
+    if (node.level() != frame.expected_level) {
       return Status::Internal(
-          frame.path + ": node level " + std::to_string(node.level) +
+          frame.path + ": node level " + std::to_string(node.level()) +
           " does not match expected depth level " +
           std::to_string(frame.expected_level) +
           " (leaf depth must be uniform)");
     }
-    if (node.entries.empty()) {
+    const uint32_t stored = validate_internal::StoredCount(node);
+    if (stored > tree.max_entries()) {
+      return Status::Internal(
+          frame.path + ": node holds " + std::to_string(stored) +
+          " entries, above max_entries " +
+          std::to_string(tree.max_entries()));
+    }
+    if (node.size() == 0) {
       return Status::Internal(frame.path + ": node has no entries");
     }
-    if (node.entries.size() > tree.options().max_entries) {
-      return Status::Internal(
-          frame.path + ": node holds " + std::to_string(node.entries.size()) +
-          " entries, above max_entries " +
-          std::to_string(tree.options().max_entries));
-    }
 
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      const auto& e = node.entries[i];
-      Status entry_st = entry_check(e, node.IsLeaf());
+    for (uint32_t i = 0; i < node.size(); ++i) {
+      Status entry_st = entry_check(node, i);
       if (!entry_st.ok()) {
         return Status::Internal(frame.path + "[e" + std::to_string(i) +
                                 "]: " + entry_st.message());
@@ -143,43 +155,46 @@ Status ValidateRTree(const RTree<D, Aug>& tree, SummaryCheck&& summary_check,
     }
 
     if (node.IsLeaf()) {
-      leaf_records += node.entries.size();
+      leaf_records += node.size();
       continue;
     }
 
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      const auto& e = node.entries[i];
-      if (e.id >= tree.node_count()) {
+    for (uint32_t i = 0; i < node.size(); ++i) {
+      const NodeId child_id = node.id(i);
+      if (child_id >= tree.node_count()) {
         return Status::Internal(frame.path + "[e" + std::to_string(i) +
-                                "]: child node id " + std::to_string(e.id) +
-                                " out of range");
+                                "]: child node id " +
+                                std::to_string(child_id) + " out of range");
       }
-      const Node& child = tree.PeekNode(e.id);
-      const std::string child_path = ChildPath(frame.path, e.id, i);
-      if (child.entries.empty()) {
+      const NodeView child = tree.PeekNode(child_id);
+      const std::string child_path = ChildPath(frame.path, child_id, i);
+      if (child.size() == 0) {
         return Status::Internal(child_path + ": child node has no entries");
       }
-      // The parent entry's MBR must be the exact union of the child's MBRs.
-      Rect<D> unioned = child.entries.front().rect;
-      for (size_t j = 1; j < child.entries.size(); ++j) {
-        unioned.Enlarge(child.entries[j].rect);
+      // The parent entry's rectangle must be the exact union of the
+      // child's.
+      const Rect<D> rect = node.rect<D>(i);
+      Rect<D> unioned = child.rect<D>(0);
+      for (uint32_t j = 1; j < child.size(); ++j) {
+        unioned.Enlarge(child.rect<D>(j));
       }
       for (int d = 0; d < D; ++d) {
-        if (unioned.lo[d] != e.rect.lo[d] || unioned.hi[d] != e.rect.hi[d]) {
+        if (unioned.lo[d] != rect.lo[d] || unioned.hi[d] != rect.hi[d]) {
           return Status::Internal(
-              child_path + ": parent entry MBR " + FormatRect(e.rect) +
+              child_path + ": parent entry MBR " + FormatRect(rect) +
               " is not the exact union " + FormatRect(unioned) +
               " of the child's entry MBRs (dim " + std::to_string(d) + ")");
         }
       }
-      for (size_t j = 0; j < child.entries.size(); ++j) {
-        Status st = summary_check(e, child.entries[j]);
+      for (uint32_t j = 0; j < child.size(); ++j) {
+        Status st = summary_check(node, i, child, j);
         if (!st.ok()) {
           return Status::Internal(child_path + "[e" + std::to_string(j) +
                                   "]: " + st.message());
         }
       }
-      stack.push_back({e.id, static_cast<uint16_t>(frame.expected_level - 1),
+      stack.push_back({child_id,
+                       static_cast<uint16_t>(frame.expected_level - 1),
                        child_path});
     }
   }
@@ -201,18 +216,25 @@ Status ValidateRTree(const RTree<D, Aug>& tree, SummaryCheck&& summary_check,
   return Status::OK();
 }
 
-/// Structure-only overload (no augmentation checks).
-template <int D, typename Aug>
-Status ValidateRTree(const RTree<D, Aug>& tree) {
-  auto no_summary = [](const auto&, const auto&) { return Status::OK(); };
-  auto no_entry = [](const auto&, bool) { return Status::OK(); };
-  return ValidateRTree<D, Aug>(tree, no_summary, no_entry);
+/// Structure-only validation of a plain R-tree (a build-time tree, e.g.
+/// after Insert/Delete churn): its encoded pages must pass
+/// ValidatePagedTree.
+template <int D>
+Status ValidateRTree(const RTree<D>& tree) {
+  const PageLayout layout{0, /*has_score=*/false, /*four_d=*/D == 4};
+  const PagedTree paged(EncodeTree(tree, layout, kDefaultPageSizeBytes),
+                        layout, nullptr, 0);
+  auto no_summary = [](const NodeView&, uint32_t, const NodeView&,
+                       uint32_t) { return Status::OK(); };
+  auto no_entry = [](const NodeView&, uint32_t) { return Status::OK(); };
+  return ValidatePagedTree<D>(paged, no_summary, no_entry);
 }
 
 /// SRT-index validation (Section 4 invariants): R-tree structure, per-entry
 /// aggregate score upper bounds dominating children, node keyword sets
-/// supersets of their children, Hilbert/keyword-cache consistency, leaf
-/// entries matching the feature table, and — for Hilbert bulk loads —
+/// supersets of their children, keyword columns inside the universe, leaf
+/// entries matching the feature table (the 4th coordinate re-derived as
+/// H(t.W) with EncodeKeywords), and — for Hilbert bulk loads —
 /// non-decreasing Hilbert keys across the leaf level.
 [[nodiscard]] Status ValidateSrtIndex(const SrtIndex& index);
 

@@ -8,15 +8,13 @@ namespace stpq {
 
 namespace {
 
-/// Shared traversal: Tree is RTree<D, Aug>; leaf entry ids are feature ids.
-template <int D, typename Aug>
-IndexStatsReport Analyze(const RTree<D, Aug>& tree,
-                         const FeatureTable& table) {
+/// Shared traversal over the index's pages; leaf entry ids are feature ids.
+IndexStatsReport Analyze(const PagedTree& tree, const FeatureTable& table) {
   IndexStatsReport out;
   out.height = tree.height();
   out.node_count = tree.node_count();
   out.record_count = tree.size();
-  out.fan_out = tree.options().max_entries;
+  out.fan_out = tree.max_entries();
   if (tree.root_id() == kInvalidNodeId) return out;
 
   double fill_sum = 0, spread_sum = 0, kw_sum = 0, margin_sum = 0;
@@ -24,18 +22,18 @@ IndexStatsReport Analyze(const RTree<D, Aug>& tree,
   while (!stack.empty()) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const auto& node = tree.ReadNode(nid);
+    const NodeView node = tree.ReadNode(nid);
     if (!node.IsLeaf()) {
-      for (const auto& e : node.entries) stack.push_back(e.id);
+      for (uint32_t i = 0; i < node.size(); ++i) stack.push_back(node.id(i));
       continue;
     }
     ++out.leaf_count;
-    fill_sum += static_cast<double>(node.entries.size()) / out.fan_out;
+    fill_sum += static_cast<double>(node.size()) / out.fan_out;
     double lo = 1e18, hi = -1e18;
     KeywordSet kw(table.universe_size());
     Rect2 mbr = Rect2::Empty();
-    for (const auto& e : node.entries) {
-      const FeatureObject& t = table.Get(e.id);
+    for (uint32_t i = 0; i < node.size(); ++i) {
+      const FeatureObject& t = table.Get(node.id(i));
       lo = std::min(lo, t.score);
       hi = std::max(hi, t.score);
       kw.UnionWith(t.keywords);

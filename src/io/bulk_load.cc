@@ -29,6 +29,103 @@ namespace {
 
 constexpr uint64_t kMinMemoryBudget = 4096;
 
+// ------------------------------------------------------- sort-run rows
+//
+// The external sort moves leaf entries as fixed-width rows: D lo-doubles,
+// D hi-doubles, the uint32 record id, then the augmentation payload.
+// Each codec also names the page layout its tree's nodes are encoded
+// with once the packer closes them.
+
+struct NoAugCodec {
+  using Aug = NoAug;
+
+  PageLayout layout() const { return ObjectIndex::Layout(); }
+  uint32_t payload_bytes() const { return 0; }
+  void Write(std::string*, const NoAug&) const {}
+  bool Read(ByteReader&, NoAug*) const { return true; }
+};
+
+/// SrtAug rows carry {max score, e.W blocks}.
+struct SrtAugCodec {
+  using Aug = SrtAug;
+
+  uint32_t universe = 0;
+
+  PageLayout layout() const { return SrtIndex::Layout(universe); }
+  uint32_t payload_bytes() const { return 8 + 8 * layout().keyword_words(); }
+
+  void Write(std::string* out, const SrtAug& aug) const {
+    PutPod(out, aug.max_score);
+    for (uint64_t word : aug.keywords.blocks()) PutPod<uint64_t>(out, word);
+  }
+
+  bool Read(ByteReader& in, SrtAug* aug) const {
+    if (!in.Pod(&aug->max_score)) return false;
+    std::vector<uint64_t> blocks(layout().keyword_words(), 0);
+    for (uint64_t& word : blocks) {
+      if (!in.Pod(&word)) return false;
+    }
+    aug->keywords = KeywordSet::FromBlocks(universe, std::move(blocks));
+    return true;
+  }
+};
+
+/// Ir2Aug rows carry {max score, signature words}.
+struct Ir2AugCodec {
+  using Aug = Ir2Aug;
+
+  uint32_t signature_bits = 0;
+
+  PageLayout layout() const { return Ir2Tree::Layout(signature_bits); }
+  uint32_t payload_bytes() const { return 8 + 8 * layout().keyword_words(); }
+
+  void Write(std::string* out, const Ir2Aug& aug) const {
+    PutPod(out, aug.max_score);
+    for (uint64_t word : aug.signature.words()) PutPod<uint64_t>(out, word);
+  }
+
+  bool Read(ByteReader& in, Ir2Aug* aug) const {
+    if (!in.Pod(&aug->max_score)) return false;
+    std::vector<uint64_t> words(layout().keyword_words(), 0);
+    for (uint64_t& word : words) {
+      if (!in.Pod(&word)) return false;
+    }
+    aug->signature = Signature::FromWords(signature_bits, std::move(words));
+    return true;
+  }
+};
+
+template <int D, typename AugCodec>
+struct EntryCodec {
+  static constexpr int kDims = D;
+  using Aug = typename AugCodec::Aug;
+  using Entry = typename RTree<D, Aug>::Entry;
+  using Node = typename RTree<D, Aug>::Node;
+
+  AugCodec aug;
+
+  PageLayout layout() const { return aug.layout(); }
+  uint32_t bytes() const { return 16u * D + 4u + aug.payload_bytes(); }
+
+  void Write(std::string* out, const Entry& e) const {
+    for (int d = 0; d < D; ++d) PutPod(out, e.rect.lo[d]);
+    for (int d = 0; d < D; ++d) PutPod(out, e.rect.hi[d]);
+    PutPod<uint32_t>(out, e.id);
+    aug.Write(out, e.aug);
+  }
+
+  bool Read(ByteReader& in, Entry* e) const {
+    bool ok = true;
+    for (int d = 0; d < D && ok; ++d) ok = in.Pod(&e->rect.lo[d]);
+    for (int d = 0; d < D && ok; ++d) ok = in.Pod(&e->rect.hi[d]);
+    return ok && in.Pod(&e->id) && aug.Read(in, &e->aug);
+  }
+};
+
+using ObjectEntryCodec = EntryCodec<2, NoAugCodec>;
+using SrtEntryCodec = EntryCodec<4, SrtAugCodec>;
+using Ir2EntryCodec = EntryCodec<2, Ir2AugCodec>;
+
 // -------------------------------------------------------- external sort
 //
 // Fixed-width records [key u64][seq u64][entry blob]; the key is
@@ -442,7 +539,7 @@ Status PlanPackedTree(IndexFileWriter* writer, uint32_t tree, uint64_t count,
   return writer->PlanTree(tree,
                           TreeMeta{packer.root(), packer.height(), count,
                                    packer.node_count(), max_entries, {}},
-                          codec);
+                          codec.layout());
 }
 
 /// One tree of the external build.  Its leaf entries go through an
@@ -475,8 +572,11 @@ class ExternalTree {
   [[nodiscard]] Status Pack(IndexFileWriter* writer,
                             ExternalBuildStats* stats) {
     Status written = Status::OK();
-    const auto sink = [&](NodeId id, typename Codec::Tree::Node&& node) {
-      if (written.ok()) written = writer->WriteNode(tree_, id, node, codec_);
+    const auto sink = [&](NodeId id, typename Codec::Node&& node) {
+      if (written.ok()) {
+        written = writer->WriteNode<Codec::kDims, typename Codec::Aug>(
+            tree_, id, node, codec_.layout());
+      }
     };
     STPQ_RETURN_NOT_OK(sorter_.Drain([&](const char* blob) {
       ByteReader r(blob, codec_.bytes());

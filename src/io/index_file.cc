@@ -7,12 +7,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <utility>
 
-#include "hilbert/keyword_hilbert.h"
 #include "io/index_format.h"
 #include "io/index_writer.h"
 #include "util/logging.h"
@@ -35,13 +33,13 @@ struct Superblock {
 // -------------------------------------------------------- file plumbing
 //
 // The reader never loads the whole file: it preads the superblock and
-// catalog, then each small segment, and leaves the node segments on disk
-// behind lazy per-node decoders.  The handle is shared (shared_ptr) with
-// every decoder closure so the fd outlives the LoadedIndex parts.
+// catalog, then each small segment, and streams each node segment once
+// through verification.  The pages stay in the file, where the engine's
+// FilePageStore reads them.
 
 class IndexFileHandle {
  public:
-  [[nodiscard]] static Result<std::shared_ptr<IndexFileHandle>> Open(
+  [[nodiscard]] static Result<std::unique_ptr<IndexFileHandle>> Open(
       const std::string& path) {
     int fd = -1;
     do {
@@ -53,7 +51,7 @@ class IndexFileHandle {
       ::close(fd);
       return Status::IoError("cannot open: " + path);
     }
-    return std::shared_ptr<IndexFileHandle>(
+    return std::unique_ptr<IndexFileHandle>(
         new IndexFileHandle(path, fd, static_cast<uint64_t>(st.st_size)));
   }
 
@@ -111,6 +109,12 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
     return Status::InvalidArgument("not a stpq index file: " + path);
   }
   r.Pod(&sb->version);
+  if (sb->version == 1) {
+    return Status::InvalidArgument(
+        "index file '" + path + "' has format version 1; this build reads "
+        "version " + std::to_string(kIndexVersion) +
+        " (columnar node pages) — rebuild it with stpq_cli build");
+  }
   if (sb->version != kIndexVersion) {
     return Status::InvalidArgument("unsupported stpq index version " +
                                    std::to_string(sb->version));
@@ -286,18 +290,16 @@ Status ParseFeatureTable(std::string_view sv, FeatureTable* out) {
 
 // --------------------------------------------------------- tree reader
 //
-// Split in two: the metadata parse + one streaming verification pass over
-// the node segment run eagerly at open (so a damaged file is rejected with
-// the same typed errors as the old whole-file loader), while the node
-// records themselves stay on disk behind a per-node decoder closure.
+// Opening a tree parses its metadata and makes one streaming verification
+// pass over its node segment (so a damaged file is rejected with a typed
+// error at open), then maps the segment into the page-id namespace.  No
+// node is decoded or kept: queries read the pages in place.
 
 /// Parses the tree-metadata payload and cross-checks it against the node
-/// segment's catalog entry.  Fills everything in `out` except `nodes`.
-template <typename Codec>
+/// segment's catalog entry and the layout the parameters derive.
 Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
-                     const Codec& codec, uint32_t expected_max_entries,
-                     uint32_t page_size,
-                     RestoredTreeData<Codec::kDims, typename Codec::Aug>* out) {
+                     const PageLayout& layout, uint32_t expected_max_entries,
+                     uint32_t page_size, TreeMeta* out) {
   ByteReader m(meta.data(), meta.size());
   uint32_t root = 0, height = 0, node_count = 0, max_entries = 0;
   uint32_t aug_bits = 0, aug_words = 0, free_count = 0;
@@ -307,12 +309,13 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
       !m.Pod(&aug_words) || !m.Pod(&free_count)) {
     return Status::Corruption("tree metadata segment too short");
   }
-  if (aug_bits != codec.aug.aug_bits() || aug_words != codec.aug.aug_words()) {
+  if (aug_bits != layout.keyword_bits ||
+      aug_words != layout.keyword_words()) {
     return Status::Corruption(
-        "augmentation layout mismatch: file says " + std::to_string(aug_bits) +
+        "keyword column mismatch: file says " + std::to_string(aug_bits) +
         " bits / " + std::to_string(aug_words) + " words, parameters derive " +
-        std::to_string(codec.aug.aug_bits()) + " / " +
-        std::to_string(codec.aug.aug_words()));
+        std::to_string(layout.keyword_bits) + " / " +
+        std::to_string(layout.keyword_words()));
   }
   if (max_entries != expected_max_entries) {
     return Status::Corruption(
@@ -331,11 +334,11 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
       nodes_entry.slot_count * uint64_t{nodes_entry.slot_bytes}) {
     return Status::Corruption("node segment size does not match its slots");
   }
-  // The lazy decoder trusts the catalog's fixed slot width, so it must
-  // equal the width the page-size parameters derive (the catalog itself
-  // is not checksummed).
+  // Page reads trust the catalog's fixed slot width, so it must equal the
+  // width the page-size parameters derive (the catalog itself is not
+  // checksummed).
   const uint32_t expected_slot_bytes =
-      SlotBytesFor(max_entries, codec.bytes(), page_size);
+      SlotBytesFor(max_entries, layout.entry_bytes(), page_size);
   if (nodes_entry.slot_bytes != expected_slot_bytes) {
     return Status::Corruption(
         "node slot width mismatch: catalog says " +
@@ -359,15 +362,54 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
   out->height = height;
   out->size = size;
   out->node_count = node_count;
+  out->max_entries = max_entries;
+  return Status::OK();
+}
+
+/// Checks one slot: its entry count fits the fan-out, its level the tree
+/// height, and a leaf's record ids the record set they index.  An
+/// internal entry's child id is checked where it is followed: a child
+/// past the node segment is a page outside every extent, which the page
+/// fetch reports as Corruption.
+Status VerifySlot(const uint8_t* slot, uint32_t slot_bytes, NodeId id,
+                  const PageLayout& layout, const TreeMeta& meta,
+                  uint64_t record_count) {
+  uint16_t level = 0;
+  uint32_t count = 0;
+  std::memcpy(&level, slot, sizeof(level));
+  std::memcpy(&count, slot + 4, sizeof(count));
+  if (count > meta.max_entries) {
+    return Status::Corruption(
+        "node " + std::to_string(id) + " claims " + std::to_string(count) +
+        " entries, above the fan-out of " + std::to_string(meta.max_entries));
+  }
+  if (count == 0) return Status::OK();  // free-listed slot
+  if (level >= meta.height) {
+    return Status::Corruption("node " + std::to_string(id) + " has level " +
+                              std::to_string(level) + " in a tree of height " +
+                              std::to_string(meta.height));
+  }
+  if (level > 0) return Status::OK();
+  const NodeView leaf(PageView(std::span<const uint8_t>(slot, slot_bytes)),
+                      layout, meta.max_entries);
+  for (uint32_t i = 0; i < leaf.size(); ++i) {
+    if (leaf.id(i) >= record_count) {
+      return Status::Corruption(
+          "leaf " + std::to_string(id) + " entry " + std::to_string(i) +
+          " names record " + std::to_string(leaf.id(i)) + " of " +
+          std::to_string(record_count));
+    }
+  }
   return Status::OK();
 }
 
 /// One streaming pass over a node segment: checksums every byte and
-/// validates each slot header without retaining the payload.  A checksum
-/// mismatch outranks a slot-header violation (the old whole-file loader
-/// checksummed before parsing; damaged bytes usually trip both).
+/// checks each slot (VerifySlot) without retaining the payload.  A
+/// checksum mismatch outranks a slot violation (damaged bytes usually
+/// trip both, and the checksum names the real cause).
 Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
-                         uint32_t max_entries) {
+                         const PageLayout& layout, const TreeMeta& meta,
+                         uint64_t record_count) {
   Fnv1a64Stream fnv;
   Status bad_slot = Status::OK();
   if (e.slot_count > 0) {
@@ -381,14 +423,10 @@ Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
                                          buf.data(), n * slot_bytes));
       fnv.Update(buf.data(), static_cast<size_t>(n * slot_bytes));
       for (uint64_t j = 0; bad_slot.ok() && j < n; ++j) {
-        uint32_t count = 0;
-        std::memcpy(&count, buf.data() + j * slot_bytes + 4, sizeof(count));
-        if (count > max_entries) {
-          bad_slot = Status::Corruption(
-              "node " + std::to_string(i + j) + " claims " +
-              std::to_string(count) + " entries, above the fan-out of " +
-              std::to_string(max_entries));
-        }
+        bad_slot = VerifySlot(
+            reinterpret_cast<const uint8_t*>(buf.data()) + j * slot_bytes,
+            slot_bytes, static_cast<NodeId>(i + j), layout, meta,
+            record_count);
       }
       i += n;
     }
@@ -399,59 +437,24 @@ Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
   return bad_slot;
 }
 
-/// Builds the per-node decoder closure for RTree::RestoreLazy.  Decoding
-/// cannot fail on a verified segment: slots are fixed-width, every slot
-/// header was validated (count <= max_entries implies every fixed-width
-/// entry fits the slot), and the codecs read exact widths — so a failure
-/// here means the file changed underneath us, which is a crash, not a
-/// Status.
-template <typename Codec>
-std::function<void(NodeId, typename Codec::Tree::Node*)> MakeNodeDecoder(
-    std::shared_ptr<IndexFileHandle> file, const CatalogEntry& entry,
-    Codec codec) {
-  const uint64_t offset = entry.offset;
-  const uint32_t slot_bytes = entry.slot_bytes;
-  return [file = std::move(file), offset, slot_bytes,
-          codec](NodeId id, typename Codec::Tree::Node* node) {
-    std::vector<char> buf(slot_bytes);
-    const Status read =
-        file->PreadExact(offset + uint64_t{id} * slot_bytes, buf.data(),
-                         slot_bytes);
-    STPQ_CHECK(read.ok() && "index node slot read failed");
-    ByteReader r(buf.data(), slot_bytes);
-    uint16_t level = 0, reserved = 0;
-    uint32_t count = 0;
-    STPQ_CHECK(r.Pod(&level) && r.Pod(&reserved) && r.Pod(&count));
-    node->level = level;
-    node->entries.reserve(count);
-    for (uint32_t j = 0; j < count; ++j) {
-      typename Codec::Entry e;
-      STPQ_CHECK(codec.Read(r, &e) &&
-                 "index node entry decode failed after verification");
-      node->entries.push_back(std::move(e));
-    }
-  };
-}
-
-/// Eagerly verifies tree `tree` (meta + node segment, numbered as in
-/// TreePageBase), wires up its lazy restore payload and maps its node
+/// Verifies tree `tree` (meta + node segment, numbered as in
+/// TreePageBase) holding `record_count` leaf records, and maps its node
 /// segment into the page-id namespace.
-template <typename Codec>
-Status LoadTree(const std::shared_ptr<IndexFileHandle>& file,
+Status LoadTree(const IndexFileHandle& file,
                 const std::vector<CatalogEntry>& catalog, uint32_t tree,
-                const Codec& codec, uint32_t expected_max_entries,
-                uint32_t page_size,
-                RestoredTreeData<Codec::kDims, typename Codec::Aug>* out,
+                const PageLayout& layout, uint32_t expected_max_entries,
+                uint32_t page_size, uint64_t record_count, TreeMeta* out,
                 std::vector<FilePageStore::Extent>* extents) {
   const TreeSegments segs = SegmentsOfTree(tree);
   Result<std::string> meta =
-      VerifiedSegment(*file, catalog, segs.meta_type, segs.ordinal);
+      VerifiedSegment(file, catalog, segs.meta_type, segs.ordinal);
   if (!meta.ok()) return meta.status();
   const CatalogEntry* entry = FindEntry(catalog, segs.nodes_type, segs.ordinal);
   if (entry == nullptr) return MissingSegment(segs.nodes_type, segs.ordinal);
-  STPQ_RETURN_NOT_OK(ParseTreeMeta(meta.value(), *entry, codec,
+  STPQ_RETURN_NOT_OK(ParseTreeMeta(meta.value(), *entry, layout,
                                    expected_max_entries, page_size, out));
-  STPQ_RETURN_NOT_OK(VerifyNodeSegment(*file, *entry, expected_max_entries));
+  STPQ_RETURN_NOT_OK(
+      VerifyNodeSegment(file, *entry, layout, *out, record_count));
   // The catalog is not checksummed, and a wrong base would send every
   // page fetch of this tree outside its extent.
   if (entry->first_page != TreePageBase(tree)) {
@@ -459,7 +462,6 @@ Status LoadTree(const std::shared_ptr<IndexFileHandle>& file,
                               " segment #" + std::to_string(segs.ordinal) +
                               " has the wrong page-id base");
   }
-  out->decoder = MakeNodeDecoder(file, *entry, codec);
   if (entry->slot_count > 0) {
     extents->push_back(FilePageStore::Extent{
         entry->first_page, entry->slot_count, entry->offset,
@@ -468,22 +470,20 @@ Status LoadTree(const std::shared_ptr<IndexFileHandle>& file,
   return Status::OK();
 }
 
-/// Calls `fn(tree, rtree, codec)` for the object tree and then every
+/// Calls `fn(tree, paged_tree)` for the object tree and then every
 /// feature tree of `request`, in tree order (TreePageBase numbering).
 template <typename Fn>
 Status ForEachTree(const IndexFileWriteRequest& request, const Fn& fn) {
-  STPQ_RETURN_NOT_OK(fn(0u, request.object_index->tree(), ObjectEntryCodec{}));
+  STPQ_RETURN_NOT_OK(fn(0u, request.object_index->tree()));
   const FeatureIndexKind kind = request.params.index_kind;
   for (uint32_t i = 0; i < request.feature_indexes.size(); ++i) {
     const FeatureIndex* index = request.feature_indexes[i];
     const auto* srt = dynamic_cast<const SrtIndex*>(index);
     const auto* ir2 = dynamic_cast<const Ir2Tree*>(index);
     if (kind == FeatureIndexKind::kSrt && srt != nullptr) {
-      const uint32_t universe = (*request.feature_tables)[i].universe_size();
-      STPQ_RETURN_NOT_OK(fn(i + 1, srt->tree(), SrtEntryCodec{{universe}}));
+      STPQ_RETURN_NOT_OK(fn(i + 1, srt->tree()));
     } else if (kind == FeatureIndexKind::kIr2 && ir2 != nullptr) {
-      const uint32_t bits = ir2->scheme().signature_bits();
-      STPQ_RETURN_NOT_OK(fn(i + 1, ir2->tree(), Ir2EntryCodec{{bits}}));
+      STPQ_RETURN_NOT_OK(fn(i + 1, ir2->tree()));
     } else {
       return Status::InvalidArgument(
           "feature index " + std::to_string(i) + " is not the " +
@@ -556,23 +556,21 @@ Status WriteIndexFile(const std::string& path,
     writer.PlanRecords(type, ordinal, counter.bytes());
     return Status::OK();
   };
-  const auto plan_tree = [&](uint32_t t, const auto& tree, const auto& codec) {
-    return writer.PlanTree(
-        t,
-        TreeMeta{tree.root_id(), tree.height(), tree.size(), tree.node_count(),
-                 tree.options().max_entries, tree.free_nodes()},
-        codec);
+  const auto plan_tree = [&](uint32_t t, const PagedTree& tree) {
+    return writer.PlanTree(t, tree.meta(), tree.layout());
   };
   const auto write_records = [&](uint32_t type, uint32_t ordinal,
                                  const auto& encode) {
     return writer.WriteRecords(type, ordinal, encode);
   };
-  const auto write_tree = [&](uint32_t t, const auto& tree,
-                              const auto& codec) {
-    // PeekNode decodes a lazily restored node in place without charging
-    // the buffer pool.
+  const auto write_tree = [&](uint32_t t, const PagedTree& tree) {
+    // The pages are written verbatim, read outside the buffer pools.
     for (NodeId id = 0; id < tree.node_count(); ++id) {
-      STPQ_RETURN_NOT_OK(writer.WriteNode(t, id, tree.PeekNode(id), codec));
+      const PageView page = tree.PeekPage(id);
+      if (page.fault().failed()) {
+        return tree.pages().FaultStatus(page.fault());
+      }
+      STPQ_RETURN_NOT_OK(writer.WritePage(t, id, page.bytes()));
     }
     return writer.FinishTree(t);
   };
@@ -587,9 +585,9 @@ Status WriteIndexFile(const std::string& path,
 // ---------------------------------------------------------------- reader
 
 Result<LoadedIndex> LoadIndexFile(const std::string& path) {
-  Result<std::shared_ptr<IndexFileHandle>> file_r = IndexFileHandle::Open(path);
+  Result<std::unique_ptr<IndexFileHandle>> file_r = IndexFileHandle::Open(path);
   if (!file_r.ok()) return file_r.status();
-  std::shared_ptr<IndexFileHandle> file = file_r.TakeValue();
+  const std::unique_ptr<IndexFileHandle> file = file_r.TakeValue();
 
   Superblock sb;
   std::vector<CatalogEntry> catalog;
@@ -619,41 +617,35 @@ Result<LoadedIndex> LoadIndexFile(const std::string& path) {
   // Trees: the object tree, then one feature tree per table matching the
   // persisted index kind.
   const uint32_t page = sb.params.page_size_bytes;
-  STPQ_RETURN_NOT_OK(LoadTree(file, catalog, 0, ObjectEntryCodec{},
+  out.trees.resize(size_t{sb.table_count} + 1);
+  STPQ_RETURN_NOT_OK(LoadTree(*file, catalog, 0, ObjectIndex::Layout(),
                               ObjectIndex::FanOut(page), page,
-                              &out.object_tree, &out.extents));
+                              out.objects.size(), &out.trees[0],
+                              &out.extents));
   for (uint32_t i = 0; i < sb.table_count; ++i) {
     const uint32_t universe = out.feature_tables[i].universe_size();
-    switch (sb.params.index_kind) {
-      case FeatureIndexKind::kSrt: {
-        RestoredTreeData<4, SrtAug> tree;
-        STPQ_RETURN_NOT_OK(LoadTree(file, catalog, i + 1,
-                                    SrtEntryCodec{{universe}},
-                                    SrtIndex::FanOut(page, universe), page,
-                                    &tree, &out.extents));
-        out.srt_trees.push_back(std::move(tree));
-        break;
-      }
-      case FeatureIndexKind::kIr2: {
-        const uint32_t bits =
-            Ir2Tree::SignatureBits(sb.params.signature_bits, universe);
-        RestoredTreeData<2, Ir2Aug> tree;
-        STPQ_RETURN_NOT_OK(LoadTree(file, catalog, i + 1,
-                                    Ir2EntryCodec{{bits}},
-                                    Ir2Tree::FanOut(page, bits), page, &tree,
-                                    &out.extents));
-        out.ir2_trees.push_back(std::move(tree));
-        break;
-      }
+    const uint64_t records = out.feature_tables[i].size();
+    if (sb.params.index_kind == FeatureIndexKind::kSrt) {
+      STPQ_RETURN_NOT_OK(LoadTree(*file, catalog, i + 1,
+                                  SrtIndex::Layout(universe),
+                                  SrtIndex::FanOut(page, universe), page,
+                                  records, &out.trees[i + 1], &out.extents));
+    } else {
+      const uint32_t bits =
+          Ir2Tree::SignatureBits(sb.params.signature_bits, universe);
+      STPQ_RETURN_NOT_OK(LoadTree(*file, catalog, i + 1,
+                                  Ir2Tree::Layout(bits),
+                                  Ir2Tree::FanOut(page, bits), page, records,
+                                  &out.trees[i + 1], &out.extents));
     }
   }
   return out;
 }
 
 Result<IndexFileInfo> ReadIndexFileInfo(const std::string& path) {
-  Result<std::shared_ptr<IndexFileHandle>> file_r = IndexFileHandle::Open(path);
+  Result<std::unique_ptr<IndexFileHandle>> file_r = IndexFileHandle::Open(path);
   if (!file_r.ok()) return file_r.status();
-  const std::shared_ptr<IndexFileHandle> file = file_r.TakeValue();
+  const std::unique_ptr<IndexFileHandle> file = file_r.TakeValue();
   Superblock sb;
   std::vector<CatalogEntry> catalog;
   STPQ_RETURN_NOT_OK(ParseHeader(*file, &sb, &catalog));
@@ -679,9 +671,9 @@ Result<IndexFileInfo> ReadIndexFileInfo(const std::string& path) {
 
 Result<std::vector<Vocabulary>> ReadIndexVocabularies(
     const std::string& path) {
-  Result<std::shared_ptr<IndexFileHandle>> file_r = IndexFileHandle::Open(path);
+  Result<std::unique_ptr<IndexFileHandle>> file_r = IndexFileHandle::Open(path);
   if (!file_r.ok()) return file_r.status();
-  const std::shared_ptr<IndexFileHandle> file = file_r.TakeValue();
+  const std::unique_ptr<IndexFileHandle> file = file_r.TakeValue();
   Superblock sb;
   std::vector<CatalogEntry> catalog;
   STPQ_RETURN_NOT_OK(ParseHeader(*file, &sb, &catalog));

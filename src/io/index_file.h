@@ -2,12 +2,12 @@
 //
 // A .stpqx file packages everything an engine needs to answer queries
 // without rebuilding (DESIGN.md §16): the data objects, every feature
-// table, the vocabularies, and the exact node arrays of the object R-tree
-// and the per-table feature indexes (SRT or IR2).  Node segments are laid
-// out in page-aligned fixed-width slots where slot index == NodeId, so a
-// reopened engine reproduces the builder's page ids — and therefore its
-// golden I/O counts — bit for bit, and a FilePageStore can serve a
-// buffer-pool miss with one slot read.
+// table, the vocabularies, and the node pages of the object R-tree and the
+// per-table feature indexes (SRT or IR2).  Node segments are laid out in
+// page-aligned fixed-width slots where slot index == NodeId, each slot one
+// columnar node page (rtree/node_page.h), so a reopened engine reproduces
+// the builder's page ids — and therefore its golden I/O counts — bit for
+// bit, and reads every node in place from the mapped file.
 //
 // Layout (little-endian throughout, like the .stpq dataset format):
 //
@@ -19,10 +19,11 @@
 //                tree meta + page-aligned tree nodes (object tree and one
 //                pair per feature table)
 //
-// Versioning policy: the major version is bumped on any change a v1 reader
-// cannot skip; readers reject files whose version they do not know
-// (InvalidArgument), bad magic (InvalidArgument), short reads (IoError),
-// and checksum mismatches (Corruption).
+// Versioning policy: the major version is bumped on any change an older
+// reader cannot skip; readers reject files whose version they do not know
+// (InvalidArgument — a version 1 file is named as such, with a request to
+// rebuild it), bad magic (InvalidArgument), short reads (IoError), and
+// checksum mismatches or structural damage (Corruption).
 #ifndef STPQ_IO_INDEX_FILE_H_
 #define STPQ_IO_INDEX_FILE_H_
 
@@ -53,7 +54,8 @@ struct IndexBuildParams {
 
 /// Borrowed views of everything WriteIndexFile persists.  The feature
 /// indexes must match `params.index_kind` (SrtIndex / Ir2Tree), one per
-/// table, in table order; `vocabularies` needs one entry per table.
+/// table, in table order; `vocabularies` needs one entry per table.  The
+/// indexes' node pages are written verbatim.
 struct IndexFileWriteRequest {
   IndexBuildParams params;
   const std::vector<DataObject>* objects = nullptr;
@@ -69,24 +71,23 @@ struct IndexFileWriteRequest {
 [[nodiscard]] Status WriteIndexFile(const std::string& path,
                                     const IndexFileWriteRequest& request);
 
-/// Everything LoadIndexFile recovers.  Exactly one of srt_trees /
-/// ir2_trees is populated, matching params.index_kind; `extents` maps the
-/// node segments into the engine's page-id namespace (TreePageBase) for
-/// FilePageStore.
+/// Everything LoadIndexFile recovers.  `trees` holds each tree's shape in
+/// tree order (TreePageBase numbering: the object tree, then one per
+/// table); `extents` maps the node segments into the engine's page-id
+/// namespace for FilePageStore, which serves the pages themselves.
 struct LoadedIndex {
   IndexBuildParams params;
   std::vector<DataObject> objects;
   std::vector<FeatureTable> feature_tables;
   std::vector<Vocabulary> vocabularies;
-  RestoredTreeData<2, NoAug> object_tree;
-  std::vector<RestoredTreeData<4, SrtAug>> srt_trees;
-  std::vector<RestoredTreeData<2, Ir2Aug>> ir2_trees;
+  std::vector<TreeMeta> trees;
   std::vector<FilePageStore::Extent> extents;
 };
 
 /// Reads and verifies a file written by WriteIndexFile.  Every segment's
-/// checksum is validated before parsing; see the file comment for the
-/// error taxonomy.
+/// checksum is validated before parsing, and one pass over each node
+/// segment checks every slot header and every leaf's record ids; no node
+/// is kept.  See the file comment for the error taxonomy.
 [[nodiscard]] Result<LoadedIndex> LoadIndexFile(const std::string& path);
 
 /// One catalog row, decoded for display (`stpq_cli load`) and for the

@@ -2,10 +2,10 @@
 // and the reader (io/index_file.cc).
 //
 // Everything here is layout: magic numbers, segment naming, checksums,
-// byte-buffer serializers, the record encoders, the node-entry codec with
-// its per-index augmentation codecs, and the fixed-width node-slot
-// geometry.  Each is defined once; the one writer and the reader both use
-// these definitions, so they agree on every byte.
+// byte-buffer serializers, the record encoders and the header structs.
+// Node slots are node pages (rtree/node_page.h: the page encoder, NodeView
+// and the slot width).  Each is defined once; the one writer and the
+// reader both use these definitions, so they agree on every byte.
 #ifndef STPQ_IO_INDEX_FORMAT_H_
 #define STPQ_IO_INDEX_FORMAT_H_
 
@@ -14,16 +14,17 @@
 #include <string>
 #include <vector>
 
-#include "hilbert/keyword_hilbert.h"
-#include "index/ir2_tree.h"
-#include "index/srt_index.h"
-#include "rtree/rtree.h"
+#include "index/feature.h"
+#include "rtree/node_page.h"
 
 namespace stpq {
 namespace index_format {
 
 inline constexpr uint32_t kIndexMagic = 0x58515453;  // "STQX" little-endian
-inline constexpr uint32_t kIndexVersion = 1;
+/// Version 2 stores node slots as columnar pages (rtree/node_page.h);
+/// version 1 stored row-wise entries and SRT summaries as H(e.W), and is
+/// rejected with a request to rebuild.
+inline constexpr uint32_t kIndexVersion = 2;
 
 /// Fixed superblock / catalog-entry widths; the catalog starts right after
 /// the superblock, segments after the catalog (node segments page-aligned).
@@ -149,118 +150,6 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-// ------------------------------------------------- augmentation codecs
-//
-// Fixed-width per-entry payloads; the word counts are derivable from the
-// superblock parameters and double-checked against the tree metadata.
-
-struct NoAugCodec {
-  using Aug = NoAug;
-
-  uint32_t aug_bits() const { return 0; }
-  uint32_t aug_words() const { return 0; }
-  uint32_t payload_bytes() const { return 0; }
-  void Write(std::string*, const NoAug&) const {}
-  bool Read(ByteReader&, NoAug*) const { return true; }
-};
-
-/// SrtAug persists {max score, aggregated Hilbert words}; the decoded
-/// keyword cache is re-derived on read (DecodeKeywords is the exact
-/// inverse of the encoding, so the rebuilt aug is identical).
-struct SrtAugCodec {
-  using Aug = SrtAug;
-
-  uint32_t universe = 0;
-
-  uint32_t aug_bits() const { return universe; }
-  uint32_t aug_words() const { return (universe + 63) / 64; }
-  uint32_t payload_bytes() const { return 8 + 8 * aug_words(); }
-
-  void Write(std::string* out, const SrtAug& aug) const {
-    PutPod(out, aug.max_score);
-    const std::vector<uint64_t>& words = aug.keyword_hilbert.words();
-    for (uint32_t w = 0; w < aug_words(); ++w) {
-      PutPod<uint64_t>(out, w < words.size() ? words[w] : 0);
-    }
-  }
-
-  bool Read(ByteReader& in, SrtAug* aug) const {
-    if (!in.Pod(&aug->max_score)) return false;
-    HilbertValue hv(universe);
-    for (uint32_t w = 0; w < aug_words(); ++w) {
-      uint64_t word = 0;
-      if (!in.Pod(&word)) return false;
-      if (w < hv.words().size()) hv.words()[w] = word;
-    }
-    aug->keywords = DecodeKeywords(hv, universe);
-    aug->keyword_hilbert = std::move(hv);
-    return true;
-  }
-};
-
-/// Ir2Aug persists {max score, signature words}.
-struct Ir2AugCodec {
-  using Aug = Ir2Aug;
-
-  uint32_t signature_bits = 0;
-
-  uint32_t aug_bits() const { return signature_bits; }
-  uint32_t aug_words() const { return (signature_bits + 63) / 64; }
-  uint32_t payload_bytes() const { return 8 + 8 * aug_words(); }
-
-  void Write(std::string* out, const Ir2Aug& aug) const {
-    PutPod(out, aug.max_score);
-    const std::vector<uint64_t>& words = aug.signature.words();
-    for (uint32_t w = 0; w < aug_words(); ++w) {
-      PutPod<uint64_t>(out, w < words.size() ? words[w] : 0);
-    }
-  }
-
-  bool Read(ByteReader& in, Ir2Aug* aug) const {
-    if (!in.Pod(&aug->max_score)) return false;
-    std::vector<uint64_t> words(aug_words(), 0);
-    for (uint32_t w = 0; w < aug_words(); ++w) {
-      if (!in.Pod(&words[w])) return false;
-    }
-    aug->signature = Signature::FromWords(signature_bits, std::move(words));
-    return true;
-  }
-};
-
-/// The node-entry codec: D lo-doubles, D hi-doubles, the uint32
-/// child/record id, then the augmentation payload.  Node slots, the
-/// external loader's sort runs and the lazy node decoder all encode and
-/// decode entries through it.
-template <int D, typename AugCodec>
-struct EntryCodec {
-  static constexpr int kDims = D;
-  using Aug = typename AugCodec::Aug;
-  using Tree = RTree<D, Aug>;
-  using Entry = typename Tree::Entry;
-
-  AugCodec aug;
-
-  uint32_t bytes() const { return 16u * D + 4u + aug.payload_bytes(); }
-
-  void Write(std::string* out, const Entry& e) const {
-    for (int d = 0; d < D; ++d) PutPod(out, e.rect.lo[d]);
-    for (int d = 0; d < D; ++d) PutPod(out, e.rect.hi[d]);
-    PutPod<uint32_t>(out, e.id);
-    aug.Write(out, e.aug);
-  }
-
-  bool Read(ByteReader& in, Entry* e) const {
-    bool ok = true;
-    for (int d = 0; d < D && ok; ++d) ok = in.Pod(&e->rect.lo[d]);
-    for (int d = 0; d < D && ok; ++d) ok = in.Pod(&e->rect.hi[d]);
-    return ok && in.Pod(&e->id) && aug.Read(in, &e->aug);
-  }
-};
-
-using ObjectEntryCodec = EntryCodec<2, NoAugCodec>;
-using SrtEntryCodec = EntryCodec<4, SrtAugCodec>;
-using Ir2EntryCodec = EntryCodec<2, Ir2AugCodec>;
-
 // ------------------------------------------------------ record encoders
 //
 // One encoder per record segment part, the only definition of its bytes.
@@ -323,16 +212,6 @@ class ByteCounter {
   uint64_t bytes_ = 0;
 };
 
-// ------------------------------------------------------- slot geometry
-
-/// Page-aligned fixed slot width for a node segment: the worst-case node
-/// record (8-byte header + max_entries entries) rounded up to the page.
-inline uint32_t SlotBytesFor(uint32_t max_entries, uint32_t entry_bytes,
-                             uint32_t page_size) {
-  const uint64_t max_node_bytes = 8ull + uint64_t{max_entries} * entry_bytes;
-  return static_cast<uint32_t>(AlignUp(max_node_bytes, page_size));
-}
-
 // ------------------------------------------------------ header structs
 
 struct CatalogEntry {
@@ -379,27 +258,17 @@ inline void AppendSuperblock(std::string* out, uint32_t page_size,
   PutPod<uint32_t>(out, segment_count);
 }
 
-/// What a tree-metadata segment records besides the augmentation layout.
-struct TreeMeta {
-  NodeId root = kInvalidNodeId;
-  uint32_t height = 0;
-  uint64_t size = 0;  ///< leaf records
-  uint64_t node_count = 0;
-  uint32_t max_entries = 0;
-  std::vector<NodeId> free_nodes;
-};
-
 /// Appends a tree-metadata payload: root, height, record count, node
-/// count, fan-out, aug layout, then the free list.
+/// count, fan-out, keyword-column layout, then the free list.
 inline void AppendTreeMeta(std::string* out, const TreeMeta& m,
-                           uint32_t aug_bits, uint32_t aug_words) {
+                           const PageLayout& layout) {
   PutPod<uint32_t>(out, m.root);
   PutPod<uint32_t>(out, m.height);
   PutPod<uint64_t>(out, m.size);
   PutPod<uint32_t>(out, static_cast<uint32_t>(m.node_count));
   PutPod<uint32_t>(out, m.max_entries);
-  PutPod<uint32_t>(out, aug_bits);
-  PutPod<uint32_t>(out, aug_words);
+  PutPod<uint32_t>(out, layout.keyword_bits);
+  PutPod<uint32_t>(out, layout.keyword_words());
   PutPod<uint32_t>(out, static_cast<uint32_t>(m.free_nodes.size()));
   for (NodeId id : m.free_nodes) PutPod<uint32_t>(out, id);
 }

@@ -8,11 +8,13 @@
 //
 //   plan     the caller sizes each record segment with the record
 //            encoders over a ByteCounter and describes each tree by its
-//            TreeMeta and entry codec; Open lays every segment out at its
+//            TreeMeta and page layout; Open lays every segment out at its
 //            final offset and creates the crash-safe temp file.
 //   content  record segments stream through a SegmentWriter at their
-//            planned offsets, node slots are written by id in any order,
-//            and each tree's metadata follows once its slots are written.
+//            planned offsets, node slots — node pages, from the page
+//            encoder (rtree/node_page.h) or verbatim from an engine's page
+//            store — are written by id in any order, and each tree's
+//            metadata follows once its slots are written.
 //   commit   the header (superblock + catalog with every checksum) goes
 //            last; then the file is sized and committed atomically.
 //
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,9 +123,8 @@ class IndexFileWriter {
 
   /// Plans tree `tree`'s metadata and node segments.  InvalidArgument if
   /// the tree has more nodes than the format allows.
-  template <typename Codec>
   [[nodiscard]] Status PlanTree(uint32_t tree, const TreeMeta& meta,
-                                const Codec& codec) {
+                                const PageLayout& layout) {
     if (meta.node_count > kMaxNodeCount) {
       return Status::InvalidArgument(
           std::string(tree == 0 ? "object" : "feature") +
@@ -130,11 +132,11 @@ class IndexFileWriter {
     }
     std::string& blob = tree_meta_[tree];
     blob.clear();
-    AppendTreeMeta(&blob, meta, codec.aug.aug_bits(), codec.aug.aug_words());
+    AppendTreeMeta(&blob, meta, layout);
     MetaRow(tree).bytes = blob.size();
     CatalogEntry& nodes = NodesRow(tree);
     nodes.slot_count = meta.node_count;
-    nodes.slot_bytes = SlotBytesFor(meta.max_entries, codec.bytes(),
+    nodes.slot_bytes = SlotBytesFor(meta.max_entries, layout.entry_bytes(),
                                     params_.page_size_bytes);
     nodes.bytes = nodes.slot_count * nodes.slot_bytes;
     return Status::OK();
@@ -181,27 +183,36 @@ class IndexFileWriter {
     return Status::OK();
   }
 
-  /// Encodes `node` as slot `id` of tree `tree` — {level u16, 0 u16,
-  /// count u32, entries...} zero-padded to the slot width — and writes it.
-  template <typename Codec>
+  /// Encodes `node` as slot `id` of tree `tree` with the page encoder and
+  /// writes it.
+  template <int D, typename Aug>
   [[nodiscard]] Status WriteNode(uint32_t tree, NodeId id,
-                                 const typename Codec::Tree::Node& node,
-                                 const Codec& codec) {
+                                 const typename RTree<D, Aug>::Node& node,
+                                 const PageLayout& layout) {
+    const CatalogEntry& row = NodesRow(tree);
+    if (kNodeHeaderBytes + node.entries.size() * layout.entry_bytes() >
+        row.slot_bytes) {
+      return Status::Internal("index node overflows its " +
+                              std::to_string(row.slot_bytes) + "-byte slot");
+    }
+    slot_.assign(row.slot_bytes, 0);
+    EncodeNodePage<D, Aug>(node, layout, slot_.data());
+    return WritePage(tree, id, slot_);
+  }
+
+  /// Writes `page` verbatim as slot `id` of tree `tree`; IoError unless it
+  /// is exactly one slot wide.
+  [[nodiscard]] Status WritePage(uint32_t tree, NodeId id,
+                                 std::span<const uint8_t> page) {
     const CatalogEntry& row = NodesRow(tree);
     STPQ_CHECK(id < row.slot_count);
-    slot_.clear();
-    PutPod<uint16_t>(&slot_, node.level);
-    PutPod<uint16_t>(&slot_, 0);
-    PutPod<uint32_t>(&slot_, static_cast<uint32_t>(node.entries.size()));
-    for (const auto& e : node.entries) codec.Write(&slot_, e);
-    if (slot_.size() > row.slot_bytes) {
-      return Status::Internal("index node overflows its slot: " +
-                              std::to_string(slot_.size()) + " > " +
-                              std::to_string(row.slot_bytes) + " bytes");
+    if (page.size() != row.slot_bytes) {
+      return Status::IoError("node page " + std::to_string(id) + " is " +
+                             std::to_string(page.size()) + " bytes, not one " +
+                             std::to_string(row.slot_bytes) + "-byte slot");
     }
-    slot_.resize(row.slot_bytes);
     return out_->WriteAt(row.offset + uint64_t{id} * row.slot_bytes,
-                         slot_.data(), slot_.size());
+                         page.data(), page.size());
   }
 
   /// Writes tree `tree`'s metadata and checksums its node segment by
@@ -271,7 +282,7 @@ class IndexFileWriter {
   uint64_t header_bytes_ = 0;
   uint64_t file_end_ = 0;
   std::optional<AtomicFile> out_;
-  std::string slot_;
+  std::vector<uint8_t> slot_;
 };
 
 }  // namespace index_format

@@ -53,6 +53,21 @@ LatencyHistogram LatencyHistogram::Delta(const LatencyHistogram& older) const {
   return out;
 }
 
+LatencyHistogram LatencyHistogram::FromBuckets(
+    const std::array<uint64_t, LatencyBuckets::kNumBuckets>& buckets,
+    double sum_ms) {
+  LatencyHistogram out;
+  out.buckets_ = buckets;
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i] == 0) continue;
+    out.count_ += buckets[i];
+    out.max_ms_ = i + 1 < buckets.size() ? LatencyBuckets::UpperBoundMs(i)
+                                         : LatencyBuckets::UpperBoundMs(i - 1);
+  }
+  out.sum_ms_ = sum_ms;
+  return out;
+}
+
 double LatencyHistogram::PercentileMs(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -64,6 +64,15 @@ class LatencyHistogram {
   /// comparisons: Delta of "after" vs "before" isolates the B phase.
   LatencyHistogram Delta(const LatencyHistogram& older) const;
 
+  /// The histogram a concurrent recorder (HistogramMetric) snapshots:
+  /// the bucket counts it kept and the exact sum of its samples.  The
+  /// count is the buckets' total; the max is the upper bound of the
+  /// highest nonempty bucket (for the overflow bucket, the bound below
+  /// it), since the samples themselves are gone.
+  static LatencyHistogram FromBuckets(
+      const std::array<uint64_t, LatencyBuckets::kNumBuckets>& buckets,
+      double sum_ms);
+
   uint64_t count() const { return count_; }
   double sum_ms() const { return sum_ms_; }
   double max_ms() const { return max_ms_; }

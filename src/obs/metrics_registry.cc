@@ -46,17 +46,15 @@ void HistogramMetric::Record(double ms) {
 }
 
 LatencyHistogram HistogramMetric::Snapshot() const {
-  LatencyHistogram out;
+  std::array<uint64_t, LatencyBuckets::kNumBuckets> buckets{};
   for (size_t i = 0; i < LatencyBuckets::kNumBuckets; ++i) {
-    const uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-    // Replay the bucket at its upper bound (max for the overflow bucket is
-    // unknown; use the bound of the previous bucket as a floor).
-    const double at = i + 1 < LatencyBuckets::kNumBuckets
-                          ? LatencyBuckets::UpperBoundMs(i)
-                          : LatencyBuckets::UpperBoundMs(i - 1);
-    for (uint64_t k = 0; k < n; ++k) out.Record(at);
+    buckets[i] = buckets_[i].load(std::memory_order_relaxed);
   }
-  return out;
+  // The exact sum, as the Prometheus _sum renders it: replaying samples
+  // at their buckets' bounds would count a sub-microsecond fetch as 1 us.
+  return LatencyHistogram::FromBuckets(
+      buckets,
+      static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) / 1e6);
 }
 
 // stpq-lint: allow(hot-alloc) leaky singleton: one allocation per process

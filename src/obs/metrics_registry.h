@@ -61,9 +61,10 @@ class HistogramMetric {
  public:
   void Record(double ms);
 
-  /// Consistent-enough copy for reporting: bucket counts are read
-  /// individually, so a concurrent Record may straddle the snapshot by one
-  /// sample — fine for monitoring, which is this type's only consumer.
+  /// Consistent-enough copy for reporting: the bucket counts and the exact
+  /// sum (the one the Prometheus _sum renders), each read individually, so
+  /// a concurrent Record may straddle the snapshot by one sample — fine
+  /// for monitoring, which is this type's only consumer.
   LatencyHistogram Snapshot() const;
 
  private:

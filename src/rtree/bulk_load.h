@@ -5,8 +5,9 @@
 // (bench_ablation_srt compares the packings).  Either order feeds
 // TreePacker, which alone decides a packed tree's shape and node ids.
 // RTree::BulkLoadSorted runs it with a sink that keeps the nodes in
-// memory; the external loader (io/bulk_load.h) runs it over a merge sort
-// keyed by HilbertSortKey with a sink that writes each node's file slot.
+// memory (the in-memory build then encodes each node's page); the
+// external loader (io/bulk_load.h) runs it over a merge sort keyed by
+// HilbertSortKey with a sink that encodes and writes each node's slot.
 // So an in-memory build and an external build lay out the same tree by
 // construction, and a change to the sort key or the packing reaches both.
 #ifndef STPQ_RTREE_BULK_LOAD_H_
@@ -193,21 +194,9 @@ void RTree<D, Aug>::BulkLoadSorted(const std::vector<Entry>& sorted_records,
                             fill);
   nodes_.assign(packer.node_count(), Node{});
   free_nodes_.clear();
-  node_decoder_ = nullptr;
-  node_once_.reset();
-  materialized_nodes_.reset();
   path_.clear();
-  // Query-time scans read every entry's augmentation payload (the SRT
-  // keyword vectors), so each node's payloads should sit together in
-  // memory.  Leaf entries are copied in as they arrive, so theirs do.  An
-  // internal node's entries were made one by one as its children closed,
-  // between other nodes' allocations, so the node is stored as a copy.
   const auto store = [this](NodeId id, Node&& node) {
-    if (node.IsLeaf()) {
-      nodes_[id] = std::move(node);
-    } else {
-      nodes_[id] = node;
-    }
+    nodes_[id] = std::move(node);
   };
   for (const Entry& e : sorted_records) packer.Add(e, store);
   packer.Finish(store);

@@ -11,17 +11,16 @@
 // Merge() so internal entries summarize their subtrees (e.s and e.W of
 // Section 4.1 are exactly such summaries).
 //
-// Every node access is charged to a BufferPool to simulate disk residency.
+// The tree is a build-time structure: the indexes pack it (or insert into
+// it) and encode each node into its page (rtree/node_page.h); after
+// construction every reader reads the pages.  ReadNode charges an optional
+// BufferPool so the tree's own tests can count its page accesses.
 #ifndef STPQ_RTREE_RTREE_H_
 #define STPQ_RTREE_RTREE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -107,88 +106,28 @@ class RTree {
 
   /// Reads a node, charging the buffer pool for the page access.
   const Node& ReadNode(NodeId id) const {
-    STPQ_DCHECK(id < nodes_.size());
-    if (node_decoder_) MaterializeNode(id);
+    STPQ_CHECK(id < nodes_.size());
     if (options_.buffer_pool != nullptr) {
       options_.buffer_pool->Access(options_.page_base + id);
     }
     return nodes_[id];
   }
 
-  /// Reads a node without charging the buffer pool.  Used by the
-  /// debug/validate.h validators (and tests) so a structural check does not
-  /// distort I/O accounting.
+  /// Reads a node without charging the buffer pool (the page encoder).
   [[nodiscard]] const Node& PeekNode(NodeId id) const {
-    STPQ_DCHECK(id < nodes_.size());
-    if (node_decoder_) MaterializeNode(id);
-    return nodes_[id];
-  }
-
-  /// Mutable node access for deliberate-corruption invariant tests only;
-  /// library code never calls this.
-  [[nodiscard]] Node& MutableNodeForTest(NodeId id) {
     STPQ_CHECK(id < nodes_.size());
-    if (node_decoder_) MaterializeNode(id);
     return nodes_[id];
   }
 
-  /// Free list, persisted by the index writer (io/index_writer.h) with
+  /// Free list, encoded with the pages (EncodeTree) and persisted with
   /// every node slot so NodeIds — and therefore page ids and golden I/O
   /// counts — stay identical across a save/load round trip.
   [[nodiscard]] const std::vector<NodeId>& free_nodes() const {
     return free_nodes_;
   }
 
-  /// Replaces the tree structure wholesale with deserialized state
-  /// (storage/index_file.*).  The caller is responsible for consistency
-  /// (checksums at read time, deep validators after the engine is open);
-  /// node ids are adopted exactly as given.
-  void Restore(std::vector<Node> nodes, std::vector<NodeId> free_nodes,
-               NodeId root, uint32_t height, uint64_t size) {
-    nodes_ = std::move(nodes);
-    free_nodes_ = std::move(free_nodes);
-    root_ = root;
-    height_ = height;
-    size_ = size;
-    path_.clear();
-    node_decoder_ = nullptr;
-    node_once_.reset();
-    materialized_nodes_.reset();
-  }
-
-  /// Restore variant that defers node payloads: `decoder` fills node `id`
-  /// on first access (one file slot read), so opening a large index does
-  /// not pull every node segment into memory.  Decoding is memoized per
-  /// node (std::call_once, safe under concurrent readers); structural
-  /// mutation and whole-tree walks (Insert/Delete/nodes()/CheckInvariants)
-  /// materialize everything first and drop back to eager mode.
-  void RestoreLazy(uint32_t node_count, std::vector<NodeId> free_nodes,
-                   NodeId root, uint32_t height, uint64_t size,
-                   std::function<void(NodeId, Node*)> decoder) {
-    nodes_.assign(node_count, Node{});
-    free_nodes_ = std::move(free_nodes);
-    root_ = root;
-    height_ = height;
-    size_ = size;
-    path_.clear();
-    node_decoder_ = std::move(decoder);
-    node_once_ = node_count > 0 ? std::make_unique<std::once_flag[]>(node_count)
-                                : nullptr;
-    materialized_nodes_ = std::make_unique<std::atomic<uint64_t>>(0);
-  }
-
-  /// Nodes decoded so far on a lazily restored tree; equals node_count()
-  /// once the tree is eager.  Test hook for the header-only-open contract.
-  [[nodiscard]] uint64_t materialized_node_count() const {
-    if (node_decoder_ && materialized_nodes_ != nullptr) {
-      return materialized_nodes_->load(std::memory_order_relaxed);
-    }
-    return nodes_.size();
-  }
-
   /// Inserts one record.
   void Insert(const Rect<D>& rect, uint32_t record_id, const Aug& aug = {}) {
-    MaterializeAll();
     if (root_ == kInvalidNodeId) {
       root_ = NewNode(0);
       height_ = 1;
@@ -205,7 +144,6 @@ class RTree {
   /// (Guttman's Delete with CondenseTree re-insertion).  Returns false if
   /// no such record exists.
   bool Delete(const Rect<D>& rect, uint32_t record_id) {
-    MaterializeAll();
     if (root_ == kInvalidNodeId) return false;
     path_.clear();
     if (!FindLeaf(root_, rect, record_id)) return false;
@@ -273,30 +211,11 @@ class RTree {
   /// (test hook).  `aug_equal` compares augmentation values.
   template <typename AugEq>
   bool CheckInvariants(AugEq&& aug_equal) const {
-    MaterializeAll();
     if (root_ == kInvalidNodeId) return true;
     return CheckNode(root_, height_ - 1, aug_equal);
   }
 
  private:
-  /// Decodes node `id` exactly once (safe under concurrent readers).
-  void MaterializeNode(NodeId id) const {
-    std::call_once(node_once_[id], [&] {
-      node_decoder_(id, &nodes_[id]);
-      materialized_nodes_->fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-
-  /// Decodes every node and drops back to eager mode, so structural
-  /// mutation (which creates node ids beyond the once-flag array) is safe.
-  /// Not safe concurrently with readers; callers are cold single-threaded
-  /// paths (Save, validators, updates).
-  void MaterializeAll() const {
-    if (!node_decoder_) return;
-    for (NodeId id = 0; id < nodes_.size(); ++id) MaterializeNode(id);
-    node_decoder_ = nullptr;
-    node_once_.reset();
-  }
   NodeId NewNode(uint16_t level) {
     if (!free_nodes_.empty()) {
       NodeId id = free_nodes_.back();
@@ -631,13 +550,7 @@ class RTree {
 
   RTreeOptions options_;
   uint32_t min_entries_;
-  /// Mutable so const readers of a lazily restored tree can decode node
-  /// payloads in place (memoized via node_once_).
-  mutable std::vector<Node> nodes_;
-  /// Lazy-restore state (RestoreLazy); empty/null on eager trees.
-  mutable std::function<void(NodeId, Node*)> node_decoder_;
-  mutable std::unique_ptr<std::once_flag[]> node_once_;
-  mutable std::unique_ptr<std::atomic<uint64_t>> materialized_nodes_;
+  std::vector<Node> nodes_;
   std::vector<NodeId> free_nodes_;
   NodeId root_ = kInvalidNodeId;
   uint32_t height_ = 0;
@@ -645,36 +558,6 @@ class RTree {
   // Descent path scratch (node id, entry slot in that node's parent role).
   std::vector<std::pair<NodeId, size_t>> path_;
 };
-
-/// Deserialized tree payload adopted by the index restore constructors
-/// (storage/index_file.*).  When `decoder` is set the payload is lazy:
-/// `nodes` stays empty, `node_count` sizes the tree, and the decoder fills
-/// one node slot on first access (RTree::RestoreLazy); otherwise `nodes`
-/// holds the materialized array (RTree::Restore).
-template <int D, typename Aug = NoAug>
-struct RestoredTreeData {
-  std::vector<typename RTree<D, Aug>::Node> nodes;
-  std::vector<NodeId> free_nodes;
-  NodeId root = kInvalidNodeId;
-  uint32_t height = 0;
-  uint64_t size = 0;
-  uint32_t node_count = 0;
-  std::function<void(NodeId, typename RTree<D, Aug>::Node*)> decoder;
-};
-
-/// Routes a restored payload to Restore or RestoreLazy; the one call the
-/// index restore constructors make.
-template <int D, typename Aug>
-void AdoptRestoredTree(RTree<D, Aug>* tree, RestoredTreeData<D, Aug> restored) {
-  if (restored.decoder) {
-    tree->RestoreLazy(restored.node_count, std::move(restored.free_nodes),
-                      restored.root, restored.height, restored.size,
-                      std::move(restored.decoder));
-  } else {
-    tree->Restore(std::move(restored.nodes), std::move(restored.free_nodes),
-                  restored.root, restored.height, restored.size);
-  }
-}
 
 }  // namespace stpq
 

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/metrics_registry.h"
+#include "util/logging.h"
 #include "util/timer.h"
 
 namespace stpq {
@@ -32,8 +33,46 @@ Result<StorageBackend> ParseStorageBackend(const std::string& name) {
                                  "' (expected 'simulated' or 'file')");
 }
 
-void SimulatedPageStore::FetchPage(PageId /*page*/) {
+// ---------------------------------------------------- SimulatedPageStore
+
+SimulatedPageStore::SimulatedPageStore(std::vector<Extent> extents)
+    : extents_(std::move(extents)) {
+  std::sort(extents_.begin(), extents_.end(),
+            [](const Extent& a, const Extent& b) {
+              return a.first_page < b.first_page;
+            });
+  for (const Extent& e : extents_) {
+    STPQ_CHECK(e.bytes.size() == e.page_count * uint64_t{e.slot_bytes});
+  }
+}
+
+std::span<const uint8_t> SimulatedPageStore::FetchPage(
+    PageId page, std::vector<uint8_t>* buffer, FetchFault* fault) {
   fetches_.fetch_add(1, std::memory_order_relaxed);
+  return ReadPage(page, buffer, fault);
+}
+
+std::span<const uint8_t> SimulatedPageStore::ReadPage(
+    PageId page, std::vector<uint8_t>* /*buffer*/, FetchFault* fault) const {
+  const Extent* e = page_store_internal::FindExtent(extents_, page);
+  if (e == nullptr) {
+    *fault = FetchFault{FetchFault::kUnmappedPage, 0, page};
+    return {};
+  }
+  return {e->bytes.data() + (page - e->first_page) * e->slot_bytes,
+          e->slot_bytes};
+}
+
+Status SimulatedPageStore::FaultStatus(const FetchFault& fault) const {
+  return Status::Corruption("page " + std::to_string(fault.page) +
+                            " is outside the in-memory page array");
+}
+
+uint8_t* SimulatedPageStore::MutablePageForTest(PageId page) {
+  const Extent* e = page_store_internal::FindExtent(extents_, page);
+  if (e == nullptr) return nullptr;
+  return const_cast<uint8_t*>(e->bytes.data()) +
+         (page - e->first_page) * e->slot_bytes;
 }
 
 // --------------------------------------------------------- FilePageStore
@@ -126,25 +165,9 @@ FilePageStore::~FilePageStore() {
   ::close(fd_);
 }
 
-const FilePageStore::Extent* FilePageStore::LookupExtent(PageId page) const {
-  size_t lo = 0;
-  size_t hi = extents_.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const Extent& e = extents_[mid];
-    if (page < e.first_page) {
-      hi = mid;
-    } else if (page - e.first_page >= e.page_count) {
-      lo = mid + 1;
-    } else {
-      return &e;
-    }
-  }
-  return nullptr;
-}
-
-void FilePageStore::RecordFetchError(FetchErrorKind kind, PageId page,
-                                     int err) {
+void FilePageStore::RecordFault(FetchFault::Kind kind, PageId page, int err,
+                                FetchFault* fault) const {
+  *fault = FetchFault{kind, err, page};
   last_error_kind_.store(static_cast<uint8_t>(kind),
                          std::memory_order_relaxed);
   last_error_errno_.store(err, std::memory_order_relaxed);
@@ -152,82 +175,103 @@ void FilePageStore::RecordFetchError(FetchErrorKind kind, PageId page,
   io_errors_.fetch_add(1, std::memory_order_relaxed);
 }
 
-Status FilePageStore::last_error() const {
-  const auto kind = static_cast<FetchErrorKind>(
-      last_error_kind_.load(std::memory_order_relaxed));
-  const uint64_t page = last_error_page_.load(std::memory_order_relaxed);
-  switch (kind) {
-    case FetchErrorKind::kNone:
+Status FilePageStore::FaultStatus(const FetchFault& fault) const {
+  switch (fault.kind) {
+    case FetchFault::kNone:
       return Status::OK();
-    case FetchErrorKind::kUnmappedPage:
-      return Status::IoError("page " + std::to_string(page) +
-                             " is outside every extent of '" + path_ + "'");
-    case FetchErrorKind::kPreadFailed:
-      return Status::IoError(
-          "pread failed for page " + std::to_string(page) + " of '" + path_ +
-          "': " +
-          std::strerror(last_error_errno_.load(std::memory_order_relaxed)));
-    case FetchErrorKind::kTornPage:
-      return Status::Corruption("torn page " + std::to_string(page) +
+    case FetchFault::kUnmappedPage:
+      return Status::Corruption("page " + std::to_string(fault.page) +
+                                " is outside every extent of '" + path_ +
+                                "'");
+    case FetchFault::kPreadFailed:
+      return Status::IoError("pread failed for page " +
+                             std::to_string(fault.page) + " of '" + path_ +
+                             "': " + std::strerror(fault.err));
+    case FetchFault::kTornPage:
+      return Status::Corruption("torn page " + std::to_string(fault.page) +
                                 ": '" + path_ +
                                 "' ends inside the slot (short read)");
   }
-  return Status::Internal("unknown fetch error kind");
+  return Status::Internal("unknown fetch fault kind");
 }
 
-void FilePageStore::FetchPage(PageId page) {
-  Timer timer;
-  const Extent* extent = LookupExtent(page);
+Status FilePageStore::last_error() const {
+  return FaultStatus(FetchFault{
+      static_cast<FetchFault::Kind>(
+          last_error_kind_.load(std::memory_order_relaxed)),
+      last_error_errno_.load(std::memory_order_relaxed),
+      last_error_page_.load(std::memory_order_relaxed)});
+}
+
+std::span<const uint8_t> FilePageStore::Serve(PageId page,
+                                              std::vector<uint8_t>* buffer,
+                                              FetchFault* fault,
+                                              uint64_t* bytes_read) const {
+  *bytes_read = 0;
+  const Extent* extent = page_store_internal::FindExtent(extents_, page);
   if (extent == nullptr) {
-    RecordFetchError(FetchErrorKind::kUnmappedPage, page, 0);
-    return;
+    RecordFault(FetchFault::kUnmappedPage, page, 0, fault);
+    return {};
   }
   const uint64_t offset =
       extent->file_offset + (page - extent->first_page) * extent->slot_bytes;
-  uint64_t fetched = 0;
   if (map_ != nullptr) {
-    // One touch per cache line plus the slot's last byte; the fold keeps
-    // the reads observable so the mapping is actually paged in.
+    // Read the slot header here: every view reads it anyway, and on a
+    // cold cache its page fault then lands inside the timed fetch.
     const uint8_t* slot = map_ + offset;
-    uint64_t fold = 0;
-    for (uint32_t i = 0; i < extent->slot_bytes; i += 64) fold += slot[i];
-    fold += slot[extent->slot_bytes - 1];
-    fold_sink_.store(fold, std::memory_order_relaxed);
-    fetched = extent->slot_bytes;
-  } else {
-    uint8_t buffer[4096];
-    uint64_t remaining = extent->slot_bytes;
-    uint64_t position = offset;
-    while (remaining > 0) {
-      const size_t want = remaining < sizeof(buffer)
-                              ? static_cast<size_t>(remaining)
-                              : sizeof(buffer);
-      const ssize_t got =
-          pread_fn_(fd_, buffer, want, static_cast<off_t>(position));
-      if (got < 0) {
-        // EINTR is not a failure: the read was merely interrupted by a
-        // signal and must be retried at the same position.
-        if (errno == EINTR) continue;
-        RecordFetchError(FetchErrorKind::kPreadFailed, page, errno);
-        break;
-      }
-      if (got == 0) {
-        // EOF inside a slot: the file is shorter than the extent table
-        // promised.  A partially filled page must never be served as
-        // complete — record it as a torn page.
-        RecordFetchError(FetchErrorKind::kTornPage, page, 0);
-        break;
-      }
-      position += static_cast<uint64_t>(got);
-      remaining -= static_cast<uint64_t>(got);
-      fetched += static_cast<uint64_t>(got);
-    }
+    static_cast<void>(*static_cast<const volatile uint8_t*>(slot));
+    *bytes_read = extent->slot_bytes;
+    return {slot, extent->slot_bytes};
   }
+  // Grows once per frame; a frame keeps its buffer across refills.
+  if (buffer->size() < extent->slot_bytes) buffer->resize(extent->slot_bytes);
+  uint64_t done = 0;
+  while (done < extent->slot_bytes) {
+    const ssize_t got =
+        pread_fn_(fd_, buffer->data() + done, extent->slot_bytes - done,
+                  static_cast<off_t>(offset + done));
+    if (got < 0) {
+      // EINTR is not a failure: the read was merely interrupted by a
+      // signal and must be retried at the same position.
+      if (errno == EINTR) continue;
+      RecordFault(FetchFault::kPreadFailed, page, errno, fault);
+      *bytes_read = done;
+      return {};
+    }
+    if (got == 0) {
+      // EOF inside a slot: the file is shorter than the extent table
+      // promised.  A partially filled page must never be served as
+      // complete — record it as a torn page.
+      RecordFault(FetchFault::kTornPage, page, 0, fault);
+      *bytes_read = done;
+      return {};
+    }
+    done += static_cast<uint64_t>(got);
+  }
+  *bytes_read = done;
+  return {buffer->data(), extent->slot_bytes};
+}
+
+std::span<const uint8_t> FilePageStore::FetchPage(PageId page,
+                                                  std::vector<uint8_t>* buffer,
+                                                  FetchFault* fault) {
+  Timer timer;
+  uint64_t fetched = 0;
+  const std::span<const uint8_t> bytes = Serve(page, buffer, fault, &fetched);
+  if (fault->kind == FetchFault::kUnmappedPage) return bytes;
   fetches_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(fetched, std::memory_order_relaxed);
   metric_fetches_.Increment();
   metric_bytes_.Increment(fetched);
   metric_latency_.Record(timer.ElapsedMillis());
+  return bytes;
+}
+
+std::span<const uint8_t> FilePageStore::ReadPage(PageId page,
+                                                 std::vector<uint8_t>* buffer,
+                                                 FetchFault* fault) const {
+  uint64_t fetched = 0;
+  return Serve(page, buffer, fault, &fetched);
 }
 
 }  // namespace stpq

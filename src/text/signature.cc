@@ -1,6 +1,7 @@
 #include "text/signature.h"
 
 #include <bit>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -71,30 +72,51 @@ Signature SignatureScheme::SetSignature(const KeywordSet& set) const {
   return sig;
 }
 
-bool SignatureScheme::CoversTerm(const Signature& signature,
-                                 TermId term) const {
+bool SignatureScheme::CoversTerm(const uint8_t* words, TermId term) const {
   for (uint32_t j = 0; j < hashes_per_term_; ++j) {
-    if (!signature.TestBit(TermBit(term, j))) return false;
+    const uint32_t bit = TermBit(term, j);
+    uint64_t word = 0;
+    std::memcpy(&word, words + 8 * (bit / 64), sizeof(word));
+    if (((word >> (bit % 64)) & 1u) == 0) return false;
   }
   return true;
 }
 
+namespace {
+/// A Signature's words as the byte sequence a node page stores.
+const uint8_t* BytesOf(const Signature& signature) {
+  return reinterpret_cast<const uint8_t*>(signature.words().data());
+}
+}  // namespace
+
 uint32_t SignatureScheme::UpperBoundIntersect(const Signature& signature,
+                                              const KeywordSet& query) const {
+  STPQ_DCHECK(signature.bits() == signature_bits_);
+  return UpperBoundIntersect(BytesOf(signature), query);
+}
+
+uint32_t SignatureScheme::UpperBoundIntersect(const uint8_t* words,
                                               const KeywordSet& query) const {
   uint32_t n = 0;
   ForEachTerm(query, [&](TermId t) {
-    if (CoversTerm(signature, t)) ++n;
+    if (CoversTerm(words, t)) ++n;
   });
   return n;
 }
 
 bool SignatureScheme::MayIntersect(const Signature& signature,
                                    const KeywordSet& query) const {
+  STPQ_DCHECK(signature.bits() == signature_bits_);
+  return MayIntersect(BytesOf(signature), query);
+}
+
+bool SignatureScheme::MayIntersect(const uint8_t* words,
+                                   const KeywordSet& query) const {
   const std::vector<uint64_t>& blocks = query.blocks();
   for (size_t i = 0; i < blocks.size(); ++i) {
     for (uint64_t b = blocks[i]; b != 0; b &= b - 1) {
       const TermId t = static_cast<TermId>(i * 64 + std::countr_zero(b));
-      if (CoversTerm(signature, t)) return true;
+      if (CoversTerm(words, t)) return true;
     }
   }
   return false;

@@ -77,19 +77,24 @@ class SignatureScheme {
   /// of query keywords whose term signature is covered.
   uint32_t UpperBoundIntersect(const Signature& signature,
                                const KeywordSet& query) const;
+  /// The same bound over a signature stored as little-endian words at
+  /// `words` (an IR2 node page's signature column).
+  uint32_t UpperBoundIntersect(const uint8_t* words,
+                               const KeywordSet& query) const;
 
   /// True iff at least one query keyword may be present (sim > 0 filter).
   bool MayIntersect(const Signature& signature,
                     const KeywordSet& query) const;
+  bool MayIntersect(const uint8_t* words, const KeywordSet& query) const;
 
  private:
   /// The j-th hash bit of `term` (j < hashes_per_term_).
   uint32_t TermBit(TermId term, uint32_t j) const;
 
-  /// Whether all of `term`'s hash bits are set in `signature` — the same
-  /// answer as `signature.Covers(TermSignature(term))` without building
-  /// the per-term Signature.
-  bool CoversTerm(const Signature& signature, TermId term) const;
+  /// Whether all of `term`'s hash bits are set in the signature stored at
+  /// `words` — the same answer as `signature.Covers(TermSignature(term))`
+  /// without building the per-term Signature.
+  bool CoversTerm(const uint8_t* words, TermId term) const;
 
   uint32_t signature_bits_;
   uint32_t hashes_per_term_;

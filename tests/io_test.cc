@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -454,6 +455,99 @@ TEST_F(IndexFileTest, RejectsWrongObjectTreePageBase) {
   Result<Engine> e = Engine::Open(path);
   ASSERT_FALSE(e.ok());
   EXPECT_EQ(e.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(IndexFileTest, RejectsVersionOneWithRebuildHint) {
+  std::string path = SaveSmallIndex("v1.stpqx");
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);
+    const uint32_t v1 = 1;
+    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  }
+  Result<Engine> e = Engine::Open(path);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(e.status().message().find("version 1"), std::string::npos)
+      << e.status().ToString();
+  EXPECT_NE(e.status().message().find("rebuild"), std::string::npos)
+      << e.status().ToString();
+}
+
+TEST_F(IndexFileTest, ChildPastTheNodeSegmentFailsQueriesWithCorruption) {
+  // Every entry of feature tree 0's root is pointed past the node segment,
+  // and the segment checksum is recomputed, so the file opens: only the
+  // page fetch can notice.  Queries must fail with Corruption, never read
+  // outside the file or answer from a partial tree.
+  std::string path = SaveSmallIndex("child.stpqx");
+  NodeId root = kInvalidNodeId;
+  PageLayout layout;
+  uint32_t universe = 0;
+  {
+    Result<Engine> good = Engine::Open(path);
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    const auto& srt =
+        dynamic_cast<const SrtIndex&>(good.value().feature_index(0));
+    root = srt.tree().root_id();
+    layout = srt.tree().layout();
+    universe = good.value().feature_table(0).universe_size();
+    ASSERT_GE(srt.tree().height(), 2u);
+  }
+  Result<IndexFileInfo> info = ReadIndexFileInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  size_t row = 0;
+  const std::vector<IndexSegmentInfo>& segments = info.value().segments;
+  while (row < segments.size() &&
+         !(segments[row].name == "feature_tree_nodes" &&
+           segments[row].ordinal == 0)) {
+    ++row;
+  }
+  ASSERT_LT(row, segments.size());
+  const IndexSegmentInfo& seg = segments[row];
+  std::string bytes = ReadAll(path);
+  uint8_t* slot = reinterpret_cast<uint8_t*>(bytes.data()) + seg.offset +
+                  uint64_t{root} * seg.slot_bytes;
+  NodePageWriter editor(slot, layout);
+  uint32_t count = 0;
+  std::memcpy(&count, slot + 4, sizeof(count));
+  ASSERT_GT(count, 0u);
+  for (uint32_t i = 0; i < count; ++i) {
+    editor.SetId(i, static_cast<uint32_t>(seg.slots) + 7 + i);
+  }
+  const uint64_t checksum =
+      index_format::Fnv1a64(bytes.data() + seg.offset, seg.bytes);
+  // The checksum closes the 56-byte catalog row.
+  std::memcpy(bytes.data() + index_format::kSuperblockBytes +
+                  row * index_format::kCatalogEntryBytes + 48,
+              &checksum, sizeof(checksum));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  Result<Engine> opened = Engine::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Query q;
+  q.k = 5;
+  q.radius = 1.0;
+  q.lambda = 0.5;
+  for (size_t s = 0; s < opened.value().num_feature_sets(); ++s) {
+    KeywordSet all(universe);
+    for (TermId t = 0; t < universe; ++t) all.Insert(t);
+    q.keywords.push_back(std::move(all));
+  }
+  for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
+    Result<QueryResult> r = opened.value().Execute(q, algo);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+        << r.status().ToString();
+  }
+  Result<std::unique_ptr<StpsCursor>> cursor = opened.value().OpenCursor(q);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_FALSE(cursor.value()->Next().has_value());
+  EXPECT_EQ(cursor.value()->status().code(), StatusCode::kCorruption)
+      << cursor.value()->status().ToString();
+  EXPECT_FALSE(cursor.value()->Next().has_value());
 }
 
 TEST_F(IndexFileTest, RejectsMissingFile) {

@@ -253,10 +253,30 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   h.Record(10.0);
   LatencyHistogram snap = h.Snapshot();
   EXPECT_EQ(snap.count(), 2u);
-  // Snapshot replays each bucket at its upper bound, so the sum is only
-  // bucket-accurate (each sample overstated by at most 41%).
+  // Snapshot carries the exact sum (the buckets are what stay coarse).
   EXPECT_GE(snap.sum_ms(), 11.0);
   EXPECT_LE(snap.sum_ms(), 11.0 * 1.45);
+}
+
+TEST(MetricsRegistryTest, SnapshotSumIsExact) {
+  // Bucket 0 is [0, 1 us): replaying its samples at the bucket bound would
+  // report each 0.1 us sample as 1 us.  The snapshot keeps the exact sum,
+  // the one the Prometheus exposition renders as _sum.
+  MetricsRegistry reg;
+  HistogramMetric& h = reg.GetHistogram("tiny_ms", "help");
+  for (int i = 0; i < 1000; ++i) h.Record(0.0001);
+  const LatencyHistogram snap = h.Snapshot();
+  EXPECT_EQ(snap.count(), 1000u);
+  EXPECT_NEAR(snap.sum_ms(), 0.1, 1e-9);
+  EXPECT_EQ(snap.bucket_count(0), 1000u);
+  const std::string text = reg.RenderPrometheusText();
+  const std::string key = "tiny_ms_sum ";
+  const size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_NEAR(std::stod(text.substr(at + key.size())), snap.sum_ms(), 1e-9);
+  // Deltas of exact snapshots stay exact.
+  for (int i = 0; i < 500; ++i) h.Record(0.0001);
+  EXPECT_NEAR(h.Snapshot().Delta(snap).sum_ms(), 0.05, 1e-9);
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
@@ -651,8 +671,8 @@ TEST(MetricsRecorderTest, ManualSamplesCaptureIntervalDeltas) {
   const LatencyHistogram* h = samples[0].Histogram("stpq_query_cpu_ms");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 2u);
-  // HistogramMetric::Snapshot replays samples at bucket upper bounds, so
-  // the delta's sum is exact only to within the <= 41% bucket width.
+  // HistogramMetric::Snapshot carries the exact sum, so the delta's sum is
+  // the interval's exact sum.
   EXPECT_GE(h->sum_ms(), 3.0);
   EXPECT_LE(h->sum_ms(), 3.0 * 1.45);
 

@@ -1,22 +1,46 @@
 // Memory-profile tests for Engine::Open and LoadIndexFile.
 //
-// Opening a .stpqx file must not materialize tree nodes up front: the
-// loader parses the superblock + catalog, verifies segment checksums, and
-// hands back lazy per-node decoders; nodes decode one at a time on first
-// access.  These tests pin that laziness at the LoadIndexFile layer (build
-//-mode independent) and at the Engine layer (NDEBUG only — Debug builds
-// deep-validate restored indexes, which deliberately touches every node).
+// A node has one representation: its page.  Opening a .stpqx file parses
+// the superblock and catalog, verifies every segment, and keeps each
+// tree's shape (TreeMeta) and the extents of its node segment — never a
+// node.  Queries and tools then read each node in place from the mapped
+// file.  These tests pin that contract: LoadIndexFile returns no nodes,
+// the opened engine's pages are the built engine's pages byte for byte,
+// and reading any node — before or after queries — allocates nothing, so
+// no decoded copy of a node is ever made on the heap.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "gen/synthetic.h"
 #include "io/index_file.h"
-#include "rtree/rtree.h"
+#include "rtree/node_page.h"
+
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+// Counting global allocator (allocation entry points only).
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace stpq {
 namespace {
@@ -30,9 +54,9 @@ class OpenMemoryTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// Saves an SRT index with enough nodes that "materialized everything"
-  /// and "materialized one root-to-leaf path" are far apart.
-  std::string SaveIndex() {
+  /// Builds an SRT engine with enough nodes that a per-node copy would
+  /// show, and saves it.
+  Engine BuildEngine() {
     SyntheticConfig cfg;
     cfg.seed = 7;
     cfg.num_objects = 2000;
@@ -43,108 +67,122 @@ class OpenMemoryTest : public ::testing::Test {
     Dataset ds = GenerateSynthetic(cfg);
     EngineOptions opts;
     opts.storage.page_size = 256;
-    Engine engine =
-        Engine::Build(ds.objects,
-                      std::vector<FeatureTable>(ds.feature_tables), opts)
-            .TakeValue();
+    return Engine::Build(ds.objects,
+                         std::vector<FeatureTable>(ds.feature_tables), opts)
+        .TakeValue();
+  }
+
+  std::string SaveIndex(const Engine& engine) {
     std::string path = (dir_ / "idx.stpqx").string();
     EXPECT_TRUE(engine.Save(path).ok());
     return path;
   }
 
+  /// The trees of `engine`, in tree order.
+  static std::vector<const PagedTree*> Trees(const Engine& engine) {
+    std::vector<const PagedTree*> trees{&engine.object_index().tree()};
+    for (size_t i = 0; i < engine.num_feature_sets(); ++i) {
+      trees.push_back(
+          &dynamic_cast<const SrtIndex&>(engine.feature_index(i)).tree());
+    }
+    return trees;
+  }
+
+  /// Reads every node of every tree of `engine` outside the pools and
+  /// returns the allocations that took.
+  static uint64_t AllocationsToReadEveryNode(const Engine& engine) {
+    const std::vector<const PagedTree*> trees = Trees(engine);
+    const uint64_t before = g_allocations.load();
+    uint64_t entries = 0;
+    for (const PagedTree* tree : trees) {
+      for (NodeId id = 0; id < tree->node_count(); ++id) {
+        const NodeView node = tree->PeekNode(id);
+        entries += node.size();
+      }
+    }
+    const uint64_t allocations = g_allocations.load() - before;
+    EXPECT_GT(entries, 0u);
+    return allocations;
+  }
+
+  static Query SampleQuery() {
+    Query q;
+    q.k = 5;
+    q.radius = 0.05;
+    q.lambda = 0.5;
+    for (int s = 0; s < 2; ++s) {
+      KeywordSet kw(48);
+      kw.Insert(static_cast<TermId>(3 + s));
+      q.keywords.push_back(std::move(kw));
+    }
+    return q;
+  }
+
   std::filesystem::path dir_;
 };
 
-TEST_F(OpenMemoryTest, LoadIndexFileReturnsLazyPayloads) {
-  std::string path = SaveIndex();
+TEST_F(OpenMemoryTest, LoadIndexFileKeepsNoNodes) {
+  // The loader returns each tree's shape and the extents of its node
+  // segment; the pages themselves stay in the file.
+  Engine built = BuildEngine();
+  const std::string path = SaveIndex(built);
   Result<LoadedIndex> loaded = LoadIndexFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const LoadedIndex& idx = loaded.value();
-
-  // The object tree came back as a decoder + node count, not nodes.
-  EXPECT_TRUE(idx.object_tree.nodes.empty());
-  EXPECT_GT(idx.object_tree.node_count, 0u);
-  ASSERT_TRUE(static_cast<bool>(idx.object_tree.decoder));
-
-  ASSERT_EQ(idx.srt_trees.size(), 2u);
-  for (const RestoredTreeData<4, SrtAug>& t : idx.srt_trees) {
-    EXPECT_TRUE(t.nodes.empty());
-    EXPECT_GT(t.node_count, 0u);
-    EXPECT_TRUE(static_cast<bool>(t.decoder));
+  const std::vector<const PagedTree*> trees = Trees(built);
+  ASSERT_EQ(idx.trees.size(), trees.size());
+  ASSERT_EQ(idx.extents.size(), trees.size());
+  for (size_t t = 0; t < trees.size(); ++t) {
+    EXPECT_EQ(idx.trees[t].node_count, trees[t]->node_count());
+    EXPECT_EQ(idx.trees[t].root, trees[t]->root_id());
+    EXPECT_EQ(idx.trees[t].height, trees[t]->height());
+    EXPECT_EQ(idx.extents[t].first_page, TreePageBase(t));
+    EXPECT_EQ(idx.extents[t].page_count, trees[t]->node_count());
   }
 }
 
-TEST_F(OpenMemoryTest, NodesMaterializeOnFirstAccessOnly) {
-  std::string path = SaveIndex();
-  Result<LoadedIndex> loaded = LoadIndexFile(path);
-  ASSERT_TRUE(loaded.ok());
-
-  RTree<2> tree;
-  uint32_t total = loaded.value().object_tree.node_count;
-  AdoptRestoredTree(&tree, std::move(loaded.value().object_tree));
-  EXPECT_EQ(tree.materialized_node_count(), 0u);
-
-  // A point probe walks one root-to-leaf path: a handful of nodes out of
-  // hundreds.
-  uint64_t hits = 0;
-  tree.ForEachInRange(Rect<2>::FromPoint({0.5, 0.5}),
-                      [&](uint32_t, const Rect<2>&, const NoAug&) { ++hits; });
-  uint64_t after_probe = tree.materialized_node_count();
-  EXPECT_GT(after_probe, 0u);
-  EXPECT_LT(after_probe, total / 2) << "a point probe materialized half the tree";
-
-  // Re-running the same probe decodes nothing new.
-  tree.ForEachInRange(Rect<2>::FromPoint({0.5, 0.5}),
-                      [&](uint32_t, const Rect<2>&, const NoAug&) {});
-  EXPECT_EQ(tree.materialized_node_count(), after_probe);
-}
-
-TEST_F(OpenMemoryTest, DecodedNodesMatchEagerRestore) {
-  // Decode every node through the lazy path and compare against the
-  // in-memory build: same rects, record ids and tree shape.
-  std::string path = SaveIndex();
-  Result<LoadedIndex> loaded = LoadIndexFile(path);
-  ASSERT_TRUE(loaded.ok());
-
-  RTree<2> lazy;
-  AdoptRestoredTree(&lazy, std::move(loaded.value().object_tree));
-  std::vector<std::pair<uint32_t, Rect<2>>> via_lazy;
-  lazy.ForEachInRange(Rect<2>{{0.0, 0.0}, {1.0, 1.0}},
-                      [&](uint32_t id, const Rect<2>& r, const NoAug&) {
-                        via_lazy.emplace_back(id, r);
-                      });
-  EXPECT_EQ(via_lazy.size(), lazy.size());
-  EXPECT_EQ(lazy.materialized_node_count(), lazy.node_count());
-}
-
-#ifdef NDEBUG
-TEST_F(OpenMemoryTest, EngineOpenDoesNotMaterializeNodesUpFront) {
-  // Debug builds deep-validate restored indexes (touching every node), so
-  // the up-front laziness claim only holds — and is only asserted — in
-  // Release.
-  std::string path = SaveIndex();
-  Result<Engine> opened = Engine::Open(path);
+TEST_F(OpenMemoryTest, OpenedPagesAreTheBuiltPages) {
+  // Every node of the opened engine is read in place, and its page is the
+  // built engine's page byte for byte: one representation end to end.
+  Engine built = BuildEngine();
+  Result<Engine> opened = Engine::Open(SaveIndex(built));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ(opened.value().object_index().tree().materialized_node_count(),
-            0u);
-
-  // One query touches a sliver of each tree, not the whole file.
-  Query q;
-  q.k = 5;
-  q.radius = 0.05;
-  q.lambda = 0.5;
-  for (int s = 0; s < 2; ++s) {
-    KeywordSet kw(48);
-    kw.Insert(3);
-    q.keywords.push_back(std::move(kw));
+  EXPECT_EQ(opened.value().page_store().backend(), StorageBackend::kFile);
+  const std::vector<const PagedTree*> want = Trees(built);
+  const std::vector<const PagedTree*> got = Trees(opened.value());
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t t = 0; t < want.size(); ++t) {
+    ASSERT_EQ(got[t]->node_count(), want[t]->node_count());
+    EXPECT_EQ(&got[t]->pages(), &opened.value().page_store());
+    for (NodeId id = 0; id < want[t]->node_count(); ++id) {
+      const PageView a = want[t]->PeekPage(id);
+      const PageView b = got[t]->PeekPage(id);
+      ASSERT_EQ(a.bytes().size(), b.bytes().size());
+      EXPECT_TRUE(std::equal(a.bytes().begin(), a.bytes().end(),
+                             b.bytes().begin()))
+          << "tree " << t << " node " << id;
+    }
   }
-  ASSERT_TRUE(opened.value().Execute(q, Algorithm::kStps).ok());
-  const RTree<2>& object_tree = opened.value().object_index().tree();
-  EXPECT_GT(object_tree.node_count(), 100u);
-  EXPECT_LT(object_tree.materialized_node_count(),
-            object_tree.node_count());
 }
-#endif  // NDEBUG
+
+TEST_F(OpenMemoryTest, NodeReadsAllocateNothingBeforeOrAfterQueries) {
+  // No node is decoded into the heap: reading every node of every tree
+  // allocates nothing, on the opened (mapped) engine and on the built one,
+  // before queries run and after.
+  Engine built = BuildEngine();
+  Result<Engine> opened = Engine::Open(SaveIndex(built));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  for (const Engine* engine : {&built, &opened.value()}) {
+    EXPECT_EQ(AllocationsToReadEveryNode(*engine), 0u);
+    const Query q = SampleQuery();
+    for (int i = 0; i < 3; ++i) {
+      Result<QueryResult> r = engine->Execute(q, Algorithm::kStps);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(engine->Execute(q, Algorithm::kStds).ok());
+    }
+    EXPECT_EQ(AllocationsToReadEveryNode(*engine), 0u);
+  }
+}
 
 }  // namespace
 }  // namespace stpq
