@@ -56,7 +56,9 @@ HilbertValue EncodeKeywords(const KeywordSet& set);
 KeywordSet DecodeKeywords(const HilbertValue& value, uint32_t universe_size);
 
 /// The SRT node-summary update (Section 4.2): both values are mapped back
-/// to binary vectors, OR-ed, and the disjunction is re-encoded.
+/// to binary vectors, OR-ed, and the disjunction is re-encoded.  The index
+/// folds e.W as the equivalent bitmap union (SrtAug::Merge); this is the
+/// paper-literal reference that fold is tested against.
 HilbertValue AggregateHilbert(const HilbertValue& a, const HilbertValue& b,
                               uint32_t universe_size);
 
