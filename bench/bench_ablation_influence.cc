@@ -43,12 +43,12 @@ void RunRow(const BenchEnv& env, const std::string& label, const Dataset& ds,
                       first.stats.combinations_emitted));
       continue;
     }
-    WorkloadResult r = RunWorkload(&engine, qs, Algorithm::kStps, env);
+    WorkloadSummary r = RunWorkload(&engine, qs, Algorithm::kStps, env);
     std::printf("%-16s %-12s %12.3f %14.1f %12.1f %12.3f\n", label.c_str(),
-                name, r.cpu_ms,
-                static_cast<double>(r.totals.combinations_emitted) /
+                name, r.cpu_ms.mean,
+                static_cast<double>(r.aggregate.combinations_emitted) /
                     qs.size(),
-                r.reads, r.total_ms());
+                r.mean_page_reads, r.total_ms.mean);
   }
 }
 

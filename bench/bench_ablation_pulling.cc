@@ -22,14 +22,14 @@ void RunRow(const BenchEnv& env, const std::string& label, const Dataset& ds,
     opts.pulling = strategy;
     Engine engine = Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
                   opts).TakeValue();
-    WorkloadResult r = RunWorkload(&engine, qs, Algorithm::kStps, env);
+    WorkloadSummary r = RunWorkload(&engine, qs, Algorithm::kStps, env);
     std::printf("%-24s %-12s %12.3f %12.1f %14.1f %12.3f\n", label.c_str(),
                 strategy == PullingStrategy::kPrioritized ? "prioritized"
                                                           : "round-robin",
-                r.cpu_ms, r.reads,
-                static_cast<double>(r.totals.features_retrieved) /
+                r.cpu_ms.mean, r.mean_page_reads,
+                static_cast<double>(r.aggregate.features_retrieved) /
                     qs.size(),
-                r.total_ms());
+                r.total_ms.mean);
   }
 }
 

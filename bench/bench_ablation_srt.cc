@@ -22,12 +22,12 @@ void RunConfig(const BenchEnv& env, const std::string& label,
   opts.bulk_load = bulk;
   Engine engine = Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
                 opts).TakeValue();
-  WorkloadResult r = RunWorkload(&engine, queries, Algorithm::kStps, env);
-  std::printf("%-28s %12.3f %12.1f %14.1f %12.3f\n", label.c_str(), r.cpu_ms,
-              r.reads,
-              static_cast<double>(r.totals.features_retrieved) /
+  WorkloadSummary r = RunWorkload(&engine, queries, Algorithm::kStps, env);
+  std::printf("%-28s %12.3f %12.1f %14.1f %12.3f\n", label.c_str(),
+              r.cpu_ms.mean, r.mean_page_reads,
+              static_cast<double>(r.aggregate.features_retrieved) /
                   queries.size(),
-              r.total_ms());
+              r.total_ms.mean);
 }
 
 void Main() {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/workload.h"
 #include "gen/queries.h"
 #include "gen/real_like.h"
 #include "gen/synthetic.h"
@@ -73,34 +74,15 @@ inline Dataset MakeRealLike(const BenchEnv& env) {
   return GenerateRealLike(cfg);
 }
 
-/// Averaged per-query costs of a workload under one engine + algorithm.
-struct WorkloadResult {
-  double cpu_ms = 0.0;
-  double io_ms = 0.0;
-  double reads = 0.0;
-  double voronoi_ms = 0.0;
-  double voronoi_io_ms = 0.0;
-  QueryStats totals;
-
-  double total_ms() const { return cpu_ms + io_ms; }
-};
-
-inline WorkloadResult RunWorkload(Engine* engine,
-                                  const std::vector<Query>& queries,
-                                  Algorithm algorithm, const BenchEnv& env) {
-  WorkloadResult out;
-  for (const Query& q : queries) {
-    QueryResult r = engine->Execute(q, algorithm).TakeValue();
-    out.totals += r.stats;
-  }
-  const double n = static_cast<double>(queries.size());
-  out.cpu_ms = out.totals.cpu_ms / n;
-  out.reads = static_cast<double>(out.totals.TotalReads()) / n;
-  out.io_ms = out.reads * env.io_ms;
-  out.voronoi_ms = out.totals.PhaseMillis(QueryPhase::kVoronoi) / n;
-  out.voronoi_io_ms =
-      static_cast<double>(out.totals.voronoi_reads) / n * env.io_ms;
-  return out;
+/// Runs the batch through the library's workload runner on one worker.
+/// The summary's means are the per-query averages the figures plot.
+inline WorkloadSummary RunWorkload(Engine* engine,
+                                   const std::vector<Query>& queries,
+                                   Algorithm algorithm, const BenchEnv& env) {
+  WorkloadOptions options;
+  options.algorithm = algorithm;
+  options.io_unit_cost_ms = env.io_ms;
+  return stpq::RunWorkload(*engine, queries, options).TakeValue().summary;
 }
 
 /// Prints one benchmark table header.
@@ -114,9 +96,10 @@ inline void PrintBarHeader() {
 }
 
 inline void PrintBarRow(const std::string& param, const char* index,
-                        const char* algo, const WorkloadResult& r) {
+                        const char* algo, const WorkloadSummary& r) {
   std::printf("%-24s %-6s %-6s %12.3f %12.1f %12.3f %12.3f\n", param.c_str(),
-              index, algo, r.cpu_ms, r.reads, r.io_ms, r.total_ms());
+              index, algo, r.cpu_ms.mean, r.mean_page_reads, r.io_ms.mean,
+              r.total_ms.mean);
 }
 
 /// Header/row variants with the Voronoi breakdown (Figures 13-14's striped
@@ -127,10 +110,13 @@ inline void PrintVoronoiHeader() {
 }
 
 inline void PrintVoronoiRow(const std::string& param, const char* index,
-                            const WorkloadResult& r) {
+                            const WorkloadSummary& r, const BenchEnv& env) {
+  const double n = static_cast<double>(r.queries);
   std::printf("%-24s %-6s %12.3f %12.3f %12.3f %12.3f %12.3f\n",
-              param.c_str(), index, r.cpu_ms, r.io_ms, r.voronoi_ms,
-              r.voronoi_io_ms, r.total_ms());
+              param.c_str(), index, r.cpu_ms.mean, r.io_ms.mean,
+              r.aggregate.PhaseMillis(QueryPhase::kVoronoi) / n,
+              static_cast<double>(r.aggregate.voronoi_reads) / n * env.io_ms,
+              r.total_ms.mean);
 }
 
 /// Engine factory for the benchmark's standard configuration.

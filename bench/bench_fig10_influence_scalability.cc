@@ -23,7 +23,7 @@ void RunRow(const BenchEnv& env, const std::string& label, Dataset ds) {
   for (FeatureIndexKind kind :
        {FeatureIndexKind::kIr2, FeatureIndexKind::kSrt}) {
     Engine engine = MakeEngine(ds, kind);
-    WorkloadResult r = RunWorkload(&engine, queries, Algorithm::kStps, env);
+    WorkloadSummary r = RunWorkload(&engine, queries, Algorithm::kStps, env);
     PrintBarRow(label, KindName(kind), "STPS", r);
   }
 }

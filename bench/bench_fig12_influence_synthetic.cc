@@ -17,7 +17,7 @@ void RunRow(const BenchEnv& env, const Dataset& ds, const std::string& label,
   for (FeatureIndexKind kind :
        {FeatureIndexKind::kIr2, FeatureIndexKind::kSrt}) {
     Engine engine = MakeEngine(ds, kind);
-    WorkloadResult r = RunWorkload(&engine, queries, Algorithm::kStps, env);
+    WorkloadSummary r = RunWorkload(&engine, queries, Algorithm::kStps, env);
     PrintBarRow(label, KindName(kind), "STPS", r);
   }
 }

@@ -24,8 +24,8 @@ void RunRow(const BenchEnv& env, const std::string& label, Dataset ds) {
   for (FeatureIndexKind kind :
        {FeatureIndexKind::kIr2, FeatureIndexKind::kSrt}) {
     Engine engine = MakeEngine(ds, kind);
-    WorkloadResult r = RunWorkload(&engine, queries, Algorithm::kStps, env);
-    PrintVoronoiRow(label, KindName(kind), r);
+    WorkloadSummary r = RunWorkload(&engine, queries, Algorithm::kStps, env);
+    PrintVoronoiRow(label, KindName(kind), r, env);
   }
 }
 

@@ -22,8 +22,8 @@ void RunRows(const BenchEnv& env, const Dataset& ds) {
     for (FeatureIndexKind kind :
          {FeatureIndexKind::kIr2, FeatureIndexKind::kSrt}) {
       Engine engine = MakeEngine(ds, kind);
-      WorkloadResult r = RunWorkload(&engine, queries, Algorithm::kStps, env);
-      PrintVoronoiRow("k=" + std::to_string(k), KindName(kind), r);
+      WorkloadSummary r = RunWorkload(&engine, queries, Algorithm::kStps, env);
+      PrintVoronoiRow("k=" + std::to_string(k), KindName(kind), r, env);
     }
   }
 }

@@ -3,9 +3,9 @@
 // Not a paper figure — the paper's evaluation is single-threaded — but the
 // engine's read path is immutable after build (DESIGN.md §11), so one
 // engine can serve concurrent queries.  This bench fans the same random
-// workload across N ∈ {1, 2, 4, 8} threads with ParallelWorkloadRunner and
-// reports wall time, throughput, latency percentiles (from the per-thread
-// histograms, DESIGN.md §12), and the scaling factor over the
+// workload across N ∈ {1, 2, 4, 8} threads with RunWorkload and reports
+// wall time, throughput, latency percentiles (DESIGN.md §12), and the
+// scaling factor over the
 // single-thread run.  Per-query page-read counts are identical across all
 // rows (cold-cache sessions), so the speedup is pure CPU parallelism.
 //
@@ -37,16 +37,15 @@ void RunAlgo(const Dataset& ds, const std::vector<Query>& queries,
              Algorithm algorithm, const BenchEnv& env,
              std::vector<Row>& rows) {
   Engine engine = MakeEngine(ds, FeatureIndexKind::kSrt);
-  ParallelWorkloadRunner runner(&engine);
-  ParallelWorkloadOptions opts;
+  WorkloadOptions opts;
   opts.algorithm = algorithm;
   opts.io_unit_cost_ms = env.io_ms;
 
   double base_qps = 0.0;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     opts.threads = threads;
-    Result<ParallelWorkloadReport> report = runner.Run(queries, opts);
-    const ParallelWorkloadReport& r = report.value();
+    Result<WorkloadReport> report = stpq::RunWorkload(engine, queries, opts);
+    const WorkloadReport& r = report.value();
     if (threads == 1) base_qps = r.queries_per_sec;
     Row row{algorithm == Algorithm::kStds ? "STDS" : "STPS",
             threads,

@@ -22,7 +22,7 @@ void RunRow(const BenchEnv& env, const std::string& label, Dataset ds) {
   for (FeatureIndexKind kind :
        {FeatureIndexKind::kIr2, FeatureIndexKind::kSrt}) {
     Engine engine = MakeEngine(ds, kind);
-    WorkloadResult r = RunWorkload(&engine, queries, Algorithm::kStds, env);
+    WorkloadSummary r = RunWorkload(&engine, queries, Algorithm::kStds, env);
     PrintBarRow(label, KindName(kind), "STDS", r);
   }
 }

@@ -48,11 +48,7 @@ ObjectIndexOptions ObjectOptions(const EngineOptions& options,
     const std::vector<std::unique_ptr<FeatureIndex>>& features) {
   STPQ_RETURN_NOT_OK(ValidateObjectIndex(objects));
   for (const auto& index : features) {
-    if (const auto* srt = dynamic_cast<const SrtIndex*>(index.get())) {
-      STPQ_RETURN_NOT_OK(ValidateSrtIndex(*srt));
-    } else if (const auto* ir2 = dynamic_cast<const Ir2Tree*>(index.get())) {
-      STPQ_RETURN_NOT_OK(ValidateIr2Tree(*ir2));
-    }
+    STPQ_RETURN_NOT_OK(ValidateFeatureIndex(*index));
   }
   return Status::OK();
 }
@@ -321,14 +317,14 @@ Result<QueryResult> Engine::Execute(const Query& query,
   // A page that could not be fetched read as an empty node, so the result
   // may be missing entries: fail the query with the fetch's typed error.
   st = session.status();
-  if (!st.ok()) return st;
+  if (!st.ok()) {
+    QueryMetrics::Global().io_failed_total.Increment();
+    return st;
+  }
   session.ExportIoCounters(result.stats);
   if (options.slow_log != nullptr) {
     options.slow_log->Offer(query_span.trace_id(), result.stats.cpu_ms,
                             result.stats);
-  }
-  if (options.stats_sink != nullptr) {
-    options.stats_sink->Record(result.stats);
   }
   // Feed the process-wide registry once per completed query: a fixed set
   // of relaxed atomic adds, never inside the search loops.

@@ -42,24 +42,9 @@ enum class Algorithm {
   kStps,  ///< Spatio-Textual Preference Search
 };
 
-/// Receives the cost counters of every executed query.  Implementations
-/// must be safe to call from multiple threads concurrently when the sink is
-/// shared across parallel Execute calls (the workload runner's sink is).
-class QueryStatsSink {
- public:
-  virtual ~QueryStatsSink() = default;
-
-  /// Called once per completed query with its final counters.
-  virtual void Record(const QueryStats& stats) = 0;
-};
-
 /// Per-call execution knobs for Engine::Execute.
 struct ExecuteOptions {
   Algorithm algorithm = Algorithm::kStps;
-  /// Optional sink receiving the query's stats in addition to the returned
-  /// QueryResult; not owned.  Used by the parallel workload runner to merge
-  /// per-query stats without post-processing the results.
-  QueryStatsSink* stats_sink = nullptr;
   /// Optional slow-query capture; not owned.  Every query is offered to the
   /// log with its latency; the log retains trace events + stats for queries
   /// at or above its threshold (bounded retention, drop-oldest).
@@ -69,9 +54,10 @@ struct ExecuteOptions {
 /// Where index pages live and how the buffer pools are sized.  One struct
 /// so storage decisions travel together instead of as loose engine knobs.
 struct StorageOptions {
-  /// Page source behind the buffer pools.  kSimulated counts page accesses
-  /// without any bytes behind them (the paper's cost model); kFile serves
-  /// misses from a .stpqx index file and is only valid with Engine::Open.
+  /// Page source behind the buffer pools.  kSimulated serves misses from
+  /// the in-memory page array Engine::Build packs (charged by the paper's
+  /// cost model, no file behind it); kFile serves them from a .stpqx index
+  /// file and is only valid with Engine::Open.
   StorageBackend backend = StorageBackend::kSimulated;
   /// Index file path.  Set by Engine::Open; must be empty for kSimulated.
   std::string path;
@@ -165,14 +151,14 @@ class Engine {
   /// outside [0, 1], or radius <= 0 (NN-variant queries ignore the radius
   /// and are exempt from the radius check).  When a page the query needs
   /// cannot be fetched, returns that fetch's IoError or Corruption instead
-  /// of a result.
+  /// of a result and counts the query in stpq_query_io_failed_total.
   ///
   /// Thread-safe: any number of Execute/OpenCursor calls may run
   /// concurrently on one engine.
   [[nodiscard]] Result<QueryResult> Execute(const Query& query,
                                            Algorithm algorithm) const;
 
-  /// Execute with per-call options (algorithm + optional stats sink).
+  /// Execute with per-call options (algorithm + optional slow-query log).
   [[nodiscard]] Result<QueryResult> Execute(
       const Query& query, const ExecuteOptions& options) const;
 

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <thread>
 
-#include "util/logging.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace stpq {
@@ -32,53 +30,6 @@ MetricSummary Summarize(std::vector<double> values) {
   return out;
 }
 
-/// Builds the distribution summary from executed results (shared by the
-/// sequential and parallel drivers; the aggregate counters are filled by
-/// the caller, which owns how they were collected).
-WorkloadSummary SummarizeResults(const std::vector<QueryResult>& results,
-                                 double io_unit_cost_ms) {
-  WorkloadSummary out;
-  out.queries = results.size();
-  std::vector<double> cpu, io, total;
-  cpu.reserve(results.size());
-  io.reserve(results.size());
-  total.reserve(results.size());
-  uint64_t reads = 0;
-  for (const QueryResult& r : results) {
-    double io_ms = r.stats.IoMillis(io_unit_cost_ms);
-    cpu.push_back(r.stats.cpu_ms);
-    io.push_back(io_ms);
-    total.push_back(r.stats.cpu_ms + io_ms);
-    reads += r.stats.TotalReads();
-  }
-  out.cpu_ms = Summarize(std::move(cpu));
-  out.io_ms = Summarize(std::move(io));
-  out.total_ms = Summarize(std::move(total));
-  if (!results.empty()) {
-    out.mean_page_reads =
-        static_cast<double>(reads) / static_cast<double>(results.size());
-  }
-  return out;
-}
-
-/// Mutex-guarded stats accumulator shared by the parallel workers.
-class AggregatingStatsSink : public QueryStatsSink {
- public:
-  void Record(const QueryStats& stats) override STPQ_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    total_ += stats;
-  }
-
-  QueryStats total() const STPQ_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return total_;
-  }
-
- private:
-  mutable Mutex mu_;
-  QueryStats total_ STPQ_GUARDED_BY(mu_);
-};
-
 }  // namespace
 
 std::string WorkloadSummary::ToString() const {
@@ -92,37 +43,11 @@ std::string WorkloadSummary::ToString() const {
   return os.str();
 }
 
-Result<WorkloadSummary> RunWorkload(const Engine& engine,
-                                    const std::vector<Query>& queries,
-                                    Algorithm algorithm,
-                                    double io_unit_cost_ms) {
+Result<WorkloadReport> RunWorkload(const Engine& engine,
+                                   const std::vector<Query>& queries,
+                                   const WorkloadOptions& options) {
   for (size_t i = 0; i < queries.size(); ++i) {
     Status st = engine.ValidateQuery(queries[i]);
-    if (!st.ok()) {
-      return Status::InvalidArgument("query " + std::to_string(i) + ": " +
-                                     st.message());
-    }
-  }
-  std::vector<QueryResult> results;
-  results.reserve(queries.size());
-  QueryStats aggregate;
-  for (const Query& q : queries) {
-    Result<QueryResult> r = engine.Execute(q, algorithm);
-    STPQ_CHECK(r.ok());  // pre-validated above
-    aggregate += r.value().stats;
-    results.push_back(r.TakeValue());
-  }
-  WorkloadSummary out = SummarizeResults(results, io_unit_cost_ms);
-  out.aggregate = aggregate;
-  return out;
-}
-
-Result<ParallelWorkloadReport> ParallelWorkloadRunner::Run(
-    const std::vector<Query>& queries,
-    const ParallelWorkloadOptions& options) const {
-  STPQ_CHECK(engine_ != nullptr);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    Status st = engine_->ValidateQuery(queries[i]);
     if (!st.ok()) {
       return Status::InvalidArgument("query " + std::to_string(i) + ": " +
                                      st.message());
@@ -133,32 +58,29 @@ Result<ParallelWorkloadReport> ParallelWorkloadRunner::Run(
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
   threads = std::max<size_t>(1, std::min(threads, queries.size()));
-  if (queries.empty()) threads = 1;
 
-  ParallelWorkloadReport report;
+  WorkloadReport report;
   report.per_query.resize(queries.size());
-
-  AggregatingStatsSink sink;
-  ExecuteOptions exec_options;
-  exec_options.algorithm = options.algorithm;
-  exec_options.stats_sink = &sink;
-  exec_options.slow_log = options.slow_log;
+  const ExecuteOptions exec_options{options.algorithm, options.slow_log};
 
   // Dynamic work distribution: each worker claims the next unprocessed
-  // query.  Results land in distinct slots, so only the claim counter and
-  // the sink are shared; latency histograms are strictly per-thread and
-  // merged only after the join (single-writer, no synchronization).
+  // query.  Results and failures land in per-query slots, so only the
+  // claim counter and the stop flag are shared.  Once any query fails no
+  // new query is claimed; every lower index was claimed before it and
+  // still runs, so the first failure in input order is exact.
   std::atomic<size_t> next{0};
-  std::vector<LatencyHistogram> thread_hist(threads);
-  auto worker = [&](size_t tid) {
-    LatencyHistogram& hist = thread_hist[tid];
-    while (true) {
+  std::atomic<bool> failed{false};
+  std::vector<Status> failures(queries.size());
+  auto worker = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= queries.size()) return;
-      Result<QueryResult> r = engine_->Execute(queries[i], exec_options);
-      STPQ_CHECK(r.ok());  // pre-validated above
-      const QueryStats& stats = r.value().stats;
-      hist.Record(stats.cpu_ms + stats.IoMillis(options.io_unit_cost_ms));
+      Result<QueryResult> r = engine.Execute(queries[i], exec_options);
+      if (!r.ok()) {
+        failures[i] = r.status();
+        failed.store(true, std::memory_order_relaxed);
+        return;
+      }
       report.per_query[i] = r.TakeValue();
     }
   };
@@ -166,13 +88,39 @@ Result<ParallelWorkloadReport> ParallelWorkloadRunner::Run(
   Timer wall;
   std::vector<std::thread> pool;
   pool.reserve(threads);
-  for (size_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
+  for (size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
   report.wall_ms = wall.ElapsedMillis();
-  for (const LatencyHistogram& h : thread_hist) report.latency.Merge(h);
 
-  report.summary = SummarizeResults(report.per_query, options.io_unit_cost_ms);
-  report.summary.aggregate = sink.total();
+  for (size_t i = 0; i < failures.size(); ++i) {
+    if (!failures[i].ok()) {
+      return Status(failures[i].code(), "query " + std::to_string(i) + ": " +
+                                            failures[i].message());
+    }
+  }
+
+  WorkloadSummary& summary = report.summary;
+  summary.queries = queries.size();
+  std::vector<double> cpu, io, total;
+  cpu.reserve(queries.size());
+  io.reserve(queries.size());
+  total.reserve(queries.size());
+  for (const QueryResult& r : report.per_query) {
+    const double io_ms = r.stats.IoMillis(options.io_unit_cost_ms);
+    cpu.push_back(r.stats.cpu_ms);
+    io.push_back(io_ms);
+    total.push_back(r.stats.cpu_ms + io_ms);
+    report.latency.Record(r.stats.cpu_ms + io_ms);
+    summary.aggregate += r.stats;
+  }
+  summary.cpu_ms = Summarize(std::move(cpu));
+  summary.io_ms = Summarize(std::move(io));
+  summary.total_ms = Summarize(std::move(total));
+  if (!queries.empty()) {
+    summary.mean_page_reads =
+        static_cast<double>(summary.aggregate.TotalReads()) /
+        static_cast<double>(queries.size());
+  }
   if (report.wall_ms > 0.0) {
     report.queries_per_sec =
         static_cast<double>(queries.size()) / (report.wall_ms / 1000.0);

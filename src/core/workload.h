@@ -6,10 +6,10 @@
 // tail percentiles for CPU, simulated I/O and total time, plus the
 // aggregated algorithm counters.
 //
-// Two drivers share the summary format: RunWorkload executes the batch on
-// the calling thread, and ParallelWorkloadRunner fans it across a fixed
-// thread pool — the engine's read path is thread-safe, and with the
-// default cold_cache_per_query accounting both drivers report identical
+// RunWorkload is the one batch driver.  It fans the batch across a fixed
+// pool of worker threads over one engine (one worker runs the same code);
+// the engine's read path is thread-safe, and with the default
+// cold_cache_per_query accounting every thread count reports identical
 // per-query results and page-read counts (DESIGN.md §11).
 #ifndef STPQ_CORE_WORKLOAD_H_
 #define STPQ_CORE_WORKLOAD_H_
@@ -46,57 +46,40 @@ struct WorkloadSummary {
   std::string ToString() const;
 };
 
-/// Executes every query on the calling thread and summarizes costs.
-/// `io_unit_cost_ms` prices one simulated page read (the paper's dark-bar
-/// constant).  Returns InvalidArgument if any query is malformed for the
-/// engine (nothing is executed in that case).
-[[nodiscard]] Result<WorkloadSummary> RunWorkload(const Engine& engine,
-                                    const std::vector<Query>& queries,
-                                    Algorithm algorithm,
-                                    double io_unit_cost_ms);
-
-/// Knobs for the parallel driver.
-struct ParallelWorkloadOptions {
+/// Knobs for RunWorkload.
+struct WorkloadOptions {
   Algorithm algorithm = Algorithm::kStps;
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   size_t threads = 1;
-  /// Price of one simulated page read in milliseconds.
+  /// Price of one simulated page read in milliseconds (the paper's
+  /// dark-bar constant).
   double io_unit_cost_ms = 0.0;
   /// Optional slow-query capture shared by the workers; not owned.
   SlowQueryLog* slow_log = nullptr;
 };
 
-/// Outcome of a parallel run: the merged summary, the per-query results in
-/// input order (independent of scheduling), and throughput.
-struct ParallelWorkloadReport {
+/// Outcome of a run: the summary, the per-query results in input order
+/// (independent of scheduling), and throughput.
+struct WorkloadReport {
   WorkloadSummary summary;
   std::vector<QueryResult> per_query;  ///< one entry per input query
   double wall_ms = 0.0;                ///< end-to-end batch wall time
   double queries_per_sec = 0.0;        ///< throughput over wall time
-  /// Per-query total latency (cpu + priced I/O), accumulated in one
-  /// LatencyHistogram per worker thread and merged after the join — no
-  /// locks or atomics touch the recording path (DESIGN.md §12).
+  /// Per-query total latency (cpu + priced I/O), one sample per query.
   LatencyHistogram latency;
 };
 
-/// Fans a query batch across a fixed pool of N threads over one engine.
-/// Work is distributed dynamically (an atomic cursor over the batch), each
-/// query's stats are merged through a thread-safe QueryStatsSink, and the
-/// per-query results land in input order.
-class ParallelWorkloadRunner {
- public:
-  /// `engine` is not owned and must outlive the runner.
-  explicit ParallelWorkloadRunner(const Engine* engine) : engine_(engine) {}
-
-  /// Runs the batch.  Every query is validated up front, so a non-OK
-  /// status means nothing was executed; worker threads cannot fail.
-  [[nodiscard]] Result<ParallelWorkloadReport> Run(
-      const std::vector<Query>& queries,
-      const ParallelWorkloadOptions& options) const;
-
- private:
-  const Engine* engine_;
-};
+/// Runs `queries` on `engine` across `options.threads` workers.  Workers
+/// claim queries through an atomic cursor and write only their own result
+/// slots; the summary, aggregate counters and latency histogram are
+/// computed from the per-query results after the join.  Every query is
+/// validated up front, so InvalidArgument means nothing was executed.  A
+/// query that fails while executing (a page fetch's IoError or
+/// Corruption) fails the batch: workers stop claiming, and the status of
+/// the lowest-index failing query is returned, prefixed "query i: ".
+[[nodiscard]] Result<WorkloadReport> RunWorkload(
+    const Engine& engine, const std::vector<Query>& queries,
+    const WorkloadOptions& options);
 
 }  // namespace stpq
 

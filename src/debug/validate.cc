@@ -275,6 +275,13 @@ Status ValidateIr2Tree(const Ir2Tree& index) {
   return CheckLeafIdBijection(seen, "IR2-tree: feature");
 }
 
+Status ValidateFeatureIndex(const FeatureIndex& index) {
+  if (const auto* srt = dynamic_cast<const SrtIndex*>(&index)) {
+    return ValidateSrtIndex(*srt);
+  }
+  return ValidateIr2Tree(dynamic_cast<const Ir2Tree&>(index));
+}
+
 Status ValidateObjectIndex(const ObjectIndex& index) {
   const PagedTree& tree = index.tree();
   if (tree.size() != index.size()) {

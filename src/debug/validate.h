@@ -243,6 +243,10 @@ Status ValidateRTree(const RTree<D>& tree) {
 /// matching the feature table.
 [[nodiscard]] Status ValidateIr2Tree(const Ir2Tree& index);
 
+/// Feature-index validation: ValidateSrtIndex or ValidateIr2Tree, picked
+/// by the index's type (one of the two FeatureIndexKinds).
+[[nodiscard]] Status ValidateFeatureIndex(const FeatureIndex& index);
+
 /// Object R-tree validation: structure plus a bijection between leaf
 /// records and the object collection.
 [[nodiscard]] Status ValidateObjectIndex(const ObjectIndex& index);

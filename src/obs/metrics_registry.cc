@@ -40,7 +40,6 @@ void HistogramMetric::Record(double ms) {
   if (std::isnan(ms) || ms < 0.0) ms = 0.0;
   buckets_[LatencyBuckets::IndexFor(ms)].fetch_add(
       1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_ns_.fetch_add(static_cast<uint64_t>(ms * 1e6),
                     std::memory_order_relaxed);
 }
@@ -134,9 +133,9 @@ std::string MetricsRegistry::RenderPrometheusText() const {
                   std::memory_order_relaxed)) /
                   1e6
            << "\n";
-        os << name << "_count "
-           << entry.histogram->count_.load(std::memory_order_relaxed)
-           << "\n";
+        // The count is the +Inf bucket's cumulative total, read once, so
+        // the two agree even while other threads record.
+        os << name << "_count " << cumulative << "\n";
         break;
       }
     }
@@ -178,7 +177,6 @@ void MetricsRegistry::ResetForTest() {
         for (auto& b : entry.histogram->buckets_) {
           b.store(0, std::memory_order_relaxed);
         }
-        entry.histogram->count_.store(0, std::memory_order_relaxed);
         entry.histogram->sum_ns_.store(0, std::memory_order_relaxed);
         break;
     }

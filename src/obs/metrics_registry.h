@@ -71,7 +71,6 @@ class HistogramMetric {
   friend class MetricsRegistry;
 
   std::atomic<uint64_t> buckets_[LatencyBuckets::kNumBuckets]{};
-  std::atomic<uint64_t> count_{0};
   /// Milliseconds accumulated as fixed-point nanoseconds: double has no
   /// atomic fetch_add pre-C++20 on all toolchains, and integer addition is
   /// exact under concurrency.

@@ -17,6 +17,9 @@ QueryMetrics::QueryMetrics(MetricsRegistry& registry)
       rejected_total(registry.GetCounter(
           "stpq_queries_rejected_total",
           "Queries rejected by validation before execution")),
+      io_failed_total(registry.GetCounter(
+          "stpq_query_io_failed_total",
+          "Queries failed by a page fetch (IoError or Corruption)")),
       pages_read_total(registry.GetCounter(
           "stpq_pages_read_total", "Simulated page reads (buffer misses)")),
       buffer_hits_total(registry.GetCounter(

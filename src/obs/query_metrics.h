@@ -4,9 +4,10 @@
 // stpq_* metric the engine exports, so the per-query feeding cost is a
 // fixed set of relaxed atomic adds — no registry lookups, no locks, no
 // allocation.  Engine::Execute calls RecordQuery() with the final
-// QueryStats of each completed query (and RecordRejected() for queries
-// that fail validation); the engine's resource gauges (buffer-pool
-// residency, Voronoi cache size) are refreshed alongside.
+// QueryStats of each completed query, RecordRejected() for queries that
+// fail validation, and bumps io_failed_total for queries a page fetch
+// failed; the engine's resource gauges (buffer-pool residency, Voronoi
+// cache size) are refreshed alongside.
 #ifndef STPQ_OBS_QUERY_METRICS_H_
 #define STPQ_OBS_QUERY_METRICS_H_
 
@@ -31,6 +32,7 @@ class QueryMetrics {
 
   Counter& queries_total;
   Counter& rejected_total;
+  Counter& io_failed_total;
   Counter& pages_read_total;
   Counter& buffer_hits_total;
   Counter& heap_pushes_total;

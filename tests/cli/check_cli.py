@@ -1,0 +1,192 @@
+#!/usr/bin/env python3
+"""Contract test for stpq_cli's command line.
+
+Checks three things against a built stpq_cli:
+
+  * invalid input exits 2 with an error naming the offending flag: an
+    unknown flag, another command's flag, a value outside a flag's
+    choices, and a number that does not parse;
+  * help matches the parser: each command accepts every flag its --help
+    lists (one invocation per command with all of them set, plus --help,
+    must exit 0), and --flag=value works like --flag value;
+  * a damaged index fails cleanly: on an index whose feature tree 0 root
+    points past its node segment (catalog checksum recomputed, so the file
+    opens), every query-running command exits 1 and reports Corruption,
+    and load --verify and validate report the bad child pointer.
+
+Exit code 0 = all checks passed.
+"""
+
+import argparse
+import os
+import re
+import struct
+import subprocess
+import sys
+import tempfile
+
+# .stpqx layout (src/io/index_format.h, src/rtree/node_page.h).
+SUPERBLOCK_BYTES = 52
+CATALOG_ENTRY_BYTES = 56
+SEG_FEATURE_TREE_META = 5
+SEG_FEATURE_TREE_NODES = 6
+NODE_HEADER_BYTES = 8
+
+# A valid sample value for each value placeholder --help prints.
+SAMPLE_VALUES = {
+    "N": "1", "MS": "1", "MB": "1", "PORT": "0",
+    "F": "0.5", "S": "0.01", "T": "0.5", "R": "0.01", "L": "0.5",
+    "N[,N...]": "1,2", "FILE": "unused", "DIR": "unused",
+    '"a,b;c"': "kw001;kw002",
+}
+
+HELP_LINE_RE = re.compile(r"^  --([a-z-]+)(?: (\S+))?\s")
+
+
+def run(cli, argv, cwd):
+    proc = subprocess.run([cli] + argv, cwd=cwd, capture_output=True,
+                          text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def fnv1a64(data):
+    h = 1469598103934665603
+    for b in data:
+        h ^= b
+        h = (h * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def point_root_past_segment(path):
+    """Points every child of feature tree 0's root past its node segment
+    and recomputes the segment's catalog checksum."""
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    (segment_count,) = struct.unpack_from("<I", data, 48)
+    rows = {}
+    for i in range(segment_count):
+        row = SUPERBLOCK_BYTES + i * CATALOG_ENTRY_BYTES
+        seg_type, ordinal, offset, size, _, slots, slot_bytes = \
+            struct.unpack_from("<IIQQQQI", data, row)
+        rows[(seg_type, ordinal)] = (row, offset, size, slots, slot_bytes)
+    _, meta_offset, _, _, _ = rows[(SEG_FEATURE_TREE_META, 0)]
+    root, = struct.unpack_from("<I", data, meta_offset)
+    keyword_words, = struct.unpack_from("<I", data, meta_offset + 28)
+    row, offset, size, slots, slot_bytes = rows[(SEG_FEATURE_TREE_NODES, 0)]
+    slot = offset + root * slot_bytes
+    count, = struct.unpack_from("<I", data, slot + 4)
+    # Columns: keywords, scores, then the child ids.
+    ids = slot + NODE_HEADER_BYTES + count * (8 * keyword_words + 8)
+    for i in range(count):
+        struct.pack_into("<I", data, ids + 4 * i, slots + 7 + i)
+    struct.pack_into("<Q", data, row + 48,
+                     fnv1a64(bytes(data[offset:offset + size])))
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--cli", required=True, help="path to stpq_cli")
+    args = parser.parse_args()
+    cli = os.path.abspath(args.cli)
+
+    failures = []
+
+    def check(ok, message):
+        print("%s %s" % ("ok  " if ok else "FAIL", message))
+        if not ok:
+            failures.append(message)
+
+    with tempfile.TemporaryDirectory(prefix="stpq_cli_contract.") as tmp:
+        data = os.path.join(tmp, "d.stpq")
+        index = os.path.join(tmp, "d.stpqx")
+        code, _, err = run(cli, ["generate", "--out", data, "--scale",
+                                 "0.01", "--seed", "5"], tmp)
+        check(code == 0, "generate exits 0 " + err.strip())
+        query = ["query", "--data", data, "--keywords", "kw001;kw002"]
+
+        # ---- invalid input exits 2, naming the flag
+        rejected = [
+            (query + ["--varient", "nn"], "--varient"),
+            (query + ["--algo", "stsd"], "--algo"),
+            (["build", "--data", data, "--index", index, "--kind", "ir3"],
+             "--kind"),
+            (query + ["--variant", "nm"], "--variant"),
+            (query + ["--backend", "fil"], "--backend"),
+            (["bench", "--data", data, "--queries", "abc"], "--queries"),
+            (query + ["--k", "3x"], "--k"),
+            (query + ["--threads", "4"], "--threads"),
+            (query + ["--k"], "--k"),
+            (query + ["stray"], "stray"),
+        ]
+        for argv, flag in rejected:
+            code, _, err = run(cli, argv, tmp)
+            check(code == 2 and flag in err,
+                  "exit 2 naming %s: %s (got %d: %s)" %
+                  (flag, " ".join(argv[:1] + argv[-2:]), code, err.strip()))
+
+        # ---- help matches the parser
+        for command in ["generate", "info", "build", "load", "query",
+                        "bench", "workload", "profile", "trace",
+                        "validate"]:
+            code, out, _ = run(cli, [command, "--help"], tmp)
+            check(code == 0, "%s --help exits 0" % command)
+            argv = [command]
+            for line in out.splitlines():
+                match = HELP_LINE_RE.match(line)
+                if not match:
+                    continue
+                name, value = match.groups()
+                argv.append("--" + name)
+                if value is not None:
+                    choice = value.split("|")[0] if "|" in value else None
+                    sample = choice or SAMPLE_VALUES.get(value)
+                    check(sample is not None,
+                          "%s --%s: sample value for %s" %
+                          (command, name, value))
+                    argv.append(sample or "")
+            check(len(argv) > 1, "%s --help lists flags" % command)
+            code, _, err = run(cli, argv + ["--help"], tmp)
+            check(code == 0, "%s accepts every flag its --help lists%s" %
+                  (command, (": " + err.strip()) if err else ""))
+
+        code, out, err = run(cli, ["query", "--data=" + data,
+                                   "--keywords=kw001;kw002", "--k=3"], tmp)
+        check(code == 0 and out.startswith("top-3 "),
+              "--flag=value works (%d: %s)" % (code, err.strip()))
+
+        # ---- a damaged index fails cleanly
+        code, _, err = run(cli, ["build", "--data", data, "--index", index],
+                           tmp)
+        check(code == 0, "build exits 0 " + err.strip())
+        point_root_past_segment(index)
+        damaged = ["--index", index]
+        for argv in (["query"] + damaged + ["--keywords", "kw001;kw002"],
+                     ["bench"] + damaged + ["--queries", "8"],
+                     ["workload"] + damaged + ["--queries", "8",
+                                               "--threads", "1,4"],
+                     ["profile"] + damaged + ["--queries", "8"],
+                     ["trace"] + damaged + ["--queries", "8", "--trace-out",
+                                            os.path.join(tmp, "t.json")]):
+            code, _, err = run(cli, argv, tmp)
+            check(code == 1 and "Corruption" in err,
+                  "%s on a damaged index exits 1 with Corruption "
+                  "(got %d: %s)" % (argv[0], code, err.strip()))
+        code, _, err = run(cli, ["load", "--verify"] + damaged, tmp)
+        check(code == 1 and "out of range" in err,
+              "load --verify rejects the damaged index (got %d: %s)" %
+              (code, err.strip()))
+        code, out, _ = run(cli, ["validate"] + damaged, tmp)
+        check(code == 1 and "out of range" in out,
+              "validate rejects the damaged index (got %d)" % code)
+
+    if failures:
+        print("%d check(s) failed" % len(failures))
+        return 1
+    print("all checks passed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

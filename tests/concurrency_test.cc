@@ -79,19 +79,18 @@ TEST(ConcurrencyTest, ParallelRunMatchesSequentialExactly) {
     sequential.push_back(engine.Execute(q, Algorithm::kStps).TakeValue());
   }
 
-  ParallelWorkloadRunner runner(&engine);
-  ParallelWorkloadOptions opts;
+  WorkloadOptions opts;
   opts.threads = 8;
-  Result<ParallelWorkloadReport> report = runner.Run(queries, opts);
+  Result<WorkloadReport> report = RunWorkload(engine, queries, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const ParallelWorkloadReport& r = report.value();
+  const WorkloadReport& r = report.value();
 
   ASSERT_EQ(r.per_query.size(), sequential.size());
   for (size_t i = 0; i < sequential.size(); ++i) {
     ExpectIdentical(sequential[i], r.per_query[i], i);
   }
   EXPECT_GT(r.queries_per_sec, 0.0);
-  // The sink-aggregated counters equal the per-query sum.
+  // The aggregated counters equal the per-query sum.
   uint64_t reads = 0;
   for (const QueryResult& q : r.per_query) reads += q.stats.TotalReads();
   EXPECT_EQ(r.summary.aggregate.TotalReads(), reads);
@@ -321,14 +320,12 @@ TEST(ConcurrencyTest, CountersIndependentOfThreadCount) {
   Dataset ds = MakeDataset(1'000, 800);
   std::vector<Query> queries = MixedWorkload(ds, 30);
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
-  ParallelWorkloadRunner runner(&engine);
-
-  ParallelWorkloadOptions opts;
+  WorkloadOptions opts;
   opts.threads = 1;
-  ParallelWorkloadReport base = runner.Run(queries, opts).TakeValue();
+  WorkloadReport base = RunWorkload(engine, queries, opts).TakeValue();
   for (size_t threads : {2u, 4u, 8u}) {
     opts.threads = threads;
-    ParallelWorkloadReport r = runner.Run(queries, opts).TakeValue();
+    WorkloadReport r = RunWorkload(engine, queries, opts).TakeValue();
     ASSERT_EQ(r.per_query.size(), base.per_query.size());
     for (size_t i = 0; i < base.per_query.size(); ++i) {
       ExpectIdentical(base.per_query[i], r.per_query[i], i);
@@ -342,8 +339,7 @@ TEST(ConcurrencyTest, RunnerRejectsMalformedBatch) {
   std::vector<Query> queries = MixedWorkload(ds, 10);
   queries[3].k = 0;
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
-  ParallelWorkloadRunner runner(&engine);
-  Result<ParallelWorkloadReport> r = runner.Run(queries, {});
+  Result<WorkloadReport> r = RunWorkload(engine, queries, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("query 3"), std::string::npos)

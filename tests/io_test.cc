@@ -9,11 +9,13 @@
 #include <string>
 
 #include "core/engine.h"
+#include "core/workload.h"
 #include "gen/real_like.h"
 #include "gen/synthetic.h"
 #include "io/dataset_io.h"
 #include "io/index_file.h"
 #include "io/index_format.h"
+#include "obs/query_metrics.h"
 #include "util/rng.h"
 
 namespace stpq {
@@ -536,11 +538,29 @@ TEST_F(IndexFileTest, ChildPastTheNodeSegmentFailsQueriesWithCorruption) {
     for (TermId t = 0; t < universe; ++t) all.Insert(t);
     q.keywords.push_back(std::move(all));
   }
+  const QueryMetrics& metrics = QueryMetrics::Global();
+  const uint64_t completed_before = metrics.queries_total.value();
+  const uint64_t io_failed_before = metrics.io_failed_total.value();
   for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
     Result<QueryResult> r = opened.value().Execute(q, algo);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
         << r.status().ToString();
+  }
+  EXPECT_EQ(metrics.io_failed_total.value(), io_failed_before + 2);
+  EXPECT_EQ(metrics.queries_total.value(), completed_before);
+  // The batch runner fails the batch with the same typed error, naming the
+  // lowest failing query, on one worker and on several.
+  const std::vector<Query> batch(8, q);
+  for (size_t threads : {1u, 4u}) {
+    WorkloadOptions options;
+    options.threads = threads;
+    Result<WorkloadReport> run = RunWorkload(opened.value(), batch, options);
+    ASSERT_FALSE(run.ok()) << threads;
+    EXPECT_EQ(run.status().code(), StatusCode::kCorruption)
+        << run.status().ToString();
+    EXPECT_EQ(run.status().message().rfind("query 0: ", 0), 0u)
+        << run.status().message();
   }
   Result<std::unique_ptr<StpsCursor>> cursor = opened.value().OpenCursor(q);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();

@@ -523,16 +523,15 @@ TEST(ParallelWorkloadTest, MergedStatsEqualSumOfPerQueryStats) {
   qcfg.radius = 0.05;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   Engine engine = Engine::Build(std::move(ds.objects), std::move(ds.feature_tables), {}).TakeValue();
-  ParallelWorkloadRunner runner(&engine);
-  ParallelWorkloadOptions opts;
+  WorkloadOptions opts;
   opts.threads = 4;
   opts.io_unit_cost_ms = 0.1;
-  Result<ParallelWorkloadReport> report = runner.Run(queries, opts);
+  Result<WorkloadReport> report = RunWorkload(engine, queries, opts);
   ASSERT_TRUE(report.ok());
-  const ParallelWorkloadReport& r = report.value();
+  const WorkloadReport& r = report.value();
 
-  // The sink-merged aggregate must equal the field-wise sum of the
-  // per-query stats: operator+= under concurrent merging loses nothing.
+  // The aggregate must equal the field-wise sum of the per-query stats:
+  // folding them after the join loses nothing.
   QueryStats manual;
   for (const QueryResult& q : r.per_query) manual += q.stats;
   const QueryStats& merged = r.summary.aggregate;
@@ -546,13 +545,13 @@ TEST(ParallelWorkloadTest, MergedStatsEqualSumOfPerQueryStats) {
   EXPECT_EQ(merged.objects_scored, manual.objects_scored);
   EXPECT_EQ(merged.voronoi_cells, manual.voronoi_cells);
   EXPECT_EQ(merged.voronoi_cache_hits, manual.voronoi_cache_hits);
-  // Doubles sum in scheduling order in the sink; compare with tolerance.
+  // Doubles compare with a tolerance.
   EXPECT_NEAR(merged.cpu_ms, manual.cpu_ms, 1e-6);
   for (size_t i = 0; i < kNumQueryPhases; ++i) {
     EXPECT_NEAR(merged.phase_ms[i], manual.phase_ms[i], 1e-6) << i;
   }
 
-  // Per-thread histograms merged after the join: one sample per query.
+  // The latency histogram, filled after the join: one sample per query.
   EXPECT_EQ(r.latency.count(), queries.size());
   EXPECT_GT(r.latency.max_ms(), 0.0);
   EXPECT_LE(r.latency.PercentileMs(0.50), r.latency.PercentileMs(0.99));

@@ -31,7 +31,7 @@ TEST(WorkloadTest, SummarizesCosts) {
   qcfg.count = 10;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
-  WorkloadSummary s = RunWorkload(engine, queries, Algorithm::kStps, 0.1).TakeValue();
+  WorkloadSummary s = RunWorkload(engine, queries, {.algorithm = Algorithm::kStps, .io_unit_cost_ms = 0.1}).TakeValue().summary;
   EXPECT_EQ(s.queries, 10u);
   EXPECT_GT(s.total_ms.mean, 0.0);
   EXPECT_LE(s.total_ms.p50, s.total_ms.p95);
@@ -49,7 +49,7 @@ TEST(WorkloadTest, EmptyWorkload) {
   cfg.num_feature_sets = 1;
   Dataset ds = GenerateSynthetic(cfg);
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
-  WorkloadSummary s = RunWorkload(engine, {}, Algorithm::kStps, 0.1).TakeValue();
+  WorkloadSummary s = RunWorkload(engine, {}, {.algorithm = Algorithm::kStps, .io_unit_cost_ms = 0.1}).TakeValue().summary;
   EXPECT_EQ(s.queries, 0u);
   EXPECT_EQ(s.total_ms.mean, 0.0);
 }
@@ -64,8 +64,8 @@ TEST(WorkloadTest, IoCostScalesLinearly) {
   qcfg.count = 3;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
-  WorkloadSummary cheap = RunWorkload(engine, queries, Algorithm::kStps, 0.1).TakeValue();
-  WorkloadSummary costly = RunWorkload(engine, queries, Algorithm::kStps, 1.0).TakeValue();
+  WorkloadSummary cheap = RunWorkload(engine, queries, {.algorithm = Algorithm::kStps, .io_unit_cost_ms = 0.1}).TakeValue().summary;
+  WorkloadSummary costly = RunWorkload(engine, queries, {.algorithm = Algorithm::kStps, .io_unit_cost_ms = 1.0}).TakeValue().summary;
   EXPECT_NEAR(costly.io_ms.mean, 10.0 * cheap.io_ms.mean, 1e-6);
 }
 

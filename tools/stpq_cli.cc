@@ -20,13 +20,22 @@
 // choice explicit.  --kind srt|ir2 picks the feature index when
 // building; a reopened file always uses the kind it was built with.
 //
-// Flags accept both "--flag value" and "--flag=value".
+// Every flag is declared once below (name, value kind, help), each command
+// lists the flags it takes, and --help is generated from that list.
+// Flags accept both "--flag value" and "--flag=value".  Exit codes: 0 on
+// success, 1 when the command fails (bad file, malformed query, failed
+// page fetch), 2 on a usage error: an unknown command or flag, a missing
+// value, a number that does not parse, or a value outside a flag's
+// choices.
 // Keyword syntax: per-feature-set lists separated by ';', terms by ','.
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,10 +43,10 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "debug/validate.h"
 #include "core/explain.h"
 #include "core/score.h"
 #include "core/workload.h"
+#include "debug/validate.h"
 #include "gen/queries.h"
 #include "gen/real_like.h"
 #include "gen/synthetic.h"
@@ -56,55 +65,174 @@ using namespace stpq;
 
 namespace {
 
-/// Minimal --flag value parser; positional[0] is the subcommand.
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
+// ---------------------------------------------------------------- flags
 
-  std::string Get(const std::string& key, const std::string& def = "") const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : it->second;
-  }
-  double GetDouble(const std::string& key, double def) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : std::atof(it->second.c_str());
-  }
-  uint32_t GetUint(const std::string& key, uint32_t def) const {
-    auto it = flags.find(key);
-    return it == flags.end()
-               ? def
-               : static_cast<uint32_t>(std::atoi(it->second.c_str()));
-  }
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
+/// How a flag's value is written.
+enum FlagKind { kBool, kUint, kDouble, kString, kUintList, kChoice };
+
+/// One command-line flag.  `value` names the value in --help; for kChoice
+/// it is the '|'-separated list of accepted values.
+struct Flag {
+  const char* name;
+  FlagKind kind;
+  const char* value;
+  const char* help;
 };
 
-Args Parse(int argc, char** argv) {
-  Args a;
-  if (argc > 1) a.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string key = arg.substr(2);
-    size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      a.flags.insert_or_assign(key.substr(0, eq), key.substr(eq + 1));
-      continue;
-    }
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      a.flags.insert_or_assign(key, std::string(argv[++i]));
-    } else {
-      a.flags.insert_or_assign(key, std::string("1"));  // boolean flag
-    }
-  }
-  return a;
+constexpr Flag kHelp{"help", kBool, "", "print this help"};
+// Where the engine comes from, and how it is built.
+constexpr Flag kData{"data", kString, "FILE",
+                     "dataset (.stpq); query commands index it in memory"};
+constexpr Flag kIndex{"index", kString, "FILE",
+                      ".stpqx index file (build writes it, others reopen it)"};
+constexpr Flag kBackend{"backend", kChoice, "simulated|file",
+                        "page source (default: file iff --index is given)"};
+constexpr Flag kIndexKind{"kind", kChoice, "srt|ir2",
+                          "feature index to build (default srt)"};
+constexpr Flag kPageSize{"page-size", kUint, "N",
+                         "page size in bytes when building (default 4096)"};
+constexpr Flag kFill{"fill", kDouble, "F", "bulk-load fill factor in (0, 1]"};
+constexpr Flag kSignatureBits{"signature-bits", kUint, "N",
+                              "IR2 signature bits (default 0 = derived)"};
+constexpr Flag kSignatureHashes{"signature-hashes", kUint, "N",
+                                "IR2 signature hashes (default 3)"};
+constexpr Flag kPool{"pool", kUint, "N",
+                     "buffer-pool capacity in pages (0 = unbounded)"};
+// generate, build, load
+constexpr Flag kOut{"out", kString, "FILE", "output dataset path (required)"};
+constexpr Flag kDatasetKind{"kind", kChoice, "synthetic|real",
+                            "dataset generator (default synthetic)"};
+constexpr Flag kScale{"scale", kDouble, "S", "dataset scale (default 0.1)"};
+constexpr Flag kSeed{"seed", kUint, "N", "RNG seed (default 42)"};
+constexpr Flag kExternal{"external", kBool, "",
+                         "stream-build on disk in bounded memory"};
+constexpr Flag kMemoryBudget{"memory-budget", kUint, "MB",
+                             "external sort memory ceiling (default 256)"};
+constexpr Flag kTempDir{"temp-dir", kString, "DIR",
+                        "external sort spill dir (default: by the output)"};
+constexpr Flag kVerify{"verify", kBool, "",
+                       "also open the index and validate every tree"};
+// Queries and query batches.
+constexpr Flag kKeywords{"keywords", kString, "\"a,b;c\"",
+                         "per-set keyword lists (required)"};
+constexpr Flag kK{"k", kUint, "N", "results per query (default 10)"};
+constexpr Flag kRadius{"r", kDouble, "R", "query radius (default 0.01)"};
+constexpr Flag kLambda{"lambda", kDouble, "L",
+                       "text vs. feature score weight (default 0.5)"};
+constexpr Flag kVariant{"variant", kChoice, "range|influence|nn",
+                        "score variant (default range)"};
+constexpr Flag kAlgo{"algo", kChoice, "stps|stds", "algorithm (default stps)"};
+constexpr Flag kExplain{"explain", kBool, "",
+                        "print per-set contributions for each result"};
+constexpr Flag kQueries{"queries", kUint, "N",
+                        "batch size (bench 50, workload 200, others 100)"};
+constexpr Flag kThreads{"threads", kUintList, "N[,N...]",
+                        "worker threads, one run per count (default 1)"};
+constexpr Flag kIoMs{"io-ms", kDouble, "MS",
+                     "simulated cost per page read (default 0.1)"};
+constexpr Flag kMetrics{"metrics", kString, "FILE",
+                        "write Prometheus text exposition"};
+constexpr Flag kTraceOut{"trace-out", kString, "FILE",
+                         "write Chrome trace JSON (trace: trace.json)"};
+constexpr Flag kSlowMs{"slow-ms", kDouble, "T",
+                       "keep queries >= T ms for /slowz and the trace"};
+constexpr Flag kServeAdmin{"serve-admin", kUint, "PORT",
+                           "serve admin endpoints on 127.0.0.1:PORT (0 = any)"};
+constexpr Flag kMetricsInterval{"metrics-interval", kUint, "MS",
+                                "/varz sample period (default 250)"};
+constexpr Flag kLingerMs{"linger-ms", kUint, "MS",
+                         "keep the admin server up MS ms after the run"};
+
+using FlagList = std::vector<const Flag*>;
+
+FlagList Join(std::initializer_list<FlagList> lists) {
+  FlagList out;
+  for (const FlagList& l : lists) out.insert(out.end(), l.begin(), l.end());
+  return out;
 }
 
-/// One subcommand: name, one-line summary for the top-level usage, flag
-/// details for `stpq_cli <name> --help`, and the handler.
+const FlagList kEngineFlags = {
+    &kData, &kIndex,         &kBackend,         &kIndexKind, &kPageSize,
+    &kFill, &kSignatureBits, &kSignatureHashes, &kPool};
+const FlagList kQueryShapeFlags = {&kK, &kRadius, &kLambda, &kVariant,
+                                   &kAlgo};
+const FlagList kBatchFlags = Join({{&kQueries}, kQueryShapeFlags, {&kIoMs}});
+const FlagList kAdminFlags = {&kServeAdmin, &kMetricsInterval, &kSlowMs,
+                              &kLingerMs};
+
+/// Splits "a,b,c" (or the choice list "a|b|c") at `sep`.
+std::vector<std::string> Split(const std::string& text, char sep) {
+  std::vector<std::string> out(1);
+  for (char ch : text) {
+    if (ch == sep) {
+      out.emplace_back();
+    } else {
+      out.back().push_back(ch);
+    }
+  }
+  return out;
+}
+
+/// A flag's value as given, plus its numbers for the numeric kinds.
+struct Value {
+  std::string text;
+  std::vector<double> numbers;
+};
+
+/// Parses `text` as a value of `flag`'s kind; false if it is not one.
+bool ParseValue(const Flag& flag, const std::string& text, Value* out) {
+  out->text = text;
+  if (flag.kind == kChoice) {
+    for (const std::string& choice : Split(flag.value, '|')) {
+      if (text == choice) return true;
+    }
+    return false;
+  }
+  if (flag.kind == kBool || flag.kind == kString) return true;
+  for (const std::string& item : Split(text, ',')) {
+    const char* end = item.data() + item.size();
+    double v = 0.0;
+    uint32_t u = 0;
+    const std::from_chars_result r =
+        flag.kind == kDouble ? std::from_chars(item.data(), end, v)
+                             : std::from_chars(item.data(), end, u);
+    if (r.ec != std::errc() || r.ptr != end || !std::isfinite(v)) {
+      return false;
+    }
+    out->numbers.push_back(flag.kind == kDouble ? v : u);
+  }
+  return flag.kind == kUintList || out->numbers.size() == 1;
+}
+
+/// The flags given on the command line, each already parsed by its kind.
+struct Args {
+  std::map<std::string, Value> values;
+
+  const Value* Find(const Flag& f) const {
+    auto it = values.find(f.name);
+    return it == values.end() ? nullptr : &it->second;
+  }
+  bool Has(const Flag& f) const { return Find(f) != nullptr; }
+  std::string Str(const Flag& f, const std::string& def = "") const {
+    return Has(f) ? Find(f)->text : def;
+  }
+  double Double(const Flag& f, double def) const {
+    return Has(f) ? Find(f)->numbers[0] : def;
+  }
+  uint32_t Uint(const Flag& f, uint32_t def) const {
+    return static_cast<uint32_t>(Double(f, def));
+  }
+  std::vector<double> Numbers(const Flag& f, double def) const {
+    return Has(f) ? Find(f)->numbers : std::vector<double>{def};
+  }
+};
+
+/// One subcommand: name, one-line summary for the top-level usage, the
+/// flags it takes (its --help lists exactly these), and the handler.
 struct CommandSpec {
   const char* name;
   const char* summary;
-  const char* help;
+  FlagList flags;
   int (*run)(const Args&);
 };
 
@@ -120,39 +248,112 @@ int Usage() {
   return 2;
 }
 
-/// Flags shared by every command that answers queries; individual help
-/// strings append their command-specific flags to this.
-#define STPQ_CLI_ENGINE_FLAGS                                               \
-  "  --data FILE       dataset to index in memory (simulated storage)\n"    \
-  "  --index FILE      prebuilt .stpqx index file to reopen instead\n"      \
-  "  --backend NAME    simulated|file (default: file iff --index given)\n"  \
-  "  --kind srt|ir2    feature index to build (default srt; ignored when\n" \
-  "                    reopening: the file records its kind)\n"             \
-  "  --page-size N     simulated page size in bytes when building\n"        \
-  "  --pool N          buffer-pool capacity in pages (0 = unbounded)\n"
+void PrintHelp(const CommandSpec& c) {
+  std::printf("usage: stpq_cli %s [flags]\n%s\n", c.name, c.summary);
+  for (const Flag* f : c.flags) {
+    const std::string left = std::string(f->name) + " " + f->value;
+    std::printf("  --%-26s %s\n", left.c_str(), f->help);
+  }
+}
+
+/// Parses argv[2..] against the flags `c` takes.  Returns false, with the
+/// error printed, on a flag `c` does not take, a missing or malformed
+/// value, or an argument that is not a flag.
+bool ParseArgs(int argc, char** argv, const CommandSpec& c, Args* args) {
+  auto fail = [&c](const std::string& msg) {
+    std::fprintf(stderr, "error: %s (see 'stpq_cli %s --help')\n",
+                 msg.c_str(), c.name);
+    return false;
+  };
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      return fail("unexpected argument '" + arg + "'");
+    }
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(2, eq - 2);
+    const Flag* flag = name == kHelp.name ? &kHelp : nullptr;
+    for (const Flag* f : c.flags) {
+      if (name == f->name) flag = f;
+    }
+    if (flag == nullptr) return fail("unknown flag --" + name);
+    std::string text;
+    if (eq != std::string::npos) {
+      text = arg.substr(eq + 1);
+      if (flag->kind == kBool) return fail("--" + name + " takes no value");
+    } else if (flag->kind != kBool) {
+      if (i + 1 == argc) return fail("--" + name + " needs a value");
+      text = argv[++i];
+    }
+    Value value;
+    if (!ParseValue(*flag, text, &value)) {
+      return fail("invalid value '" + text + "' for --" + name);
+    }
+    args->values.insert_or_assign(name, std::move(value));
+  }
+  return true;
+}
+
+// ------------------------------------------------------ shared helpers
+
+/// Prints a failed command's status; exit code 1.
+int Fail(const Status& st) {
+  std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+  return 1;
+}
+
+const char* AlgorithmName(Algorithm algorithm) {
+  return algorithm == Algorithm::kStds ? "STDS" : "STPS";
+}
+
+Algorithm AlgorithmOf(const Args& args) {
+  return args.Str(kAlgo, "stps") == "stds" ? Algorithm::kStds
+                                           : Algorithm::kStps;
+}
+
+/// Sets k, radius, lambda and variant on a Query or a QueryWorkloadConfig
+/// (same field names and defaults).
+template <typename Q>
+void SetQueryShape(const Args& args, Q* q) {
+  q->k = args.Uint(kK, q->k);
+  q->radius = args.Double(kRadius, q->radius);
+  q->lambda = args.Double(kLambda, q->lambda);
+  const std::string variant = args.Str(kVariant, "range");
+  if (variant == "influence") q->variant = ScoreVariant::kInfluence;
+  if (variant == "nn") q->variant = ScoreVariant::kNearestNeighbor;
+}
 
 Result<Dataset> LoadData(const Args& args) {
-  std::string path = args.Get("data");
+  std::string path = args.Str(kData);
   if (path.empty()) {
     return Status::InvalidArgument("--data FILE is required");
   }
   return ReadDatasetBinary(path);
 }
 
+/// The build parameters the flags ask for: the one mapping from --kind,
+/// --page-size, --fill and --signature-* to the library.
+IndexBuildParams BuildParams(const Args& args) {
+  IndexBuildParams p;
+  if (args.Str(kIndexKind, "srt") == "ir2") {
+    p.index_kind = FeatureIndexKind::kIr2;
+  }
+  p.page_size_bytes = args.Uint(kPageSize, p.page_size_bytes);
+  p.fill = args.Double(kFill, p.fill);
+  p.signature_bits = args.Uint(kSignatureBits, p.signature_bits);
+  p.signature_hashes = args.Uint(kSignatureHashes, p.signature_hashes);
+  return p;
+}
+
 EngineOptions MakeEngineOptions(const Args& args) {
+  const IndexBuildParams p = BuildParams(args);
   EngineOptions opts;
-  if (args.Get("kind", "srt") == "ir2") {
-    opts.index_kind = FeatureIndexKind::kIr2;
-  }
-  opts.storage.page_size = args.GetUint("page-size", kDefaultPageSizeBytes);
-  opts.storage.pool_capacity = args.GetUint("pool", 0);
-  opts.fill = args.GetDouble("fill", 1.0);
-  if (args.Has("signature-bits")) {
-    opts.signature_bits = args.GetUint("signature-bits", 0);
-  }
-  if (args.Has("signature-hashes")) {
-    opts.signature_hashes = args.GetUint("signature-hashes", 3);
-  }
+  opts.index_kind = p.index_kind;
+  opts.storage.page_size = p.page_size_bytes;
+  opts.storage.pool_capacity = args.Uint(kPool, 0);
+  opts.fill = p.fill;
+  opts.signature_bits = p.signature_bits;
+  opts.signature_hashes = p.signature_hashes;
   return opts;
 }
 
@@ -161,9 +362,9 @@ EngineOptions MakeEngineOptions(const Args& args) {
 /// backend), and fills `ds` with the objects, tables and vocabularies the
 /// command needs for keyword parsing and query generation.
 Result<Engine> MakeEngine(const Args& args, Dataset* ds) {
-  const std::string index_path = args.Get("index");
+  const std::string index_path = args.Str(kIndex);
   Result<StorageBackend> backend = ParseStorageBackend(
-      args.Get("backend", index_path.empty() ? "simulated" : "file"));
+      args.Str(kBackend, index_path.empty() ? "simulated" : "file"));
   if (!backend.ok()) return backend.status();
 
   if (backend.value() == StorageBackend::kFile) {
@@ -198,13 +399,15 @@ Result<Engine> MakeEngine(const Args& args, Dataset* ds) {
                        MakeEngineOptions(args));
 }
 
+// ------------------------------------------------------------ commands
+
 int Generate(const Args& args) {
-  std::string out = args.Get("out");
+  std::string out = args.Str(kOut);
   if (out.empty()) return Usage();
-  double scale = args.GetDouble("scale", 0.1);
-  uint64_t seed = args.GetUint("seed", 42);
+  double scale = args.Double(kScale, 0.1);
+  uint64_t seed = args.Uint(kSeed, 42);
   Dataset ds;
-  if (args.Get("kind", "synthetic") == "real") {
+  if (args.Str(kDatasetKind, "synthetic") == "real") {
     RealLikeConfig cfg;
     cfg.scale = scale;
     cfg.seed = seed;
@@ -218,10 +421,7 @@ int Generate(const Args& args) {
     ds = GenerateSynthetic(cfg);
   }
   Status st = WriteDatasetBinary(out, ds);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (!st.ok()) return Fail(st);
   std::printf("wrote %s: %zu objects, %zu feature sets\n", out.c_str(),
               ds.objects.size(), ds.feature_tables.size());
   return 0;
@@ -229,10 +429,7 @@ int Generate(const Args& args) {
 
 int Info(const Args& args) {
   Result<Dataset> data = LoadData(args);
-  if (!data.ok()) {
-    std::fprintf(stderr, "error: %s\n", data.status().ToString().c_str());
-    return 1;
-  }
+  if (!data.ok()) return Fail(data.status());
   const Dataset& ds = data.value();
   std::printf("objects: %zu\n", ds.objects.size());
   for (size_t i = 0; i < ds.feature_tables.size(); ++i) {
@@ -249,17 +446,7 @@ int Info(const Args& args) {
 
 /// Parses "a,b;c,d" into one KeywordSet per feature set.
 bool ParseKeywords(const std::string& spec, const Dataset& ds, Query* query) {
-  std::vector<std::string> groups;
-  std::string cur;
-  for (char ch : spec) {
-    if (ch == ';') {
-      groups.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(ch);
-    }
-  }
-  groups.push_back(cur);
+  std::vector<std::string> groups = Split(spec, ';');
   if (groups.size() != ds.feature_tables.size()) {
     std::fprintf(stderr,
                  "error: %zu keyword groups for %zu feature sets "
@@ -269,9 +456,9 @@ bool ParseKeywords(const std::string& spec, const Dataset& ds, Query* query) {
   }
   for (size_t i = 0; i < groups.size(); ++i) {
     KeywordSet kw(ds.feature_tables[i].universe_size());
-    std::string term;
-    auto flush = [&]() {
-      if (term.empty()) return true;
+    for (std::string term : Split(groups[i], ',')) {
+      std::erase_if(term, [](unsigned char ch) { return std::isspace(ch); });
+      if (term.empty()) continue;
       Result<TermId> id = ds.vocabularies[i].Lookup(term);
       if (!id.ok()) {
         std::fprintf(stderr, "error: unknown keyword '%s' in set %zu\n",
@@ -279,17 +466,7 @@ bool ParseKeywords(const std::string& spec, const Dataset& ds, Query* query) {
         return false;
       }
       kw.Insert(id.value());
-      term.clear();
-      return true;
-    };
-    for (char ch : groups[i]) {
-      if (ch == ',') {
-        if (!flush()) return false;
-      } else if (!std::isspace(static_cast<unsigned char>(ch))) {
-        term.push_back(ch);
-      }
     }
-    if (!flush()) return false;
     query->keywords.push_back(std::move(kw));
   }
   return true;
@@ -298,39 +475,25 @@ bool ParseKeywords(const std::string& spec, const Dataset& ds, Query* query) {
 int RunQuery(const Args& args) {
   Dataset ds;
   Result<Engine> engine_r = MakeEngine(args, &ds);
-  if (!engine_r.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine_r.status().ToString().c_str());
-    return 1;
-  }
+  if (!engine_r.ok()) return Fail(engine_r.status());
   Engine engine = engine_r.TakeValue();
   Query query;
-  query.k = args.GetUint("k", 10);
-  query.radius = args.GetDouble("r", 0.01);
-  query.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") query.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") query.variant = ScoreVariant::kNearestNeighbor;
-  if (!ParseKeywords(args.Get("keywords"), ds, &query)) return 1;
+  SetQueryShape(args, &query);
+  if (!ParseKeywords(args.Str(kKeywords), ds, &query)) return 1;
 
-  const std::vector<DataObject>& objects = ds.objects;  // names for printing
-  Algorithm algo =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
+  const Algorithm algo = AlgorithmOf(args);
   Result<QueryResult> executed = engine.Execute(query, algo);
-  if (!executed.ok()) {
-    std::fprintf(stderr, "error: %s\n", executed.status().ToString().c_str());
-    return 1;
-  }
+  if (!executed.ok()) return Fail(executed.status());
   QueryResult result = executed.TakeValue();
-  std::printf("top-%u (%s, %s, %s index):\n", query.k, VariantName(
-                  query.variant),
-              algo == Algorithm::kStds ? "STDS" : "STPS",
+  std::printf("top-%u (%s, %s, %s index):\n", query.k,
+              VariantName(query.variant), AlgorithmName(algo),
               engine.IndexName());
   for (size_t rank = 0; rank < result.entries.size(); ++rank) {
     const ResultEntry& e = result.entries[rank];
-    const std::string& name = objects[e.object].name;
+    const std::string& name = ds.objects[e.object].name;
     std::printf("%3zu. #%-8u %-20s tau = %.5f\n", rank + 1, e.object,
                 name.empty() ? "(unnamed)" : name.c_str(), e.score);
-    if (args.Has("explain")) {
+    if (args.Has(kExplain)) {
       Explanation why = ExplainScore(&engine, query, e.object);
       for (const Contribution& c : why.contributions) {
         if (!c.has_feature) {
@@ -352,15 +515,6 @@ int RunQuery(const Args& args) {
   return 0;
 }
 
-/// Live-introspection flags shared by the long-running commands; the
-/// individual help strings append this to STPQ_CLI_ENGINE_FLAGS.
-#define STPQ_CLI_ADMIN_FLAGS                                                  \
-  "  --serve-admin PORT  serve /metrics /healthz /statusz /slowz /tracez\n"   \
-  "                    /varz on 127.0.0.1:PORT while the run executes\n"      \
-  "                    (0 = ephemeral; the bound port is printed)\n"          \
-  "  --metrics-interval MS  sample interval deltas every MS ms (/varz;\n"     \
-  "                    armed at 250 ms automatically when serving)\n"
-
 /// The optional live-introspection plane behind --serve-admin /
 /// --metrics-interval / --slow-ms (DESIGN.md §18): a background metrics
 /// sampler, a slow-query log, and the admin HTTP server wired to all of
@@ -371,12 +525,11 @@ struct AdminScope {
   std::unique_ptr<AdminServer> server;
 
   /// Stops the server first (no requests against a dead sampler), then
-  /// the sampler.  Idempotent; the destructor runs it too.
-  void Shutdown() {
+  /// the sampler.
+  ~AdminScope() {
     if (server != nullptr) server->Stop();
     if (recorder != nullptr) recorder->Stop();
   }
-  ~AdminScope() { Shutdown(); }
 };
 
 /// /statusz rows describing `engine`: shape, storage, live pool occupancy.
@@ -403,35 +556,31 @@ AdminStatusRows EngineStatusRows(const Engine* engine) {
   return rows;
 }
 
-/// Arms the introspection plane a command's flags ask for.  `external_slow_log`
-/// lets a command that owns its own SlowQueryLog (trace) expose it on
-/// /slowz instead of getting a second one.  Returns false (with the error
-/// printed) only when --serve-admin was requested and the bind failed.
-bool StartAdmin(const Args& args, const Engine* engine,
-                SlowQueryLog* external_slow_log, AdminScope* scope) {
-  const bool serve = args.Has("serve-admin");
-  if (serve || args.Has("metrics-interval")) {
+/// Arms the introspection plane the flags ask for.  Returns false (with
+/// the error printed) only when --serve-admin was requested and the bind
+/// failed.
+bool StartAdmin(const Args& args, const Engine* engine, AdminScope* scope) {
+  const bool serve = args.Has(kServeAdmin);
+  if (serve || args.Has(kMetricsInterval)) {
     MetricsRecorderOptions ropts;
-    ropts.interval_ms = args.GetUint("metrics-interval", 250);
+    ropts.interval_ms = args.Uint(kMetricsInterval, 250);
     if (ropts.interval_ms == 0) ropts.interval_ms = 250;
     scope->recorder = std::make_unique<MetricsRecorder>(ropts);
     scope->recorder->Start();
   }
-  if (external_slow_log == nullptr && args.Has("slow-ms")) {
-    scope->slow_log =
-        std::make_unique<SlowQueryLog>(args.GetDouble("slow-ms", 0.0));
+  if (args.Has(kSlowMs)) {
+    scope->slow_log = std::make_unique<SlowQueryLog>(args.Double(kSlowMs, 0));
   }
   if (!serve) return true;
   AdminServerOptions sopts;
-  sopts.port = static_cast<uint16_t>(args.GetUint("serve-admin", 0));
+  sopts.port = static_cast<uint16_t>(args.Uint(kServeAdmin, 0));
   sopts.recorder = scope->recorder.get();
-  sopts.slow_log =
-      external_slow_log != nullptr ? external_slow_log : scope->slow_log.get();
+  sopts.slow_log = scope->slow_log.get();
   sopts.status_provider = [engine] { return EngineStatusRows(engine); };
   scope->server = std::make_unique<AdminServer>(std::move(sopts));
   Status st = scope->server->Start();
   if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    Fail(st);
     return false;
   }
   // The CI smoke driver (tests/admin/check_admin_live.py) parses this
@@ -440,16 +589,6 @@ bool StartAdmin(const Args& args, const Engine* engine,
               static_cast<unsigned>(scope->server->port()));
   std::fflush(stdout);
   return true;
-}
-
-/// Keeps the admin server scrapeable for --linger-ms after the run so
-/// out-of-process drivers can fetch the final state.
-void AdminLinger(const Args& args, const AdminScope& scope) {
-  const uint32_t linger_ms = args.GetUint("linger-ms", 0);
-  if (linger_ms == 0 || scope.server == nullptr) return;
-  std::printf("admin: lingering %u ms\n", linger_ms);
-  std::fflush(stdout);
-  std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
 }
 
 /// Prints the sampler's interval table: one row per closed interval with
@@ -475,38 +614,6 @@ void PrintIntervalTable(const MetricsRecorder& recorder) {
   }
 }
 
-int Bench(const Args& args) {
-  Dataset ds;
-  Result<Engine> engine_r = MakeEngine(args, &ds);
-  if (!engine_r.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine_r.status().ToString().c_str());
-    return 1;
-  }
-  Engine engine = engine_r.TakeValue();
-  QueryWorkloadConfig qcfg;
-  qcfg.count = args.GetUint("queries", 50);
-  qcfg.k = args.GetUint("k", 10);
-  qcfg.radius = args.GetDouble("r", 0.01);
-  qcfg.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") qcfg.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") qcfg.variant = ScoreVariant::kNearestNeighbor;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  Algorithm algo =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
-  AdminScope admin;
-  if (!StartAdmin(args, &engine, nullptr, &admin)) return 1;
-  Result<WorkloadSummary> s =
-      RunWorkload(engine, queries, algo, args.GetDouble("io-ms", 0.1));
-  if (!s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s\n", s.value().ToString().c_str());
-  AdminLinger(args, admin);
-  return 0;
-}
-
 /// Writes the global registry's Prometheus text exposition to `path`.
 bool WriteMetricsFile(const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
@@ -519,111 +626,91 @@ bool WriteMetricsFile(const std::string& path) {
   return static_cast<bool>(out);
 }
 
-/// Drains the global tracer and writes a Chrome trace-event JSON file.
-bool WriteTraceFile(const std::string& path) {
+/// Drains the global tracer into a Chrome trace-event JSON file.  With a
+/// slow-query log armed only its captured queries are exported: the log
+/// drained every query's events from the rings as it finished.
+bool WriteTraceFile(const std::string& path, const SlowQueryLog* slow_log) {
   TraceCollection collection = Tracer::Global().Collect();
+  std::vector<SlowQueryRecord> records;
+  if (slow_log != nullptr) {
+    records = slow_log->Snapshot();
+    collection = CollectionFromSlowQueries(records, collection.dropped);
+  }
   Status st = WriteChromeTraceFile(collection, path);
   if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    Fail(st);
     return false;
   }
-  std::printf("trace: %zu events from %zu threads (%llu dropped) -> %s\n",
-              collection.TotalEvents(), collection.threads.size(),
-              static_cast<unsigned long long>(collection.dropped),
-              path.c_str());
+  if (slow_log != nullptr) {
+    std::printf("trace: %zu slow queries (>= %.3f ms), %zu events -> %s\n",
+                records.size(), slow_log->threshold_ms(),
+                collection.TotalEvents(), path.c_str());
+  } else {
+    std::printf("trace: %zu events from %zu threads (%llu dropped) -> %s\n",
+                collection.TotalEvents(), collection.threads.size(),
+                static_cast<unsigned long long>(collection.dropped),
+                path.c_str());
+  }
   return true;
 }
 
-/// Parses "1,2,4,8" into thread counts; returns empty on a parse error.
-std::vector<size_t> ParseThreadList(const std::string& spec) {
-  std::vector<size_t> out;
-  std::string cur;
-  auto flush = [&]() {
-    if (cur.empty()) return true;
-    char* end = nullptr;
-    long v = std::strtol(cur.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v < 0) return false;
-    out.push_back(static_cast<size_t>(v));
-    cur.clear();
-    return true;
-  };
-  for (char ch : spec) {
-    if (ch == ',') {
-      if (!flush()) return {};
-    } else if (!std::isspace(static_cast<unsigned char>(ch))) {
-      cur.push_back(ch);
-    }
-  }
-  if (!flush()) return {};
-  return out;
-}
+/// One finished run of a batch command, handed to the command's printer.
+struct BatchRun {
+  const Args& args;
+  const Engine& engine;
+  const WorkloadOptions& options;
+  const WorkloadReport& report;
+  bool first;  ///< the first of the --threads runs
+};
 
-/// Runs one generated query batch through ParallelWorkloadRunner for each
-/// requested thread count and prints a throughput row per count.
-int Workload(const Args& args) {
+/// The one path behind bench, workload, profile and trace: engine →
+/// generated queries → admin plane → one RunWorkload per --threads count
+/// → trace and metrics export → linger → the sampler's interval table.
+/// The commands differ only in their defaults and in `print`, which is
+/// called after each run.  An empty `default_trace_out` traces only when
+/// --trace-out is given.
+int RunBatch(const Args& args, uint32_t default_queries,
+             const char* default_trace_out, void (*print)(const BatchRun&)) {
   Dataset ds;
   Result<Engine> engine = MakeEngine(args, &ds);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
+  if (!engine.ok()) return Fail(engine.status());
   QueryWorkloadConfig qcfg;
-  qcfg.count = args.GetUint("queries", 200);
-  qcfg.k = args.GetUint("k", 10);
-  qcfg.radius = args.GetDouble("r", 0.01);
-  qcfg.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") qcfg.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") qcfg.variant = ScoreVariant::kNearestNeighbor;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-
-  std::vector<size_t> thread_counts = ParseThreadList(args.Get("threads", "1"));
-  if (thread_counts.empty()) {
-    std::fprintf(stderr, "error: --threads expects N or N,N,... (got '%s')\n",
-                 args.Get("threads", "1").c_str());
-    return 1;
-  }
-
-  ParallelWorkloadRunner runner(&engine.value());
-
-  ParallelWorkloadOptions opts;
-  opts.algorithm =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
-  opts.io_unit_cost_ms = args.GetDouble("io-ms", 0.1);
+  qcfg.count = args.Uint(kQueries, default_queries);
+  SetQueryShape(args, &qcfg);
+  const std::vector<Query> queries = GenerateQueries(ds, qcfg);
 
   AdminScope admin;
-  if (!StartAdmin(args, &engine.value(), nullptr, &admin)) return 1;
-  opts.slow_log = admin.slow_log.get();
+  if (!StartAdmin(args, &engine.value(), &admin)) return 1;
+  const std::string trace_out = args.Str(kTraceOut, default_trace_out);
+  if (!trace_out.empty()) Tracer::Global().Start();
 
-  if (args.Has("trace-out")) Tracer::Global().Start();
-
-  std::printf("%zu queries, %s, %s index\n", queries.size(),
-              opts.algorithm == Algorithm::kStds ? "STDS" : "STPS",
-              engine.value().IndexName());
-  std::printf("%8s %12s %12s %14s %10s %10s %10s\n", "threads", "wall_ms",
-              "queries/s", "reads/query", "p50_ms", "p95_ms", "p99_ms");
-  for (size_t threads : thread_counts) {
-    opts.threads = threads;
-    Result<ParallelWorkloadReport> report = runner.Run(queries, opts);
-    if (!report.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   report.status().ToString().c_str());
-      return 1;
-    }
-    const ParallelWorkloadReport& r = report.value();
-    std::printf("%8zu %12.2f %12.1f %14.1f %10.3f %10.3f %10.3f\n", threads,
-                r.wall_ms, r.queries_per_sec, r.summary.mean_page_reads,
-                r.latency.PercentileMs(0.50), r.latency.PercentileMs(0.95),
-                r.latency.PercentileMs(0.99));
+  WorkloadOptions options;
+  options.algorithm = AlgorithmOf(args);
+  options.io_unit_cost_ms = args.Double(kIoMs, 0.1);
+  options.slow_log = admin.slow_log.get();
+  const std::vector<double> thread_counts = args.Numbers(kThreads, 1);
+  for (size_t i = 0; i < thread_counts.size(); ++i) {
+    options.threads = static_cast<size_t>(thread_counts[i]);
+    Result<WorkloadReport> report =
+        RunWorkload(engine.value(), queries, options);
+    if (!report.ok()) return Fail(report.status());
+    print({args, engine.value(), options, report.value(), i == 0});
   }
-  if (args.Has("trace-out")) {
+  if (!trace_out.empty()) {
     Tracer::Global().Stop();
-    if (!WriteTraceFile(args.Get("trace-out"))) return 1;
+    if (!WriteTraceFile(trace_out, admin.slow_log.get())) return 1;
   }
-  if (args.Has("metrics") && !WriteMetricsFile(args.Get("metrics"))) {
+  if (args.Has(kMetrics) && !WriteMetricsFile(args.Str(kMetrics))) {
     return 1;
   }
-  AdminLinger(args, admin);
+  // Keep the admin server scrapeable so out-of-process drivers can fetch
+  // the final state.
+  const uint32_t linger_ms = args.Uint(kLingerMs, 0);
+  if (linger_ms > 0 && admin.server != nullptr) {
+    std::printf("admin: lingering %u ms\n", linger_ms);
+    std::fflush(stdout);
+    std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
+  }
   if (admin.recorder != nullptr) {
     admin.recorder->Stop();  // closes the final partial interval
     PrintIntervalTable(*admin.recorder);
@@ -631,52 +718,36 @@ int Workload(const Args& args) {
   return 0;
 }
 
-/// Executes a generated workload sequentially and prints the per-phase
-/// wall-time breakdown plus the latency distribution (DESIGN.md §12).
-int Profile(const Args& args) {
-  Dataset ds;
-  Result<Engine> engine = MakeEngine(args, &ds);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
+/// bench and trace: the batch summary line.
+void PrintSummary(const BatchRun& run) {
+  std::printf("%s\n", run.report.summary.ToString().c_str());
+}
+
+/// workload: one throughput row per thread count under a shared header.
+void PrintThroughputRow(const BatchRun& run) {
+  const WorkloadReport& r = run.report;
+  if (run.first) {
+    std::printf("%zu queries, %s, %s index\n", r.summary.queries,
+                AlgorithmName(run.options.algorithm), run.engine.IndexName());
+    std::printf("%8s %12s %12s %14s %10s %10s %10s\n", "threads", "wall_ms",
+                "queries/s", "reads/query", "p50_ms", "p95_ms", "p99_ms");
   }
-  QueryWorkloadConfig qcfg;
-  qcfg.count = args.GetUint("queries", 100);
-  qcfg.k = args.GetUint("k", 10);
-  qcfg.radius = args.GetDouble("r", 0.01);
-  qcfg.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") qcfg.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") qcfg.variant = ScoreVariant::kNearestNeighbor;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  const double io_ms = args.GetDouble("io-ms", 0.1);
-  Algorithm algo =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
+  std::printf("%8zu %12.2f %12.1f %14.1f %10.3f %10.3f %10.3f\n",
+              run.options.threads, r.wall_ms, r.queries_per_sec,
+              r.summary.mean_page_reads, r.latency.PercentileMs(0.50),
+              r.latency.PercentileMs(0.95), r.latency.PercentileMs(0.99));
+}
 
-  AdminScope admin;
-  if (!StartAdmin(args, &engine.value(), nullptr, &admin)) return 1;
-
-  if (args.Has("trace-out")) Tracer::Global().Start();
-
-  QueryStats aggregate;
-  LatencyHistogram latency;
-  ExecuteOptions exec;
-  exec.algorithm = algo;
-  exec.slow_log = admin.slow_log.get();
-  for (const Query& q : queries) {
-    Result<QueryResult> r = engine.value().Execute(q, exec);
-    if (!r.ok()) {
-      std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
-    const QueryStats& stats = r.value().stats;
-    aggregate += stats;
-    latency.Record(stats.cpu_ms + stats.IoMillis(io_ms));
-  }
-
+/// profile: the per-phase wall-time breakdown plus the latency
+/// distribution (DESIGN.md §12).
+void PrintProfile(const BatchRun& run) {
+  const QueryStats& aggregate = run.report.summary.aggregate;
+  const LatencyHistogram& latency = run.report.latency;
+  const double io_ms = run.options.io_unit_cost_ms;
   std::printf("profile: %zu queries, %s, %s index, variant=%s\n",
-              queries.size(), algo == Algorithm::kStds ? "STDS" : "STPS",
-              engine.value().IndexName(), variant.c_str());
+              run.report.summary.queries,
+              AlgorithmName(run.options.algorithm), run.engine.IndexName(),
+              run.args.Str(kVariant, "range").c_str());
   std::printf("latency (cpu + %.3f ms/read): %s mean=%.3fms\n", io_ms,
               latency.SummaryString().c_str(), latency.mean_ms());
 
@@ -696,131 +767,64 @@ int Profile(const Args& args) {
   row("io (derived)", io_total);
   row("other", aggregate.UntracedMillis());
   std::printf("counters: %s\n", aggregate.ToString().c_str());
-
-  if (args.Has("trace-out")) {
-    Tracer::Global().Stop();
-    if (!WriteTraceFile(args.Get("trace-out"))) return 1;
-  }
-  if (args.Has("metrics") && !WriteMetricsFile(args.Get("metrics"))) {
-    return 1;
-  }
-  AdminLinger(args, admin);
-  return 0;
 }
 
-/// Runs a generated workload with the tracer armed and exports a Chrome
-/// trace-event JSON file (load it at ui.perfetto.dev or
-/// chrome://tracing).  With --slow-ms only queries at or above the
-/// threshold are captured (slow-query mode); without it the full event
-/// stream of the run is exported.
+int Bench(const Args& args) { return RunBatch(args, 50, "", &PrintSummary); }
+
+int Workload(const Args& args) {
+  return RunBatch(args, 200, "", &PrintThroughputRow);
+}
+
+int Profile(const Args& args) {
+  return RunBatch(args, 100, "", &PrintProfile);
+}
+
+/// Slow-query mode (--slow-ms) exports only the captured queries; without
+/// it the full event stream of the run is exported.
 int Trace(const Args& args) {
-  Dataset ds;
-  Result<Engine> engine = MakeEngine(args, &ds);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-  QueryWorkloadConfig qcfg;
-  qcfg.count = args.GetUint("queries", 100);
-  qcfg.k = args.GetUint("k", 10);
-  qcfg.radius = args.GetDouble("r", 0.01);
-  qcfg.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") qcfg.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") qcfg.variant = ScoreVariant::kNearestNeighbor;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-
-  const std::string out_path = args.Get("trace-out", "trace.json");
-  const bool slow_mode = args.Has("slow-ms");
-  SlowQueryLog slow_log(args.GetDouble("slow-ms", 0.0));
-
-  AdminScope admin;
-  if (!StartAdmin(args, &engine.value(), slow_mode ? &slow_log : nullptr,
-                  &admin)) {
-    return 1;
-  }
-
-  Tracer::Global().Start();
-  ParallelWorkloadRunner runner(&engine.value());
-  ParallelWorkloadOptions opts;
-  opts.algorithm =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
-  opts.threads = args.GetUint("threads", 1);
-  opts.io_unit_cost_ms = args.GetDouble("io-ms", 0.1);
-  if (slow_mode) opts.slow_log = &slow_log;
-  Result<ParallelWorkloadReport> report = runner.Run(queries, opts);
-  Tracer::Global().Stop();
-  if (!report.ok()) {
-    std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s\n", report.value().summary.ToString().c_str());
-  AdminLinger(args, admin);
-
-  if (slow_mode) {
-    // Slow-query mode: keep only the captured queries; the rest of the
-    // stream (already drained per query by the log) is discarded.
-    TraceCollection leftover = Tracer::Global().Collect();
-    std::vector<SlowQueryRecord> records = slow_log.Snapshot();
-    TraceCollection collection =
-        CollectionFromSlowQueries(records, leftover.dropped);
-    Status st = WriteChromeTraceFile(collection, out_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace: %zu slow queries (>= %.3f ms), %zu events -> %s\n",
-                records.size(), slow_log.threshold_ms(),
-                collection.TotalEvents(), out_path.c_str());
-    return 0;
-  }
-  return WriteTraceFile(out_path) ? 0 : 1;
+  return RunBatch(args, 100, "trace.json", &PrintSummary);
 }
 
-/// Builds every index over the dataset and runs the deep structural
-/// validators from debug/validate.h, reporting the first violation per
-/// structure.  Exit code 0 = all structures sound.
-int Validate(const Args& args) {
-  Dataset ds;
-  Result<Engine> engine_r = MakeEngine(args, &ds);
-  if (!engine_r.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine_r.status().ToString().c_str());
-    return 1;
-  }
-  Engine engine = engine_r.TakeValue();
-  std::vector<std::vector<KeywordSet>> corpora(ds.feature_tables.size());
-  for (size_t i = 0; i < ds.feature_tables.size(); ++i) {
-    for (const FeatureObject& f : ds.feature_tables[i].All()) {
-      corpora[i].push_back(f.keywords);
-    }
-  }
-
-  int failures = 0;
-  auto report = [&failures](const char* what, const Status& st) {
-    if (st.ok()) {
-      std::printf("%-24s OK\n", what);
-    } else {
-      std::printf("%-24s VIOLATION: %s\n", what, st.message().c_str());
-      ++failures;
-    }
-  };
-
+/// Runs the deep structural validators (debug/validate.h) over every index
+/// of `engine`: the object index, then each feature index and the inverted
+/// index over its table.  `report` receives each structure's name and
+/// verdict.
+void ValidateEngine(
+    const Engine& engine,
+    const std::function<void(const std::string&, const Status&)>& report) {
   report("object index", ValidateObjectIndex(engine.object_index()));
   for (size_t i = 0; i < engine.num_feature_sets(); ++i) {
-    std::string label = "feature index " + std::to_string(i);
     const FeatureIndex& fi = engine.feature_index(i);
-    if (const auto* srt = dynamic_cast<const SrtIndex*>(&fi)) {
-      report((label + " (SRT)").c_str(), ValidateSrtIndex(*srt));
-    } else if (const auto* ir2 = dynamic_cast<const Ir2Tree*>(&fi)) {
-      report((label + " (IR2)").c_str(), ValidateIr2Tree(*ir2));
-    } else {
-      std::printf("%-24s skipped (unknown index type)\n", label.c_str());
+    report("feature index " + std::to_string(i) + " (" + fi.Name() + ")",
+           ValidateFeatureIndex(fi));
+    std::vector<KeywordSet> corpus;
+    for (const FeatureObject& f : engine.feature_table(i).All()) {
+      corpus.push_back(f.keywords);
     }
     InvertedIndex inv = InvertedIndex::Build(
-        engine.feature_table(i).universe_size(), corpora[i]);
-    report(("inverted index " + std::to_string(i)).c_str(),
-           ValidateInvertedIndex(inv, corpora[i]));
+        engine.feature_table(i).universe_size(), corpus);
+    report("inverted index " + std::to_string(i),
+           ValidateInvertedIndex(inv, corpus));
   }
+}
+
+/// Reports every structure's verdict, one line each.  Exit code 0 = all
+/// structures sound.
+int Validate(const Args& args) {
+  Dataset ds;
+  Result<Engine> engine = MakeEngine(args, &ds);
+  if (!engine.ok()) return Fail(engine.status());
+  int failures = 0;
+  ValidateEngine(engine.value(), [&failures](const std::string& what,
+                                             const Status& st) {
+    if (st.ok()) {
+      std::printf("%-24s OK\n", what.c_str());
+    } else {
+      std::printf("%-24s VIOLATION: %s\n", what.c_str(),
+                  st.message().c_str());
+      ++failures;
+    }
+  });
   if (failures == 0) {
     std::printf("all structures sound\n");
   }
@@ -830,41 +834,25 @@ int Validate(const Args& args) {
 /// Builds every index over a dataset and persists the set as a .stpqx
 /// file that `--index`-accepting commands (and Engine::Open) reopen.
 int BuildIndex(const Args& args) {
-  const std::string out = args.Get("index");
+  const std::string out = args.Str(kIndex);
   if (out.empty()) {
-    std::fprintf(stderr, "error: --index FILE (output path) is required\n");
-    return 1;
+    return Fail(
+        Status::InvalidArgument("--index FILE (output path) is required"));
   }
-  if (args.Has("external")) {
+  if (args.Has(kExternal)) {
     // External build: stream the dataset straight into the .stpqx file in
     // bounded memory; the dataset is never materialized.
-    const std::string data_path = args.Get("data");
+    const std::string data_path = args.Str(kData);
     if (data_path.empty()) {
-      std::fprintf(stderr, "error: --data FILE is required\n");
-      return 1;
+      return Fail(Status::InvalidArgument("--data FILE is required"));
     }
     ExternalBuildOptions opts;
-    if (args.Get("kind", "srt") == "ir2") {
-      opts.params.index_kind = FeatureIndexKind::kIr2;
-    }
-    opts.params.page_size_bytes =
-        args.GetUint("page-size", kDefaultPageSizeBytes);
-    opts.params.fill = args.GetDouble("fill", 1.0);
-    if (args.Has("signature-bits")) {
-      opts.params.signature_bits = args.GetUint("signature-bits", 0);
-    }
-    if (args.Has("signature-hashes")) {
-      opts.params.signature_hashes = args.GetUint("signature-hashes", 3);
-    }
-    opts.memory_budget_bytes =
-        uint64_t{args.GetUint("memory-budget", 256)} << 20;
-    opts.temp_dir = args.Get("temp-dir");
+    opts.params = BuildParams(args);
+    opts.memory_budget_bytes = uint64_t{args.Uint(kMemoryBudget, 256)} << 20;
+    opts.temp_dir = args.Str(kTempDir);
     Result<ExternalBuildStats> stats_r =
         BuildIndexFileExternal(data_path, out, opts);
-    if (!stats_r.ok()) {
-      std::fprintf(stderr, "error: %s\n", stats_r.status().ToString().c_str());
-      return 1;
-    }
+    if (!stats_r.ok()) return Fail(stats_r.status());
     const ExternalBuildStats& s = stats_r.value();
     std::printf("wrote %s: %s index, %llu objects, %u feature sets, "
                 "%llu bytes (external build)\n",
@@ -881,24 +869,15 @@ int BuildIndex(const Args& args) {
     return 0;
   }
   Result<Dataset> data = LoadData(args);
-  if (!data.ok()) {
-    std::fprintf(stderr, "error: %s\n", data.status().ToString().c_str());
-    return 1;
-  }
+  if (!data.ok()) return Fail(data.status());
   Dataset ds = data.TakeValue();
   std::vector<Vocabulary> vocabularies = ds.vocabularies;  // ride along
   Result<Engine> engine =
       Engine::Build(std::move(ds.objects), std::move(ds.feature_tables),
                     MakeEngineOptions(args));
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
+  if (!engine.ok()) return Fail(engine.status());
   Status st = engine.value().Save(out, vocabularies);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (!st.ok()) return Fail(st);
   Result<IndexFileInfo> info = ReadIndexFileInfo(out);
   if (!info.ok()) {
     std::fprintf(stderr, "error: reopening just-written index: %s\n",
@@ -915,18 +894,15 @@ int BuildIndex(const Args& args) {
 }
 
 /// Prints the superblock + segment catalog of a .stpqx file; --verify
-/// additionally restores every index (checksums + deep decode).
+/// also opens the index (every segment checksum) and runs the same
+/// structural validators as `validate` over it.
 int LoadInfo(const Args& args) {
-  const std::string path = args.Get("index");
+  const std::string path = args.Str(kIndex);
   if (path.empty()) {
-    std::fprintf(stderr, "error: --index FILE is required\n");
-    return 1;
+    return Fail(Status::InvalidArgument("--index FILE is required"));
   }
   Result<IndexFileInfo> info_r = ReadIndexFileInfo(path);
-  if (!info_r.ok()) {
-    std::fprintf(stderr, "error: %s\n", info_r.status().ToString().c_str());
-    return 1;
-  }
+  if (!info_r.ok()) return Fail(info_r.status());
   const IndexFileInfo& info = info_r.value();
   std::printf("%s: version %u, %s index, page size %u, fill %.2f\n",
               path.c_str(), info.version,
@@ -943,13 +919,22 @@ int LoadInfo(const Args& args) {
                 static_cast<unsigned long long>(s.bytes),
                 static_cast<unsigned long long>(s.slots), s.slot_bytes);
   }
-  if (args.Has("verify")) {
+  if (args.Has(kVerify)) {
     Result<Engine> engine = Engine::Open(path);
     if (!engine.ok()) {
       std::fprintf(stderr, "verify FAILED: %s\n",
                    engine.status().ToString().c_str());
       return 1;
     }
+    int failures = 0;
+    ValidateEngine(engine.value(), [&failures](const std::string& what,
+                                               const Status& st) {
+      if (st.ok()) return;
+      std::fprintf(stderr, "verify FAILED: %s: %s\n", what.c_str(),
+                   st.ToString().c_str());
+      ++failures;
+    });
+    if (failures > 0) return 1;
     std::printf("verify OK: all segments restored\n");
   }
   return 0;
@@ -958,88 +943,34 @@ int LoadInfo(const Args& args) {
 const std::vector<CommandSpec>& Commands() {
   static const std::vector<CommandSpec> kCommands = {
       {"generate", "synthesize a dataset and write it as a .stpq file",
-       "  --out FILE        output dataset path (required)\n"
-       "  --kind NAME       synthetic|real (default synthetic)\n"
-       "  --scale S         dataset scale factor (default 0.1)\n"
-       "  --seed N          RNG seed (default 42)\n",
-       &Generate},
-      {"info", "summarize a .stpq dataset",
-       "  --data FILE       dataset path (required)\n", &Info},
+       {&kOut, &kDatasetKind, &kScale, &kSeed}, &Generate},
+      {"info", "summarize a .stpq dataset", {&kData}, &Info},
       {"build",
        "build all indexes over a dataset and persist them as a .stpqx file",
-       "  --data FILE       dataset to index (required)\n"
-       "  --index FILE      output index file path (required)\n"
-       "  --kind srt|ir2    feature index to build (default srt)\n"
-       "  --page-size N     page size in bytes (default 4096)\n"
-       "  --fill F          bulk-load fill factor in (0, 1]\n"
-       "  --signature-bits N / --signature-hashes N  IR2 signatures\n"
-       "  --external        stream-build on disk in bounded memory\n"
-       "                    (external merge sort; byte-identical output)\n"
-       "  --memory-budget MB  external sort memory ceiling (default 256)\n"
-       "  --temp-dir DIR    where external sort runs spill (default: next\n"
-       "                    to the output index)\n",
+       {&kData, &kIndex, &kIndexKind, &kPageSize, &kFill, &kSignatureBits,
+        &kSignatureHashes, &kExternal, &kMemoryBudget, &kTempDir},
        &BuildIndex},
       {"load", "print the superblock + segment catalog of a .stpqx file",
-       "  --index FILE      index file path (required)\n"
-       "  --verify          additionally restore every index (checksums +\n"
-       "                    full decode) via Engine::Open\n",
-       &LoadInfo},
+       {&kIndex, &kVerify}, &LoadInfo},
       {"query", "run one query and print the top-k",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --keywords \"a,b;c\"  per-set keyword lists (required)\n"
-       "  --k N / --r R / --lambda L\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       "  --explain         print per-set contributions for each result\n",
+       Join({kEngineFlags, {&kKeywords}, kQueryShapeFlags, {&kExplain}}),
        &RunQuery},
       {"bench", "run a generated query batch sequentially",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --queries N / --k N / --r R / --lambda L\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       "  --io-ms MS        simulated cost per page read\n"
-       STPQ_CLI_ADMIN_FLAGS
-       "  --linger-ms MS    keep the admin server up MS ms after the run\n",
-       &Bench},
+       Join({kEngineFlags, kBatchFlags, kAdminFlags}), &Bench},
       {"workload", "parallel throughput sweep over thread counts",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --threads N[,N...]  thread counts to sweep (default 1)\n"
-       "  --queries N / --k N / --r R / --lambda L\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       "  --io-ms MS        simulated cost per page read\n"
-       "  --metrics FILE    write Prometheus text exposition\n"
-       "  --trace-out FILE  write Chrome trace JSON\n"
-       STPQ_CLI_ADMIN_FLAGS
-       "  --slow-ms T       retain queries at or above T ms (/slowz)\n"
-       "  --linger-ms MS    keep the admin server up MS ms after the run\n",
+       Join({kEngineFlags, {&kThreads}, kBatchFlags, {&kMetrics, &kTraceOut},
+             kAdminFlags}),
        &Workload},
       {"profile", "sequential run with phase breakdown + latency histogram",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --queries N / --k N / --r R / --lambda L\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       "  --io-ms MS        simulated cost per page read\n"
-       "  --metrics FILE    write Prometheus text exposition\n"
-       "  --trace-out FILE  write Chrome trace JSON\n"
-       STPQ_CLI_ADMIN_FLAGS
-       "  --slow-ms T       retain queries at or above T ms (/slowz)\n"
-       "  --linger-ms MS    keep the admin server up MS ms after the run\n",
+       Join({kEngineFlags, kBatchFlags, {&kMetrics, &kTraceOut},
+             kAdminFlags}),
        &Profile},
       {"trace", "run with the tracer armed and export Chrome trace JSON",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --trace-out FILE  output path (default trace.json)\n"
-       "  --slow-ms T       capture only queries at or above T ms\n"
-       "  --queries N / --threads N\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       STPQ_CLI_ADMIN_FLAGS
-       "  --linger-ms MS    keep the admin server up MS ms after the run\n"
-       "                    (note: a /tracez scrape consumes trace events\n"
-       "                    the export would otherwise include)\n",
+       Join({kEngineFlags, {&kTraceOut, &kThreads}, kBatchFlags,
+             kAdminFlags}),
        &Trace},
       {"validate", "run the deep structural validators over every index",
-       STPQ_CLI_ENGINE_FLAGS, &Validate},
+       kEngineFlags, &Validate},
   };
   return kCommands;
 }
@@ -1047,12 +978,13 @@ const std::vector<CommandSpec>& Commands() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
+  const std::string command = argc > 1 ? argv[1] : "";
   for (const CommandSpec& c : Commands()) {
-    if (args.command != c.name) continue;
-    if (args.Has("help")) {
-      std::printf("usage: stpq_cli %s [flags]\n%s\n%s", c.name, c.summary,
-                  c.help);
+    if (command != c.name) continue;
+    Args args;
+    if (!ParseArgs(argc, argv, c, &args)) return 2;
+    if (args.Has(kHelp)) {
+      PrintHelp(c);
       return 0;
     }
     return c.run(args);
