@@ -53,9 +53,9 @@ void RunAlgo(const Dataset& ds, const std::vector<Query>& queries,
             r.queries_per_sec,
             base_qps > 0.0 ? r.queries_per_sec / base_qps : 0.0,
             r.summary.mean_page_reads,
-            r.latency.PercentileMs(0.50),
-            r.latency.PercentileMs(0.95),
-            r.latency.PercentileMs(0.99)};
+            r.summary.total_ms.p50,
+            r.summary.total_ms.p95,
+            r.summary.total_ms.p99};
     std::printf("%-6s %8zu %12.2f %12.1f %10.2fx %14.1f %9.2f %9.2f %9.2f\n",
                 row.algo, row.threads, row.wall_ms, row.qps, row.speedup,
                 row.reads_per_query, row.p50_ms, row.p95_ms, row.p99_ms);

@@ -178,9 +178,6 @@ Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
     index_ptrs_.push_back(feature_indexes_.back().get());
   }
 
-  if (options_.reuse_voronoi_cells) {
-    voronoi_cache_ = std::make_unique<VoronoiCellCache>();
-  }
   sessions_ = std::make_unique<SessionPool>(
       object_pool_.get(), feature_pool_.get(), options_.cold_cache_per_query);
 
@@ -306,8 +303,7 @@ Result<QueryResult> Engine::Execute(const Query& query,
     Stds stds(object_index_.get(), index_ptrs_);
     result = stds.Execute(query, options_.stds_batching, &session.scratch());
   } else {
-    Stps stps(object_index_.get(), index_ptrs_, options_.influence_mode,
-              voronoi_cache_.get());
+    Stps stps(object_index_.get(), index_ptrs_, options_.influence_mode);
     result = stps.Execute(query, options_.pulling, &session.scratch());
   }
   // Closing the query span sets cpu_ms.  It closes before the slow log
@@ -332,9 +328,6 @@ Result<QueryResult> Engine::Execute(const Query& query,
   metrics.RecordQuery(result.stats);
   metrics.object_pool_resident_pages.Set(object_pool_->resident_pages());
   metrics.feature_pool_resident_pages.Set(feature_pool_->resident_pages());
-  if (voronoi_cache_ != nullptr) {
-    metrics.voronoi_cache_cells.Set(voronoi_cache_->size());
-  }
   return result;
 }
 

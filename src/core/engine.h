@@ -22,7 +22,6 @@
 #include "core/cursor.h"
 #include "core/query.h"
 #include "core/stps.h"  // InfluenceMode
-#include "core/voronoi_cache.h"
 #include "index/feature_index.h"
 #include "index/ir2_tree.h"
 #include "index/object_index.h"
@@ -90,11 +89,6 @@ struct EngineOptions {
   PullingStrategy pulling = PullingStrategy::kPrioritized;
   /// STDS batched score computation (Section 5 improvement).
   bool stds_batching = true;
-  /// Reuse Voronoi cells across NN-variant queries with identical keyword
-  /// sets (Section 8.5's precomputation remark).  The cache is internally
-  /// synchronized; under concurrency it makes the I/O counters of NN
-  /// queries dependent on query interleaving (results are unaffected).
-  bool reuse_voronoi_cells = false;
   /// Influence-variant strategy: anchored retrieval (default) or the
   /// paper's Algorithm 5 (see InfluenceMode).
   InfluenceMode influence_mode = InfluenceMode::kAnchored;
@@ -177,9 +171,6 @@ class Engine {
   /// [0, 1], radius > 0 for radius-dependent variants.
   [[nodiscard]] Status ValidateQuery(const Query& query) const;
 
-  /// The shared Voronoi cell cache (nullptr unless reuse_voronoi_cells).
-  VoronoiCellCache* voronoi_cache() const { return voronoi_cache_.get(); }
-
   size_t num_feature_sets() const { return feature_indexes_.size(); }
   const std::vector<DataObject>& objects() const { return *objects_; }
   const FeatureTable& feature_table(size_t i) const {
@@ -233,7 +224,6 @@ class Engine {
   /// Borrowed views of feature_indexes_, in table order; immutable after
   /// construction and handed to the per-call executors.
   std::vector<const FeatureIndex*> index_ptrs_;
-  std::unique_ptr<VoronoiCellCache> voronoi_cache_;
   /// Idle execution sessions that Execute leases (core/exec_session.h).
   /// Behind a pointer so the engine stays movable.
   std::unique_ptr<SessionPool> sessions_;

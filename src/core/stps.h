@@ -12,7 +12,6 @@
 
 #include "core/query.h"
 #include "core/scratch.h"
-#include "core/voronoi_cache.h"
 #include "index/feature_index.h"
 #include "index/object_index.h"
 #include "util/attributes.h"
@@ -47,17 +46,13 @@ enum class InfluenceMode {
 class Stps {
  public:
   /// Pointers are not owned and must outlive the executor, and so must the
-  /// storage `feature_indexes` views.  `voronoi_cache`
-  /// (may be null) enables cross-query Voronoi cell reuse for the NN
-  /// variant (Section 8.5's precomputation remark); `influence_mode`
-  /// selects the influence-variant strategy (default: anchored).
+  /// storage `feature_indexes` views.  `influence_mode` selects the
+  /// influence-variant strategy (default: anchored).
   Stps(const ObjectIndex* objects,
        std::span<const FeatureIndex* const> feature_indexes,
-       InfluenceMode influence_mode = InfluenceMode::kAnchored,
-       VoronoiCellCache* voronoi_cache = nullptr)
+       InfluenceMode influence_mode = InfluenceMode::kAnchored)
       : objects_(objects),
         feature_indexes_(feature_indexes),
-        voronoi_cache_(voronoi_cache),
         influence_mode_(influence_mode) {}
 
   /// Runs the query under its score variant (Algorithm 3, Algorithm 5, or
@@ -82,7 +77,6 @@ class Stps {
 
   const ObjectIndex* objects_;
   std::span<const FeatureIndex* const> feature_indexes_;
-  VoronoiCellCache* voronoi_cache_ = nullptr;
   InfluenceMode influence_mode_ = InfluenceMode::kAnchored;
 };
 

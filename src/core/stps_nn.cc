@@ -104,9 +104,7 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
   std::vector<bool>& claimed = scratch.flags;
   claimed.assign(objects_->size(), false);
   // Voronoi cells kept per (feature set, feature): combinations share
-  // members.  With an engine-level cache attached, cells are additionally
-  // reused across queries with the same keyword sets (Section 8.5's
-  // precomputation remark).
+  // members.
   VoronoiScratch& voronoi = scratch.voronoi;
   voronoi.used = 0;
   voronoi.index.Clear();
@@ -120,21 +118,9 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
     const uint32_t pos = static_cast<uint32_t>(voronoi.used++);
     slot = pos;
     if (pos == voronoi.cells.size()) voronoi.cells.emplace_back();
-    VoronoiCell& cell = voronoi.cells[pos];
-    if (voronoi_cache_ != nullptr) {
-      std::optional<VoronoiCell> shared =
-          voronoi_cache_->Find(i, member, query.keywords[i]);
-      if (shared.has_value()) {
-        ++result.stats.voronoi_cache_hits;
-        cell = *std::move(shared);
-        return pos;
-      }
-    }
     ComputeVoronoiCell(*feature_indexes_[i], member, query.keywords[i],
-                       query.lambda, domain, result.stats, scratch, &cell);
-    if (voronoi_cache_ != nullptr) {
-      voronoi_cache_->Put(i, member, query.keywords[i], cell);
-    }
+                       query.lambda, domain, result.stats, scratch,
+                       &voronoi.cells[pos]);
     return pos;
   };
 

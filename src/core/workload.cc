@@ -110,7 +110,6 @@ Result<WorkloadReport> RunWorkload(const Engine& engine,
     cpu.push_back(r.stats.cpu_ms);
     io.push_back(io_ms);
     total.push_back(r.stats.cpu_ms + io_ms);
-    report.latency.Record(r.stats.cpu_ms + io_ms);
     summary.aggregate += r.stats;
   }
   summary.cpu_ms = Summarize(std::move(cpu));

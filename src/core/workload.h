@@ -19,7 +19,6 @@
 
 #include "core/engine.h"
 #include "core/query.h"
-#include "obs/histogram.h"
 #include "util/result.h"
 
 namespace stpq {
@@ -65,14 +64,12 @@ struct WorkloadReport {
   std::vector<QueryResult> per_query;  ///< one entry per input query
   double wall_ms = 0.0;                ///< end-to-end batch wall time
   double queries_per_sec = 0.0;        ///< throughput over wall time
-  /// Per-query total latency (cpu + priced I/O), one sample per query.
-  LatencyHistogram latency;
 };
 
 /// Runs `queries` on `engine` across `options.threads` workers.  Workers
 /// claim queries through an atomic cursor and write only their own result
-/// slots; the summary, aggregate counters and latency histogram are
-/// computed from the per-query results after the join.  Every query is
+/// slots; the summary and aggregate counters are computed from the
+/// per-query results after the join.  Every query is
 /// validated up front, so InvalidArgument means nothing was executed.  A
 /// query that fails while executing (a page fetch's IoError or
 /// Corruption) fails the batch: workers stop claiming, and the status of

@@ -1,6 +1,5 @@
 #include "debug/validate.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -319,80 +318,6 @@ Status ValidateObjectIndex(const ObjectIndex& index) {
     return Status::Internal("object index: " + st.message());
   }
   return CheckLeafIdBijection(seen, "object index: object");
-}
-
-Status ValidateInvertedIndex(const InvertedIndex& index) {
-  uint64_t total = 0;
-  for (TermId t = 0; t < index.universe_size(); ++t) {
-    std::span<const uint32_t> plist = index.Postings(t);
-    total += plist.size();
-    for (size_t i = 1; i < plist.size(); ++i) {
-      if (plist[i] <= plist[i - 1]) {
-        return Status::Internal(
-            "postings of term " + Num(static_cast<uint64_t>(t)) +
-            " are not strictly increasing at position " +
-            Num(static_cast<uint64_t>(i)) + " (" +
-            Num(static_cast<uint64_t>(plist[i - 1])) + " then " +
-            Num(static_cast<uint64_t>(plist[i])) +
-            "): unsorted or duplicate document id");
-      }
-    }
-    if (index.DocumentFrequency(t) != plist.size()) {
-      return Status::Internal("document frequency of term " +
-                              Num(static_cast<uint64_t>(t)) +
-                              " disagrees with its posting count");
-    }
-  }
-  if (total != index.TotalPostings()) {
-    return Status::Internal("sum of posting lengths " + Num(total) +
-                            " != TotalPostings() " +
-                            Num(index.TotalPostings()) +
-                            " (CSR offsets corrupt)");
-  }
-  return Status::OK();
-}
-
-Status ValidateInvertedIndex(const InvertedIndex& index,
-                             std::span<const KeywordSet> documents) {
-  STPQ_RETURN_NOT_OK(ValidateInvertedIndex(index));
-  // Forward direction: every posted document really contains the term.
-  for (TermId t = 0; t < index.universe_size(); ++t) {
-    for (uint32_t doc : index.Postings(t)) {
-      if (doc >= documents.size()) {
-        return Status::Internal("term " + Num(static_cast<uint64_t>(t)) +
-                                " posts document " +
-                                Num(static_cast<uint64_t>(doc)) +
-                                ", outside the corpus of " +
-                                Num(static_cast<uint64_t>(documents.size())));
-      }
-      if (!documents[doc].Contains(t)) {
-        return Status::Internal("term " + Num(static_cast<uint64_t>(t)) +
-                                " posts document " +
-                                Num(static_cast<uint64_t>(doc)) +
-                                " which does not contain it (phantom "
-                                "posting)");
-      }
-    }
-  }
-  // Reverse direction: every document keyword is posted.
-  for (uint32_t doc = 0; doc < documents.size(); ++doc) {
-    for (TermId t : documents[doc].ToTerms()) {
-      if (t >= index.universe_size()) {
-        return Status::Internal(
-            "document " + Num(static_cast<uint64_t>(doc)) + " uses term " +
-            Num(static_cast<uint64_t>(t)) + " outside the indexed universe");
-      }
-      std::span<const uint32_t> plist = index.Postings(t);
-      if (!std::binary_search(plist.begin(), plist.end(), doc)) {
-        return Status::Internal("document " +
-                                Num(static_cast<uint64_t>(doc)) +
-                                " contains term " +
-                                Num(static_cast<uint64_t>(t)) +
-                                " but is missing from its postings");
-      }
-    }
-  }
-  return Status::OK();
 }
 
 Status ValidateBufferPool(const BufferPool& pool) {

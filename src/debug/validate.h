@@ -25,7 +25,6 @@
 #include "rtree/node_page.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
-#include "text/inverted_index.h"
 #include "util/status.h"
 
 namespace stpq {
@@ -70,8 +69,8 @@ std::string FormatRect(const Rect<D>& r) {
 ///     legally leave tail nodes under the insertion-path minimum fill);
 ///   * each internal entry's rectangle is exactly the union of its child's
 ///     entry rectangles (containment + tightness), in all D dimensions;
-///   * no node is reachable twice (no sharing/cycles) and reachable +
-///     free-listed nodes account for every node;
+///   * no node is reachable twice (no sharing/cycles) and every node is
+///     reachable (a packed tree has no unused slots);
 ///   * the number of leaf records equals tree.size().
 ///
 /// `summary_check(parent, i, child, j)` is called for every entry j of
@@ -206,18 +205,16 @@ Status ValidatePagedTree(const PagedTree& tree, SummaryCheck&& summary_check,
   }
   uint64_t reached = 0;
   for (bool v : visited) reached += v ? 1 : 0;
-  if (reached + tree.free_node_count() != tree.node_count()) {
+  if (reached != tree.node_count()) {
     return Status::Internal(
-        std::to_string(reached) + " reachable nodes + " +
-        std::to_string(tree.free_node_count()) + " free-listed nodes do not "
-        "account for all " + std::to_string(tree.node_count()) +
-        " allocated nodes");
+        std::to_string(reached) + " reachable nodes do not account for all " +
+        std::to_string(tree.node_count()) + " allocated nodes");
   }
   return Status::OK();
 }
 
 /// Structure-only validation of a plain R-tree (a build-time tree, e.g.
-/// after Insert/Delete churn): its encoded pages must pass
+/// after insertion splits): its encoded pages must pass
 /// ValidatePagedTree.
 template <int D>
 Status ValidateRTree(const RTree<D>& tree) {
@@ -250,16 +247,6 @@ Status ValidateRTree(const RTree<D>& tree) {
 /// Object R-tree validation: structure plus a bijection between leaf
 /// records and the object collection.
 [[nodiscard]] Status ValidateObjectIndex(const ObjectIndex& index);
-
-/// Inverted-index validation: per-term postings sorted and duplicate-free,
-/// document ids in range, and — when `documents` is the corpus the index
-/// was built from — exact consistency in both directions (posted documents
-/// contain the term; documents containing a term are posted).
-[[nodiscard]] Status ValidateInvertedIndex(const InvertedIndex& index,
-                             std::span<const KeywordSet> documents);
-
-/// Postings-only overload for when the source corpus is unavailable.
-[[nodiscard]] Status ValidateInvertedIndex(const InvertedIndex& index);
 
 // ValidateBufferPool is declared in storage/buffer_pool.h (it needs friend
 // access); re-exported here so validators have one include point.

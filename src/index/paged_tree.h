@@ -86,9 +86,6 @@ class PagedTree {
     return static_cast<uint32_t>(meta_.node_count);
   }
   [[nodiscard]] uint32_t max_entries() const { return meta_.max_entries; }
-  [[nodiscard]] uint32_t free_node_count() const {
-    return static_cast<uint32_t>(meta_.free_nodes.size());
-  }
   [[nodiscard]] const TreeMeta& meta() const { return meta_; }
   [[nodiscard]] const PageLayout& layout() const { return layout_; }
   [[nodiscard]] const PageStore& pages() const { return *pages_; }

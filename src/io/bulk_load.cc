@@ -530,7 +530,7 @@ std::string RunPrefix(const std::string& index_path,
 }
 
 /// Plans tree `tree` of `count` leaf entries as the shared packer lays it
-/// out; a bulk-loaded tree has no free list.
+/// out.
 template <typename Codec>
 Status PlanPackedTree(IndexFileWriter* writer, uint32_t tree, uint64_t count,
                       uint32_t max_entries, double fill, const Codec& codec) {
@@ -538,7 +538,7 @@ Status PlanPackedTree(IndexFileWriter* writer, uint32_t tree, uint64_t count,
       count, max_entries, fill);
   return writer->PlanTree(tree,
                           TreeMeta{packer.root(), packer.height(), count,
-                                   packer.node_count(), max_entries, {}},
+                                   packer.node_count(), max_entries},
                           codec.layout());
 }
 

@@ -244,68 +244,28 @@ Status WriteDatasetBinary(const std::string& path, const Dataset& dataset) {
 }
 
 Result<Dataset> ReadDatasetBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open: " + path);
-  uint32_t magic = 0, version = 0;
-  if (!GetPod(in, &magic) || magic != kMagic) {
-    return Status::InvalidArgument("not a .stpq file: " + path);
-  }
-  if (!GetPod(in, &version) || version != kVersion) {
-    return Status::InvalidArgument("unsupported .stpq version");
-  }
+  Result<DatasetBinaryScanner> opened = DatasetBinaryScanner::Open(path);
+  if (!opened.ok()) return opened.status();
+  DatasetBinaryScanner scanner = opened.TakeValue();
+  // Counts come from the file, so nothing is reserved from them: a
+  // damaged count runs into the end of the file as a typed error.
   Dataset ds;
-  uint64_t num_objects = 0;
-  if (!GetPod(in, &num_objects)) return Status::IoError("truncated header");
-  ds.objects.reserve(num_objects);
-  for (uint64_t i = 0; i < num_objects; ++i) {
-    DataObject o;
-    if (!GetPod(in, &o.id) || !GetPod(in, &o.pos.x) ||
-        !GetPod(in, &o.pos.y) || !GetString(in, &o.name)) {
-      return Status::IoError("truncated object record");
-    }
-    ds.objects.push_back(std::move(o));
-  }
-  uint32_t num_tables = 0;
-  if (!GetPod(in, &num_tables)) return Status::IoError("truncated");
-  for (uint32_t ti = 0; ti < num_tables; ++ti) {
+  STPQ_RETURN_NOT_OK(scanner.ForEachObject(
+      [&ds](const DataObject& o) { ds.objects.push_back(o); }));
+  Result<uint32_t> num_tables = scanner.ReadTableCount();
+  if (!num_tables.ok()) return num_tables.status();
+  for (uint32_t ti = 0; ti < num_tables.value(); ++ti) {
     Vocabulary vocab;
-    uint32_t vocab_size = 0;
-    if (!GetPod(in, &vocab_size)) return Status::IoError("truncated");
-    for (uint32_t t = 0; t < vocab_size; ++t) {
-      std::string term;
-      if (!GetString(in, &term)) return Status::IoError("truncated term");
-      vocab.Intern(term);
-    }
-    uint32_t universe = 0;
-    uint64_t count = 0;
-    if (!GetPod(in, &universe) || !GetPod(in, &count)) {
-      return Status::IoError("truncated table header");
-    }
+    STPQ_RETURN_NOT_OK(scanner.ForEachVocabTerm(
+        [&vocab](const std::string& term) { vocab.Intern(term); }));
+    Result<DatasetBinaryScanner::TableHeader> header =
+        scanner.ReadTableHeader();
+    if (!header.ok()) return header.status();
+    const uint32_t universe = header.value().universe;
     std::vector<FeatureObject> features;
-    features.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      FeatureObject t;
-      uint32_t nterms = 0;
-      if (!GetPod(in, &t.id) || !GetPod(in, &t.pos.x) ||
-          !GetPod(in, &t.pos.y) || !GetPod(in, &t.score) ||
-          !GetPod(in, &nterms)) {
-        return Status::IoError("truncated feature record");
-      }
-      if (nterms > universe) {
-        return Status::InvalidArgument("feature has more terms than universe");
-      }
-      t.keywords = KeywordSet(universe);
-      for (uint32_t j = 0; j < nterms; ++j) {
-        TermId id = 0;
-        if (!GetPod(in, &id)) return Status::IoError("truncated term id");
-        if (id >= universe) {
-          return Status::OutOfRange("term id beyond universe");
-        }
-        t.keywords.Insert(id);
-      }
-      if (!GetString(in, &t.name)) return Status::IoError("truncated name");
-      features.push_back(std::move(t));
-    }
+    STPQ_RETURN_NOT_OK(scanner.ForEachFeature(
+        universe, header.value().feature_count,
+        [&features](const FeatureObject& f) { features.push_back(f); }));
     ds.feature_tables.emplace_back(std::move(features), universe);
     ds.vocabularies.push_back(std::move(vocab));
   }

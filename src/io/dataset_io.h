@@ -50,8 +50,9 @@ namespace stpq {
 /// Serializes a whole dataset to a .stpq binary file.
 [[nodiscard]] Status WriteDatasetBinary(const std::string& path, const Dataset& dataset);
 
-/// Loads a dataset written by WriteDatasetBinary; rejects bad magic,
-/// unsupported versions, and truncated files.
+/// Loads a dataset written by WriteDatasetBinary, reading it through
+/// DatasetBinaryScanner; rejects bad magic, unsupported versions, and
+/// truncated files (a record count past the end of the file included).
 [[nodiscard]] Result<Dataset> ReadDatasetBinary(const std::string& path);
 
 /// Streaming cursor over a .stpq binary file: one sequential pass, record
@@ -64,8 +65,8 @@ namespace stpq {
 ///   Open -> ForEachObject -> ReadTableCount ->
 ///   per table: ForEachVocabTerm -> ReadTableHeader -> ForEachFeature
 ///
-/// Error codes and messages match ReadDatasetBinary exactly (it is the
-/// same grammar, just pull- instead of load-driven).
+/// ReadDatasetBinary is this scanner driven to the end, so both report
+/// the same error codes and messages.
 class DatasetBinaryScanner {
  public:
   struct TableHeader {

@@ -323,8 +323,15 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
         ", page-size parameters derive " +
         std::to_string(expected_max_entries));
   }
-  if (node_count > kMaxNodeCount || free_count > node_count) {
+  if (node_count > kMaxNodeCount) {
     return Status::Corruption("implausible tree node counts");
+  }
+  // Every slot of a packed tree holds a node, so the writer always
+  // records 0 here.
+  if (free_count != 0) {
+    return Status::Corruption("tree metadata lists " +
+                              std::to_string(free_count) +
+                              " free nodes; a packed tree has none");
   }
   if (node_count != nodes_entry.slot_count) {
     return Status::Corruption("tree metadata and catalog disagree on the "
@@ -349,15 +356,6 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
   if (root != kInvalidNodeId && root >= node_count) {
     return Status::Corruption("tree root id out of range");
   }
-  out->free_nodes.reserve(free_count);
-  for (uint32_t i = 0; i < free_count; ++i) {
-    uint32_t id = 0;
-    if (!m.Pod(&id)) return Status::Corruption("tree free list truncated");
-    if (id >= node_count) {
-      return Status::Corruption("free-list node id out of range");
-    }
-    out->free_nodes.push_back(id);
-  }
   out->root = root;
   out->height = height;
   out->size = size;
@@ -366,11 +364,11 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
   return Status::OK();
 }
 
-/// Checks one slot: its entry count fits the fan-out, its level the tree
-/// height, and a leaf's record ids the record set they index.  An
-/// internal entry's child id is checked where it is followed: a child
-/// past the node segment is a page outside every extent, which the page
-/// fetch reports as Corruption.
+/// Checks one slot: it holds at least one entry and no more than the
+/// fan-out, its level fits the tree height, and a leaf's record ids the
+/// record set they index.  An internal entry's child id is checked where
+/// it is followed: a child past the node segment is a page outside every
+/// extent, which the page fetch reports as Corruption.
 Status VerifySlot(const uint8_t* slot, uint32_t slot_bytes, NodeId id,
                   const PageLayout& layout, const TreeMeta& meta,
                   uint64_t record_count) {
@@ -383,7 +381,10 @@ Status VerifySlot(const uint8_t* slot, uint32_t slot_bytes, NodeId id,
         "node " + std::to_string(id) + " claims " + std::to_string(count) +
         " entries, above the fan-out of " + std::to_string(meta.max_entries));
   }
-  if (count == 0) return Status::OK();  // free-listed slot
+  if (count == 0) {
+    return Status::Corruption("node " + std::to_string(id) +
+                              " has no entries");
+  }
   if (level >= meta.height) {
     return Status::Corruption("node " + std::to_string(id) + " has level " +
                               std::to_string(level) + " in a tree of height " +

@@ -259,7 +259,9 @@ inline void AppendSuperblock(std::string* out, uint32_t page_size,
 }
 
 /// Appends a tree-metadata payload: root, height, record count, node
-/// count, fan-out, keyword-column layout, then the free list.
+/// count, fan-out, keyword-column layout, then a free-node count that is
+/// always 0 (every slot of a packed tree holds a node; the field keeps
+/// the version 2 layout).
 inline void AppendTreeMeta(std::string* out, const TreeMeta& m,
                            const PageLayout& layout) {
   PutPod<uint32_t>(out, m.root);
@@ -269,8 +271,7 @@ inline void AppendTreeMeta(std::string* out, const TreeMeta& m,
   PutPod<uint32_t>(out, m.max_entries);
   PutPod<uint32_t>(out, layout.keyword_bits);
   PutPod<uint32_t>(out, layout.keyword_words());
-  PutPod<uint32_t>(out, static_cast<uint32_t>(m.free_nodes.size()));
-  for (NodeId id : m.free_nodes) PutPod<uint32_t>(out, id);
+  PutPod<uint32_t>(out, 0u);
 }
 
 }  // namespace index_format

@@ -343,6 +343,7 @@ AdminResponse AdminServer::RenderSlowz() {
   std::string body = "{\"armed\":true,\"threshold_ms\":";
   AppendJsonDouble(&body, options_.slow_log->threshold_ms());
   body += ",\"count\":" + std::to_string(records.size());
+  body += ",\"dropped\":" + std::to_string(options_.slow_log->dropped());
   body += ",\"queries\":[";
   for (size_t i = 0; i < records.size(); ++i) {
     const SlowQueryRecord& r = records[i];

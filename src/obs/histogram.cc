@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 namespace stpq {
 
@@ -26,13 +25,6 @@ void LatencyHistogram::Record(double ms) {
   ++count_;
   sum_ms_ += ms;
   max_ms_ = std::max(max_ms_, ms);
-}
-
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ms_ += other.sum_ms_;
-  max_ms_ = std::max(max_ms_, other.max_ms_);
 }
 
 LatencyHistogram LatencyHistogram::Delta(const LatencyHistogram& older) const {
@@ -92,14 +84,6 @@ double LatencyHistogram::PercentileMs(double q) const {
     cumulative = next;
   }
   return max_ms_;
-}
-
-std::string LatencyHistogram::SummaryString() const {
-  std::ostringstream os;
-  os << "p50=" << PercentileMs(0.50) << " p90=" << PercentileMs(0.90)
-     << " p95=" << PercentileMs(0.95) << " p99=" << PercentileMs(0.99)
-     << " max=" << max_ms_ << " (n=" << count_ << ")";
-  return os.str();
 }
 
 }  // namespace stpq

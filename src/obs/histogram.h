@@ -8,19 +8,15 @@
 // percentiles are extracted by walking the cumulative counts with linear
 // interpolation inside the bucket.
 //
-// The parallel workload runner gives each worker thread its own
-// LatencyHistogram and merges them with Merge() after the threads have
-// been joined — merging is plain element-wise addition, no locks or
-// atomics anywhere on the recording path.  For the process-wide,
-// concurrently written variant, see HistogramMetric in
-// obs/metrics_registry.h, which shares this bucket layout.
+// For the process-wide, concurrently written variant, see HistogramMetric
+// in obs/metrics_registry.h, which shares this bucket layout and
+// snapshots into a LatencyHistogram.
 #ifndef STPQ_OBS_HISTOGRAM_H_
 #define STPQ_OBS_HISTOGRAM_H_
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace stpq {
 
@@ -50,9 +46,6 @@ inline uint64_t SaturatingCounterDelta(uint64_t newer, uint64_t older) {
 class LatencyHistogram {
  public:
   void Record(double ms);
-
-  /// Element-wise addition of another histogram (post-join merging).
-  void Merge(const LatencyHistogram& other);
 
   /// The histogram of samples recorded between `older` (an earlier
   /// snapshot of this same series) and now: per-bucket saturating
@@ -85,9 +78,6 @@ class LatencyHistogram {
   /// linearly within the bucket; 0 when empty.  The estimate is exact to
   /// within the bucket's width and never exceeds the recorded maximum.
   double PercentileMs(double q) const;
-
-  /// "p50=… p90=… p95=… p99=… max=…" one-liner for reports.
-  std::string SummaryString() const;
 
  private:
   std::array<uint64_t, LatencyBuckets::kNumBuckets> buckets_{};

@@ -36,9 +36,6 @@ QueryMetrics::QueryMetrics(MetricsRegistry& registry)
           "stpq_objects_scored_total", "Data objects scored or fetched")),
       voronoi_cells_total(registry.GetCounter(
           "stpq_voronoi_cells_total", "Voronoi cells computed (NN variant)")),
-      voronoi_cache_hits_total(registry.GetCounter(
-          "stpq_voronoi_cache_hits_total",
-          "Voronoi cells served from the shared cache")),
       object_tree_nodes_visited_total(registry.GetCounter(
           "stpq_object_tree_nodes_visited_total",
           "Object R-tree nodes expanded by query traversals")),
@@ -64,10 +61,7 @@ QueryMetrics::QueryMetrics(MetricsRegistry& registry)
           "Pages resident in the object-index buffer pool")),
       feature_pool_resident_pages(registry.GetGauge(
           "stpq_feature_pool_resident_pages",
-          "Pages resident in the shared feature-index buffer pool")),
-      voronoi_cache_cells(registry.GetGauge(
-          "stpq_voronoi_cache_cells",
-          "Cells memoized in the cross-query Voronoi cache")) {
+          "Pages resident in the shared feature-index buffer pool")) {
   for (size_t i = 0; i < kNumQueryPhases; ++i) {
     const char* phase = QueryPhaseName(static_cast<QueryPhase>(i));
     phase_us_total[i] = &registry.GetCounter(
@@ -86,7 +80,6 @@ void QueryMetrics::RecordQuery(const QueryStats& stats) {
   combinations_emitted_total.Increment(stats.combinations_emitted);
   objects_scored_total.Increment(stats.objects_scored);
   voronoi_cells_total.Increment(stats.voronoi_cells);
-  voronoi_cache_hits_total.Increment(stats.voronoi_cache_hits);
   object_tree_nodes_visited_total.Increment(
       stats.traversal.object_tree.TotalVisited());
   object_tree_entries_pruned_total.Increment(

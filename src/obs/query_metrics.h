@@ -40,7 +40,6 @@ class QueryMetrics {
   Counter& combinations_emitted_total;
   Counter& objects_scored_total;
   Counter& voronoi_cells_total;
-  Counter& voronoi_cache_hits_total;
   // Traversal-profile totals (tentpole of DESIGN.md §14): node expansions
   // and per-entry prune/descend verdicts, split object tree vs feature
   // trees.
@@ -57,7 +56,6 @@ class QueryMetrics {
   // Resource gauges refreshed by the engine after each query.
   Gauge& object_pool_resident_pages;
   Gauge& feature_pool_resident_pages;
-  Gauge& voronoi_cache_cells;
 };
 
 }  // namespace stpq

@@ -189,7 +189,10 @@ void SlowQueryLog::Offer(uint32_t trace_id, double elapsed_ms,
   record.events = std::move(events);
   MutexLock lock(mu_);
   records_.push_back(std::move(record));
-  while (records_.size() > max_records_) records_.pop_front();
+  while (records_.size() > max_records_) {
+    records_.pop_front();
+    ++dropped_;
+  }
 }
 
 std::vector<SlowQueryRecord> SlowQueryLog::Snapshot() const {
@@ -200,6 +203,11 @@ std::vector<SlowQueryRecord> SlowQueryLog::Snapshot() const {
 size_t SlowQueryLog::size() const {
   MutexLock lock(mu_);
   return records_.size();
+}
+
+uint64_t SlowQueryLog::dropped() const {
+  MutexLock lock(mu_);
+  return dropped_;
 }
 
 }  // namespace stpq

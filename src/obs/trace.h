@@ -436,10 +436,11 @@ struct SlowQueryRecord {
 };
 
 /// Thread-safe bounded retention of the most recent queries at or above a
-/// latency threshold.  Engine::Execute offers every completed query; the
-/// offer additionally drains the executing thread's ring (keeping only the
-/// offered query's events), which doubles as per-query ring hygiene during
-/// long captures.
+/// latency threshold; the oldest record is evicted, and counted, when a
+/// new one would exceed `max_records`.  Engine::Execute offers every
+/// completed query; the offer additionally drains the executing thread's
+/// ring (keeping only the offered query's events), which doubles as
+/// per-query ring hygiene during long captures.
 class SlowQueryLog {
  public:
   explicit SlowQueryLog(double threshold_ms, size_t max_records = 32)
@@ -453,6 +454,8 @@ class SlowQueryLog {
   std::vector<SlowQueryRecord> Snapshot() const STPQ_EXCLUDES(mu_);
 
   size_t size() const STPQ_EXCLUDES(mu_);
+  /// Qualifying queries evicted so far to stay within max_records.
+  uint64_t dropped() const STPQ_EXCLUDES(mu_);
   double threshold_ms() const { return threshold_ms_; }
 
  private:
@@ -460,6 +463,7 @@ class SlowQueryLog {
   const size_t max_records_;
   mutable Mutex mu_;
   std::deque<SlowQueryRecord> records_ STPQ_GUARDED_BY(mu_);
+  uint64_t dropped_ STPQ_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace stpq

@@ -193,7 +193,6 @@ void RTree<D, Aug>::BulkLoadSorted(const std::vector<Entry>& sorted_records,
   TreePacker<D, Aug> packer(sorted_records.size(), options_.max_entries,
                             fill);
   nodes_.assign(packer.node_count(), Node{});
-  free_nodes_.clear();
   path_.clear();
   const auto store = [this](NodeId id, Node&& node) {
     nodes_[id] = std::move(node);

@@ -44,7 +44,6 @@ struct TreeMeta {
   uint64_t size = 0;  ///< leaf records
   uint64_t node_count = 0;
   uint32_t max_entries = 0;
-  std::vector<NodeId> free_nodes;
 };
 
 /// Which columns a tree's node pages carry.
@@ -324,16 +323,14 @@ struct TreeImage {
   std::vector<uint8_t> pages;
 };
 
-/// Encodes every node of `tree` (free-listed ones as empty nodes) into
-/// slots of the width SlotBytesFor derives for `page_size`.  Build time
-/// only: afterwards the tree can go.
+/// Encodes every node of `tree` into slots of the width SlotBytesFor
+/// derives for `page_size`.  Build time only: afterwards the tree can go.
 template <int D, typename Aug>
 TreeImage EncodeTree(const RTree<D, Aug>& tree, const PageLayout& layout,
                      uint32_t page_size) {
   TreeImage image;
-  image.meta = TreeMeta{tree.root_id(),          tree.height(),
-                        tree.size(),             tree.node_count(),
-                        tree.options().max_entries, tree.free_nodes()};
+  image.meta = TreeMeta{tree.root_id(), tree.height(), tree.size(),
+                        tree.node_count(), tree.options().max_entries};
   image.slot_bytes = SlotBytesFor(tree.options().max_entries,
                                   layout.entry_bytes(), page_size);
   image.pages.assign(uint64_t{tree.node_count()} * image.slot_bytes, 0);

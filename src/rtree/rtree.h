@@ -13,8 +13,7 @@
 //
 // The tree is a build-time structure: the indexes pack it (or insert into
 // it) and encode each node into its page (rtree/node_page.h); after
-// construction every reader reads the pages.  ReadNode charges an optional
-// BufferPool so the tree's own tests can count its page accesses.
+// construction every reader reads the pages.
 #ifndef STPQ_RTREE_RTREE_H_
 #define STPQ_RTREE_RTREE_H_
 
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "geom/rect.h"
-#include "storage/buffer_pool.h"
 #include "util/logging.h"
 
 namespace stpq {
@@ -38,15 +36,11 @@ struct NoAug {
   static NoAug Merge(const NoAug&, const NoAug&) { return {}; }
 };
 
-/// R-tree sizing and storage knobs.
+/// R-tree sizing knobs.
 struct RTreeOptions {
   /// Maximum entries per node (fan-out).  Derive from the page size with
   /// FanOutForPage() to mirror a disk layout.
   uint32_t max_entries = 64;
-  /// Pool charged on node access; may be nullptr (no I/O accounting).
-  BufferPool* buffer_pool = nullptr;
-  /// Page-id namespace offset so multiple indexes can share one pool.
-  PageId page_base = 0;
 };
 
 /// Fan-out of a node stored on a page of `page_bytes`, with entries of
@@ -97,33 +91,13 @@ class RTree {
   [[nodiscard]] uint32_t node_count() const {
     return static_cast<uint32_t>(nodes_.size());
   }
-  /// Nodes currently on the free list (recycled by CondenseTree).
-  [[nodiscard]] uint32_t free_node_count() const {
-    return static_cast<uint32_t>(free_nodes_.size());
-  }
   [[nodiscard]] uint32_t min_entries() const { return min_entries_; }
   [[nodiscard]] const RTreeOptions& options() const { return options_; }
 
-  /// Reads a node, charging the buffer pool for the page access.
-  const Node& ReadNode(NodeId id) const {
-    STPQ_CHECK(id < nodes_.size());
-    if (options_.buffer_pool != nullptr) {
-      options_.buffer_pool->Access(options_.page_base + id);
-    }
-    return nodes_[id];
-  }
-
-  /// Reads a node without charging the buffer pool (the page encoder).
+  /// Node `id` (the page encoder reads every node through this).
   [[nodiscard]] const Node& PeekNode(NodeId id) const {
     STPQ_CHECK(id < nodes_.size());
     return nodes_[id];
-  }
-
-  /// Free list, encoded with the pages (EncodeTree) and persisted with
-  /// every node slot so NodeIds — and therefore page ids and golden I/O
-  /// counts — stay identical across a save/load round trip.
-  [[nodiscard]] const std::vector<NodeId>& free_nodes() const {
-    return free_nodes_;
   }
 
   /// Inserts one record.
@@ -140,33 +114,10 @@ class RTree {
     STPQ_DCHECK(nodes_[root_].level + 1u == height_);
   }
 
-  /// Deletes the record with `record_id` stored under exactly `rect`
-  /// (Guttman's Delete with CondenseTree re-insertion).  Returns false if
-  /// no such record exists.
-  bool Delete(const Rect<D>& rect, uint32_t record_id) {
-    if (root_ == kInvalidNodeId) return false;
-    path_.clear();
-    if (!FindLeaf(root_, rect, record_id)) return false;
-    NodeId leaf = path_.empty() ? root_
-                                : nodes_[path_.back().first]
-                                      .entries[path_.back().second]
-                                      .id;
-    std::vector<Entry>& entries = nodes_[leaf].entries;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].id == record_id && RectsEqual(entries[i].rect, rect)) {
-        entries.erase(entries.begin() + i);
-        break;
-      }
-    }
-    --size_;
-    CondenseTree(leaf);
-    return true;
-  }
-
   /// Bulk loads from records pre-sorted by the caller (Hilbert or STR
-  /// order).  Replaces any existing content, free list included.  `fill`
-  /// is the target node occupancy fraction.  Defined in rtree/bulk_load.h:
-  /// it is the shared packer with a sink that stores each node in place.
+  /// order), replacing any existing content.  `fill` is the target node
+  /// occupancy fraction.  Defined in rtree/bulk_load.h: it is the shared
+  /// packer with a sink that stores each node in place.
   void BulkLoadSorted(const std::vector<Entry>& sorted_records,
                       double fill = 1.0);
 
@@ -195,7 +146,7 @@ class RTree {
     while (!stack.empty()) {
       NodeId nid = stack.back();
       stack.pop_back();
-      const Node& node = ReadNode(nid);
+      const Node& node = nodes_[nid];
       for (const Entry& e : node.entries) {
         if (!range.Intersects(e.rect)) continue;
         if (node.IsLeaf()) {
@@ -217,152 +168,8 @@ class RTree {
 
  private:
   NodeId NewNode(uint16_t level) {
-    if (!free_nodes_.empty()) {
-      NodeId id = free_nodes_.back();
-      free_nodes_.pop_back();
-      nodes_[id] = Node{level, {}};
-      return id;
-    }
     nodes_.push_back(Node{level, {}});
     return static_cast<NodeId>(nodes_.size() - 1);
-  }
-
-  void FreeNode(NodeId id) {
-    nodes_[id].entries.clear();
-    free_nodes_.push_back(id);
-  }
-
-  static bool RectsEqual(const Rect<D>& a, const Rect<D>& b) {
-    for (int d = 0; d < D; ++d) {
-      if (a.lo[d] != b.lo[d] || a.hi[d] != b.hi[d]) return false;
-    }
-    return true;
-  }
-
-  /// Depth-first search for the leaf holding (rect, record_id); fills
-  /// path_ with the descent on success.
-  bool FindLeaf(NodeId nid, const Rect<D>& rect, uint32_t record_id) {
-    const Node& node = nodes_[nid];
-    if (node.IsLeaf()) {
-      for (const Entry& e : node.entries) {
-        if (e.id == record_id && RectsEqual(e.rect, rect)) return true;
-      }
-      return false;
-    }
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      if (!node.entries[i].rect.ContainsRect(rect)) continue;
-      path_.push_back({nid, i});
-      if (FindLeaf(node.entries[i].id, rect, record_id)) return true;
-      path_.pop_back();
-    }
-    return false;
-  }
-
-  /// Guttman's CondenseTree: walks the recorded path upward, dissolving
-  /// underfull nodes and re-inserting their entries, then shrinks the root.
-  void CondenseTree(NodeId changed) {
-    std::vector<std::pair<Entry, uint16_t>> orphans;  // entry, node level
-    while (!path_.empty()) {
-      auto [parent, slot] = path_.back();
-      path_.pop_back();
-      if (nodes_[changed].entries.size() < min_entries_) {
-        for (const Entry& e : nodes_[changed].entries) {
-          orphans.push_back({e, nodes_[changed].level});
-        }
-        FreeNode(changed);
-        nodes_[parent].entries.erase(nodes_[parent].entries.begin() + slot);
-      } else {
-        nodes_[parent].entries[slot] = SummarizeNode(changed);
-      }
-      changed = parent;
-    }
-    // Shrink the root while it is an internal node with a single child.
-    while (root_ != kInvalidNodeId && !nodes_[root_].IsLeaf() &&
-           nodes_[root_].entries.size() == 1) {
-      NodeId old = root_;
-      root_ = nodes_[root_].entries[0].id;
-      FreeNode(old);
-      --height_;
-    }
-    if (root_ != kInvalidNodeId && nodes_[root_].entries.empty()) {
-      FreeNode(root_);
-      root_ = kInvalidNodeId;
-      height_ = 0;
-    }
-    // Re-insert orphans at their original level (leaf records via Insert,
-    // which increments size_ — compensate since they were already counted).
-    for (auto& [entry, level] : orphans) {
-      if (level == 0) {
-        Insert(entry.rect, entry.id, entry.aug);
-        --size_;
-      } else {
-        InsertAtLevel(entry, level);
-      }
-    }
-  }
-
-  /// Inserts a subtree entry at a node of exactly `node_level`.  Falls back
-  /// to record-level re-insertion when the tree is now too shallow.
-  void InsertAtLevel(const Entry& entry, uint16_t node_level) {
-    if (root_ == kInvalidNodeId || nodes_[root_].level < node_level) {
-      // The tree shrank below the orphan's level: re-insert its records.
-      ReinsertRecords(entry.id);
-      FreeSubtree(entry.id);
-      return;
-    }
-    path_.clear();
-    NodeId cur = root_;
-    while (nodes_[cur].level != node_level) {
-      const Node& node = nodes_[cur];
-      size_t best = 0;
-      double best_enlarge = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        double enlarge = node.entries[i].rect.EnlargementArea(entry.rect);
-        if (enlarge < best_enlarge) {
-          best = i;
-          best_enlarge = enlarge;
-        }
-      }
-      path_.push_back({cur, best});
-      cur = node.entries[best].id;
-    }
-    nodes_[cur].entries.push_back(entry);
-    PropagateUp(cur);
-  }
-
-  /// Re-inserts every leaf record under node `nid` (fallback path).
-  void ReinsertRecords(NodeId nid) {
-    std::vector<Entry> records;
-    std::vector<NodeId> stack{nid};
-    while (!stack.empty()) {
-      NodeId cur = stack.back();
-      stack.pop_back();
-      const Node& node = nodes_[cur];
-      for (const Entry& e : node.entries) {
-        if (node.IsLeaf()) {
-          records.push_back(e);
-        } else {
-          stack.push_back(e.id);
-        }
-      }
-    }
-    for (const Entry& e : records) {
-      Insert(e.rect, e.id, e.aug);
-      --size_;  // already counted
-    }
-  }
-
-  /// Returns every node of the subtree rooted at `nid` to the free list.
-  void FreeSubtree(NodeId nid) {
-    std::vector<NodeId> stack{nid};
-    while (!stack.empty()) {
-      NodeId cur = stack.back();
-      stack.pop_back();
-      if (!nodes_[cur].IsLeaf()) {
-        for (const Entry& e : nodes_[cur].entries) stack.push_back(e.id);
-      }
-      FreeNode(cur);
-    }
   }
 
   /// Parent entry summarizing node `nid`.
@@ -551,7 +358,6 @@ class RTree {
   RTreeOptions options_;
   uint32_t min_entries_;
   std::vector<Node> nodes_;
-  std::vector<NodeId> free_nodes_;
   NodeId root_ = kInvalidNodeId;
   uint32_t height_ = 0;
   uint64_t size_ = 0;

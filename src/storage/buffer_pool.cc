@@ -1,6 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -273,39 +272,6 @@ void BufferPool::EvictOneUnpinned(uint32_t admitted) {
   table_.Erase(frames_[admitted].page);
   Unlink(admitted);
   frames_[admitted].detached = true;
-}
-
-Status BufferPool::Pin(PageId page) {
-  MutexLock lock(mu_);
-  // The access's own pin becomes the caller's pin.
-  bool hit = false;
-  const uint32_t f = PinInternal(page, &hit);
-  if (frames_[f].detached) {
-    const FetchFault fault = frame_pages_[f].fault;
-    UnpinInternal(f);
-    if (fault.failed()) return store_->FaultStatus(fault);
-    return Status::FailedPrecondition(
-        "cannot pin page " + std::to_string(page) + ": pool is full (" +
-        std::to_string(capacity_) + " pages) and every frame is pinned");
-  }
-  return Status::OK();
-}
-
-uint32_t BufferPool::PinCount(PageId page) const {
-  MutexLock lock(mu_);
-  const uint32_t f = table_.Find(page);
-  return f == kNilFrame ? 0 : frames_[f].pins;
-}
-
-Status BufferPool::Unpin(PageId page) {
-  MutexLock lock(mu_);
-  const uint32_t f = table_.Find(page);
-  if (f == kNilFrame || frames_[f].pins == 0) {
-    return Status::FailedPrecondition(
-        "unpin of page " + std::to_string(page) + " that is not pinned");
-  }
-  UnpinInternal(f);
-  return Status::OK();
 }
 
 void BufferPool::Clear() {

@@ -12,9 +12,8 @@
 // buffer the frame owns (pread) — with the frame pinned until the view is
 // destroyed.  A pinned page is never evicted, so neither LRU eviction nor
 // a concurrent shared-pool session can recycle bytes a traversal is
-// reading.  Pins taken through Pin() are the same pins, held until Unpin.
-// A pool whose every frame is pinned reads the new page through without
-// caching it; Pin() then reports FailedPrecondition.
+// reading.  A pool whose every frame is pinned reads the new page through
+// without caching it.
 //
 // Representation (DESIGN.md §13).  The pool is an intrusive doubly linked
 // LRU chain threaded through a frame array (index-based prev/next links,
@@ -26,7 +25,7 @@
 // pins the exact LRU eviction order and every counter.
 //
 // Concurrency model (DESIGN.md §11).  The shared LRU state is protected by
-// a mutex, so direct Access/Pin/Clear calls are safe from any thread.  The
+// a mutex, so direct Access/Clear calls are safe from any thread.  The
 // hit/read counters are relaxed atomics written under the mutex, which
 // makes stats() lock-free.  Query execution never contends on the mutex in
 // the default configuration: each query binds a BufferPool::Session to its
@@ -209,19 +208,8 @@ class BufferPool {
   /// is charged to the session instead; see the class comment.
   STPQ_HOT PageView Access(PageId page) STPQ_EXCLUDES(mu_);
 
-  /// Ensures `page` is resident (counting the read on a miss) and pins it.
-  /// Pins nest: each Pin must be matched by one Unpin.  Fails with
-  /// FailedPrecondition when the pool is full and every frame is pinned,
-  /// and with the store's typed error when the page cannot be fetched.
-  /// Always operates on the shared pool, never on a bound session (the
-  /// query path pins through its views; Pin is a direct-pool API).
-  [[nodiscard]] Status Pin(PageId page) STPQ_EXCLUDES(mu_);
-
-  /// Releases one pin on `page`; fails if the page is not pinned.
-  [[nodiscard]] Status Unpin(PageId page) STPQ_EXCLUDES(mu_);
-
   /// Drops all cached pages (simulates a cold cache between workloads).
-  /// Must not be called with outstanding pins or views.
+  /// Must not be called with outstanding views.
   void Clear() STPQ_EXCLUDES(mu_);
 
   /// Resets the counters without dropping pages.
@@ -238,9 +226,6 @@ class BufferPool {
   [[nodiscard]] PageStore* page_store() const { return store_; }
   [[nodiscard]] uint64_t resident_pages() const STPQ_EXCLUDES(mu_);
   [[nodiscard]] uint64_t pinned_pages() const STPQ_EXCLUDES(mu_);
-
-  /// Current pin count of `page` (0 when unpinned or not resident).
-  [[nodiscard]] uint32_t PinCount(PageId page) const STPQ_EXCLUDES(mu_);
 
   /// Deliberate-corruption backdoor for invariant tests; never used by
   /// library code.

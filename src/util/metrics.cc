@@ -5,7 +5,7 @@
 
 namespace stpq {
 
-// Regression guard: QueryStats has 12 uint64_t counters, 1 standalone
+// Regression guard: QueryStats has 11 uint64_t counters, 1 standalone
 // double, the phase_ms array, and the traversal profile — all 8-byte
 // members (no padding on any supported ABI).  Adding a field changes the
 // size and fails this assert — update operator+=, ToString(), and the
@@ -15,7 +15,7 @@ static_assert(sizeof(TraversalProfile) ==
                       TreeTraversalCounts::kNumLevels * 3 * 8,
               "TraversalProfile changed: update QueryStats's contract");
 static_assert(sizeof(QueryStats) ==
-                  (12 + 1 + kNumQueryPhases) * 8 + sizeof(TraversalProfile),
+                  (11 + 1 + kNumQueryPhases) * 8 + sizeof(TraversalProfile),
               "QueryStats changed: update operator+=, ToString(), and the "
               "QueryStatsContract tests, then adjust this assert");
 
@@ -85,7 +85,6 @@ QueryStats& QueryStats::operator+=(const QueryStats& other) {
   voronoi_cells += other.voronoi_cells;
   voronoi_clip_features += other.voronoi_clip_features;
   voronoi_reads += other.voronoi_reads;
-  voronoi_cache_hits += other.voronoi_cache_hits;
   cpu_ms += other.cpu_ms;
   for (size_t i = 0; i < kNumQueryPhases; ++i) {
     phase_ms[i] += other.phase_ms[i];
@@ -102,12 +101,10 @@ std::string QueryStats::ToString() const {
      << " features=" << features_retrieved
      << " combos=" << combinations_emitted << "/" << combinations_generated
      << " scored=" << objects_scored << " cpu_ms=" << cpu_ms;
-  if (voronoi_cells > 0 || voronoi_clip_features > 0 || voronoi_reads > 0 ||
-      voronoi_cache_hits > 0) {
+  if (voronoi_cells > 0 || voronoi_clip_features > 0 || voronoi_reads > 0) {
     os << " voronoi(cells=" << voronoi_cells
        << ", clip_features=" << voronoi_clip_features
-       << ", reads=" << voronoi_reads
-       << ", cache_hits=" << voronoi_cache_hits << ")";
+       << ", reads=" << voronoi_reads << ")";
   }
   if (traversal.TotalVisited() > 0 || traversal.TotalPruned() > 0 ||
       traversal.TotalDescended() > 0) {

@@ -149,7 +149,6 @@ struct QueryStats {
   uint64_t voronoi_cells = 0;          ///< Voronoi cells computed (NN variant)
   uint64_t voronoi_clip_features = 0;  ///< features streamed for cell clipping
   uint64_t voronoi_reads = 0;          ///< page reads charged to cell computation
-  uint64_t voronoi_cache_hits = 0;     ///< cells served from the shared cache
 
   /// Wall time of the query span (Engine::Execute), read from the same
   /// clock as the phase spans nested in it.

@@ -284,6 +284,7 @@ TEST(AdminServerTest, SlowzServesRetainedQueries) {
   const std::string slowz = Body(HttpGet(server.port(), "/slowz"));
   EXPECT_NE(slowz.find("\"armed\":true"), std::string::npos);
   EXPECT_NE(slowz.find("\"count\":1"), std::string::npos);
+  EXPECT_NE(slowz.find("\"dropped\":0"), std::string::npos);
   EXPECT_NE(slowz.find("\"trace_id\":9"), std::string::npos);
   server.Stop();
 }

@@ -1,6 +1,5 @@
 // Tests for the extended public API: the incremental StpsCursor, result
-// explanation, the Voronoi cell cache, index introspection, and R-tree
-// deletion.
+// explanation, and index introspection.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,8 +20,6 @@
 #include "io/bulk_load.h"
 #include "io/dataset_io.h"
 #include "paper_example.h"
-#include "rtree/rtree.h"
-#include "util/rng.h"
 
 namespace stpq {
 namespace {
@@ -152,84 +149,6 @@ TEST(ExplainTest, MatchesQueryScoresForAllVariants) {
       EXPECT_NEAR(e.total, entry.score, 1e-9) << VariantName(v);
     }
   }
-}
-
-// ----------------------------------------------------------- Voronoi cache
-
-TEST(VoronoiCacheTest, BasicFindPut) {
-  VoronoiCellCache cache;
-  KeywordSet kw(16, {1, 2});
-  EXPECT_FALSE(cache.Find(0, 7, kw).has_value());
-  cache.Put(0, 7, kw,
-            VoronoiCell{7, ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1)),
-                        {3}});
-  std::optional<VoronoiCell> cell = cache.Find(0, 7, kw);
-  ASSERT_TRUE(cell.has_value());
-  EXPECT_NEAR(cell->polygon.Area(), 1.0, 1e-12);
-  EXPECT_EQ(cell->sites, std::vector<ObjectId>{3});
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  // Different keywords / set / feature are distinct keys.
-  EXPECT_FALSE(cache.Find(0, 7, KeywordSet(16, {1})).has_value());
-  EXPECT_FALSE(cache.Find(1, 7, kw).has_value());
-  EXPECT_FALSE(cache.Find(0, 8, kw).has_value());
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
-TEST(VoronoiCacheTest, EngineReusesCellsAcrossQueries) {
-  SyntheticConfig cfg;
-  cfg.num_objects = 400;
-  cfg.num_features_per_set = 300;
-  cfg.num_feature_sets = 2;
-  cfg.vocabulary_size = 16;
-  cfg.num_clusters = 40;
-  Dataset ds = GenerateSynthetic(cfg);
-  BruteForceEvaluator brute(&ds.objects, TablePtrs(ds));
-  QueryWorkloadConfig qcfg;
-  qcfg.count = 1;
-  qcfg.variant = ScoreVariant::kNearestNeighbor;
-  Query q = GenerateQueries(ds, qcfg)[0];
-  EngineOptions opts;
-  opts.reuse_voronoi_cells = true;
-  Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
-
-  QueryResult first = engine.Execute(q, Algorithm::kStps).TakeValue();
-  EXPECT_EQ(first.stats.voronoi_cache_hits, 0u);
-  EXPECT_GT(engine.voronoi_cache()->size(), 0u);
-  QueryResult second = engine.Execute(q, Algorithm::kStps).TakeValue();
-  EXPECT_GT(second.stats.voronoi_cache_hits, 0u);
-  EXPECT_EQ(second.stats.voronoi_cells, 0u);  // everything served cached
-  // Same results, and both correct.
-  std::vector<ResultEntry> expected = brute.TopK(q);
-  ASSERT_EQ(second.entries.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(second.entries[i].score, expected[i].score, 1e-9);
-  }
-}
-
-TEST(VoronoiCacheTest, DifferentKeywordsDontReuse) {
-  SyntheticConfig cfg;
-  cfg.num_objects = 200;
-  cfg.num_features_per_set = 150;
-  cfg.num_feature_sets = 1;
-  cfg.vocabulary_size = 16;
-  cfg.num_clusters = 20;
-  Dataset ds = GenerateSynthetic(cfg);
-  EngineOptions opts;
-  opts.reuse_voronoi_cells = true;
-  Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
-  Query q1;
-  q1.k = 3;
-  q1.variant = ScoreVariant::kNearestNeighbor;
-  q1.keywords = {KeywordSet(16, {0, 1})};
-  Query q2 = q1;
-  q2.keywords = {KeywordSet(16, {2, 3})};
-  QueryResult r1 = engine.Execute(q1, Algorithm::kStps).TakeValue();
-  (void)r1;
-  QueryResult r2 = engine.Execute(q2, Algorithm::kStps).TakeValue();
-  EXPECT_EQ(r2.stats.voronoi_cache_hits, 0u);
 }
 
 // -------------------------------------------------------------- validation
@@ -506,128 +425,6 @@ TEST(IndexStatsTest, SrtLeavesClusterScoreAndText) {
   EXPECT_LT(rs.avg_leaf_keyword_count, ri.avg_leaf_keyword_count);
   // The price: SRT leaves are spatially wider.
   EXPECT_GT(rs.avg_leaf_spatial_margin, ri.avg_leaf_spatial_margin);
-}
-
-// --------------------------------------------------------- rtree deletion
-
-TEST(RTreeDeleteTest, DeleteMakesRecordUnreachable) {
-  RTreeOptions opts;
-  opts.max_entries = 8;
-  RTree<2> tree(opts);
-  Rng rng(31);
-  std::vector<RTree<2>::Entry> pts;
-  for (uint32_t i = 0; i < 500; ++i) {
-    Point p{rng.Uniform(), rng.Uniform()};
-    pts.push_back({PointRect(p), i, {}});
-    tree.Insert(pts.back().rect, i);
-  }
-  EXPECT_TRUE(tree.Delete(pts[123].rect, 123));
-  EXPECT_EQ(tree.size(), 499u);
-  bool found = false;
-  tree.ForEachInRange(pts[123].rect,
-                      [&](uint32_t id, const Rect2&, const NoAug&) {
-                        if (id == 123) found = true;
-                      });
-  EXPECT_FALSE(found);
-  // Deleting again fails.
-  EXPECT_FALSE(tree.Delete(pts[123].rect, 123));
-  // Everything else still reachable.
-  std::set<uint32_t> seen;
-  tree.ForEachInRange(MakeRect2(0, 0, 1, 1),
-                      [&](uint32_t id, const Rect2&, const NoAug&) {
-                        seen.insert(id);
-                      });
-  EXPECT_EQ(seen.size(), 499u);
-}
-
-TEST(RTreeDeleteTest, DeleteAllEmptiesTree) {
-  RTreeOptions opts;
-  opts.max_entries = 4;  // aggressive splits and condensations
-  RTree<2> tree(opts);
-  Rng rng(32);
-  std::vector<RTree<2>::Entry> pts;
-  for (uint32_t i = 0; i < 200; ++i) {
-    Point p{rng.Uniform(), rng.Uniform()};
-    pts.push_back({PointRect(p), i, {}});
-    tree.Insert(pts.back().rect, i);
-  }
-  for (uint32_t i = 0; i < 200; ++i) {
-    EXPECT_TRUE(tree.Delete(pts[i].rect, i)) << i;
-    EXPECT_EQ(tree.size(), 199u - i);
-    EXPECT_TRUE(tree.CheckInvariants(
-        [](const NoAug&, const NoAug&) { return true; }))
-        << "after deleting " << i;
-  }
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.root_id(), kInvalidNodeId);
-  // Tree is reusable after emptying.
-  tree.Insert(PointRect({0.5, 0.5}), 42);
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(RTreeDeleteTest, InterleavedInsertDeleteMatchesBruteForce) {
-  RTreeOptions opts;
-  opts.max_entries = 6;
-  RTree<2> tree(opts);
-  Rng rng(33);
-  std::map<uint32_t, Rect2> live;
-  uint32_t next_id = 0;
-  for (int step = 0; step < 2000; ++step) {
-    if (live.empty() || rng.Bernoulli(0.6)) {
-      Point p{rng.Uniform(), rng.Uniform()};
-      Rect2 r = PointRect(p);
-      tree.Insert(r, next_id);
-      live[next_id] = r;
-      ++next_id;
-    } else {
-      auto it = live.begin();
-      std::advance(it, rng.UniformInt(0, live.size() - 1));
-      EXPECT_TRUE(tree.Delete(it->second, it->first));
-      live.erase(it);
-    }
-  }
-  EXPECT_EQ(tree.size(), live.size());
-  std::set<uint32_t> seen;
-  tree.ForEachInRange(MakeRect2(0, 0, 1, 1),
-                      [&](uint32_t id, const Rect2&, const NoAug&) {
-                        seen.insert(id);
-                      });
-  std::set<uint32_t> expect;
-  for (const auto& [id, r] : live) expect.insert(id);
-  EXPECT_EQ(seen, expect);
-  EXPECT_TRUE(tree.CheckInvariants(
-      [](const NoAug&, const NoAug&) { return true; }));
-}
-
-TEST(RTreeDeleteTest, AugmentsMaintainedAfterDelete) {
-  struct MaxAug {
-    double value = 0.0;
-    static MaxAug Merge(const MaxAug& a, const MaxAug& b) {
-      return {std::max(a.value, b.value)};
-    }
-  };
-  RTreeOptions opts;
-  opts.max_entries = 4;
-  RTree<2, MaxAug> tree(opts);
-  Rng rng(34);
-  std::vector<std::pair<Rect2, double>> recs;
-  for (uint32_t i = 0; i < 300; ++i) {
-    Point p{rng.Uniform(), rng.Uniform()};
-    double v = rng.Uniform();
-    recs.push_back({PointRect(p), v});
-    tree.Insert(recs.back().first, i, MaxAug{v});
-  }
-  for (uint32_t i = 0; i < 150; ++i) {
-    ASSERT_TRUE(tree.Delete(recs[i].first, i));
-  }
-  EXPECT_TRUE(tree.CheckInvariants([](const MaxAug& a, const MaxAug& b) {
-    return a.value == b.value;
-  }));
-}
-
-TEST(RTreeDeleteTest, DeleteOnEmptyTree) {
-  RTree<2> tree;
-  EXPECT_FALSE(tree.Delete(PointRect({0.5, 0.5}), 0));
 }
 
 }  // namespace

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Contract test for stpq_cli's command line.
 
-Checks three things against a built stpq_cli:
+Checks four things against a built stpq_cli:
 
   * invalid input exits 2 with an error naming the offending flag: an
     unknown flag, another command's flag, a value outside a flag's
-    choices, and a number that does not parse;
+    choices or range, and a number that does not parse;
   * help matches the parser: each command accepts every flag its --help
     lists (one invocation per command with all of them set, plus --help,
     must exit 0), and --flag=value works like --flag value;
   * a damaged index fails cleanly: on an index whose feature tree 0 root
     points past its node segment (catalog checksum recomputed, so the file
     opens), every query-running command exits 1 and reports Corruption,
-    and load --verify and validate report the bad child pointer.
+    and load --verify and validate report the bad child pointer;
+  * a damaged dataset fails cleanly: a .stpq header claiming ~2^60
+    objects makes query exit 1, not abort.
 
 Exit code 0 = all checks passed.
 """
@@ -119,6 +121,8 @@ def main():
             (query + ["--threads", "4"], "--threads"),
             (query + ["--k"], "--k"),
             (query + ["stray"], "stray"),
+            (["bench", "--data", data, "--serve-admin", "70000"],
+             "--serve-admin"),
         ]
         for argv, flag in rejected:
             code, _, err = run(cli, argv, tmp)
@@ -180,6 +184,17 @@ def main():
         code, out, _ = run(cli, ["validate"] + damaged, tmp)
         check(code == 1 and "out of range" in out,
               "validate rejects the damaged index (got %d)" % code)
+
+        # ---- a damaged dataset fails cleanly
+        huge = os.path.join(tmp, "huge.stpq")
+        with open(huge, "wb") as f:
+            # Magic "STPQ", version 1, then an object count near 2^60.
+            f.write(struct.pack("<IIQ", 0x53545051, 1, 1 << 60))
+        code, _, err = run(cli, ["query", "--data", huge, "--keywords",
+                                 "kw001;kw002"], tmp)
+        check(code == 1 and "truncated" in err,
+              "query on a .stpq claiming 2^60 objects exits 1 "
+              "(got %d: %s)" % (code, err.strip()))
 
     if failures:
         print("%d check(s) failed" % len(failures))

@@ -270,50 +270,6 @@ TEST(ConcurrencyTest, PooledSessionsReturnCleanAfterConcurrentUse) {
   }
 }
 
-// The shared Voronoi cell cache under concurrent NN queries: first writer
-// wins on identical cells, results stay correct.
-TEST(ConcurrencyTest, SharedVoronoiCacheUnderConcurrentNnQueries) {
-  Dataset ds = MakeDataset(1'000, 800);
-  QueryWorkloadConfig qcfg;
-  qcfg.count = 24;
-  qcfg.variant = ScoreVariant::kNearestNeighbor;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  EngineOptions opts;
-  opts.reuse_voronoi_cells = true;
-  Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
-
-  // Reference from an identically-built engine with a private cold cache.
-  Dataset ds2 = MakeDataset(1'000, 800);
-  Engine reference = Engine::Build(ds2.objects, std::move(ds2.feature_tables), {}).TakeValue();
-  std::vector<std::vector<ResultEntry>> expected;
-  for (const Query& q : queries) {
-    expected.push_back(
-        reference.Execute(q, Algorithm::kStps).TakeValue().entries);
-  }
-
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    while (true) {
-      size_t i = next.fetch_add(1);
-      if (i >= queries.size()) return;
-      QueryResult r = engine.Execute(queries[i], Algorithm::kStps).TakeValue();
-      ASSERT_EQ(r.entries.size(), expected[i].size()) << "query " << i;
-      for (size_t k = 0; k < r.entries.size(); ++k) {
-        EXPECT_EQ(r.entries[k].object, expected[i][k].object);
-        EXPECT_EQ(r.entries[k].score, expected[i][k].score);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  for (int t = 0; t < 8; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  EXPECT_GT(engine.voronoi_cache()->size(), 0u);
-
-  // Second pass over the same workload is served from the cache.
-  QueryResult again = engine.Execute(queries[0], Algorithm::kStps).TakeValue();
-  EXPECT_GT(again.stats.voronoi_cache_hits, 0u);
-}
-
 // Thread-count sweep: every N yields the same per-query counters (the
 // bench_parallel_throughput invariant).
 TEST(ConcurrencyTest, CountersIndependentOfThreadCount) {

@@ -563,6 +563,25 @@ TEST(ObjectIndexTest, RangeQueryMatchesBruteForce) {
   }
 }
 
+TEST(ObjectIndexTest, SmallRangeTouchesFewPages) {
+  Rng rng(13);
+  std::vector<DataObject> objects;
+  for (uint32_t i = 0; i < 10000; ++i) {
+    objects.push_back(DataObject{i, {rng.Uniform(), rng.Uniform()}, {}});
+  }
+  BufferPool pool(0);
+  ObjectIndexOptions opts;
+  opts.page_size_bytes = 1024;  // fan-out 28: a few hundred nodes
+  opts.buffer_pool = &pool;
+  ObjectIndex index(&objects, opts);
+  pool.Clear();
+  pool.ResetStats();
+  std::vector<ObjectId> got;
+  std::vector<NodeId> stack;
+  index.RangeQuery({0.505, 0.505}, 0.005, &got, &stack);
+  EXPECT_LT(pool.stats().reads, index.tree().node_count() / 10);
+}
+
 TEST(ObjectIndexTest, LeafBlocksPartitionObjects) {
   Rng rng(16);
   std::vector<DataObject> objects;

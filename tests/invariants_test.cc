@@ -17,7 +17,6 @@
 #include "index/object_index.h"
 #include "index/srt_index.h"
 #include "storage/buffer_pool.h"
-#include "text/inverted_index.h"
 
 namespace stpq {
 namespace {
@@ -90,31 +89,15 @@ TEST(ObjectIndexValidatorTest, AcceptsFreshIndex) {
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
-TEST(RTreeValidatorTest, AcceptsInsertDeleteChurn) {
+TEST(RTreeValidatorTest, AcceptsInsertionSplits) {
   RTreeOptions opts;
   opts.max_entries = 4;
   RTree<2> tree(opts);
-  std::vector<Rect2> rects;
   for (uint32_t i = 0; i < 60; ++i) {
     double x = 0.01 * i, y = 0.02 * (i % 7);
-    rects.push_back(MakeRect2(x, y, x + 0.005, y + 0.005));
-    tree.Insert(rects.back(), i);
-  }
-  for (uint32_t i = 0; i < 60; i += 3) {
-    ASSERT_TRUE(tree.Delete(rects[i], i));
+    tree.Insert(MakeRect2(x, y, x + 0.005, y + 0.005), i);
   }
   Status st = ValidateRTree<2>(tree);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-}
-
-TEST(InvertedIndexValidatorTest, AcceptsFreshIndex) {
-  Dataset ds = MakeDataset();
-  std::vector<KeywordSet> corpus;
-  for (const FeatureObject& f : ds.feature_tables[0].All()) {
-    corpus.push_back(f.keywords);
-  }
-  InvertedIndex idx = InvertedIndex::Build(24, corpus);
-  Status st = ValidateInvertedIndex(idx, corpus);
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
@@ -285,42 +268,14 @@ TEST(Ir2ValidatorTest, DetectsLeafSignatureMismatch) {
       << st.ToString();
 }
 
-// --------------------------------------------------- inverted index faults
-
-TEST(InvertedIndexValidatorTest, DetectsUnsortedPostings) {
-  std::vector<KeywordSet> corpus = {KeywordSet(4, {0}), KeywordSet(4, {0, 1}),
-                                    KeywordSet(4, {1})};
-  InvertedIndex idx = InvertedIndex::Build(4, corpus);
-  auto& postings = idx.mutable_postings_for_test();
-  ASSERT_GE(postings.size(), 2u);
-  std::swap(postings[0], postings[1]);  // term 0's list becomes [1, 0]
-  Status st = ValidateInvertedIndex(idx);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("increasing"), std::string::npos)
-      << st.ToString();
-}
-
-TEST(InvertedIndexValidatorTest, DetectsPhantomPosting) {
-  std::vector<KeywordSet> corpus = {KeywordSet(4, {0}), KeywordSet(4, {0, 1}),
-                                    KeywordSet(4, {1})};
-  InvertedIndex idx = InvertedIndex::Build(4, corpus);
-  // Term 0's postings become [0, 2]; document 2 does not contain term 0.
-  idx.mutable_postings_for_test()[1] = 2;
-  Status st = ValidateInvertedIndex(idx, corpus);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("phantom"), std::string::npos)
-      << st.ToString();
-}
-
 // ------------------------------------------------------- buffer pool faults
 
 TEST(BufferPoolValidatorTest, AcceptsHealthyPool) {
   BufferPool pool(4);
   for (PageId p = 0; p < 10; ++p) pool.Access(p);
-  ASSERT_TRUE(pool.Pin(9).ok());
+  const PageView held = pool.Access(9);
   Status st = ValidateBufferPool(pool);
   EXPECT_TRUE(st.ok()) << st.ToString();
-  ASSERT_TRUE(pool.Unpin(9).ok());
 }
 
 TEST(BufferPoolValidatorTest, DetectsBrokenPageTable) {

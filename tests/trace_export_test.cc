@@ -309,6 +309,16 @@ TEST(SlowQueryLogTest, BoundedRetentionDropsOldest) {
   EXPECT_EQ(records[1].trace_id, 3u);
 }
 
+TEST(SlowQueryLogTest, CountsEvictedRecords) {
+  SlowQueryLog log(/*threshold_ms=*/0.0);  // the default 32 records
+  QueryStats stats;
+  for (uint32_t i = 0; i < 40; ++i) log.Offer(i + 1, 1.0, stats);
+  log.Offer(99, -1.0, stats);  // below the threshold: neither kept nor dropped
+  EXPECT_EQ(log.size(), 32u);
+  EXPECT_EQ(log.dropped(), 8u);
+  EXPECT_EQ(log.Snapshot().front().trace_id, 9u);
+}
+
 TEST(CollectionFromSlowQueriesTest, GroupsRecordsByThreadOrdinal) {
   SlowQueryRecord a;
   a.trace_id = 1;

@@ -221,7 +221,6 @@ QueryStats DistinctStats() {
   s.voronoi_cells = 109;
   s.voronoi_clip_features = 110;
   s.voronoi_reads = 111;
-  s.voronoi_cache_hits = 113;
   s.cpu_ms = 114.5;
   for (size_t i = 0; i < kNumQueryPhases; ++i) {
     s.phase_ms[i] = 120.5 + static_cast<double>(i);
@@ -247,7 +246,7 @@ TEST(QueryStatsContract, ToStringMentionsEveryCounter) {
   for (const char* needle :
        {"obj=101", "feat=102", "hits=103", "heap_pushes=104",
         "features=105", "combos=107/106", "scored=108", "cpu_ms=114.5",
-        "cells=109", "clip_features=110", "reads=111", "cache_hits=113", "combination=120.5", "component_score=121.5",
+        "cells=109", "clip_features=110", "reads=111", "combination=120.5", "component_score=121.5",
         "object_retrieval=122.5", "voronoi=123.5", "obj_visited=",
         "obj_pruned=", "obj_descended=", "feat_visited=", "feat_pruned=",
         "feat_descended="}) {
@@ -267,7 +266,7 @@ TEST(QueryStatsContract, PlusEqualsCoversEveryField) {
       << "operator+= does not cover every QueryStats field";
   sum += b;
   EXPECT_EQ(sum.object_index_reads, 202u);
-  EXPECT_EQ(sum.voronoi_cache_hits, 226u);
+  EXPECT_EQ(sum.voronoi_reads, 222u);
   EXPECT_DOUBLE_EQ(sum.cpu_ms, 229.0);
   EXPECT_DOUBLE_EQ(sum.phase_ms[0], 241.0);
   EXPECT_EQ(sum.traversal.object_tree.visited[0], 600u);

@@ -10,7 +10,7 @@
 //   query      run one query and print the top-k
 //   bench      run a generated query batch sequentially
 //   workload   parallel throughput sweep over thread counts
-//   profile    sequential run with phase breakdown + latency histogram
+//   profile    sequential run with phase breakdown + latency percentiles
 //   trace      run with the tracer armed and export Chrome trace JSON
 //   validate   run the deep structural validators over every index
 //
@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -71,12 +72,14 @@ namespace {
 enum FlagKind { kBool, kUint, kDouble, kString, kUintList, kChoice };
 
 /// One command-line flag.  `value` names the value in --help; for kChoice
-/// it is the '|'-separated list of accepted values.
+/// it is the '|'-separated list of accepted values.  `max` bounds the
+/// integer kinds.
 struct Flag {
   const char* name;
   FlagKind kind;
   const char* value;
   const char* help;
+  uint32_t max = std::numeric_limits<uint32_t>::max();
 };
 
 constexpr Flag kHelp{"help", kBool, "", "print this help"};
@@ -137,7 +140,8 @@ constexpr Flag kTraceOut{"trace-out", kString, "FILE",
 constexpr Flag kSlowMs{"slow-ms", kDouble, "T",
                        "keep queries >= T ms for /slowz and the trace"};
 constexpr Flag kServeAdmin{"serve-admin", kUint, "PORT",
-                           "serve admin endpoints on 127.0.0.1:PORT (0 = any)"};
+                           "serve admin endpoints on 127.0.0.1:PORT (0 = any)",
+                           std::numeric_limits<uint16_t>::max()};
 constexpr Flag kMetricsInterval{"metrics-interval", kUint, "MS",
                                 "/varz sample period (default 250)"};
 constexpr Flag kLingerMs{"linger-ms", kUint, "MS",
@@ -196,7 +200,8 @@ bool ParseValue(const Flag& flag, const std::string& text, Value* out) {
     const std::from_chars_result r =
         flag.kind == kDouble ? std::from_chars(item.data(), end, v)
                              : std::from_chars(item.data(), end, u);
-    if (r.ec != std::errc() || r.ptr != end || !std::isfinite(v)) {
+    if (r.ec != std::errc() || r.ptr != end || !std::isfinite(v) ||
+        u > flag.max) {
       return false;
     }
     out->numbers.push_back(flag.kind == kDouble ? v : u);
@@ -642,8 +647,10 @@ bool WriteTraceFile(const std::string& path, const SlowQueryLog* slow_log) {
     return false;
   }
   if (slow_log != nullptr) {
-    std::printf("trace: %zu slow queries (>= %.3f ms), %zu events -> %s\n",
+    std::printf("trace: %zu slow queries (>= %.3f ms, %llu dropped), "
+                "%zu events -> %s\n",
                 records.size(), slow_log->threshold_ms(),
+                static_cast<unsigned long long>(slow_log->dropped()),
                 collection.TotalEvents(), path.c_str());
   } else {
     std::printf("trace: %zu events from %zu threads (%llu dropped) -> %s\n",
@@ -732,24 +739,27 @@ void PrintThroughputRow(const BatchRun& run) {
     std::printf("%8s %12s %12s %14s %10s %10s %10s\n", "threads", "wall_ms",
                 "queries/s", "reads/query", "p50_ms", "p95_ms", "p99_ms");
   }
+  const MetricSummary& latency = r.summary.total_ms;
   std::printf("%8zu %12.2f %12.1f %14.1f %10.3f %10.3f %10.3f\n",
               run.options.threads, r.wall_ms, r.queries_per_sec,
-              r.summary.mean_page_reads, r.latency.PercentileMs(0.50),
-              r.latency.PercentileMs(0.95), r.latency.PercentileMs(0.99));
+              r.summary.mean_page_reads, latency.p50, latency.p95,
+              latency.p99);
 }
 
 /// profile: the per-phase wall-time breakdown plus the latency
 /// distribution (DESIGN.md §12).
 void PrintProfile(const BatchRun& run) {
   const QueryStats& aggregate = run.report.summary.aggregate;
-  const LatencyHistogram& latency = run.report.latency;
+  const MetricSummary& latency = run.report.summary.total_ms;
   const double io_ms = run.options.io_unit_cost_ms;
   std::printf("profile: %zu queries, %s, %s index, variant=%s\n",
               run.report.summary.queries,
               AlgorithmName(run.options.algorithm), run.engine.IndexName(),
               run.args.Str(kVariant, "range").c_str());
-  std::printf("latency (cpu + %.3f ms/read): %s mean=%.3fms\n", io_ms,
-              latency.SummaryString().c_str(), latency.mean_ms());
+  std::printf("latency (cpu + %.3f ms/read): p50=%.3f p90=%.3f p95=%.3f "
+              "p99=%.3f max=%.3f mean=%.3fms\n",
+              io_ms, latency.p50, latency.p90, latency.p95, latency.p99,
+              latency.max, latency.mean);
 
   // Phase breakdown: traced self-times, the derived I/O phase (page reads
   // priced at io-ms, never timed), and the untraced remainder.
@@ -786,9 +796,8 @@ int Trace(const Args& args) {
 }
 
 /// Runs the deep structural validators (debug/validate.h) over every index
-/// of `engine`: the object index, then each feature index and the inverted
-/// index over its table.  `report` receives each structure's name and
-/// verdict.
+/// of `engine`: the object index, then each feature index.  `report`
+/// receives each structure's name and verdict.
 void ValidateEngine(
     const Engine& engine,
     const std::function<void(const std::string&, const Status&)>& report) {
@@ -797,14 +806,6 @@ void ValidateEngine(
     const FeatureIndex& fi = engine.feature_index(i);
     report("feature index " + std::to_string(i) + " (" + fi.Name() + ")",
            ValidateFeatureIndex(fi));
-    std::vector<KeywordSet> corpus;
-    for (const FeatureObject& f : engine.feature_table(i).All()) {
-      corpus.push_back(f.keywords);
-    }
-    InvertedIndex inv = InvertedIndex::Build(
-        engine.feature_table(i).universe_size(), corpus);
-    report("inverted index " + std::to_string(i),
-           ValidateInvertedIndex(inv, corpus));
   }
 }
 
@@ -961,7 +962,7 @@ const std::vector<CommandSpec>& Commands() {
        Join({kEngineFlags, {&kThreads}, kBatchFlags, {&kMetrics, &kTraceOut},
              kAdminFlags}),
        &Workload},
-      {"profile", "sequential run with phase breakdown + latency histogram",
+      {"profile", "sequential run with phase breakdown + latency percentiles",
        Join({kEngineFlags, kBatchFlags, {&kMetrics, &kTraceOut},
              kAdminFlags}),
        &Profile},
