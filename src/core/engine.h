@@ -118,8 +118,8 @@ class Engine {
   /// `options`.  A reopened engine answers every query with results and
   /// per-query page-read counters identical to the engine that built the
   /// file.  Typed errors: IoError (unreadable/truncated), InvalidArgument
-  /// (not an index file / unsupported version, version 1 included / more
-  /// than kMaxFeatureSets tables), Corruption (checksum or structural
+  /// (not an index file / unsupported version, versions 1 and 2 included /
+  /// more than kMaxFeatureSets tables), Corruption (checksum or structural
   /// damage).
   [[nodiscard]] static Result<Engine> Open(const std::string& path,
                                            EngineOptions options = {});

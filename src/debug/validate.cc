@@ -1,13 +1,11 @@
 #include "debug/validate.h"
 
-#include <array>
 #include <bit>
 #include <cmath>
 #include <string>
-#include <utility>
 
-#include "hilbert/hilbert.h"
-#include "hilbert/keyword_hilbert.h"
+#include "rtree/bulk_load.h"
+#include "util/result.h"
 #include "util/thread_annotations.h"
 
 namespace stpq {
@@ -19,47 +17,46 @@ using validate_internal::FormatRect;
 std::string Num(double v) { return std::to_string(v); }
 std::string Num(uint64_t v) { return std::to_string(v); }
 
-/// Collects leaf rectangles in left-to-right tree order (the order bulk
-/// loading packed them in), with their record ids.
-template <int D>
-void CollectLeavesInOrder(const PagedTree& tree, NodeId nid,
-                          std::vector<std::pair<Rect<D>, uint32_t>>* out) {
+/// Collects leaf record ids in left-to-right tree order (the order bulk
+/// loading packed them in).
+void CollectLeafIdsInOrder(const PagedTree& tree, NodeId nid,
+                           std::vector<uint32_t>* out) {
   const NodeView node = tree.PeekNode(nid);
   for (uint32_t i = 0; i < node.size(); ++i) {
     if (node.IsLeaf()) {
-      out->emplace_back(node.rect<D>(i), node.id(i));
+      out->push_back(node.id(i));
     } else {
-      CollectLeavesInOrder<D>(tree, node.id(i), out);
+      CollectLeafIdsInOrder(tree, node.id(i), out);
     }
   }
 }
 
-/// Checks that leaf records appear in non-decreasing Hilbert-key order —
+/// Checks that the SRT leaves appear in non-decreasing Hilbert-key order —
 /// the packing contract of BulkLoadKind::kHilbert (Kamel & Faloutsos).
-/// Recomputes the build-time keys: centers quantized to 16 bits/dim inside
-/// the record-set domain, exactly as HilbertSortKey does.
-template <int D>
-Status CheckHilbertLeafOrder(const PagedTree& tree) {
+/// The pages keep no 4-D point, so each leaf's mapped point is re-derived
+/// from the table (SrtIndex::LeafEntry) and keyed by HilbertSortKey inside
+/// the records' domain, as Pack and the external loader key it.  Every
+/// leaf id must name a table record (CheckLeafIdBijection runs first).
+Status CheckHilbertLeafOrder(const SrtIndex& index) {
+  const PagedTree& tree = index.tree();
   if (tree.root_id() == kInvalidNodeId) return Status::OK();
-  std::vector<std::pair<Rect<D>, uint32_t>> leaves;
-  leaves.reserve(tree.size());
-  CollectLeavesInOrder<D>(tree, tree.root_id(), &leaves);
-  Rect<D> domain = Rect<D>::Empty();
-  for (const auto& leaf : leaves) domain.Enlarge(leaf.first);
+  std::vector<uint32_t> ids;
+  ids.reserve(tree.size());
+  CollectLeafIdsInOrder(tree, tree.root_id(), &ids);
+  std::vector<Rect4> points;
+  points.reserve(ids.size());
+  Rect4 domain = Rect4::Empty();
+  for (uint32_t id : ids) {
+    points.push_back(SrtIndex::LeafEntry(id, index.table().Get(id)).rect);
+    domain.Enlarge(points.back());
+  }
   uint64_t prev_key = 0;
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    double unit[D];
-    for (int d = 0; d < D; ++d) {
-      double extent = domain.hi[d] - domain.lo[d];
-      unit[d] = extent > 0.0
-                    ? (leaves[i].first.Center(d) - domain.lo[d]) / extent
-                    : 0.0;
-    }
-    uint64_t key = HilbertKeyFromUnit(unit, /*b=*/16, D);
+  for (size_t i = 0; i < points.size(); ++i) {
+    const uint64_t key = HilbertSortKey(points[i], domain);
     if (i > 0 && key < prev_key) {
       return Status::Internal(
           "leaf record " + Num(static_cast<uint64_t>(i)) + " (id " +
-          Num(static_cast<uint64_t>(leaves[i].second)) + ") breaks the "
+          Num(static_cast<uint64_t>(ids[i])) + ") breaks the "
           "Hilbert bulk-load order: key " + Num(key) +
           " < predecessor key " + Num(prev_key));
     }
@@ -118,6 +115,34 @@ Status CheckSummaryDominance(const NodeView& parent, uint32_t i,
   return Status::OK();
 }
 
+/// The leaf checks both feature indexes share: the entry's id names a
+/// table record (counted in `seen`), its MBR is the record's point and its
+/// e.s the record's score.  Returns the record.
+Result<const FeatureObject*> CheckFeatureLeaf(const NodeView& node,
+                                              uint32_t i,
+                                              const FeatureTable& table,
+                                              std::vector<uint32_t>* seen) {
+  const uint32_t id = node.id(i);
+  if (id >= table.size()) {
+    return Status::Internal("leaf record id " + Num(uint64_t{id}) +
+                            " out of range for table of " +
+                            Num(static_cast<uint64_t>(table.size())));
+  }
+  ++(*seen)[id];
+  const FeatureObject& f = table.Get(id);
+  const Rect2 rect = node.mbr(i);
+  if (rect.lo != PointRect(f.pos).lo || rect.hi != PointRect(f.pos).hi) {
+    return Status::Internal("leaf rect " + FormatRect(rect) +
+                            " is not the point of feature " +
+                            Num(uint64_t{id}));
+  }
+  if (node.score(i) != f.score) {
+    return Status::Internal("leaf augmentation score " + Num(node.score(i)) +
+                            " != feature score " + Num(f.score));
+  }
+  return &f;
+}
+
 }  // namespace
 
 Status ValidateSrtIndex(const SrtIndex& index) {
@@ -132,6 +157,10 @@ Status ValidateSrtIndex(const SrtIndex& index) {
 
   std::vector<uint32_t> seen(table.size(), 0);
   const uint32_t universe = table.universe_size();
+  // The first e.s outside [0,1].  It is reported only once the walk has
+  // passed, because the dominance and leaf-vs-table checks name a damaged
+  // score's cause more precisely.
+  Status score_range = Status::OK();
 
   auto summary_check = [](const NodeView& parent, uint32_t i,
                           const NodeView& child, uint32_t j) {
@@ -141,7 +170,14 @@ Status ValidateSrtIndex(const SrtIndex& index) {
   };
 
   auto entry_check = [&](const NodeView& node, uint32_t i) {
-    const Rect4 rect = node.rect<4>(i);
+    const double score = node.score(i);
+    if (score_range.ok() && !(score >= 0.0 && score <= 1.0)) {
+      score_range = Status::Internal(
+          "score e.s " + Num(score) + " of the level-" +
+          Num(uint64_t{node.level()}) + " entry for " +
+          (node.IsLeaf() ? "feature " : "node ") +
+          Num(uint64_t{node.id(i)}) + " leaves [0,1]");
+    }
     // e.W lives in the universe: no bit past it may be set.
     const std::vector<uint64_t> words = KeywordWords(node, i);
     for (uint32_t w = 0; w < words.size(); ++w) {
@@ -158,55 +194,28 @@ Status ValidateSrtIndex(const SrtIndex& index) {
                                 Num(static_cast<uint64_t>(universe)));
       }
     }
-    // Dimension 2 of the mapped 4-D space is the non-spatial score.
-    if (rect.lo[2] < 0.0 || rect.hi[2] > 1.0) {
-      return Status::Internal("score dimension of mapped MBR " +
-                              FormatRect(rect) + " leaves [0,1]");
-    }
     if (!node.IsLeaf()) return Status::OK();
-
-    const uint32_t id = node.id(i);
-    if (id >= table.size()) {
-      return Status::Internal("leaf record id " +
-                              Num(static_cast<uint64_t>(id)) +
-                              " out of range for table of " +
-                              Num(static_cast<uint64_t>(table.size())));
-    }
-    ++seen[id];
-    const FeatureObject& f = table.Get(id);
-    // The 4th coordinate is H(t.W), re-derived from the record.
-    const std::array<double, 4> p{f.pos.x, f.pos.y, f.score,
-                                  EncodeKeywords(f.keywords).ToUnitDouble()};
-    for (int d = 0; d < 4; ++d) {
-      if (rect.lo[d] != p[d] || rect.hi[d] != p[d]) {
-        return Status::Internal(
-            "leaf rect " + FormatRect(rect) + " is not the mapped 4-D "
-            "point of feature " + Num(static_cast<uint64_t>(id)) +
-            " (dim " + std::to_string(d) + ")");
-      }
-    }
-    if (node.score(i) != f.score) {
-      return Status::Internal("leaf augmentation score " +
-                              Num(node.score(i)) + " != feature score " +
-                              Num(f.score));
-    }
-    if (words != f.keywords.blocks()) {
+    Result<const FeatureObject*> f = CheckFeatureLeaf(node, i, table, &seen);
+    if (!f.ok()) return f.status();
+    if (words != f.value()->keywords.blocks()) {
       return Status::Internal("leaf augmentation keywords differ from "
                               "feature " +
-                              Num(static_cast<uint64_t>(id)) +
-                              "'s keyword set");
+                              Num(uint64_t{node.id(i)}) + "'s keyword set");
     }
     return Status::OK();
   };
 
-  Status st = ValidatePagedTree<4>(tree, summary_check, entry_check);
+  Status st = ValidatePagedTree(tree, summary_check, entry_check);
   if (!st.ok()) {
     return Status::Internal("SRT-index: " + st.message());
+  }
+  if (!score_range.ok()) {
+    return Status::Internal("SRT-index: " + score_range.message());
   }
   st = CheckLeafIdBijection(seen, "SRT-index: feature");
   STPQ_RETURN_NOT_OK(st);
   if (index.build_kind() == BulkLoadKind::kHilbert) {
-    st = CheckHilbertLeafOrder<4>(tree);
+    st = CheckHilbertLeafOrder(index);
     if (!st.ok()) {
       return Status::Internal("SRT-index: " + st.message());
     }
@@ -237,37 +246,18 @@ Status ValidateIr2Tree(const Ir2Tree& index) {
 
   auto entry_check = [&](const NodeView& node, uint32_t i) {
     if (!node.IsLeaf()) return Status::OK();
-    const uint32_t id = node.id(i);
-    if (id >= table.size()) {
-      return Status::Internal("leaf record id " +
-                              Num(static_cast<uint64_t>(id)) +
-                              " out of range for table of " +
-                              Num(static_cast<uint64_t>(table.size())));
-    }
-    ++seen[id];
-    const FeatureObject& f = table.Get(id);
-    const Rect2 rect = node.mbr(i);
-    if (rect.lo[0] != f.pos.x || rect.hi[0] != f.pos.x ||
-        rect.lo[1] != f.pos.y || rect.hi[1] != f.pos.y) {
-      return Status::Internal("leaf rect " + FormatRect(rect) +
-                              " is not the point of feature " +
-                              Num(static_cast<uint64_t>(id)));
-    }
-    if (node.score(i) != f.score) {
-      return Status::Internal("leaf augmentation score " +
-                              Num(node.score(i)) + " != feature score " +
-                              Num(f.score));
-    }
-    if (KeywordWords(node, i) != scheme.SetSignature(f.keywords).words()) {
+    Result<const FeatureObject*> f = CheckFeatureLeaf(node, i, table, &seen);
+    if (!f.ok()) return f.status();
+    if (KeywordWords(node, i) !=
+        scheme.SetSignature(f.value()->keywords).words()) {
       return Status::Internal("leaf signature differs from the scheme "
                               "signature of feature " +
-                              Num(static_cast<uint64_t>(id)) +
-                              "'s keywords");
+                              Num(uint64_t{node.id(i)}) + "'s keywords");
     }
     return Status::OK();
   };
 
-  Status st = ValidatePagedTree<2>(tree, summary_check, entry_check);
+  Status st = ValidatePagedTree(tree, summary_check, entry_check);
   if (!st.ok()) {
     return Status::Internal("IR2-tree: " + st.message());
   }
@@ -313,7 +303,7 @@ Status ValidateObjectIndex(const ObjectIndex& index) {
     }
     return Status::OK();
   };
-  Status st = ValidatePagedTree<2>(tree, no_summary, entry_check);
+  Status st = ValidatePagedTree(tree, no_summary, entry_check);
   if (!st.ok()) {
     return Status::Internal("object index: " + st.message());
   }

@@ -49,14 +49,11 @@ inline uint32_t StoredCount(const NodeView& node) {
   return count;
 }
 
-/// "[lo0,hi0]x[lo1,hi1]..." for violation messages.
-template <int D>
-std::string FormatRect(const Rect<D>& r) {
-  std::string out;
-  for (int d = 0; d < D; ++d) {
-    out += (d == 0 ? "[" : "x[") + std::to_string(r.lo[d]) + "," +
-           std::to_string(r.hi[d]) + "]";
-  }
+/// "[lo0,hi0]x[lo1,hi1]" for violation messages.
+inline std::string FormatRect(const Rect2& r) {
+  std::string out = "[";
+  out += std::to_string(r.lo[0]) + "," + std::to_string(r.hi[0]) + "]x[" +
+         std::to_string(r.lo[1]) + "," + std::to_string(r.hi[1]) + "]";
   return out;
 }
 
@@ -67,8 +64,8 @@ std::string FormatRect(const Rect<D>& r) {
 ///     level 0 (uniform leaf depth);
 ///   * every node holds between 1 and max_entries entries (bulk loading may
 ///     legally leave tail nodes under the insertion-path minimum fill);
-///   * each internal entry's rectangle is exactly the union of its child's
-///     entry rectangles (containment + tightness), in all D dimensions;
+///   * each internal entry's MBR is exactly the union of its child's
+///     entry MBRs (containment + tightness);
 ///   * no node is reachable twice (no sharing/cycles) and every node is
 ///     reachable (a packed tree has no unused slots);
 ///   * the number of leaf records equals tree.size().
@@ -80,7 +77,7 @@ std::string FormatRect(const Rect<D>& r) {
 /// self-consistency checks.  Both return Status; ValidatePagedTree
 /// prefixes the node path to whatever message they produce.  Pages are
 /// read without charging any pool.
-template <int D, typename SummaryCheck, typename EntryCheck>
+template <typename SummaryCheck, typename EntryCheck>
 Status ValidatePagedTree(const PagedTree& tree, SummaryCheck&& summary_check,
                          EntryCheck&& entry_check) {
   using validate_internal::ChildPath;
@@ -170,14 +167,13 @@ Status ValidatePagedTree(const PagedTree& tree, SummaryCheck&& summary_check,
       if (child.size() == 0) {
         return Status::Internal(child_path + ": child node has no entries");
       }
-      // The parent entry's rectangle must be the exact union of the
-      // child's.
-      const Rect<D> rect = node.rect<D>(i);
-      Rect<D> unioned = child.rect<D>(0);
+      // The parent entry's MBR must be the exact union of the child's.
+      const Rect2 rect = node.mbr(i);
+      Rect2 unioned = child.mbr(0);
       for (uint32_t j = 1; j < child.size(); ++j) {
-        unioned.Enlarge(child.rect<D>(j));
+        unioned.Enlarge(child.mbr(j));
       }
-      for (int d = 0; d < D; ++d) {
+      for (int d = 0; d < 2; ++d) {
         if (unioned.lo[d] != rect.lo[d] || unioned.hi[d] != rect.hi[d]) {
           return Status::Internal(
               child_path + ": parent entry MBR " + FormatRect(rect) +
@@ -214,25 +210,25 @@ Status ValidatePagedTree(const PagedTree& tree, SummaryCheck&& summary_check,
 }
 
 /// Structure-only validation of a plain R-tree (a build-time tree, e.g.
-/// after insertion splits): its encoded pages must pass
-/// ValidatePagedTree.
+/// after insertion splits): its encoded pages, which keep each entry's
+/// spatial MBR, must pass ValidatePagedTree.
 template <int D>
 Status ValidateRTree(const RTree<D>& tree) {
-  const PageLayout layout{0, /*has_score=*/false, /*four_d=*/D == 4};
+  const PageLayout layout{0, /*has_score=*/false};
   const PagedTree paged(EncodeTree(tree, layout, kDefaultPageSizeBytes),
                         layout, nullptr, 0);
   auto no_summary = [](const NodeView&, uint32_t, const NodeView&,
                        uint32_t) { return Status::OK(); };
   auto no_entry = [](const NodeView&, uint32_t) { return Status::OK(); };
-  return ValidatePagedTree<D>(paged, no_summary, no_entry);
+  return ValidatePagedTree(paged, no_summary, no_entry);
 }
 
 /// SRT-index validation (Section 4 invariants): R-tree structure, per-entry
 /// aggregate score upper bounds dominating children, node keyword sets
 /// supersets of their children, keyword columns inside the universe, leaf
-/// entries matching the feature table (the 4th coordinate re-derived as
-/// H(t.W) with EncodeKeywords), and — for Hilbert bulk loads —
-/// non-decreasing Hilbert keys across the leaf level.
+/// entries matching the feature table, every e.s inside [0,1], and — for
+/// Hilbert bulk loads — non-decreasing Hilbert keys of the leaves' mapped
+/// 4-D points, re-derived from the table, across the leaf level.
 [[nodiscard]] Status ValidateSrtIndex(const SrtIndex& index);
 
 /// Modified IR2-tree validation: R-tree structure, max-score dominance,

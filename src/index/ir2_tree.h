@@ -79,7 +79,7 @@ class Ir2Tree : public FeatureIndex {
 
   /// Page columns: the signature, e.s and the 2-D rect.
   static PageLayout Layout(uint32_t signature_bits) {
-    return PageLayout{signature_bits, /*has_score=*/true, /*four_d=*/false};
+    return PageLayout{signature_bits, /*has_score=*/true};
   }
 
   /// Leaf entry of feature `f` stored under record id `id`: its location,

@@ -10,7 +10,7 @@ namespace stpq {
 
 uint32_t SrtIndex::FanOut(uint32_t page_size, uint32_t universe_size) {
   // Aug bytes: 8 (max score) + the aggregated Hilbert value.
-  return FanOutForPage(page_size, 4, 8 + 8 * ((universe_size + 63) / 64));
+  return FanOutForPage(page_size, 2, 8 + 8 * ((universe_size + 63) / 64));
 }
 
 RTree<4, SrtAug>::Entry SrtIndex::LeafEntry(uint32_t id,
@@ -85,19 +85,24 @@ NodeVisit SrtIndex::VisitChildren(NodeId node_id, const KeywordSet& query_kw,
   for (uint32_t i = 0; i < node.size(); ++i) {
     // The keyword column decides first: an entry sharing no query keyword
     // has sim = 0 below it (Section 4.1) and is dropped before any other
-    // column of it is read.
+    // column of it is read.  Most entries are dropped, so the test ORs
+    // the word intersections and counts bits only for the survivors.
+    uint64_t shared = 0;
+    for (uint32_t w = 0; w < words; ++w) {
+      shared |= node.keyword_word(i, w) & query[w];
+    }
+    if (shared == 0) {
+      ++visit.text_pruned;
+      continue;
+    }
     uint32_t inter = 0;
     for (uint32_t w = 0; w < words; ++w) {
       inter += std::popcount(node.keyword_word(i, w) & query[w]);
     }
-    if (inter == 0) {
-      ++visit.text_pruned;
-      continue;
-    }
     FeatureBranch b;
     b.id = node.id(i);
     b.is_feature = leaf;
-    b.mbr = node.mbr(i);  // spatial projection of the 4-D MBR
+    b.mbr = node.mbr(i);
     b.text_match = true;
     double text = 0.0;
     if (leaf) {

@@ -1,6 +1,7 @@
 // The SRT-index (Section 4): an R-tree over the mapped 4-D space
 // (x, y, t.s, H(t.W)) whose entries keep the max descendant score and the
-// aggregated Hilbert value of all descendant keywords.
+// aggregated Hilbert value of all descendant keywords.  Its pages keep
+// only what queries read: e.s, e.W, the id and the 2-D MBR (DESIGN.md §3).
 //
 // Because the index clusters by spatial location, score AND textual
 // description simultaneously, the bound
@@ -94,18 +95,18 @@ class SrtIndex : public FeatureIndex {
   BufferPool* buffer_pool() const override { return tree_.buffer_pool(); }
   const char* Name() const override { return "SRT"; }
 
-  /// Fan-out on a page of `page_size` bytes: an entry charges the 4-D
-  /// rect, the id, e.s and the aggregated Hilbert value of the universe.
+  /// Fan-out on a page of `page_size` bytes: an entry charges the 2-D
+  /// MBR, the id, e.s and the aggregated Hilbert value of the universe.
   static uint32_t FanOut(uint32_t page_size, uint32_t universe_size);
 
-  /// Page columns: e.W over the universe, e.s, and the 4-D rect.
+  /// Page columns: e.W over the universe, e.s, and the 2-D MBR.
   static PageLayout Layout(uint32_t universe_size) {
-    return PageLayout{universe_size, /*has_score=*/true, /*four_d=*/true};
+    return PageLayout{universe_size, /*has_score=*/true};
   }
 
   /// Leaf entry of feature `f` stored under record id `id`: the mapped
   /// 4-D point {x, y, t.s, H(t.W)} of Section 4.2, with e.s = t.s and
-  /// e.W = t.W.
+  /// e.W = t.W.  The point is the Hilbert sort key; pages keep (x, y).
   static RTree<4, SrtAug>::Entry LeafEntry(uint32_t id,
                                            const FeatureObject& f);
 

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include "io/index_format.h"
 
 namespace stpq {
 
@@ -328,6 +331,14 @@ DatasetBinaryScanner::ReadTableHeader() {
   TableHeader h;
   if (!GetPod(in_, &h.universe) || !GetPod(in_, &h.feature_count)) {
     return Status::IoError("truncated table header");
+  }
+  // Every keyword set of the table is sized by the universe, and the
+  // file's term ids cannot bound it, so it is capped before any is sized.
+  if (h.universe > index_format::kMaxUniverse) {
+    return Status::InvalidArgument(
+        "feature table declares a keyword universe of " +
+        std::to_string(h.universe) + " terms, above the cap of " +
+        std::to_string(index_format::kMaxUniverse));
   }
   return h;
 }

@@ -94,7 +94,8 @@ class DatasetBinaryScanner {
   [[nodiscard]] Status ForEachVocabTerm(
       const std::function<void(const std::string&)>& fn);
 
-  /// Reads the universe size + feature count of the next table.
+  /// Reads the universe size + feature count of the next table; a
+  /// universe above index_format::kMaxUniverse is InvalidArgument.
   [[nodiscard]] Result<TableHeader> ReadTableHeader();
 
   /// Streams the table's feature records; call with the header values

@@ -109,11 +109,13 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
     return Status::InvalidArgument("not a stpq index file: " + path);
   }
   r.Pod(&sb->version);
-  if (sb->version == 1) {
+  if (sb->version == 1 || sb->version == 2) {
     return Status::InvalidArgument(
-        "index file '" + path + "' has format version 1; this build reads "
-        "version " + std::to_string(kIndexVersion) +
-        " (columnar node pages) — rebuild it with stpq_cli build");
+        "index file '" + path + "' has format version " +
+        std::to_string(sb->version) + "; this build reads version " +
+        std::to_string(kIndexVersion) +
+        " (columnar node pages without SRT score/H(W) extents) — rebuild "
+        "it with stpq_cli build");
   }
   if (sb->version != kIndexVersion) {
     return Status::InvalidArgument("unsupported stpq index version " +
@@ -219,12 +221,18 @@ Result<std::string> VerifiedSegment(const IndexFileHandle& file,
   return payload;
 }
 
+// The fewest bytes a record takes (an empty name, no keyword blocks).  A
+// count that needs more bytes than its segment holds is damage, rejected
+// before anything is sized from it.
+constexpr uint64_t kMinObjectBytes = 4 + 8 + 8 + 4;
+constexpr uint64_t kMinFeatureBytes = 4 + 8 + 8 + 8 + 4 + 4;
+
 Status ParseObjects(std::string_view sv, uint64_t expected_count,
                     std::vector<DataObject>* out) {
   ByteReader r(sv.data(), sv.size());
   uint64_t count = 0;
   if (!r.Pod(&count) || count != expected_count ||
-      count > kMaxRecordCount) {
+      count > r.remaining() / kMinObjectBytes) {
     return Status::Corruption("objects segment header mismatch");
   }
   out->reserve(count);
@@ -255,10 +263,20 @@ Status ParseFeatureTable(std::string_view sv, FeatureTable* out) {
   ByteReader r(sv.data(), sv.size());
   uint32_t universe = 0;
   uint64_t count = 0;
-  if (!r.Pod(&universe) || !r.Pod(&count) || count > kMaxRecordCount) {
+  if (!r.Pod(&universe) || !r.Pod(&count)) {
     return Status::Corruption("feature-table segment header truncated");
   }
+  if (universe > kMaxUniverse) {
+    return Status::Corruption("feature-table universe " +
+                              std::to_string(universe) + " exceeds the cap " +
+                              std::to_string(kMaxUniverse));
+  }
   const uint32_t expected_blocks = (universe + 63) / 64;
+  if (count > r.remaining() / (kMinFeatureBytes + 8 * expected_blocks)) {
+    return Status::Corruption("feature-table segment claims " +
+                              std::to_string(count) +
+                              " records, more than its bytes hold");
+  }
   std::vector<FeatureObject> features;
   features.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -271,6 +289,9 @@ Status ParseFeatureTable(std::string_view sv, FeatureTable* out) {
     if (block_count != expected_blocks) {
       return Status::Corruption("feature keyword blocks do not match the "
                                 "universe size");
+    }
+    if (uint64_t{block_count} * 8 > r.remaining()) {
+      return Status::Corruption("feature keyword blocks truncated");
     }
     std::vector<uint64_t> blocks(block_count, 0);
     for (uint32_t b = 0; b < block_count; ++b) {

@@ -21,8 +21,8 @@
 //
 // Versioning policy: the major version is bumped on any change an older
 // reader cannot skip; readers reject files whose version they do not know
-// (InvalidArgument — a version 1 file is named as such, with a request to
-// rebuild it), bad magic (InvalidArgument), short reads (IoError), and
+// (InvalidArgument — a version 1 or 2 file is named as such, with a
+// request to rebuild it), bad magic (InvalidArgument), short reads (IoError), and
 // checksum mismatches or structural damage (Corruption).
 #ifndef STPQ_IO_INDEX_FILE_H_
 #define STPQ_IO_INDEX_FILE_H_

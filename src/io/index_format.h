@@ -21,10 +21,11 @@ namespace stpq {
 namespace index_format {
 
 inline constexpr uint32_t kIndexMagic = 0x58515453;  // "STQX" little-endian
-/// Version 2 stores node slots as columnar pages (rtree/node_page.h);
-/// version 1 stored row-wise entries and SRT summaries as H(e.W), and is
-/// rejected with a request to rebuild.
-inline constexpr uint32_t kIndexVersion = 2;
+/// Version 3 stores node slots as columnar pages (rtree/node_page.h) whose
+/// SRT entries keep only the 2-D MBR.  Version 2 pages also carried the
+/// SRT entries' score and H(W) extents, and version 1 stored row-wise
+/// entries; both are rejected with a request to rebuild.
+inline constexpr uint32_t kIndexVersion = 3;
 
 /// Fixed superblock / catalog-entry widths; the catalog starts right after
 /// the superblock, segments after the catalog (node segments page-aligned).
@@ -34,6 +35,10 @@ inline constexpr size_t kCatalogEntryBytes = 56;
 /// Sanity caps against absurd counts in damaged headers (checksums cover
 /// the segments, these cover the header itself).
 inline constexpr uint32_t kMaxTables = 4096;
+/// Largest keyword universe a .stpq or .stpqx feature table may declare:
+/// every keyword set of the table is a bitmap over it (8 KiB at the cap),
+/// and a .stpq stores term ids, so its bytes cannot bound the universe.
+inline constexpr uint32_t kMaxUniverse = 1u << 16;
 inline constexpr uint32_t kMaxNodeCount = 1u << 28;
 inline constexpr uint64_t kMaxRecordCount = uint64_t{1} << 33;
 
@@ -134,6 +139,9 @@ class ByteReader {
     pos_ += sizeof(T);
     return true;
   }
+
+  /// Bytes not yet read.
+  [[nodiscard]] size_t remaining() const { return size_ - pos_; }
 
   bool Str(std::string* s) {
     uint32_t n = 0;
@@ -261,7 +269,7 @@ inline void AppendSuperblock(std::string* out, uint32_t page_size,
 /// Appends a tree-metadata payload: root, height, record count, node
 /// count, fan-out, keyword-column layout, then a free-node count that is
 /// always 0 (every slot of a packed tree holds a node; the field keeps
-/// the version 2 layout).
+/// the version 2 layout of the metadata).
 inline void AppendTreeMeta(std::string* out, const TreeMeta& m,
                            const PageLayout& layout) {
   PutPod<uint32_t>(out, m.root);

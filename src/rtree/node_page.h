@@ -11,15 +11,15 @@
 //   scores    count x f64                   e.s (feature trees)
 //   ids       count x u32                   child node id / record id
 //   mbrs      count x 4 f64                 lo.x, lo.y, hi.x, hi.y
-//   extra     count x 4 f64                 SRT: lo/hi of the score and
-//                                           H(W) dimensions
 //
 // zero-padded to the slot width.  Columns are packed for the node's own
-// count, so a small node touches only the start of its slot.  An entry
-// costs the same bytes as the paper's row layout (rect, id, e.s, e.W), so
-// fan-outs, node ids and page ids do not depend on the layout.  Every
-// field is read and written through std::memcpy, never by casting the
-// page bytes; like the rest of the .stpqx format, pages are little-endian.
+// count, so a small node touches only the start of its slot.  A page
+// keeps only the columns queries read: the SRT-index is packed in the
+// paper's 4-D order (x, y, t.s, H(t.W)), but its bound reads e.s and e.W
+// and spatial pruning the 2-D MBR, so its pages store no score or H(W)
+// extents (DESIGN.md §3).  Every field is read and written through
+// std::memcpy, never by casting the page bytes; like the rest of the
+// .stpqx format, pages are little-endian.
 #ifndef STPQ_RTREE_NODE_PAGE_H_
 #define STPQ_RTREE_NODE_PAGE_H_
 
@@ -53,15 +53,12 @@ struct PageLayout {
   uint32_t keyword_bits = 0;
   /// Whether entries carry a max-score column (the feature trees).
   bool has_score = false;
-  /// Whether entries are 4-D (SRT): the extra column holds dims 2 and 3.
-  bool four_d = false;
 
   [[nodiscard]] uint32_t keyword_words() const {
     return (keyword_bits + 63) / 64;
   }
   [[nodiscard]] uint32_t entry_bytes() const {
-    return 8 * keyword_words() + (has_score ? 8 : 0) + 4 + 32 +
-           (four_d ? 32 : 0);
+    return 8 * keyword_words() + (has_score ? 8 : 0) + 4 + 32;
   }
 };
 
@@ -82,14 +79,13 @@ namespace node_page_internal {
 
 /// Column start offsets of a page holding `count` entries.
 struct Columns {
-  uint32_t keywords, scores, ids, mbrs, extra;
+  uint32_t keywords, scores, ids, mbrs;
 
   Columns(const PageLayout& layout, uint32_t count) {
     keywords = kNodeHeaderBytes;
     scores = keywords + count * 8 * layout.keyword_words();
     ids = scores + (layout.has_score ? count * 8 : 0);
     mbrs = ids + count * 4;
-    extra = mbrs + count * 32;
   }
 };
 
@@ -137,7 +133,6 @@ class NodeView {
     scores_ = base + at.scores;
     ids_ = base + at.ids;
     mbrs_ = base + at.mbrs;
-    extra_ = base + at.extra;
   }
 
   [[nodiscard]] uint16_t level() const { return level_; }
@@ -172,28 +167,6 @@ class NodeView {
                  {Load<double>(p + 16), Load<double>(p + 24)}};
   }
 
-  /// The full D-dimensional rectangle of entry `i` (D = 2, or 4 on SRT
-  /// pages, whose extra column holds dims 2 and 3).
-  template <int D>
-  [[nodiscard]] Rect<D> rect(uint32_t i) const {
-    static_assert(D == 2 || D == 4);
-    const Rect2 m = mbr(i);
-    Rect<D> r;
-    for (int d = 0; d < 2; ++d) {
-      r.lo[d] = m.lo[d];
-      r.hi[d] = m.hi[d];
-    }
-    if constexpr (D == 4) {
-      using node_page_internal::Load;
-      const uint8_t* p = extra_ + 32 * size_t{i};
-      r.lo[2] = Load<double>(p);
-      r.lo[3] = Load<double>(p + 8);
-      r.hi[2] = Load<double>(p + 16);
-      r.hi[3] = Load<double>(p + 24);
-    }
-    return r;
-  }
-
   /// The page this node was read from.
   [[nodiscard]] const PageView& page() const { return page_; }
 
@@ -203,7 +176,6 @@ class NodeView {
   const uint8_t* scores_ = nullptr;
   const uint8_t* ids_ = nullptr;
   const uint8_t* mbrs_ = nullptr;
-  const uint8_t* extra_ = nullptr;
   uint32_t words_ = 0;
   uint32_t count_ = 0;
   uint16_t level_ = 0;
@@ -247,17 +219,10 @@ class NodePageWriter {
                                           w < words.size() ? words[w] : 0);
     }
   }
-  template <int D>
-  void SetRect(uint32_t i, const Rect<D>& r) {
-    static_assert(D == 2 || D == 4);
+  void SetMbr(uint32_t i, const Rect2& r) {
     uint8_t* p = page_ + at_.mbrs + 32 * size_t{i};
-    std::memcpy(p, &r.lo[0], 16);
-    std::memcpy(p + 16, &r.hi[0], 16);
-    if constexpr (D == 4) {
-      uint8_t* x = page_ + at_.extra + 32 * size_t{i};
-      std::memcpy(x, &r.lo[2], 16);
-      std::memcpy(x + 16, &r.hi[2], 16);
-    }
+    std::memcpy(p, r.lo.data(), 16);
+    std::memcpy(p + 16, r.hi.data(), 16);
   }
 
   /// Copies every column of entry `from` over entry `to`.
@@ -287,7 +252,6 @@ class NodePageWriter {
     if (layout_.has_score) fn(at_.scores, 8);
     fn(at_.ids, 4);
     fn(at_.mbrs, 32);
-    if (layout_.four_d) fn(at_.extra, 32);
   }
 
   uint8_t* page_;
@@ -306,7 +270,9 @@ void EncodeNodePage(const typename RTree<D, Aug>::Node& node,
                      static_cast<uint32_t>(node.entries.size()));
   for (uint32_t i = 0; i < node.entries.size(); ++i) {
     const auto& e = node.entries[i];
-    out.SetRect<D>(i, e.rect);
+    // The page keeps the spatial projection of a D-dimensional rect.
+    out.SetMbr(i, Rect2{{e.rect.lo[0], e.rect.lo[1]},
+                        {e.rect.hi[0], e.rect.hi[1]}});
     out.SetId(i, e.id);
     if constexpr (!std::is_same_v<Aug, NoAug>) {
       out.SetScore(i, e.aug.max_score);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Contract test for stpq_cli's command line.
 
-Checks four things against a built stpq_cli:
+Checks five things against a built stpq_cli:
 
   * invalid input exits 2 with an error naming the offending flag: an
     unknown flag, another command's flag, a value outside a flag's
@@ -14,7 +14,14 @@ Checks four things against a built stpq_cli:
     opens), every query-running command exits 1 and reports Corruption,
     and load --verify and validate report the bad child pointer;
   * a damaged dataset fails cleanly: a .stpq header claiming ~2^60
-    objects makes query exit 1, not abort.
+    objects makes query exit 1, not abort;
+  * hostile files fail cleanly under an address-space cap: a 72-byte
+    .stpq declaring a 2^32-term keyword universe (info, query), and
+    indexes whose feature table claims 2^33 records or a 2^32-term
+    universe (query), each exit 1 with a typed error, never 134.  The cap
+    (RLIMIT_AS, set in the child only) is skipped under
+    --no-address-cap, for sanitizer builds, which reserve more address
+    space than any cap; the cases still run.
 
 Exit code 0 = all checks passed.
 """
@@ -22,6 +29,7 @@ Exit code 0 = all checks passed.
 import argparse
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -30,6 +38,7 @@ import tempfile
 # .stpqx layout (src/io/index_format.h, src/rtree/node_page.h).
 SUPERBLOCK_BYTES = 52
 CATALOG_ENTRY_BYTES = 56
+SEG_FEATURE_TABLE = 2
 SEG_FEATURE_TREE_META = 5
 SEG_FEATURE_TREE_NODES = 6
 NODE_HEADER_BYTES = 8
@@ -44,10 +53,18 @@ SAMPLE_VALUES = {
 
 HELP_LINE_RE = re.compile(r"^  --([a-z-]+)(?: (\S+))?\s")
 
+# Address space a hostile-file run may map: well below the 512 MiB one
+# keyword set over a 2^32-term universe needs.
+ADDRESS_SPACE_CAP = 400 << 20
 
-def run(cli, argv, cwd):
+
+def run(cli, argv, cwd, address_cap=None):
+    """Runs the CLI; `address_cap` bytes cap the child's address space."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_cap, address_cap))
     proc = subprocess.run([cli] + argv, cwd=cwd, capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=60,
+                          preexec_fn=limit if address_cap else None)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -59,11 +76,8 @@ def fnv1a64(data):
     return h
 
 
-def point_root_past_segment(path):
-    """Points every child of feature tree 0's root past its node segment
-    and recomputes the segment's catalog checksum."""
-    with open(path, "rb") as f:
-        data = bytearray(f.read())
+def read_catalog(data):
+    """{(segment type, ordinal): (row, offset, size, slots, slot_bytes)}"""
     (segment_count,) = struct.unpack_from("<I", data, 48)
     rows = {}
     for i in range(segment_count):
@@ -71,6 +85,43 @@ def point_root_past_segment(path):
         seg_type, ordinal, offset, size, _, slots, slot_bytes = \
             struct.unpack_from("<IIQQQQI", data, row)
         rows[(seg_type, ordinal)] = (row, offset, size, slots, slot_bytes)
+    return rows
+
+
+def write_resealed(path, data, row, offset, size):
+    """Writes `data` to `path` with the catalog checksum in `row`
+    recomputed over the segment's edited payload."""
+    struct.pack_into("<Q", data, row + 48,
+                     fnv1a64(bytes(data[offset:offset + size])))
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+def damage_feature_table(src, dst, universe=None, count=None):
+    """Copies index `src` to `dst` with feature table 0's universe or
+    record count replaced, checksum recomputed.  A new universe also sets
+    the first record's keyword block count to 32-bit (universe + 63) / 64,
+    so the record agrees with the universe a parser would trust."""
+    with open(src, "rb") as f:
+        data = bytearray(f.read())
+    row, offset, size, _, _ = read_catalog(data)[(SEG_FEATURE_TABLE, 0)]
+    # Header: universe u32, count u64; a record: id u32, x, y, score f64,
+    # then its keyword block count u32.
+    if universe is not None:
+        struct.pack_into("<I", data, offset, universe)
+        struct.pack_into("<I", data, offset + 12 + 28,
+                         ((universe + 63) & 0xFFFFFFFF) // 64)
+    if count is not None:
+        struct.pack_into("<Q", data, offset + 4, count)
+    write_resealed(dst, data, row, offset, size)
+
+
+def point_root_past_segment(path):
+    """Points every child of feature tree 0's root past its node segment
+    and recomputes the segment's catalog checksum."""
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    rows = read_catalog(data)
     _, meta_offset, _, _, _ = rows[(SEG_FEATURE_TREE_META, 0)]
     root, = struct.unpack_from("<I", data, meta_offset)
     keyword_words, = struct.unpack_from("<I", data, meta_offset + 28)
@@ -81,17 +132,18 @@ def point_root_past_segment(path):
     ids = slot + NODE_HEADER_BYTES + count * (8 * keyword_words + 8)
     for i in range(count):
         struct.pack_into("<I", data, ids + 4 * i, slots + 7 + i)
-    struct.pack_into("<Q", data, row + 48,
-                     fnv1a64(bytes(data[offset:offset + size])))
-    with open(path, "wb") as f:
-        f.write(data)
+    write_resealed(path, data, row, offset, size)
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--cli", required=True, help="path to stpq_cli")
+    parser.add_argument("--no-address-cap", action="store_true",
+                        help="run the hostile-file cases without the "
+                             "address-space cap (sanitizer builds)")
     args = parser.parse_args()
     cli = os.path.abspath(args.cli)
+    cap = None if args.no_address_cap else ADDRESS_SPACE_CAP
 
     failures = []
 
@@ -164,6 +216,11 @@ def main():
         code, _, err = run(cli, ["build", "--data", data, "--index", index],
                            tmp)
         check(code == 0, "build exits 0 " + err.strip())
+        # Hostile copies of the intact index, for the capped runs below.
+        hostile_count = os.path.join(tmp, "count.stpqx")
+        hostile_universe = os.path.join(tmp, "universe.stpqx")
+        damage_feature_table(index, hostile_count, count=1 << 33)
+        damage_feature_table(index, hostile_universe, universe=0xFFFFFFFF)
         point_root_past_segment(index)
         damaged = ["--index", index]
         for argv in (["query"] + damaged + ["--keywords", "kw001;kw002"],
@@ -195,6 +252,30 @@ def main():
         check(code == 1 and "truncated" in err,
               "query on a .stpq claiming 2^60 objects exits 1 "
               "(got %d: %s)" % (code, err.strip()))
+
+        # ---- hostile files fail cleanly under an address-space cap
+        universe = os.path.join(tmp, "universe.stpq")
+        with open(universe, "wb") as f:
+            # No objects; one table: no vocabulary, a universe of 2^32 - 1
+            # terms, one feature (id, x, y, score, no terms, empty name).
+            f.write(struct.pack("<IIQIIIQIdddII", 0x53545051, 1, 0, 1, 0,
+                                0xFFFFFFFF, 1, 0, 0.5, 0.5, 0.5, 0, 0))
+        hostile = [
+            (["info", "--data", universe], "InvalidArgument"),
+            (["query", "--data", universe, "--keywords", "kw001"],
+             "InvalidArgument"),
+            (["query", "--index", hostile_count, "--keywords",
+              "kw001;kw002"], "Corruption"),
+            (["query", "--index", hostile_universe, "--keywords",
+              "kw001;kw002"], "Corruption"),
+        ]
+        for argv, error in hostile:
+            code, _, err = run(cli, argv, tmp, address_cap=cap)
+            check(code == 1 and error in err,
+                  "%s on %s exits 1 with %s%s (got %d: %s)" %
+                  (argv[0], os.path.basename(argv[2]), error,
+                   " under the address-space cap" if cap else "", code,
+                   err.strip()))
 
     if failures:
         print("%d check(s) failed" % len(failures))

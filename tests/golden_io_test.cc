@@ -1,6 +1,7 @@
 // Golden I/O regression test: page-read counts and feature-tree traversal
-// totals for the paper-example workloads (and one bounded shared-pool
-// workload whose hit/miss split pins the exact LRU eviction order) are
+// totals for the paper-example workloads, a synthetic matrix at the
+// default page size (and one bounded shared-pool workload whose hit/miss
+// split pins the exact LRU eviction order) are
 // checked against constants captured before the buffer-pool rewrite, the
 // keyword-signature fast paths and the relevant-children memo.  The
 // hot-path optimizations must change no query result, no I/O accounting
@@ -172,6 +173,60 @@ std::vector<GoldenRow> RunSharedPoolWorkload() {
   return rows;
 }
 
+/// Default-page matrix: every (index, algorithm, variant) combination on a
+/// synthetic dataset at the default 4096-byte page, a cold buffer pool
+/// per query (the default), each row summed over the same four queries.  The other
+/// matrices use 128- and 256-byte pages, where every fan-out floors at 4,
+/// so only this one sees how many entries a page holds.
+std::vector<GoldenRow> RunDefaultPageMatrix() {
+  std::vector<GoldenRow> rows;
+  SyntheticConfig cfg;
+  cfg.seed = 4096;
+  cfg.num_objects = 2000;
+  cfg.num_features_per_set = 6000;
+  cfg.num_feature_sets = 2;
+  cfg.vocabulary_size = 128;
+  cfg.num_clusters = 200;
+  for (FeatureIndexKind kind :
+       {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
+    Dataset ds = GenerateSynthetic(cfg);
+    EngineOptions opts;
+    opts.index_kind = kind;
+    Engine engine = Engine::Build(std::move(ds.objects),
+                                  std::move(ds.feature_tables), opts)
+                        .TakeValue();
+    for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
+      for (ScoreVariant variant :
+           {ScoreVariant::kRange, ScoreVariant::kInfluence,
+            ScoreVariant::kNearestNeighbor}) {
+        Rng rng(31);
+        QueryStats total;
+        for (int i = 0; i < 4; ++i) {
+          Query q;
+          q.k = 10;
+          q.radius = 0.02;
+          q.lambda = 0.5;
+          q.variant = variant;
+          for (uint32_t s = 0; s < cfg.num_feature_sets; ++s) {
+            KeywordSet kw(cfg.vocabulary_size);
+            kw.Insert(static_cast<TermId>(
+                rng.UniformInt(0, cfg.vocabulary_size - 1)));
+            q.keywords.push_back(std::move(kw));
+          }
+          Result<QueryResult> result = engine.Execute(q, algo);
+          EXPECT_TRUE(result.ok()) << result.status().ToString();
+          if (!result.ok()) return rows;
+          total += result.value().stats;
+        }
+        rows.push_back(MakeRow(kind == FeatureIndexKind::kSrt ? "SRT" : "IR2",
+                               algo == Algorithm::kStds ? "STDS" : "STPS",
+                               VariantName(variant), total));
+      }
+    }
+  }
+  return rows;
+}
+
 void ExpectRowsMatch(const std::vector<GoldenRow>& expected,
                      const std::vector<GoldenRow>& actual, const char* label) {
   ASSERT_EQ(expected.size(), actual.size());
@@ -218,6 +273,26 @@ const std::vector<GoldenRow>& ExpectedSharedPool() {
   static const std::vector<GoldenRow> kRows = {
       {"SRT", "mixed", "warm40", 3632, 83187, 139311, 405028, 477306},
       {"IR2", "mixed", "warm40", 3632, 18716, 112042, 219101, 296977},
+  };
+  return kRows;
+}
+
+// IR2 rows captured before SRT pages dropped their score and H(W)
+// extents, SRT rows after (fan-out 44 -> 68 at 128 keywords).
+const std::vector<GoldenRow>& ExpectedDefaultPageMatrix() {
+  static const std::vector<GoldenRow> kRows = {
+    {"SRT", "STDS", "range", 76, 553, 1720, 139724, 2977},
+    {"SRT", "STDS", "influence", 76, 557, 144486, 7754683, 1004939},
+    {"SRT", "STDS", "nn", 76, 557, 108538, 5715110, 803428},
+    {"SRT", "STPS", "range", 16, 529, 11, 33610, 1458},
+    {"SRT", "STPS", "influence", 76, 557, 40757, 2088085, 283529},
+    {"SRT", "STPS", "nn", 22, 555, 4427, 300151, 19998},
+    {"IR2", "STDS", "range", 76, 640, 831, 67277, 2197},
+    {"IR2", "STDS", "influence", 76, 706, 80637, 2703916, 830266},
+    {"IR2", "STDS", "nn", 76, 663, 55470, 1695244, 646120},
+    {"IR2", "STPS", "range", 16, 709, 11, 35061, 1672},
+    {"IR2", "STPS", "influence", 76, 709, 22315, 666615, 238161},
+    {"IR2", "STPS", "nn", 22, 709, 3789, 204909, 20046},
   };
   return kRows;
 }
@@ -293,6 +368,15 @@ TEST(GoldenIoTest, PaperExampleMatrixFileBacked) {
   // change a single page-read count.
   ExpectRowsMatch(ExpectedPaperMatrix(), actual,
                   "PaperExampleMatrixFileBacked");
+}
+
+TEST(GoldenIoTest, DefaultPageMatrix) {
+  std::vector<GoldenRow> actual = RunDefaultPageMatrix();
+  if (GoldenPrintMode()) {
+    PrintRows("DefaultPageMatrix", actual);
+    GTEST_SKIP() << "golden print mode";
+  }
+  ExpectRowsMatch(ExpectedDefaultPageMatrix(), actual, "DefaultPageMatrix");
 }
 
 TEST(GoldenIoTest, SharedPoolWorkload) {

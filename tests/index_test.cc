@@ -19,6 +19,7 @@
 #include "hilbert/keyword_hilbert.h"
 #include "index/srt_index.h"
 #include "paper_example.h"
+#include "rtree/bulk_load.h"
 #include "util/rng.h"
 
 namespace stpq {
@@ -459,28 +460,45 @@ TEST(SrtIndexTest, MergeIsTheHilbertAggregation) {
   EXPECT_GT(checked, 0u);
 }
 
-TEST(SrtIndexTest, FourthDimensionIsHilbertValue) {
+TEST(SrtIndexTest, LeavesKeepMappedHilbertOrderAndRecordSummaries) {
+  // Pages keep no 4-D point, but the leaves are still packed in the
+  // Hilbert order of the mapped points {x, y, t.s, H(t.W)}: walking them
+  // left to right, each record's key never decreases.  Each leaf entry
+  // carries its record's t.s and t.W as e.s and e.W.
   FeatureTable table = RandomFeatures(10, 200, 32);
   FeatureIndexOptions opts;
+  opts.page_size_bytes = 512;
   SrtIndex index(&table, opts);
   const auto& tree = index.tree();
-  std::vector<NodeId> stack{tree.root_id()};
-  while (!stack.empty()) {
-    NodeId nid = stack.back();
-    stack.pop_back();
-    const NodeView node = tree.ReadNode(nid);
+  ASSERT_GE(tree.height(), 3u);
+  std::vector<RTree<4, SrtAug>::Entry> mapped;
+  for (const FeatureObject& t : table.All()) {
+    mapped.push_back(SrtIndex::LeafEntry(t.id, t));
+  }
+  const Rect4 domain = ComputeDomain<4, SrtAug>(mapped);
+  uint64_t prev_key = 0;
+  size_t leaves = 0;
+  std::function<void(NodeId)> walk = [&](NodeId nid) {
+    const NodeView node = tree.PeekNode(nid);
     for (uint32_t i = 0; i < node.size(); ++i) {
-      if (node.IsLeaf()) {
-        const FeatureObject& t = table.Get(node.id(i));
-        const Rect4 rect = node.rect<4>(i);
-        EXPECT_DOUBLE_EQ(rect.lo[2], t.score);
-        EXPECT_DOUBLE_EQ(rect.lo[3],
-                         EncodeKeywords(t.keywords).ToUnitDouble());
-      } else {
-        stack.push_back(node.id(i));
+      if (!node.IsLeaf()) {
+        walk(node.id(i));
+        continue;
+      }
+      const FeatureObject& t = table.Get(node.id(i));
+      const uint64_t key =
+          HilbertSortKey(SrtIndex::LeafEntry(t.id, t).rect, domain);
+      EXPECT_GE(key, prev_key) << "leaf record " << leaves;
+      prev_key = key;
+      ++leaves;
+      EXPECT_EQ(node.score(i), t.score);
+      for (uint32_t w = 0; w < node.keyword_words(); ++w) {
+        EXPECT_EQ(node.keyword_word(i, w), t.keywords.blocks()[w]);
       }
     }
-  }
+  };
+  walk(tree.root_id());
+  EXPECT_EQ(leaves, table.size());
 }
 
 TEST(SrtIndexTest, ClustersScoreAndText) {

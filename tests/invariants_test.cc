@@ -111,7 +111,7 @@ TEST(RTreeValidatorTest, DetectsLooseParentMbr) {
   PagedTree& tree = index.mutable_tree_for_test();
   Rect2 loose = tree.PeekNode(tree.root_id()).mbr(0);
   loose.hi[0] += 0.25;
-  EditNode(tree, tree.root_id()).SetRect<2>(0, loose);
+  EditNode(tree, tree.root_id()).SetMbr(0, loose);
   Status st = ValidateObjectIndex(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("union"), std::string::npos) << st.ToString();
@@ -175,6 +175,19 @@ TEST(SrtValidatorTest, DetectsScoreBoundViolation) {
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("dominate"), std::string::npos)
       << st.ToString();
+}
+
+TEST(SrtValidatorTest, DetectsScoreAboveOne) {
+  Dataset ds = MakeDataset();
+  SrtIndex index(&ds.feature_tables[0], SmallPages());
+  ASSERT_GE(index.tree().height(), 2u);
+  PagedTree& tree = index.mutable_tree_for_test();
+  // Still an upper bound of every child score, so only the [0,1] range
+  // check can catch it.
+  EditNode(tree, tree.root_id()).SetScore(0, 1.5);
+  Status st = ValidateSrtIndex(index);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("[0,1]"), std::string::npos) << st.ToString();
 }
 
 TEST(SrtValidatorTest, DetectsKeywordSupersetViolation) {

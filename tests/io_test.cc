@@ -208,6 +208,37 @@ TEST_F(IoTest, BinaryRejectsHugeObjectCount) {
   EXPECT_EQ(r.status().code(), StatusCode::kIoError) << r.status().ToString();
 }
 
+TEST_F(IoTest, BinaryRejectsHugeUniverse) {
+  // A 72-byte .stpq: no objects, one table with an empty vocabulary and a
+  // universe of 0xFFFFFFFF terms, one feature with no terms.  Each keyword
+  // set would be a 512 MiB bitmap, so the header is rejected before any
+  // set is sized.
+  {
+    std::ofstream out(Path("universe.stpq"), std::ios::binary);
+    auto put = [&out](const auto& v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(uint32_t{0x53545051});  // "STPQ"
+    put(uint32_t{1});           // version
+    put(uint64_t{0});           // objects
+    put(uint32_t{1});           // tables
+    put(uint32_t{0});           // vocabulary terms
+    put(uint32_t{0xFFFFFFFFu});  // universe
+    put(uint64_t{1});           // features
+    put(uint32_t{0});           // id
+    put(0.5);                   // x
+    put(0.5);                   // y
+    put(0.5);                   // score
+    put(uint32_t{0});           // terms
+    put(uint32_t{0});           // name length
+  }
+  ASSERT_EQ(std::filesystem::file_size(Path("universe.stpq")), 72u);
+  Result<Dataset> r = ReadDatasetBinary(Path("universe.stpq"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+}
+
 TEST_F(IoTest, BinaryRejectsMissingVocabulary) {
   Dataset ds;
   ds.objects.push_back({0, {0, 0}, ""});
@@ -514,19 +545,67 @@ TEST_F(IndexFileTest, RejectsWrongObjectTreePageBase) {
 }
 
 TEST_F(IndexFileTest, RejectsVersionOneWithRebuildHint) {
-  std::string path = SaveSmallIndex("v1.stpqx");
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(4);
-    const uint32_t v1 = 1;
-    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  // Versions 1 and 2 are the older layouts: each is named, with a request
+  // to rebuild.
+  for (const uint32_t version : {1u, 2u}) {
+    std::string path = SaveSmallIndex("old.stpqx");
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(4);
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    Result<Engine> e = Engine::Open(path);
+    ASSERT_FALSE(e.ok());
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+    std::string named = "version ";
+    named += std::to_string(version);
+    EXPECT_NE(e.status().message().find(named), std::string::npos)
+        << e.status().ToString();
+    EXPECT_NE(e.status().message().find("rebuild"), std::string::npos)
+        << e.status().ToString();
   }
+}
+
+TEST_F(IndexFileTest, RejectsFeatureCountPastSegmentBytes) {
+  // Feature table 0 claims 2^33 records (the largest count the header
+  // check allows), checksum recomputed: the parser must reject the count
+  // against the segment's bytes before it sizes anything from it.
+  std::string path = SaveSmallIndex("count.stpqx");
+  const std::optional<Segment> seg = FindSegment(path, "feature_table", 0);
+  ASSERT_TRUE(seg.has_value());
+  std::string bytes = ReadAll(path);
+  const uint64_t count = uint64_t{1} << 33;
+  // The segment starts with the universe (u32), then the count (u64).
+  std::memcpy(bytes.data() + seg->info.offset + 4, &count, sizeof(count));
+  WriteResealed(path, std::move(bytes), *seg);
+
   Result<Engine> e = Engine::Open(path);
   ASSERT_FALSE(e.ok());
-  EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(e.status().message().find("version 1"), std::string::npos)
+  EXPECT_EQ(e.status().code(), StatusCode::kCorruption)
       << e.status().ToString();
-  EXPECT_NE(e.status().message().find("rebuild"), std::string::npos)
+}
+
+TEST_F(IndexFileTest, RejectsFeatureUniversePastCap) {
+  // Feature table 0 declares a universe of 0xFFFFFFFF.  Its first record's
+  // keyword block count is set to 0, the count 32-bit arithmetic derives
+  // from that universe ((0xFFFFFFFF + 63) / 64 wraps to 0), so a parser
+  // that trusts the universe passes its block-count check and then sizes
+  // a keyword set by it.  The checksum is recomputed.
+  std::string path = SaveSmallIndex("universe.stpqx");
+  const std::optional<Segment> seg = FindSegment(path, "feature_table", 0);
+  ASSERT_TRUE(seg.has_value());
+  std::string bytes = ReadAll(path);
+  const uint32_t universe = 0xFFFFFFFFu;
+  const uint32_t blocks = 0;
+  std::memcpy(bytes.data() + seg->info.offset, &universe, sizeof(universe));
+  // Header (12 bytes), then the record: id, x, y, score, block count.
+  std::memcpy(bytes.data() + seg->info.offset + 12 + 4 + 8 + 8 + 8, &blocks,
+              sizeof(blocks));
+  WriteResealed(path, std::move(bytes), *seg);
+
+  Result<Engine> e = Engine::Open(path);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kCorruption)
       << e.status().ToString();
 }
 
