@@ -1,9 +1,8 @@
 // Ablation: what makes the SRT-index work (Section 4 design choices).
 //
-//   1. Bulk-load ordering: Hilbert packing over the mapped 4-D space (the
-//      paper's choice, [9]) vs STR vs one-at-a-time insertion.
-//   2. Index family: SRT (clusters location+score+text) vs IR2 (location
-//      only, signatures bolted on).
+// Index family: SRT (Hilbert packing over the mapped 4-D space, so it
+// clusters location+score+text; the paper's choice, [9]) vs IR2 (2-D
+// Hilbert packing, location only, signatures bolted on).
 //
 // Reported per configuration: STPS cost and the number of feature objects
 // pulled before the top combinations were confirmed — the tighter s-hat(e)
@@ -16,10 +15,9 @@ namespace {
 
 void RunConfig(const BenchEnv& env, const std::string& label,
                const Dataset& ds, const std::vector<Query>& queries,
-               FeatureIndexKind kind, BulkLoadKind bulk) {
+               FeatureIndexKind kind) {
   EngineOptions opts;
   opts.index_kind = kind;
-  opts.bulk_load = bulk;
   Engine engine = Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
                 opts).TakeValue();
   WorkloadSummary r = RunWorkload(&engine, queries, Algorithm::kStps, env);
@@ -43,15 +41,8 @@ void Main() {
               "features/query", "total_ms");
 
   RunConfig(env, "SRT + 4-D Hilbert (paper)", ds, queries,
-            FeatureIndexKind::kSrt, BulkLoadKind::kHilbert);
-  RunConfig(env, "SRT + STR packing", ds, queries, FeatureIndexKind::kSrt,
-            BulkLoadKind::kStr);
-  RunConfig(env, "SRT + tuple insertion", ds, queries,
-            FeatureIndexKind::kSrt, BulkLoadKind::kInsert);
-  RunConfig(env, "IR2 + 2-D Hilbert", ds, queries, FeatureIndexKind::kIr2,
-            BulkLoadKind::kHilbert);
-  RunConfig(env, "IR2 + STR packing", ds, queries, FeatureIndexKind::kIr2,
-            BulkLoadKind::kStr);
+            FeatureIndexKind::kSrt);
+  RunConfig(env, "IR2 + 2-D Hilbert", ds, queries, FeatureIndexKind::kIr2);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the substrate operations:
-// Hilbert transcoding, keyword-set algebra, signatures, R-tree queries,
-// and the buffer pool.
+// Hilbert transcoding, keyword-set algebra, signatures, score and Voronoi
+// kernels, tracing, and the buffer pool and page stores.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -17,8 +17,6 @@
 #include "hilbert/hilbert.h"
 #include "hilbert/keyword_hilbert.h"
 #include "index/srt_index.h"
-#include "rtree/bulk_load.h"
-#include "rtree/rtree.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
@@ -103,49 +101,6 @@ void BM_SignatureMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignatureMatch);
-
-void BM_RTreeRangeQuery(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(5);
-  std::vector<RTree<2>::Entry> pts;
-  for (int i = 0; i < n; ++i) {
-    pts.push_back({PointRect({rng.Uniform(), rng.Uniform()}),
-                   static_cast<uint32_t>(i),
-                   {}});
-  }
-  SortByHilbertKey<2, NoAug>(&pts, ComputeDomain<2, NoAug>(pts));
-  RTreeOptions opts;
-  opts.max_entries = 64;
-  RTree<2> tree(opts);
-  tree.BulkLoadSorted(pts);
-  uint64_t found = 0;
-  for (auto _ : state) {
-    double x = rng.Uniform(0, 0.95);
-    double y = rng.Uniform(0, 0.95);
-    tree.ForEachInRange(MakeRect2(x, y, x + 0.02, y + 0.02),
-                        [&](uint32_t, const Rect2&, const NoAug&) {
-                          ++found;
-                        });
-  }
-  benchmark::DoNotOptimize(found);
-}
-BENCHMARK(BM_RTreeRangeQuery)->Arg(10'000)->Arg(100'000);
-
-void BM_RTreeInsert(benchmark::State& state) {
-  Rng rng(6);
-  RTreeOptions opts;
-  opts.max_entries = 64;
-  for (auto _ : state) {
-    state.PauseTiming();
-    RTree<2> tree(opts);
-    state.ResumeTiming();
-    for (uint32_t i = 0; i < 1000; ++i) {
-      tree.Insert(PointRect({rng.Uniform(), rng.Uniform()}), i);
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-}
-BENCHMARK(BM_RTreeInsert)->Unit(benchmark::kMicrosecond);
 
 /// Pre-drawn page sequence: keeps the RNG's 64-bit division out of the
 /// timed loop (it costs as much as the pool access being measured).

@@ -24,7 +24,6 @@ FeatureIndexOptions FeatureOptions(const EngineOptions& options,
   fopts.buffer_pool = pool;
   // Feature indexes share one pool; page bases keep their page ids apart.
   fopts.page_base = TreePageBase(i + 1);
-  fopts.bulk_load = options.bulk_load;
   fopts.fill = options.fill;
   fopts.signature_bits = options.signature_bits;
   fopts.signature_hashes = options.signature_hashes;
@@ -61,17 +60,6 @@ Status Engine::ValidateOptions(const EngineOptions& options) {
         "storage.page_size must be >= " + std::to_string(kMinPageSizeBytes) +
         ", got " + std::to_string(options.storage.page_size));
   }
-  if (options.storage.backend == StorageBackend::kFile &&
-      options.storage.path.empty()) {
-    return Status::InvalidArgument(
-        "storage.backend=file requires storage.path (use Engine::Open)");
-  }
-  if (options.storage.backend == StorageBackend::kSimulated &&
-      !options.storage.path.empty()) {
-    return Status::InvalidArgument(
-        "storage.path is set but storage.backend is simulated; use "
-        "Engine::Open to attach an index file");
-  }
   if (!(options.fill > 0.0 && options.fill <= 1.0)) {
     return Status::InvalidArgument("fill must be in (0, 1], got " +
                                    std::to_string(options.fill));
@@ -101,11 +89,6 @@ Status Engine::ValidateFeatureSetCount(size_t count) {
 Result<Engine> Engine::Build(std::vector<DataObject> objects,
                              std::vector<FeatureTable> feature_tables,
                              EngineOptions options) {
-  if (options.storage.backend != StorageBackend::kSimulated) {
-    return Status::InvalidArgument(
-        "Engine::Build constructs in memory (storage.backend=simulated); "
-        "use Engine::Open for the file backend");
-  }
   Status st = ValidateOptions(options);
   if (!st.ok()) return st;
   st = ValidateFeatureSetCount(feature_tables.size());
@@ -196,12 +179,9 @@ Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
   // The file's build parameters win: fan-outs, signature widths and page
   // layout must match the persisted node records exactly.
   options.index_kind = loaded.params.index_kind;
-  options.bulk_load = loaded.params.bulk_load;
   options.fill = loaded.params.fill;
   options.signature_bits = loaded.params.signature_bits;
   options.signature_hashes = loaded.params.signature_hashes;
-  options.storage.backend = StorageBackend::kFile;
-  options.storage.path = path;
   options.storage.page_size = loaded.params.page_size_bytes;
   Status st = ValidateOptions(options);
   if (!st.ok()) return st;
@@ -230,7 +210,6 @@ Status Engine::Save(const std::string& path,
 
   IndexFileWriteRequest request;
   request.params.index_kind = options_.index_kind;
-  request.params.bulk_load = options_.bulk_load;
   request.params.page_size_bytes = options_.storage.page_size;
   request.params.fill = options_.fill;
   request.params.signature_bits = options_.signature_bits;

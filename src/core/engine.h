@@ -50,16 +50,11 @@ struct ExecuteOptions {
   SlowQueryLog* slow_log = nullptr;
 };
 
-/// Where index pages live and how the buffer pools are sized.  One struct
-/// so storage decisions travel together instead of as loose engine knobs.
+/// How the buffer pools are sized and the pages laid out.  The page
+/// source itself follows from the factory: Engine::Build serves the
+/// in-memory page array it packs, Engine::Open the index file it opens
+/// (Engine::page_store() reports which).
 struct StorageOptions {
-  /// Page source behind the buffer pools.  kSimulated serves misses from
-  /// the in-memory page array Engine::Build packs (charged by the paper's
-  /// cost model, no file behind it); kFile serves them from a .stpqx index
-  /// file and is only valid with Engine::Open.
-  StorageBackend backend = StorageBackend::kSimulated;
-  /// Index file path.  Set by Engine::Open; must be empty for kSimulated.
-  std::string path;
   /// Buffer pool capacity in pages per pool (object pool + shared feature
   /// pool); 0 = unbounded.
   uint64_t pool_capacity = 0;
@@ -71,9 +66,7 @@ struct StorageOptions {
 struct EngineOptions {
   /// Which feature index to build (the benchmark axis SRT vs IR2).
   FeatureIndexKind index_kind = FeatureIndexKind::kSrt;
-  /// Bulk-load ordering for the feature indexes.
-  BulkLoadKind bulk_load = BulkLoadKind::kHilbert;
-  /// Backend, page size and pool capacity (see StorageOptions).
+  /// Page size and pool capacity (see StorageOptions).
   StorageOptions storage;
   /// Charge each query against its own cold session pool, so reported I/O
   /// is the number of distinct pages the query touches (deterministic,
@@ -100,11 +93,10 @@ class Engine {
   /// Builds all indexes in memory over `objects` and `feature_tables`:
   /// packs every tree once into node pages held in an in-memory page
   /// array (SimulatedPageStore), which the buffer pools serve.
-  /// Checks `options` (page size, fill factor, signature and storage
-  /// parameters) and the table count (at most kMaxFeatureSets), and
-  /// returns InvalidArgument instead of building a broken engine.  The
-  /// storage backend must be kSimulated — a file-backed engine comes from
-  /// Engine::Open on a file written by Save.
+  /// Checks `options` (page size, fill factor, signature parameters) and
+  /// the table count (at most kMaxFeatureSets), and returns
+  /// InvalidArgument instead of building a broken engine.  A file-backed
+  /// engine comes from Engine::Open on a file written by Save.
   [[nodiscard]] static Result<Engine> Build(std::vector<DataObject> objects,
                                             std::vector<FeatureTable> feature_tables,
                                             EngineOptions options = {});

@@ -31,23 +31,27 @@ void CollectLeafIdsInOrder(const PagedTree& tree, NodeId nid,
   }
 }
 
-/// Checks that the SRT leaves appear in non-decreasing Hilbert-key order —
-/// the packing contract of BulkLoadKind::kHilbert (Kamel & Faloutsos).
-/// The pages keep no 4-D point, so each leaf's mapped point is re-derived
-/// from the table (SrtIndex::LeafEntry) and keyed by HilbertSortKey inside
-/// the records' domain, as Pack and the external loader key it.  Every
-/// leaf id must name a table record (CheckLeafIdBijection runs first).
-Status CheckHilbertLeafOrder(const SrtIndex& index) {
-  const PagedTree& tree = index.tree();
+/// Checks that a tree's leaves appear in non-decreasing Hilbert-key order,
+/// the packing contract of every tree (Kamel & Faloutsos).  The pages keep
+/// no sort point (an SRT leaf's 4-D point least of all), so
+/// `leaf_entry(id)` re-derives each leaf's entry from the index's records
+/// — its class's LeafEntry — and the entry is keyed by HilbertSortKey
+/// inside the leaves' domain, as SortByHilbertKey and the external loader
+/// key it.  Every leaf id must name a record (CheckLeafIdBijection runs
+/// first).
+template <typename LeafEntryFn>
+Status CheckHilbertLeafOrder(const PagedTree& tree,
+                             const LeafEntryFn& leaf_entry) {
   if (tree.root_id() == kInvalidNodeId) return Status::OK();
   std::vector<uint32_t> ids;
   ids.reserve(tree.size());
   CollectLeafIdsInOrder(tree, tree.root_id(), &ids);
-  std::vector<Rect4> points;
+  using Box = decltype(leaf_entry(uint32_t{0}).rect);
+  std::vector<Box> points;
   points.reserve(ids.size());
-  Rect4 domain = Rect4::Empty();
+  Box domain = Box::Empty();
   for (uint32_t id : ids) {
-    points.push_back(SrtIndex::LeafEntry(id, index.table().Get(id)).rect);
+    points.push_back(leaf_entry(id).rect);
     domain.Enlarge(points.back());
   }
   uint64_t prev_key = 0;
@@ -214,11 +218,11 @@ Status ValidateSrtIndex(const SrtIndex& index) {
   }
   st = CheckLeafIdBijection(seen, "SRT-index: feature");
   STPQ_RETURN_NOT_OK(st);
-  if (index.build_kind() == BulkLoadKind::kHilbert) {
-    st = CheckHilbertLeafOrder(index);
-    if (!st.ok()) {
-      return Status::Internal("SRT-index: " + st.message());
-    }
+  st = CheckHilbertLeafOrder(tree, [&table](uint32_t id) {
+    return SrtIndex::LeafEntry(id, table.Get(id));
+  });
+  if (!st.ok()) {
+    return Status::Internal("SRT-index: " + st.message());
   }
   return Status::OK();
 }
@@ -261,7 +265,15 @@ Status ValidateIr2Tree(const Ir2Tree& index) {
   if (!st.ok()) {
     return Status::Internal("IR2-tree: " + st.message());
   }
-  return CheckLeafIdBijection(seen, "IR2-tree: feature");
+  st = CheckLeafIdBijection(seen, "IR2-tree: feature");
+  STPQ_RETURN_NOT_OK(st);
+  st = CheckHilbertLeafOrder(tree, [&table, &scheme](uint32_t id) {
+    return Ir2Tree::LeafEntry(id, table.Get(id), scheme);
+  });
+  if (!st.ok()) {
+    return Status::Internal("IR2-tree: " + st.message());
+  }
+  return Status::OK();
 }
 
 Status ValidateFeatureIndex(const FeatureIndex& index) {
@@ -307,7 +319,15 @@ Status ValidateObjectIndex(const ObjectIndex& index) {
   if (!st.ok()) {
     return Status::Internal("object index: " + st.message());
   }
-  return CheckLeafIdBijection(seen, "object index: object");
+  st = CheckLeafIdBijection(seen, "object index: object");
+  STPQ_RETURN_NOT_OK(st);
+  st = CheckHilbertLeafOrder(tree, [&index](uint32_t id) {
+    return ObjectIndex::LeafEntry(id, index.Get(id));
+  });
+  if (!st.ok()) {
+    return Status::Internal("object index: " + st.message());
+  }
+  return Status::OK();
 }
 
 Status ValidateBufferPool(const BufferPool& pool) {

@@ -8,8 +8,8 @@
 //
 // Index build paths run these behind the STPQ_VALIDATE macro
 // (util/logging.h): enabled in debug builds, compiled away in release, so
-// later refactors of the bulk-load/insert/split machinery get an automatic
-// safety net under `ctest` without taxing production binaries.
+// later refactors of the sort and the packer get an automatic safety net
+// under `ctest` without taxing production binaries.
 #ifndef STPQ_DEBUG_VALIDATE_H_
 #define STPQ_DEBUG_VALIDATE_H_
 
@@ -62,8 +62,8 @@ inline std::string FormatRect(const Rect2& r) {
 /// Structural validation of a paged tree (the pages an index reads):
 ///   * node levels decrease by exactly one per step and all leaves sit at
 ///     level 0 (uniform leaf depth);
-///   * every node holds between 1 and max_entries entries (bulk loading may
-///     legally leave tail nodes under the insertion-path minimum fill);
+///   * every node holds between 1 and max_entries entries (the packer may
+///     legally leave each level's last node under MinEntries);
 ///   * each internal entry's MBR is exactly the union of its child's
 ///     entry MBRs (containment + tightness);
 ///   * no node is reachable twice (no sharing/cycles) and every node is
@@ -209,39 +209,27 @@ Status ValidatePagedTree(const PagedTree& tree, SummaryCheck&& summary_check,
   return Status::OK();
 }
 
-/// Structure-only validation of a plain R-tree (a build-time tree, e.g.
-/// after insertion splits): its encoded pages, which keep each entry's
-/// spatial MBR, must pass ValidatePagedTree.
-template <int D>
-Status ValidateRTree(const RTree<D>& tree) {
-  const PageLayout layout{0, /*has_score=*/false};
-  const PagedTree paged(EncodeTree(tree, layout, kDefaultPageSizeBytes),
-                        layout, nullptr, 0);
-  auto no_summary = [](const NodeView&, uint32_t, const NodeView&,
-                       uint32_t) { return Status::OK(); };
-  auto no_entry = [](const NodeView&, uint32_t) { return Status::OK(); };
-  return ValidatePagedTree(paged, no_summary, no_entry);
-}
-
 /// SRT-index validation (Section 4 invariants): R-tree structure, per-entry
 /// aggregate score upper bounds dominating children, node keyword sets
 /// supersets of their children, keyword columns inside the universe, leaf
-/// entries matching the feature table, every e.s inside [0,1], and — for
-/// Hilbert bulk loads — non-decreasing Hilbert keys of the leaves' mapped
-/// 4-D points, re-derived from the table, across the leaf level.
+/// entries matching the feature table, every e.s inside [0,1], and
+/// non-decreasing Hilbert keys of the leaves' mapped 4-D points,
+/// re-derived from the table, across the leaf level.
 [[nodiscard]] Status ValidateSrtIndex(const SrtIndex& index);
 
 /// Modified IR2-tree validation: R-tree structure, max-score dominance,
-/// node signatures covering child signatures, and leaf signatures/scores
-/// matching the feature table.
+/// node signatures covering child signatures, leaf signatures/scores
+/// matching the feature table, and non-decreasing Hilbert keys of the
+/// leaves' 2-D points across the leaf level.
 [[nodiscard]] Status ValidateIr2Tree(const Ir2Tree& index);
 
 /// Feature-index validation: ValidateSrtIndex or ValidateIr2Tree, picked
 /// by the index's type (one of the two FeatureIndexKinds).
 [[nodiscard]] Status ValidateFeatureIndex(const FeatureIndex& index);
 
-/// Object R-tree validation: structure plus a bijection between leaf
-/// records and the object collection.
+/// Object R-tree validation: structure, a bijection between leaf records
+/// and the object collection, and non-decreasing Hilbert keys of the
+/// objects' locations across the leaf level.
 [[nodiscard]] Status ValidateObjectIndex(const ObjectIndex& index);
 
 // ValidateBufferPool is declared in storage/buffer_pool.h (it needs friend

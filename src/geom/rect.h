@@ -73,27 +73,11 @@ struct Rect {
     return true;
   }
 
-  /// Hyper-volume; 0 for degenerate rectangles.
-  double Area() const {
-    double a = 1.0;
-    for (int d = 0; d < D; ++d) a *= std::max(0.0, hi[d] - lo[d]);
-    return a;
-  }
-
   /// Sum of side lengths (the R*-tree margin measure).
   double Margin() const {
     double m = 0.0;
     for (int d = 0; d < D; ++d) m += std::max(0.0, hi[d] - lo[d]);
     return m;
-  }
-
-  /// Area increase needed to cover `other` (R-tree ChooseSubtree metric).
-  double EnlargementArea(const Rect& other) const {
-    double a = 1.0;
-    for (int d = 0; d < D; ++d) {
-      a *= std::max(hi[d], other.hi[d]) - std::min(lo[d], other.lo[d]);
-    }
-    return a - Area();
   }
 
   /// Center coordinate along dimension d.

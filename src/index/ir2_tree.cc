@@ -15,45 +15,26 @@ uint32_t Ir2Tree::FanOut(uint32_t page_size, uint32_t signature_bits) {
   return FanOutForPage(page_size, 2, 8 + signature_bits / 8);
 }
 
-RTree<2, Ir2Aug>::Entry Ir2Tree::LeafEntry(uint32_t id, const FeatureObject& f,
-                                           const SignatureScheme& scheme) {
+TreeEntry<2, Ir2Aug> Ir2Tree::LeafEntry(uint32_t id, const FeatureObject& f,
+                                        const SignatureScheme& scheme) {
   return {PointRect(f.pos), id,
           Ir2Aug{f.score, scheme.SetSignature(f.keywords)}};
 }
 
 TreeImage Ir2Tree::Pack(const FeatureTable& table,
                         const FeatureIndexOptions& options) {
-  using Entry = RTree<2, Ir2Aug>::Entry;
   const uint32_t bits =
       SignatureBits(options.signature_bits, table.universe_size());
   const SignatureScheme scheme(bits, options.signature_hashes);
-  RTreeOptions topts;
-  topts.max_entries = FanOut(options.page_size_bytes, bits);
-  RTree<2, Ir2Aug> tree(topts);
-  std::vector<Entry> records;
+  std::vector<TreeEntry<2, Ir2Aug>> records;
   records.reserve(table.size());
   for (const FeatureObject& f : table.All()) {
     records.push_back(LeafEntry(f.id, f, scheme));
   }
-  switch (options.bulk_load) {
-    case BulkLoadKind::kHilbert: {
-      // Spatial-only Hilbert packing: the IR2-tree clusters by location.
-      Rect2 domain = ComputeDomain<2, Ir2Aug>(records);
-      SortByHilbertKey<2, Ir2Aug>(&records, domain);
-      tree.BulkLoadSorted(records, options.fill);
-      break;
-    }
-    case BulkLoadKind::kStr: {
-      SortSTR<2, Ir2Aug>(&records, topts.max_entries);
-      tree.BulkLoadSorted(records, options.fill);
-      break;
-    }
-    case BulkLoadKind::kInsert: {
-      for (const Entry& r : records) tree.Insert(r.rect, r.id, r.aug);
-      break;
-    }
-  }
-  return EncodeTree(tree, Layout(bits), options.page_size_bytes);
+  // Spatial-only Hilbert packing: the IR2-tree clusters by location.
+  SortByHilbertKey(&records);
+  return PackTree(std::move(records), FanOut(options.page_size_bytes, bits),
+                  options.fill, Layout(bits), options.page_size_bytes);
 }
 
 Ir2Tree::Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options)

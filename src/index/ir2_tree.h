@@ -13,7 +13,7 @@
 
 #include "index/feature_index.h"
 #include "index/paged_tree.h"
-#include "index/srt_index.h"  // FeatureIndexOptions, BulkLoadKind
+#include "index/srt_index.h"  // FeatureIndexOptions
 #include "rtree/node_page.h"
 #include "rtree/rtree.h"
 #include "text/signature.h"
@@ -84,8 +84,8 @@ class Ir2Tree : public FeatureIndex {
 
   /// Leaf entry of feature `f` stored under record id `id`: its location,
   /// with e.s = t.s and the signature of t.W under `scheme`.
-  static RTree<2, Ir2Aug>::Entry LeafEntry(uint32_t id, const FeatureObject& f,
-                                           const SignatureScheme& scheme);
+  static TreeEntry<2, Ir2Aug> LeafEntry(uint32_t id, const FeatureObject& f,
+                                        const SignatureScheme& scheme);
 
   /// Mutable pages for deliberate-corruption invariant tests only.
   [[nodiscard]] PagedTree& mutable_tree_for_test() { return tree_; }

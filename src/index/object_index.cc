@@ -12,18 +12,14 @@ uint32_t ObjectIndex::FanOut(uint32_t page_size) {
 
 TreeImage ObjectIndex::Pack(const std::vector<DataObject>& objects,
                             const ObjectIndexOptions& options) {
-  using Entry = RTree<2>::Entry;
-  RTreeOptions topts;
-  topts.max_entries = FanOut(options.page_size_bytes);
-  RTree<2> tree(topts);
-  std::vector<Entry> records;
+  std::vector<TreeEntry<2>> records;
   records.reserve(objects.size());
   for (size_t i = 0; i < objects.size(); ++i) {
     records.push_back(LeafEntry(static_cast<uint32_t>(i), objects[i]));
   }
-  SortByHilbertKey<2, NoAug>(&records, ComputeDomain<2, NoAug>(records));
-  tree.BulkLoadSorted(records, options.fill);
-  return EncodeTree(tree, Layout(), options.page_size_bytes);
+  SortByHilbertKey(&records);
+  return PackTree(std::move(records), FanOut(options.page_size_bytes),
+                  options.fill, Layout(), options.page_size_bytes);
 }
 
 namespace {

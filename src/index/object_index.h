@@ -48,7 +48,7 @@ class ObjectIndex {
   static uint32_t FanOut(uint32_t page_size);
 
   /// Leaf entry of object `o` stored under record id `id`: its location.
-  static RTree<2>::Entry LeafEntry(uint32_t id, const DataObject& o) {
+  static TreeEntry<2> LeafEntry(uint32_t id, const DataObject& o) {
     return {PointRect(o.pos), id, {}};
   }
 

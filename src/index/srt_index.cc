@@ -13,8 +13,8 @@ uint32_t SrtIndex::FanOut(uint32_t page_size, uint32_t universe_size) {
   return FanOutForPage(page_size, 2, 8 + 8 * ((universe_size + 63) / 64));
 }
 
-RTree<4, SrtAug>::Entry SrtIndex::LeafEntry(uint32_t id,
-                                            const FeatureObject& f) {
+TreeEntry<4, SrtAug> SrtIndex::LeafEntry(uint32_t id,
+                                         const FeatureObject& f) {
   const HilbertValue hv = EncodeKeywords(f.keywords);
   std::array<double, 4> p{f.pos.x, f.pos.y, f.score, hv.ToUnitDouble()};
   return {Rect4::FromPoint(p), id, SrtAug{f.score, f.keywords}};
@@ -22,42 +22,23 @@ RTree<4, SrtAug>::Entry SrtIndex::LeafEntry(uint32_t id,
 
 TreeImage SrtIndex::Pack(const FeatureTable& table,
                          const FeatureIndexOptions& options) {
-  using Entry = RTree<4, SrtAug>::Entry;
-  RTreeOptions topts;
-  topts.max_entries = FanOut(options.page_size_bytes, table.universe_size());
-  RTree<4, SrtAug> tree(topts);
-  std::vector<Entry> records;
+  std::vector<TreeEntry<4, SrtAug>> records;
   records.reserve(table.size());
   for (const FeatureObject& f : table.All()) {
     records.push_back(LeafEntry(f.id, f));
   }
-  switch (options.bulk_load) {
-    case BulkLoadKind::kHilbert: {
-      // Bulk insertion [9]: sort by the Hilbert key of the mapped 4-D point.
-      Rect4 domain = ComputeDomain<4, SrtAug>(records);
-      SortByHilbertKey<4, SrtAug>(&records, domain);
-      tree.BulkLoadSorted(records, options.fill);
-      break;
-    }
-    case BulkLoadKind::kStr: {
-      SortSTR<4, SrtAug>(&records, topts.max_entries);
-      tree.BulkLoadSorted(records, options.fill);
-      break;
-    }
-    case BulkLoadKind::kInsert: {
-      for (const Entry& r : records) tree.Insert(r.rect, r.id, r.aug);
-      break;
-    }
-  }
-  return EncodeTree(tree, Layout(table.universe_size()),
-                    options.page_size_bytes);
+  // Bulk insertion [9]: sort by the Hilbert key of the mapped 4-D point.
+  SortByHilbertKey(&records);
+  return PackTree(std::move(records),
+                  FanOut(options.page_size_bytes, table.universe_size()),
+                  options.fill, Layout(table.universe_size()),
+                  options.page_size_bytes);
 }
 
 SrtIndex::SrtIndex(const FeatureTable* table,
                    const FeatureIndexOptions& options)
     : FeatureIndex(options.set_ordinal),
       table_(table),
-      build_kind_(options.bulk_load),
       tree_(Pack(*table, options), Layout(table->universe_size()),
             options.buffer_pool, options.page_base) {
   STPQ_VALIDATE(ValidateSrtIndex(*this));
@@ -68,7 +49,6 @@ SrtIndex::SrtIndex(const FeatureTable* table,
                    const PageStore* pages)
     : FeatureIndex(options.set_ordinal),
       table_(table),
-      build_kind_(options.bulk_load),
       tree_(std::move(meta), Layout(table->universe_size()), pages,
             options.buffer_pool, options.page_base) {}
 

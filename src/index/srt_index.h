@@ -20,19 +20,11 @@
 
 namespace stpq {
 
-/// How a feature index organizes its records at build time.
-enum class BulkLoadKind {
-  kHilbert,  ///< Hilbert-sort packing (Kamel & Faloutsos [9]; the paper's choice)
-  kStr,      ///< Sort-Tile-Recursive packing (spatial-only; ablation)
-  kInsert,   ///< one-at-a-time Guttman insertion (ablation/testing)
-};
-
 /// Build-time knobs shared by the feature indexes.
 struct FeatureIndexOptions {
   uint32_t page_size_bytes = kDefaultPageSizeBytes;
   BufferPool* buffer_pool = nullptr;
   PageId page_base = 0;
-  BulkLoadKind bulk_load = BulkLoadKind::kHilbert;
   double fill = 1.0;  ///< target node occupancy for bulk loading
   /// IR2-tree only: signature width in bits (0 = 2x the keyword universe).
   uint32_t signature_bits = 0;
@@ -107,22 +99,16 @@ class SrtIndex : public FeatureIndex {
   /// Leaf entry of feature `f` stored under record id `id`: the mapped
   /// 4-D point {x, y, t.s, H(t.W)} of Section 4.2, with e.s = t.s and
   /// e.W = t.W.  The point is the Hilbert sort key; pages keep (x, y).
-  static RTree<4, SrtAug>::Entry LeafEntry(uint32_t id,
-                                           const FeatureObject& f);
+  static TreeEntry<4, SrtAug> LeafEntry(uint32_t id, const FeatureObject& f);
 
   /// The index's pages (tests, validators, Save).
   const PagedTree& tree() const { return tree_; }
-
-  /// How the tree was packed; ValidateSrtIndex checks the Hilbert leaf
-  /// order only for kHilbert builds.
-  [[nodiscard]] BulkLoadKind build_kind() const { return build_kind_; }
 
   /// Mutable pages for deliberate-corruption invariant tests only.
   [[nodiscard]] PagedTree& mutable_tree_for_test() { return tree_; }
 
  private:
   const FeatureTable* table_;
-  BulkLoadKind build_kind_;
   PagedTree tree_;
 };
 

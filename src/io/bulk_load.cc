@@ -99,8 +99,8 @@ template <int D, typename AugCodec>
 struct EntryCodec {
   static constexpr int kDims = D;
   using Aug = typename AugCodec::Aug;
-  using Entry = typename RTree<D, Aug>::Entry;
-  using Node = typename RTree<D, Aug>::Node;
+  using Entry = TreeEntry<D, Aug>;
+  using Node = TreeNode<D, Aug>;
 
   AugCodec aug;
 
@@ -455,8 +455,8 @@ Status WithFeatureRules(const IndexBuildParams& params, TableSurveyT& t,
 
 /// First pass: counts, segment sizes (the record encoders over a
 /// ByteCounter) and the sort domains, which fold the index classes' leaf
-/// entries in dataset order exactly as the in-memory builders'
-/// ComputeDomain does.
+/// entries in dataset order exactly as the in-memory builds'
+/// SortByHilbertKey does.
 Status RunSurvey(const std::string& dataset_path,
                  const IndexBuildParams& params, Survey* survey) {
   Result<DatasetBinaryScanner> scan_r = DatasetBinaryScanner::Open(dataset_path);
@@ -536,10 +536,7 @@ Status PlanPackedTree(IndexFileWriter* writer, uint32_t tree, uint64_t count,
                       uint32_t max_entries, double fill, const Codec& codec) {
   const TreePacker<Codec::kDims, typename Codec::Aug> packer(
       count, max_entries, fill);
-  return writer->PlanTree(tree,
-                          TreeMeta{packer.root(), packer.height(), count,
-                                   packer.node_count(), max_entries},
-                          codec.layout());
+  return writer->PlanTree(tree, packer.meta(), codec.layout());
 }
 
 /// One tree of the external build.  Its leaf entries go through an
@@ -572,10 +569,9 @@ class ExternalTree {
   [[nodiscard]] Status Pack(IndexFileWriter* writer,
                             ExternalBuildStats* stats) {
     Status written = Status::OK();
-    const auto sink = [&](NodeId id, typename Codec::Node&& node) {
+    const auto sink = [&](NodeId id, const typename Codec::Node& node) {
       if (written.ok()) {
-        written = writer->WriteNode<Codec::kDims, typename Codec::Aug>(
-            tree_, id, node, codec_.layout());
+        written = writer->WriteNode(tree_, id, node, codec_.layout());
       }
     };
     STPQ_RETURN_NOT_OK(sorter_.Drain([&](const char* blob) {
@@ -608,10 +604,6 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
     const std::string& dataset_path, const std::string& index_path,
     const ExternalBuildOptions& options) {
   const IndexBuildParams& params = options.params;
-  if (params.bulk_load != BulkLoadKind::kHilbert) {
-    return Status::InvalidArgument(
-        "external build supports only the hilbert bulk-load order");
-  }
   if (params.page_size_bytes < kMinPageSizeBytes) {
     return Status::InvalidArgument(
         "page_size_bytes must be >= " + std::to_string(kMinPageSizeBytes));

@@ -2,7 +2,8 @@
 // .stpq dataset in bounded memory.
 //
 // The in-memory path (Engine::Build + Engine::Save) materializes every
-// record and every tree node before serializing; this loader never does.
+// record and every tree's page image before serializing; this loader
+// never does.
 // It streams the dataset twice:
 //
 //   survey pass    counts, record-segment sizes (the record encoders over
@@ -35,8 +36,6 @@ namespace stpq {
 /// Knobs for BuildIndexFileExternal.
 struct ExternalBuildOptions {
   /// Same parameters the in-memory writer records in the superblock.
-  /// Only bulk_load == kHilbert is supported (the sort order must be a
-  /// key the merge sort can reproduce).
   IndexBuildParams params;
   /// Approximate ceiling on working memory: bounds the sort buffer and
   /// the merge fan-in read buffers.  Must be at least 4096 bytes; small

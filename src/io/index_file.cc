@@ -103,7 +103,7 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
   char super[kSuperblockBytes];
   STPQ_RETURN_NOT_OK(file.PreadExact(0, super, kSuperblockBytes));
   ByteReader r(super, kSuperblockBytes);
-  uint32_t magic = 0, index_kind = 0, bulk_load = 0;
+  uint32_t magic = 0, index_kind = 0, packing = 0;
   r.Pod(&magic);
   if (magic != kIndexMagic) {
     return Status::InvalidArgument("not a stpq index file: " + path);
@@ -123,7 +123,7 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
   }
   r.Pod(&sb->params.page_size_bytes);
   r.Pod(&index_kind);
-  r.Pod(&bulk_load);
+  r.Pod(&packing);
   r.Pod(&sb->params.signature_bits);
   r.Pod(&sb->params.signature_hashes);
   r.Pod(&sb->params.fill);
@@ -136,12 +136,17 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
     return Status::Corruption("unknown feature index kind " +
                               std::to_string(index_kind));
   }
-  if (bulk_load > static_cast<uint32_t>(BulkLoadKind::kInsert)) {
-    return Status::Corruption("unknown bulk-load kind " +
-                              std::to_string(bulk_load));
+  // Every tree is Hilbert-packed, recorded as 0.  Older builds could also
+  // pack in STR (1) or insertion (2) order; their files are refused, as
+  // versions 1 and 2 are.
+  if (packing != 0) {
+    return Status::InvalidArgument(
+        "index file '" + path + "' records bulk-load order " +
+        std::to_string(packing) +
+        " in its superblock; this build reads only Hilbert-packed trees "
+        "(bulk-load 0) — rebuild it with stpq_cli build");
   }
   sb->params.index_kind = static_cast<FeatureIndexKind>(index_kind);
-  sb->params.bulk_load = static_cast<BulkLoadKind>(bulk_load);
   if (sb->params.page_size_bytes == 0 || sb->table_count > kMaxTables ||
       sb->object_count > kMaxRecordCount) {
     return Status::Corruption("implausible index superblock counts");

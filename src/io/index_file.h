@@ -22,7 +22,9 @@
 // Versioning policy: the major version is bumped on any change an older
 // reader cannot skip; readers reject files whose version they do not know
 // (InvalidArgument — a version 1 or 2 file is named as such, with a
-// request to rebuild it), bad magic (InvalidArgument), short reads (IoError), and
+// request to rebuild it), a superblock whose bulk-load field is not 0 (the
+// STR- or insertion-built trees of older builds; InvalidArgument with the
+// same request), bad magic (InvalidArgument), short reads (IoError), and
 // checksum mismatches or structural damage (Corruption).
 #ifndef STPQ_IO_INDEX_FILE_H_
 #define STPQ_IO_INDEX_FILE_H_
@@ -45,7 +47,6 @@ namespace stpq {
 /// re-derive fan-outs, signature schemes and page layout when reopening.
 struct IndexBuildParams {
   FeatureIndexKind index_kind = FeatureIndexKind::kSrt;
-  BulkLoadKind bulk_load = BulkLoadKind::kHilbert;
   uint32_t page_size_bytes = kDefaultPageSizeBytes;
   double fill = 1.0;
   uint32_t signature_bits = 0;

@@ -246,18 +246,22 @@ inline void AppendCatalogEntry(std::string* out, const CatalogEntry& e) {
   PutPod<uint64_t>(out, e.checksum);
 }
 
-/// Appends the 52-byte superblock.  `index_kind` / `bulk_load` are the raw
-/// enum values so this header does not depend on io/index_file.h.
+/// Appends the 52-byte superblock.  `index_kind` is the raw enum value so
+/// this header does not depend on io/index_file.h.  The u32 after it is
+/// the bulk-load field: older builds could pack a tree in STR or insertion
+/// order and recorded 1 or 2 there; every tree is now Hilbert-packed, the
+/// writer records 0, and a reader rejects any other value with a request
+/// to rebuild.
 inline void AppendSuperblock(std::string* out, uint32_t page_size,
-                             uint32_t index_kind, uint32_t bulk_load,
-                             uint32_t signature_bits, uint32_t signature_hashes,
-                             double fill, uint64_t object_count,
-                             uint32_t table_count, uint32_t segment_count) {
+                             uint32_t index_kind, uint32_t signature_bits,
+                             uint32_t signature_hashes, double fill,
+                             uint64_t object_count, uint32_t table_count,
+                             uint32_t segment_count) {
   PutPod<uint32_t>(out, kIndexMagic);
   PutPod<uint32_t>(out, kIndexVersion);
   PutPod<uint32_t>(out, page_size);
   PutPod<uint32_t>(out, index_kind);
-  PutPod<uint32_t>(out, bulk_load);
+  PutPod<uint32_t>(out, 0u);  // bulk-load field
   PutPod<uint32_t>(out, signature_bits);
   PutPod<uint32_t>(out, signature_hashes);
   PutPod<double>(out, fill);

@@ -187,7 +187,7 @@ class IndexFileWriter {
   /// writes it.
   template <int D, typename Aug>
   [[nodiscard]] Status WriteNode(uint32_t tree, NodeId id,
-                                 const typename RTree<D, Aug>::Node& node,
+                                 const TreeNode<D, Aug>& node,
                                  const PageLayout& layout) {
     const CatalogEntry& row = NodesRow(tree);
     if (kNodeHeaderBytes + node.entries.size() * layout.entry_bytes() >
@@ -196,7 +196,7 @@ class IndexFileWriter {
                               std::to_string(row.slot_bytes) + "-byte slot");
     }
     slot_.assign(row.slot_bytes, 0);
-    EncodeNodePage<D, Aug>(node, layout, slot_.data());
+    EncodeNodePage(node, layout, slot_.data());
     return WritePage(tree, id, slot_);
   }
 
@@ -244,7 +244,6 @@ class IndexFileWriter {
     header.reserve(header_bytes_);
     AppendSuperblock(&header, params_.page_size_bytes,
                      static_cast<uint32_t>(params_.index_kind),
-                     static_cast<uint32_t>(params_.bulk_load),
                      params_.signature_bits, params_.signature_hashes,
                      params_.fill, object_count_, table_count_,
                      static_cast<uint32_t>(catalog_.size()));

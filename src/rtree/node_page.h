@@ -264,8 +264,8 @@ class NodePageWriter {
 /// An augmented entry's Aug supplies `max_score` and `words()`, its
 /// keyword column.
 template <int D, typename Aug>
-void EncodeNodePage(const typename RTree<D, Aug>::Node& node,
-                    const PageLayout& layout, uint8_t* page) {
+void EncodeNodePage(const TreeNode<D, Aug>& node, const PageLayout& layout,
+                    uint8_t* page) {
   NodePageWriter out(page, layout, node.level,
                      static_cast<uint32_t>(node.entries.size()));
   for (uint32_t i = 0; i < node.entries.size(); ++i) {
@@ -281,31 +281,13 @@ void EncodeNodePage(const typename RTree<D, Aug>::Node& node,
   }
 }
 
-/// A packed tree's pages: node id i at bytes [i * slot_bytes,
-/// (i + 1) * slot_bytes) of `pages`.
+/// A packed tree's pages (PackTree, rtree/bulk_load.h): node id i at
+/// bytes [i * slot_bytes, (i + 1) * slot_bytes) of `pages`.
 struct TreeImage {
   TreeMeta meta;
   uint32_t slot_bytes = 0;
   std::vector<uint8_t> pages;
 };
-
-/// Encodes every node of `tree` into slots of the width SlotBytesFor
-/// derives for `page_size`.  Build time only: afterwards the tree can go.
-template <int D, typename Aug>
-TreeImage EncodeTree(const RTree<D, Aug>& tree, const PageLayout& layout,
-                     uint32_t page_size) {
-  TreeImage image;
-  image.meta = TreeMeta{tree.root_id(), tree.height(), tree.size(),
-                        tree.node_count(), tree.options().max_entries};
-  image.slot_bytes = SlotBytesFor(tree.options().max_entries,
-                                  layout.entry_bytes(), page_size);
-  image.pages.assign(uint64_t{tree.node_count()} * image.slot_bytes, 0);
-  for (NodeId id = 0; id < tree.node_count(); ++id) {
-    uint8_t* slot = image.pages.data() + uint64_t{id} * image.slot_bytes;
-    EncodeNodePage<D, Aug>(tree.PeekNode(id), layout, slot);
-  }
-  return image;
-}
 
 }  // namespace stpq
 

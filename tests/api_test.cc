@@ -351,35 +351,11 @@ TEST(ValidationTest, EngineAcceptsAtMostMaxFeatureSets) {
   }
 }
 
-TEST(ValidationTest, BuildRejectsBadStorageOptions) {
+TEST(ValidationTest, BuiltEngineServesTheSimulatedStore) {
   Dataset ds = ex::ExampleDataset();
 
-  // Build is in-memory only: the file backend comes from Engine::Open.
-  EngineOptions bad;
-  bad.storage.backend = StorageBackend::kFile;
-  bad.storage.path = "/tmp/whatever.stpqx";
-  Result<Engine> r = Engine::Build(
-      ds.objects, std::vector<FeatureTable>(ds.feature_tables), bad);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-
-  // A file backend without a path is malformed no matter the entry point.
-  bad = EngineOptions{};
-  bad.storage.backend = StorageBackend::kFile;
-  r = Engine::Build(ds.objects,
-                    std::vector<FeatureTable>(ds.feature_tables), bad);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-
-  // And a path with the simulated backend is a contradiction.
-  bad = EngineOptions{};
-  bad.storage.path = "/tmp/whatever.stpqx";
-  r = Engine::Build(ds.objects,
-                    std::vector<FeatureTable>(ds.feature_tables), bad);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-
-  // A built engine reports the simulated store behind its pools.
+  // Build is in-memory only (the file backend comes from Engine::Open): a
+  // built engine reports the simulated store behind its pools.
   Engine engine = Engine::Build(
       ds.objects, std::vector<FeatureTable>(ds.feature_tables), {})
       .TakeValue();

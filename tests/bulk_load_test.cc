@@ -57,7 +57,6 @@ class BulkLoadTest : public ::testing::Test {
                            const char* name) {
     EngineOptions opts;
     opts.index_kind = params.index_kind;
-    opts.bulk_load = params.bulk_load;
     opts.storage.page_size = params.page_size_bytes;
     opts.fill = params.fill;
     opts.signature_bits = params.signature_bits;
@@ -240,14 +239,6 @@ TEST_F(BulkLoadTest, RejectsUnsupportedParameters) {
   std::string data = Path("data.stpq");
   ASSERT_TRUE(WriteDatasetBinary(data, ds).ok());
 
-  {
-    ExternalBuildOptions opts;
-    opts.params.bulk_load = BulkLoadKind::kStr;
-    Result<ExternalBuildStats> r =
-        BuildIndexFileExternal(data, Path("x.stpqx"), opts);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
   {
     ExternalBuildOptions opts;
     opts.params.page_size_bytes = 32;  // below the format minimum

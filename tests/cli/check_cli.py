@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Contract test for stpq_cli's command line.
 
-Checks five things against a built stpq_cli:
+Checks six things against a built stpq_cli:
 
   * invalid input exits 2 with an error naming the offending flag: an
     unknown flag, another command's flag, a value outside a flag's
@@ -13,6 +13,9 @@ Checks five things against a built stpq_cli:
     points past its node segment (catalog checksum recomputed, so the file
     opens), every query-running command exits 1 and reports Corruption,
     and load --verify and validate report the bad child pointer;
+  * an index whose superblock records STR or insertion packing (the
+    bulk-load field older builds could set to 1 or 2) makes query exit 1
+    with a request to rebuild;
   * a damaged dataset fails cleanly: a .stpq header claiming ~2^60
     objects makes query exit 1, not abort;
   * hostile files fail cleanly under an address-space cap: a 72-byte
@@ -37,6 +40,7 @@ import tempfile
 
 # .stpqx layout (src/io/index_format.h, src/rtree/node_page.h).
 SUPERBLOCK_BYTES = 52
+SUPERBLOCK_BULK_LOAD = 16  # u32 offset: 0 = Hilbert, the only packing
 CATALOG_ENTRY_BYTES = 56
 SEG_FEATURE_TABLE = 2
 SEG_FEATURE_TREE_META = 5
@@ -114,6 +118,16 @@ def damage_feature_table(src, dst, universe=None, count=None):
     if count is not None:
         struct.pack_into("<Q", data, offset + 4, count)
     write_resealed(dst, data, row, offset, size)
+
+
+def set_bulk_load_field(src, dst, value):
+    """Copies index `src` to `dst` with the superblock's bulk-load field
+    set to `value` (the superblock carries no checksum)."""
+    with open(src, "rb") as f:
+        data = bytearray(f.read())
+    struct.pack_into("<I", data, SUPERBLOCK_BULK_LOAD, value)
+    with open(dst, "wb") as f:
+        f.write(data)
 
 
 def point_root_past_segment(path):
@@ -221,6 +235,13 @@ def main():
         hostile_universe = os.path.join(tmp, "universe.stpqx")
         damage_feature_table(index, hostile_count, count=1 << 33)
         damage_feature_table(index, hostile_universe, universe=0xFFFFFFFF)
+        str_built = os.path.join(tmp, "str_built.stpqx")
+        set_bulk_load_field(index, str_built, 1)
+        code, _, err = run(cli, ["query", "--index", str_built, "--keywords",
+                                 "kw001;kw002"], tmp)
+        check(code == 1 and "bulk-load" in err and "rebuild" in err,
+              "query on an index recording STR packing exits 1 asking for "
+              "a rebuild (got %d: %s)" % (code, err.strip()))
         point_root_past_segment(index)
         damaged = ["--index", index]
         for argv in (["query"] + damaged + ["--keywords", "kw001;kw002"],

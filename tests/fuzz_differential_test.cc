@@ -25,7 +25,8 @@ struct FuzzCase {
   const char* name;
   uint32_t feature_sets;
   FeatureIndexKind index_kind;
-  BulkLoadKind bulk_load;
+  uint32_t page_size = kDefaultPageSizeBytes;
+  double fill = 1.0;
 };
 
 Dataset MakeDataset(uint32_t feature_sets, uint64_t seed) {
@@ -71,12 +72,13 @@ void ExpectSameScores(const std::vector<ResultEntry>& got,
 
 TEST(FuzzDifferentialTest, AlgorithmsAgreeWithBruteForce) {
   const FuzzCase cases[] = {
-      {"srt_c1", 1, FeatureIndexKind::kSrt, BulkLoadKind::kHilbert},
-      {"ir2_c1", 1, FeatureIndexKind::kIr2, BulkLoadKind::kHilbert},
-      {"srt_c2", 2, FeatureIndexKind::kSrt, BulkLoadKind::kHilbert},
-      {"ir2_c2", 2, FeatureIndexKind::kIr2, BulkLoadKind::kHilbert},
-      {"srt_c1_insert", 1, FeatureIndexKind::kSrt, BulkLoadKind::kInsert},
-      {"srt_c2_str", 2, FeatureIndexKind::kSrt, BulkLoadKind::kStr},
+      {"srt_c1", 1, FeatureIndexKind::kSrt},
+      {"ir2_c1", 1, FeatureIndexKind::kIr2},
+      {"srt_c2", 2, FeatureIndexKind::kSrt},
+      {"ir2_c2", 2, FeatureIndexKind::kIr2},
+      // Small pages at fill 0.7: deep trees of partly filled nodes.
+      {"srt_c1_deep", 1, FeatureIndexKind::kSrt, 512, 0.7},
+      {"ir2_c2_deep", 2, FeatureIndexKind::kIr2, 512, 0.7},
   };
   const ScoreVariant variants[] = {ScoreVariant::kRange,
                                    ScoreVariant::kInfluence,
@@ -91,7 +93,8 @@ TEST(FuzzDifferentialTest, AlgorithmsAgreeWithBruteForce) {
 
     EngineOptions opts;
     opts.index_kind = fc.index_kind;
-    opts.bulk_load = fc.bulk_load;
+    opts.storage.page_size = fc.page_size;
+    opts.fill = fc.fill;
     // Copy the dataset into the engine; `ds` stays alive for brute force.
     Engine engine = Engine::Build(ds.objects, ds.feature_tables, opts).TakeValue();
 

@@ -37,12 +37,9 @@ TEST(RectTest, ContainsAndIntersects) {
   EXPECT_TRUE(a.Intersects(MakeRect2(1, 0, 2, 1)));
 }
 
-TEST(RectTest, AreaMarginEnlargement) {
+TEST(RectTest, Margin) {
   Rect2 a = MakeRect2(0, 0, 2, 3);
-  EXPECT_DOUBLE_EQ(a.Area(), 6.0);
   EXPECT_DOUBLE_EQ(a.Margin(), 5.0);
-  Rect2 b = MakeRect2(3, 0, 4, 1);
-  EXPECT_DOUBLE_EQ(a.EnlargementArea(b), 4.0 * 3.0 - 6.0);
 }
 
 TEST(RectTest, MinDistancePointInside) {

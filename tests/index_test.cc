@@ -103,12 +103,9 @@ std::set<uint32_t> RecordsBelow(const PagedTree& tree, NodeId root) {
 class FeatureIndexConformance : public ::testing::TestWithParam<IndexFactory> {
  protected:
   std::unique_ptr<FeatureIndex> Build(const FeatureTable* table,
-                                      BufferPool* pool = nullptr,
-                                      BulkLoadKind bulk =
-                                          BulkLoadKind::kHilbert) {
+                                      BufferPool* pool = nullptr) {
     FeatureIndexOptions opts;
     opts.buffer_pool = pool;
-    opts.bulk_load = bulk;
     opts.page_size_bytes = 1024;  // small pages, deeper trees
     return GetParam().make(table, opts);
   }
@@ -248,19 +245,6 @@ TEST_P(FeatureIndexConformance, ChargesBufferPool) {
   EXPECT_EQ(pool.stats().reads, 1u);
   EXPECT_EQ(pool.stats().hits, 1u);
   EXPECT_EQ(index->buffer_pool(), &pool);
-}
-
-TEST_P(FeatureIndexConformance, InsertConstructionAgrees) {
-  // kInsert builds the same logical index content as bulk loading.
-  FeatureTable table = RandomFeatures(8, 500, 32);
-  std::unique_ptr<FeatureIndex> bulk = Build(&table);
-  std::unique_ptr<FeatureIndex> ins =
-      Build(&table, nullptr, BulkLoadKind::kInsert);
-  // Same reachable feature set.
-  for (FeatureIndex* idx : {bulk.get(), ins.get()}) {
-    const std::set<uint32_t> seen = RecordsBelow(PagesOf(*idx), idx->RootId());
-    EXPECT_EQ(seen.size(), table.size()) << idx->Name();
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -471,11 +455,10 @@ TEST(SrtIndexTest, LeavesKeepMappedHilbertOrderAndRecordSummaries) {
   SrtIndex index(&table, opts);
   const auto& tree = index.tree();
   ASSERT_GE(tree.height(), 3u);
-  std::vector<RTree<4, SrtAug>::Entry> mapped;
+  Rect4 domain = Rect4::Empty();
   for (const FeatureObject& t : table.All()) {
-    mapped.push_back(SrtIndex::LeafEntry(t.id, t));
+    domain.Enlarge(SrtIndex::LeafEntry(t.id, t).rect);
   }
-  const Rect4 domain = ComputeDomain<4, SrtAug>(mapped);
   uint64_t prev_key = 0;
   size_t leaves = 0;
   std::function<void(NodeId)> walk = [&](NodeId nid) {

@@ -16,6 +16,7 @@
 #include "index/ir2_tree.h"
 #include "index/object_index.h"
 #include "index/srt_index.h"
+#include "rtree/bulk_load.h"
 #include "storage/buffer_pool.h"
 
 namespace stpq {
@@ -55,28 +56,18 @@ NodePageWriter EditNode(PagedTree& tree, NodeId id) {
 
 // ----------------------------------------------------------- positive paths
 
-TEST(SrtValidatorTest, AcceptsEveryBuildKind) {
+TEST(SrtValidatorTest, AcceptsFreshIndex) {
   Dataset ds = MakeDataset();
-  for (BulkLoadKind kind :
-       {BulkLoadKind::kHilbert, BulkLoadKind::kStr, BulkLoadKind::kInsert}) {
-    FeatureIndexOptions opts = SmallPages();
-    opts.bulk_load = kind;
-    SrtIndex index(&ds.feature_tables[0], opts);
-    Status st = ValidateSrtIndex(index);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
+  SrtIndex index(&ds.feature_tables[0], SmallPages());
+  Status st = ValidateSrtIndex(index);
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
-TEST(Ir2ValidatorTest, AcceptsEveryBuildKind) {
+TEST(Ir2ValidatorTest, AcceptsFreshIndex) {
   Dataset ds = MakeDataset();
-  for (BulkLoadKind kind :
-       {BulkLoadKind::kHilbert, BulkLoadKind::kStr, BulkLoadKind::kInsert}) {
-    FeatureIndexOptions opts = SmallPages();
-    opts.bulk_load = kind;
-    Ir2Tree index(&ds.feature_tables[0], opts);
-    Status st = ValidateIr2Tree(index);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
+  Ir2Tree index(&ds.feature_tables[0], SmallPages());
+  Status st = ValidateIr2Tree(index);
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 TEST(ObjectIndexValidatorTest, AcceptsFreshIndex) {
@@ -89,15 +80,23 @@ TEST(ObjectIndexValidatorTest, AcceptsFreshIndex) {
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
-TEST(RTreeValidatorTest, AcceptsInsertionSplits) {
-  RTreeOptions opts;
-  opts.max_entries = 4;
-  RTree<2> tree(opts);
-  for (uint32_t i = 0; i < 60; ++i) {
+TEST(RTreeValidatorTest, AcceptsDeepPackedImage) {
+  // Fan-out 4 over 201 boxes: a four-level tree whose levels below the
+  // root each end in a partial node (1, 3 and 1 entries, bottom up).
+  std::vector<TreeEntry<2>> boxes;
+  for (uint32_t i = 0; i < 201; ++i) {
     double x = 0.01 * i, y = 0.02 * (i % 7);
-    tree.Insert(MakeRect2(x, y, x + 0.005, y + 0.005), i);
+    boxes.push_back({MakeRect2(x, y, x + 0.005, y + 0.005), i, {}});
   }
-  Status st = ValidateRTree<2>(tree);
+  SortByHilbertKey(&boxes);
+  const PageLayout layout;
+  const PagedTree tree(PackTree(std::move(boxes), 4, 1.0, layout, 256),
+                       layout, /*pool=*/nullptr, /*base=*/0);
+  ASSERT_EQ(tree.height(), 4u);
+  auto no_summary = [](const NodeView&, uint32_t, const NodeView&,
+                       uint32_t) { return Status::OK(); };
+  auto no_entry = [](const NodeView&, uint32_t) { return Status::OK(); };
+  Status st = ValidatePagedTree(tree, no_summary, no_entry);
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
@@ -163,6 +162,22 @@ TEST(RTreeValidatorTest, DetectsLeafRecordBijectionBreak) {
   EXPECT_NE(st.message().find("appears"), std::string::npos) << st.ToString();
 }
 
+TEST(ObjectIndexValidatorTest, DetectsHilbertLeafOrderViolation) {
+  Dataset ds = MakeDataset();
+  ObjectIndexOptions opts;
+  opts.page_size_bytes = 512;
+  ObjectIndex index(&ds.objects, opts);
+  PagedTree& tree = index.mutable_tree_for_test();
+  NodeId leaf = FirstLeaf(tree);
+  const uint32_t count = tree.PeekNode(leaf).size();
+  ASSERT_GE(count, 2u);
+  EditNode(tree, leaf).SwapEntries(0, count - 1);
+  Status st = ValidateObjectIndex(index);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("Hilbert"), std::string::npos)
+      << st.ToString();
+}
+
 // ------------------------------------------------------- SRT-specific faults
 
 TEST(SrtValidatorTest, DetectsScoreBoundViolation) {
@@ -226,7 +241,6 @@ TEST(SrtValidatorTest, DetectsKeywordOutsideUniverse) {
 TEST(SrtValidatorTest, DetectsHilbertLeafOrderViolation) {
   Dataset ds = MakeDataset();
   SrtIndex index(&ds.feature_tables[0], SmallPages());
-  ASSERT_EQ(index.build_kind(), BulkLoadKind::kHilbert);
   PagedTree& tree = index.mutable_tree_for_test();
   NodeId leaf = FirstLeaf(tree);
   const uint32_t count = tree.PeekNode(leaf).size();
@@ -266,6 +280,21 @@ TEST(Ir2ValidatorTest, DetectsSignatureCoverageViolation) {
   Status st = ValidateIr2Tree(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cover"), std::string::npos) << st.ToString();
+}
+
+TEST(Ir2ValidatorTest, DetectsHilbertLeafOrderViolation) {
+  Dataset ds = MakeDataset();
+  Ir2Tree index(&ds.feature_tables[0], SmallPages());
+  PagedTree& tree = index.mutable_tree_for_test();
+  NodeId leaf = FirstLeaf(tree);
+  const uint32_t count = tree.PeekNode(leaf).size();
+  ASSERT_GE(count, 2u);
+  // The leaf keeps its records and its MBR; only their order breaks.
+  EditNode(tree, leaf).SwapEntries(0, count - 1);
+  Status st = ValidateIr2Tree(index);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("Hilbert"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(Ir2ValidatorTest, DetectsLeafSignatureMismatch) {

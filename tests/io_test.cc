@@ -269,11 +269,9 @@ class IndexFileTest : public IoTest {
     return GenerateSynthetic(cfg);
   }
 
-  static Engine BuildEngine(const Dataset& ds, FeatureIndexKind kind,
-                            BulkLoadKind bulk = BulkLoadKind::kHilbert) {
+  static Engine BuildEngine(const Dataset& ds, FeatureIndexKind kind) {
     EngineOptions opts;
     opts.index_kind = kind;
-    opts.bulk_load = bulk;
     opts.storage.page_size = 256;  // small pages -> trees with real depth
     return Engine::Build(ds.objects,
                          std::vector<FeatureTable>(ds.feature_tables), opts)
@@ -354,11 +352,10 @@ class IndexFileTest : public IoTest {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  /// Build -> Save -> Open for every bulk-load kind, so the writer is
-  /// exercised on packed and on insertion-built trees alike.
-  void RoundTrip(FeatureIndexKind kind, BulkLoadKind bulk) {
+  /// Build -> Save -> Open.
+  void RoundTrip(FeatureIndexKind kind) {
     Dataset ds = SmallDataset();
-    Engine built = BuildEngine(ds, kind, bulk);
+    Engine built = BuildEngine(ds, kind);
     std::string path = Path("rt.stpqx");
     ASSERT_TRUE(built.Save(path).ok());
 
@@ -394,29 +391,9 @@ class IndexFileTest : public IoTest {
   }
 };
 
-TEST_F(IndexFileTest, RoundTripSrt) {
-  RoundTrip(FeatureIndexKind::kSrt, BulkLoadKind::kHilbert);
-}
+TEST_F(IndexFileTest, RoundTripSrt) { RoundTrip(FeatureIndexKind::kSrt); }
 
-TEST_F(IndexFileTest, RoundTripIr2) {
-  RoundTrip(FeatureIndexKind::kIr2, BulkLoadKind::kHilbert);
-}
-
-TEST_F(IndexFileTest, RoundTripSrtStr) {
-  RoundTrip(FeatureIndexKind::kSrt, BulkLoadKind::kStr);
-}
-
-TEST_F(IndexFileTest, RoundTripIr2Str) {
-  RoundTrip(FeatureIndexKind::kIr2, BulkLoadKind::kStr);
-}
-
-TEST_F(IndexFileTest, RoundTripSrtInsert) {
-  RoundTrip(FeatureIndexKind::kSrt, BulkLoadKind::kInsert);
-}
-
-TEST_F(IndexFileTest, RoundTripIr2Insert) {
-  RoundTrip(FeatureIndexKind::kIr2, BulkLoadKind::kInsert);
-}
+TEST_F(IndexFileTest, RoundTripIr2) { RoundTrip(FeatureIndexKind::kIr2); }
 
 TEST_F(IndexFileTest, VocabulariesRoundTrip) {
   Dataset ds = SmallDataset();
@@ -559,6 +536,30 @@ TEST_F(IndexFileTest, RejectsVersionOneWithRebuildHint) {
     EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
     std::string named = "version ";
     named += std::to_string(version);
+    EXPECT_NE(e.status().message().find(named), std::string::npos)
+        << e.status().ToString();
+    EXPECT_NE(e.status().message().find("rebuild"), std::string::npos)
+        << e.status().ToString();
+  }
+}
+
+TEST_F(IndexFileTest, RejectsStrOrInsertionBuiltFiles) {
+  // The superblock's bulk-load field (the u32 after the index kind) once
+  // recorded STR (1) or insertion (2) packing.  Every tree is now
+  // Hilbert-packed and the field is written as 0, so a file recording
+  // either is refused by name, with a request to rebuild.
+  for (const uint32_t packing : {1u, 2u}) {
+    std::string path = SaveSmallIndex("packing.stpqx");
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(16);
+      f.write(reinterpret_cast<const char*>(&packing), sizeof(packing));
+    }
+    Result<Engine> e = Engine::Open(path);
+    ASSERT_FALSE(e.ok());
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+    std::string named = "bulk-load order ";
+    named += std::to_string(packing);
     EXPECT_NE(e.status().message().find(named), std::string::npos)
         << e.status().ToString();
     EXPECT_NE(e.status().message().find("rebuild"), std::string::npos)

@@ -1,22 +1,28 @@
-// Tests for rtree/: insertion, splits, bulk loading, traversal, invariants,
-// and augmentation maintenance.
+// Tests for rtree/: the Hilbert sort, the packer and the page images it
+// writes (shape, fill, parent summaries, range retrieval), and fan-out
+// sizing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <string>
 
+#include "index/paged_tree.h"
 #include "rtree/bulk_load.h"
+#include "rtree/node_page.h"
 #include "rtree/rtree.h"
 #include "util/rng.h"
 
 namespace stpq {
 namespace {
 
-using Tree2 = RTree<2>;
+using Entry2 = TreeEntry<2>;
 
-std::vector<Tree2::Entry> RandomPoints(Rng* rng, int n) {
-  std::vector<Tree2::Entry> out;
+/// Slot padding of the test images; wide enough for every fan-out here.
+constexpr uint32_t kPageSize = 512;
+
+std::vector<Entry2> RandomPoints(Rng* rng, int n) {
+  std::vector<Entry2> out;
   out.reserve(n);
   for (int i = 0; i < n; ++i) {
     Point p{rng->Uniform(), rng->Uniform()};
@@ -25,7 +31,18 @@ std::vector<Tree2::Entry> RandomPoints(Rng* rng, int n) {
   return out;
 }
 
-std::set<uint32_t> BruteRange(const std::vector<Tree2::Entry>& pts,
+/// Sorts `records` by Hilbert key and packs them into a page image that a
+/// PagedTree of its own serves.
+template <typename Aug>
+PagedTree Pack(std::vector<TreeEntry<2, Aug>> records, uint32_t max_entries,
+               const PageLayout& layout, double fill = 1.0) {
+  SortByHilbertKey(&records);
+  return PagedTree(PackTree(std::move(records), max_entries, fill, layout,
+                            kPageSize),
+                   layout, /*pool=*/nullptr, /*base=*/0);
+}
+
+std::set<uint32_t> BruteRange(const std::vector<Entry2>& pts,
                               const Rect2& range) {
   std::set<uint32_t> out;
   for (const auto& e : pts) {
@@ -34,91 +51,54 @@ std::set<uint32_t> BruteRange(const std::vector<Tree2::Entry>& pts,
   return out;
 }
 
-std::set<uint32_t> TreeRange(const Tree2& tree, const Rect2& range) {
+/// Leaf record ids whose rect intersects `range`, read from the pages.
+std::set<uint32_t> PagedRange(const PagedTree& tree, const Rect2& range) {
   std::set<uint32_t> out;
-  tree.ForEachInRange(range,
-                      [&](uint32_t id, const Rect2&, const NoAug&) {
-                        out.insert(id);
-                      });
+  if (tree.root_id() == kInvalidNodeId) return out;
+  std::vector<NodeId> stack{tree.root_id()};
+  while (!stack.empty()) {
+    const NodeView node = tree.PeekNode(stack.back());
+    stack.pop_back();
+    for (uint32_t i = 0; i < node.size(); ++i) {
+      if (!range.Intersects(node.mbr(i))) continue;
+      if (node.IsLeaf()) {
+        out.insert(node.id(i));
+      } else {
+        stack.push_back(node.id(i));
+      }
+    }
+  }
   return out;
 }
 
-TEST(RTreeTest, EmptyTree) {
-  Tree2 tree;
-  EXPECT_TRUE(tree.empty());
+TEST(PackTreeTest, EmptyInputPacksNoNodes) {
+  const PagedTree tree = Pack<NoAug>({}, 8, PageLayout{});
   EXPECT_EQ(tree.root_id(), kInvalidNodeId);
-  EXPECT_EQ(TreeRange(tree, MakeRect2(0, 0, 1, 1)).size(), 0u);
+  EXPECT_EQ(tree.height(), 0u);
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_EQ(tree.node_count(), 0u);
+  EXPECT_TRUE(PagedRange(tree, MakeRect2(0, 0, 1, 1)).empty());
 }
 
-TEST(RTreeTest, SingleInsert) {
-  Tree2 tree;
-  tree.Insert(PointRect({0.5, 0.5}), 42);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.height(), 1u);
-  auto hits = TreeRange(tree, MakeRect2(0.4, 0.4, 0.6, 0.6));
-  EXPECT_EQ(hits, std::set<uint32_t>{42});
-  EXPECT_TRUE(TreeRange(tree, MakeRect2(0.6, 0.6, 0.7, 0.7)).empty());
-}
+class PackedRangeTest : public ::testing::TestWithParam<int> {};
 
-class RTreeInsertTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(RTreeInsertTest, InsertMatchesBruteForce) {
-  const int n = GetParam();
-  Rng rng(n);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, n);
-  RTreeOptions opts;
-  opts.max_entries = 8;
-  Tree2 tree(opts);
-  for (const auto& e : pts) tree.Insert(e.rect, e.id);
-  EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
-  EXPECT_TRUE(tree.CheckInvariants(
-      [](const NoAug&, const NoAug&) { return true; }));
-  for (int q = 0; q < 25; ++q) {
-    Rect2 range = MakeRect2(rng.Uniform(), rng.Uniform(), rng.Uniform(),
-                            rng.Uniform());
-    EXPECT_EQ(TreeRange(tree, range), BruteRange(pts, range));
-  }
-}
-
-TEST_P(RTreeInsertTest, BulkLoadHilbertMatchesBruteForce) {
+TEST_P(PackedRangeTest, RangeMatchesBruteForce) {
   const int n = GetParam();
   Rng rng(n + 1);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, n);
-  RTreeOptions opts;
-  opts.max_entries = 8;
-  Tree2 tree(opts);
-  std::vector<Tree2::Entry> sorted = pts;
-  SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted));
-  tree.BulkLoadSorted(sorted);
+  std::vector<Entry2> pts = RandomPoints(&rng, n);
+  const PagedTree tree = Pack(pts, 8, PageLayout{});
   EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
-  EXPECT_TRUE(tree.CheckInvariants(
-      [](const NoAug&, const NoAug&) { return true; }));
+  // Leaves first, the root last: the root is the highest node id.
+  EXPECT_EQ(tree.root_id(), tree.node_count() - 1);
+  EXPECT_EQ(tree.PeekNode(tree.root_id()).level() + 1u, tree.height());
   for (int q = 0; q < 25; ++q) {
     Rect2 range = MakeRect2(rng.Uniform(), rng.Uniform(), rng.Uniform(),
                             rng.Uniform());
-    EXPECT_EQ(TreeRange(tree, range), BruteRange(pts, range));
+    EXPECT_EQ(PagedRange(tree, range), BruteRange(pts, range));
   }
 }
 
-TEST_P(RTreeInsertTest, BulkLoadStrMatchesBruteForce) {
-  const int n = GetParam();
-  Rng rng(n + 2);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, n);
-  RTreeOptions opts;
-  opts.max_entries = 8;
-  Tree2 tree(opts);
-  std::vector<Tree2::Entry> sorted = pts;
-  SortSTR<2, NoAug>(&sorted, opts.max_entries);
-  tree.BulkLoadSorted(sorted);
-  EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
-  for (int q = 0; q < 25; ++q) {
-    Rect2 range = MakeRect2(rng.Uniform(), rng.Uniform(), rng.Uniform(),
-                            rng.Uniform());
-    EXPECT_EQ(TreeRange(tree, range), BruteRange(pts, range));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, RTreeInsertTest,
+INSTANTIATE_TEST_SUITE_P(Sizes, PackedRangeTest,
                          ::testing::Values(1, 7, 8, 9, 64, 257, 1000, 4096),
                          [](const ::testing::TestParamInfo<int>& param_info) {
                            // Appended, not "n" + ...: see hilbert_test.cc.
@@ -127,130 +107,77 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RTreeInsertTest,
                            return name;
                          });
 
-TEST(RTreeTest, HeightGrowsLogarithmically) {
-  RTreeOptions opts;
-  opts.max_entries = 16;
-  Tree2 tree(opts);
-  Rng rng(9);
-  for (int i = 0; i < 5000; ++i) {
-    tree.Insert(PointRect({rng.Uniform(), rng.Uniform()}), i);
-  }
-  // 5000 points with fan-out 16 and min fill ~6: height 3-5.
-  EXPECT_GE(tree.height(), 3u);
-  EXPECT_LE(tree.height(), 6u);
-}
-
-TEST(RTreeTest, BulkLoadPacksTighter) {
-  Rng rng(10);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, 2000);
-  RTreeOptions opts;
-  opts.max_entries = 32;
-  Tree2 inserted(opts), packed(opts);
-  for (const auto& e : pts) inserted.Insert(e.rect, e.id);
-  std::vector<Tree2::Entry> sorted = pts;
-  SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted));
-  packed.BulkLoadSorted(sorted);
-  EXPECT_LT(packed.node_count(), inserted.node_count());
-}
-
-TEST(RTreeTest, BulkLoadFillFactor) {
+TEST(PackTreeTest, FillFactorSetsNodeOccupancy) {
   Rng rng(11);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, 1000);
-  RTreeOptions opts;
-  opts.max_entries = 20;
-  Tree2 full(opts), seventy(opts);
-  full.BulkLoadSorted(pts, 1.0);
-  seventy.BulkLoadSorted(pts, 0.7);
-  EXPECT_GT(seventy.node_count(), full.node_count());
+  std::vector<Entry2> pts = RandomPoints(&rng, 1000);
+  const PagedTree full = Pack(pts, 20, PageLayout{}, 1.0);
+  const PagedTree partial = Pack(pts, 20, PageLayout{}, 0.75);
+  EXPECT_GT(partial.node_count(), full.node_count());
+  // 1000 records: 50 full leaves at fill 1.0; at 0.75, 67 leaves of 15
+  // (20 x 0.75), the last one holding the 10 left over.
+  EXPECT_EQ(full.PeekNode(0).size(), 20u);
+  EXPECT_EQ(full.PeekNode(50).level(), 1u);
+  EXPECT_EQ(partial.PeekNode(0).size(), 15u);
+  EXPECT_EQ(partial.PeekNode(66).size(), 10u);
+  EXPECT_EQ(partial.PeekNode(67).level(), 1u);
 }
 
-TEST(RTreeTest, BulkLoadReplacesInsertedContent) {
-  // A bulk load replaces the whole tree: the inserted records' nodes go,
-  // and the packed tree holds exactly the loaded records.
-  Rng rng(19);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, 200);
-  RTreeOptions opts;
-  opts.max_entries = 8;
-  Tree2 tree(opts);
-  for (int i = 0; i < 100; ++i) tree.Insert(pts[i].rect, pts[i].id);
-  tree.BulkLoadSorted(pts);
-  EXPECT_EQ(tree.size(), 200u);
-  EXPECT_TRUE(tree.CheckInvariants(
-      [](const NoAug&, const NoAug&) { return true; }));
-  std::set<uint32_t> all;
-  for (uint32_t i = 0; i < 200; ++i) all.insert(i);
-  EXPECT_EQ(TreeRange(tree, MakeRect2(0, 0, 1, 1)), all);
-}
-
-TEST(RTreeTest, DuplicatePointsAllRetrievable) {
-  RTreeOptions opts;
-  opts.max_entries = 4;
-  Tree2 tree(opts);
-  for (uint32_t i = 0; i < 50; ++i) tree.Insert(PointRect({0.5, 0.5}), i);
-  auto hits = TreeRange(tree, MakeRect2(0.5, 0.5, 0.5, 0.5));
-  EXPECT_EQ(hits.size(), 50u);
-}
-
-// Augmentation: max-value summaries must propagate through inserts/splits.
+// Augmentation: every parent entry must be the fold of its child node.
 struct MaxAug {
-  double value = 0.0;
+  double max_score = 0.0;
+
+  const std::vector<uint64_t>& words() const {
+    static const std::vector<uint64_t> kNone;
+    return kNone;
+  }
   static MaxAug Merge(const MaxAug& a, const MaxAug& b) {
-    return {std::max(a.value, b.value)};
+    return {std::max(a.max_score, b.max_score)};
   }
 };
 
-TEST(RTreeTest, AugmentationMaintainedUnderInsert) {
-  RTreeOptions opts;
-  opts.max_entries = 4;  // force many splits
-  RTree<2, MaxAug> tree(opts);
-  Rng rng(14);
-  for (uint32_t i = 0; i < 300; ++i) {
-    tree.Insert(PointRect({rng.Uniform(), rng.Uniform()}), i,
-                MaxAug{rng.Uniform()});
-  }
-  EXPECT_TRUE(tree.CheckInvariants([](const MaxAug& a, const MaxAug& b) {
-    return a.value == b.value;
-  }));
-}
-
-TEST(RTreeTest, AugmentationMaintainedUnderBulkLoad) {
-  RTreeOptions opts;
-  opts.max_entries = 8;
-  RTree<2, MaxAug> tree(opts);
+TEST(PackTreeTest, ParentEntriesFoldTheirChildren) {
   Rng rng(15);
-  std::vector<RTree<2, MaxAug>::Entry> pts;
+  std::vector<TreeEntry<2, MaxAug>> pts;
   for (uint32_t i = 0; i < 500; ++i) {
     pts.push_back({PointRect({rng.Uniform(), rng.Uniform()}), i,
                    MaxAug{rng.Uniform()}});
   }
-  tree.BulkLoadSorted(pts);
-  EXPECT_TRUE(tree.CheckInvariants([](const MaxAug& a, const MaxAug& b) {
-    return a.value == b.value;
-  }));
+  const PageLayout layout{0, /*has_score=*/true};
+  const PagedTree tree = Pack(pts, 4, layout);  // fan-out 4: deep tree
+  ASSERT_GE(tree.height(), 4u);
+  uint64_t internal_entries = 0;
+  std::vector<NodeId> stack{tree.root_id()};
+  while (!stack.empty()) {
+    const NodeView node = tree.PeekNode(stack.back());
+    stack.pop_back();
+    if (node.IsLeaf()) continue;
+    for (uint32_t i = 0; i < node.size(); ++i) {
+      const NodeView child = tree.PeekNode(node.id(i));
+      ASSERT_EQ(child.level() + 1u, node.level());
+      Rect2 mbr = child.mbr(0);
+      double max_score = child.score(0);
+      for (uint32_t j = 1; j < child.size(); ++j) {
+        mbr.Enlarge(child.mbr(j));
+        max_score = std::max(max_score, child.score(j));
+      }
+      EXPECT_EQ(node.mbr(i).lo, mbr.lo);
+      EXPECT_EQ(node.mbr(i).hi, mbr.hi);
+      EXPECT_EQ(node.score(i), max_score);
+      ++internal_entries;
+      stack.push_back(node.id(i));
+    }
+  }
+  // Every node but the root has one parent entry.
+  EXPECT_EQ(internal_entries, tree.node_count() - 1u);
 }
 
-TEST(RTreeTest, FourDimensionalTree) {
-  RTreeOptions opts;
-  opts.max_entries = 8;
-  RTree<4> tree(opts);
-  Rng rng(16);
-  std::vector<std::array<double, 4>> pts;
-  for (uint32_t i = 0; i < 400; ++i) {
-    std::array<double, 4> p{rng.Uniform(), rng.Uniform(), rng.Uniform(),
-                            rng.Uniform()};
-    pts.push_back(p);
-    tree.Insert(Rect4::FromPoint(p), i);
+TEST(PackTreeTest, DuplicatePointsAllRetrievable) {
+  std::vector<Entry2> pts;
+  for (uint32_t i = 0; i < 50; ++i) {
+    pts.push_back({PointRect({0.5, 0.5}), i, {}});
   }
-  Rect4 range{{0.2, 0.2, 0.2, 0.2}, {0.7, 0.7, 0.7, 0.7}};
-  std::set<uint32_t> got;
-  tree.ForEachInRange(range, [&](uint32_t id, const Rect4&, const NoAug&) {
-    got.insert(id);
-  });
-  std::set<uint32_t> expect;
-  for (uint32_t i = 0; i < pts.size(); ++i) {
-    if (range.Contains(pts[i])) expect.insert(i);
-  }
-  EXPECT_EQ(got, expect);
+  const PagedTree tree = Pack(pts, 4, PageLayout{});
+  EXPECT_EQ(PagedRange(tree, MakeRect2(0.5, 0.5, 0.5, 0.5)).size(), 50u);
 }
 
 TEST(FanOutTest, DerivedFromPageSize) {
@@ -265,10 +192,10 @@ TEST(BulkLoadTest, HilbertOrderingIsSpatiallyLocal) {
   // Consecutive records in Hilbert order should usually be close: the mean
   // hop distance must be far below the mean distance of a random pairing.
   Rng rng(18);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, 2000);
-  std::vector<Tree2::Entry> sorted = pts;
-  SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted));
-  auto mean_hop = [](const std::vector<Tree2::Entry>& v) {
+  std::vector<Entry2> pts = RandomPoints(&rng, 2000);
+  std::vector<Entry2> sorted = pts;
+  SortByHilbertKey(&sorted);
+  auto mean_hop = [](const std::vector<Entry2>& v) {
     double sum = 0;
     for (size_t i = 1; i < v.size(); ++i) {
       sum += Distance({v[i - 1].rect.lo[0], v[i - 1].rect.lo[1]},

@@ -6,9 +6,11 @@ Usage:
         --current artifacts/bench_micro.json [--threshold 2.0]
 
 Fails (exit 1) if any benchmark tracked in the baseline is more than
-`threshold` times slower in the current run.  Benchmarks present in only
-one of the two files are reported but never fatal, so adding or removing
-kernels does not require touching CI — only refreshing the baseline.
+`threshold` times slower in the current run, or has no result in it: a
+renamed or deleted kernel must leave the baseline in the same change,
+otherwise it would drop out of the gate without a word.  Benchmarks only
+in the current run are reported but never fatal, so a new kernel joins
+the gate at the next baseline refresh.
 
 The threshold is deliberately loose: CI machines are shared and noisy,
 and the point of the gate is to catch complexity regressions (an O(1)
@@ -55,11 +57,13 @@ def main():
         return 1
 
     regressions = []
+    missing = []
     width = max(len(n) for n in baseline)
     for name in sorted(baseline):
         base_ns = baseline[name]
         if name not in current:
-            print(f"  [missing ] {name:<{width}}  (not in current run)")
+            print(f"  [  MISSING] {name:<{width}}  (no result in current run)")
+            missing.append(name)
             continue
         cur_ns = current[name]
         ratio = cur_ns / base_ns if base_ns > 0 else float("inf")
@@ -72,11 +76,18 @@ def main():
     for name in sorted(set(current) - set(baseline)):
         print(f"  [untracked] {name} (not in baseline; add it on refresh)")
 
+    if missing:
+        print(f"\n{len(missing)} baseline kernel(s) have no result in the "
+              f"current run; delete their rows from the baseline if the "
+              f"kernels are gone:")
+        for name in missing:
+            print(f"  {name}")
     if regressions:
         print(f"\n{len(regressions)} kernel(s) regressed beyond "
               f"{args.threshold:.1f}x:")
         for name, ratio in regressions:
             print(f"  {name}: {ratio:.2f}x")
+    if missing or regressions:
         return 1
     print(f"\nall {len(baseline)} tracked kernels within "
           f"{args.threshold:.1f}x of baseline")

@@ -545,7 +545,7 @@ AdminStatusRows EngineStatusRows(const Engine* engine) {
   rows.emplace_back("feature_sets",
                     std::to_string(engine->num_feature_sets()));
   rows.emplace_back("backend",
-                    StorageBackendName(engine->options().storage.backend));
+                    StorageBackendName(engine->page_store().backend()));
   rows.emplace_back("page_size",
                     std::to_string(engine->options().storage.page_size));
   rows.emplace_back("pool_capacity_pages",
