@@ -344,35 +344,6 @@ void BM_BufferPoolAccessEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolAccessEvict);
 
-void BM_BufferPoolSessionHit(benchmark::State& state) {
-  // The query hot path: a node read charges a thread-bound isolated
-  // session.
-  // Warm the private pool first so every timed access is a hit.
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  BufferPool shared(2 * n);
-  BufferPool::Session session(&shared, /*isolated=*/true);
-  for (PageId p = 0; p < n; ++p) session.Access(p);
-  const std::vector<PageId> seq = PageSequence(17, n - 1);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(session.Access(seq[i]).hit());
-    i = (i + 1) & (seq.size() - 1);
-  }
-}
-BENCHMARK(BM_BufferPoolSessionHit)->Arg(256)->Arg(4096);
-
-void BM_BufferPoolSessionIsolated(benchmark::State& state) {
-  BufferPool shared(1024);
-  BufferPool::Session session(&shared, /*isolated=*/true);
-  const std::vector<PageId> seq = PageSequence(16, 2047);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(session.Access(seq[i]).hit());
-    i = (i + 1) & (seq.size() - 1);
-  }
-}
-BENCHMARK(BM_BufferPoolSessionIsolated);
-
 // ------------------------------- file-backed page store (DESIGN.md §16)
 
 /// Lazily writes a zero-filled fixture file of `pages` 4 KiB pages and

@@ -7,7 +7,7 @@
 // wall time, throughput, latency percentiles (DESIGN.md §12), and the
 // scaling factor over the
 // single-thread run.  Per-query page-read counts are identical across all
-// rows (cold-cache sessions), so the speedup is pure CPU parallelism.
+// rows (cold per-query pools), so the speedup is pure CPU parallelism.
 //
 // Setting STPQ_JSON_OUT=<path> additionally writes every row to <path> as
 // a JSON array, for CI artifact collection and cross-run comparison.

@@ -19,13 +19,10 @@ StpsCursor::StpsCursor(const ObjectIndex* objects,
       claimed_(objects->size(), false) {
   STPQ_CHECK(query_.variant == ScoreVariant::kRange &&
              "StpsCursor supports the range score only");
-  // The iterator primes its feature streams on construction; charge that
-  // I/O to the cursor's session like everything that follows.
-  std::optional<ExecutionSession::Scope> scope;
-  if (session_ != nullptr) scope.emplace(session_.get());
+  STPQ_CHECK(session_ != nullptr);
   iterator_ = std::make_unique<CombinationIterator>(
       feature_indexes_, query_, /*enforce_range_constraint=*/true, strategy,
-      &stats_, scratch_);
+      &stats_, session_->scratch());
 }
 
 StpsCursor::~StpsCursor() = default;
@@ -50,18 +47,13 @@ void StpsCursor::RefillBuffer() {
                           std::span<const Point>(member_pos.data(), real),
                           query_.radius, combo->score,
                           /*remaining=*/SIZE_MAX, &claimed_, &buffer_,
-                          stats_, scratch_);
+                          stats_, session_->scratch());
   }
 }
 
 std::optional<ResultEntry> StpsCursor::Next() {
-  // Route this thread's page accesses to the cursor's session for the
-  // duration of the call; Next() may run on any thread, including inside
-  // another query's scope (bindings nest).
-  std::optional<ExecutionSession::Scope> scope;
-  if (session_ != nullptr) scope.emplace(session_.get());
   if (next_ == buffer_.size()) RefillBuffer();
-  if (session_ != nullptr && session_->failed()) {
+  if (session_->failed()) {
     // An empty node stood in for a page that could not be fetched, so
     // nothing from here on (this refill included) can be trusted.
     exhausted_ = true;
@@ -72,13 +64,11 @@ std::optional<ResultEntry> StpsCursor::Next() {
   return buffer_[next_++];
 }
 
-Status StpsCursor::status() const {
-  return session_ != nullptr ? session_->status() : Status::OK();
-}
+Status StpsCursor::status() const { return session_->status(); }
 
 QueryStats StpsCursor::stats() const {
   QueryStats merged = stats_;
-  if (session_ != nullptr) session_->ExportIoCounters(merged);
+  session_->ExportIoCounters(merged);
   return merged;
 }
 

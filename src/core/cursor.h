@@ -9,11 +9,11 @@
 // Only the range variant supports this (the influence and NN variants need
 // cross-combination reconciliation before a result is final).
 //
-// A cursor opened through Engine::OpenCursor owns its own ExecutionSession:
-// its simulated I/O is charged to the cursor, not to the engine's shared
-// pools, so a cursor may outlive the query that opened it, be interleaved
-// with concurrent Execute calls, and be drained from a different thread
-// than the one that opened it.  A single cursor is not itself thread-safe:
+// A cursor owns its own ExecutionSession: its simulated I/O is charged to
+// the session's pools and its traversals use the session's scratch, so a
+// cursor may outlive the query that opened it, be interleaved with
+// concurrent Execute calls, and be drained from a different thread than
+// the one that opened it.  A single cursor is not itself thread-safe:
 // drain it from one thread at a time.
 #ifndef STPQ_CORE_CURSOR_H_
 #define STPQ_CORE_CURSOR_H_
@@ -36,14 +36,12 @@ class StpsCursor {
  public:
   /// `objects`, `feature_indexes` and the storage it views are not owned
   /// and must outlive the cursor.  `query.k` is ignored — the cursor is
-  /// unbounded.  `query.variant` must be kRange.  `session` (may be null)
-  /// receives the cursor's page-read accounting; Engine::OpenCursor always
-  /// provides one.
+  /// unbounded.  `query.variant` must be kRange.  `session` (non-null)
+  /// serves the cursor's page reads and traversal buffers.
   StpsCursor(const ObjectIndex* objects,
              std::span<const FeatureIndex* const> feature_indexes,
-             Query query,
-             PullingStrategy strategy = PullingStrategy::kPrioritized,
-             std::unique_ptr<ExecutionSession> session = nullptr);
+             Query query, PullingStrategy strategy,
+             std::unique_ptr<ExecutionSession> session);
 
   ~StpsCursor();
   StpsCursor(StpsCursor&&) = delete;
@@ -68,10 +66,10 @@ class StpsCursor {
   std::span<const FeatureIndex* const> feature_indexes_;
   Query query_;  // owned copy; the iterator references it
   QueryStats stats_;
+  /// Its scratch, reused across Next()/RefillBuffer calls, holds the
+  /// iterator's children memo, so it is declared before (and outlives)
+  /// the iterator.
   std::unique_ptr<ExecutionSession> session_;
-  /// Reused across Next()/RefillBuffer calls; its children memo is the
-  /// iterator's, so it is declared before (and outlives) the iterator.
-  TraversalScratch scratch_;
   std::unique_ptr<CombinationIterator> iterator_;
   std::vector<bool> claimed_;
   /// Results of the last combination; buffer_[next_..] are undelivered.

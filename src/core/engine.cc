@@ -17,11 +17,9 @@ namespace stpq {
 namespace {
 
 /// Build options of feature index `i` under the engine's options.
-FeatureIndexOptions FeatureOptions(const EngineOptions& options,
-                                   BufferPool* pool, size_t i) {
+FeatureIndexOptions FeatureOptions(const EngineOptions& options, size_t i) {
   FeatureIndexOptions fopts;
   fopts.page_size_bytes = options.storage.page_size;
-  fopts.buffer_pool = pool;
   // Feature indexes share one pool; page bases keep their page ids apart.
   fopts.page_base = TreePageBase(i + 1);
   fopts.fill = options.fill;
@@ -31,11 +29,9 @@ FeatureIndexOptions FeatureOptions(const EngineOptions& options,
   return fopts;
 }
 
-ObjectIndexOptions ObjectOptions(const EngineOptions& options,
-                                 BufferPool* pool) {
+ObjectIndexOptions ObjectOptions(const EngineOptions& options) {
   ObjectIndexOptions opts;
   opts.page_size_bytes = options.storage.page_size;
-  opts.buffer_pool = pool;
   opts.page_base = TreePageBase(0);
   opts.fill = options.fill;
   return opts;
@@ -99,9 +95,9 @@ Result<Engine> Engine::Build(std::vector<DataObject> objects,
   // Pack every tree once into its pages; the trees themselves are gone
   // when Pack returns, and the page array is all the engine keeps.
   std::vector<TreeImage> images;
-  images.push_back(ObjectIndex::Pack(objects, ObjectOptions(options, nullptr)));
+  images.push_back(ObjectIndex::Pack(objects, ObjectOptions(options)));
   for (size_t i = 0; i < feature_tables.size(); ++i) {
-    const FeatureIndexOptions fopts = FeatureOptions(options, nullptr, i);
+    const FeatureIndexOptions fopts = FeatureOptions(options, i);
     images.push_back(options.index_kind == FeatureIndexKind::kSrt
                          ? SrtIndex::Pack(feature_tables[i], fopts)
                          : Ir2Tree::Pack(feature_tables[i], fopts));
@@ -136,17 +132,12 @@ Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
           std::move(feature_tables))),
       page_store_(std::move(store)) {
   STPQ_CHECK(trees.size() == feature_tables_->size() + 1);
-  object_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
-                                              page_store_.get());
-  feature_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
-                                               page_store_.get());
   object_index_ = std::make_unique<ObjectIndex>(
-      objects_.get(), ObjectOptions(options_, object_pool_.get()),
-      std::move(trees[0]), page_store_.get());
+      objects_.get(), ObjectOptions(options_), std::move(trees[0]),
+      page_store_.get());
   for (size_t i = 0; i < feature_tables_->size(); ++i) {
     const FeatureTable* table = &(*feature_tables_)[i];
-    const FeatureIndexOptions fopts =
-        FeatureOptions(options_, feature_pool_.get(), i);
+    const FeatureIndexOptions fopts = FeatureOptions(options_, i);
     TreeMeta& meta = trees[i + 1];
     switch (options_.index_kind) {
       case FeatureIndexKind::kSrt:
@@ -161,14 +152,8 @@ Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
     index_ptrs_.push_back(feature_indexes_.back().get());
   }
 
-  sessions_ = std::make_unique<SessionPool>(
-      object_pool_.get(), feature_pool_.get(), options_.cold_cache_per_query);
-
-  // Queries start from a clean slate.
-  object_pool_->Clear();
-  object_pool_->ResetStats();
-  feature_pool_->Clear();
-  feature_pool_->ResetStats();
+  sessions_ = std::make_unique<SessionPool>(options_.storage.pool_capacity,
+                                            page_store_.get());
 }
 
 Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
@@ -270,12 +255,11 @@ Result<QueryResult> Engine::Execute(const Query& query,
     return st;
   }
 
-  // All per-query mutable state lives in the leased session (I/O
-  // accounting, scratch buffers) and in the executor's stack frames; the
+  // All per-query mutable state lives in the leased session (buffer
+  // pools, scratch buffers) and in the executor's stack frames; the
   // engine itself is only read, apart from the idle-session list.
   SessionPool::Lease lease(sessions_.get());
   ExecutionSession& session = lease.session();
-  ExecutionSession::Scope scope(&session);
   QueryResult result;
   Span query_span(result.stats);
   if (options.algorithm == Algorithm::kStds) {
@@ -303,10 +287,7 @@ Result<QueryResult> Engine::Execute(const Query& query,
   }
   // Feed the process-wide registry once per completed query: a fixed set
   // of relaxed atomic adds, never inside the search loops.
-  QueryMetrics& metrics = QueryMetrics::Global();
-  metrics.RecordQuery(result.stats);
-  metrics.object_pool_resident_pages.Set(object_pool_->resident_pages());
-  metrics.feature_pool_resident_pages.Set(feature_pool_->resident_pages());
+  QueryMetrics::Global().RecordQuery(result.stats);
   return result;
 }
 
@@ -321,7 +302,7 @@ Result<std::unique_ptr<StpsCursor>> Engine::OpenCursor(
         "cursors support the range score variant only");
   }
   auto session = std::make_unique<ExecutionSession>(
-      object_pool_.get(), feature_pool_.get(), options_.cold_cache_per_query);
+      options_.storage.pool_capacity, page_store_.get());
   return std::make_unique<StpsCursor>(object_index_.get(), index_ptrs_, query,
                                       options_.pulling, std::move(session));
 }

@@ -1,17 +1,17 @@
 // Engine: the library's main entry point.
 //
-// Owns the data objects, the feature tables, their indexes and the
-// simulated-disk buffer pools, and executes top-k spatio-textual preference
-// queries with either algorithm.  See examples/quickstart.cc for usage.
+// Owns the data objects, the feature tables, their indexes and the page
+// store behind them, and executes top-k spatio-textual preference queries
+// with either algorithm.  See examples/quickstart.cc for usage.
 //
 // Concurrency (DESIGN.md §11): a fully constructed Engine is immutable
 // apart from its list of idle execution sessions, and Execute/OpenCursor
 // are const and safe to call from any number of threads concurrently.
 // Each call runs inside its own ExecutionSession, which owns all per-query
-// mutable state including the simulated-I/O accounting; Execute leases one
-// from the engine's SessionPool and returns it when the query ends.  With
-// the default cold_cache_per_query option the per-query page-read counters
-// are identical to a sequential run regardless of thread count.
+// mutable state including the query's cold buffer pools; Execute leases
+// one from the engine's SessionPool and returns it when the query ends.
+// The per-query page-read counters are therefore identical to a
+// sequential run regardless of thread count.
 #ifndef STPQ_CORE_ENGINE_H_
 #define STPQ_CORE_ENGINE_H_
 
@@ -55,8 +55,10 @@ struct ExecuteOptions {
 /// in-memory page array it packs, Engine::Open the index file it opens
 /// (Engine::page_store() reports which).
 struct StorageOptions {
-  /// Buffer pool capacity in pages per pool (object pool + shared feature
-  /// pool); 0 = unbounded.
+  /// Capacity in pages of each of a query's two buffer pools (object
+  /// index, feature indexes); every query starts both cold, so reported
+  /// I/O is the pages the query reads.  0 = unbounded: the number of
+  /// distinct pages the query touches.
   uint64_t pool_capacity = 0;
   /// Simulated disk page size; drives R-tree fan-out.
   uint32_t page_size = kDefaultPageSizeBytes;
@@ -68,11 +70,6 @@ struct EngineOptions {
   FeatureIndexKind index_kind = FeatureIndexKind::kSrt;
   /// Page size and pool capacity (see StorageOptions).
   StorageOptions storage;
-  /// Charge each query against its own cold session pool, so reported I/O
-  /// is the number of distinct pages the query touches (deterministic,
-  /// machine-independent, and independent of concurrent queries).  When
-  /// false the shared pools stay warm across queries instead.
-  bool cold_cache_per_query = true;
   /// Target node occupancy for bulk loading.
   double fill = 1.0;
   /// IR2-tree signature parameters (see FeatureIndexOptions).
@@ -92,7 +89,7 @@ class Engine {
  public:
   /// Builds all indexes in memory over `objects` and `feature_tables`:
   /// packs every tree once into node pages held in an in-memory page
-  /// array (SimulatedPageStore), which the buffer pools serve.
+  /// array (SimulatedPageStore), which the queries' buffer pools read.
   /// Checks `options` (page size, fill factor, signature parameters) and
   /// the table count (at most kMaxFeatureSets), and returns
   /// InvalidArgument instead of building a broken engine.  A file-backed
@@ -106,10 +103,10 @@ class Engine {
   /// the file (FilePageStore); no node is decoded into memory.  Build
   /// parameters (index kind, page size, fill, signatures) come from the
   /// file's superblock and override whatever `options` says; runtime knobs
-  /// (pool capacity, cold-cache, pulling, batching, ...) are taken from
-  /// `options`.  A reopened engine answers every query with results and
-  /// per-query page-read counters identical to the engine that built the
-  /// file.  Typed errors: IoError (unreadable/truncated), InvalidArgument
+  /// (pool capacity, pulling, batching, ...) are taken from `options`.  A
+  /// reopened engine answers every query with results and per-query
+  /// page-read counters identical to the engine that built the file.
+  /// Typed errors: IoError (unreadable/truncated), InvalidArgument
   /// (not an index file / unsupported version, versions 1 and 2 included /
   /// more than kMaxFeatureSets tables), Corruption (checksum or structural
   /// damage).
@@ -173,14 +170,9 @@ class Engine {
   }
   const ObjectIndex& object_index() const { return *object_index_; }
   const EngineOptions& options() const { return options_; }
-  /// The page source behind both buffer pools (the in-memory page array of
-  /// a built engine, the FilePageStore of an opened one).
+  /// The page source behind every query's buffer pools (the in-memory
+  /// page array of a built engine, the FilePageStore of an opened one).
   const PageStore& page_store() const { return *page_store_; }
-
-  /// The buffer pools, for live occupancy reporting (/statusz).  Reading
-  /// stats/occupancy concurrently with queries is safe; see BufferPool.
-  const BufferPool& object_pool() const { return *object_pool_; }
-  const BufferPool& feature_pool() const { return *feature_pool_; }
 
   /// Name of the feature index in use ("SRT" or "IR2").
   const char* IndexName() const {
@@ -190,8 +182,8 @@ class Engine {
  private:
   /// Sets up the object index and one feature index per table over the
   /// packed trees `trees` (tree order: the object tree, then one per
-  /// table), whose pages `store` serves; `store` also backs both buffer
-  /// pools.  `options` must already be validated.
+  /// table), whose pages `store` serves to the queries' buffer pools.
+  /// `options` must already be validated.
   Engine(EngineOptions options, std::vector<DataObject> objects,
          std::vector<FeatureTable> feature_tables,
          std::unique_ptr<PageStore> store, std::vector<TreeMeta> trees);
@@ -207,10 +199,8 @@ class Engine {
   // engine (Result<Engine>, factory returns) keeps their addresses stable.
   std::unique_ptr<std::vector<DataObject>> objects_;
   std::unique_ptr<std::vector<FeatureTable>> feature_tables_;
-  // Declared before the pools, which hold a raw pointer into it.
+  // Sessions' pools and the indexes hold a raw pointer into it.
   std::unique_ptr<PageStore> page_store_;
-  std::unique_ptr<BufferPool> object_pool_;
-  std::unique_ptr<BufferPool> feature_pool_;
   std::unique_ptr<ObjectIndex> object_index_;
   std::vector<std::unique_ptr<FeatureIndex>> feature_indexes_;
   /// Borrowed views of feature_indexes_, in table order; immutable after

@@ -4,20 +4,18 @@
 // call mutates — search heaps, combination iterators, QueryStats, and the
 // simulated-I/O accounting — must live on the call's own stack or in this
 // session object.  The heaps and iterators are naturally local to the
-// algorithms; the I/O accounting is not, because index node reads charge
-// the engine's shared BufferPools from deep inside the read path.  The
-// session closes that gap: it owns one BufferPool::Session per pool
-// (object index + feature indexes) and a Scope that routes the executing
-// thread's page accesses to them, so N concurrent queries each see their
-// own counters (DESIGN.md §11).
+// algorithms; the I/O accounting lives here: the session owns the query's
+// two buffer pools (object index, feature indexes), each a cold LRU of the
+// engine's pool capacity over the engine's PageStore, and points its
+// scratch at them, so every node read of the query charges its own pools
+// and N concurrent queries each see their own counters (DESIGN.md §11).
 //
 // Execute leases a session from the engine's SessionPool and returns it
-// afterwards, so the session's scratch buffers (and its private pools'
-// frames and page-table slots) carry their capacity from one query to the
-// next: a warm query allocates nothing but the entries it returns.  Cursors
-// own a session for their whole lifetime, binding it during each Next() so
-// a cursor can outlive the query that opened it and be drained from any
-// thread (one thread at a time).
+// afterwards, so the session's scratch buffers (and its pools' frames and
+// page-table slots) carry their capacity from one query to the next: a
+// warm query allocates nothing but the entries it returns.  Cursors own a
+// session for their whole lifetime, so a cursor can outlive the query that
+// opened it and be drained from any thread (one thread at a time).
 #ifndef STPQ_CORE_EXEC_SESSION_H_
 #define STPQ_CORE_EXEC_SESSION_H_
 
@@ -31,78 +29,60 @@
 
 namespace stpq {
 
-/// Owns the per-query buffer-pool accounting for one query execution.
+/// Owns the buffer pools and traversal buffers of one query execution.
+/// One thread at a time.
 class ExecutionSession {
  public:
-  /// `object_pool` / `feature_pool` are the engine's shared pools (not
-  /// owned, must outlive the session).  `isolated` mirrors
-  /// EngineOptions::cold_cache_per_query: isolated sessions count distinct
-  /// pages against a private cold pool (deterministic under concurrency);
-  /// shared sessions keep the engine pools warm across queries.
-  ExecutionSession(BufferPool* object_pool, BufferPool* feature_pool,
-                   bool isolated)
-      : object_session_(object_pool, isolated),
-        feature_session_(feature_pool, isolated) {}
+  /// Two cold pools of `pool_capacity` pages (0 = unbounded) over `store`
+  /// (not owned, must outlive the session).
+  ExecutionSession(uint64_t pool_capacity, PageStore* store)
+      : object_pool_(pool_capacity, store),
+        feature_pool_(pool_capacity, store) {
+    scratch_.object_pool = &object_pool_;
+    scratch_.children.set_pool(&feature_pool_);
+  }
 
   ExecutionSession(const ExecutionSession&) = delete;
   ExecutionSession& operator=(const ExecutionSession&) = delete;
 
-  /// RAII: while alive, this thread's accesses to both engine pools are
-  /// charged to this session.  Scopes nest LIFO; never bind the same
-  /// session on two threads at once.
-  class Scope {
-   public:
-    explicit Scope(ExecutionSession* session)
-        : object_bind_(&session->object_session_),
-          feature_bind_(&session->feature_session_) {}
-
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    BufferPool::ScopedBind object_bind_;
-    BufferPool::ScopedBind feature_bind_;
-  };
-
-  /// Reusable traversal buffers for the executing query (DESIGN.md §13).
-  /// Same threading contract as the pool sessions: one query, one thread
-  /// at a time.
+  /// Reusable traversal buffers for the executing query (DESIGN.md §13),
+  /// pointed at the session's pools.
   TraversalScratch& scratch() { return scratch_; }
 
-  /// Readies the session for another query: zeroes both pool sessions'
-  /// counters and errors and empties their private cold pools, keeping
-  /// frames, page buffers and page-table slots.  The scratch needs no
-  /// reset — every user clears what it borrows.
+  /// Readies the session for another query: empties both pools and zeroes
+  /// their counters and errors, keeping frames, page buffers and
+  /// page-table slots.  The scratch needs no reset — every user clears
+  /// what it borrows.
   void Reset() {
-    object_session_.Reset();
-    feature_session_.Reset();
+    object_pool_.Reset();
+    feature_pool_.Reset();
   }
 
   /// The first page fetch failure of the query (object pool first), or OK.
   /// A failed fetch yields an empty node, so a query that saw one has no
   /// trustworthy result; Engine::Execute and the cursor return this.
   [[nodiscard]] Status status() const {
-    Status object = object_session_.status();
-    return object.ok() ? feature_session_.status() : object;
+    Status object = object_pool_.status();
+    return object.ok() ? feature_pool_.status() : object;
   }
   /// Whether status() is not OK, without building it.
   [[nodiscard]] bool failed() const {
-    return object_session_.failed() || feature_session_.failed();
+    return object_pool_.failed() || feature_pool_.failed();
   }
 
   /// Writes this session's I/O counters into `stats` (overwriting the
   /// read/hit fields; the algorithm counters are untouched).
   void ExportIoCounters(QueryStats& stats) const {
-    const BufferPoolStats obj = object_session_.stats();
-    const BufferPoolStats feat = feature_session_.stats();
+    const BufferPoolStats obj = object_pool_.stats();
+    const BufferPoolStats feat = feature_pool_.stats();
     stats.object_index_reads = obj.reads;
     stats.feature_index_reads = feat.reads;
     stats.buffer_hits = obj.hits + feat.hits;
   }
 
  private:
-  BufferPool::Session object_session_;
-  BufferPool::Session feature_session_;
+  BufferPool object_pool_;
+  BufferPool feature_pool_;
   TraversalScratch scratch_;
 };
 
@@ -113,13 +93,10 @@ class ExecutionSession {
 /// each keeps the capacity of the largest query it ran.  Thread-safe.
 class SessionPool {
  public:
-  /// Sessions are created over the engine's pools (not owned, must outlive
-  /// the SessionPool) in the engine's cold-cache mode.
-  SessionPool(BufferPool* object_pool, BufferPool* feature_pool,
-              bool isolated)
-      : object_pool_(object_pool),
-        feature_pool_(feature_pool),
-        isolated_(isolated) {}
+  /// Sessions get pools of `pool_capacity` pages over `store` (not owned,
+  /// must outlive the SessionPool).
+  SessionPool(uint64_t pool_capacity, PageStore* store)
+      : pool_capacity_(pool_capacity), store_(store) {}
 
   SessionPool(const SessionPool&) = delete;
   SessionPool& operator=(const SessionPool&) = delete;
@@ -154,8 +131,7 @@ class SessionPool {
     }
     if (session == nullptr) {
       // First use, or more queries in flight than ever before.
-      return std::make_unique<ExecutionSession>(object_pool_, feature_pool_,
-                                                isolated_);
+      return std::make_unique<ExecutionSession>(pool_capacity_, store_);
     }
     session->Reset();
     return session;
@@ -166,9 +142,8 @@ class SessionPool {
     idle_.push_back(std::move(session));
   }
 
-  BufferPool* object_pool_;
-  BufferPool* feature_pool_;
-  bool isolated_;
+  uint64_t pool_capacity_;
+  PageStore* store_;
   Mutex mu_;
   std::vector<std::unique_ptr<ExecutionSession>> idle_ STPQ_GUARDED_BY(mu_);
 };

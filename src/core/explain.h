@@ -36,7 +36,8 @@ struct Explanation {
 };
 
 /// Explains tau(p) for `object` under `query` using `engine`'s indexes.
-/// The engine's buffer pools are charged as for a normal query.
+/// The re-derivation reads its pages uncharged, so `stats` carries no
+/// page reads.
 Explanation ExplainScore(const Engine* engine, const Query& query, ObjectId object);
 
 }  // namespace stpq

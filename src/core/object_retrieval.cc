@@ -23,7 +23,7 @@ void CollectObjectsInRange(const ObjectIndex& objects,
   while (!stack.empty() && added < remaining) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const NodeView node = objects.ReadNode(nid);
+    const NodeView node = objects.ReadNode(scratch.object_pool, nid);
     uint32_t pruned = 0;
     uint32_t descended = 0;
     for (uint32_t i = 0; i < node.size(); ++i) {

@@ -27,6 +27,7 @@ ChildrenMemo::IndexMemo& ChildrenMemo::Bind(const FeatureIndex& index,
   if (!memo->BoundTo(index, query_kw, lambda)) {
     memo->Rebind(index, query_kw, lambda);
   }
+  memo->pool_ = pool_;
   return *memo;
 }
 
@@ -43,7 +44,7 @@ void ChildrenMemo::IndexMemo::Rebind(const FeatureIndex& index,
 NodeChildren ChildrenMemo::IndexMemo::Evaluate(NodeId node, Entry& e) {
   const size_t begin = children_.size();
   const NodeVisit visit =
-      index_->VisitChildren(node, keywords_, lambda_, &children_);
+      index_->VisitChildren(pool_, node, keywords_, lambda_, &children_);
   e = Entry{static_cast<uint32_t>(begin),
             static_cast<uint32_t>(children_.size() - begin),
             visit.text_pruned, visit.level};

@@ -39,7 +39,9 @@
 //   * Views.  A view (NodeChildren) points into the memo's storage and is
 //     valid until the next Visit on the same index.  Kernels consume it
 //     before expanding another node.
-//   * Page accounting.  A repeated visit still charges its page through
+//   * Page accounting.  The memo holds the pool that feature-index reads
+//     charge (the session's feature pool; null for an uncharged bare
+//     kernel).  A repeated visit still charges its page through
 //     FeatureIndex::TouchNode, in the same order as before, so reads,
 //     buffer hits, evictions and the per-level traversal profile are the
 //     same as evaluating the node every time.  The memo saves CPU only;
@@ -244,7 +246,7 @@ class ChildrenMemo {
       bool first = false;
       Entry& e = entries_.FindOrInsert(node, &first);
       if (first) return Evaluate(node, e);
-      index_->TouchNode(node);
+      index_->TouchNode(pool_, node);
       return ViewOf(e);
     }
 
@@ -275,6 +277,7 @@ class ChildrenMemo {
     }
 
     const FeatureIndex* index_ = nullptr;  ///< null = unbound
+    BufferPool* pool_ = nullptr;  ///< the memo's pool, set by Bind
     KeywordSet keywords_;
     double lambda_ = 0.0;
     StampedMap<Entry> entries_;  ///< node id -> its kept children
@@ -293,7 +296,13 @@ class ChildrenMemo {
     for (IndexMemo& m : memos_) m.index_ = nullptr;
   }
 
+  /// The pool every feature-index read through this memo charges (not
+  /// owned; null = uncharged reads).
+  [[nodiscard]] BufferPool* pool() const { return pool_; }
+  void set_pool(BufferPool* pool) { pool_ = pool; }
+
  private:
+  BufferPool* pool_ = nullptr;
   std::array<IndexMemo, kSlots> memos_;
   size_t next_victim_ = 0;
 };
@@ -425,16 +434,22 @@ struct InfluenceScratch {
   std::vector<double> scores;
 };
 
-/// The per-session buffer set.  Buffers are independent: a kernel may use
-/// any subset, but two *simultaneously live* users must not share one of
-/// them (sequential calls are fine — each clears what it borrows).  The
-/// query path satisfies this by construction: component-score, Voronoi,
-/// and object-retrieval traversals never nest inside each other, and the
-/// executors' own buffers (combination, flags, top-k, ...) are disjoint
-/// from the kernels'.  The children memo is shared on purpose, also by
-/// interleaved traversals (sorted feature streams paused between pulls):
-/// it is only read through short-lived views.
+/// The per-session buffer set, and the pools the kernels' reads charge:
+/// `object_pool` for object-index reads, the children memo's pool for
+/// feature-index reads (both null, uncharged, in a bare scratch; an
+/// ExecutionSession points them at the pools it owns).  Buffers are
+/// independent: a kernel may use any subset, but two *simultaneously
+/// live* users must not share one of them (sequential calls are fine —
+/// each clears what it borrows).  The query path satisfies this by
+/// construction: component-score, Voronoi, and object-retrieval traversals
+/// never nest inside each other, and the executors' own buffers
+/// (combination, flags, top-k, ...) are disjoint from the kernels'.  The
+/// children memo is shared on purpose, also by interleaved traversals
+/// (sorted feature streams paused between pulls): it is only read through
+/// short-lived views.
 struct TraversalScratch {
+  /// The pool object-index reads charge (not owned; null = uncharged).
+  BufferPool* object_pool = nullptr;
   /// Search-heap storage (max- or min-ordered via BorrowedHeap).
   std::vector<SearchHeapItem> heap;
   /// Relevant children of every feature-index node this query visited.

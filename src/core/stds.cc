@@ -67,6 +67,7 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
   // The leaf-block scan itself is object retrieval; the component-score
   // lookups inside it carve out their own (child) phase.
   Span span(stats, QueryPhase::kObjectRetrieval);
+  BufferPool* const object_pool = scr.object_pool;
 
   if (query.variant == ScoreVariant::kRange && use_batching) {
     // Batched STDS: every object-R-tree leaf block is one batch.
@@ -77,8 +78,8 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
     std::vector<BatchObject>& sub = b.sub;
     std::vector<uint32_t>& sub_index = b.sub_index;
     std::vector<double>& set_scores = b.set_scores;
-    objects_->ForEachLeafBlock([&](std::span<const ObjectId> ids,
-                                   const Rect2& mbr) {
+    objects_->ForEachLeafBlock(object_pool, [&](std::span<const ObjectId> ids,
+                                                const Rect2& mbr) {
       batch.clear();
       for (ObjectId id : ids) {
         batch.push_back(BatchObject{id, objects_->Get(id).pos});
@@ -120,8 +121,8 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
     }, &scr.stack, &scr.objects, &stats);
   } else {
     // Per-object scan (Algorithm 1 verbatim).
-    objects_->ForEachLeafBlock([&](std::span<const ObjectId> ids,
-                                   const Rect2&) {
+    objects_->ForEachLeafBlock(object_pool, [&](std::span<const ObjectId> ids,
+                                                const Rect2&) {
       for (ObjectId id : ids) {
         const Point& pos = objects_->Get(id).pos;
         double tau = ScoreObjectPruned(feature_indexes_, query, pos,

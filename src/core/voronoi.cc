@@ -28,9 +28,9 @@ void ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
                         TraversalScratch& scratch, VoronoiCell* out) {
   Span span(stats, QueryPhase::kVoronoi, index.set_ordinal(), center_id);
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
+  BufferPool* const pool = scratch.children.pool();
   const BufferPoolStats before =
-      index.buffer_pool() != nullptr ? index.buffer_pool()->stats()
-                                     : BufferPoolStats{};
+      pool != nullptr ? pool->stats() : BufferPoolStats{};
   const Point center = index.table().Get(center_id).pos;
   VoronoiCell& cell = *out;
   cell.center = center_id;
@@ -73,8 +73,8 @@ void ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
                     static_cast<uint32_t>(node.relevant.size()));
   }
 
-  if (index.buffer_pool() != nullptr) {
-    stats.voronoi_reads += (index.buffer_pool()->stats() - before).reads;
+  if (pool != nullptr) {
+    stats.voronoi_reads += (pool->stats() - before).reads;
   }
 }
 

@@ -8,8 +8,8 @@
 //
 // RunWorkload is the one batch driver.  It fans the batch across a fixed
 // pool of worker threads over one engine (one worker runs the same code);
-// the engine's read path is thread-safe, and with the default
-// cold_cache_per_query accounting every thread count reports identical
+// the engine's read path is thread-safe, and since every query reads
+// through cold pools of its own, every thread count reports identical
 // per-query results and page-read counts (DESIGN.md §11).
 #ifndef STPQ_CORE_WORKLOAD_H_
 #define STPQ_CORE_WORKLOAD_H_

@@ -6,7 +6,6 @@
 
 #include "rtree/bulk_load.h"
 #include "util/result.h"
-#include "util/thread_annotations.h"
 
 namespace stpq {
 
@@ -331,10 +330,6 @@ Status ValidateObjectIndex(const ObjectIndex& index) {
 }
 
 Status ValidateBufferPool(const BufferPool& pool) {
-  // The validator inspects raw chain/table state, so it takes the pool's
-  // own mutex: safe on the quiescent pools it is documented for, and it
-  // keeps the thread-safety analysis sound instead of being opted out.
-  MutexLock lock(pool.mu_);
   constexpr uint32_t kNil = BufferPool::kNilFrame;
   // Walk the intrusive LRU chain from the head: every link must be in
   // range, back-links must mirror forward links, and the chain must be

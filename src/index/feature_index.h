@@ -49,23 +49,21 @@ class FeatureIndex {
   /// it) the children whose text may match, with their score bounds, and
   /// returns the node's level and how many entries it dropped.  The node
   /// is read in place from its page, keyword column first, so a dropped
-  /// entry costs only its keyword words.  Charges one page access.
-  virtual NodeVisit VisitChildren(NodeId node_id, const KeywordSet& query_kw,
-                                  double lambda,
+  /// entry costs only its keyword words.  Charges one page access to
+  /// `pool` (none when it is null).
+  virtual NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,
+                                  const KeywordSet& query_kw, double lambda,
                                   std::vector<FeatureBranch>* out) const = 0;
 
-  /// Charges the page access of visiting `node_id` exactly as
+  /// Charges `pool` the page access of visiting `node_id` exactly as
   /// VisitChildren does, without evaluating its children.  The
   /// relevant-children memo (core/scratch.h) calls it when it answers a
   /// repeated visit from memory, so reads, hits and evictions stay those
   /// of one page access per node visit.
-  virtual void TouchNode(NodeId node_id) const = 0;
+  virtual void TouchNode(BufferPool* pool, NodeId node_id) const = 0;
 
   /// The record store this index was built over.
   virtual const FeatureTable& table() const = 0;
-
-  /// The buffer pool charged by this index (for I/O accounting).
-  virtual BufferPool* buffer_pool() const = 0;
 
   /// Human-readable index name ("SRT", "IR2"), for benchmark labels.
   virtual const char* Name() const = 0;

@@ -22,7 +22,7 @@ IndexStatsReport Analyze(const PagedTree& tree, const FeatureTable& table) {
   while (!stack.empty()) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const NodeView node = tree.ReadNode(nid);
+    const NodeView node = tree.PeekNode(nid);
     if (!node.IsLeaf()) {
       for (uint32_t i = 0; i < node.size(); ++i) stack.push_back(node.id(i));
       continue;

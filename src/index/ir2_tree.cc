@@ -43,7 +43,7 @@ Ir2Tree::Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options)
       scheme_(SignatureBits(options.signature_bits, table->universe_size()),
               options.signature_hashes),
       tree_(Pack(*table, options), Layout(scheme_.signature_bits()),
-            options.buffer_pool, options.page_base) {
+            options.page_base) {
   STPQ_VALIDATE(ValidateIr2Tree(*this));
 }
 
@@ -55,12 +55,12 @@ Ir2Tree::Ir2Tree(const FeatureTable* table,
       scheme_(SignatureBits(options.signature_bits, table->universe_size()),
               options.signature_hashes),
       tree_(std::move(meta), Layout(scheme_.signature_bits()), pages,
-            options.buffer_pool, options.page_base) {}
+            options.page_base) {}
 
-NodeVisit Ir2Tree::VisitChildren(NodeId node_id, const KeywordSet& query_kw,
-                                 double lambda,
+NodeVisit Ir2Tree::VisitChildren(BufferPool* pool, NodeId node_id,
+                                 const KeywordSet& query_kw, double lambda,
                                  std::vector<FeatureBranch>* out) const {
-  const NodeView node = tree_.ReadNode(node_id);
+  const NodeView node = tree_.ReadNode(pool, node_id);
   const uint32_t query_count = query_kw.Count();
   const bool leaf = node.IsLeaf();
   NodeVisit visit{node.level(), 0};

@@ -53,14 +53,13 @@ class Ir2Tree : public FeatureIndex {
                         const FeatureIndexOptions& options);
 
   NodeId RootId() const override { return tree_.root_id(); }
-  NodeVisit VisitChildren(NodeId node_id, const KeywordSet& query_kw,
-                          double lambda,
+  NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,
+                          const KeywordSet& query_kw, double lambda,
                           std::vector<FeatureBranch>* out) const override;
-  void TouchNode(NodeId node_id) const override {
-    static_cast<void>(tree_.ReadNode(node_id));
+  void TouchNode(BufferPool* pool, NodeId node_id) const override {
+    static_cast<void>(tree_.ReadNode(pool, node_id));
   }
   const FeatureTable& table() const override { return *table_; }
-  BufferPool* buffer_pool() const override { return tree_.buffer_pool(); }
   const char* Name() const override { return "IR2"; }
 
   /// The index's pages (tests, validators, Save).

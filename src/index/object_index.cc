@@ -33,8 +33,7 @@ Rect2 DomainOf(const std::vector<DataObject>& objects) {
 ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
                          const ObjectIndexOptions& options)
     : objects_(objects),
-      tree_(Pack(*objects, options), Layout(), options.buffer_pool,
-            options.page_base),
+      tree_(Pack(*objects, options), Layout(), options.page_base),
       domain_(DomainOf(*objects)) {
   STPQ_VALIDATE(ValidateObjectIndex(*this));
 }
@@ -43,12 +42,11 @@ ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
                          const ObjectIndexOptions& options, TreeMeta meta,
                          const PageStore* pages)
     : objects_(objects),
-      tree_(std::move(meta), Layout(), pages, options.buffer_pool,
-            options.page_base),
+      tree_(std::move(meta), Layout(), pages, options.page_base),
       domain_(DomainOf(*objects)) {}
 
-void ObjectIndex::RangeQuery(const Point& center, double radius,
-                             std::vector<ObjectId>* out,
+void ObjectIndex::RangeQuery(BufferPool* pool, const Point& center,
+                             double radius, std::vector<ObjectId>* out,
                              std::vector<NodeId>* stack,
                              QueryStats* stats) const {
   out->clear();
@@ -62,7 +60,7 @@ void ObjectIndex::RangeQuery(const Point& center, double radius,
   while (!stack->empty()) {
     NodeId nid = stack->back();
     stack->pop_back();
-    const NodeView node = tree_.ReadNode(nid);
+    const NodeView node = tree_.ReadNode(pool, nid);
     uint32_t pruned = 0;
     uint32_t descended = 0;
     for (uint32_t i = 0; i < node.size(); ++i) {

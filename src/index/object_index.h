@@ -17,7 +17,6 @@ namespace stpq {
 /// Build-time knobs for the object index.
 struct ObjectIndexOptions {
   uint32_t page_size_bytes = kDefaultPageSizeBytes;
-  BufferPool* buffer_pool = nullptr;
   PageId page_base = 0;
   double fill = 1.0;
 };
@@ -56,22 +55,25 @@ class ObjectIndex {
   size_t size() const { return objects_->size(); }
 
   /// Ids of all objects within Euclidean distance `radius` of `center`,
-  /// into `out` (cleared first).  `stack` is the traversal's working
-  /// storage; both keep their capacity for the caller's next walk.  With
-  /// `stats`, node expansions land in the object-tree traversal profile
-  /// (and as trace instants).
-  void RangeQuery(const Point& center, double radius,
+  /// into `out` (cleared first).  Every node read is charged to `pool`
+  /// (none when it is null).  `stack` is the traversal's working storage;
+  /// both keep their capacity for the caller's next walk.  With `stats`,
+  /// node expansions land in the object-tree traversal profile (and as
+  /// trace instants).
+  void RangeQuery(BufferPool* pool, const Point& center, double radius,
                   std::vector<ObjectId>* out, std::vector<NodeId>* stack,
                   QueryStats* stats = nullptr) const;
 
   /// Calls `fn(std::span<const ObjectId> ids, const Rect2& mbr)` once per
-  /// leaf node with the leaf's object ids and its MBR.  Used by batched
-  /// STDS: each leaf is a spatially clustered batch.  `stack` and `ids`
-  /// are the walk's working storage (`fn` must not touch them).  With
-  /// `stats`, node expansions land in the object-tree traversal profile
-  /// (and as trace instants).
+  /// leaf node with the leaf's object ids and its MBR, charging every node
+  /// read to `pool` (none when it is null).  Used by batched STDS: each
+  /// leaf is a spatially clustered batch.  `stack` and `ids` are the
+  /// walk's working storage (`fn` must not touch them).  With `stats`,
+  /// node expansions land in the object-tree traversal profile (and as
+  /// trace instants).
   template <typename LeafFn>
-  void ForEachLeafBlock(const LeafFn& fn, std::vector<NodeId>* stack,
+  void ForEachLeafBlock(BufferPool* pool, const LeafFn& fn,
+                        std::vector<NodeId>* stack,
                         std::vector<ObjectId>* ids,
                         QueryStats* stats = nullptr) const;
 
@@ -82,13 +84,13 @@ class ObjectIndex {
   NodeId RootId() const { return tree_.root_id(); }
 
   /// Reads node `id` for a custom traversal (STPS object retrieval): one
-  /// page access.
-  NodeView ReadNode(NodeId id) const { return tree_.ReadNode(id); }
+  /// page access charged to `pool` (none when it is null).
+  NodeView ReadNode(BufferPool* pool, NodeId id) const {
+    return tree_.ReadNode(pool, id);
+  }
 
   /// Mutable pages for deliberate-corruption invariant tests only.
   [[nodiscard]] PagedTree& mutable_tree_for_test() { return tree_; }
-
-  BufferPool* buffer_pool() const { return tree_.buffer_pool(); }
 
   /// Spatial bounding box of all data objects (the NN variant's Voronoi
   /// domain).
@@ -101,7 +103,7 @@ class ObjectIndex {
 };
 
 template <typename LeafFn>
-void ObjectIndex::ForEachLeafBlock(const LeafFn& fn,
+void ObjectIndex::ForEachLeafBlock(BufferPool* pool, const LeafFn& fn,
                                    std::vector<NodeId>* stack,
                                    std::vector<ObjectId>* ids,
                                    QueryStats* stats) const {
@@ -117,7 +119,7 @@ void ObjectIndex::ForEachLeafBlock(const LeafFn& fn,
     {
       // The leaf's ids and MBR are copied out, so the page is released
       // before `fn` runs.
-      const NodeView node = tree_.ReadNode(nid);
+      const NodeView node = tree_.ReadNode(pool, nid);
       leaf = node.IsLeaf();
       level = node.level();
       entries = node.size();

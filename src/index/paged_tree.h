@@ -5,9 +5,9 @@
 // pages at page ids [base, base + node_count).  A built engine's trees
 // share its in-memory page array, an opened engine's trees share the
 // index file; a tree built on its own (tests, benches, ablations) owns a
-// private page array.  Reads charge the tree's BufferPool and view the
-// frame's page; a pool without a store only counts, and the bytes come
-// straight from the tree's store.
+// private page array.  A read charges the BufferPool its caller passes
+// and views the frame's page; a pool without a store only counts, and the
+// bytes come straight from the tree's store.  A null pool reads uncharged.
 #ifndef STPQ_INDEX_PAGED_TREE_H_
 #define STPQ_INDEX_PAGED_TREE_H_
 
@@ -25,23 +25,13 @@ namespace stpq {
 class PagedTree {
  public:
   /// Reads the pages `pages` serves (not owned; must outlive the tree).
-  /// `pool` (may be null) is charged per read; when it has a store, that
-  /// store must be `pages`.
   PagedTree(TreeMeta meta, const PageLayout& layout, const PageStore* pages,
-            BufferPool* pool, PageId base)
-      : meta_(std::move(meta)),
-        layout_(layout),
-        pages_(pages),
-        pool_(pool),
-        base_(base) {
-    STPQ_CHECK(pool_ == nullptr || pool_->page_store() == nullptr ||
-               pool_->page_store() == pages_);
-  }
+            PageId base)
+      : meta_(std::move(meta)), layout_(layout), pages_(pages), base_(base) {}
 
   /// Owns `image`'s pages in a private in-memory page array.
-  PagedTree(TreeImage image, const PageLayout& layout, BufferPool* pool,
-            PageId base)
-      : PagedTree(image.meta, layout, nullptr, pool, base) {
+  PagedTree(TreeImage image, const PageLayout& layout, PageId base)
+      : PagedTree(image.meta, layout, nullptr, base) {
     std::vector<SimulatedPageStore::Extent> extents;
     if (image.meta.node_count > 0) {
       extents.push_back({base, image.meta.node_count, image.slot_bytes,
@@ -54,11 +44,13 @@ class PagedTree {
   PagedTree(PagedTree&&) = default;
   PagedTree& operator=(PagedTree&&) = default;
 
-  /// Reads node `id`: one page access charged to the pool.
-  [[nodiscard]] NodeView ReadNode(NodeId id) const {
-    if (pool_ == nullptr) return PeekNode(id);
-    PageView page = pool_->Access(base_ + id);
-    if (pool_->page_store() == nullptr) return PeekNode(id);
+  /// Reads node `id`: one page access charged to `pool`, or none when
+  /// `pool` is null.  A pool with a store must read this tree's store.
+  [[nodiscard]] NodeView ReadNode(BufferPool* pool, NodeId id) const {
+    if (pool == nullptr) return PeekNode(id);
+    PageView page = pool->Access(base_ + id);
+    if (pool->page_store() == nullptr) return PeekNode(id);
+    STPQ_DCHECK(pool->page_store() == pages_);
     return NodeView(std::move(page), layout_, meta_.max_entries);
   }
 
@@ -89,14 +81,12 @@ class PagedTree {
   [[nodiscard]] const TreeMeta& meta() const { return meta_; }
   [[nodiscard]] const PageLayout& layout() const { return layout_; }
   [[nodiscard]] const PageStore& pages() const { return *pages_; }
-  [[nodiscard]] BufferPool* buffer_pool() const { return pool_; }
 
  private:
   TreeMeta meta_;
   PageLayout layout_;
   std::unique_ptr<SimulatedPageStore> own_pages_;
   const PageStore* pages_;
-  BufferPool* pool_;
   PageId base_;
 };
 

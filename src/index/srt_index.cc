@@ -40,7 +40,7 @@ SrtIndex::SrtIndex(const FeatureTable* table,
     : FeatureIndex(options.set_ordinal),
       table_(table),
       tree_(Pack(*table, options), Layout(table->universe_size()),
-            options.buffer_pool, options.page_base) {
+            options.page_base) {
   STPQ_VALIDATE(ValidateSrtIndex(*this));
 }
 
@@ -50,12 +50,12 @@ SrtIndex::SrtIndex(const FeatureTable* table,
     : FeatureIndex(options.set_ordinal),
       table_(table),
       tree_(std::move(meta), Layout(table->universe_size()), pages,
-            options.buffer_pool, options.page_base) {}
+            options.page_base) {}
 
-NodeVisit SrtIndex::VisitChildren(NodeId node_id, const KeywordSet& query_kw,
-                                  double lambda,
+NodeVisit SrtIndex::VisitChildren(BufferPool* pool, NodeId node_id,
+                                  const KeywordSet& query_kw, double lambda,
                                   std::vector<FeatureBranch>* out) const {
-  const NodeView node = tree_.ReadNode(node_id);
+  const NodeView node = tree_.ReadNode(pool, node_id);
   const std::vector<uint64_t>& query = query_kw.blocks();
   const uint32_t words = node.keyword_words();
   STPQ_DCHECK(query.size() == words);

@@ -23,7 +23,6 @@ namespace stpq {
 /// Build-time knobs shared by the feature indexes.
 struct FeatureIndexOptions {
   uint32_t page_size_bytes = kDefaultPageSizeBytes;
-  BufferPool* buffer_pool = nullptr;
   PageId page_base = 0;
   double fill = 1.0;  ///< target node occupancy for bulk loading
   /// IR2-tree only: signature width in bits (0 = 2x the keyword universe).
@@ -77,14 +76,13 @@ class SrtIndex : public FeatureIndex {
                         const FeatureIndexOptions& options);
 
   NodeId RootId() const override { return tree_.root_id(); }
-  NodeVisit VisitChildren(NodeId node_id, const KeywordSet& query_kw,
-                          double lambda,
+  NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,
+                          const KeywordSet& query_kw, double lambda,
                           std::vector<FeatureBranch>* out) const override;
-  void TouchNode(NodeId node_id) const override {
-    static_cast<void>(tree_.ReadNode(node_id));
+  void TouchNode(BufferPool* pool, NodeId node_id) const override {
+    static_cast<void>(tree_.ReadNode(pool, node_id));
   }
   const FeatureTable& table() const override { return *table_; }
-  BufferPool* buffer_pool() const override { return tree_.buffer_pool(); }
   const char* Name() const override { return "SRT"; }
 
   /// Fan-out on a page of `page_size` bytes: an entry charges the 2-D

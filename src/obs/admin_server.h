@@ -75,7 +75,7 @@ struct AdminServerOptions {
   MetricsRecorder* recorder = nullptr;
   /// Slow-query source for /slowz (optional).
   SlowQueryLog* slow_log = nullptr;
-  /// Extra /statusz rows (engine kind, storage backend, pool occupancy).
+  /// Extra /statusz rows (engine kind, storage backend, pool capacity).
   std::function<AdminStatusRows()> status_provider;
   /// Liveness check: return false (and fill *detail) to turn /healthz
   /// into a 503.  Absent = always healthy while the server runs.

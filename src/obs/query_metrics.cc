@@ -55,13 +55,7 @@ QueryMetrics::QueryMetrics(MetricsRegistry& registry)
           "stpq_feature_tree_entries_descended_total",
           "Feature-index child entries descended into or accepted")),
       query_cpu_ms(registry.GetHistogram(
-          "stpq_query_cpu_ms", "Per-query CPU time in milliseconds")),
-      object_pool_resident_pages(registry.GetGauge(
-          "stpq_object_pool_resident_pages",
-          "Pages resident in the object-index buffer pool")),
-      feature_pool_resident_pages(registry.GetGauge(
-          "stpq_feature_pool_resident_pages",
-          "Pages resident in the shared feature-index buffer pool")) {
+          "stpq_query_cpu_ms", "Per-query CPU time in milliseconds")) {
   for (size_t i = 0; i < kNumQueryPhases; ++i) {
     const char* phase = QueryPhaseName(static_cast<QueryPhase>(i));
     phase_us_total[i] = &registry.GetCounter(

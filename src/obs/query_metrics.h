@@ -6,8 +6,7 @@
 // allocation.  Engine::Execute calls RecordQuery() with the final
 // QueryStats of each completed query, RecordRejected() for queries that
 // fail validation, and bumps io_failed_total for queries a page fetch
-// failed; the engine's resource gauges (buffer-pool residency, Voronoi
-// cache size) are refreshed alongside.
+// failed.
 #ifndef STPQ_OBS_QUERY_METRICS_H_
 #define STPQ_OBS_QUERY_METRICS_H_
 
@@ -52,10 +51,6 @@ class QueryMetrics {
   HistogramMetric& query_cpu_ms;
   /// Per-phase self-time totals, indexed by QueryPhase.
   Counter* phase_us_total[kNumQueryPhases];
-
-  // Resource gauges refreshed by the engine after each query.
-  Gauge& object_pool_resident_pages;
-  Gauge& feature_pool_resident_pages;
 };
 
 }  // namespace stpq

@@ -9,16 +9,6 @@
 
 namespace stpq {
 
-namespace {
-
-/// Thread-local binding stack: (shared pool, session) pairs, innermost
-/// last.  A plain vector beats a map here — a thread holds at most a
-/// handful of bindings (two per query: object pool + feature pool).
-thread_local std::vector<std::pair<const BufferPool*, BufferPool::Session*>>
-    tls_bindings;
-
-}  // namespace
-
 // ------------------------------------------------------------- page table
 
 uint64_t BufferPool::PageTable::Hash(PageId page) {
@@ -150,35 +140,9 @@ BufferPool::BufferPool(uint64_t capacity_pages, PageStore* store)
                                     : static_cast<uint8_t>(store->backend())) {
 }
 
-BufferPool::Session* BufferPool::CurrentSession() const {
-  for (auto it = tls_bindings.rbegin(); it != tls_bindings.rend(); ++it) {
-    if (it->first == this) return it->second;
-  }
-  return nullptr;
-}
-
 PageView BufferPool::Access(PageId page) {
-  if (Session* session = CurrentSession()) return session->Access(page);
-  return AccessLocked(page);
-}
-
-PageView BufferPool::AccessLocked(PageId page) {
-  MutexLock lock(mu_);
   bool hit = false;
   const uint32_t f = PinInternal(page, &hit);
-  return ViewOf(f, hit, /*locked=*/true);
-}
-
-PageView BufferPool::AccessSingleThreaded(PageId page) {
-  // Thread-safety analysis is off here (see the header): `this` is an
-  // isolated session's private pool, reachable only from the one thread
-  // that owns the session, so mu_ is deliberately skipped.
-  bool hit = false;
-  const uint32_t f = PinInternal(page, &hit);
-  return ViewOf(f, hit, /*locked=*/false);
-}
-
-PageView BufferPool::ViewOf(uint32_t f, bool hit, bool locked) {
   const Frame& frame = frames_[f];
   PageView view(std::span<const uint8_t>(frame.data, frame.size));
   if (frame.data == nullptr && store_ != nullptr) {
@@ -186,7 +150,6 @@ PageView BufferPool::ViewOf(uint32_t f, bool hit, bool locked) {
   }
   view.pool_ = this;
   view.frame_ = f;
-  view.locked_ = locked;
   view.hit_ = hit;
   return view;
 }
@@ -195,11 +158,7 @@ uint32_t BufferPool::PinInternal(PageId page, bool* hit) {
   uint32_t f = table_.Find(page);
   *hit = f != kNilFrame;
   if (*hit) {
-    // Plain load+store, not a locked RMW: writers are serialized by mu_
-    // (or by the isolated session's single thread), atomics only make the
-    // lock-free stats() readers well-defined.
-    hits_.store(hits_.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
+    ++hits_;
     STPQ_TRACE_INSTANT(TraceEventType::kPoolHit, 0, 0,
                        static_cast<uint32_t>(page & 0xffffffffu), page);
     if (capacity_ != 0 && head_ != f) {  // unbounded pools skip LRU upkeep
@@ -209,8 +168,7 @@ uint32_t BufferPool::PinInternal(PageId page, bool* hit) {
     ++frames_[f].pins;
     return f;
   }
-  reads_.store(reads_.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
+  ++reads_;
   STPQ_TRACE_INSTANT(TraceEventType::kPoolMiss, backend_tag_, 0,
                      static_cast<uint32_t>(page & 0xffffffffu), page);
   // The miss has been counted; now the store serves the page into the
@@ -229,6 +187,7 @@ uint32_t BufferPool::PinInternal(PageId page, bool* hit) {
   frame.data = bytes.empty() ? nullptr : bytes.data();
   frame.size = static_cast<uint32_t>(bytes.size());
   if (held.fault.failed()) {
+    if (!fault_.failed()) fault_ = held.fault;
     // Not admitted: the frame leaves with its view, so the next access
     // fetches the page again instead of replaying this failure.
     frame.detached = true;
@@ -241,11 +200,6 @@ uint32_t BufferPool::PinInternal(PageId page, bool* hit) {
     EvictOneUnpinned(f);
   }
   return f;
-}
-
-void BufferPool::UnpinLocked(uint32_t f) {
-  MutexLock lock(mu_);
-  UnpinInternal(f);
 }
 
 void BufferPool::EvictOneUnpinned(uint32_t admitted) {
@@ -275,8 +229,7 @@ void BufferPool::EvictOneUnpinned(uint32_t admitted) {
 }
 
 void BufferPool::Clear() {
-  MutexLock lock(mu_);
-  STPQ_DCHECK(PinnedResidentsLocked() == 0);
+  STPQ_DCHECK(pinned_pages() == 0);
   // Move every resident frame to the free list; the frame array and the
   // page-table slot array keep their allocations for the next fill.
   for (uint32_t f = head_; f != kNilFrame;) {
@@ -290,28 +243,22 @@ void BufferPool::Clear() {
 }
 
 void BufferPool::ResetStats() {
-  MutexLock lock(mu_);
-  reads_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
+  reads_ = 0;
+  hits_ = 0;
 }
 
-BufferPoolStats BufferPool::stats() const {
-  if (Session* session = CurrentSession()) return session->stats();
-  return {reads_.load(std::memory_order_relaxed),
-          hits_.load(std::memory_order_relaxed)};
+void BufferPool::Reset() {
+  Clear();
+  ResetStats();
+  fault_ = {};
 }
 
-uint64_t BufferPool::resident_pages() const {
-  MutexLock lock(mu_);
-  return chain_size_;
+Status BufferPool::status() const {
+  if (!fault_.failed()) return Status::OK();
+  return store_->FaultStatus(fault_);
 }
 
 uint64_t BufferPool::pinned_pages() const {
-  MutexLock lock(mu_);
-  return PinnedResidentsLocked();
-}
-
-uint64_t BufferPool::PinnedResidentsLocked() const {
   uint64_t pinned = 0;
   for (uint32_t f = head_; f != kNilFrame; f = frames_[f].next) {
     if (frames_[f].pins > 0) ++pinned;
@@ -319,57 +266,10 @@ uint64_t BufferPool::PinnedResidentsLocked() const {
   return pinned;
 }
 
-PageView BufferPool::Session::Access(PageId page) {
-  // The private pool is single-threaded by construction (only this
-  // session's thread reaches it) and never the target of a binding, so an
-  // isolated access skips the mutex and cannot recurse into session
-  // routing.
-  PageView view = isolated_ ? private_pool_->AccessSingleThreaded(page)
-                            : shared_->AccessLocked(page);
-  if (!isolated_) {
-    if (view.hit()) {
-      ++stats_.hits;
-    } else {
-      ++stats_.reads;
-    }
-  }
-  if (view.fault().failed() && !fault_.failed()) fault_ = view.fault();
-  return view;
-}
-
-Status BufferPool::Session::status() const {
-  if (!fault_.failed()) return Status::OK();
-  return shared_->page_store()->FaultStatus(fault_);
-}
-
-void BufferPool::Session::Reset() {
-  if (isolated_) {
-    private_pool_->Clear();
-    private_pool_->ResetStats();
-  }
-  stats_ = {};
-  fault_ = {};
-}
-
-BufferPoolStats BufferPool::Session::stats() const {
-  if (isolated_) {
-    return {private_pool_->reads_.load(std::memory_order_relaxed),
-            private_pool_->hits_.load(std::memory_order_relaxed)};
-  }
-  return stats_;
-}
-
 PageView PageView::Unpooled(const PageStore& store, PageId page) {
   PageView view;
   view.bytes_ = store.ReadPage(page, &view.owned_, &view.fault_);
   return view;
 }
-
-BufferPool::ScopedBind::ScopedBind(Session* session) {
-  STPQ_DCHECK(session != nullptr);
-  tls_bindings.emplace_back(session->shared_pool(), session);
-}
-
-BufferPool::ScopedBind::~ScopedBind() { tls_bindings.pop_back(); }
 
 }  // namespace stpq

@@ -353,26 +353,6 @@ TEST(StatsTest, ColdCachePerQueryIsDeterministic) {
   EXPECT_GT(a.stats.TotalReads(), 0u);
 }
 
-TEST(StatsTest, WarmCacheReducesReads) {
-  SyntheticConfig cfg;
-  cfg.num_objects = 1000;
-  cfg.num_features_per_set = 1000;
-  cfg.num_feature_sets = 2;
-  cfg.vocabulary_size = 32;
-  cfg.num_clusters = 100;
-  Dataset ds = GenerateSynthetic(cfg);
-  QueryWorkloadConfig qcfg;
-  qcfg.count = 4;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  EngineOptions warm;
-  warm.cold_cache_per_query = false;
-  Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), warm).TakeValue();
-  QueryResult first = engine.Execute(queries[0], Algorithm::kStps).TakeValue();
-  QueryResult again = engine.Execute(queries[0], Algorithm::kStps).TakeValue();
-  EXPECT_LT(again.stats.TotalReads(), first.stats.TotalReads());
-  EXPECT_GT(again.stats.buffer_hits, 0u);
-}
-
 // ------------------------------------------------ relevant-children memo
 
 /// Forwards every call to `inner`, counting child evaluations per node and
@@ -383,18 +363,17 @@ class CountingIndex : public FeatureIndex {
       : FeatureIndex(inner->set_ordinal()), inner_(inner) {}
 
   NodeId RootId() const override { return inner_->RootId(); }
-  NodeVisit VisitChildren(NodeId node_id, const KeywordSet& query_kw,
-                          double lambda,
+  NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,
+                          const KeywordSet& query_kw, double lambda,
                           std::vector<FeatureBranch>* out) const override {
     ++evaluations_[node_id];
-    return inner_->VisitChildren(node_id, query_kw, lambda, out);
+    return inner_->VisitChildren(pool, node_id, query_kw, lambda, out);
   }
-  void TouchNode(NodeId node_id) const override {
+  void TouchNode(BufferPool* pool, NodeId node_id) const override {
     ++touches_;
-    inner_->TouchNode(node_id);
+    inner_->TouchNode(pool, node_id);
   }
   const FeatureTable& table() const override { return inner_->table(); }
-  BufferPool* buffer_pool() const override { return inner_->buffer_pool(); }
   const char* Name() const override { return inner_->Name(); }
 
   uint64_t Evaluations(NodeId node_id) const {
@@ -458,7 +437,8 @@ void ExpectViewMatchesVisit(const FeatureIndex& index, NodeId node,
                                const KeywordSet& kw, double lambda,
                                const NodeChildren& got) {
   std::vector<FeatureBranch> want;
-  const NodeVisit visit = index.VisitChildren(node, kw, lambda, &want);
+  const NodeVisit visit =
+      index.VisitChildren(/*pool=*/nullptr, node, kw, lambda, &want);
   const NodeView page = PagesOf(index).PeekNode(node);
   EXPECT_EQ(got.level, visit.level) << "node " << node;
   EXPECT_EQ(got.level, page.level()) << "node " << node;
@@ -519,15 +499,13 @@ TEST_P(ChildrenMemoTest, RepeatVisitIsOnePoolHitAndNoEvaluation) {
   BufferPool pool(0);
   FeatureIndexOptions opts;
   opts.page_size_bytes = 512;
-  opts.buffer_pool = &pool;
   std::unique_ptr<FeatureIndex> index =
       BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
   CountingIndex counting(index.get());
-  pool.Clear();
-  pool.ResetStats();
 
   const KeywordSet kw(32, {1, 2});
   ChildrenMemo memo;
+  memo.set_pool(&pool);
   ChildrenMemo::IndexMemo& bound = memo.Bind(counting, kw, 0.5);
   const NodeId root = counting.RootId();
   const size_t first_size = bound.Visit(root).relevant.size();
@@ -602,7 +580,6 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
   BufferPool feature_pool(0);
   ObjectIndexOptions oopts;
   oopts.page_size_bytes = 512;
-  oopts.buffer_pool = &object_pool;
   ObjectIndex objects(&ds.objects, oopts);
   std::vector<std::unique_ptr<FeatureIndex>> indexes;
   std::vector<std::unique_ptr<CountingIndex>> counters;
@@ -611,7 +588,6 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
   for (uint32_t i = 0; i < cfg.num_feature_sets; ++i) {
     FeatureIndexOptions opts;  // the engine's page layout
     opts.page_size_bytes = 512;
-    opts.buffer_pool = &feature_pool;
     opts.page_base = TreePageBase(i + 1);
     opts.set_ordinal = i;
     indexes.push_back(
@@ -629,11 +605,11 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
   enum class Executor { kStdsBatched, kStdsPerObject, kStps, kStpsCombos };
   auto run = [&](Executor executor, const std::vector<const FeatureIndex*>& ix,
                  const Query& q) {
-    object_pool.Clear();
-    object_pool.ResetStats();
-    feature_pool.Clear();
-    feature_pool.ResetStats();
+    object_pool.Reset();
+    feature_pool.Reset();
     TraversalScratch scratch;
+    scratch.object_pool = &object_pool;
+    scratch.children.set_pool(&feature_pool);
     QueryResult r;
     switch (executor) {
       case Executor::kStdsBatched:

@@ -1,7 +1,7 @@
 // Concurrency tests for the engine's thread-safe read path (DESIGN.md §11).
 //
-// The load-bearing guarantee: with the default cold_cache_per_query
-// accounting, a parallel run over N threads produces byte-identical
+// The load-bearing guarantee: every query reads through cold pools of its
+// own, so a parallel run over N threads produces byte-identical
 // ResultEntry lists AND identical per-query page-read counters to a
 // sequential run — concurrency must not perturb either the answers or the
 // simulated-I/O cost model.  These tests are the ones the CI thread-
@@ -182,19 +182,19 @@ TEST(ConcurrencyTest, CursorOutlivesQueryAndMovesThreads) {
   load.join();
 }
 
-// Warm shared-pool mode: counters depend on interleaving (hits vs misses),
-// but results must not, and the mutex-protected pool must be TSan-clean.
-TEST(ConcurrencyTest, WarmSharedPoolKeepsResultsCorrect) {
+// Bounded per-query pools: every query evicts within its own 64-page
+// pools, so under 8 threads each query's entries and page reads are those
+// of the sequential run, and nothing the threads share races (TSan).
+TEST(ConcurrencyTest, SmallPoolsKeepResultsAndReadsUnderThreads) {
   Dataset ds = MakeDataset(1'000, 800);
   std::vector<Query> queries = MixedWorkload(ds, 60);
   EngineOptions opts;
-  opts.cold_cache_per_query = false;
-  opts.storage.pool_capacity = 64;  // force eviction churn under contention
+  opts.storage.pool_capacity = 64;  // force eviction churn in every query
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
 
-  std::vector<std::vector<ResultEntry>> expected;
+  std::vector<QueryResult> expected;
   for (const Query& q : queries) {
-    expected.push_back(engine.Execute(q, Algorithm::kStps).TakeValue().entries);
+    expected.push_back(engine.Execute(q, Algorithm::kStps).TakeValue());
   }
 
   std::atomic<size_t> next{0};
@@ -203,11 +203,9 @@ TEST(ConcurrencyTest, WarmSharedPoolKeepsResultsCorrect) {
       size_t i = next.fetch_add(1);
       if (i >= queries.size()) return;
       QueryResult r = engine.Execute(queries[i], Algorithm::kStps).TakeValue();
-      ASSERT_EQ(r.entries.size(), expected[i].size()) << "query " << i;
-      for (size_t k = 0; k < r.entries.size(); ++k) {
-        EXPECT_EQ(r.entries[k].object, expected[i][k].object);
-        EXPECT_EQ(r.entries[k].score, expected[i][k].score);
-      }
+      ExpectIdentical(expected[i], r, i);
+      EXPECT_EQ(r.stats.buffer_hits, expected[i].stats.buffer_hits)
+          << "query " << i;
     }
   };
   std::vector<std::thread> pool;
@@ -216,57 +214,46 @@ TEST(ConcurrencyTest, WarmSharedPoolKeepsResultsCorrect) {
 }
 
 // Execute leases pooled sessions: threads lease and return them
-// concurrently, in both accounting modes, and a session that served other
-// threads' queries answers the next one exactly like a fresh session.
+// concurrently, and a session that served other threads' queries answers
+// the next one exactly like a fresh session.
 TEST(ConcurrencyTest, PooledSessionsReturnCleanAfterConcurrentUse) {
   const Dataset ds = MakeDataset(1'000, 800);
   const std::vector<Query> queries = MixedWorkload(ds, 48);
-  for (bool cold : {true, false}) {
-    EngineOptions opts;
-    opts.cold_cache_per_query = cold;
-    Dataset d = MakeDataset(1'000, 800);
-    Engine engine =
-        Engine::Build(d.objects, std::move(d.feature_tables), opts)
-            .TakeValue();
-    std::vector<QueryResult> stps;
-    std::vector<std::vector<ResultEntry>> stds;
-    for (const Query& q : queries) {
-      stps.push_back(engine.Execute(q, Algorithm::kStps).TakeValue());
-      stds.push_back(engine.Execute(q, Algorithm::kStds).TakeValue().entries);
-    }
+  Dataset d = MakeDataset(1'000, 800);
+  Engine engine =
+      Engine::Build(d.objects, std::move(d.feature_tables), {}).TakeValue();
+  std::vector<QueryResult> stps;
+  std::vector<std::vector<ResultEntry>> stds;
+  for (const Query& q : queries) {
+    stps.push_back(engine.Execute(q, Algorithm::kStps).TakeValue());
+    stds.push_back(engine.Execute(q, Algorithm::kStds).TakeValue().entries);
+  }
 
-    constexpr size_t kThreads = 6;
-    std::vector<std::thread> pool;
-    for (size_t t = 0; t < kThreads; ++t) {
-      pool.emplace_back([&, t]() {
-        for (size_t round = 0; round < 2; ++round) {
-          for (size_t i = t; i < queries.size(); i += kThreads) {
-            const bool use_stds = (i + round) % 2 == 0;
-            QueryResult r =
-                engine
-                    .Execute(queries[i], use_stds ? Algorithm::kStds
-                                                  : Algorithm::kStps)
-                    .TakeValue();
-            EXPECT_EQ(r.entries, use_stds ? stds[i] : stps[i].entries)
-                << (cold ? "cold" : "warm") << " query " << i;
-          }
+  constexpr size_t kThreads = 6;
+  std::vector<std::thread> pool;
+  for (size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t]() {
+      for (size_t round = 0; round < 2; ++round) {
+        for (size_t i = t; i < queries.size(); i += kThreads) {
+          const bool use_stds = (i + round) % 2 == 0;
+          QueryResult r =
+              engine
+                  .Execute(queries[i], use_stds ? Algorithm::kStds
+                                                : Algorithm::kStps)
+                  .TakeValue();
+          EXPECT_EQ(r.entries, use_stds ? stds[i] : stps[i].entries)
+              << "query " << i;
         }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-
-    for (size_t i = 0; i < queries.size(); ++i) {
-      QueryResult r = engine.Execute(queries[i], Algorithm::kStps).TakeValue();
-      EXPECT_EQ(r.entries, stps[i].entries)
-          << (cold ? "cold" : "warm") << " query " << i;
-      if (cold) {
-        // Warm pools keep pages across queries, so only cold accounting
-        // repeats the first run's counters.
-        ExpectIdentical(stps[i], r, i);
-        EXPECT_EQ(r.stats.buffer_hits, stps[i].stats.buffer_hits)
-            << "query " << i;
       }
-    }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryResult r = engine.Execute(queries[i], Algorithm::kStps).TakeValue();
+    ExpectIdentical(stps[i], r, i);
+    EXPECT_EQ(r.stats.buffer_hits, stps[i].stats.buffer_hits)
+        << "query " << i;
   }
 }
 

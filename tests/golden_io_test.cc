@@ -1,7 +1,7 @@
 // Golden I/O regression test: page-read counts and feature-tree traversal
 // totals for the paper-example workloads, a synthetic matrix at the
-// default page size (and one bounded shared-pool workload whose hit/miss
-// split pins the exact LRU eviction order) are
+// default page size (and one bounded-pool workload whose hit/miss split
+// pins the exact LRU eviction order) are
 // checked against constants captured before the buffer-pool rewrite, the
 // keyword-signature fast paths and the relevant-children memo.  The
 // hot-path optimizations must change no query result, no I/O accounting
@@ -90,8 +90,8 @@ bool GoldenPrintMode() {
 }
 
 /// Paper-example matrix: every (index, algorithm, variant) combination on
-/// the Section 3 tourist query, cold isolated session per query (the
-/// default), small pages so the trees have real depth.
+/// the Section 3 tourist query, cold pools per query, small pages so the
+/// trees have real depth.
 std::vector<GoldenRow> RunPaperMatrix() {
   std::vector<GoldenRow> rows;
   Vocabulary rv = testing_example::RestaurantVocab();
@@ -121,11 +121,13 @@ std::vector<GoldenRow> RunPaperMatrix() {
   return rows;
 }
 
-/// Bounded shared-pool workload: 32-page pools kept warm across a mixed
-/// query stream, so the cumulative reads/hits split depends on the exact
-/// LRU eviction order (any reordering in the rewritten pool shows up
-/// here even if single-query cold counts survive).
-std::vector<GoldenRow> RunSharedPoolWorkload() {
+/// Bounded-pool workload: a mixed stream of 40 queries, each on cold
+/// 32-page pools.  The queries read more pages than they touch (3769
+/// object and 83248 SRT feature reads against 3006 and 7788 with
+/// unbounded pools), so the reads/hits split depends on the exact LRU
+/// eviction order (any reordering in the pool shows up here even if the
+/// distinct-page counts survive).
+std::vector<GoldenRow> RunBoundedPoolWorkload() {
   std::vector<GoldenRow> rows;
   SyntheticConfig cfg;
   cfg.seed = 77;
@@ -141,7 +143,6 @@ std::vector<GoldenRow> RunSharedPoolWorkload() {
     opts.index_kind = kind;
     opts.storage.page_size = 256;
     opts.storage.pool_capacity = 32;
-    opts.cold_cache_per_query = false;
     Engine engine = Engine::Build(std::move(ds.objects), std::move(ds.feature_tables), opts).TakeValue();
     Rng rng(99);
     QueryStats total;
@@ -168,16 +169,16 @@ std::vector<GoldenRow> RunSharedPoolWorkload() {
       total += result.value().stats;
     }
     rows.push_back(MakeRow(kind == FeatureIndexKind::kSrt ? "SRT" : "IR2",
-                           "mixed", "warm40", total));
+                           "mixed", "cold40", total));
   }
   return rows;
 }
 
 /// Default-page matrix: every (index, algorithm, variant) combination on a
-/// synthetic dataset at the default 4096-byte page, a cold buffer pool
-/// per query (the default), each row summed over the same four queries.  The other
-/// matrices use 128- and 256-byte pages, where every fan-out floors at 4,
-/// so only this one sees how many entries a page holds.
+/// synthetic dataset at the default 4096-byte page, cold pools per query,
+/// each row summed over the same four queries.  The other matrices use
+/// 128- and 256-byte pages, where every fan-out floors at 4, so only this
+/// one sees how many entries a page holds.
 std::vector<GoldenRow> RunDefaultPageMatrix() {
   std::vector<GoldenRow> rows;
   SyntheticConfig cfg;
@@ -269,10 +270,12 @@ const std::vector<GoldenRow>& ExpectedPaperMatrix() {
   return kRows;
 }
 
-const std::vector<GoldenRow>& ExpectedSharedPool() {
+// Captured before the warm shared-pool mode was deleted, with that
+// code's cold per-query pools.
+const std::vector<GoldenRow>& ExpectedBoundedPool() {
   static const std::vector<GoldenRow> kRows = {
-      {"SRT", "mixed", "warm40", 3632, 83187, 139311, 405028, 477306},
-      {"IR2", "mixed", "warm40", 3632, 18716, 112042, 219101, 296977},
+      {"SRT", "mixed", "cold40", 3769, 83248, 139113, 405028, 477306},
+      {"IR2", "mixed", "cold40", 3769, 18773, 111848, 219101, 296977},
   };
   return kRows;
 }
@@ -379,13 +382,13 @@ TEST(GoldenIoTest, DefaultPageMatrix) {
   ExpectRowsMatch(ExpectedDefaultPageMatrix(), actual, "DefaultPageMatrix");
 }
 
-TEST(GoldenIoTest, SharedPoolWorkload) {
-  std::vector<GoldenRow> actual = RunSharedPoolWorkload();
+TEST(GoldenIoTest, BoundedPoolWorkload) {
+  std::vector<GoldenRow> actual = RunBoundedPoolWorkload();
   if (GoldenPrintMode()) {
-    PrintRows("SharedPoolWorkload", actual);
+    PrintRows("BoundedPoolWorkload", actual);
     GTEST_SKIP() << "golden print mode";
   }
-  ExpectRowsMatch(ExpectedSharedPool(), actual, "SharedPoolWorkload");
+  ExpectRowsMatch(ExpectedBoundedPool(), actual, "BoundedPoolWorkload");
 }
 
 }  // namespace

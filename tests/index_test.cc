@@ -102,10 +102,8 @@ std::set<uint32_t> RecordsBelow(const PagedTree& tree, NodeId root) {
 
 class FeatureIndexConformance : public ::testing::TestWithParam<IndexFactory> {
  protected:
-  std::unique_ptr<FeatureIndex> Build(const FeatureTable* table,
-                                      BufferPool* pool = nullptr) {
+  std::unique_ptr<FeatureIndex> Build(const FeatureTable* table) {
     FeatureIndexOptions opts;
-    opts.buffer_pool = pool;
     opts.page_size_bytes = 1024;  // small pages, deeper trees
     return GetParam().make(table, opts);
   }
@@ -137,7 +135,7 @@ TEST_P(FeatureIndexConformance, BoundDominatesDescendants) {
       Frame f = stack.back();
       stack.pop_back();
       scratch.clear();
-      index->VisitChildren(f.id, query, lambda, &scratch);
+      index->VisitChildren(/*pool=*/nullptr, f.id, query, lambda, &scratch);
       for (const FeatureBranch& b : scratch) {
         EXPECT_TRUE(b.text_match);
         EXPECT_LE(b.score_bound, f.bound + 1e-9)
@@ -185,7 +183,8 @@ TEST_P(FeatureIndexConformance, TextMatchNeverFalseNegative) {
       const NodeId nid = stack.back();
       stack.pop_back();
       scratch.clear();
-      const NodeVisit visit = index->VisitChildren(nid, query, 0.5, &scratch);
+      const NodeVisit visit =
+          index->VisitChildren(/*pool=*/nullptr, nid, query, 0.5, &scratch);
       const NodeView node = pages.PeekNode(nid);
       EXPECT_EQ(visit.level, node.level());
       EXPECT_EQ(scratch.size() + visit.text_pruned, node.size())
@@ -234,17 +233,21 @@ TEST_P(FeatureIndexConformance, SpatialMbrCoversDescendants) {
 TEST_P(FeatureIndexConformance, ChargesBufferPool) {
   BufferPool pool(0);
   FeatureTable table = RandomFeatures(7, 2000, 64);
-  std::unique_ptr<FeatureIndex> index = Build(&table, &pool);
-  pool.Clear();
-  pool.ResetStats();
+  std::unique_ptr<FeatureIndex> index = Build(&table);
   KeywordSet query(64, {1, 2, 3});
   std::vector<FeatureBranch> scratch;
-  index->VisitChildren(index->RootId(), query, 0.5, &scratch);
+  index->VisitChildren(&pool, index->RootId(), query, 0.5, &scratch);
   EXPECT_EQ(pool.stats().reads, 1u);
-  index->VisitChildren(index->RootId(), query, 0.5, &scratch);
+  index->VisitChildren(&pool, index->RootId(), query, 0.5, &scratch);
   EXPECT_EQ(pool.stats().reads, 1u);
   EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_EQ(index->buffer_pool(), &pool);
+  index->TouchNode(&pool, index->RootId());
+  EXPECT_EQ(pool.stats().hits, 2u);
+  // A null pool reads uncharged.
+  index->VisitChildren(nullptr, index->RootId(), query, 0.5, &scratch);
+  index->TouchNode(nullptr, index->RootId());
+  EXPECT_EQ(pool.stats().reads, 1u);
+  EXPECT_EQ(pool.stats().hits, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -277,7 +280,7 @@ TEST(SrtIndexTest, NodeSummariesAreExactKeywordUnions) {
   // union yields bound >= (1-l)*e.s + l (only if all query terms present).
   const auto& tree = index.tree();
   std::function<KeywordSet(NodeId)> collect = [&](NodeId nid) -> KeywordSet {
-    const NodeView node = tree.ReadNode(nid);
+    const NodeView node = tree.PeekNode(nid);
     KeywordSet acc(64);
     for (uint32_t i = 0; i < node.size(); ++i) {
       if (node.IsLeaf()) {
@@ -289,7 +292,7 @@ TEST(SrtIndexTest, NodeSummariesAreExactKeywordUnions) {
     return acc;
   };
   std::function<void(NodeId)> verify = [&](NodeId nid) {
-    const NodeView node = tree.ReadNode(nid);
+    const NodeView node = tree.PeekNode(nid);
     if (node.IsLeaf()) return;
     for (uint32_t i = 0; i < node.size(); ++i) {
       KeywordSet expected = collect(node.id(i));
@@ -320,7 +323,7 @@ void ExpectLeavesScoredAsTableRecords(const FeatureIndex& index,
         const NodeId nid = stack.back();
         stack.pop_back();
         branches.clear();
-        index.VisitChildren(nid, kw, lambda, &branches);
+        index.VisitChildren(/*pool=*/nullptr, nid, kw, lambda, &branches);
         for (const FeatureBranch& b : branches) {
           if (!b.is_feature) {
             stack.push_back(b.id);
@@ -498,7 +501,7 @@ TEST(SrtIndexTest, ClustersScoreAndText) {
     while (!stack.empty()) {
       NodeId nid = stack.back();
       stack.pop_back();
-      const NodeView node = tree.ReadNode(nid);
+      const NodeView node = tree.PeekNode(nid);
       if (node.IsLeaf()) {
         double lo = 1e9, hi = -1e9;
         for (uint32_t i = 0; i < node.size(); ++i) {
@@ -554,7 +557,7 @@ TEST(ObjectIndexTest, RangeQueryMatchesBruteForce) {
   for (int q = 0; q < 30; ++q) {
     Point c{rng.Uniform(), rng.Uniform()};
     double r = rng.Uniform(0.01, 0.2);
-    index.RangeQuery(c, r, &got, &stack);
+    index.RangeQuery(/*pool=*/nullptr, c, r, &got, &stack);
     std::set<ObjectId> got_set(got.begin(), got.end());
     std::set<ObjectId> expect;
     for (const DataObject& o : objects) {
@@ -573,13 +576,10 @@ TEST(ObjectIndexTest, SmallRangeTouchesFewPages) {
   BufferPool pool(0);
   ObjectIndexOptions opts;
   opts.page_size_bytes = 1024;  // fan-out 28: a few hundred nodes
-  opts.buffer_pool = &pool;
   ObjectIndex index(&objects, opts);
-  pool.Clear();
-  pool.ResetStats();
   std::vector<ObjectId> got;
   std::vector<NodeId> stack;
-  index.RangeQuery({0.505, 0.505}, 0.005, &got, &stack);
+  index.RangeQuery(&pool, {0.505, 0.505}, 0.005, &got, &stack);
   EXPECT_LT(pool.stats().reads, index.tree().node_count() / 10);
 }
 
@@ -595,6 +595,7 @@ TEST(ObjectIndexTest, LeafBlocksPartitionObjects) {
   std::vector<NodeId> stack;
   std::vector<ObjectId> ids_buffer;
   index.ForEachLeafBlock(
+      /*pool=*/nullptr,
       [&](std::span<const ObjectId> ids, const Rect2& mbr) {
         for (ObjectId id : ids) {
           EXPECT_TRUE(seen.insert(id).second) << "object in two leaf blocks";

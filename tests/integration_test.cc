@@ -180,7 +180,6 @@ TEST(IntegrationTest, SmallBufferPoolStillCorrect) {
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   EngineOptions opts;
   opts.storage.pool_capacity = 8;  // pathologically small LRU
-  opts.cold_cache_per_query = false;
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
   for (const Query& q : queries) {
     ExpectSameScores(engine.Execute(q, Algorithm::kStps).TakeValue().entries, brute.TopK(q),

@@ -91,7 +91,7 @@ TEST(RTreeValidatorTest, AcceptsDeepPackedImage) {
   SortByHilbertKey(&boxes);
   const PageLayout layout;
   const PagedTree tree(PackTree(std::move(boxes), 4, 1.0, layout, 256),
-                       layout, /*pool=*/nullptr, /*base=*/0);
+                       layout, /*base=*/0);
   ASSERT_EQ(tree.height(), 4u);
   auto no_summary = [](const NodeView&, uint32_t, const NodeView&,
                        uint32_t) { return Status::OK(); };

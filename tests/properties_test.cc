@@ -97,7 +97,7 @@ TEST(BoundTightnessTest, SrtBoundsTighterThanIr2OnAverage) {
       NodeId nid = stack.back();
       stack.pop_back();
       children.clear();
-      index.VisitChildren(nid, query, lambda, &children);
+      index.VisitChildren(/*pool=*/nullptr, nid, query, lambda, &children);
       for (const FeatureBranch& b : children) {
         if (b.is_feature) continue;
         // True best descendant score below b.

@@ -39,7 +39,7 @@ PagedTree Pack(std::vector<TreeEntry<2, Aug>> records, uint32_t max_entries,
   SortByHilbertKey(&records);
   return PagedTree(PackTree(std::move(records), max_entries, fill, layout,
                             kPageSize),
-                   layout, /*pool=*/nullptr, /*base=*/0);
+                   layout, /*base=*/0);
 }
 
 std::set<uint32_t> BruteRange(const std::vector<Entry2>& pts,

@@ -107,20 +107,6 @@ TEST(BufferPoolTest, StatsDeltaSaturatesOnUnderflow) {
   EXPECT_EQ(delta.hits, 0u);
 }
 
-TEST(BufferPoolSessionTest, SharedSessionAllocatesNoPrivatePool) {
-  BufferPool pool(8);
-  BufferPool::Session shared_session(&pool, /*isolated=*/false);
-  EXPECT_FALSE(shared_session.has_private_pool());
-  BufferPool::Session isolated_session(&pool, /*isolated=*/true);
-  EXPECT_TRUE(isolated_session.has_private_pool());
-  // Shared-mode accesses route through the shared pool and are tallied on
-  // the session.
-  EXPECT_FALSE(shared_session.Access(1).hit());
-  EXPECT_TRUE(shared_session.Access(1).hit());
-  EXPECT_EQ(shared_session.stats().reads, 1u);
-  EXPECT_EQ(shared_session.stats().hits, 1u);
-}
-
 TEST(BufferPoolTest, DistinctNamespacesDontCollide) {
   // Two indexes sharing one pool use page_base offsets; distinct ids are
   // distinct pages.
@@ -298,11 +284,9 @@ TEST_F(FilePageStoreTest, PoolMissTriggersFetch) {
   pool.Access(1);  // miss -> file fetch
   EXPECT_EQ(r.value()->stats().fetches, 2u);
   EXPECT_EQ(r.value()->stats().bytes_read, 2u * 4096);
-  // Session pools inherit the shared pool's store.
-  {
-    BufferPool::Session session(&pool, /*isolated=*/true);
-    session.Access(0);  // isolated pool is cold -> fetch
-  }
+  // Another pool over the same store starts cold.
+  BufferPool other(4, r.value().get());
+  other.Access(0);  // miss -> file fetch
   EXPECT_EQ(r.value()->stats().fetches, 3u);
 }
 
@@ -405,46 +389,41 @@ TEST_F(FilePageStoreTest, PoolFetchFailuresReachTheSession) {
       path, {FilePageStore::Extent{0, 2, 0, 4096}},
       FilePageStore::IoMode::kPread);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Each pool records the first failure of its query; the session reads
+  // it from its pools.
   BufferPool pool(4, r.value().get());
 
   r.value()->SetPreadFnForTest(&PreadEio);
+  EXPECT_TRUE(pool.status().ok());
   {
-    BufferPool::Session session(&pool, /*isolated=*/true);
-    EXPECT_TRUE(session.status().ok());
-    {
-      const PageView view = session.Access(1);
-      EXPECT_TRUE(view.bytes().empty());
-      EXPECT_EQ(view.fault().kind, FetchFault::kPreadFailed);
-    }
-    EXPECT_EQ(session.status().code(), StatusCode::kIoError);
-    // The store fails the page again on the next fetch, and the first
-    // error sticks.
-    EXPECT_TRUE(session.Access(1).bytes().empty());
-    EXPECT_EQ(session.status().code(), StatusCode::kIoError);
-    // Reset readies the session for another query.
-    session.Reset();
-    EXPECT_TRUE(session.status().ok());
+    const PageView view = pool.Access(1);
+    EXPECT_TRUE(view.bytes().empty());
+    EXPECT_EQ(view.fault().kind, FetchFault::kPreadFailed);
   }
+  EXPECT_TRUE(pool.failed());
+  EXPECT_EQ(pool.status().code(), StatusCode::kIoError);
+  // The store fails the page again on the next fetch, and the first
+  // error sticks.
+  EXPECT_TRUE(pool.Access(1).bytes().empty());
+  EXPECT_EQ(pool.status().code(), StatusCode::kIoError);
+  // Reset readies the pool for another query.
+  pool.Reset();
+  EXPECT_TRUE(pool.status().ok());
+  EXPECT_FALSE(pool.failed());
 
   r.value()->SetPreadFnForTest(&PreadTorn);
-  {
-    BufferPool::Session session(&pool, /*isolated=*/true);
-    EXPECT_TRUE(session.Access(0).bytes().empty());
-    EXPECT_EQ(session.status().code(), StatusCode::kCorruption);
-  }
+  EXPECT_TRUE(pool.Access(0).bytes().empty());
+  EXPECT_EQ(pool.status().code(), StatusCode::kCorruption);
+  pool.Reset();
 
-  {
-    // A page outside every extent: an index entry pointing past its tree.
-    BufferPool::Session session(&pool, /*isolated=*/false);
-    EXPECT_TRUE(session.Access(5).bytes().empty());
-    EXPECT_EQ(session.status().code(), StatusCode::kCorruption);
-  }
+  // A page outside every extent: an index entry pointing past its tree.
+  EXPECT_TRUE(pool.Access(5).bytes().empty());
+  EXPECT_EQ(pool.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(FilePageStoreTest, TransientFetchFailureIsNotCached) {
-  // A failed fetch is not admitted: in a warm shared pool (unbounded, as
-  // by default) one EIO fails the query that hit it, and the next access
-  // reads the page again.
+  // A failed fetch is not admitted: one EIO fails the query that hit it,
+  // and the next access, in the same pool, reads the page again.
   std::string path = MakeFile("transient.bin", 2 * 4096);
   Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
       path, {FilePageStore::Extent{0, 2, 0, 4096}},
@@ -453,28 +432,26 @@ TEST_F(FilePageStoreTest, TransientFetchFailureIsNotCached) {
   BufferPool pool(0, r.value().get());
   g_pread_calls = 0;
   r.value()->SetPreadFnForTest(&PreadEioOnce);
-  BufferPool::Session session(&pool, /*isolated=*/false);
   {
-    const PageView view = session.Access(1);
+    const PageView view = pool.Access(1);
     EXPECT_TRUE(view.bytes().empty());
     EXPECT_EQ(view.fault().kind, FetchFault::kPreadFailed);
   }
-  EXPECT_EQ(session.status().code(), StatusCode::kIoError);
-  EXPECT_EQ(session.stats().reads, 1u);  // the failed fetch counts
+  EXPECT_EQ(pool.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(pool.stats().reads, 1u);  // the failed fetch counts
   EXPECT_EQ(pool.resident_pages(), 0u);
   EXPECT_TRUE(ValidateBufferPool(pool).ok());
 
-  session.Reset();
-  EXPECT_TRUE(session.status().ok());
   {
-    const PageView view = session.Access(1);
+    const PageView view = pool.Access(1);
     ASSERT_EQ(view.bytes().size(), 4096u);
     EXPECT_FALSE(view.hit());
     EXPECT_EQ(view.bytes()[0], static_cast<uint8_t>(4096 & 0xff));
     EXPECT_EQ(view.bytes()[4095], static_cast<uint8_t>((4096 + 4095) & 0xff));
   }
-  EXPECT_TRUE(session.status().ok());
-  EXPECT_TRUE(session.Access(1).hit());  // admitted this time
+  // The first failure sticks until Reset.
+  EXPECT_EQ(pool.status().code(), StatusCode::kIoError);
+  EXPECT_TRUE(pool.Access(1).hit());  // admitted this time
   EXPECT_EQ(pool.stats().reads, 2u);
   EXPECT_EQ(pool.stats().hits, 1u);
   EXPECT_EQ(pool.resident_pages(), 1u);
@@ -489,6 +466,20 @@ TEST_F(FilePageStoreTest, TransientFetchFailureIsNotCached) {
   }
   EXPECT_EQ(pool.pinned_pages(), 0u);
   EXPECT_EQ(pool.resident_pages(), 1u);
+  EXPECT_TRUE(ValidateBufferPool(pool).ok());
+
+  // Reset readies the pool for another query, which fetches again.
+  r.value()->SetPreadFnForTest(&::pread);
+  pool.Reset();
+  EXPECT_TRUE(pool.status().ok());
+  EXPECT_EQ(pool.resident_pages(), 0u);
+  {
+    const PageView view = pool.Access(1);
+    ASSERT_EQ(view.bytes().size(), 4096u);
+    EXPECT_FALSE(view.hit());
+  }
+  EXPECT_TRUE(pool.status().ok());
+  EXPECT_EQ(pool.stats().reads, 1u);
   EXPECT_TRUE(ValidateBufferPool(pool).ok());
 }
 
@@ -515,23 +506,22 @@ TEST_F(FilePageStoreTest, ViewPinSurvivesEviction) {
   EXPECT_TRUE(ValidateBufferPool(pool).ok());
 }
 
-TEST_F(FilePageStoreTest, ConcurrentSharedSessionsReadStableFrames) {
-  // Shared-pool sessions on several threads fetch pread frames through a
-  // pool small enough to evict constantly; every view must keep reading
-  // its own page's bytes (run under the thread sanitizer in CI).
+TEST_F(FilePageStoreTest, ConcurrentPoolsReadStableFrames) {
+  // Threads share the store, not a pool: each fetches pread frames
+  // through a pool of its own, small enough to evict constantly, over one
+  // FilePageStore; every view must keep reading its own page's bytes (run
+  // under the thread sanitizer in CI).
   constexpr PageId kPages = 16;
   std::string path = MakeFile("shared.bin", kPages * 4096);
   Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
       path, {FilePageStore::Extent{0, kPages, 0, 4096}},
       FilePageStore::IoMode::kPread);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  BufferPool pool(4, r.value().get());
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
-      BufferPool::Session session(&pool, /*isolated=*/false);
-      BufferPool::ScopedBind bind(&session);
+      BufferPool pool(4, r.value().get());
       for (int i = 0; i < 400; ++i) {
         const PageId page = static_cast<PageId>((i * 7 + t * 3) % kPages);
         const PageView view = pool.Access(page);
@@ -543,14 +533,15 @@ TEST_F(FilePageStoreTest, ConcurrentSharedSessionsReadStableFrames) {
           mismatches.fetch_add(1);
         }
       }
-      if (!session.status().ok()) mismatches.fetch_add(1);
+      if (!pool.status().ok() || pool.pinned_pages() != 0 ||
+          pool.resident_pages() > 4 || !ValidateBufferPool(pool).ok()) {
+        mismatches.fetch_add(1);
+      }
     });
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(pool.pinned_pages(), 0u);
-  EXPECT_LE(pool.resident_pages(), 4u);
-  EXPECT_TRUE(ValidateBufferPool(pool).ok());
+  EXPECT_EQ(r.value()->stats().io_errors, 0u);
 }
 
 TEST_F(FilePageStoreTest, TornPageIsTypedCorruption) {

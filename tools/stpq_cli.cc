@@ -537,7 +537,7 @@ struct AdminScope {
   }
 };
 
-/// /statusz rows describing `engine`: shape, storage, live pool occupancy.
+/// /statusz rows describing `engine`: shape, storage, pool capacity.
 AdminStatusRows EngineStatusRows(const Engine* engine) {
   AdminStatusRows rows;
   rows.emplace_back("index", engine->IndexName());
@@ -549,15 +549,7 @@ AdminStatusRows EngineStatusRows(const Engine* engine) {
   rows.emplace_back("page_size",
                     std::to_string(engine->options().storage.page_size));
   rows.emplace_back("pool_capacity_pages",
-                    std::to_string(engine->object_pool().capacity_pages()));
-  rows.emplace_back(
-      "pool_resident_pages",
-      std::to_string(engine->object_pool().resident_pages() +
-                     engine->feature_pool().resident_pages()));
-  rows.emplace_back(
-      "pool_pinned_pages",
-      std::to_string(engine->object_pool().pinned_pages() +
-                     engine->feature_pool().pinned_pages()));
+                    std::to_string(engine->options().storage.pool_capacity));
   return rows;
 }
 
