@@ -17,7 +17,7 @@ void RunConfig(const BenchEnv& env, const std::string& label,
                const Dataset& ds, const std::vector<Query>& queries,
                FeatureIndexKind kind) {
   EngineOptions opts;
-  opts.index_kind = kind;
+  opts.build.index_kind = kind;
   Engine engine = Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
                 opts).TakeValue();
   WorkloadSummary r = RunWorkload(&engine, queries, Algorithm::kStps, env);

@@ -122,7 +122,7 @@ inline void PrintVoronoiRow(const std::string& param, const char* index,
 /// Engine factory for the benchmark's standard configuration.
 inline Engine MakeEngine(const Dataset& ds, FeatureIndexKind kind) {
   EngineOptions opts;
-  opts.index_kind = kind;
+  opts.build.index_kind = kind;
   return Engine::Build(ds.objects,
                        std::vector<FeatureTable>(ds.feature_tables), opts)
       .TakeValue();

@@ -142,8 +142,8 @@ struct TraversalFixture {
     cfg.vocabulary_size = 128;
     cfg.num_clusters = 512;
     ds = GenerateSynthetic(cfg);
-    FeatureIndexOptions opts;
-    index = std::make_unique<SrtIndex>(&ds.feature_tables[0], opts);
+    index = std::make_unique<SrtIndex>(&ds.feature_tables[0],
+                                       IndexBuildParams{});
     Rng rng(12);
     for (int i = 0; i < 64; ++i) {
       points.push_back({rng.Uniform(), rng.Uniform()});
@@ -213,9 +213,8 @@ struct CombinationFixture {
     cfg.vocabulary_size = 128;
     cfg.num_clusters = 512;
     ds = GenerateSynthetic(cfg);
-    FeatureIndexOptions opts;
     for (const FeatureTable& table : ds.feature_tables) {
-      owned.push_back(std::make_unique<SrtIndex>(&table, opts));
+      owned.push_back(std::make_unique<SrtIndex>(&table, IndexBuildParams{}));
       indexes.push_back(owned.back().get());
     }
     Rng rng(15);

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   for (FeatureIndexKind kind :
        {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
     EngineOptions opts;
-    opts.index_kind = kind;
+    opts.build.index_kind = kind;
     Engine engine = Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
                   opts).TakeValue();
     QueryResult result = engine.Execute(query, Algorithm::kStps).TakeValue();

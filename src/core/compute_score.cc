@@ -50,13 +50,6 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
   return {};
 }
 
-double ComputeScoreRange(const FeatureIndex& index, const Point& p,
-                         const KeywordSet& query_kw, double lambda, double r,
-                         QueryStats& stats, TraversalScratch& scratch) {
-  return ComputeBestRange(index, p, query_kw, lambda, r, stats, scratch)
-      .score;
-}
-
 BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
                                  const KeywordSet& query_kw, double lambda,
                                  double r, QueryStats& stats,

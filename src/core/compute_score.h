@@ -38,16 +38,14 @@ struct BestFeature {
 };
 
 /// Definition 2 score: the best s(t) among relevant features within
-/// distance r of p, or 0 if none qualifies.
-STPQ_HOT double ComputeScoreRange(const FeatureIndex& index, const Point& p,
-                         const KeywordSet& query_kw, double lambda, double r,
-                         QueryStats& stats, TraversalScratch& scratch);
-
-/// Detailed versions: also identify the feature that realizes the score.
+/// distance r of p (score 0, no feature, if none qualifies), and the
+/// feature that realizes it.  Range queries score whole leaf blocks with
+/// ComputeScoresRangeBatch; this single-object form serves explanations.
 STPQ_HOT BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
                              const KeywordSet& query_kw, double lambda,
                              double r, QueryStats& stats,
                              TraversalScratch& scratch);
+/// The influence counterpart (Definition 6) of ComputeBestRange.
 STPQ_HOT BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
                                  const KeywordSet& query_kw, double lambda,
                                  double r, QueryStats& stats,

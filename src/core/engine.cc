@@ -16,27 +16,6 @@ namespace stpq {
 
 namespace {
 
-/// Build options of feature index `i` under the engine's options.
-FeatureIndexOptions FeatureOptions(const EngineOptions& options, size_t i) {
-  FeatureIndexOptions fopts;
-  fopts.page_size_bytes = options.storage.page_size;
-  // Feature indexes share one pool; page bases keep their page ids apart.
-  fopts.page_base = TreePageBase(i + 1);
-  fopts.fill = options.fill;
-  fopts.signature_bits = options.signature_bits;
-  fopts.signature_hashes = options.signature_hashes;
-  fopts.set_ordinal = static_cast<uint32_t>(i);
-  return fopts;
-}
-
-ObjectIndexOptions ObjectOptions(const EngineOptions& options) {
-  ObjectIndexOptions opts;
-  opts.page_size_bytes = options.storage.page_size;
-  opts.page_base = TreePageBase(0);
-  opts.fill = options.fill;
-  return opts;
-}
-
 /// Deep structural check of every index over its pages.
 [[maybe_unused]] Status ValidateIndexes(
     const ObjectIndex& objects,
@@ -50,57 +29,22 @@ ObjectIndexOptions ObjectOptions(const EngineOptions& options) {
 
 }  // namespace
 
-Status Engine::ValidateOptions(const EngineOptions& options) {
-  if (options.storage.page_size < kMinPageSizeBytes) {
-    return Status::InvalidArgument(
-        "storage.page_size must be >= " + std::to_string(kMinPageSizeBytes) +
-        ", got " + std::to_string(options.storage.page_size));
-  }
-  if (!(options.fill > 0.0 && options.fill <= 1.0)) {
-    return Status::InvalidArgument("fill must be in (0, 1], got " +
-                                   std::to_string(options.fill));
-  }
-  if (options.signature_hashes == 0) {
-    return Status::InvalidArgument("signature_hashes must be >= 1");
-  }
-  if (options.signature_bits != 0 &&
-      options.signature_bits < options.signature_hashes) {
-    return Status::InvalidArgument(
-        "signature_bits (" + std::to_string(options.signature_bits) +
-        ") must be 0 (auto) or >= signature_hashes (" +
-        std::to_string(options.signature_hashes) + ")");
-  }
-  return Status::OK();
-}
-
-Status Engine::ValidateFeatureSetCount(size_t count) {
-  if (count > kMaxFeatureSets) {
-    return Status::InvalidArgument(
-        "an engine indexes at most " + std::to_string(kMaxFeatureSets) +
-        " feature sets, got " + std::to_string(count));
-  }
-  return Status::OK();
-}
-
 Result<Engine> Engine::Build(std::vector<DataObject> objects,
                              std::vector<FeatureTable> feature_tables,
                              EngineOptions options) {
-  Status st = ValidateOptions(options);
-  if (!st.ok()) return st;
-  st = ValidateFeatureSetCount(feature_tables.size());
-  if (!st.ok()) return st;
+  STPQ_RETURN_NOT_OK(CheckBuildParams(options.build, feature_tables.size()));
   for (size_t i = 0; i < objects.size(); ++i) {
     objects[i].id = static_cast<ObjectId>(i);
   }
   // Pack every tree once into its pages; the trees themselves are gone
   // when Pack returns, and the page array is all the engine keeps.
+  const IndexBuildParams& params = options.build;
   std::vector<TreeImage> images;
-  images.push_back(ObjectIndex::Pack(objects, ObjectOptions(options)));
-  for (size_t i = 0; i < feature_tables.size(); ++i) {
-    const FeatureIndexOptions fopts = FeatureOptions(options, i);
-    images.push_back(options.index_kind == FeatureIndexKind::kSrt
-                         ? SrtIndex::Pack(feature_tables[i], fopts)
-                         : Ir2Tree::Pack(feature_tables[i], fopts));
+  images.push_back(ObjectIndex::Pack(objects, params));
+  for (const FeatureTable& table : feature_tables) {
+    images.push_back(params.index_kind == FeatureIndexKind::kSrt
+                         ? SrtIndex::Pack(table, params)
+                         : Ir2Tree::Pack(table, params));
   }
   std::vector<TreeMeta> trees;
   std::vector<SimulatedPageStore::Extent> extents;
@@ -133,26 +77,24 @@ Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
       page_store_(std::move(store)) {
   STPQ_CHECK(trees.size() == feature_tables_->size() + 1);
   object_index_ = std::make_unique<ObjectIndex>(
-      objects_.get(), ObjectOptions(options_), std::move(trees[0]),
-      page_store_.get());
-  for (size_t i = 0; i < feature_tables_->size(); ++i) {
+      objects_.get(), std::move(trees[0]), page_store_.get());
+  for (uint32_t i = 0; i < feature_tables_->size(); ++i) {
     const FeatureTable* table = &(*feature_tables_)[i];
-    const FeatureIndexOptions fopts = FeatureOptions(options_, i);
     TreeMeta& meta = trees[i + 1];
-    switch (options_.index_kind) {
+    switch (options_.build.index_kind) {
       case FeatureIndexKind::kSrt:
         feature_indexes_.push_back(std::make_unique<SrtIndex>(
-            table, fopts, std::move(meta), page_store_.get()));
+            table, i, std::move(meta), page_store_.get()));
         break;
       case FeatureIndexKind::kIr2:
         feature_indexes_.push_back(std::make_unique<Ir2Tree>(
-            table, fopts, std::move(meta), page_store_.get()));
+            table, options_.build, i, std::move(meta), page_store_.get()));
         break;
     }
     index_ptrs_.push_back(feature_indexes_.back().get());
   }
 
-  sessions_ = std::make_unique<SessionPool>(options_.storage.pool_capacity,
+  sessions_ = std::make_unique<SessionPool>(options_.pool_capacity,
                                             page_store_.get());
 }
 
@@ -162,16 +104,9 @@ Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
   LoadedIndex loaded = loaded_r.TakeValue();
 
   // The file's build parameters win: fan-outs, signature widths and page
-  // layout must match the persisted node records exactly.
-  options.index_kind = loaded.params.index_kind;
-  options.fill = loaded.params.fill;
-  options.signature_bits = loaded.params.signature_bits;
-  options.signature_hashes = loaded.params.signature_hashes;
-  options.storage.page_size = loaded.params.page_size_bytes;
-  Status st = ValidateOptions(options);
-  if (!st.ok()) return st;
-  st = ValidateFeatureSetCount(loaded.feature_tables.size());
-  if (!st.ok()) return st;
+  // layout must match the persisted node records exactly.  LoadIndexFile
+  // has already put them and the table count through CheckBuildParams.
+  options.build = loaded.params;
 
   Result<std::unique_ptr<FilePageStore>> store_r =
       FilePageStore::Open(path, std::move(loaded.extents));
@@ -194,11 +129,7 @@ Status Engine::Save(const std::string& path,
   if (vocabularies.empty()) blank.resize(num_tables);
 
   IndexFileWriteRequest request;
-  request.params.index_kind = options_.index_kind;
-  request.params.page_size_bytes = options_.storage.page_size;
-  request.params.fill = options_.fill;
-  request.params.signature_bits = options_.signature_bits;
-  request.params.signature_hashes = options_.signature_hashes;
+  request.params = options_.build;
   request.objects = objects_.get();
   request.feature_tables = feature_tables_.get();
   request.vocabularies = vocabularies.empty() ? &blank : &vocabularies;
@@ -264,7 +195,7 @@ Result<QueryResult> Engine::Execute(const Query& query,
   Span query_span(result.stats);
   if (options.algorithm == Algorithm::kStds) {
     Stds stds(object_index_.get(), index_ptrs_);
-    result = stds.Execute(query, options_.stds_batching, &session.scratch());
+    result = stds.Execute(query, &session.scratch());
   } else {
     Stps stps(object_index_.get(), index_ptrs_, options_.influence_mode);
     result = stps.Execute(query, options_.pulling, &session.scratch());
@@ -302,7 +233,7 @@ Result<std::unique_ptr<StpsCursor>> Engine::OpenCursor(
         "cursors support the range score variant only");
   }
   auto session = std::make_unique<ExecutionSession>(
-      options_.storage.pool_capacity, page_store_.get());
+      options_.pool_capacity, page_store_.get());
   return std::make_unique<StpsCursor>(object_index_.get(), index_ptrs_, query,
                                       options_.pulling, std::move(session));
 }

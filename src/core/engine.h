@@ -50,35 +50,22 @@ struct ExecuteOptions {
   SlowQueryLog* slow_log = nullptr;
 };
 
-/// How the buffer pools are sized and the pages laid out.  The page
-/// source itself follows from the factory: Engine::Build serves the
-/// in-memory page array it packs, Engine::Open the index file it opens
+/// Engine construction knobs: the build parameters, which fix every page
+/// (Engine::Open takes them from the file), and three runtime settings.
+/// The page source is not an option: Engine::Build serves the in-memory
+/// page array it packs, Engine::Open the index file it opens
 /// (Engine::page_store() reports which).
-struct StorageOptions {
+struct EngineOptions {
+  /// Feature-index kind (the benchmark axis SRT vs IR2), page size, fill
+  /// and IR2 signature parameters.
+  IndexBuildParams build;
   /// Capacity in pages of each of a query's two buffer pools (object
   /// index, feature indexes); every query starts both cold, so reported
   /// I/O is the pages the query reads.  0 = unbounded: the number of
   /// distinct pages the query touches.
   uint64_t pool_capacity = 0;
-  /// Simulated disk page size; drives R-tree fan-out.
-  uint32_t page_size = kDefaultPageSizeBytes;
-};
-
-/// Engine construction knobs.
-struct EngineOptions {
-  /// Which feature index to build (the benchmark axis SRT vs IR2).
-  FeatureIndexKind index_kind = FeatureIndexKind::kSrt;
-  /// Page size and pool capacity (see StorageOptions).
-  StorageOptions storage;
-  /// Target node occupancy for bulk loading.
-  double fill = 1.0;
-  /// IR2-tree signature parameters (see FeatureIndexOptions).
-  uint32_t signature_bits = 0;
-  uint32_t signature_hashes = 3;
   /// STPS feature-pulling strategy.
   PullingStrategy pulling = PullingStrategy::kPrioritized;
-  /// STDS batched score computation (Section 5 improvement).
-  bool stds_batching = true;
   /// Influence-variant strategy: anchored retrieval (default) or the
   /// paper's Algorithm 5 (see InfluenceMode).
   InfluenceMode influence_mode = InfluenceMode::kAnchored;
@@ -90,26 +77,25 @@ class Engine {
   /// Builds all indexes in memory over `objects` and `feature_tables`:
   /// packs every tree once into node pages held in an in-memory page
   /// array (SimulatedPageStore), which the queries' buffer pools read.
-  /// Checks `options` (page size, fill factor, signature parameters) and
-  /// the table count (at most kMaxFeatureSets), and returns
-  /// InvalidArgument instead of building a broken engine.  A file-backed
-  /// engine comes from Engine::Open on a file written by Save.
+  /// Checks `options.build` and the table count with CheckBuildParams and
+  /// returns its InvalidArgument instead of building a broken engine.  A
+  /// file-backed engine comes from Engine::Open on a file written by Save.
   [[nodiscard]] static Result<Engine> Build(std::vector<DataObject> objects,
                                             std::vector<FeatureTable> feature_tables,
                                             EngineOptions options = {});
 
   /// Opens a prebuilt .stpqx index file (WriteIndexFile / Engine::Save):
   /// verifies it, maps it, and reads every node in place from its page in
-  /// the file (FilePageStore); no node is decoded into memory.  Build
-  /// parameters (index kind, page size, fill, signatures) come from the
-  /// file's superblock and override whatever `options` says; runtime knobs
-  /// (pool capacity, pulling, batching, ...) are taken from `options`.  A
-  /// reopened engine answers every query with results and per-query
-  /// page-read counters identical to the engine that built the file.
-  /// Typed errors: IoError (unreadable/truncated), InvalidArgument
-  /// (not an index file / unsupported version, versions 1 and 2 included /
-  /// more than kMaxFeatureSets tables), Corruption (checksum or structural
-  /// damage).
+  /// the file (FilePageStore); no node is decoded into memory.
+  /// `options.build` is replaced by the file's superblock, whose values
+  /// and table count pass CheckBuildParams first (LoadIndexFile); the
+  /// runtime settings (pool capacity, pulling, influence mode) are taken
+  /// from `options`.  A reopened engine answers every query with results
+  /// and per-query page-read counters identical to the engine that built
+  /// the file.  Typed errors: IoError (unreadable/truncated),
+  /// InvalidArgument (not an index file / unsupported version, versions 1
+  /// and 2 included / build parameters or table count CheckBuildParams
+  /// refuses), Corruption (checksum or structural damage).
   [[nodiscard]] static Result<Engine> Open(const std::string& path,
                                            EngineOptions options = {});
 
@@ -183,15 +169,11 @@ class Engine {
   /// Sets up the object index and one feature index per table over the
   /// packed trees `trees` (tree order: the object tree, then one per
   /// table), whose pages `store` serves to the queries' buffer pools.
-  /// `options` must already be validated.
+  /// `options.build` and the table count must already have passed
+  /// CheckBuildParams.
   Engine(EngineOptions options, std::vector<DataObject> objects,
          std::vector<FeatureTable> feature_tables,
          std::unique_ptr<PageStore> store, std::vector<TreeMeta> trees);
-
-  static Status ValidateOptions(const EngineOptions& options);
-  /// STPS keeps per-feature-set state in arrays of kMaxFeatureSets, so
-  /// Build and Open refuse more tables than that.
-  static Status ValidateFeatureSetCount(size_t count);
 
   EngineOptions options_;
   // The indexes and executors hold raw pointers into the object and

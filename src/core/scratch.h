@@ -69,9 +69,7 @@
 
 namespace stpq {
 
-/// Maximum number of feature sets c per engine; Engine::Build and
-/// Engine::Open reject more.
-inline constexpr size_t kMaxFeatureSets = 8;
+// kMaxFeatureSets (index/build_params.h) sizes the per-set arrays below.
 static_assert(kMaxFeatureSets == kMaxProfiledFeatureSets,
               "the traversal profile keeps one slice per feature set");
 

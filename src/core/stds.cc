@@ -14,45 +14,36 @@ namespace stpq {
 
 namespace {
 
-/// Scores one object against every feature set with partial-score pruning
-/// (Algorithm 1, lines 3-6).  Returns tau(p), or a negative value if the
-/// object was pruned.
+/// Scores one object of an influence or NN query against every feature
+/// set with partial-score pruning (Algorithm 1, lines 3-6).  Returns
+/// tau(p), or a negative value if the object was pruned.  (Range queries
+/// are scored a leaf block at a time.)
 double ScoreObjectPruned(std::span<const FeatureIndex* const> indexes,
                          const Query& query, const Point& pos,
                          double threshold, QueryStats& stats,
                          TraversalScratch& scratch) {
+  STPQ_DCHECK(query.variant != ScoreVariant::kRange);
   const size_t c = indexes.size();
   double partial = 0.0;
   for (size_t i = 0; i < c; ++i) {
     // tau-hat(p): known components + 1 for each unknown one.
     double bound = partial + static_cast<double>(c - i);
     if (bound < threshold) return -1.0;
-    double tau_i = 0.0;
-    switch (query.variant) {
-      case ScoreVariant::kRange:
-        tau_i = ComputeScoreRange(*indexes[i], pos, query.keywords[i],
-                                  query.lambda, query.radius, stats,
-                                  scratch);
-        break;
-      case ScoreVariant::kInfluence:
-        tau_i = ComputeScoreInfluence(*indexes[i], pos, query.keywords[i],
-                                      query.lambda, query.radius, stats,
-                                      scratch);
-        break;
-      case ScoreVariant::kNearestNeighbor:
-        tau_i = ComputeScoreNearestNeighbor(*indexes[i], pos,
-                                            query.keywords[i], query.lambda,
-                                            stats, scratch);
-        break;
-    }
-    partial += tau_i;
+    partial += query.variant == ScoreVariant::kInfluence
+                   ? ComputeScoreInfluence(*indexes[i], pos,
+                                           query.keywords[i], query.lambda,
+                                           query.radius, stats, scratch)
+                   : ComputeScoreNearestNeighbor(*indexes[i], pos,
+                                                 query.keywords[i],
+                                                 query.lambda, stats,
+                                                 scratch);
   }
   return partial;
 }
 
 }  // namespace
 
-QueryResult Stds::Execute(const Query& query, bool use_batching,
+QueryResult Stds::Execute(const Query& query,
                           TraversalScratch* scratch) const {
   STPQ_CHECK(query.keywords.size() == feature_indexes_.size());
   std::optional<TraversalScratch> local_scratch;
@@ -69,7 +60,7 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
   Span span(stats, QueryPhase::kObjectRetrieval);
   BufferPool* const object_pool = scr.object_pool;
 
-  if (query.variant == ScoreVariant::kRange && use_batching) {
+  if (query.variant == ScoreVariant::kRange) {
     // Batched STDS: every object-R-tree leaf block is one batch.
     BatchScratch& b = scr.batch;
     std::vector<BatchObject>& batch = b.batch;
@@ -120,7 +111,8 @@ QueryResult Stds::Execute(const Query& query, bool use_batching,
       }
     }, &scr.stack, &scr.objects, &stats);
   } else {
-    // Per-object scan (Algorithm 1 verbatim).
+    // Per-object scan (Algorithm 1 verbatim) for the influence and NN
+    // variants.
     objects_->ForEachLeafBlock(object_pool, [&](std::span<const ObjectId> ids,
                                                 const Rect2&) {
       for (ObjectId id : ids) {

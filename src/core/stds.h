@@ -35,12 +35,13 @@ class Stds {
        std::span<const FeatureIndex* const> feature_indexes)
       : objects_(objects), feature_indexes_(feature_indexes) {}
 
-  /// Runs the query; `use_batching` toggles the Section 5 improvement
-  /// (ignored for non-range variants, which always score per object).
-  /// `scratch` (may be null) provides reusable traversal buffers — the
-  /// engine passes its session's scratch; a null falls back to a local.
-  STPQ_HOT QueryResult Execute(const Query& query, bool use_batching = true,
-                      TraversalScratch* scratch = nullptr) const;
+  /// Runs the query.  Range queries score each object-R-tree leaf block
+  /// as one batch (the Section 5 improvement); the other variants score
+  /// per object.  `scratch` (may be null) provides reusable traversal
+  /// buffers — the engine passes its session's scratch; a null falls back
+  /// to a local.
+  STPQ_HOT QueryResult Execute(const Query& query,
+                               TraversalScratch* scratch = nullptr) const;
 
  private:
   const ObjectIndex* objects_;

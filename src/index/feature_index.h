@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "geom/rect.h"
+#include "index/build_params.h"
 #include "index/feature_table.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
@@ -73,18 +74,17 @@ class FeatureIndex {
   /// indexes built outside an engine.
   uint32_t set_ordinal() const { return set_ordinal_; }
 
+  /// First page id of feature index `set_ordinal`'s pages: tree
+  /// set_ordinal + 1 of the engine's page-id namespace (TreePageBase).
+  static PageId PageBase(uint32_t set_ordinal) {
+    return TreePageBase(uint64_t{set_ordinal} + 1);
+  }
+
  protected:
-  explicit FeatureIndex(uint32_t set_ordinal = 0)
-      : set_ordinal_(set_ordinal) {}
+  explicit FeatureIndex(uint32_t set_ordinal) : set_ordinal_(set_ordinal) {}
 
  private:
   uint32_t set_ordinal_ = 0;
-};
-
-/// Which feature-index implementation to build (benchmark axis).
-enum class FeatureIndexKind {
-  kSrt,  ///< the paper's SRT-index (Section 4)
-  kIr2,  ///< modified IR2-tree baseline (Section 8)
 };
 
 }  // namespace stpq

@@ -13,6 +13,12 @@
 
 namespace stpq {
 
+/// Largest keyword universe a feature table may declare, in a .stpq or a
+/// .stpqx file: every keyword set of the table is a bitmap over it (8 KiB
+/// at the cap), and a .stpq stores term ids, so its bytes cannot bound
+/// the universe.
+inline constexpr uint32_t kMaxUniverse = 1u << 16;
+
 /// Immutable-after-build collection of feature objects with their spatial
 /// domain and keyword universe.
 class FeatureTable {

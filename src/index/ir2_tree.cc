@@ -22,10 +22,10 @@ TreeEntry<2, Ir2Aug> Ir2Tree::LeafEntry(uint32_t id, const FeatureObject& f,
 }
 
 TreeImage Ir2Tree::Pack(const FeatureTable& table,
-                        const FeatureIndexOptions& options) {
+                        const IndexBuildParams& params) {
   const uint32_t bits =
-      SignatureBits(options.signature_bits, table.universe_size());
-  const SignatureScheme scheme(bits, options.signature_hashes);
+      SignatureBits(params.signature_bits, table.universe_size());
+  const SignatureScheme scheme(bits, params.signature_hashes);
   std::vector<TreeEntry<2, Ir2Aug>> records;
   records.reserve(table.size());
   for (const FeatureObject& f : table.All()) {
@@ -33,29 +33,29 @@ TreeImage Ir2Tree::Pack(const FeatureTable& table,
   }
   // Spatial-only Hilbert packing: the IR2-tree clusters by location.
   SortByHilbertKey(&records);
-  return PackTree(std::move(records), FanOut(options.page_size_bytes, bits),
-                  options.fill, Layout(bits), options.page_size_bytes);
+  return PackTree(std::move(records), FanOut(params.page_size_bytes, bits),
+                  params.fill, Layout(bits), params.page_size_bytes);
 }
 
-Ir2Tree::Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options)
-    : FeatureIndex(options.set_ordinal),
+Ir2Tree::Ir2Tree(const FeatureTable* table, const IndexBuildParams& params,
+                 uint32_t set_ordinal)
+    : FeatureIndex(set_ordinal),
       table_(table),
-      scheme_(SignatureBits(options.signature_bits, table->universe_size()),
-              options.signature_hashes),
-      tree_(Pack(*table, options), Layout(scheme_.signature_bits()),
-            options.page_base) {
+      scheme_(SignatureBits(params.signature_bits, table->universe_size()),
+              params.signature_hashes),
+      tree_(Pack(*table, params), Layout(scheme_.signature_bits()),
+            PageBase(set_ordinal)) {
   STPQ_VALIDATE(ValidateIr2Tree(*this));
 }
 
-Ir2Tree::Ir2Tree(const FeatureTable* table,
-                 const FeatureIndexOptions& options, TreeMeta meta,
-                 const PageStore* pages)
-    : FeatureIndex(options.set_ordinal),
+Ir2Tree::Ir2Tree(const FeatureTable* table, const IndexBuildParams& params,
+                 uint32_t set_ordinal, TreeMeta meta, const PageStore* pages)
+    : FeatureIndex(set_ordinal),
       table_(table),
-      scheme_(SignatureBits(options.signature_bits, table->universe_size()),
-              options.signature_hashes),
+      scheme_(SignatureBits(params.signature_bits, table->universe_size()),
+              params.signature_hashes),
       tree_(std::move(meta), Layout(scheme_.signature_bits()), pages,
-            options.page_base) {}
+            PageBase(set_ordinal)) {}
 
 NodeVisit Ir2Tree::VisitChildren(BufferPool* pool, NodeId node_id,
                                  const KeywordSet& query_kw, double lambda,

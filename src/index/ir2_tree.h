@@ -13,7 +13,6 @@
 
 #include "index/feature_index.h"
 #include "index/paged_tree.h"
-#include "index/srt_index.h"  // FeatureIndexOptions
 #include "rtree/node_page.h"
 #include "rtree/rtree.h"
 #include "text/signature.h"
@@ -39,18 +38,20 @@ struct Ir2Aug {
 class Ir2Tree : public FeatureIndex {
  public:
   /// Builds the index over `table` (not owned; must outlive the index)
-  /// into pages of its own.
-  Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options);
+  /// into pages of its own, as feature set `set_ordinal`; see the SrtIndex
+  /// counterpart.
+  Ir2Tree(const FeatureTable* table, const IndexBuildParams& params,
+          uint32_t set_ordinal = 0);
 
   /// Reads a packed tree whose pages `pages` serves; see the SrtIndex
-  /// counterpart.  The signature scheme is re-derived from `options` and
+  /// counterpart.  The signature scheme is re-derived from `params` and
   /// the table's universe, which the file format records.
-  Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options,
-          TreeMeta meta, const PageStore* pages);
+  Ir2Tree(const FeatureTable* table, const IndexBuildParams& params,
+          uint32_t set_ordinal, TreeMeta meta, const PageStore* pages);
 
   /// Packs the index over `table` into node pages (build time).
   static TreeImage Pack(const FeatureTable& table,
-                        const FeatureIndexOptions& options);
+                        const IndexBuildParams& params);
 
   NodeId RootId() const override { return tree_.root_id(); }
   NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,

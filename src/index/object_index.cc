@@ -11,15 +11,15 @@ uint32_t ObjectIndex::FanOut(uint32_t page_size) {
 }
 
 TreeImage ObjectIndex::Pack(const std::vector<DataObject>& objects,
-                            const ObjectIndexOptions& options) {
+                            const IndexBuildParams& params) {
   std::vector<TreeEntry<2>> records;
   records.reserve(objects.size());
   for (size_t i = 0; i < objects.size(); ++i) {
     records.push_back(LeafEntry(static_cast<uint32_t>(i), objects[i]));
   }
   SortByHilbertKey(&records);
-  return PackTree(std::move(records), FanOut(options.page_size_bytes),
-                  options.fill, Layout(), options.page_size_bytes);
+  return PackTree(std::move(records), FanOut(params.page_size_bytes),
+                  params.fill, Layout(), params.page_size_bytes);
 }
 
 namespace {
@@ -31,18 +31,17 @@ Rect2 DomainOf(const std::vector<DataObject>& objects) {
 }  // namespace
 
 ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
-                         const ObjectIndexOptions& options)
+                         const IndexBuildParams& params)
     : objects_(objects),
-      tree_(Pack(*objects, options), Layout(), options.page_base),
+      tree_(Pack(*objects, params), Layout(), TreePageBase(0)),
       domain_(DomainOf(*objects)) {
   STPQ_VALIDATE(ValidateObjectIndex(*this));
 }
 
 ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
-                         const ObjectIndexOptions& options, TreeMeta meta,
-                         const PageStore* pages)
+                         TreeMeta meta, const PageStore* pages)
     : objects_(objects),
-      tree_(std::move(meta), Layout(), pages, options.page_base),
+      tree_(std::move(meta), Layout(), pages, TreePageBase(0)),
       domain_(DomainOf(*objects)) {}
 
 void ObjectIndex::RangeQuery(BufferPool* pool, const Point& center,

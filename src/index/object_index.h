@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "index/build_params.h"
 #include "index/feature.h"
 #include "index/paged_tree.h"
 #include "obs/trace.h"
@@ -14,31 +15,25 @@
 
 namespace stpq {
 
-/// Build-time knobs for the object index.
-struct ObjectIndexOptions {
-  uint32_t page_size_bytes = kDefaultPageSizeBytes;
-  PageId page_base = 0;
-  double fill = 1.0;
-};
-
 /// 2-D R-tree over data objects, Hilbert bulk-loaded.
 class ObjectIndex {
  public:
   /// Builds over `objects` (not owned; must outlive the index) into pages
-  /// of its own.
+  /// of its own, with page size and fill from `params`.  The object tree
+  /// is tree 0 of the engine's page-id namespace: its page ids start at
+  /// TreePageBase(0).
   ObjectIndex(const std::vector<DataObject>* objects,
-              const ObjectIndexOptions& options);
+              const IndexBuildParams& params);
 
   /// Reads a packed tree (Pack, or a .stpqx file) whose pages `pages`
-  /// serves at options.page_base, and recomputes the spatial domain from
+  /// serves at TreePageBase(0), and recomputes the spatial domain from
   /// `objects` (deterministic, so it matches the builder).
-  ObjectIndex(const std::vector<DataObject>* objects,
-              const ObjectIndexOptions& options, TreeMeta meta,
+  ObjectIndex(const std::vector<DataObject>* objects, TreeMeta meta,
               const PageStore* pages);
 
   /// Packs the object R-tree over `objects` into node pages (build time).
   static TreeImage Pack(const std::vector<DataObject>& objects,
-                        const ObjectIndexOptions& options);
+                        const IndexBuildParams& params);
 
   /// Page columns: the id and the 2-D rect.
   static PageLayout Layout() { return PageLayout{}; }

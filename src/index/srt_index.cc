@@ -21,7 +21,7 @@ TreeEntry<4, SrtAug> SrtIndex::LeafEntry(uint32_t id,
 }
 
 TreeImage SrtIndex::Pack(const FeatureTable& table,
-                         const FeatureIndexOptions& options) {
+                         const IndexBuildParams& params) {
   std::vector<TreeEntry<4, SrtAug>> records;
   records.reserve(table.size());
   for (const FeatureObject& f : table.All()) {
@@ -30,27 +30,26 @@ TreeImage SrtIndex::Pack(const FeatureTable& table,
   // Bulk insertion [9]: sort by the Hilbert key of the mapped 4-D point.
   SortByHilbertKey(&records);
   return PackTree(std::move(records),
-                  FanOut(options.page_size_bytes, table.universe_size()),
-                  options.fill, Layout(table.universe_size()),
-                  options.page_size_bytes);
+                  FanOut(params.page_size_bytes, table.universe_size()),
+                  params.fill, Layout(table.universe_size()),
+                  params.page_size_bytes);
 }
 
-SrtIndex::SrtIndex(const FeatureTable* table,
-                   const FeatureIndexOptions& options)
-    : FeatureIndex(options.set_ordinal),
+SrtIndex::SrtIndex(const FeatureTable* table, const IndexBuildParams& params,
+                   uint32_t set_ordinal)
+    : FeatureIndex(set_ordinal),
       table_(table),
-      tree_(Pack(*table, options), Layout(table->universe_size()),
-            options.page_base) {
+      tree_(Pack(*table, params), Layout(table->universe_size()),
+            PageBase(set_ordinal)) {
   STPQ_VALIDATE(ValidateSrtIndex(*this));
 }
 
-SrtIndex::SrtIndex(const FeatureTable* table,
-                   const FeatureIndexOptions& options, TreeMeta meta,
-                   const PageStore* pages)
-    : FeatureIndex(options.set_ordinal),
+SrtIndex::SrtIndex(const FeatureTable* table, uint32_t set_ordinal,
+                   TreeMeta meta, const PageStore* pages)
+    : FeatureIndex(set_ordinal),
       table_(table),
       tree_(std::move(meta), Layout(table->universe_size()), pages,
-            options.page_base) {}
+            PageBase(set_ordinal)) {}
 
 NodeVisit SrtIndex::VisitChildren(BufferPool* pool, NodeId node_id,
                                   const KeywordSet& query_kw, double lambda,

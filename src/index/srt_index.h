@@ -20,20 +20,6 @@
 
 namespace stpq {
 
-/// Build-time knobs shared by the feature indexes.
-struct FeatureIndexOptions {
-  uint32_t page_size_bytes = kDefaultPageSizeBytes;
-  PageId page_base = 0;
-  double fill = 1.0;  ///< target node occupancy for bulk loading
-  /// IR2-tree only: signature width in bits (0 = 2x the keyword universe).
-  uint32_t signature_bits = 0;
-  /// IR2-tree only: bits set per keyword.
-  uint32_t signature_hashes = 3;
-  /// Position of this index's feature set in the engine's table order
-  /// (traversal-profile attribution; see FeatureIndex::set_ordinal).
-  uint32_t set_ordinal = 0;
-};
-
 /// Entry augmentation of the SRT-index: e.s and e.W of Section 4.1.
 ///
 /// The paper's node entry stores the aggregated Hilbert value H(e.W); the
@@ -60,20 +46,22 @@ struct SrtAug {
 class SrtIndex : public FeatureIndex {
  public:
   /// Builds the index over `table` (not owned; must outlive the index)
-  /// into pages of its own.
-  SrtIndex(const FeatureTable* table, const FeatureIndexOptions& options);
+  /// into pages of its own, as feature set `set_ordinal` (its page ids
+  /// start at PageBase(set_ordinal)).
+  SrtIndex(const FeatureTable* table, const IndexBuildParams& params,
+           uint32_t set_ordinal = 0);
 
   /// Reads a packed tree (Pack, or a .stpqx file) whose pages `pages`
-  /// serves at options.page_base, so node ids — and the golden I/O counts
-  /// derived from them — match the builder exactly.  `options` must carry
-  /// the build-time parameters the pages were packed with.  The pages are
-  /// taken as given (ValidateSrtIndex checks them deeply).
-  SrtIndex(const FeatureTable* table, const FeatureIndexOptions& options,
-           TreeMeta meta, const PageStore* pages);
+  /// serves at PageBase(set_ordinal), so node ids — and the golden I/O
+  /// counts derived from them — match the builder exactly.  The page
+  /// layout follows from the table's universe alone.  The pages are taken
+  /// as given (ValidateSrtIndex checks them deeply).
+  SrtIndex(const FeatureTable* table, uint32_t set_ordinal, TreeMeta meta,
+           const PageStore* pages);
 
   /// Packs the index over `table` into node pages (build time).
   static TreeImage Pack(const FeatureTable& table,
-                        const FeatureIndexOptions& options);
+                        const IndexBuildParams& params);
 
   NodeId RootId() const override { return tree_.root_id(); }
   NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,

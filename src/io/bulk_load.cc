@@ -473,9 +473,9 @@ Status RunSurvey(const std::string& dataset_path,
   Result<uint32_t> tables_r = scan.ReadTableCount();
   if (!tables_r.ok()) return tables_r.status();
   survey->table_count = tables_r.value();
-  if (survey->table_count > kMaxTables) {
-    return Status::InvalidArgument("too many feature tables to persist");
-  }
+  // The first use of `params` is below: refuse them, and the table count,
+  // exactly as Engine::Build and Engine::Open do.
+  STPQ_RETURN_NOT_OK(CheckBuildParams(params, survey->table_count));
   survey->tables.resize(survey->table_count);
   for (TableSurvey& t : survey->tables) {
     ByteCounter vocab;
@@ -604,10 +604,6 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
     const std::string& dataset_path, const std::string& index_path,
     const ExternalBuildOptions& options) {
   const IndexBuildParams& params = options.params;
-  if (params.page_size_bytes < kMinPageSizeBytes) {
-    return Status::InvalidArgument(
-        "page_size_bytes must be >= " + std::to_string(kMinPageSizeBytes));
-  }
   if (options.memory_budget_bytes < kMinMemoryBudget) {
     return Status::InvalidArgument(
         "memory_budget_bytes must be at least " +

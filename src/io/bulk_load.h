@@ -61,8 +61,10 @@ struct ExternalBuildStats {
 /// Builds `index_path` from the .stpq dataset at `dataset_path` without
 /// materializing the dataset or any tree in memory.  The write is
 /// crash-safe (AtomicFile: tmp + fsync + rename).  Typed errors:
-/// InvalidArgument for unsupported parameters or a malformed dataset,
-/// IoError for read/write failures.
+/// InvalidArgument for what CheckBuildParams refuses (the parameters, or
+/// more feature tables than Engine::Open accepts; found by the survey
+/// pass, before any file is created), for a memory budget below 4096
+/// bytes or a malformed dataset, IoError for read/write failures.
 [[nodiscard]] Result<ExternalBuildStats> BuildIndexFileExternal(
     const std::string& dataset_path, const std::string& index_path,
     const ExternalBuildOptions& options);

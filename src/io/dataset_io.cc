@@ -334,11 +334,11 @@ DatasetBinaryScanner::ReadTableHeader() {
   }
   // Every keyword set of the table is sized by the universe, and the
   // file's term ids cannot bound it, so it is capped before any is sized.
-  if (h.universe > index_format::kMaxUniverse) {
+  if (h.universe > kMaxUniverse) {
     return Status::InvalidArgument(
         "feature table declares a keyword universe of " +
         std::to_string(h.universe) + " terms, above the cap of " +
-        std::to_string(index_format::kMaxUniverse));
+        std::to_string(kMaxUniverse));
   }
   return h;
 }

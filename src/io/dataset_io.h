@@ -95,7 +95,7 @@ class DatasetBinaryScanner {
       const std::function<void(const std::string&)>& fn);
 
   /// Reads the universe size + feature count of the next table; a
-  /// universe above index_format::kMaxUniverse is InvalidArgument.
+  /// universe above kMaxUniverse is InvalidArgument.
   [[nodiscard]] Result<TableHeader> ReadTableHeader();
 
   /// Streams the table's feature records; call with the header values

@@ -147,8 +147,10 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
         "(bulk-load 0) — rebuild it with stpq_cli build");
   }
   sb->params.index_kind = static_cast<FeatureIndexKind>(index_kind);
-  if (sb->params.page_size_bytes == 0 || sb->table_count > kMaxTables ||
-      sb->object_count > kMaxRecordCount) {
+  // Every reader refuses what every writer refuses, before any layout is
+  // derived from these values.
+  STPQ_RETURN_NOT_OK(CheckBuildParams(sb->params, sb->table_count));
+  if (sb->object_count > kMaxRecordCount) {
     return Status::Corruption("implausible index superblock counts");
   }
   const uint32_t expected_segments = 3 + 4 * sb->table_count;
@@ -567,12 +569,7 @@ Status WriteIndexFile(const std::string& path,
         "index write request needs one vocabulary and one feature index per "
         "table");
   }
-  if (num_tables > kMaxTables) {
-    return Status::InvalidArgument("too many feature tables to persist");
-  }
-  if (request.params.page_size_bytes == 0) {
-    return Status::InvalidArgument("page_size_bytes must be nonzero");
-  }
+  STPQ_RETURN_NOT_OK(CheckBuildParams(request.params, num_tables));
 
   IndexFileWriter writer(request.params, request.objects->size(),
                          static_cast<uint32_t>(num_tables));

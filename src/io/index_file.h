@@ -24,14 +24,16 @@
 // (InvalidArgument — a version 1 or 2 file is named as such, with a
 // request to rebuild it), a superblock whose bulk-load field is not 0 (the
 // STR- or insertion-built trees of older builds; InvalidArgument with the
-// same request), bad magic (InvalidArgument), short reads (IoError), and
-// checksum mismatches or structural damage (Corruption).
+// same request), build parameters or a table count CheckBuildParams
+// refuses (InvalidArgument), bad magic (InvalidArgument), short reads
+// (IoError), and checksum mismatches or structural damage (Corruption).
 #ifndef STPQ_IO_INDEX_FILE_H_
 #define STPQ_IO_INDEX_FILE_H_
 
 #include <string>
 #include <vector>
 
+#include "index/build_params.h"
 #include "index/feature_index.h"
 #include "index/ir2_tree.h"
 #include "index/object_index.h"
@@ -42,16 +44,6 @@
 #include "util/status.h"
 
 namespace stpq {
-
-/// Build-time parameters recorded in the superblock: everything needed to
-/// re-derive fan-outs, signature schemes and page layout when reopening.
-struct IndexBuildParams {
-  FeatureIndexKind index_kind = FeatureIndexKind::kSrt;
-  uint32_t page_size_bytes = kDefaultPageSizeBytes;
-  double fill = 1.0;
-  uint32_t signature_bits = 0;
-  uint32_t signature_hashes = 3;
-};
 
 /// Borrowed views of everything WriteIndexFile persists.  The feature
 /// indexes must match `params.index_kind` (SrtIndex / Ir2Tree), one per
@@ -68,7 +60,8 @@ struct IndexFileWriteRequest {
 
 /// Serializes the whole index set to `path` (overwriting, crash-safe)
 /// through the one .stpqx writer (io/index_writer.h).  Typed errors:
-/// InvalidArgument on a malformed request, IoError on write failure.
+/// InvalidArgument on a malformed request or on what CheckBuildParams
+/// refuses (nothing is written then), IoError on write failure.
 [[nodiscard]] Status WriteIndexFile(const std::string& path,
                                     const IndexFileWriteRequest& request);
 
@@ -85,10 +78,12 @@ struct LoadedIndex {
   std::vector<FilePageStore::Extent> extents;
 };
 
-/// Reads and verifies a file written by WriteIndexFile.  Every segment's
-/// checksum is validated before parsing, and one pass over each node
-/// segment checks every slot header and every leaf's record ids; no node
-/// is kept.  See the file comment for the error taxonomy.
+/// Reads and verifies a file written by WriteIndexFile.  The superblock's
+/// build parameters and table count must pass CheckBuildParams
+/// (InvalidArgument otherwise, before any segment is read).  Every
+/// segment's checksum is validated before parsing, and one pass over each
+/// node segment checks every slot header and every leaf's record ids; no
+/// node is kept.  See the file comment for the error taxonomy.
 [[nodiscard]] Result<LoadedIndex> LoadIndexFile(const std::string& path);
 
 /// One catalog row, decoded for display (`stpq_cli load`) and for the

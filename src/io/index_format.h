@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "index/build_params.h"
 #include "index/feature.h"
 #include "rtree/node_page.h"
 
@@ -33,12 +34,9 @@ inline constexpr size_t kSuperblockBytes = 52;
 inline constexpr size_t kCatalogEntryBytes = 56;
 
 /// Sanity caps against absurd counts in damaged headers (checksums cover
-/// the segments, these cover the header itself).
-inline constexpr uint32_t kMaxTables = 4096;
-/// Largest keyword universe a .stpq or .stpqx feature table may declare:
-/// every keyword set of the table is a bitmap over it (8 KiB at the cap),
-/// and a .stpq stores term ids, so its bytes cannot bound the universe.
-inline constexpr uint32_t kMaxUniverse = 1u << 16;
+/// the segments, these cover the header itself).  CheckBuildParams bounds
+/// the superblock's build parameters and table count, and kMaxUniverse a
+/// feature table's keyword universe.
 inline constexpr uint32_t kMaxNodeCount = 1u << 28;
 inline constexpr uint64_t kMaxRecordCount = uint64_t{1} << 33;
 
@@ -246,25 +244,23 @@ inline void AppendCatalogEntry(std::string* out, const CatalogEntry& e) {
   PutPod<uint64_t>(out, e.checksum);
 }
 
-/// Appends the 52-byte superblock.  `index_kind` is the raw enum value so
-/// this header does not depend on io/index_file.h.  The u32 after it is
-/// the bulk-load field: older builds could pack a tree in STR or insertion
-/// order and recorded 1 or 2 there; every tree is now Hilbert-packed, the
-/// writer records 0, and a reader rejects any other value with a request
-/// to rebuild.
-inline void AppendSuperblock(std::string* out, uint32_t page_size,
-                             uint32_t index_kind, uint32_t signature_bits,
-                             uint32_t signature_hashes, double fill,
+/// Appends the 52-byte superblock: the build parameters, with the index
+/// kind as its raw enum value.  The u32 after the kind is the bulk-load
+/// field: older builds could pack a tree in STR or insertion order and
+/// recorded 1 or 2 there; every tree is now Hilbert-packed, the writer
+/// records 0, and a reader rejects any other value with a request to
+/// rebuild.
+inline void AppendSuperblock(std::string* out, const IndexBuildParams& params,
                              uint64_t object_count, uint32_t table_count,
                              uint32_t segment_count) {
   PutPod<uint32_t>(out, kIndexMagic);
   PutPod<uint32_t>(out, kIndexVersion);
-  PutPod<uint32_t>(out, page_size);
-  PutPod<uint32_t>(out, index_kind);
+  PutPod<uint32_t>(out, params.page_size_bytes);
+  PutPod<uint32_t>(out, static_cast<uint32_t>(params.index_kind));
   PutPod<uint32_t>(out, 0u);  // bulk-load field
-  PutPod<uint32_t>(out, signature_bits);
-  PutPod<uint32_t>(out, signature_hashes);
-  PutPod<double>(out, fill);
+  PutPod<uint32_t>(out, params.signature_bits);
+  PutPod<uint32_t>(out, params.signature_hashes);
+  PutPod<double>(out, params.fill);
   PutPod<uint64_t>(out, object_count);
   PutPod<uint32_t>(out, table_count);
   PutPod<uint32_t>(out, segment_count);

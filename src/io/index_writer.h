@@ -242,10 +242,7 @@ class IndexFileWriter {
   [[nodiscard]] Status Commit() {
     std::string header;
     header.reserve(header_bytes_);
-    AppendSuperblock(&header, params_.page_size_bytes,
-                     static_cast<uint32_t>(params_.index_kind),
-                     params_.signature_bits, params_.signature_hashes,
-                     params_.fill, object_count_, table_count_,
+    AppendSuperblock(&header, params_, object_count_, table_count_,
                      static_cast<uint32_t>(catalog_.size()));
     for (const CatalogEntry& e : catalog_) AppendCatalogEntry(&header, e);
     STPQ_CHECK(header.size() == header_bytes_);

@@ -13,7 +13,7 @@ namespace stpq {
 
 uint64_t BufferPool::PageTable::Hash(PageId page) {
   // splitmix64 finalizer: full-avalanche over the 64-bit page id, so
-  // page_base strides (1 << 32 per index) spread across the slots.
+  // TreePageBase strides (1 << 32 per tree) spread across the slots.
   uint64_t z = page + 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

@@ -60,6 +60,10 @@ inline constexpr uint32_t kDefaultPageSizeBytes = 4096;
 /// below this is a configuration error, not a layout choice.
 inline constexpr uint32_t kMinPageSizeBytes = 64;
 
+/// Largest page: 256 times the default, and far above any fan-out the
+/// paper's experiments use.  Bounds every node slot and page buffer.
+inline constexpr uint32_t kMaxPageSizeBytes = uint32_t{1} << 20;
+
 /// Page-id namespace stride between indexes sharing one pool (and one
 /// PageStore).  Node id == offset within the index's range, which the
 /// persisted file format relies on.

@@ -26,13 +26,6 @@ const char* StorageBackendName(StorageBackend backend) {
   return "unknown";
 }
 
-Result<StorageBackend> ParseStorageBackend(const std::string& name) {
-  if (name == "simulated") return StorageBackend::kSimulated;
-  if (name == "file") return StorageBackend::kFile;
-  return Status::InvalidArgument("unknown storage backend '" + name +
-                                 "' (expected 'simulated' or 'file')");
-}
-
 // ---------------------------------------------------- SimulatedPageStore
 
 SimulatedPageStore::SimulatedPageStore(std::vector<Extent> extents)

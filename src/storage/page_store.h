@@ -48,14 +48,9 @@ enum class StorageBackend : uint8_t {
   kFile = 1,       ///< miss = page fetch from a persisted index file
 };
 
-/// Stable lowercase name ("simulated" / "file") for flags, metrics and
+/// Stable lowercase name ("simulated" / "file") for /statusz, metrics and
 /// error messages.
 const char* StorageBackendName(StorageBackend backend);
-
-/// Parses the StorageBackendName form back; InvalidArgument on anything
-/// else.
-[[nodiscard]] Result<StorageBackend> ParseStorageBackend(
-    const std::string& name);
 
 /// Counters exposed by a PageStore.  `bytes_read` and `io_errors` stay 0 on
 /// the simulated backend.

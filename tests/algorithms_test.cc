@@ -59,7 +59,7 @@ TEST(ComputeScoreTest, RangeMatchesBruteForce) {
   cfg.vocabulary_size = 32;
   cfg.num_clusters = 50;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&ds.feature_tables[0], opts);
   BruteForceEvaluator brute(&ds.objects, TablePtrs(ds));
   Query q;
@@ -70,8 +70,9 @@ TEST(ComputeScoreTest, RangeMatchesBruteForce) {
   TraversalScratch scratch;
   for (int i = 0; i < 60; ++i) {
     const Point& p = ds.objects[i].pos;
-    double got = ComputeScoreRange(index, p, q.keywords[0], q.lambda,
-                                   q.radius, stats, scratch);
+    double got = ComputeBestRange(index, p, q.keywords[0], q.lambda,
+                                  q.radius, stats, scratch)
+                     .score;
     EXPECT_NEAR(got, brute.ComponentScore(p, 0, q), 1e-12) << "object " << i;
   }
 }
@@ -84,7 +85,7 @@ TEST(ComputeScoreTest, BatchAgreesWithSingle) {
   cfg.vocabulary_size = 32;
   cfg.num_clusters = 40;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&ds.feature_tables[0], opts);
   KeywordSet query(32, {1, 2, 3});
   std::vector<BatchObject> batch;
@@ -99,25 +100,27 @@ TEST(ComputeScoreTest, BatchAgreesWithSingle) {
   ComputeScoresRangeBatch(index, batch, mbr, query, 0.5, 0.05, scores,
                           stats, scratch);
   for (size_t i = 0; i < batch.size(); ++i) {
-    double single = ComputeScoreRange(index, batch[i].pos, query, 0.5, 0.05,
-                                      stats, scratch);
+    double single = ComputeBestRange(index, batch[i].pos, query, 0.5, 0.05,
+                                     stats, scratch)
+                        .score;
     EXPECT_NEAR(scores[i], single, 1e-12) << "object " << i;
   }
 }
 
 TEST(ComputeScoreTest, ZeroRadiusOnlyColocated) {
   Dataset ds = ex::ExampleDataset();
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&ds.feature_tables[0], opts);
   KeywordSet query = ex::Terms(ds.vocabularies[0], {"pizza"});
   QueryStats stats;
   TraversalScratch scratch;
   // p exactly at Ontario's Pizza: radius 0 still matches it.
   double at =
-      ComputeScoreRange(index, {7, 6}, query, 0.5, 0.0, stats, scratch);
+      ComputeBestRange(index, {7, 6}, query, 0.5, 0.0, stats, scratch).score;
   EXPECT_NEAR(at, 0.4 + 0.5 * 0.5, 1e-12);  // s = .5*.8 + .5*(1/2)
   double off =
-      ComputeScoreRange(index, {7.1, 6}, query, 0.5, 0.0, stats, scratch);
+      ComputeBestRange(index, {7.1, 6}, query, 0.5, 0.0, stats, scratch)
+          .score;
   EXPECT_EQ(off, 0.0);
 }
 
@@ -130,7 +133,7 @@ TEST_P(PaperExampleAlgorithms, Top3AreTheThreeHotels) {
   Dataset ds = ex::ExampleDataset();
   Query q = ex::TouristQuery(ds.vocabularies[0], ds.vocabularies[1], 3);
   EngineOptions opts;
-  opts.index_kind = GetParam();
+  opts.build.index_kind = GetParam();
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
   for (Algorithm alg : {Algorithm::kStds, Algorithm::kStps}) {
     QueryResult r = engine.Execute(q, alg).TakeValue();
@@ -151,7 +154,7 @@ TEST_P(PaperExampleAlgorithms, FullRankingMatchesBruteForce) {
   BruteForceEvaluator brute(&ds.objects, TablePtrs(ds));
   std::vector<ResultEntry> expected = brute.TopK(q);
   EngineOptions opts;
-  opts.index_kind = GetParam();
+  opts.build.index_kind = GetParam();
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
   ExpectSameScores(engine.Execute(q, Algorithm::kStds).TakeValue().entries, expected, "STDS");
   ExpectSameScores(engine.Execute(q, Algorithm::kStps).TakeValue().entries, expected, "STPS");
@@ -200,7 +203,7 @@ TEST_P(RangeAgreementTest, StdsStpsBruteForceAgree) {
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
 
   EngineOptions opts;
-  opts.index_kind = p.kind;
+  opts.build.index_kind = p.kind;
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
   for (const Query& q : queries) {
     std::vector<ResultEntry> expected = brute.TopK(q);
@@ -292,31 +295,6 @@ TEST(RangeEdgeCases, EmptyObjectSet) {
   EXPECT_TRUE(engine.Execute(q, Algorithm::kStps).TakeValue().entries.empty());
 }
 
-TEST(RangeEdgeCases, StdsBatchingToggleAgrees) {
-  SyntheticConfig cfg;
-  cfg.num_objects = 300;
-  cfg.num_features_per_set = 200;
-  cfg.num_feature_sets = 2;
-  cfg.vocabulary_size = 16;
-  cfg.num_clusters = 30;
-  Dataset ds = GenerateSynthetic(cfg);
-  QueryWorkloadConfig qcfg;
-  qcfg.count = 3;
-  qcfg.radius = 0.05;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  EngineOptions batched;
-  batched.stds_batching = true;
-  EngineOptions single;
-  single.stds_batching = false;
-  Engine e1 = Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
-            batched).TakeValue();
-  Engine e2 = Engine::Build(ds.objects, std::move(ds.feature_tables), single).TakeValue();
-  for (const Query& q : queries) {
-    ExpectSameScores(e1.Execute(q, Algorithm::kStds).TakeValue().entries, e2.Execute(q, Algorithm::kStds).TakeValue().entries,
-                     "batch toggle");
-  }
-}
-
 // ------------------------------------------------------------- statistics
 
 TEST(StatsTest, StpsReadsFewerPagesThanStds) {
@@ -399,11 +377,11 @@ class CountingIndex : public FeatureIndex {
 
 std::unique_ptr<FeatureIndex> BuildFeatureIndex(
     FeatureIndexKind kind, const FeatureTable* table,
-    const FeatureIndexOptions& opts) {
+    const IndexBuildParams& opts, uint32_t set_ordinal = 0) {
   if (kind == FeatureIndexKind::kSrt) {
-    return std::make_unique<SrtIndex>(table, opts);
+    return std::make_unique<SrtIndex>(table, opts, set_ordinal);
   }
-  return std::make_unique<Ir2Tree>(table, opts);
+  return std::make_unique<Ir2Tree>(table, opts, set_ordinal);
 }
 
 /// The pages of `index`, an SRT-index or an IR2-tree.
@@ -472,7 +450,7 @@ class ChildrenMemoTest : public ::testing::TestWithParam<FeatureIndexKind> {
 
 TEST_P(ChildrenMemoTest, ViewsAreVisitChildrenFilteredToTextMatches) {
   Dataset ds = Features();
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;  // small pages: a deep tree
   std::unique_ptr<FeatureIndex> index =
       BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
@@ -497,7 +475,7 @@ TEST_P(ChildrenMemoTest, ViewsAreVisitChildrenFilteredToTextMatches) {
 TEST_P(ChildrenMemoTest, RepeatVisitIsOnePoolHitAndNoEvaluation) {
   Dataset ds = Features();
   BufferPool pool(0);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;
   std::unique_ptr<FeatureIndex> index =
       BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
@@ -524,7 +502,7 @@ TEST_P(ChildrenMemoTest, RepeatVisitIsOnePoolHitAndNoEvaluation) {
 
 TEST_P(ChildrenMemoTest, AnotherBindingReevaluates) {
   Dataset ds = Features();
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;
   std::unique_ptr<FeatureIndex> index =
       BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
@@ -578,7 +556,7 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
   Dataset ds = GenerateSynthetic(cfg);
   BufferPool object_pool(0);
   BufferPool feature_pool(0);
-  ObjectIndexOptions oopts;
+  IndexBuildParams oopts;
   oopts.page_size_bytes = 512;
   ObjectIndex objects(&ds.objects, oopts);
   std::vector<std::unique_ptr<FeatureIndex>> indexes;
@@ -586,12 +564,10 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
   std::vector<const FeatureIndex*> plain;
   std::vector<const FeatureIndex*> decorated;
   for (uint32_t i = 0; i < cfg.num_feature_sets; ++i) {
-    FeatureIndexOptions opts;  // the engine's page layout
+    IndexBuildParams opts;  // the engine's page layout
     opts.page_size_bytes = 512;
-    opts.page_base = TreePageBase(i + 1);
-    opts.set_ordinal = i;
     indexes.push_back(
-        BuildFeatureIndex(GetParam(), &ds.feature_tables[i], opts));
+        BuildFeatureIndex(GetParam(), &ds.feature_tables[i], opts, i));
     counters.push_back(std::make_unique<CountingIndex>(indexes.back().get()));
     plain.push_back(indexes.back().get());
     decorated.push_back(counters.back().get());
@@ -602,7 +578,7 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
     BufferPoolStats object_io;
     BufferPoolStats feature_io;
   };
-  enum class Executor { kStdsBatched, kStdsPerObject, kStps, kStpsCombos };
+  enum class Executor { kStds, kStps, kStpsCombos };
   auto run = [&](Executor executor, const std::vector<const FeatureIndex*>& ix,
                  const Query& q) {
     object_pool.Reset();
@@ -612,11 +588,8 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
     scratch.children.set_pool(&feature_pool);
     QueryResult r;
     switch (executor) {
-      case Executor::kStdsBatched:
-        r = Stds(&objects, ix).Execute(q, true, &scratch);
-        break;
-      case Executor::kStdsPerObject:
-        r = Stds(&objects, ix).Execute(q, false, &scratch);
+      case Executor::kStds:
+        r = Stds(&objects, ix).Execute(q, &scratch);
         break;
       case Executor::kStps:
         r = Stps(&objects, ix).Execute(q, PullingStrategy::kPrioritized,
@@ -642,8 +615,7 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
     qcfg.variant = variant;
     for (const Query& q : GenerateQueries(ds, qcfg)) {
       for (Executor executor :
-           {Executor::kStdsBatched, Executor::kStdsPerObject, Executor::kStps,
-            Executor::kStpsCombos}) {
+           {Executor::kStds, Executor::kStps, Executor::kStpsCombos}) {
         if (executor == Executor::kStpsCombos &&
             variant != ScoreVariant::kInfluence) {
           continue;

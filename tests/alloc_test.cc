@@ -61,7 +61,7 @@ TEST(AllocationTest, WarmTracedRangeTraversalAllocatesNothing) {
   cfg.vocabulary_size = 64;
   cfg.num_clusters = 128;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&ds.feature_tables[0], opts);
 
   Rng rng(32);
@@ -116,7 +116,7 @@ TEST(AllocationTest, WarmScratchRangeTraversalAllocatesNothing) {
   cfg.vocabulary_size = 64;
   cfg.num_clusters = 128;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;  // no buffer pool: pure in-memory traversal
+  IndexBuildParams opts;  // no buffer pool: pure in-memory traversal
   SrtIndex index(&ds.feature_tables[0], opts);
 
   Rng rng(32);

@@ -2,9 +2,6 @@
 // explanation, and index introspection.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <optional>
 #include <set>
 #include <string>
@@ -17,8 +14,6 @@
 #include "gen/queries.h"
 #include "gen/synthetic.h"
 #include "index/index_stats.h"
-#include "io/bulk_load.h"
-#include "io/dataset_io.h"
 #include "paper_example.h"
 
 namespace stpq {
@@ -246,7 +241,7 @@ TEST(ValidationTest, CreateRejectsBadOptionsAndBuildsGoodEngines) {
   Dataset ds = ex::ExampleDataset();
 
   EngineOptions bad;
-  bad.storage.page_size = 16;  // below the 64-byte minimum
+  bad.build.page_size_bytes = 16;  // below the 64-byte minimum
   EXPECT_EQ(Engine::Build(ds.objects,
                            std::vector<FeatureTable>(ds.feature_tables), bad)
                 .status()
@@ -254,14 +249,14 @@ TEST(ValidationTest, CreateRejectsBadOptionsAndBuildsGoodEngines) {
             StatusCode::kInvalidArgument);
 
   bad = EngineOptions{};
-  bad.fill = 0.0;
+  bad.build.fill = 0.0;
   EXPECT_FALSE(Engine::Build(ds.objects,
                               std::vector<FeatureTable>(ds.feature_tables),
                               bad)
                    .ok());
 
   bad = EngineOptions{};
-  bad.signature_hashes = 0;
+  bad.build.signature_hashes = 0;
   EXPECT_FALSE(Engine::Build(ds.objects,
                               std::vector<FeatureTable>(ds.feature_tables),
                               bad)
@@ -279,9 +274,9 @@ TEST(ValidationTest, CreateRejectsBadOptionsAndBuildsGoodEngines) {
 }
 
 // STPS keeps per-feature-set state in arrays of kMaxFeatureSets, so an
-// engine over more tables is refused by Build and by Open (the external
-// loader writes any table count the file format allows), and one over
-// exactly that many answers every variant (influence in the default
+// engine over more tables is refused by Build (CheckBuildParams, which
+// Open and both index writers share: io_test, bulk_load_test), and one
+// over exactly that many answers every variant (influence in the default
 // anchored mode), the cursor and STDS exactly.
 TEST(ValidationTest, EngineAcceptsAtMostMaxFeatureSets) {
   SyntheticConfig cfg;
@@ -295,24 +290,6 @@ TEST(ValidationTest, EngineAcceptsAtMostMaxFeatureSets) {
       ds.objects, std::vector<FeatureTable>(ds.feature_tables), {});
   ASSERT_FALSE(too_many.ok());
   EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
-
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("stpq_api_wide_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string data = (dir / "wide.stpq").string();
-  const std::string index = (dir / "wide.stpqx").string();
-  ASSERT_TRUE(WriteDatasetBinary(data, ds).ok());
-  ExternalBuildOptions build_opts;
-  build_opts.params.page_size_bytes = 256;
-  Result<ExternalBuildStats> written =
-      BuildIndexFileExternal(data, index, build_opts);
-  ASSERT_TRUE(written.ok()) << written.status().ToString();
-  EXPECT_EQ(written.value().tables, kMaxFeatureSets + 1);
-  Result<Engine> opened = Engine::Open(index);
-  std::filesystem::remove_all(dir);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
 
   ds.feature_tables.pop_back();
   ds.vocabularies.pop_back();
@@ -372,7 +349,7 @@ TEST(IndexStatsTest, ReportsStructure) {
   cfg.vocabulary_size = 64;
   cfg.num_clusters = 200;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex srt(&ds.feature_tables[0], opts);
   IndexStatsReport r = AnalyzeIndex(srt);
   EXPECT_EQ(r.record_count, 3000u);
@@ -392,7 +369,7 @@ TEST(IndexStatsTest, SrtLeavesClusterScoreAndText) {
   cfg.vocabulary_size = 64;
   cfg.num_clusters = 300;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex srt(&ds.feature_tables[0], opts);
   Ir2Tree ir2(&ds.feature_tables[0], opts);
   IndexStatsReport rs = AnalyzeIndex(srt);

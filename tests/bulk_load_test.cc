@@ -15,6 +15,8 @@
 
 #include "core/engine.h"
 #include "gen/synthetic.h"
+#include "index/object_index.h"
+#include "index/srt_index.h"
 #include "io/bulk_load.h"
 #include "io/dataset_io.h"
 #include "io/index_file.h"
@@ -56,11 +58,7 @@ class BulkLoadTest : public ::testing::Test {
   std::string SaveInMemory(const Dataset& ds, const IndexBuildParams& params,
                            const char* name) {
     EngineOptions opts;
-    opts.index_kind = params.index_kind;
-    opts.storage.page_size = params.page_size_bytes;
-    opts.fill = params.fill;
-    opts.signature_bits = params.signature_bits;
-    opts.signature_hashes = params.signature_hashes;
+    opts.build = params;
     Result<Engine> engine =
         Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
                       opts);
@@ -191,8 +189,7 @@ TEST_F(BulkLoadTest, OpenedExternalIndexMatchesInMemoryEngine) {
   params.index_kind = FeatureIndexKind::kSrt;
   params.page_size_bytes = 256;
   EngineOptions eopts;
-  eopts.index_kind = params.index_kind;
-  eopts.storage.page_size = params.page_size_bytes;
+  eopts.build = params;
   Result<Engine> built = Engine::Build(
       ds.objects, std::vector<FeatureTable>(ds.feature_tables), eopts);
   ASSERT_TRUE(built.ok());
@@ -239,14 +236,7 @@ TEST_F(BulkLoadTest, RejectsUnsupportedParameters) {
   std::string data = Path("data.stpq");
   ASSERT_TRUE(WriteDatasetBinary(data, ds).ok());
 
-  {
-    ExternalBuildOptions opts;
-    opts.params.page_size_bytes = 32;  // below the format minimum
-    Result<ExternalBuildStats> r =
-        BuildIndexFileExternal(data, Path("x.stpqx"), opts);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
+  // Build parameters: BuildersAndWriterRefuseTheSameParameters.
   {
     ExternalBuildOptions opts;
     opts.memory_budget_bytes = 1024;  // below the floor
@@ -260,6 +250,93 @@ TEST_F(BulkLoadTest, RejectsUnsupportedParameters) {
         Path("missing.stpq"), Path("x.stpqx"), ExternalBuildOptions{});
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  }
+}
+
+TEST_F(BulkLoadTest, RefusesMoreTablesThanEngineOpenAccepts) {
+  // A .stpq may hold any number of tables, but Engine::Open refuses more
+  // than kMaxFeatureSets; the loader refuses to write such an index.
+  SyntheticConfig cfg;
+  cfg.num_objects = 50;
+  cfg.num_features_per_set = 15;
+  cfg.num_feature_sets = kMaxFeatureSets + 1;
+  cfg.vocabulary_size = 16;
+  cfg.num_clusters = 10;
+  const std::string data = Path("wide.stpq");
+  ASSERT_TRUE(WriteDatasetBinary(data, GenerateSynthetic(cfg)).ok());
+  const std::string out = Path("wide.stpqx");
+  Result<ExternalBuildStats> r =
+      BuildIndexFileExternal(data, out, ExternalBuildOptions{});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("feature sets"), std::string::npos)
+      << r.status().ToString();
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().string(), data) << "left behind";
+  }
+}
+
+TEST_F(BulkLoadTest, BuildersAndWriterRefuseTheSameParameters) {
+  // One check (CheckBuildParams) guards Engine::Build, WriteIndexFile and
+  // the external loader, so each refuses exactly these parameters, with
+  // the same message, and none leaves a file behind.
+  Dataset ds = SmallDataset();
+  const std::string data = Path("data.stpq");
+  ASSERT_TRUE(WriteDatasetBinary(data, ds).ok());
+  const IndexBuildParams good;
+  const ObjectIndex objects(&ds.objects, good);
+  const SrtIndex srt0(&ds.feature_tables[0], good, 0);
+  const SrtIndex srt1(&ds.feature_tables[1], good, 1);
+
+  const FeatureIndexKind ir2 = FeatureIndexKind::kIr2;
+  const struct Case {
+    const char* name;
+    IndexBuildParams params;
+  } cases[] = {
+      {"page_size_bytes", {.page_size_bytes = 32}},
+      {"page_size_bytes", {.page_size_bytes = kMaxPageSizeBytes + 1}},
+      {"fill", {.fill = 0.0}},
+      {"fill", {.fill = 1.5}},
+      {"signature_hashes",
+       {.index_kind = ir2, .signature_bits = 2, .signature_hashes = 3}},
+      {"signature_hashes", {.index_kind = ir2, .signature_hashes = 0}},
+      // The automatic width is at least 64 bits, so at most 64 hashes.
+      {"signature_hashes", {.index_kind = ir2, .signature_hashes = 65}},
+      {"signature_bits",
+       {.index_kind = ir2, .signature_bits = kMaxSignatureBits + 1}},
+  };
+
+  for (const Case& c : cases) {
+    EngineOptions opts;
+    opts.build = c.params;
+    Result<Engine> built = Engine::Build(
+        ds.objects, std::vector<FeatureTable>(ds.feature_tables), opts);
+    ASSERT_FALSE(built.ok()) << c.name;
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().message().find(c.name), std::string::npos)
+        << built.status().ToString();
+
+    const std::string out = Path("out.stpqx");
+    ExternalBuildOptions external_opts;
+    external_opts.params = c.params;
+    Result<ExternalBuildStats> external =
+        BuildIndexFileExternal(data, out, external_opts);
+    ASSERT_FALSE(external.ok()) << c.name;
+    EXPECT_EQ(external.status().ToString(), built.status().ToString());
+
+    IndexFileWriteRequest request;
+    request.params = c.params;
+    request.objects = &ds.objects;
+    request.feature_tables = &ds.feature_tables;
+    request.vocabularies = &ds.vocabularies;
+    request.object_index = &objects;
+    request.feature_indexes = {&srt0, &srt1};
+    EXPECT_EQ(WriteIndexFile(out, request).ToString(),
+              built.status().ToString());
+
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      EXPECT_EQ(entry.path().string(), data) << c.name << ": left behind";
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Contract test for stpq_cli's command line.
 
-Checks six things against a built stpq_cli:
+Checks seven things against a built stpq_cli:
 
   * invalid input exits 2 with an error naming the offending flag: an
     unknown flag, another command's flag, a value outside a flag's
@@ -13,6 +13,11 @@ Checks six things against a built stpq_cli:
     points past its node segment (catalog checksum recomputed, so the file
     opens), every query-running command exits 1 and reports Corruption,
     and load --verify and validate report the bad child pointer;
+  * build parameters out of range fail cleanly: each --page-size,
+    --fill or --signature-* value the library refuses makes build (in
+    memory and --external alike, with the same message) and query exit 1
+    with InvalidArgument naming the parameter, under the address-space
+    cap, leaving no index, .tmp or sort-run file behind;
   * an index whose superblock records STR or insertion packing (the
     bulk-load field older builds could set to 1 or 2) makes query exit 1
     with a request to rebuild;
@@ -181,7 +186,6 @@ def main():
             (["build", "--data", data, "--index", index, "--kind", "ir3"],
              "--kind"),
             (query + ["--variant", "nm"], "--variant"),
-            (query + ["--backend", "fil"], "--backend"),
             (["bench", "--data", data, "--queries", "abc"], "--queries"),
             (query + ["--k", "3x"], "--k"),
             (query + ["--threads", "4"], "--threads"),
@@ -225,6 +229,51 @@ def main():
                                    "--keywords=kw001;kw002", "--k=3"], tmp)
         check(code == 0 and out.startswith("top-3 "),
               "--flag=value works (%d: %s)" % (code, err.strip()))
+
+        # ---- out-of-range build parameters fail cleanly
+        bad_params = [
+            (["--fill", "0"], "fill"),
+            (["--fill", "1.5"], "fill"),
+            (["--kind", "ir2", "--signature-bits", "2",
+              "--signature-hashes", "3"], "signature_hashes"),
+            (["--kind", "ir2", "--signature-hashes", "0"],
+             "signature_hashes"),
+            (["--kind", "ir2", "--signature-hashes", "4294967295"],
+             "signature_hashes"),
+            (["--page-size", "2000000000"], "page_size_bytes"),
+            (["--kind", "ir2", "--signature-bits", "4294967295"],
+             "signature_bits"),
+            (["--kind", "ir2", "--signature-bits", "4294967232"],
+             "signature_bits"),
+            (["--kind", "ir2", "--signature-bits", "100000000"],
+             "signature_bits"),
+        ]
+        out_dir = os.path.join(tmp, "bad_params")
+        os.mkdir(out_dir)
+        out_index = os.path.join(out_dir, "x.stpqx")
+        for params, name in bad_params:
+            errors = []
+            for mode in ([], ["--external"]):
+                argv = (["build", "--data", data, "--index", out_index] +
+                        mode + params)
+                code, _, err = run(cli, argv, tmp, address_cap=cap)
+                left = os.listdir(out_dir)
+                for name_left in left:  # keep the next case independent
+                    os.remove(os.path.join(out_dir, name_left))
+                check(code == 1 and "InvalidArgument" in err and name in err
+                      and not left,
+                      "build %s exits 1 naming %s, leaving nothing (got "
+                      "%d: %s; left %s)" % (" ".join(mode + params), name,
+                                            code, err.strip(), left))
+                errors.append(err)
+            check(errors[0] == errors[1],
+                  "build and build --external refuse %s alike" %
+                  " ".join(params))
+        code, _, err = run(cli, query + ["--page-size", "2000000000"], tmp,
+                           address_cap=cap)
+        check(code == 1 and "page_size_bytes" in err,
+              "query --page-size 2000000000 exits 1 naming page_size_bytes "
+              "(got %d: %s)" % (code, err.strip()))
 
         # ---- a damaged index fails cleanly
         code, _, err = run(cli, ["build", "--data", data, "--index", index],

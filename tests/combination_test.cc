@@ -35,7 +35,7 @@ FeatureTable RandomFeatures(uint64_t seed, uint32_t n, uint32_t universe) {
 
 TEST(SortedFeatureStreamTest, YieldsNonIncreasingScores) {
   FeatureTable table = RandomFeatures(1, 1000, 32);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&table, opts);
   KeywordSet query(32, {0, 1, 2});
   QueryStats stats;
@@ -69,7 +69,7 @@ TEST(SortedFeatureStreamTest, YieldsNonIncreasingScores) {
 
 TEST(SortedFeatureStreamTest, EmptyIndexYieldsOnlyVirtual) {
   FeatureTable table(std::vector<FeatureObject>{}, 8);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&table, opts);
   KeywordSet query(8, {0});
   QueryStats stats;
@@ -84,7 +84,7 @@ TEST(SortedFeatureStreamTest, EmptyIndexYieldsOnlyVirtual) {
 
 TEST(SortedFeatureStreamTest, NoRelevantFeaturesYieldsOnlyVirtual) {
   FeatureTable table = RandomFeatures(2, 100, 32);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&table, opts);
   KeywordSet query(32);  // empty query: sim = 0 for everything
   QueryStats stats;
@@ -160,7 +160,7 @@ class CombinationIteratorTest
 TEST_P(CombinationIteratorTest, EmitsAllValidCombinationsInScoreOrder) {
   FeatureTable t1 = RandomFeatures(3, 60, 16);
   FeatureTable t2 = RandomFeatures(4, 50, 16);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex i1(&t1, opts), i2(&t2, opts);
   Query q;
   q.radius = 0.1;
@@ -187,7 +187,7 @@ TEST_P(CombinationIteratorTest, EmitsAllValidCombinationsInScoreOrder) {
 TEST_P(CombinationIteratorTest, UnconstrainedEnumeratesFullProduct) {
   FeatureTable t1 = RandomFeatures(5, 12, 8);
   FeatureTable t2 = RandomFeatures(6, 10, 8);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex i1(&t1, opts), i2(&t2, opts);
   Query q;
   q.lambda = 0.3;
@@ -214,7 +214,7 @@ TEST_P(CombinationIteratorTest, ThreeFeatureSets) {
   FeatureTable t1 = RandomFeatures(7, 25, 8);
   FeatureTable t2 = RandomFeatures(8, 20, 8);
   FeatureTable t3 = RandomFeatures(9, 15, 8);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex i1(&t1, opts), i2(&t2, opts), i3(&t3, opts);
   Query q;
   q.radius = 0.15;
@@ -239,7 +239,7 @@ TEST_P(CombinationIteratorTest, ThreeFeatureSets) {
 TEST_P(CombinationIteratorTest, FirstCombinationIsPaperExample) {
   Dataset ds = ex::ExampleDataset();
   Query q = ex::TouristQuery(ds.vocabularies[0], ds.vocabularies[1]);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex i1(&ds.feature_tables[0], opts), i2(&ds.feature_tables[1], opts);
   QueryStats stats;
   TraversalScratch scratch;
@@ -258,7 +258,7 @@ TEST_P(CombinationIteratorTest, FirstCombinationIsPaperExample) {
 TEST_P(CombinationIteratorTest, LastCombinationIsAllVirtual) {
   FeatureTable t1 = RandomFeatures(10, 10, 8);
   FeatureTable t2 = RandomFeatures(11, 10, 8);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex i1(&t1, opts), i2(&t2, opts);
   Query q;
   q.radius = 0.05;
@@ -296,7 +296,7 @@ TEST(CombinationIteratorTest, PrioritizedPullsFewerFeatures) {
   // round-robin (Definition 5 targets the threshold-defining set).
   FeatureTable t1 = RandomFeatures(12, 2000, 16);
   FeatureTable t2 = RandomFeatures(13, 50, 16);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex i1(&t1, opts), i2(&t2, opts);
   Query q;
   q.radius = 0.05;
@@ -317,7 +317,7 @@ TEST(CombinationIteratorTest, PrioritizedPullsFewerFeatures) {
 
 TEST(CombinationIteratorTest, SingleFeatureSet) {
   FeatureTable t1 = RandomFeatures(14, 30, 8);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex i1(&t1, opts);
   Query q;
   q.radius = 0.1;

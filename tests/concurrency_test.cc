@@ -189,7 +189,7 @@ TEST(ConcurrencyTest, SmallPoolsKeepResultsAndReadsUnderThreads) {
   Dataset ds = MakeDataset(1'000, 800);
   std::vector<Query> queries = MixedWorkload(ds, 60);
   EngineOptions opts;
-  opts.storage.pool_capacity = 64;  // force eviction churn in every query
+  opts.pool_capacity = 64;  // force eviction churn in every query
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
 
   std::vector<QueryResult> expected;

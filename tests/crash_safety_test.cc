@@ -53,7 +53,7 @@ class CrashSafetyTest : public ::testing::Test {
 
   static Engine BuildEngine(const Dataset& ds) {
     EngineOptions opts;
-    opts.storage.page_size = 256;
+    opts.build.page_size_bytes = 256;
     return Engine::Build(ds.objects,
                          std::vector<FeatureTable>(ds.feature_tables), opts)
         .TakeValue();

@@ -92,9 +92,9 @@ TEST(FuzzDifferentialTest, AlgorithmsAgreeWithBruteForce) {
     BruteForceEvaluator brute(&ds.objects, tables);
 
     EngineOptions opts;
-    opts.index_kind = fc.index_kind;
-    opts.storage.page_size = fc.page_size;
-    opts.fill = fc.fill;
+    opts.build.index_kind = fc.index_kind;
+    opts.build.page_size_bytes = fc.page_size;
+    opts.build.fill = fc.fill;
     // Copy the dataset into the engine; `ds` stays alive for brute force.
     Engine engine = Engine::Build(ds.objects, ds.feature_tables, opts).TakeValue();
 
@@ -132,21 +132,32 @@ TEST(FuzzDifferentialTest, PullingStrategiesAgree) {
   }
 }
 
-TEST(FuzzDifferentialTest, BatchedAndUnbatchedStdsAgree) {
-  Dataset ds = MakeDataset(1, /*seed=*/32);
-  std::vector<const FeatureTable*> tables;
-  for (const FeatureTable& t : ds.feature_tables) tables.push_back(&t);
-  BruteForceEvaluator brute(&ds.objects, tables);
+// STDS scores a range query one object-R-tree leaf block at a time
+// (Section 5): each set's feature index is traversed once per block, and
+// the block's objects are pruned against the k-th score between sets.
+// Small pages make many blocks, so the threshold moves between them.
+TEST(FuzzDifferentialTest, BatchedStdsRangeMatchesBruteForce) {
+  for (FeatureIndexKind kind :
+       {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
+    Dataset ds = MakeDataset(2, /*seed=*/32);
+    std::vector<const FeatureTable*> tables;
+    for (const FeatureTable& t : ds.feature_tables) tables.push_back(&t);
+    BruteForceEvaluator brute(&ds.objects, tables);
 
-  EngineOptions unbatched;
-  unbatched.stds_batching = false;
-  Engine engine = Engine::Build(ds.objects, ds.feature_tables, unbatched).TakeValue();
+    EngineOptions opts;
+    opts.build.index_kind = kind;
+    opts.build.page_size_bytes = 256;
+    Engine engine =
+        Engine::Build(ds.objects, ds.feature_tables, opts).TakeValue();
 
-  Rng rng(7);
-  for (int trial = 0; trial < 10; ++trial) {
-    Query q = RandomQuery(&rng, 1, 32, ScoreVariant::kInfluence);
-    ExpectSameScores(engine.Execute(q, Algorithm::kStds).TakeValue().entries,
-                     brute.TopK(q), "unbatched/trial" + std::to_string(trial));
+    Rng rng(7);
+    for (int trial = 0; trial < 20; ++trial) {
+      Query q = RandomQuery(&rng, 2, 32, ScoreVariant::kRange);
+      ExpectSameScores(engine.Execute(q, Algorithm::kStds).TakeValue().entries,
+                       brute.TopK(q),
+                       std::string(engine.IndexName()) + "/trial" +
+                           std::to_string(trial));
+    }
   }
 }
 
@@ -165,7 +176,7 @@ TEST(FuzzDifferentialTest, SharedScratchAcrossQueriesMatchesFreshScratch) {
     for (const FeatureTable& t : ds.feature_tables) tables.push_back(&t);
     BruteForceEvaluator brute(&ds.objects, tables);
     EngineOptions opts;
-    opts.index_kind = kind;
+    opts.build.index_kind = kind;
     Engine engine =
         Engine::Build(ds.objects, ds.feature_tables, opts).TakeValue();
     const std::vector<const FeatureIndex*> indexes = {
@@ -185,14 +196,12 @@ TEST(FuzzDifferentialTest, SharedScratchAcrossQueriesMatchesFreshScratch) {
       // lambda or nothing changes the binding) or the previous lambda.
       if (trial > 0 && rng.Bernoulli(0.3)) q.keywords = prev.keywords;
       if (trial > 0 && rng.Bernoulli(0.3)) q.lambda = prev.lambda;
-      const int executor = static_cast<int>(rng.UniformInt(0, 3));
+      const int executor = static_cast<int>(rng.UniformInt(0, 2));
       auto execute = [&](TraversalScratch* scratch) {
         switch (executor) {
           case 0:
-            return stds.Execute(q, /*use_batching=*/true, scratch);
+            return stds.Execute(q, scratch);
           case 1:
-            return stds.Execute(q, /*use_batching=*/false, scratch);
-          case 2:
             return stps.Execute(q, PullingStrategy::kPrioritized, scratch);
           default:
             return stps_combos.Execute(q, PullingStrategy::kPrioritized,
@@ -232,7 +241,7 @@ TEST(FuzzDifferentialTest, IndexDeserializerSurvivesByteFlips) {
   cfg.num_clusters = 8;
   Dataset ds = GenerateSynthetic(cfg);
   EngineOptions opts;
-  opts.storage.page_size = 256;
+  opts.build.page_size_bytes = 256;
   Engine engine =
       Engine::Build(std::move(ds.objects), std::move(ds.feature_tables), opts)
           .TakeValue();

@@ -100,8 +100,8 @@ std::vector<GoldenRow> RunPaperMatrix() {
        {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
     Dataset ds = testing_example::ExampleDataset();
     EngineOptions opts;
-    opts.index_kind = kind;
-    opts.storage.page_size = 128;
+    opts.build.index_kind = kind;
+    opts.build.page_size_bytes = 128;
     Engine engine = Engine::Build(std::move(ds.objects), std::move(ds.feature_tables), opts).TakeValue();
     for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
       for (ScoreVariant variant :
@@ -140,9 +140,9 @@ std::vector<GoldenRow> RunBoundedPoolWorkload() {
        {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
     Dataset ds = GenerateSynthetic(cfg);
     EngineOptions opts;
-    opts.index_kind = kind;
-    opts.storage.page_size = 256;
-    opts.storage.pool_capacity = 32;
+    opts.build.index_kind = kind;
+    opts.build.page_size_bytes = 256;
+    opts.pool_capacity = 32;
     Engine engine = Engine::Build(std::move(ds.objects), std::move(ds.feature_tables), opts).TakeValue();
     Rng rng(99);
     QueryStats total;
@@ -192,7 +192,7 @@ std::vector<GoldenRow> RunDefaultPageMatrix() {
        {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
     Dataset ds = GenerateSynthetic(cfg);
     EngineOptions opts;
-    opts.index_kind = kind;
+    opts.build.index_kind = kind;
     Engine engine = Engine::Build(std::move(ds.objects),
                                   std::move(ds.feature_tables), opts)
                         .TakeValue();
@@ -327,8 +327,8 @@ std::vector<GoldenRow> RunPaperMatrixFileBacked() {
        {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
     Dataset ds = testing_example::ExampleDataset();
     EngineOptions opts;
-    opts.index_kind = kind;
-    opts.storage.page_size = 128;
+    opts.build.index_kind = kind;
+    opts.build.page_size_bytes = 128;
     Engine built = Engine::Build(std::move(ds.objects),
                                  std::move(ds.feature_tables), opts)
                        .TakeValue();

@@ -59,7 +59,7 @@ TEST(FeatureTableTest, AssignsIdsAndDomain) {
 struct IndexFactory {
   const char* name;
   std::function<std::unique_ptr<FeatureIndex>(const FeatureTable*,
-                                              const FeatureIndexOptions&)>
+                                              const IndexBuildParams&)>
       make;
 };
 
@@ -103,7 +103,7 @@ std::set<uint32_t> RecordsBelow(const PagedTree& tree, NodeId root) {
 class FeatureIndexConformance : public ::testing::TestWithParam<IndexFactory> {
  protected:
   std::unique_ptr<FeatureIndex> Build(const FeatureTable* table) {
-    FeatureIndexOptions opts;
+    IndexBuildParams opts;
     opts.page_size_bytes = 1024;  // small pages, deeper trees
     return GetParam().make(table, opts);
   }
@@ -255,13 +255,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         IndexFactory{"SRT",
                      [](const FeatureTable* table,
-                        const FeatureIndexOptions& o) {
+                        const IndexBuildParams& o) {
                        return std::unique_ptr<FeatureIndex>(
                            new SrtIndex(table, o));
                      }},
         IndexFactory{"IR2",
                      [](const FeatureTable* table,
-                        const FeatureIndexOptions& o) {
+                        const IndexBuildParams& o) {
                        return std::unique_ptr<FeatureIndex>(
                            new Ir2Tree(table, o));
                      }}),
@@ -273,7 +273,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SrtIndexTest, NodeSummariesAreExactKeywordUnions) {
   FeatureTable table = RandomFeatures(9, 800, 64);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&table, opts);
   // For the SRT-index, a node's aggregated Hilbert value decodes to the
   // exact union of descendant keywords, so a query fully contained in the
@@ -414,7 +414,7 @@ TEST(SrtIndexTest, MergeIsTheHilbertAggregation) {
   }
 
   FeatureTable table = RandomFeatures(62, 600, w);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 1024;
   SrtIndex index(&table, opts);
   const PagedTree& tree = index.tree();
@@ -453,7 +453,7 @@ TEST(SrtIndexTest, LeavesKeepMappedHilbertOrderAndRecordSummaries) {
   // left to right, each record's key never decreases.  Each leaf entry
   // carries its record's t.s and t.W as e.s and e.W.
   FeatureTable table = RandomFeatures(10, 200, 32);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;
   SrtIndex index(&table, opts);
   const auto& tree = index.tree();
@@ -491,7 +491,7 @@ TEST(SrtIndexTest, ClustersScoreAndText) {
   // SRT leaves should have smaller score spreads than spatial-only leaves
   // (that is the point of indexing the mapped 4-D space).
   FeatureTable table = RandomFeatures(11, 5000, 64);
-  FeatureIndexOptions srt_opts;
+  IndexBuildParams srt_opts;
   SrtIndex srt(&table, srt_opts);
   Ir2Tree ir2(&table, srt_opts);
   auto mean_leaf_score_spread = [&](auto& tree) {
@@ -526,7 +526,7 @@ TEST(SrtIndexTest, ClustersScoreAndText) {
 TEST(Ir2TreeTest, SignatureWidthScalesWithVocabulary) {
   FeatureTable small = RandomFeatures(12, 100, 64);
   FeatureTable large = RandomFeatures(13, 100, 256);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   Ir2Tree a(&small, opts), b(&large, opts);
   EXPECT_EQ(a.scheme().signature_bits(), 128u);
   EXPECT_EQ(b.scheme().signature_bits(), 512u);
@@ -536,7 +536,7 @@ TEST(Ir2TreeTest, SignatureWidthScalesWithVocabulary) {
 
 TEST(Ir2TreeTest, ExplicitSignatureBits) {
   FeatureTable table = RandomFeatures(14, 100, 64);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   opts.signature_bits = 1024;
   Ir2Tree index(&table, opts);
   EXPECT_EQ(index.scheme().signature_bits(), 1024u);
@@ -550,7 +550,7 @@ TEST(ObjectIndexTest, RangeQueryMatchesBruteForce) {
   for (uint32_t i = 0; i < 3000; ++i) {
     objects.push_back(DataObject{i, {rng.Uniform(), rng.Uniform()}, {}});
   }
-  ObjectIndexOptions opts;
+  IndexBuildParams opts;
   ObjectIndex index(&objects, opts);
   std::vector<ObjectId> got;
   std::vector<NodeId> stack;
@@ -574,7 +574,7 @@ TEST(ObjectIndexTest, SmallRangeTouchesFewPages) {
     objects.push_back(DataObject{i, {rng.Uniform(), rng.Uniform()}, {}});
   }
   BufferPool pool(0);
-  ObjectIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 1024;  // fan-out 28: a few hundred nodes
   ObjectIndex index(&objects, opts);
   std::vector<ObjectId> got;
@@ -589,7 +589,7 @@ TEST(ObjectIndexTest, LeafBlocksPartitionObjects) {
   for (uint32_t i = 0; i < 1000; ++i) {
     objects.push_back(DataObject{i, {rng.Uniform(), rng.Uniform()}, {}});
   }
-  ObjectIndexOptions opts;
+  IndexBuildParams opts;
   ObjectIndex index(&objects, opts);
   std::set<ObjectId> seen;
   std::vector<NodeId> stack;
@@ -613,7 +613,7 @@ TEST(ObjectIndexTest, DomainCoversAllObjects) {
     objects.push_back(
         DataObject{i, {rng.Uniform(2.0, 5.0), rng.Uniform(-3.0, 0.0)}, {}});
   }
-  ObjectIndexOptions opts;
+  IndexBuildParams opts;
   ObjectIndex index(&objects, opts);
   for (const DataObject& o : objects) {
     EXPECT_TRUE(index.domain().Contains({o.pos.x, o.pos.y}));

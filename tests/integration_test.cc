@@ -50,9 +50,9 @@ TEST(IntegrationTest, SrtAndIr2ReturnIdenticalResults) {
   qcfg.radius = 0.04;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   EngineOptions srt_opts;
-  srt_opts.index_kind = FeatureIndexKind::kSrt;
+  srt_opts.build.index_kind = FeatureIndexKind::kSrt;
   EngineOptions ir2_opts;
-  ir2_opts.index_kind = FeatureIndexKind::kIr2;
+  ir2_opts.build.index_kind = FeatureIndexKind::kIr2;
   Engine srt = Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
              srt_opts).TakeValue();
   Engine ir2 = Engine::Build(ds.objects, std::move(ds.feature_tables), ir2_opts).TakeValue();
@@ -179,7 +179,7 @@ TEST(IntegrationTest, SmallBufferPoolStillCorrect) {
   qcfg.radius = 0.04;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   EngineOptions opts;
-  opts.storage.pool_capacity = 8;  // pathologically small LRU
+  opts.pool_capacity = 8;  // pathologically small LRU
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
   for (const Query& q : queries) {
     ExpectSameScores(engine.Execute(q, Algorithm::kStps).TakeValue().entries, brute.TopK(q),
@@ -200,7 +200,7 @@ TEST(IntegrationTest, SmallPageSizeDeepTreesStillCorrect) {
   qcfg.radius = 0.05;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   EngineOptions opts;
-  opts.storage.page_size = 256;  // fan-out floors at 4: deep trees
+  opts.build.page_size_bytes = 256;  // fan-out floors at 4: deep trees
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
   for (const Query& q : queries) {
     ExpectSameScores(engine.Execute(q, Algorithm::kStps).TakeValue().entries, brute.TopK(q),
@@ -300,7 +300,7 @@ TEST(SessionPoolTest, LeasedSessionRunsQueriesAsAFreshEngine) {
   for (FeatureIndexKind kind :
        {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
     EngineOptions opts;
-    opts.index_kind = kind;
+    opts.build.index_kind = kind;
     const std::string path = (dir / "pool.stpqx").string();
     {
       Dataset d = SessionPoolDataset();

@@ -34,8 +34,8 @@ Dataset MakeDataset() {
   return GenerateSynthetic(cfg);
 }
 
-FeatureIndexOptions SmallPages() {
-  FeatureIndexOptions opts;
+IndexBuildParams SmallPages() {
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;
   return opts;
 }
@@ -72,7 +72,7 @@ TEST(Ir2ValidatorTest, AcceptsFreshIndex) {
 
 TEST(ObjectIndexValidatorTest, AcceptsFreshIndex) {
   Dataset ds = MakeDataset();
-  ObjectIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;
   ObjectIndex index(&ds.objects, opts);
   ASSERT_GE(index.tree().height(), 2u);  // corruption tests need depth
@@ -104,7 +104,7 @@ TEST(RTreeValidatorTest, AcceptsDeepPackedImage) {
 
 TEST(RTreeValidatorTest, DetectsLooseParentMbr) {
   Dataset ds = MakeDataset();
-  ObjectIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;
   ObjectIndex index(&ds.objects, opts);
   PagedTree& tree = index.mutable_tree_for_test();
@@ -119,7 +119,7 @@ TEST(RTreeValidatorTest, DetectsLooseParentMbr) {
 
 TEST(RTreeValidatorTest, DetectsSharedSubtree) {
   Dataset ds = MakeDataset();
-  ObjectIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;
   ObjectIndex index(&ds.objects, opts);
   PagedTree& tree = index.mutable_tree_for_test();
@@ -134,7 +134,7 @@ TEST(RTreeValidatorTest, DetectsSharedSubtree) {
 
 TEST(RTreeValidatorTest, DetectsLeafRecordBijectionBreak) {
   Dataset ds = MakeDataset();
-  ObjectIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;
   ObjectIndex index(&ds.objects, opts);
   PagedTree& tree = index.mutable_tree_for_test();
@@ -164,7 +164,7 @@ TEST(RTreeValidatorTest, DetectsLeafRecordBijectionBreak) {
 
 TEST(ObjectIndexValidatorTest, DetectsHilbertLeafOrderViolation) {
   Dataset ds = MakeDataset();
-  ObjectIndexOptions opts;
+  IndexBuildParams opts;
   opts.page_size_bytes = 512;
   ObjectIndex index(&ds.objects, opts);
   PagedTree& tree = index.mutable_tree_for_test();
@@ -359,8 +359,8 @@ TEST(ReopenedIndexValidatorTest, DeepValidatorsAcceptReopenedIndexes) {
        {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
     Dataset ds = GenerateSynthetic(cfg);
     EngineOptions opts;
-    opts.index_kind = kind;
-    opts.storage.page_size = 256;
+    opts.build.index_kind = kind;
+    opts.build.page_size_bytes = 256;
     Engine built = Engine::Build(std::move(ds.objects),
                                  std::move(ds.feature_tables), opts)
                        .TakeValue();

@@ -271,8 +271,8 @@ class IndexFileTest : public IoTest {
 
   static Engine BuildEngine(const Dataset& ds, FeatureIndexKind kind) {
     EngineOptions opts;
-    opts.index_kind = kind;
-    opts.storage.page_size = 256;  // small pages -> trees with real depth
+    opts.build.index_kind = kind;
+    opts.build.page_size_bytes = 256;  // small pages -> trees with real depth
     return Engine::Build(ds.objects,
                          std::vector<FeatureTable>(ds.feature_tables), opts)
         .TakeValue();
@@ -363,7 +363,7 @@ class IndexFileTest : public IoTest {
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ(reopened.value().page_store().backend(),
               StorageBackend::kFile);
-    EXPECT_EQ(reopened.value().options().index_kind, kind);
+    EXPECT_EQ(reopened.value().options().build.index_kind, kind);
 
     for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
       for (const Query& q : SomeQueries(48, 2)) {
@@ -563,6 +563,49 @@ TEST_F(IndexFileTest, RejectsStrOrInsertionBuiltFiles) {
     EXPECT_NE(e.status().message().find(named), std::string::npos)
         << e.status().ToString();
     EXPECT_NE(e.status().message().find("rebuild"), std::string::npos)
+        << e.status().ToString();
+  }
+}
+
+TEST_F(IndexFileTest, RejectsOutOfRangeBuildParameters) {
+  // The superblock carries no checksum, so Engine::Open puts its build
+  // parameters and table count through CheckBuildParams, the check both
+  // writers use, before it derives any layout from them.  Each value out
+  // of range is refused as InvalidArgument naming the parameter.
+  struct Patch {
+    size_t offset;  // into the superblock (io/index_format.h)
+    std::string bytes;
+    const char* name;
+  };
+  const auto u32 = [](uint32_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const auto f64 = [](double v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const Patch patches[] = {
+      {8, u32(kMinPageSizeBytes - 1), "page_size_bytes"},
+      {8, u32(kMaxPageSizeBytes + 1), "page_size_bytes"},
+      {28, f64(0.0), "fill"},
+      {28, f64(1.5), "fill"},
+      {20, u32(kMaxSignatureBits + 1), "signature_bits"},
+      {24, u32(0), "signature_hashes"},
+      {24, u32(65), "signature_hashes"},  // automatic width: at most 64
+      {44, u32(kMaxFeatureSets + 1), "feature sets"},
+  };
+  for (const Patch& patch : patches) {
+    std::string path = SaveSmallIndex("params.stpqx");
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(patch.offset));
+      f.write(patch.bytes.data(),
+              static_cast<std::streamsize>(patch.bytes.size()));
+    }
+    Result<Engine> e = Engine::Open(path);
+    ASSERT_FALSE(e.ok()) << patch.name;
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument)
+        << e.status().ToString();
+    EXPECT_NE(e.status().message().find(patch.name), std::string::npos)
         << e.status().ToString();
   }
 }

@@ -66,7 +66,7 @@ class OpenMemoryTest : public ::testing::Test {
     cfg.num_clusters = 32;
     Dataset ds = GenerateSynthetic(cfg);
     EngineOptions opts;
-    opts.storage.page_size = 256;
+    opts.build.page_size_bytes = 256;
     return Engine::Build(ds.objects,
                          std::vector<FeatureTable>(ds.feature_tables), opts)
         .TakeValue();

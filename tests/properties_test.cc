@@ -2,8 +2,7 @@
 //   * Lemma 1: every object's score is the score of some valid combination;
 //   * Definition 4 symmetry: combination validity is order-independent;
 //   * s-hat(e) tightness statistics (SRT tighter than IR2);
-//   * Voronoi cells of the relevant features partition the domain;
-//   * batched STDS never reads more pages than per-object STDS.
+//   * Voronoi cells of the relevant features partition the domain.
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
@@ -41,7 +40,7 @@ TEST(Lemma1Test, EveryObjectScoreIsAValidCombinationScore) {
   qcfg.count = 3;
   qcfg.radius = 0.06;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex i0(&ds.feature_tables[0], opts);
   SrtIndex i1(&ds.feature_tables[1], opts);
   for (const Query& q : queries) {
@@ -78,7 +77,7 @@ TEST(BoundTightnessTest, SrtBoundsTighterThanIr2OnAverage) {
   cfg.vocabulary_size = 64;
   cfg.num_clusters = 150;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex srt(&ds.feature_tables[0], opts);
   Ir2Tree ir2(&ds.feature_tables[0], opts);
   KeywordSet query(64, {1, 2, 3});
@@ -138,7 +137,7 @@ TEST(VoronoiPartitionTest, RelevantCellsPartitionTheDomain) {
   cfg.vocabulary_size = 8;
   cfg.num_clusters = 30;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&ds.feature_tables[0], opts);
   KeywordSet query(8, {0, 1, 2});
   Rect2 domain = MakeRect2(0, 0, 1, 1);
@@ -156,37 +155,6 @@ TEST(VoronoiPartitionTest, RelevantCellsPartitionTheDomain) {
     total_area += cell.polygon.Area();
   }
   EXPECT_NEAR(total_area, 1.0, 1e-6);
-}
-
-TEST(StdsBatchingTest, BatchingReadsAtMostMarginallyMorePages) {
-  // Batching shares one feature-index traversal across a leaf block, but
-  // the per-object path sees a fresher pruning threshold between objects;
-  // page counts may differ slightly in either direction.  The property:
-  // batching never costs more than a small margin, and both are correct.
-  SyntheticConfig cfg;
-  cfg.num_objects = 3000;
-  cfg.num_features_per_set = 1500;
-  cfg.num_feature_sets = 2;
-  cfg.vocabulary_size = 32;
-  cfg.num_clusters = 100;
-  Dataset ds = GenerateSynthetic(cfg);
-  QueryWorkloadConfig qcfg;
-  qcfg.count = 4;
-  qcfg.radius = 0.03;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  EngineOptions batched;
-  batched.stds_batching = true;
-  EngineOptions single;
-  single.stds_batching = false;
-  Engine eb = Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
-            batched).TakeValue();
-  Engine es = Engine::Build(ds.objects, std::move(ds.feature_tables), single).TakeValue();
-  uint64_t batched_reads = 0, single_reads = 0;
-  for (const Query& q : queries) {
-    batched_reads += eb.Execute(q, Algorithm::kStds).TakeValue().stats.TotalReads();
-    single_reads += es.Execute(q, Algorithm::kStds).TakeValue().stats.TotalReads();
-  }
-  EXPECT_LE(batched_reads, single_reads + single_reads / 10);
 }
 
 TEST(CombinationSymmetryTest, FeatureSetOrderDoesNotChangeScores) {

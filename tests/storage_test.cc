@@ -108,8 +108,8 @@ TEST(BufferPoolTest, StatsDeltaSaturatesOnUnderflow) {
 }
 
 TEST(BufferPoolTest, DistinctNamespacesDontCollide) {
-  // Two indexes sharing one pool use page_base offsets; distinct ids are
-  // distinct pages.
+  // Two trees sharing one pool start at their TreePageBase; distinct ids
+  // are distinct pages.
   BufferPool pool(0);
   constexpr PageId kStride = PageId{1} << 32;
   EXPECT_FALSE(pool.Access(kStride * 1 + 7).hit());
@@ -168,13 +168,9 @@ TEST(BufferPoolPinTest, EvictionSkipsPinnedAndTakesNextLru) {
   EXPECT_FALSE(pool.Access(2).hit());
 }
 
-TEST(PageStoreTest, ParseStorageBackend) {
-  EXPECT_EQ(ParseStorageBackend("simulated").value(),
-            StorageBackend::kSimulated);
-  EXPECT_EQ(ParseStorageBackend("file").value(), StorageBackend::kFile);
-  Result<StorageBackend> bad = ParseStorageBackend("bogus");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+TEST(PageStoreTest, StorageBackendName) {
+  EXPECT_STREQ(StorageBackendName(StorageBackend::kSimulated), "simulated");
+  EXPECT_STREQ(StorageBackendName(StorageBackend::kFile), "file");
 }
 
 TEST(PageStoreTest, SimulatedStoreCountsMissesOnly) {

@@ -47,7 +47,7 @@ TEST(InfluenceScoreTest, MatchesBruteForce) {
   cfg.vocabulary_size = 32;
   cfg.num_clusters = 50;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&ds.feature_tables[0], opts);
   BruteForceEvaluator brute(&ds.objects, TablePtrs(ds));
   Query q;
@@ -79,7 +79,7 @@ TEST(NnScoreTest, MatchesBruteForce) {
   cfg.vocabulary_size = 32;
   cfg.num_clusters = 50;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&ds.feature_tables[0], opts);
   BruteForceEvaluator brute(&ds.objects, TablePtrs(ds));
   Query q;
@@ -101,7 +101,7 @@ TEST(NnScoreTest, IgnoresIrrelevantNearerFeature) {
   f.push_back({0, {0.50, 0.5}, 0.9, KeywordSet(4, {0}), "near-irrelevant"});
   f.push_back({0, {0.60, 0.5}, 0.6, KeywordSet(4, {1}), "far-relevant"});
   FeatureTable table(std::move(f), 4);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&table, opts);
   KeywordSet query(4, {1});
   QueryStats stats;
@@ -128,7 +128,7 @@ TEST(NnScoreTest, EquidistantTieBreaksByPreferenceScore) {
     f.push_back({0, {0.6, 0.5}, high_first ? 0.2 : 0.8,
                  KeywordSet(4, {1}), "right"});
     FeatureTable table(std::move(f), 4);
-    FeatureIndexOptions opts;
+    IndexBuildParams opts;
     SrtIndex index(&table, opts);
     KeywordSet query(4, {1});
     QueryStats stats;
@@ -154,7 +154,7 @@ TEST(VoronoiTest, CellContainsExactlyNearestRegion) {
   cfg.vocabulary_size = 8;
   cfg.num_clusters = 40;
   Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&ds.feature_tables[0], opts);
   KeywordSet query(8, {0, 1});
   Rect2 domain = MakeRect2(0, 0, 1, 1);
@@ -204,7 +204,7 @@ TEST(VoronoiTest, SingleFeatureOwnsWholeDomain) {
   std::vector<FeatureObject> f;
   f.push_back({0, {0.5, 0.5}, 1.0, KeywordSet(4, {0}), {}});
   FeatureTable table(std::move(f), 4);
-  FeatureIndexOptions opts;
+  IndexBuildParams opts;
   SrtIndex index(&table, opts);
   KeywordSet query(4, {0});
   QueryStats stats;
@@ -266,7 +266,7 @@ TEST_P(VariantAgreementTest, StdsStpsBruteForceAgree) {
   qcfg.variant = p.variant;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   EngineOptions opts;
-  opts.index_kind = p.kind;
+  opts.build.index_kind = p.kind;
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
   for (const Query& q : queries) {
     std::vector<ResultEntry> expected = brute.TopK(q);

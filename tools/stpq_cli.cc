@@ -16,9 +16,10 @@
 //
 // Every query-running command accepts either --data FILE (build indexes
 // in memory, simulated storage) or --index FILE (reopen a prebuilt
-// .stpqx file, file-backed storage); --backend simulated|file makes the
-// choice explicit.  --kind srt|ir2 picks the feature index when
-// building; a reopened file always uses the kind it was built with.
+// .stpqx file, file-backed storage); --index wins when both are given.
+// --kind srt|ir2 picks the feature index when building; a reopened file
+// always uses the kind it was built with.  Build parameters outside the
+// library's range (CheckBuildParams) fail the command with exit code 1.
 //
 // Every flag is declared once below (name, value kind, help), each command
 // lists the flags it takes, and --help is generated from that list.
@@ -88,8 +89,6 @@ constexpr Flag kData{"data", kString, "FILE",
                      "dataset (.stpq); query commands index it in memory"};
 constexpr Flag kIndex{"index", kString, "FILE",
                       ".stpqx index file (build writes it, others reopen it)"};
-constexpr Flag kBackend{"backend", kChoice, "simulated|file",
-                        "page source (default: file iff --index is given)"};
 constexpr Flag kIndexKind{"kind", kChoice, "srt|ir2",
                           "feature index to build (default srt)"};
 constexpr Flag kPageSize{"page-size", kUint, "N",
@@ -156,7 +155,7 @@ FlagList Join(std::initializer_list<FlagList> lists) {
 }
 
 const FlagList kEngineFlags = {
-    &kData, &kIndex,         &kBackend,         &kIndexKind, &kPageSize,
+    &kData, &kIndex,         &kIndexKind,       &kPageSize,
     &kFill, &kSignatureBits, &kSignatureHashes, &kPool};
 const FlagList kQueryShapeFlags = {&kK, &kRadius, &kLambda, &kVariant,
                                    &kAlgo};
@@ -351,31 +350,19 @@ IndexBuildParams BuildParams(const Args& args) {
 }
 
 EngineOptions MakeEngineOptions(const Args& args) {
-  const IndexBuildParams p = BuildParams(args);
   EngineOptions opts;
-  opts.index_kind = p.index_kind;
-  opts.storage.page_size = p.page_size_bytes;
-  opts.storage.pool_capacity = args.Uint(kPool, 0);
-  opts.fill = p.fill;
-  opts.signature_bits = p.signature_bits;
-  opts.signature_hashes = p.signature_hashes;
+  opts.build = BuildParams(args);
+  opts.pool_capacity = args.Uint(kPool, 0);
   return opts;
 }
 
-/// The shared engine source behind every query-running command: builds
-/// in memory from --data (simulated backend) or reopens --index (file
+/// The shared engine source behind every query-running command: reopens
+/// --index (file backend) or builds in memory from --data (simulated
 /// backend), and fills `ds` with the objects, tables and vocabularies the
 /// command needs for keyword parsing and query generation.
 Result<Engine> MakeEngine(const Args& args, Dataset* ds) {
   const std::string index_path = args.Str(kIndex);
-  Result<StorageBackend> backend = ParseStorageBackend(
-      args.Str(kBackend, index_path.empty() ? "simulated" : "file"));
-  if (!backend.ok()) return backend.status();
-
-  if (backend.value() == StorageBackend::kFile) {
-    if (index_path.empty()) {
-      return Status::InvalidArgument("--backend=file requires --index FILE");
-    }
+  if (!index_path.empty()) {
     Result<Engine> engine = Engine::Open(index_path, MakeEngineOptions(args));
     if (!engine.ok()) return engine;
     // Rebuild the dataset view from the engine + the persisted
@@ -390,10 +377,6 @@ Result<Engine> MakeEngine(const Args& args, Dataset* ds) {
     return engine;
   }
 
-  if (!index_path.empty()) {
-    return Status::InvalidArgument(
-        "--index is only meaningful with --backend=file");
-  }
   Result<Dataset> data = LoadData(args);
   if (!data.ok()) return data.status();
   *ds = data.TakeValue();
@@ -547,9 +530,9 @@ AdminStatusRows EngineStatusRows(const Engine* engine) {
   rows.emplace_back("backend",
                     StorageBackendName(engine->page_store().backend()));
   rows.emplace_back("page_size",
-                    std::to_string(engine->options().storage.page_size));
+                    std::to_string(engine->options().build.page_size_bytes));
   rows.emplace_back("pool_capacity_pages",
-                    std::to_string(engine->options().storage.pool_capacity));
+                    std::to_string(engine->options().pool_capacity));
   return rows;
 }
 
