@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/combination.h"
@@ -111,13 +113,24 @@ std::vector<PageId> PageSequence(uint64_t seed, PageId max_page) {
   return seq;
 }
 
+/// An in-memory store of `pages` 64-byte pages at page ids [0, pages).
+SimulatedPageStore MemoryStore(uint64_t pages) {
+  std::vector<SimulatedPageStore::Extent> extents;
+  extents.push_back({0, pages, 64, std::vector<uint8_t>(pages * 64, 0)});
+  return SimulatedPageStore(std::move(extents));
+}
+
+/// One cold query's access mix: 4096 random touches of 4096 pages (about
+/// 63% first touches, each a read), then Reset for the next query.
 void BM_BufferPoolAccess(benchmark::State& state) {
-  BufferPool pool(1024);
+  const SimulatedPageStore store = MemoryStore(4096);
+  BufferPool pool(&store);
   const std::vector<PageId> seq = PageSequence(7, 4095);
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pool.Access(seq[i]).hit());
     i = (i + 1) & (seq.size() - 1);
+    if (i == 0) pool.Reset();
   }
 }
 BENCHMARK(BM_BufferPoolAccess);
@@ -321,7 +334,8 @@ void BM_BufferPoolAccessHit(benchmark::State& state) {
   // Resident-set size is the axis: a few hundred pages is what one query
   // actually keeps warm; 4096 makes every touch an L2 round-trip.
   const uint64_t n = static_cast<uint64_t>(state.range(0));
-  BufferPool pool(n);
+  const SimulatedPageStore store = MemoryStore(n);
+  BufferPool pool(&store);
   for (PageId p = 0; p < n; ++p) pool.Access(p);
   const std::vector<PageId> seq = PageSequence(14, n - 1);
   size_t i = 0;
@@ -331,17 +345,6 @@ void BM_BufferPoolAccessHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolAccessHit)->Arg(256)->Arg(4096);
-
-void BM_BufferPoolAccessEvict(benchmark::State& state) {
-  BufferPool pool(1024);
-  const std::vector<PageId> seq = PageSequence(15, 65535);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Access(seq[i]).hit());
-    i = (i + 1) & (seq.size() - 1);
-  }
-}
-BENCHMARK(BM_BufferPoolAccessEvict);
 
 // ------------------------------- file-backed page store (DESIGN.md §16)
 
@@ -399,17 +402,25 @@ void BM_FilePageStoreFetchPread(benchmark::State& state) {
 }
 BENCHMARK(BM_FilePageStoreFetchPread);
 
-/// End-to-end miss path: LRU admission + eviction + file fetch, the
-/// per-page cost a cold query pays on a reopened engine.
+/// End-to-end miss path: admission + file fetch, the per-page cost a cold
+/// query pays on a reopened engine.  The walk touches 4096 distinct pages
+/// in random order and resets the pool when it wraps, so every access is
+/// a miss.
 void BM_BufferPoolMissFileBacked(benchmark::State& state) {
   std::unique_ptr<FilePageStore> store =
       OpenFixtureStore(4096, FilePageStore::IoMode::kAuto);
-  BufferPool pool(64, store.get());  // small pool: almost every access misses
-  const std::vector<PageId> seq = PageSequence(20, 4095);
+  BufferPool pool(store.get());
+  std::vector<PageId> seq(4096);
+  std::iota(seq.begin(), seq.end(), PageId{0});
+  Rng rng(20);
+  for (size_t j = seq.size() - 1; j > 0; --j) {
+    std::swap(seq[j], seq[rng.UniformInt(0, j)]);
+  }
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pool.Access(seq[i]).hit());
     i = (i + 1) & (seq.size() - 1);
+    if (i == 0) pool.Reset();
   }
 }
 BENCHMARK(BM_BufferPoolMissFileBacked);

@@ -1,6 +1,5 @@
 #include "core/cursor.h"
 
-#include <array>
 #include <span>
 
 #include "core/object_retrieval.h"
@@ -30,24 +29,16 @@ StpsCursor::~StpsCursor() = default;
 void StpsCursor::RefillBuffer() {
   buffer_.clear();
   next_ = 0;
-  std::array<Point, kMaxFeatureSets> member_pos;
   while (buffer_.empty() && !exhausted_) {
     std::optional<Combination> combo = iterator_->Next();
     if (!combo.has_value()) {
       exhausted_ = true;
       return;
     }
-    size_t real = 0;
-    for (size_t i = 0; i < combo->members.size(); ++i) {
-      if (combo->members[i] == kVirtualFeature) continue;
-      member_pos[real++] =
-          feature_indexes_[i]->table().Get(combo->members[i]).pos;
-    }
-    CollectObjectsInRange(*objects_,
-                          std::span<const Point>(member_pos.data(), real),
-                          query_.radius, combo->score,
-                          /*remaining=*/SIZE_MAX, &claimed_, &buffer_,
-                          stats_, session_->scratch());
+    CollectCombinationObjects(*objects_, feature_indexes_, *combo,
+                              query_.radius, /*remaining=*/SIZE_MAX,
+                              &claimed_, &buffer_, stats_,
+                              session_->scratch());
   }
 }
 

@@ -33,6 +33,7 @@ Result<Engine> Engine::Build(std::vector<DataObject> objects,
                              std::vector<FeatureTable> feature_tables,
                              EngineOptions options) {
   STPQ_RETURN_NOT_OK(CheckBuildParams(options.build, feature_tables.size()));
+  STPQ_RETURN_NOT_OK(CheckUniverses(feature_tables));
   for (size_t i = 0; i < objects.size(); ++i) {
     objects[i].id = static_cast<ObjectId>(i);
   }
@@ -94,8 +95,7 @@ Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
     index_ptrs_.push_back(feature_indexes_.back().get());
   }
 
-  sessions_ = std::make_unique<SessionPool>(options_.pool_capacity,
-                                            page_store_.get());
+  sessions_ = std::make_unique<SessionPool>(page_store_.get());
 }
 
 Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
@@ -232,8 +232,7 @@ Result<std::unique_ptr<StpsCursor>> Engine::OpenCursor(
     return Status::InvalidArgument(
         "cursors support the range score variant only");
   }
-  auto session = std::make_unique<ExecutionSession>(
-      options_.pool_capacity, page_store_.get());
+  auto session = std::make_unique<ExecutionSession>(page_store_.get());
   return std::make_unique<StpsCursor>(object_index_.get(), index_ptrs_, query,
                                       options_.pulling, std::move(session));
 }

@@ -51,7 +51,10 @@ struct ExecuteOptions {
 };
 
 /// Engine construction knobs: the build parameters, which fix every page
-/// (Engine::Open takes them from the file), and three runtime settings.
+/// (Engine::Open takes them from the file), and two runtime settings.
+/// Every query reads through two cold buffer pools of its own (object
+/// index, feature indexes), so its reported I/O is the number of distinct
+/// pages it touches.
 /// The page source is not an option: Engine::Build serves the in-memory
 /// page array it packs, Engine::Open the index file it opens
 /// (Engine::page_store() reports which).
@@ -59,11 +62,6 @@ struct EngineOptions {
   /// Feature-index kind (the benchmark axis SRT vs IR2), page size, fill
   /// and IR2 signature parameters.
   IndexBuildParams build;
-  /// Capacity in pages of each of a query's two buffer pools (object
-  /// index, feature indexes); every query starts both cold, so reported
-  /// I/O is the pages the query reads.  0 = unbounded: the number of
-  /// distinct pages the query touches.
-  uint64_t pool_capacity = 0;
   /// STPS feature-pulling strategy.
   PullingStrategy pulling = PullingStrategy::kPrioritized;
   /// Influence-variant strategy: anchored retrieval (default) or the
@@ -77,9 +75,10 @@ class Engine {
   /// Builds all indexes in memory over `objects` and `feature_tables`:
   /// packs every tree once into node pages held in an in-memory page
   /// array (SimulatedPageStore), which the queries' buffer pools read.
-  /// Checks `options.build` and the table count with CheckBuildParams and
-  /// returns its InvalidArgument instead of building a broken engine.  A
-  /// file-backed engine comes from Engine::Open on a file written by Save.
+  /// Checks `options.build` and the table count with CheckBuildParams, and
+  /// the tables with CheckUniverses, and returns their InvalidArgument
+  /// instead of building a broken engine.  A file-backed engine comes from
+  /// Engine::Open on a file written by Save.
   [[nodiscard]] static Result<Engine> Build(std::vector<DataObject> objects,
                                             std::vector<FeatureTable> feature_tables,
                                             EngineOptions options = {});

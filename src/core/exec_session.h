@@ -5,10 +5,10 @@
 // simulated-I/O accounting — must live on the call's own stack or in this
 // session object.  The heaps and iterators are naturally local to the
 // algorithms; the I/O accounting lives here: the session owns the query's
-// two buffer pools (object index, feature indexes), each a cold LRU of the
-// engine's pool capacity over the engine's PageStore, and points its
-// scratch at them, so every node read of the query charges its own pools
-// and N concurrent queries each see their own counters (DESIGN.md §11).
+// two buffer pools (object index, feature indexes), each a cold page table
+// over the engine's PageStore, and points its scratch at them, so every
+// node read of the query charges its own pools and N concurrent queries
+// each see their own counters (DESIGN.md §11).
 //
 // Execute leases a session from the engine's SessionPool and returns it
 // afterwards, so the session's scratch buffers (and its pools' frames and
@@ -33,11 +33,9 @@ namespace stpq {
 /// One thread at a time.
 class ExecutionSession {
  public:
-  /// Two cold pools of `pool_capacity` pages (0 = unbounded) over `store`
-  /// (not owned, must outlive the session).
-  ExecutionSession(uint64_t pool_capacity, PageStore* store)
-      : object_pool_(pool_capacity, store),
-        feature_pool_(pool_capacity, store) {
+  /// Two cold pools over `store` (not owned, must outlive the session).
+  explicit ExecutionSession(const PageStore* store)
+      : object_pool_(store), feature_pool_(store) {
     scratch_.object_pool = &object_pool_;
     scratch_.children.set_pool(&feature_pool_);
   }
@@ -49,8 +47,8 @@ class ExecutionSession {
   /// pointed at the session's pools.
   TraversalScratch& scratch() { return scratch_; }
 
-  /// Readies the session for another query: empties both pools and zeroes
-  /// their counters and errors, keeping frames, page buffers and
+  /// Readies the session for another query: resets both pools (pages,
+  /// counters and errors), keeping frames, page buffers and
   /// page-table slots.  The scratch needs no reset — every user clears
   /// what it borrows.
   void Reset() {
@@ -93,10 +91,9 @@ class ExecutionSession {
 /// each keeps the capacity of the largest query it ran.  Thread-safe.
 class SessionPool {
  public:
-  /// Sessions get pools of `pool_capacity` pages over `store` (not owned,
-  /// must outlive the SessionPool).
-  SessionPool(uint64_t pool_capacity, PageStore* store)
-      : pool_capacity_(pool_capacity), store_(store) {}
+  /// Sessions get pools over `store` (not owned, must outlive the
+  /// SessionPool).
+  explicit SessionPool(const PageStore* store) : store_(store) {}
 
   SessionPool(const SessionPool&) = delete;
   SessionPool& operator=(const SessionPool&) = delete;
@@ -131,7 +128,7 @@ class SessionPool {
     }
     if (session == nullptr) {
       // First use, or more queries in flight than ever before.
-      return std::make_unique<ExecutionSession>(pool_capacity_, store_);
+      return std::make_unique<ExecutionSession>(store_);
     }
     session->Reset();
     return session;
@@ -142,8 +139,7 @@ class SessionPool {
     idle_.push_back(std::move(session));
   }
 
-  uint64_t pool_capacity_;
-  PageStore* store_;
+  const PageStore* store_;
   Mutex mu_;
   std::vector<std::unique_ptr<ExecutionSession>> idle_ STPQ_GUARDED_BY(mu_);
 };

@@ -1,18 +1,27 @@
 #include "core/object_retrieval.h"
 
+#include <array>
+
 #include "geom/rect.h"
 #include "obs/trace.h"
 #include "rtree/rtree.h"
 
 namespace stpq {
 
-void CollectObjectsInRange(const ObjectIndex& objects,
-                           std::span<const Point> member_pos,
-                           double radius, double score, size_t remaining,
-                           std::vector<bool>* claimed,
-                           std::vector<ResultEntry>* result,
-                           QueryStats& stats, TraversalScratch& scratch) {
+void CollectCombinationObjects(
+    const ObjectIndex& objects,
+    std::span<const FeatureIndex* const> feature_indexes,
+    const Combination& combo, double radius, size_t remaining,
+    std::vector<bool>* claimed, std::vector<ResultEntry>* result,
+    QueryStats& stats, TraversalScratch& scratch) {
   if (objects.RootId() == kInvalidNodeId || remaining == 0) return;
+  std::array<Point, kMaxFeatureSets> positions;
+  size_t real = 0;
+  for (size_t i = 0; i < combo.members.size(); ++i) {
+    if (combo.members[i] == kVirtualFeature) continue;
+    positions[real++] = feature_indexes[i]->table().Get(combo.members[i]).pos;
+  }
+  const std::span<const Point> member_pos(positions.data(), real);
   Span span(stats, QueryPhase::kObjectRetrieval,
             static_cast<uint32_t>(remaining),
             static_cast<uint64_t>(member_pos.size()));
@@ -60,7 +69,7 @@ void CollectObjectsInRange(const ObjectIndex& objects,
         }
         (*claimed)[node.id(i)] = true;
         ++stats.objects_scored;
-        result->push_back(ResultEntry{node.id(i), score});
+        result->push_back(ResultEntry{node.id(i), combo.score});
         ++added;
         ++descended;
       } else {

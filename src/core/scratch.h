@@ -43,8 +43,8 @@
 //     charge (the session's feature pool; null for an uncharged bare
 //     kernel).  A repeated visit still charges its page through
 //     FeatureIndex::TouchNode, in the same order as before, so reads,
-//     buffer hits, evictions and the per-level traversal profile are the
-//     same as evaluating the node every time.  The memo saves CPU only;
+//     buffer hits and the per-level traversal profile are the same as
+//     evaluating the node every time.  The memo saves CPU only;
 //     the paper's I/O model (one page access per node visit) is untouched.
 //   * Set-up.  Entries live in an open-addressing table sized by the
 //     nodes visited, never by the index, so a fresh per-query scratch

@@ -1,10 +1,8 @@
 #include "core/stps.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/combination.h"
@@ -43,23 +41,15 @@ QueryResult Stps::ExecuteRange(const Query& query, PullingStrategy strategy,
                          &result.stats, scratch);
   std::vector<bool>& claimed = scratch.flags;
   claimed.assign(objects_->size(), false);
-  std::array<Point, kMaxFeatureSets> member_pos;
   // Algorithm 3: emit combinations best-first; objects qualified by their
   // best covering combination have exactly tau(p) = s(C).
   while (result.entries.size() < query.k) {
     std::optional<Combination> combo = it.Next();
     if (!combo.has_value()) break;
-    size_t real = 0;
-    for (size_t i = 0; i < combo->members.size(); ++i) {
-      if (combo->members[i] == kVirtualFeature) continue;
-      member_pos[real++] =
-          feature_indexes_[i]->table().Get(combo->members[i]).pos;
-    }
-    CollectObjectsInRange(*objects_,
-                          std::span<const Point>(member_pos.data(), real),
-                          query.radius, combo->score,
-                          query.k - result.entries.size(), &claimed,
-                          &result.entries, result.stats, scratch);
+    CollectCombinationObjects(*objects_, feature_indexes_, *combo,
+                              query.radius, query.k - result.entries.size(),
+                              &claimed, &result.entries, result.stats,
+                              scratch);
   }
   return result;
 }

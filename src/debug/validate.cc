@@ -330,86 +330,34 @@ Status ValidateObjectIndex(const ObjectIndex& index) {
 }
 
 Status ValidateBufferPool(const BufferPool& pool) {
-  constexpr uint32_t kNil = BufferPool::kNilFrame;
-  // Walk the intrusive LRU chain from the head: every link must be in
-  // range, back-links must mirror forward links, and the chain must be
-  // acyclic and end at the recorded tail.
-  uint64_t chain_count = 0;
-  uint32_t prev = kNil;
-  for (uint32_t f = pool.head_; f != kNil; f = pool.frames_[f].next) {
-    if (f >= pool.frames_.size()) {
-      return Status::Internal("buffer pool: LRU chain links frame " + Num(uint64_t{f}) +
-                              " outside the frame array");
-    }
-    if (pool.frames_[f].prev != prev) {
-      return Status::Internal("buffer pool: LRU chain back-link of frame " +
-                              Num(uint64_t{f}) +
-                              " does not point at its predecessor");
-    }
-    if (++chain_count > pool.frames_.size()) {
-      return Status::Internal("buffer pool: LRU chain contains a cycle");
-    }
-    // Every resident page maps back to its own frame in the page table.
-    const uint32_t mapped = pool.table_.Find(pool.frames_[f].page);
-    if (mapped == kNil) {
-      return Status::Internal("buffer pool: resident page " +
-                              Num(pool.frames_[f].page) +
+  // Frames [0, resident) hold the admitted pages.  Each must map back to
+  // its own frame in the page table, so the frames inject into the table,
+  // and the table holds `resident` pages, which makes it a bijection.
+  const uint64_t resident = pool.table_.size();
+  if (resident > pool.frames_.size()) {
+    return Status::Internal(
+        "buffer pool: the page table maps " + Num(resident) +
+        " pages but only " +
+        Num(static_cast<uint64_t>(pool.frames_.size())) + " frames exist");
+  }
+  for (uint32_t f = 0; f < resident; ++f) {
+    const PageId page = pool.frames_[f].page;
+    const uint32_t mapped = pool.table_.Find(page);
+    if (mapped == BufferPool::kNilFrame) {
+      return Status::Internal("buffer pool: resident page " + Num(page) +
                               " is missing from the page table");
     }
     if (mapped != f) {
       return Status::Internal("buffer pool: page table entry for page " +
-                              Num(pool.frames_[f].page) +
-                              " does not point back at its LRU frame");
-    }
-    prev = f;
-  }
-  if (prev != pool.tail_) {
-    return Status::Internal("buffer pool: LRU chain ends at frame " +
-                            Num(uint64_t{prev}) +
-                            " but the tail index records " +
-                            Num(uint64_t{pool.tail_}));
-  }
-  if (chain_count != pool.chain_size_) {
-    return Status::Internal("buffer pool: LRU chain links " +
-                            Num(chain_count) + " frames but the size "
-                            "counter records " + Num(pool.chain_size_));
-  }
-  // Chain and page table must be a bijection (the walk above proved the
-  // chain injects into the table; equal sizes make it onto).
-  if (chain_count != pool.table_.size()) {
-    return Status::Internal(
-        "buffer pool: LRU chain links " + Num(chain_count) +
-        " frames but the page table maps " +
-        Num(static_cast<uint64_t>(pool.table_.size())) + " pages");
-  }
-  // Free-list frames must be disjoint from the chain: unpinned, absent
-  // from the table, and the two lists together never exceed the array.
-  uint64_t free_count = 0;
-  for (uint32_t f = pool.free_head_; f != kNil; f = pool.frames_[f].next) {
-    if (f >= pool.frames_.size()) {
-      return Status::Internal("buffer pool: free list links frame " + Num(uint64_t{f}) +
-                              " outside the frame array");
-    }
-    if (pool.frames_[f].pins != 0) {
-      return Status::Internal("buffer pool: free frame " + Num(uint64_t{f}) +
-                              " carries a pin");
-    }
-    if (++free_count + chain_count > pool.frames_.size()) {
-      return Status::Internal(
-          "buffer pool: free list and LRU chain overlap or cycle");
+                              Num(page) + " does not point back at frame " +
+                              Num(uint64_t{f}));
     }
   }
-  // Capacity and I/O-counter consistency.
-  if (pool.capacity_ != 0 && chain_count > pool.capacity_) {
-    return Status::Internal("buffer pool: " + Num(chain_count) +
-                            " resident pages exceed capacity " +
-                            Num(pool.capacity_));
-  }
-  if (chain_count > pool.lifetime_admissions_) {
-    return Status::Internal(
-        "buffer pool: " + Num(chain_count) + " resident pages but only " +
-        Num(pool.lifetime_admissions_) +
-        " lifetime admissions (I/O counters inconsistent)");
+  // Every admitted page was a read since Reset.
+  if (resident > pool.reads_) {
+    return Status::Internal("buffer pool: " + Num(resident) +
+                            " resident pages but only " + Num(pool.reads_) +
+                            " reads since Reset (I/O counters inconsistent)");
   }
   return Status::OK();
 }

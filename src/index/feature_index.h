@@ -59,8 +59,8 @@ class FeatureIndex {
   /// Charges `pool` the page access of visiting `node_id` exactly as
   /// VisitChildren does, without evaluating its children.  The
   /// relevant-children memo (core/scratch.h) calls it when it answers a
-  /// repeated visit from memory, so reads, hits and evictions stay those
-  /// of one page access per node visit.
+  /// repeated visit from memory, so reads and hits stay those of one page
+  /// access per node visit.
   virtual void TouchNode(BufferPool* pool, NodeId node_id) const = 0;
 
   /// The record store this index was built over.

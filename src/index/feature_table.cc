@@ -1,5 +1,7 @@
 #include "index/feature_table.h"
 
+#include <string>
+
 #include "util/logging.h"
 
 namespace stpq {
@@ -14,6 +16,20 @@ FeatureTable::FeatureTable(std::vector<FeatureObject> features,
     STPQ_DCHECK(features_[i].score >= 0.0 && features_[i].score <= 1.0);
     domain_.EnlargePoint({features_[i].pos.x, features_[i].pos.y});
   }
+}
+
+Status CheckUniverses(std::span<const FeatureTable> tables) {
+  for (size_t i = 0; i < tables.size(); ++i) {
+    if (tables[i].universe_size() > kMaxUniverse) {
+      return Status::InvalidArgument(
+          "feature table " + std::to_string(i) +
+          " declares a keyword universe of " +
+          std::to_string(tables[i].universe_size()) +
+          " terms, above kMaxUniverse (" + std::to_string(kMaxUniverse) +
+          ")");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace stpq

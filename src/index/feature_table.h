@@ -10,6 +10,7 @@
 
 #include "geom/rect.h"
 #include "index/feature.h"
+#include "util/status.h"
 
 namespace stpq {
 
@@ -41,6 +42,11 @@ class FeatureTable {
   uint32_t universe_size_ = 0;
   Rect2 domain_ = Rect2::Empty();
 };
+
+/// InvalidArgument naming the first of `tables` whose keyword universe is
+/// above kMaxUniverse, which every reader refuses: Engine::Build and the
+/// writers call it before they build anything or create a file.
+[[nodiscard]] Status CheckUniverses(std::span<const FeatureTable> tables);
 
 }  // namespace stpq
 

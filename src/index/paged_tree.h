@@ -6,8 +6,7 @@
 // share its in-memory page array, an opened engine's trees share the
 // index file; a tree built on its own (tests, benches, ablations) owns a
 // private page array.  A read charges the BufferPool its caller passes
-// and views the frame's page; a pool without a store only counts, and the
-// bytes come straight from the tree's store.  A null pool reads uncharged.
+// and views the frame's page; a null pool reads uncharged.
 #ifndef STPQ_INDEX_PAGED_TREE_H_
 #define STPQ_INDEX_PAGED_TREE_H_
 
@@ -45,13 +44,11 @@ class PagedTree {
   PagedTree& operator=(PagedTree&&) = default;
 
   /// Reads node `id`: one page access charged to `pool`, or none when
-  /// `pool` is null.  A pool with a store must read this tree's store.
+  /// `pool` is null.  The pool must read this tree's store.
   [[nodiscard]] NodeView ReadNode(BufferPool* pool, NodeId id) const {
     if (pool == nullptr) return PeekNode(id);
-    PageView page = pool->Access(base_ + id);
-    if (pool->page_store() == nullptr) return PeekNode(id);
-    STPQ_DCHECK(pool->page_store() == pages_);
-    return NodeView(std::move(page), layout_, meta_.max_entries);
+    STPQ_DCHECK(&pool->page_store() == pages_);
+    return NodeView(pool->Access(base_ + id), layout_, meta_.max_entries);
   }
 
   /// Reads node `id` without charging any pool (validators, statistics).

@@ -212,6 +212,7 @@ Status WriteDatasetBinary(const std::string& path, const Dataset& dataset) {
     return Status::InvalidArgument(
         "dataset must carry one vocabulary per feature table");
   }
+  STPQ_RETURN_NOT_OK(CheckUniverses(dataset.feature_tables));
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open for write: " + path);
   PutPod(out, kMagic);

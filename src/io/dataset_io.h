@@ -47,7 +47,8 @@ namespace stpq {
 
 // -------------------------------------------------------------- binary
 
-/// Serializes a whole dataset to a .stpq binary file.
+/// Serializes a whole dataset to a .stpq binary file.  InvalidArgument,
+/// and no file, for a table CheckUniverses refuses.
 [[nodiscard]] Status WriteDatasetBinary(const std::string& path, const Dataset& dataset);
 
 /// Loads a dataset written by WriteDatasetBinary, reading it through

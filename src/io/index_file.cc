@@ -570,6 +570,7 @@ Status WriteIndexFile(const std::string& path,
         "table");
   }
   STPQ_RETURN_NOT_OK(CheckBuildParams(request.params, num_tables));
+  STPQ_RETURN_NOT_OK(CheckUniverses(*request.feature_tables));
 
   IndexFileWriter writer(request.params, request.objects->size(),
                          static_cast<uint32_t>(num_tables));

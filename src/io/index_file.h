@@ -60,8 +60,9 @@ struct IndexFileWriteRequest {
 
 /// Serializes the whole index set to `path` (overwriting, crash-safe)
 /// through the one .stpqx writer (io/index_writer.h).  Typed errors:
-/// InvalidArgument on a malformed request or on what CheckBuildParams
-/// refuses (nothing is written then), IoError on write failure.
+/// InvalidArgument on a malformed request or on what CheckBuildParams or
+/// CheckUniverses refuses (nothing is written then), IoError on write
+/// failure.
 [[nodiscard]] Status WriteIndexFile(const std::string& path,
                                     const IndexFileWriteRequest& request);
 

@@ -37,8 +37,6 @@ const char* TraceEventTypeName(TraceEventType type) {
       return "pool_hit";
     case TraceEventType::kPoolMiss:
       return "pool_miss";
-    case TraceEventType::kPoolEvict:
-      return "pool_evict";
     case TraceEventType::kHeapHighWater:
       return "heap_high_water";
     case TraceEventType::kBuildPhase:

@@ -17,8 +17,8 @@
 // Span events (query, component-score search, combination round, retrieval
 // batch, Voronoi construction, build phase, admin request) are begin/end
 // pairs; instant events record individual node visits (tree, level,
-// prune/descend verdicts), buffer-pool hits/misses/evictions, and search
-// heap high-water marks.  Each event carries the per-query trace id
+// prune/descend verdicts), buffer-pool hits and misses, and search heap
+// high-water marks.  Each event carries the per-query trace id
 // assigned by the query span in Engine::Execute, so one ring can hold
 // interleaved queries and the exporter (obs/trace_export.h) can still
 // attribute every event.  The TraversalProfile counters in QueryStats are
@@ -39,8 +39,8 @@
 
 namespace stpq {
 
-/// What a trace event describes.  The first five and kBuildPhase are span
-/// types (begin/end pairs); the rest are instants.
+/// What a trace event describes.  The first five, kBuildPhase and
+/// kAdminRequest are span types (begin/end pairs); the rest are instants.
 enum class TraceEventType : uint8_t {
   kQuery = 0,          ///< one Engine::Execute call
   kComponentScore,     ///< one tau_i(p) search / batch search
@@ -50,13 +50,12 @@ enum class TraceEventType : uint8_t {
   kNodeVisit,          ///< one index-node expansion (instant)
   kPoolHit,            ///< buffer-pool hit (instant)
   kPoolMiss,           ///< buffer-pool miss = simulated read (instant)
-  kPoolEvict,          ///< buffer-pool eviction (instant)
   kHeapHighWater,      ///< search-heap high-water mark (instant)
   kBuildPhase,         ///< one external bulk-load phase (span)
   kAdminRequest,       ///< one admin-server HTTP request (span)
 };
 
-inline constexpr size_t kNumTraceEventTypes = 12;
+inline constexpr size_t kNumTraceEventTypes = 11;
 
 /// Stable lowercase name ("query", "node_visit", ...), used as the Chrome
 /// trace event name.

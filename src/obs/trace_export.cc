@@ -60,7 +60,6 @@ void AppendArgs(std::string* out, const TraceEvent& e) {
       break;
     case TraceEventType::kPoolHit:
     case TraceEventType::kPoolMiss:
-    case TraceEventType::kPoolEvict:
       out->append(",\"page\":");
       AppendUint(out, e.arg_d);
       break;

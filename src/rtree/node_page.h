@@ -104,8 +104,7 @@ void Store(uint8_t* p, const T& v) {
 }  // namespace node_page_internal
 
 /// One node read in place from its page: pointers to its columns, its
-/// level and entry count, plus the page's view (and so its frame's pin)
-/// for as long as it lives.  An empty page — a fetch that failed — reads
+/// level and entry count, plus the page's view for as long as it lives.  An empty page — a fetch that failed — reads
 /// as a leaf with no entries.
 class NodeView {
  public:

@@ -1,27 +1,23 @@
-// The buffer pool: an LRU cache of index pages in front of a PageStore.
+// The buffer pool: one query's page table in front of a PageStore.
 //
 // The paper evaluates over "large disk-resident data" and reports execution
 // time split into I/O and CPU.  Every charged node access goes through a
-// BufferPool: a miss counts as one page read (one I/O) and fetches the
-// page from the pool's PageStore into a frame; a hit is served from the
-// frame.  Benchmarks convert page reads to I/O time with a configurable
-// per-read unit cost, reproducing the paper's dark/white bar breakdown.
+// BufferPool, and every query starts on a cold pool: the first access to a
+// page counts as one page read (one I/O) and fetches the page from the
+// pool's PageStore into a frame; every later access is a hit served from
+// the frame.  So a query's reads are the distinct pages it touches.
+// Benchmarks convert page reads to I/O time with a configurable per-read
+// unit cost, reproducing the paper's dark/white bar breakdown.
 //
-// Access returns a PageView: the frame's page bytes — a view into the
+// Access returns a PageView of the frame's page bytes: a view into the
 // store's memory (the in-memory page array, the file mapping) or into a
-// buffer the frame owns (pread) — with the frame pinned until the view is
-// destroyed.  A pinned page is never evicted, so LRU eviction cannot
-// recycle bytes a traversal is reading.  A pool whose every frame is
-// pinned reads the new page through without caching it.
+// buffer the frame owns (pread).  Nothing is evicted within a query, so
+// the bytes stay valid until the pool's next Reset.
 //
-// Representation (DESIGN.md §13).  The pool is an intrusive doubly linked
-// LRU chain threaded through a frame array (index-based prev/next links,
-// pin count inline) plus an open-addressing page table mapping PageId to
-// frame index.  Hits, misses, admissions and evictions are all O(1) with
-// no per-operation allocation: evicted frames go on a free list and are
-// reused in place (with their page buffers), so a bounded pool allocates
-// at most capacity+1 frames over its whole lifetime.  The golden I/O test
-// pins the exact LRU eviction order and every counter.
+// Representation (DESIGN.md §13).  A frame array plus an open-addressing
+// page table mapping PageId to frame index.  Hits and misses are O(1);
+// Reset forgets every page but keeps the frames, their page buffers and
+// the table's slots, so a warm query refills the pool without allocating.
 //
 // Concurrency model (DESIGN.md §11).  A pool is single-threaded: each query
 // reads through the two pools its ExecutionSession owns, so no pool is
@@ -29,17 +25,15 @@
 // threads share is the PageStore under the pools, which is thread-safe.
 //
 // Failure.  A fetch the store cannot serve yields an empty view carrying
-// the failure.  The failed frame is not admitted: like a read-through it
-// is freed with its view, so the next access fetches the page again and a
-// transient read error does not outlive the query that hit it.  The pool
-// records the first failure since Reset as a typed Status (status()),
-// which Engine::Execute returns instead of a result.
+// the failure.  The failed page is not admitted, so the next access
+// fetches it again and a transient read error does not outlive the query
+// that hit it.  The pool records the first failure since Reset as a typed
+// Status (status()), which Engine::Execute returns instead of a result.
 #ifndef STPQ_STORAGE_BUFFER_POOL_H_
 #define STPQ_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "util/attributes.h"
@@ -47,7 +41,6 @@
 
 namespace stpq {
 
-class BufferPool;
 class PageStore;
 
 using PageId = uint64_t;
@@ -105,46 +98,26 @@ struct FetchFault {
 };
 
 /// The bytes of one page as a reader sees them.  A view handed out by a
-/// BufferPool pins its frame until the view is destroyed (or moved from),
-/// so the bytes stay valid while the reader holds it.  A view may also be
-/// unpooled: bytes read straight from a store, kept alive by `owned` when
-/// the store had to copy them.  An empty view has no bytes: a page that
-/// could not be fetched (see fault()) or a pool without a store.
+/// BufferPool reads its frame, which keeps the page until the pool's next
+/// Reset: nothing is evicted within a query, so the bytes outlive the view.
+/// A view may also be unpooled: bytes read straight from a store, kept
+/// alive by `owned` when the store had to copy them.  An empty view has no
+/// bytes: a page that could not be fetched (see fault()).
 class PageView {
  public:
   PageView() = default;
-  /// A view of `bytes` that outlive it (no pool, nothing owned).
+  /// A view of `bytes` that outlive it (nothing owned).
   explicit PageView(std::span<const uint8_t> bytes) : bytes_(bytes) {}
 
   /// Reads `page` from `store` outside any pool, into a buffer the view
   /// owns when the store keeps no copy of the page (pread).
   static PageView Unpooled(const PageStore& store, PageId page);
 
-  PageView(PageView&& other) noexcept
-      : bytes_(other.bytes_),
-        fault_(other.fault_),
-        owned_(std::move(other.owned_)),
-        pool_(other.pool_),
-        frame_(other.frame_),
-        hit_(other.hit_) {
-    other.pool_ = nullptr;
-  }
-  PageView& operator=(PageView&& other) noexcept {
-    if (this != &other) {
-      Release();
-      bytes_ = other.bytes_;
-      fault_ = other.fault_;
-      owned_ = std::move(other.owned_);
-      pool_ = other.pool_;
-      frame_ = other.frame_;
-      hit_ = other.hit_;
-      other.pool_ = nullptr;
-    }
-    return *this;
-  }
+  // Move-only: a copy of an owning view would view the original's buffer.
+  PageView(PageView&&) = default;
+  PageView& operator=(PageView&&) = default;
   PageView(const PageView&) = delete;
   PageView& operator=(const PageView&) = delete;
-  ~PageView() { Release(); }
 
   [[nodiscard]] std::span<const uint8_t> bytes() const { return bytes_; }
   /// Whether the pool served the page from a resident frame.
@@ -155,52 +128,36 @@ class PageView {
  private:
   friend class BufferPool;
 
-  /// Unpins the frame (pooled views); a no-op for unpooled ones.
-  inline void Release();
-
   std::span<const uint8_t> bytes_;
   FetchFault fault_;
   std::vector<uint8_t> owned_;
-  BufferPool* pool_ = nullptr;  ///< pool whose frame this view pins
-  uint32_t frame_ = 0;
   bool hit_ = false;
 };
 
-/// LRU page cache.  capacity_pages == 0 means "unbounded": every page is
-/// read from disk exactly once and then pinned forever (an infinite cache).
-/// Not thread-safe: one thread at a time (see the file comment).
+/// One query's page table over a PageStore: the first access to a page is
+/// a read, every later one a hit.  Not thread-safe: one thread at a time
+/// (see the file comment).
 class BufferPool {
  public:
-  /// `store`, when non-null, serves the pages: every miss triggers one
-  /// PageStore::FetchPage after it has been counted, so hit/miss/evict
-  /// accounting is identical across backends.  A pool without a store
-  /// only counts (its views have no bytes).  The store must outlive the
-  /// pool and may be shared between pools.
-  explicit BufferPool(uint64_t capacity_pages = 0, PageStore* store = nullptr);
+  /// Reads through `store`: every miss triggers one PageStore::FetchPage
+  /// after it has been counted, so hit/miss accounting is identical
+  /// across backends.  The store must be non-null, must outlive the pool,
+  /// and may be shared between pools.
+  explicit BufferPool(const PageStore* store);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Reads `page` and returns its view, pinned until the view goes
-  /// (PageView::hit() tells a hit from a miss, a disk read).  On a miss
-  /// the page is fetched into a frame and admitted, evicting the least
-  /// recently used *unpinned* page if the pool is full; when every other
-  /// resident page is pinned the new page is read through instead (its
-  /// frame is dropped with the view), so pinned residents are never
-  /// displaced.  A failed fetch is counted as a read but never admitted;
+  /// Reads `page` and returns its view (PageView::hit() tells a hit from a
+  /// miss, a read).  On a miss the page is fetched into a frame and
+  /// admitted.  A failed fetch is counted as a read but never admitted;
   /// the first one since Reset sets status().
   STPQ_HOT PageView Access(PageId page);
 
-  /// Drops all cached pages (simulates a cold cache between workloads).
-  /// Must not be called with outstanding views.
-  void Clear();
-
-  /// Resets the counters without dropping pages.
-  void ResetStats();
-
-  /// Readies the pool for another query: Clear, ResetStats and forget the
-  /// recorded fetch failure.  Frames, page buffers and page-table slots
-  /// are kept, so refilling the pool does not allocate.
+  /// Readies the pool for another query: forgets every page, zeroes the
+  /// counters and the recorded fetch failure.  Frames, page buffers and
+  /// page-table slots are kept, so refilling the pool does not allocate.
+  /// Must not be called while a view of the pool is still read.
   void Reset();
 
   /// Counter snapshot.
@@ -212,12 +169,10 @@ class BufferPool {
   /// Whether a fetch failed since Reset (allocation-free status().ok()).
   [[nodiscard]] bool failed() const { return fault_.failed(); }
 
-  [[nodiscard]] uint64_t capacity_pages() const { return capacity_; }
-  /// The store serving misses, or nullptr (a counting-only pool).
-  [[nodiscard]] PageStore* page_store() const { return store_; }
-  [[nodiscard]] uint64_t resident_pages() const { return chain_size_; }
-  /// Resident frames with pins > 0 (a walk of the LRU chain; cold).
-  [[nodiscard]] uint64_t pinned_pages() const;
+  /// The store serving misses.
+  [[nodiscard]] const PageStore& page_store() const { return *store_; }
+  /// Pages admitted since Reset.
+  [[nodiscard]] uint64_t resident_pages() const { return table_.size(); }
 
   /// Deliberate-corruption backdoor for invariant tests; never used by
   /// library code.
@@ -226,25 +181,16 @@ class BufferPool {
  private:
   friend Status ValidateBufferPool(const BufferPool& pool);
   friend struct Corrupter;
-  friend class PageView;
 
-  /// Sentinel frame index: chain terminator / empty page-table slot.
+  /// Sentinel frame index: an empty page-table slot.
   static constexpr uint32_t kNilFrame = 0xffffffffu;
 
-  /// One page frame.  `prev`/`next` thread the frame through either the
-  /// LRU chain (resident frames) or the free list (`next` only); a
-  /// detached frame (a read-through, or a failed fetch) is on neither and
-  /// goes back to the free list when its last pin goes.
+  /// One page frame, as the access path reads it.
   struct Frame {
     PageId page = 0;
-    /// The page's bytes (null when the fetch failed, or without a store):
-    /// the store's memory or the frame's buffer.
+    /// The page's bytes: the store's memory or the frame's buffer.
     const uint8_t* data = nullptr;
     uint32_t size = 0;
-    uint32_t prev = kNilFrame;
-    uint32_t next = kNilFrame;
-    uint32_t pins = 0;
-    bool detached = false;
   };
 
   /// The rest of what frame f holds, at frame_pages_[f]: kept apart from
@@ -252,22 +198,20 @@ class BufferPool {
   struct FramePage {
     FetchFault fault;
     /// Filled by stores that keep no copy of their pages (pread); kept
-    /// with the frame on the free list, so refills reuse it.
+    /// across Reset, so refills reuse it.
     std::vector<uint8_t> buffer;
   };
 
   /// Open-addressing PageId -> frame-index map: linear probing over a
-  /// power-of-two slot array, backward-shift deletion (no tombstones).
-  /// Never shrinks, and Clear() keeps the slot array, so a warm pool
-  /// re-fills without allocating.
+  /// power-of-two slot array.  Entries are only ever added until Clear,
+  /// which keeps the slot array, so a warm pool re-fills without
+  /// allocating.
   class PageTable {
    public:
     /// Frame index for `page`, or kNilFrame when absent.
     uint32_t Find(PageId page) const;
     /// `page` must not be present.
     void Insert(PageId page, uint32_t frame);
-    /// No-op when `page` is absent (Corrupter uses that leniency).
-    void Erase(PageId page);
     void Clear();
     [[nodiscard]] size_t size() const { return size_; }
 
@@ -284,89 +228,36 @@ class BufferPool {
     size_t size_ = 0;
   };
 
-  /// Access body: finds or admits `page` and pins its frame once for the
-  /// caller; returns the frame index.
-  STPQ_HOT uint32_t PinInternal(PageId page, bool* hit);
-
-  /// Drops one pin of frame `f`; a detached frame returns to the free list
-  /// with its last pin.
-  inline void UnpinInternal(uint32_t f);
-
-  /// Evicts the least recently used unpinned page.  When every resident
-  /// page is pinned, detaches `admitted` — the page just admitted, pinned
-  /// by its view — instead: the read-through case.
-  void EvictOneUnpinned(uint32_t admitted);
-
-  // Intrusive-chain helpers.
-  void Unlink(uint32_t f);
-  void LinkFront(uint32_t f);
-  /// Pops the free list or grows frames_.
-  uint32_t AcquireFrame();
-  /// Pushes a frame on the free list.
-  void ReleaseFrame(uint32_t f);
-
-  uint64_t capacity_;
-  /// Physical backend (null = simulated).
-  PageStore* store_;
-  /// static_cast<uint8_t>(store_->backend()), or 0 when store_ is null;
-  /// stamped into kPoolMiss trace events as arg_a.
-  uint8_t backend_tag_;
+  /// Physical backend; never null.
+  const PageStore* store_;
+  /// static_cast<uint8_t>(store_->backend()); stamped into kPoolMiss trace
+  /// events as arg_a.
+  uint8_t backend_tag_ = 0;
   uint64_t reads_ = 0;
   uint64_t hits_ = 0;
   /// First fetch failure since Reset.
   FetchFault fault_;
-  /// Total pages ever admitted to the pool; unlike the stats counters this
-  /// is never reset, so `resident_pages() <= lifetime_admissions_` is an
-  /// invariant that ValidateBufferPool can check across
-  /// ResetStats()/Clear() calls.
-  uint64_t lifetime_admissions_ = 0;
+  /// Frames [0, table_.size()) hold the pages admitted since Reset, in
+  /// admission order; the rest keep their buffers for the next fill.
   std::vector<Frame> frames_;
   std::vector<FramePage> frame_pages_;
-  /// Most recently used.
-  uint32_t head_ = kNilFrame;
-  /// Least recently used.
-  uint32_t tail_ = kNilFrame;
-  /// Free list, singly linked via next.
-  uint32_t free_head_ = kNilFrame;
-  /// Resident frames in the LRU chain.
-  uint64_t chain_size_ = 0;
   PageTable table_;
 };
 
-inline void BufferPool::UnpinInternal(uint32_t f) {
-  Frame& frame = frames_[f];
-  if (--frame.pins == 0 && frame.detached) ReleaseFrame(f);
-}
-
-inline void PageView::Release() {
-  if (pool_ == nullptr) return;
-  pool_->UnpinInternal(frame_);
-  pool_ = nullptr;
-}
-
-/// Deep structural check (also declared in debug/validate.h): LRU-chain
-/// link and page-table bijection, pin-count consistency, capacity and
-/// admission-counter invariants.  Returns a Status naming the first
-/// violation.
+/// Deep structural check (also declared in debug/validate.h): the
+/// page-table <-> frame bijection, and no more resident pages than reads
+/// since Reset.  Returns a Status naming the first violation.
 [[nodiscard]] Status ValidateBufferPool(const BufferPool& pool);
 
 struct BufferPool::Corrupter {
-  /// Breaks the frame/page-table bijection: the LRU chain keeps the page
-  /// but the table forgets it.
-  static void DropTableEntry(BufferPool* pool, PageId page) {
-    pool->table_.Erase(page);
+  /// Breaks the frame/page-table bijection: the frame holding `page`
+  /// claims to hold `as` instead, which the table does not map.
+  static void RelabelFrame(BufferPool* pool, PageId page, PageId as) {
+    const uint32_t f = pool->table_.Find(page);
+    if (f != kNilFrame) pool->frames_[f].page = as;
   }
-  /// Breaks the intrusive chain: the LRU tail's back-link points at
-  /// itself instead of its predecessor.
-  static void BreakLruBackLink(BufferPool* pool) {
-    if (pool->tail_ != kNilFrame) {
-      pool->frames_[pool->tail_].prev = pool->tail_;
-    }
-  }
-  /// Rewinds the lifetime admission counter below the resident count.
-  static void RewindAdmissions(BufferPool* pool) {
-    pool->lifetime_admissions_ = 0;
-  }
+  /// Rewinds the read counter below the resident count.
+  static void RewindReads(BufferPool* pool) { pool->reads_ = 0; }
 };
 
 }  // namespace stpq

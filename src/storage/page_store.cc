@@ -40,7 +40,7 @@ SimulatedPageStore::SimulatedPageStore(std::vector<Extent> extents)
 }
 
 std::span<const uint8_t> SimulatedPageStore::FetchPage(
-    PageId page, std::vector<uint8_t>* buffer, FetchFault* fault) {
+    PageId page, std::vector<uint8_t>* buffer, FetchFault* fault) const {
   fetches_.fetch_add(1, std::memory_order_relaxed);
   return ReadPage(page, buffer, fault);
 }
@@ -245,9 +245,8 @@ std::span<const uint8_t> FilePageStore::Serve(PageId page,
   return {buffer->data(), extent->slot_bytes};
 }
 
-std::span<const uint8_t> FilePageStore::FetchPage(PageId page,
-                                                  std::vector<uint8_t>* buffer,
-                                                  FetchFault* fault) {
+std::span<const uint8_t> FilePageStore::FetchPage(
+    PageId page, std::vector<uint8_t>* buffer, FetchFault* fault) const {
   Timer timer;
   uint64_t fetched = 0;
   const std::span<const uint8_t> bytes = Serve(page, buffer, fault, &fetched);

@@ -1,8 +1,9 @@
 // PageStore: where index pages live.
 //
-// BufferPool decides *whether* a page access is a hit or a miss (exact LRU,
-// pinning, counters); a PageStore serves the page on a miss.  Two
-// backends hold the same node pages (rtree/node_page.h):
+// BufferPool decides *whether* a page access is a hit or a miss (the first
+// access of a query reads, every later one hits); a PageStore serves the
+// page on a miss.  Two backends hold the same node pages
+// (rtree/node_page.h):
 //   * SimulatedPageStore, an immutable in-memory page array — what
 //     Engine::Build packs the trees into, and what Engine::Save writes;
 //   * FilePageStore, over a persisted .stpqx index file (io/index_file.h),
@@ -10,15 +11,15 @@
 // Hit/miss accounting never consults the store, so both backends report
 // byte-identical page-read counts for the same workload.
 //
-// FetchPage runs inside the pool's access path, i.e. on the query hot path
-// under the pool mutex (or an isolated session's private pool).  Every
-// implementation must therefore be lock-free and allocation-free, apart
-// from growing a frame's buffer the first time it is filled: the stores
-// read through immutable extent tables built before the first query,
-// return pointers into memory they own (or pread into the frame's
-// buffer), and update relaxed atomics plus pre-registered metric handles.
-// A failure is described by a FetchFault (plain data); FaultStatus turns
-// it into a typed Status off the hot path.
+// FetchPage runs inside the pool's access path, i.e. on the query hot path,
+// and one store serves every session's pools at once.  Every
+// implementation must therefore be thread-safe, lock-free and
+// allocation-free, apart from growing a frame's buffer the first time it
+// is filled: the stores read through immutable extent tables built before
+// the first query, return pointers into memory they own (or pread into
+// the frame's buffer), and update relaxed atomics plus pre-registered
+// metric handles.  A failure is described by a FetchFault (plain data);
+// FaultStatus turns it into a typed Status off the hot path.
 #ifndef STPQ_STORAGE_PAGE_STORE_H_
 #define STPQ_STORAGE_PAGE_STORE_H_
 
@@ -100,7 +101,7 @@ class PageStore {
   /// allocate (beyond growing `buffer` once) or block on anything but the
   /// read itself.
   STPQ_HOT virtual std::span<const uint8_t> FetchPage(
-      PageId page, std::vector<uint8_t>* buffer, FetchFault* fault) = 0;
+      PageId page, std::vector<uint8_t>* buffer, FetchFault* fault) const = 0;
 
   /// The same bytes outside any pool, without counting a fetch: Save and
   /// the validators read pages this way.
@@ -137,9 +138,9 @@ class SimulatedPageStore final : public PageStore {
   /// Adopts `extents` (non-overlapping; sorted here).
   explicit SimulatedPageStore(std::vector<Extent> extents);
 
-  STPQ_HOT std::span<const uint8_t> FetchPage(PageId page,
-                                              std::vector<uint8_t>* buffer,
-                                              FetchFault* fault) override;
+  STPQ_HOT std::span<const uint8_t> FetchPage(
+      PageId page, std::vector<uint8_t>* buffer,
+      FetchFault* fault) const override;
   std::span<const uint8_t> ReadPage(PageId page, std::vector<uint8_t>* buffer,
                                     FetchFault* fault) const override;
   [[nodiscard]] STPQ_COLD Status
@@ -158,7 +159,7 @@ class SimulatedPageStore final : public PageStore {
 
  private:
   std::vector<Extent> extents_;  ///< sorted by first_page
-  std::atomic<uint64_t> fetches_{0};
+  mutable std::atomic<uint64_t> fetches_{0};
 };
 
 /// Store over a persisted index file: mmap when available, pread fallback.
@@ -198,9 +199,9 @@ class FilePageStore final : public PageStore {
   FilePageStore(const FilePageStore&) = delete;
   FilePageStore& operator=(const FilePageStore&) = delete;
 
-  STPQ_HOT std::span<const uint8_t> FetchPage(PageId page,
-                                              std::vector<uint8_t>* buffer,
-                                              FetchFault* fault) override;
+  STPQ_HOT std::span<const uint8_t> FetchPage(
+      PageId page, std::vector<uint8_t>* buffer,
+      FetchFault* fault) const override;
   std::span<const uint8_t> ReadPage(PageId page, std::vector<uint8_t>* buffer,
                                     FetchFault* fault) const override;
   [[nodiscard]] STPQ_COLD Status
@@ -254,8 +255,8 @@ class FilePageStore final : public PageStore {
 
   PreadFn pread_fn_ = &::pread;
 
-  std::atomic<uint64_t> fetches_{0};
-  std::atomic<uint64_t> bytes_read_{0};
+  mutable std::atomic<uint64_t> fetches_{0};
+  mutable std::atomic<uint64_t> bytes_read_{0};
   mutable std::atomic<uint64_t> io_errors_{0};
   mutable std::atomic<uint8_t> last_error_kind_{0};
   mutable std::atomic<int> last_error_errno_{0};

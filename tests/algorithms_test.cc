@@ -377,11 +377,11 @@ class CountingIndex : public FeatureIndex {
 
 std::unique_ptr<FeatureIndex> BuildFeatureIndex(
     FeatureIndexKind kind, const FeatureTable* table,
-    const IndexBuildParams& opts, uint32_t set_ordinal = 0) {
+    const IndexBuildParams& opts) {
   if (kind == FeatureIndexKind::kSrt) {
-    return std::make_unique<SrtIndex>(table, opts, set_ordinal);
+    return std::make_unique<SrtIndex>(table, opts);
   }
-  return std::make_unique<Ir2Tree>(table, opts, set_ordinal);
+  return std::make_unique<Ir2Tree>(table, opts);
 }
 
 /// The pages of `index`, an SRT-index or an IR2-tree.
@@ -474,11 +474,11 @@ TEST_P(ChildrenMemoTest, ViewsAreVisitChildrenFilteredToTextMatches) {
 
 TEST_P(ChildrenMemoTest, RepeatVisitIsOnePoolHitAndNoEvaluation) {
   Dataset ds = Features();
-  BufferPool pool(0);
   IndexBuildParams opts;
   opts.page_size_bytes = 512;
   std::unique_ptr<FeatureIndex> index =
       BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
+  BufferPool pool(&PagesOf(*index).pages());
   CountingIndex counting(index.get());
 
   const KeywordSet kw(32, {1, 2});
@@ -554,22 +554,21 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
   cfg.vocabulary_size = 32;
   cfg.num_clusters = 40;
   Dataset ds = GenerateSynthetic(cfg);
-  BufferPool object_pool(0);
-  BufferPool feature_pool(0);
-  IndexBuildParams oopts;
-  oopts.page_size_bytes = 512;
-  ObjectIndex objects(&ds.objects, oopts);
-  std::vector<std::unique_ptr<FeatureIndex>> indexes;
+  // An engine packs every tree into one page array, which both pools read.
+  EngineOptions eopts;
+  eopts.build.index_kind = GetParam();
+  eopts.build.page_size_bytes = 512;
+  const Engine engine =
+      Engine::Build(ds.objects, ds.feature_tables, eopts).TakeValue();
+  BufferPool object_pool(&engine.page_store());
+  BufferPool feature_pool(&engine.page_store());
+  const ObjectIndex& objects = engine.object_index();
   std::vector<std::unique_ptr<CountingIndex>> counters;
   std::vector<const FeatureIndex*> plain;
   std::vector<const FeatureIndex*> decorated;
-  for (uint32_t i = 0; i < cfg.num_feature_sets; ++i) {
-    IndexBuildParams opts;  // the engine's page layout
-    opts.page_size_bytes = 512;
-    indexes.push_back(
-        BuildFeatureIndex(GetParam(), &ds.feature_tables[i], opts, i));
-    counters.push_back(std::make_unique<CountingIndex>(indexes.back().get()));
-    plain.push_back(indexes.back().get());
+  for (uint32_t i = 0; i < engine.num_feature_sets(); ++i) {
+    plain.push_back(&engine.feature_index(i));
+    counters.push_back(std::make_unique<CountingIndex>(plain.back()));
     decorated.push_back(counters.back().get());
   }
 

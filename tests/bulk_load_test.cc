@@ -340,6 +340,57 @@ TEST_F(BulkLoadTest, BuildersAndWriterRefuseTheSameParameters) {
   }
 }
 
+TEST_F(BulkLoadTest, WritersRefuseTheUniverseReadersRefuse) {
+  // Every reader refuses a keyword universe above kMaxUniverse, so
+  // Engine::Build, WriteIndexFile and WriteDatasetBinary refuse it too,
+  // naming the table, before they build anything or create a file.
+  SyntheticConfig cfg;
+  cfg.num_objects = 30;
+  cfg.num_features_per_set = 10;
+  cfg.num_feature_sets = 2;
+  cfg.num_clusters = 4;
+  cfg.vocabulary_size = kMaxUniverse + 1;
+  const Dataset wide = GenerateSynthetic(cfg);
+  const auto expect_refused = [](const Status& st, const char* who) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << who;
+    EXPECT_NE(st.message().find("feature table 0"), std::string::npos)
+        << who << ": " << st.ToString();
+    EXPECT_NE(st.message().find("kMaxUniverse"), std::string::npos)
+        << who << ": " << st.ToString();
+  };
+  expect_refused(WriteDatasetBinary(Path("wide.stpq"), wide),
+                 "WriteDatasetBinary");
+  expect_refused(Engine::Build(wide.objects, wide.feature_tables).status(),
+                 "Engine::Build");
+  const IndexBuildParams params;
+  const ObjectIndex objects(&wide.objects, params);
+  const SrtIndex srt0(&wide.feature_tables[0], params, 0);
+  const SrtIndex srt1(&wide.feature_tables[1], params, 1);
+  IndexFileWriteRequest request;
+  request.objects = &wide.objects;
+  request.feature_tables = &wide.feature_tables;
+  request.vocabularies = &wide.vocabularies;
+  request.object_index = &objects;
+  request.feature_indexes = {&srt0, &srt1};
+  expect_refused(WriteIndexFile(Path("wide.stpqx"), request),
+                 "WriteIndexFile");
+  EXPECT_TRUE(std::filesystem::is_empty(dir_)) << "a writer left a file";
+
+  // The cap itself is accepted end to end.
+  cfg.vocabulary_size = kMaxUniverse;
+  const Dataset edge = GenerateSynthetic(cfg);
+  ASSERT_TRUE(WriteDatasetBinary(Path("edge.stpq"), edge).ok());
+  ASSERT_TRUE(ReadDatasetBinary(Path("edge.stpq")).ok());
+  Result<Engine> built = Engine::Build(edge.objects, edge.feature_tables);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const Status saved = built.value().Save(Path("edge.stpqx"));
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  Result<Engine> reopened = Engine::Open(Path("edge.stpqx"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().feature_index(1).table().universe_size(),
+            kMaxUniverse);
+}
+
 TEST_F(BulkLoadTest, FailedBuildLeavesNoOutput) {
   Dataset ds = SmallDataset();
   std::string data = Path("data.stpq");

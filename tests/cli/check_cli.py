@@ -193,6 +193,11 @@ def main():
             (query + ["stray"], "stray"),
             (["bench", "--data", data, "--serve-admin", "70000"],
              "--serve-admin"),
+            # Every query reads through unbounded cold pools: there is no
+            # pool capacity to set.
+            (query + ["--pool", "8"], "--pool"),
+            (["workload", "--data", data, "--pool", "8"], "--pool"),
+            (["validate", "--data", data, "--pool", "8"], "--pool"),
         ]
         for argv, flag in rejected:
             code, _, err = run(cli, argv, tmp)

@@ -1,9 +1,8 @@
 // Golden I/O regression test: page-read counts and feature-tree traversal
 // totals for the paper-example workloads, a synthetic matrix at the
-// default page size (and one bounded-pool workload whose hit/miss split
-// pins the exact LRU eviction order) are
-// checked against constants captured before the buffer-pool rewrite, the
-// keyword-signature fast paths and the relevant-children memo.  The
+// default page size and a mixed 40-query workload are checked against
+// constants captured before the buffer-pool rewrite, the keyword-signature
+// fast paths and the relevant-children memo.  The
 // hot-path optimizations must change no query result, no I/O accounting
 // and no pruning verdict, so these counts are byte-identical by design.
 //
@@ -121,13 +120,9 @@ std::vector<GoldenRow> RunPaperMatrix() {
   return rows;
 }
 
-/// Bounded-pool workload: a mixed stream of 40 queries, each on cold
-/// 32-page pools.  The queries read more pages than they touch (3769
-/// object and 83248 SRT feature reads against 3006 and 7788 with
-/// unbounded pools), so the reads/hits split depends on the exact LRU
-/// eviction order (any reordering in the pool shows up here even if the
-/// distinct-page counts survive).
-std::vector<GoldenRow> RunBoundedPoolWorkload() {
+/// Mixed workload: a stream of 40 queries over both algorithms and all
+/// three variants, each on cold pools, at 256-byte pages.
+std::vector<GoldenRow> RunMixedWorkload() {
   std::vector<GoldenRow> rows;
   SyntheticConfig cfg;
   cfg.seed = 77;
@@ -142,7 +137,6 @@ std::vector<GoldenRow> RunBoundedPoolWorkload() {
     EngineOptions opts;
     opts.build.index_kind = kind;
     opts.build.page_size_bytes = 256;
-    opts.pool_capacity = 32;
     Engine engine = Engine::Build(std::move(ds.objects), std::move(ds.feature_tables), opts).TakeValue();
     Rng rng(99);
     QueryStats total;
@@ -270,12 +264,12 @@ const std::vector<GoldenRow>& ExpectedPaperMatrix() {
   return kRows;
 }
 
-// Captured before the warm shared-pool mode was deleted, with that
-// code's cold per-query pools.
-const std::vector<GoldenRow>& ExpectedBoundedPool() {
+// Captured before the pool capacity, LRU eviction and page pins were
+// deleted, with that code's unbounded cold pools (capacity 0).
+const std::vector<GoldenRow>& ExpectedMixedWorkload() {
   static const std::vector<GoldenRow> kRows = {
-      {"SRT", "mixed", "cold40", 3769, 83248, 139113, 405028, 477306},
-      {"IR2", "mixed", "cold40", 3769, 18773, 111848, 219101, 296977},
+      {"SRT", "mixed", "cold40", 3006, 7788, 215336, 405028, 477306},
+      {"IR2", "mixed", "cold40", 3006, 10166, 121218, 219101, 296977},
   };
   return kRows;
 }
@@ -382,13 +376,13 @@ TEST(GoldenIoTest, DefaultPageMatrix) {
   ExpectRowsMatch(ExpectedDefaultPageMatrix(), actual, "DefaultPageMatrix");
 }
 
-TEST(GoldenIoTest, BoundedPoolWorkload) {
-  std::vector<GoldenRow> actual = RunBoundedPoolWorkload();
+TEST(GoldenIoTest, MixedWorkload) {
+  std::vector<GoldenRow> actual = RunMixedWorkload();
   if (GoldenPrintMode()) {
-    PrintRows("BoundedPoolWorkload", actual);
+    PrintRows("MixedWorkload", actual);
     GTEST_SKIP() << "golden print mode";
   }
-  ExpectRowsMatch(ExpectedBoundedPool(), actual, "BoundedPoolWorkload");
+  ExpectRowsMatch(ExpectedMixedWorkload(), actual, "MixedWorkload");
 }
 
 }  // namespace

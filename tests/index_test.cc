@@ -231,9 +231,9 @@ TEST_P(FeatureIndexConformance, SpatialMbrCoversDescendants) {
 }
 
 TEST_P(FeatureIndexConformance, ChargesBufferPool) {
-  BufferPool pool(0);
   FeatureTable table = RandomFeatures(7, 2000, 64);
   std::unique_ptr<FeatureIndex> index = Build(&table);
+  BufferPool pool(&PagesOf(*index).pages());
   KeywordSet query(64, {1, 2, 3});
   std::vector<FeatureBranch> scratch;
   index->VisitChildren(&pool, index->RootId(), query, 0.5, &scratch);
@@ -573,10 +573,10 @@ TEST(ObjectIndexTest, SmallRangeTouchesFewPages) {
   for (uint32_t i = 0; i < 10000; ++i) {
     objects.push_back(DataObject{i, {rng.Uniform(), rng.Uniform()}, {}});
   }
-  BufferPool pool(0);
   IndexBuildParams opts;
   opts.page_size_bytes = 1024;  // fan-out 28: a few hundred nodes
   ObjectIndex index(&objects, opts);
+  BufferPool pool(&index.tree().pages());
   std::vector<ObjectId> got;
   std::vector<NodeId> stack;
   index.RangeQuery(&pool, {0.505, 0.505}, 0.005, &got, &stack);

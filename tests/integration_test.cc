@@ -166,27 +166,6 @@ TEST(IntegrationTest, RangeScoreDominatesInfluenceScore) {
   }
 }
 
-TEST(IntegrationTest, SmallBufferPoolStillCorrect) {
-  SyntheticConfig cfg;
-  cfg.num_objects = 1000;
-  cfg.num_features_per_set = 800;
-  cfg.num_feature_sets = 2;
-  cfg.vocabulary_size = 32;
-  Dataset ds = GenerateSynthetic(cfg);
-  BruteForceEvaluator brute(&ds.objects, TablePtrs(ds));
-  QueryWorkloadConfig qcfg;
-  qcfg.count = 3;
-  qcfg.radius = 0.04;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  EngineOptions opts;
-  opts.pool_capacity = 8;  // pathologically small LRU
-  Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), opts).TakeValue();
-  for (const Query& q : queries) {
-    ExpectSameScores(engine.Execute(q, Algorithm::kStps).TakeValue().entries, brute.TopK(q),
-                     "tiny pool");
-  }
-}
-
 TEST(IntegrationTest, SmallPageSizeDeepTreesStillCorrect) {
   SyntheticConfig cfg;
   cfg.num_objects = 600;

@@ -2,8 +2,15 @@
 //   * Lemma 1: every object's score is the score of some valid combination;
 //   * Definition 4 symmetry: combination validity is order-independent;
 //   * s-hat(e) tightness statistics (SRT tighter than IR2);
-//   * Voronoi cells of the relevant features partition the domain.
+//   * Voronoi cells of the relevant features partition the domain;
+//   * the I/O model: a query reads each page it touches once.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <set>
+#include <string>
 
 #include "core/brute_force.h"
 #include "core/combination.h"
@@ -14,6 +21,7 @@
 #include "gen/synthetic.h"
 #include "index/ir2_tree.h"
 #include "index/srt_index.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace stpq {
@@ -234,6 +242,79 @@ TEST(ScoreMonotonicityTest, InfluenceUpperBoundsDecayedRange) {
     double influence = brute.Tau(p.pos, q);
     EXPECT_GE(influence, 0.5 * range - 1e-12);
   }
+}
+
+TEST(IoModelTest, EachQueryReadsEveryPageItTouchesOnce) {
+  // The pool traces one kPoolMiss per page read, with its page id.  In
+  // every query those ids are pairwise distinct (no page is read twice)
+  // and number exactly the reads the query reports, on both backends.
+  SyntheticConfig cfg;
+  cfg.seed = 13;
+  cfg.num_objects = 200;
+  cfg.num_features_per_set = 300;
+  cfg.num_feature_sets = 2;
+  cfg.vocabulary_size = 16;
+  cfg.num_clusters = 20;
+  const Dataset ds = GenerateSynthetic(cfg);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("stpq_io_model_" + std::to_string(::getpid()) + ".stpqx"))
+          .string();
+  Tracer& tracer = Tracer::Global();
+  for (FeatureIndexKind kind :
+       {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
+    EngineOptions opts;
+    opts.build.index_kind = kind;
+    opts.build.page_size_bytes = 256;  // deep trees: many pages per query
+    const Engine built =
+        Engine::Build(ds.objects, ds.feature_tables, opts).TakeValue();
+    ASSERT_TRUE(built.Save(path).ok());
+    Result<Engine> opened = Engine::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const Engine* const engines[] = {&built, &opened.value()};
+    for (const Engine* engine : engines) {
+      for (ScoreVariant variant :
+           {ScoreVariant::kRange, ScoreVariant::kInfluence,
+            ScoreVariant::kNearestNeighbor}) {
+        QueryWorkloadConfig qcfg;
+        qcfg.count = 3;
+        qcfg.radius = 0.05;
+        qcfg.variant = variant;
+        for (const Query& q : GenerateQueries(ds, qcfg)) {
+          for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
+            const std::string label =
+                std::string(engine->IndexName()) + " " +
+                StorageBackendName(engine->page_store().backend()) +
+                " variant " + std::to_string(static_cast<int>(variant)) +
+                (algo == Algorithm::kStds ? " STDS" : " STPS");
+            tracer.Discard();
+            tracer.Start();
+            Result<QueryResult> r = engine->Execute(q, algo);
+            tracer.Stop();
+            ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+            const TraceCollection trace = tracer.Collect();
+            ASSERT_EQ(trace.dropped, 0u) << label;
+            std::set<PageId> pages;
+            uint64_t misses = 0;
+            for (const TraceThreadEvents& thread : trace.threads) {
+              for (const TraceEvent& e : thread.events) {
+                if (e.type != TraceEventType::kPoolMiss) continue;
+                ++misses;
+                pages.insert(e.arg_d);
+              }
+            }
+            EXPECT_GT(misses, 0u) << label;
+            EXPECT_EQ(pages.size(), misses) << label << ": a page read twice";
+            EXPECT_EQ(misses, r.value().stats.object_index_reads +
+                                  r.value().stats.feature_index_reads)
+                << label;
+          }
+        }
+      }
+    }
+  }
+  tracer.Discard();
+  std::filesystem::remove(path);
 }
 
 }  // namespace

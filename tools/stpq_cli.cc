@@ -98,8 +98,6 @@ constexpr Flag kSignatureBits{"signature-bits", kUint, "N",
                               "IR2 signature bits (default 0 = derived)"};
 constexpr Flag kSignatureHashes{"signature-hashes", kUint, "N",
                                 "IR2 signature hashes (default 3)"};
-constexpr Flag kPool{"pool", kUint, "N",
-                     "buffer-pool capacity in pages (0 = unbounded)"};
 // generate, build, load
 constexpr Flag kOut{"out", kString, "FILE", "output dataset path (required)"};
 constexpr Flag kDatasetKind{"kind", kChoice, "synthetic|real",
@@ -154,9 +152,9 @@ FlagList Join(std::initializer_list<FlagList> lists) {
   return out;
 }
 
-const FlagList kEngineFlags = {
-    &kData, &kIndex,         &kIndexKind,       &kPageSize,
-    &kFill, &kSignatureBits, &kSignatureHashes, &kPool};
+const FlagList kEngineFlags = {&kData,     &kIndex, &kIndexKind,
+                               &kPageSize, &kFill,  &kSignatureBits,
+                               &kSignatureHashes};
 const FlagList kQueryShapeFlags = {&kK, &kRadius, &kLambda, &kVariant,
                                    &kAlgo};
 const FlagList kBatchFlags = Join({{&kQueries}, kQueryShapeFlags, {&kIoMs}});
@@ -352,7 +350,6 @@ IndexBuildParams BuildParams(const Args& args) {
 EngineOptions MakeEngineOptions(const Args& args) {
   EngineOptions opts;
   opts.build = BuildParams(args);
-  opts.pool_capacity = args.Uint(kPool, 0);
   return opts;
 }
 
@@ -520,7 +517,7 @@ struct AdminScope {
   }
 };
 
-/// /statusz rows describing `engine`: shape, storage, pool capacity.
+/// /statusz rows describing `engine`: shape and storage.
 AdminStatusRows EngineStatusRows(const Engine* engine) {
   AdminStatusRows rows;
   rows.emplace_back("index", engine->IndexName());
@@ -531,8 +528,6 @@ AdminStatusRows EngineStatusRows(const Engine* engine) {
                     StorageBackendName(engine->page_store().backend()));
   rows.emplace_back("page_size",
                     std::to_string(engine->options().build.page_size_bytes));
-  rows.emplace_back("pool_capacity_pages",
-                    std::to_string(engine->options().pool_capacity));
   return rows;
 }
 
