@@ -229,7 +229,7 @@ TEST(ConcurrencyTest, PooledSessionsReturnCleanAfterConcurrentUse) {
 }
 
 // Thread-count sweep: every N yields the same per-query counters (the
-// bench_parallel_throughput invariant).
+// invariant bench_paper's thread sweep relies on).
 TEST(ConcurrencyTest, CountersIndependentOfThreadCount) {
   Dataset ds = MakeDataset(1'000, 800);
   std::vector<Query> queries = MixedWorkload(ds, 30);

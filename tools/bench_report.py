@@ -5,18 +5,18 @@ Inputs (all optional — missing or unreadable files are reported in the
 summary's `inputs` block instead of failing the run, so the CI step stays
 green even when a bench was skipped):
 
-  * bench_micro.json               Google Benchmark --benchmark_format=json
-  * bench_parallel_throughput.json STPQ_JSON_OUT rows from
-                                   bench_parallel_throughput
+  * bench_micro.json     Google Benchmark --benchmark_format=json
+  * bench_parallel.json  `bench_paper --figure parallel --json` records
+                         (records of other figures are ignored)
 
 The summary is one flat JSON object per CI run: per-micro-benchmark
 cpu_time rows, the parallel-throughput sweep keyed by algo/threads with
-the 8-thread speedup called out, and enough context (host, cpu count,
-date) to compare runs across commits.
+each row's speedup over the 1-thread row called out, and enough context
+(host, cpu count, date) to compare runs across commits.
 
 Usage:
   bench_report.py --micro bench_micro.json \\
-                  --parallel bench_parallel_throughput.json \\
+                  --parallel bench_parallel.json \\
                   --out BENCH_summary.json
 """
 
@@ -62,14 +62,36 @@ def summarize_micro(payload):
     }
 
 
+def sweep_row(record, base_qps):
+    """One bench_paper thread-sweep record -> one sweep row."""
+    qps = record.get("queries_per_sec", 0.0)
+    latency = record.get("latency_ms", {})
+    return {
+        "algo": record.get("algo", "?"),
+        "threads": record.get("threads", 0),
+        "wall_ms": record.get("wall_ms"),
+        "queries_per_sec": qps,
+        "speedup": qps / base_qps if base_qps else 0.0,
+        "reads_per_query": record.get("reads_per_query"),
+        "p50_ms": latency.get("p50"),
+        "p95_ms": latency.get("p95"),
+        "p99_ms": latency.get("p99"),
+    }
+
+
 def summarize_parallel(payload):
-    """STPQ_JSON_OUT rows -> sweep keyed by algo, with speedup callouts."""
+    """bench_paper thread-sweep records -> sweep keyed by algo, with the
+    speedup over each algo's 1-thread row called out."""
     by_algo = {}
-    for row in payload:
-        by_algo.setdefault(row.get("algo", "?"), []).append(row)
+    for record in payload:
+        if record.get("figure") == "parallel":
+            by_algo.setdefault(record.get("algo", "?"), []).append(record)
     summary = {"algos": {}}
-    for algo, rows in sorted(by_algo.items()):
-        rows = sorted(rows, key=lambda r: r.get("threads", 0))
+    for algo, records in sorted(by_algo.items()):
+        base_qps = next((r.get("queries_per_sec", 0.0) for r in records
+                         if r.get("threads") == 1), 0.0)
+        rows = sorted((sweep_row(r, base_qps) for r in records),
+                      key=lambda r: r["threads"])
         best = max(rows, key=lambda r: r.get("queries_per_sec", 0.0))
         summary["algos"][algo] = {
             "sweep": rows,
@@ -85,7 +107,7 @@ def main():
     parser.add_argument("--micro", default="",
                         help="bench_micro.json (Google Benchmark format)")
     parser.add_argument("--parallel", default="",
-                        help="bench_parallel_throughput.json (STPQ_JSON_OUT)")
+                        help="bench_parallel.json (bench_paper --json)")
     parser.add_argument("--out", required=True,
                         help="where to write BENCH_summary.json")
     args = parser.parse_args()
