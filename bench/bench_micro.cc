@@ -14,6 +14,8 @@
 
 #include "core/combination.h"
 #include "core/compute_score.h"
+#include "core/engine.h"
+#include "core/exec_session.h"
 #include "core/voronoi.h"
 #include "gen/synthetic.h"
 #include "hilbert/hilbert.h"
@@ -176,9 +178,11 @@ struct TraversalFixture {
 void BM_ComputeScoreRange(benchmark::State& state) {
   const TraversalFixture& fx = TraversalFixture::Get();
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&fx.index->tree().pages());
+  TraversalScratch& scratch = session.scratch();
   size_t i = 0;
   for (auto _ : state) {
+    scratch.Reset();  // every iteration is a query of its own
     benchmark::DoNotOptimize(ComputeBestRange(*fx.index, fx.points[i],
                                               fx.queries[i], 0.5, 0.05, stats,
                                               scratch));
@@ -197,9 +201,11 @@ void BM_ComputeScoresRangeBatch(benchmark::State& state) {
   const Rect2 mbr = MakeRect2(0.4, 0.4, 0.45, 0.45);
   std::vector<double> scores(batch.size());
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&fx.index->tree().pages());
+  TraversalScratch& scratch = session.scratch();
   size_t qi = 0;
   for (auto _ : state) {
+    scratch.Reset();  // every iteration is a query of its own
     ComputeScoresRangeBatch(*fx.index, batch, mbr, fx.queries[qi], 0.5, 0.05,
                             scores, stats, scratch);
     benchmark::DoNotOptimize(scores.data());
@@ -208,12 +214,13 @@ void BM_ComputeScoresRangeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeScoresRangeBatch)->Unit(benchmark::kMicrosecond);
 
-/// Two clustered feature sets with SRT-indexes (no buffer pool) and
-/// two-set range queries: the combination and Voronoi kernels below run
-/// what one STPS query runs, on a warm scratch.
+/// Two clustered feature sets with SRT-indexes in one engine (so one
+/// session's pool reads both) and two-set range queries: the combination
+/// and Voronoi kernels below run what one STPS query runs, on a warm
+/// session.
 struct CombinationFixture {
   Dataset ds;
-  std::vector<std::unique_ptr<SrtIndex>> owned;
+  std::optional<Engine> engine;
   std::vector<const FeatureIndex*> indexes;
   std::vector<Query> queries;
 
@@ -226,9 +233,10 @@ struct CombinationFixture {
     cfg.vocabulary_size = 128;
     cfg.num_clusters = 512;
     ds = GenerateSynthetic(cfg);
-    for (const FeatureTable& table : ds.feature_tables) {
-      owned.push_back(std::make_unique<SrtIndex>(&table, IndexBuildParams{}));
-      indexes.push_back(owned.back().get());
+    engine.emplace(
+        Engine::Build({}, ds.feature_tables, EngineOptions{}).TakeValue());
+    for (size_t i = 0; i < engine->num_feature_sets(); ++i) {
+      indexes.push_back(&engine->feature_index(i));
     }
     Rng rng(15);
     for (int i = 0; i < 16; ++i) {
@@ -258,10 +266,11 @@ struct CombinationFixture {
 void BM_CombinationIteratorProductNext(benchmark::State& state) {
   const CombinationFixture& fx = CombinationFixture::Get();
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&fx.engine->page_store());
+  TraversalScratch& scratch = session.scratch();
   size_t qi = 0;
   for (auto _ : state) {
-    scratch.children.Clear();  // a new query
+    scratch.Reset();  // a new query
     CombinationIterator it(fx.indexes, fx.queries[qi], true,
                            PullingStrategy::kPrioritized, &stats, scratch);
     for (int n = 0; n < 32; ++n) {
@@ -280,9 +289,9 @@ void BM_CombinationIteratorProductNext(benchmark::State& state) {
 }
 BENCHMARK(BM_CombinationIteratorProductNext)->Unit(benchmark::kMicrosecond);
 
-// One Voronoi cell per iteration, on a warm scratch: 64 cells of relevant
-// features per keyword set share the set's relevant-children memo, as the
-// cells of one NN query do.
+// One Voronoi cell per iteration, on a warm session: 64 cells of relevant
+// features per keyword set share one query's pool and relevant-children
+// memo, as the cells of one NN query do.
 void BM_ComputeVoronoiCell(benchmark::State& state) {
   const CombinationFixture& fx = CombinationFixture::Get();
   const FeatureIndex& index = *fx.indexes[0];
@@ -297,10 +306,12 @@ void BM_ComputeVoronoiCell(benchmark::State& state) {
   }
   const Rect2 domain = MakeRect2(0, 0, 1, 1);
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&fx.engine->page_store());
+  TraversalScratch& scratch = session.scratch();
   VoronoiCell cell;
   size_t i = 0;
   for (auto _ : state) {
+    if (i % 64 == 0) scratch.Reset();  // the next keyword set's query
     const size_t qi = (i / 64) % fx.queries.size();
     const std::vector<ObjectId>& ids = centers[qi];
     if (!ids.empty()) {

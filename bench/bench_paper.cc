@@ -510,7 +510,8 @@ void PrintRow(const Panel& p, const std::string& label, const char* variant,
         std::printf(" %10s %10s", "features/q", "combos/q");
         break;
       case Extras::kThroughput:
-        std::printf(" %10s %10s %8s", "wall_ms", "queries/s", "speedup");
+        std::printf(" %8s %10s %10s %8s", "workers", "wall_ms", "queries/s",
+                    "speedup");
         break;
     }
     std::printf("\n");
@@ -546,8 +547,8 @@ void PrintRow(const Panel& p, const std::string& label, const char* variant,
           PerQuery(static_cast<double>(s.aggregate.combinations_emitted), s));
       break;
     case Extras::kThroughput:
-      std::printf(" %10.2f %10.1f %7.2fx", m->report.wall_ms,
-                  m->report.queries_per_sec,
+      std::printf(" %8zu %10.2f %10.1f %7.2fx", m->report.workers,
+                  m->report.wall_ms, m->report.queries_per_sec,
                   base_qps > 0.0 ? m->report.queries_per_sec / base_qps : 0.0);
       break;
   }
@@ -599,10 +600,10 @@ void WriteRecord(std::FILE* out, const Panel& p, const std::string& label,
     std::fprintf(
         out,
         "}, \"features_per_query\": %.4f, \"combinations_per_query\": %.4f, "
-        "\"wall_ms\": %.6g, \"queries_per_sec\": %.6g",
+        "\"workers\": %zu, \"wall_ms\": %.6g, \"queries_per_sec\": %.6g",
         PerQuery(static_cast<double>(a.features_retrieved), s),
         PerQuery(static_cast<double>(a.combinations_emitted), s),
-        m.report.wall_ms, m.report.queries_per_sec);
+        m.report.workers, m.report.wall_ms, m.report.queries_per_sec);
   }
   std::fprintf(out, "}");
 }

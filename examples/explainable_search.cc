@@ -5,11 +5,16 @@
 //   3. Stream results incrementally with StpsCursor — no k fixed up front,
 //      stop on a quality threshold instead.
 //   4. Explain every returned hotel: which restaurant and which cafe give
-//      it its score, at what distance.
+//      it its score, at what distance.  The explanation re-derives tau;
+//      the tour exits 1 if it disagrees with the cursor's score.
 //
 //   $ ./build/examples/explainable_search [scale]
+#include <unistd.h>
+
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "core/cursor.h"
 #include "core/engine.h"
@@ -37,7 +42,10 @@ int main(int argc, char** argv) {
 
   // Persist and reload — the binary format carries objects, feature
   // tables and vocabularies.
-  const char* path = "/tmp/stpq_example_dataset.stpq";
+  // One file per process, so concurrent runs do not share it.
+  const std::string file = "/tmp/stpq_example_dataset_" +
+                           std::to_string(getpid()) + ".stpq";
+  const char* path = file.c_str();
   Status st = WriteDatasetBinary(path, ds);
   if (!st.ok()) {
     std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());
@@ -75,11 +83,21 @@ int main(int argc, char** argv) {
     if (leader < 0) leader = entry->score;
     if (entry->score < 0.8 * leader || rank >= 25) break;
     ++rank;
-    Explanation why = ExplainScore(&engine, query, entry->object);
+    Result<Explanation> why = ExplainScore(&engine, query, entry->object);
+    if (!why.ok()) {
+      std::fprintf(stderr, "explain failed: %s\n",
+                   why.status().ToString().c_str());
+      return 1;
+    }
     std::printf("#%2d %-12s tau = %.4f\n", rank,
                 engine.objects()[entry->object].name.c_str(), entry->score);
+    if (std::fabs(why.value().total - entry->score) > 1e-9) {
+      std::fprintf(stderr, "explanation total %.12f != cursor tau %.12f\n",
+                   why.value().total, entry->score);
+      return 1;
+    }
     const char* set_names[] = {"restaurant", "cafe"};
-    for (const Contribution& c : why.contributions) {
+    for (const Contribution& c : why.value().contributions) {
       if (!c.has_feature) {
         std::printf("      %-10s (nothing relevant within r)\n",
                     set_names[c.feature_set]);

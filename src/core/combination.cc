@@ -28,16 +28,16 @@ int64_t CellIndex(double v, double cell) {
 SortedFeatureStream::SortedFeatureStream(const FeatureIndex* index,
                                          const KeywordSet* query_kw,
                                          double lambda, QueryStats* stats,
-                                         ChildrenMemo* children,
+                                         TraversalScratch* scratch,
                                          std::vector<SearchHeapItem>* heap)
     : index_(index),
       query_kw_(query_kw),
       lambda_(lambda),
       stats_(stats),
-      children_(children),
+      scratch_(scratch),
       heap_(*heap) {
   STPQ_CHECK(stats_ != nullptr);
-  STPQ_CHECK(children_ != nullptr);
+  STPQ_CHECK(scratch_ != nullptr);
   if (index_->RootId() != kInvalidNodeId) {
     heap_.push({1.0, index_->RootId(), false});
   }
@@ -46,8 +46,6 @@ SortedFeatureStream::SortedFeatureStream(const FeatureIndex* index,
 std::optional<SortedFeatureStream::Item> SortedFeatureStream::Next() {
   Span span(*stats_, QueryPhase::kComponentScore, index_->set_ordinal());
   const uint8_t tree = TraceTreeForSet(index_->set_ordinal());
-  ChildrenMemo::IndexMemo& children =
-      children_->Bind(*index_, *query_kw_, lambda_);
   while (!heap_.empty()) {
     SearchHeapItem top = heap_.top();
     heap_.pop();
@@ -57,7 +55,8 @@ std::optional<SortedFeatureStream::Item> SortedFeatureStream::Next() {
     }
     // Textual pruning only: sorted feature retrieval has no spatial
     // constraint (the 2r test applies to combinations, not features).
-    const NodeChildren node = children.Visit(top.id);
+    const NodeChildren node = scratch_->children.Visit(
+        scratch_->pool, *index_, top.id, *query_kw_, lambda_);
     uint32_t descended = 0;
     for (const FeatureBranch& b : node.relevant) {
       heap_.push({b.score_bound, b.id, b.is_feature});
@@ -95,7 +94,7 @@ CombinationIterator::CombinationIterator(
   for (size_t i = 0; i < c_; ++i) {
     indexes_[i] = indexes[i];
     streams_[i].emplace(indexes_[i], &query_.keywords[i], query_.lambda,
-                        stats_, &scratch.children, &buf_.stream_heaps[i]);
+                        stats_, &scratch, &buf_.stream_heaps[i]);
     buf_.retrieved[i].clear();
     buf_.stalled[i].clear();
     buf_.grids[i].Clear();

@@ -64,15 +64,15 @@ struct Combination {
 /// sim(t, W) > 0, with the virtual feature appended last.
 class SortedFeatureStream {
  public:
-  /// Pointers are not owned.  `query_kw`, `stats`, `children` and `heap`
-  /// must stay valid; `stats` and `children` must be non-null (checked at
-  /// construction).  `children` is the query's relevant-children memo
-  /// (core/scratch.h), shared with every other traversal of the query.
-  /// `heap` is the stream's search-heap storage (cleared here), which no
-  /// other live traversal may use.
+  /// Pointers are not owned.  `query_kw`, `stats`, `scratch` and `heap`
+  /// must stay valid; `stats` and `scratch` must be non-null (checked at
+  /// construction).  The stream reads through the scratch's pool and
+  /// relevant-children memo (core/scratch.h), shared with every other
+  /// traversal of the query.  `heap` is the stream's search-heap storage
+  /// (cleared here), which no other live traversal may use.
   SortedFeatureStream(const FeatureIndex* index, const KeywordSet* query_kw,
                       double lambda, QueryStats* stats,
-                      ChildrenMemo* children,
+                      TraversalScratch* scratch,
                       std::vector<SearchHeapItem>* heap);
 
   struct Item {
@@ -91,7 +91,7 @@ class SortedFeatureStream {
   const KeywordSet* query_kw_;
   double lambda_;
   QueryStats* stats_;
-  ChildrenMemo* children_;
+  TraversalScratch* scratch_;
   BorrowedMaxHeap heap_;
   bool virtual_emitted_ = false;
 };
@@ -106,7 +106,7 @@ class CombinationIterator {
   /// (Section 7).  `stats` must be non-null (checked at construction).
   /// `query`, `stats` and `scratch` must outlive the iterator, which
   /// borrows scratch.combination (one iterator per scratch at a time) and
-  /// hands scratch.children to every feature stream.
+  /// hands the scratch to every feature stream.
   CombinationIterator(std::span<const FeatureIndex* const> indexes,
                       const Query& query, bool enforce_range_constraint,
                       PullingStrategy strategy, QueryStats* stats,

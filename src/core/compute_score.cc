@@ -18,8 +18,6 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const double r2 = r * r;
-  ChildrenMemo::IndexMemo& children =
-      scratch.children.Bind(index, query_kw, lambda);
   BorrowedMaxHeap heap(scratch.heap);
   heap.push({1.0, index.RootId(), false});
   while (!heap.empty()) {
@@ -32,7 +30,8 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
       return {top.id, top.priority,
               Distance(p, index.table().Get(top.id).pos)};
     }
-    const NodeChildren node = children.Visit(top.id);
+    const NodeChildren node =
+        scratch.children.Visit(scratch.pool, index, top.id, query_kw, lambda);
     uint32_t pruned = node.text_pruned;
     uint32_t descended = 0;
     for (const FeatureBranch& b : node.relevant) {
@@ -58,8 +57,6 @@ BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
   Span span(stats, QueryPhase::kComponentScore, index.set_ordinal());
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
-  ChildrenMemo::IndexMemo& children =
-      scratch.children.Bind(index, query_kw, lambda);
   BorrowedMaxHeap heap(scratch.heap);
   heap.push({1.0, index.RootId(), false});
   while (!heap.empty()) {
@@ -70,7 +67,8 @@ BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
       return {top.id, top.priority,
               Distance(p, index.table().Get(top.id).pos)};
     }
-    const NodeChildren node = children.Visit(top.id);
+    const NodeChildren node =
+        scratch.children.Visit(scratch.pool, index, top.id, query_kw, lambda);
     uint32_t descended = 0;
     for (const FeatureBranch& b : node.relevant) {
       // s-hat(e) decayed at mindist upper-bounds the influence score of
@@ -105,8 +103,6 @@ BestFeature ComputeBestNearestNeighbor(const FeatureIndex& index,
   Span span(stats, QueryPhase::kComponentScore, index.set_ordinal());
   HeapWatermark watermark;
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
-  ChildrenMemo::IndexMemo& children =
-      scratch.children.Bind(index, query_kw, lambda);
   BorrowedMinHeap heap(scratch.heap);
   heap.push({0.0, index.RootId(), false});
   bool found = false;
@@ -137,7 +133,8 @@ BestFeature ComputeBestNearestNeighbor(const FeatureIndex& index,
       }
       continue;
     }
-    const NodeChildren node = children.Visit(top.id);
+    const NodeChildren node =
+        scratch.children.Visit(scratch.pool, index, top.id, query_kw, lambda);
     uint32_t descended = 0;
     for (const FeatureBranch& b : node.relevant) {
       heap.push({MinSquaredDistance(p, b.mbr), b.id, b.is_feature});
@@ -179,8 +176,6 @@ void ComputeScoresRangeBatch(const FeatureIndex& index,
   active.resize(batch.size());
   for (uint32_t i = 0; i < batch.size(); ++i) active[i] = i;
 
-  ChildrenMemo::IndexMemo& children =
-      scratch.children.Bind(index, query_kw, lambda);
   BorrowedMaxHeap heap(scratch.heap);
   heap.push({1.0, index.RootId(), false});
   while (!heap.empty() && !active.empty()) {
@@ -203,7 +198,8 @@ void ComputeScoresRangeBatch(const FeatureIndex& index,
       }
       continue;
     }
-    const NodeChildren node = children.Visit(top.id);
+    const NodeChildren node =
+        scratch.children.Visit(scratch.pool, index, top.id, query_kw, lambda);
     uint32_t pruned = node.text_pruned;
     uint32_t descended = 0;
     for (const FeatureBranch& b : node.relevant) {

@@ -19,6 +19,7 @@ StpsCursor::StpsCursor(const ObjectIndex* objects,
   STPQ_CHECK(query_.variant == ScoreVariant::kRange &&
              "StpsCursor supports the range score only");
   STPQ_CHECK(session_ != nullptr);
+  session_->scratch().Reset();  // the cursor's query starts here
   iterator_ = std::make_unique<CombinationIterator>(
       feature_indexes_, query_, /*enforce_range_constraint=*/true, strategy,
       &stats_, session_->scratch());

@@ -10,7 +10,7 @@
 // cross-combination reconciliation before a result is final).
 //
 // A cursor owns its own ExecutionSession: its simulated I/O is charged to
-// the session's pools and its traversals use the session's scratch, so a
+// the session's pool and its traversals use the session's scratch, so a
 // cursor may outlive the query that opened it, be interleaved with
 // concurrent Execute calls, and be drained from a different thread than
 // the one that opened it.  A single cursor is not itself thread-safe:
@@ -37,7 +37,8 @@ class StpsCursor {
   /// `objects`, `feature_indexes` and the storage it views are not owned
   /// and must outlive the cursor.  `query.k` is ignored — the cursor is
   /// unbounded.  `query.variant` must be kRange.  `session` (non-null)
-  /// serves the cursor's page reads and traversal buffers.
+  /// serves the cursor's page reads and traversal buffers; the cursor's
+  /// query starts by resetting it.
   StpsCursor(const ObjectIndex* objects,
              std::span<const FeatureIndex* const> feature_indexes,
              Query query, PullingStrategy strategy,

@@ -187,7 +187,7 @@ Result<QueryResult> Engine::Execute(const Query& query,
   }
 
   // All per-query mutable state lives in the leased session (buffer
-  // pools, scratch buffers) and in the executor's stack frames; the
+  // pool, scratch buffers) and in the executor's stack frames; the
   // engine itself is only read, apart from the idle-session list.
   SessionPool::Lease lease(sessions_.get());
   ExecutionSession& session = lease.session();
@@ -195,10 +195,10 @@ Result<QueryResult> Engine::Execute(const Query& query,
   Span query_span(result.stats);
   if (options.algorithm == Algorithm::kStds) {
     Stds stds(object_index_.get(), index_ptrs_);
-    result = stds.Execute(query, &session.scratch());
+    result = stds.Execute(query, session.scratch());
   } else {
     Stps stps(object_index_.get(), index_ptrs_, options_.influence_mode);
-    result = stps.Execute(query, options_.pulling, &session.scratch());
+    result = stps.Execute(query, options_.pulling, session.scratch());
   }
   // Closing the query span sets cpu_ms.  It closes before the slow log
   // drains this thread's ring so the end event is part of any captured

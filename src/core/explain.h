@@ -29,16 +29,20 @@ struct Explanation {
   ObjectId object = 0;
   double total = 0.0;  ///< tau(p) = sum of contribution scores
   std::vector<Contribution> contributions;  ///< one per feature set
-  /// Cost counters of the explaining traversals themselves, including the
-  /// per-level traversal profile (which nodes were visited, pruned,
-  /// descended while re-deriving each tau_i).
+  /// Cost counters of the explaining traversals themselves: their page
+  /// reads and hits, and the per-level traversal profile (which nodes were
+  /// visited, pruned, descended while re-deriving each tau_i).
   QueryStats stats;
 };
 
 /// Explains tau(p) for `object` under `query` using `engine`'s indexes.
-/// The re-derivation reads its pages uncharged, so `stats` carries no
-/// page reads.
-Explanation ExplainScore(const Engine* engine, const Query& query, ObjectId object);
+/// The re-derivation reads through a session of its own over the
+/// engine's page store, so a page that cannot be fetched fails the call
+/// with the fetch's IoError or Corruption, as Engine::Execute does.  A
+/// malformed query or an unknown object is InvalidArgument.
+[[nodiscard]] Result<Explanation> ExplainScore(const Engine* engine,
+                                               const Query& query,
+                                               ObjectId object);
 
 }  // namespace stpq
 

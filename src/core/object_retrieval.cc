@@ -32,7 +32,7 @@ void CollectCombinationObjects(
   while (!stack.empty() && added < remaining) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const NodeView node = objects.ReadNode(scratch.object_pool, nid);
+    const NodeView node = objects.ReadNode(scratch.pool, nid);
     uint32_t pruned = 0;
     uint32_t descended = 0;
     for (uint32_t i = 0; i < node.size(); ++i) {

@@ -24,31 +24,28 @@
 //
 // Relevant-children memo.  The kernels run once per candidate object or
 // Voronoi cell, and each revisits the same feature-index nodes; within one
-// query the node's children and their bounds s-hat(e) depend only on the
-// query's (W_i, lambda).  ChildrenMemo evaluates each node once per
-// binding and hands every later visit the kept children:
-//   * Binding.  Each index's memo is keyed to (index pointer, keyword set
-//     by value, lambda).  Binding the index to anything else — another
-//     keyword set, even one changed in place at the same address, or
-//     another lambda — resets that index's entries in O(1) (StampedMap's
-//     epoch stamp); capacity is kept, so a warm scratch cycling through
-//     keyword sets still allocates nothing.  Stds/Stps::Execute clear
-//     every binding when a query starts, so a caller-held scratch never
-//     carries children over to another query (or to another index built
-//     at a freed index's address).
+// query a node's children and their bounds s-hat(e) depend only on the
+// query's (W_i, lambda), and one query reads feature set i under one
+// (W_i, lambda) throughout.  So the query's one pool is the memo's key:
+//   * One access decides.  ChildrenMemo::Visit reads the node through the
+//     query's pool.  The page's first access (a read) evaluates the node
+//     it now holds (FeatureIndex::EvaluateNode) and files the relevant
+//     children under the page's frame index; every later access (a hit)
+//     returns the filed children.  Reads, hits and the per-level traversal
+//     profile stay those of one page access per node visit: the memo saves
+//     CPU only, and the paper's I/O model is untouched.
+//   * A failed fetch is never admitted to the pool, so it is never filed:
+//     the page's next access fetches and evaluates it again.
+//   * The query is the binding.  TraversalScratch::Reset, called where a
+//     query starts, empties the pool and the memo with it; a frame index
+//     means nothing across it.  Debug builds check that every visit of a
+//     feature set within one query passes the same keyword set and lambda.
 //   * Views.  A view (NodeChildren) points into the memo's storage and is
-//     valid until the next Visit on the same index.  Kernels consume it
-//     before expanding another node.
-//   * Page accounting.  The memo holds the pool that feature-index reads
-//     charge (the session's feature pool; null for an uncharged bare
-//     kernel).  A repeated visit still charges its page through
-//     FeatureIndex::TouchNode, in the same order as before, so reads,
-//     buffer hits and the per-level traversal profile are the same as
-//     evaluating the node every time.  The memo saves CPU only;
-//     the paper's I/O model (one page access per node visit) is untouched.
-//   * Set-up.  Entries live in an open-addressing table sized by the
-//     nodes visited, never by the index, so a fresh per-query scratch
-//     costs nothing up front.
+//     valid until the next Visit.  Kernels consume it before expanding
+//     another node.
+//   * Set-up.  Entries are indexed by frame, so the memo grows with the
+//     pages one query touched, never with the index, and a warm scratch
+//     refills it without allocating.
 #ifndef STPQ_CORE_SCRATCH_H_
 #define STPQ_CORE_SCRATCH_H_
 
@@ -57,6 +54,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/query.h"
@@ -222,87 +220,69 @@ struct NodeChildren {
   uint16_t level = 0;
 };
 
-/// Per-query memo of each visited feature-index node's relevant children
-/// (see the file comment for the binding and view-lifetime rules).
+/// The relevant children of every feature-index node one query read,
+/// filed under the node page's frame in the query's pool (see the file
+/// comment for the binding and view-lifetime rules).
 class ChildrenMemo {
  public:
-  /// Memo slots, one per bound index: a query binds one index per feature
-  /// set.  Binding more indexes than this recycles slots round-robin,
-  /// which costs re-evaluation but never correctness.
-  static constexpr size_t kSlots = 8;
-
-  /// One index's memo under one (keyword set, lambda) binding.
-  class IndexMemo {
-   public:
-    /// The relevant children of `node`.  The first visit evaluates the node
-    /// with FeatureIndex::VisitChildren, which writes its level, its
-    /// text-pruned count and only its relevant children straight into the
-    /// memo; later visits return the kept children and charge the page
-    /// through FeatureIndex::TouchNode.  The view is valid until the next
-    /// Visit on this memo.
-    NodeChildren Visit(NodeId node) {
-      bool first = false;
-      Entry& e = entries_.FindOrInsert(node, &first);
-      if (first) return Evaluate(node, e);
-      index_->TouchNode(pool_, node);
-      return ViewOf(e);
+  /// The relevant children of `index`'s node `node` under the query's
+  /// (`query_kw`, `lambda`) for that feature set, read through `pool`.
+  /// A page that could not be fetched reads as an empty node.  The view
+  /// is valid until the next Visit.
+  NodeChildren Visit(BufferPool& pool, const FeatureIndex& index,
+                     NodeId node, const KeywordSet& query_kw,
+                     double lambda) {
+#ifndef NDEBUG
+    CheckBinding(index.set_ordinal(), query_kw, lambda);
+#endif
+    PageView page = index.tree().ReadPage(pool, node);
+    if (page.hit() && page.frame() < entries_.size() &&
+        entries_[page.frame()].filed) {
+      return ViewOf(entries_[page.frame()]);
     }
-
-   private:
-    friend class ChildrenMemo;
-
-    struct Entry {
-      uint32_t begin = 0;  ///< offset of the node's children in children_
-      uint32_t count = 0;
-      uint32_t text_pruned = 0;
-      uint16_t level = 0;
-    };
-
-    bool BoundTo(const FeatureIndex& index, const KeywordSet& query_kw,
-                 double lambda) const {
-      return index_ == &index && lambda_ == lambda && keywords_ == query_kw;
-    }
-    /// Adopts a new binding, dropping every entry in O(1).
-    void Rebind(const FeatureIndex& index, const KeywordSet& query_kw,
-                double lambda);
-    /// First visit: evaluates `node` into its fresh entry `e`.
-    NodeChildren Evaluate(NodeId node, Entry& e);
-
-    NodeChildren ViewOf(const Entry& e) const {
-      return {std::span<const FeatureBranch>(children_.data() + e.begin,
-                                             e.count),
-              e.text_pruned, e.level};
-    }
-
-    const FeatureIndex* index_ = nullptr;  ///< null = unbound
-    BufferPool* pool_ = nullptr;  ///< the memo's pool, set by Bind
-    KeywordSet keywords_;
-    double lambda_ = 0.0;
-    StampedMap<Entry> entries_;  ///< node id -> its kept children
-    std::vector<FeatureBranch> children_;  ///< every entry's children
-  };
-
-  /// The memo of `index` bound to (`query_kw`, `lambda`), reset first when
-  /// the index was bound to anything else.  The reference stays valid
-  /// until the next Bind.
-  IndexMemo& Bind(const FeatureIndex& index, const KeywordSet& query_kw,
-                  double lambda);
-
-  /// Unbinds every index (O(kSlots), capacity kept).  Called when a query
-  /// starts.
-  void Clear() {
-    for (IndexMemo& m : memos_) m.index_ = nullptr;
+    return Evaluate(index, std::move(page), query_kw, lambda);
   }
 
-  /// The pool every feature-index read through this memo charges (not
-  /// owned; null = uncharged reads).
-  [[nodiscard]] BufferPool* pool() const { return pool_; }
-  void set_pool(BufferPool* pool) { pool_ = pool; }
+  /// Forgets every filed node (capacity kept).  Goes with the pool's
+  /// Reset (TraversalScratch::Reset).
+  void Clear();
 
  private:
-  BufferPool* pool_ = nullptr;
-  std::array<IndexMemo, kSlots> memos_;
-  size_t next_victim_ = 0;
+  struct Entry {
+    uint32_t begin = 0;  ///< offset of the node's children in children_
+    uint32_t count = 0;
+    uint32_t text_pruned = 0;
+    uint16_t level = 0;
+    bool filed = false;
+  };
+
+  NodeChildren ViewOf(const Entry& e) const {
+    return {std::span<const FeatureBranch>(children_.data() + e.begin,
+                                           e.count),
+            e.text_pruned, e.level};
+  }
+
+  /// A page no visit of the query has filed (its first access, a read):
+  /// evaluates the node on it and files the children under the page's
+  /// frame, unless the fetch failed.
+  NodeChildren Evaluate(const FeatureIndex& index, PageView page,
+                        const KeywordSet& query_kw, double lambda);
+
+  std::vector<Entry> entries_;  ///< by pool frame index
+  std::vector<FeatureBranch> children_;  ///< every entry's children
+#ifndef NDEBUG
+  /// Binds feature set `set` to its first visit's (keyword set, lambda)
+  /// in the query, and checks every later visit against it.
+  void CheckBinding(uint32_t set, const KeywordSet& query_kw, double lambda);
+
+  /// Each feature set's (keyword set, lambda) in the current query.
+  struct Binding {
+    bool bound = false;
+    KeywordSet keywords;
+    double lambda = 0.0;
+  };
+  std::array<Binding, kMaxFeatureSets> bindings_;
+#endif
 };
 
 /// The product-mode 2r grid over one retrieved list D_j (Algorithm 4): the
@@ -432,22 +412,30 @@ struct InfluenceScratch {
   std::vector<double> scores;
 };
 
-/// The per-session buffer set, and the pools the kernels' reads charge:
-/// `object_pool` for object-index reads, the children memo's pool for
-/// feature-index reads (both null, uncharged, in a bare scratch; an
-/// ExecutionSession points them at the pools it owns).  Buffers are
-/// independent: a kernel may use any subset, but two *simultaneously
-/// live* users must not share one of them (sequential calls are fine —
-/// each clears what it borrows).  The query path satisfies this by
-/// construction: component-score, Voronoi, and object-retrieval traversals
-/// never nest inside each other, and the executors' own buffers
-/// (combination, flags, top-k, ...) are disjoint from the kernels'.  The
-/// children memo is shared on purpose, also by interleaved traversals
-/// (sorted feature streams paused between pulls): it is only read through
+/// The per-session buffer set, and the pool every node read of the query
+/// goes through (an ExecutionSession's).  Buffers are independent: a
+/// kernel may use any subset, but two *simultaneously live* users must not
+/// share one of them (sequential calls are fine — each clears what it
+/// borrows).  The query path satisfies this by construction:
+/// component-score, Voronoi, and object-retrieval traversals never nest
+/// inside each other, and the executors' own buffers (combination, flags,
+/// top-k, ...) are disjoint from the kernels'.  The pool and the children
+/// memo are shared on purpose, also by interleaved traversals (sorted
+/// feature streams paused between pulls): the memo is only read through
 /// short-lived views.
 struct TraversalScratch {
-  /// The pool object-index reads charge (not owned; null = uncharged).
-  BufferPool* object_pool = nullptr;
+  /// Reads through `query_pool` (not owned; must outlive the scratch).
+  explicit TraversalScratch(BufferPool& query_pool) : pool(query_pool) {}
+
+  /// Starts a query: forgets the pool's pages and counters and, with
+  /// them, the memo's filed children.  Capacity is kept.
+  void Reset() {
+    pool.Reset();
+    children.Clear();
+  }
+
+  /// The query's page table: every object- and feature-index read.
+  BufferPool& pool;
   /// Search-heap storage (max- or min-ordered via BorrowedHeap).
   std::vector<SearchHeapItem> heap;
   /// Relevant children of every feature-index node this query visited.

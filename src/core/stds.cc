@@ -1,7 +1,6 @@
 #include "core/stds.h"
 
 #include <algorithm>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -44,12 +43,9 @@ double ScoreObjectPruned(std::span<const FeatureIndex* const> indexes,
 }  // namespace
 
 QueryResult Stds::Execute(const Query& query,
-                          TraversalScratch* scratch) const {
+                          TraversalScratch& scr) const {
   STPQ_CHECK(query.keywords.size() == feature_indexes_.size());
-  std::optional<TraversalScratch> local_scratch;
-  TraversalScratch& scr =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  scr.children.Clear();
+  scr.Reset();
   QueryResult result;
   result.entries.reserve(std::min<size_t>(query.k, objects_->size()));
   QueryStats& stats = result.stats;
@@ -58,7 +54,6 @@ QueryResult Stds::Execute(const Query& query,
   // The leaf-block scan itself is object retrieval; the component-score
   // lookups inside it carve out their own (child) phase.
   Span span(stats, QueryPhase::kObjectRetrieval);
-  BufferPool* const object_pool = scr.object_pool;
 
   if (query.variant == ScoreVariant::kRange) {
     // Batched STDS: every object-R-tree leaf block is one batch.
@@ -69,8 +64,8 @@ QueryResult Stds::Execute(const Query& query,
     std::vector<BatchObject>& sub = b.sub;
     std::vector<uint32_t>& sub_index = b.sub_index;
     std::vector<double>& set_scores = b.set_scores;
-    objects_->ForEachLeafBlock(object_pool, [&](std::span<const ObjectId> ids,
-                                                const Rect2& mbr) {
+    objects_->ForEachLeafBlock(scr.pool, [&](std::span<const ObjectId> ids,
+                                             const Rect2& mbr) {
       batch.clear();
       for (ObjectId id : ids) {
         batch.push_back(BatchObject{id, objects_->Get(id).pos});
@@ -113,8 +108,8 @@ QueryResult Stds::Execute(const Query& query,
   } else {
     // Per-object scan (Algorithm 1 verbatim) for the influence and NN
     // variants.
-    objects_->ForEachLeafBlock(object_pool, [&](std::span<const ObjectId> ids,
-                                                const Rect2&) {
+    objects_->ForEachLeafBlock(scr.pool, [&](std::span<const ObjectId> ids,
+                                             const Rect2&) {
       for (ObjectId id : ids) {
         const Point& pos = objects_->Get(id).pos;
         double tau = ScoreObjectPruned(feature_indexes_, query, pos,

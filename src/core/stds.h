@@ -37,11 +37,11 @@ class Stds {
 
   /// Runs the query.  Range queries score each object-R-tree leaf block
   /// as one batch (the Section 5 improvement); the other variants score
-  /// per object.  `scratch` (may be null) provides reusable traversal
-  /// buffers — the engine passes its session's scratch; a null falls back
-  /// to a local.
+  /// per object.  `scratch` (the engine passes its session's) provides
+  /// the traversal buffers and the pool every read goes through; the
+  /// query starts by resetting it.
   STPQ_HOT QueryResult Execute(const Query& query,
-                               TraversalScratch* scratch = nullptr) const;
+                               TraversalScratch& scratch) const;
 
  private:
   const ObjectIndex* objects_;

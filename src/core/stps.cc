@@ -12,13 +12,10 @@
 namespace stpq {
 
 QueryResult Stps::Execute(const Query& query, PullingStrategy strategy,
-                          TraversalScratch* scratch) const {
+                          TraversalScratch& scr) const {
   STPQ_CHECK(query.keywords.size() == feature_indexes_.size());
   STPQ_CHECK(feature_indexes_.size() <= kMaxFeatureSets);
-  std::optional<TraversalScratch> local_scratch;
-  TraversalScratch& scr =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  scr.children.Clear();
+  scr.Reset();
   switch (query.variant) {
     case ScoreVariant::kRange:
       return ExecuteRange(query, strategy, scr);

@@ -56,12 +56,11 @@ class Stps {
         influence_mode_(influence_mode) {}
 
   /// Runs the query under its score variant (Algorithm 3, Algorithm 5, or
-  /// the Voronoi-based NN retrieval of Section 7.2).  `scratch` (may be
-  /// null) provides reusable traversal buffers — the engine passes its
-  /// session's scratch; a null falls back to a local.
-  STPQ_HOT QueryResult Execute(const Query& query,
-                      PullingStrategy strategy = PullingStrategy::kPrioritized,
-                      TraversalScratch* scratch = nullptr) const;
+  /// the Voronoi-based NN retrieval of Section 7.2).  `scratch` (the
+  /// engine passes its session's) provides the traversal buffers and the
+  /// pool every read goes through; the query starts by resetting it.
+  STPQ_HOT QueryResult Execute(const Query& query, PullingStrategy strategy,
+                               TraversalScratch& scratch) const;
 
  private:
   STPQ_HOT QueryResult ExecuteRange(const Query& query, PullingStrategy strategy,

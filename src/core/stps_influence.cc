@@ -62,7 +62,7 @@ void TopKInfluenceObjects(const ObjectIndex& objects,
       ++stats.objects_scored;
       continue;
     }
-    const NodeView node = objects.ReadNode(scratch.object_pool, top.id);
+    const NodeView node = objects.ReadNode(scratch.pool, top.id);
     uint32_t pruned = 0;
     uint32_t descended = 0;
     for (uint32_t i = 0; i < node.size(); ++i) {
@@ -241,7 +241,7 @@ void NearestObjects(const ObjectIndex& objects, const Point& center,
       out->push_back(top.id);
       continue;
     }
-    const NodeView node = objects.ReadNode(scratch.object_pool, top.id);
+    const NodeView node = objects.ReadNode(scratch.pool, top.id);
     for (uint32_t i = 0; i < node.size(); ++i) {
       const Rect2 rect = node.mbr(i);
       Point lo{rect.lo[0], rect.lo[1]};
@@ -269,7 +269,7 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
   std::array<std::optional<SortedFeatureStream>, kMaxFeatureSets> streams;
   for (size_t i = 0; i < c; ++i) {
     streams[i].emplace(feature_indexes_[i], &query.keywords[i], query.lambda,
-                       &result.stats, &scratch.children,
+                       &result.stats, &scratch,
                        &scratch.combination.stream_heaps[i]);
   }
 
@@ -361,7 +361,7 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
     double tau_now = topk.Threshold();
     if (topk.Full() && tau_now > 0.0 && cap > tau_now) {
       double radius = query.radius * std::log2(cap / tau_now);
-      objects_->RangeQuery(scratch.object_pool, anchor.pos, radius,
+      objects_->RangeQuery(scratch.pool, anchor.pos, radius,
                            &scratch.objects, &scratch.stack, &result.stats);
       for (ObjectId id : scratch.objects) exactify(id);
     }

@@ -41,7 +41,7 @@ void CollectObjectsInRegion(const ObjectIndex& objects,
   while (!stack.empty() && added < remaining) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const NodeView node = objects.ReadNode(scratch.object_pool, nid);
+    const NodeView node = objects.ReadNode(scratch.pool, nid);
     uint32_t pruned = 0;
     uint32_t descended = 0;
     for (uint32_t i = 0; i < node.size(); ++i) {
@@ -95,7 +95,7 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
   for (size_t i = 0; i < c; ++i) {
     SortedFeatureStream probe(feature_indexes_[i], &query.keywords[i],
                               query.lambda, &result.stats,
-                              &scratch.children, &scratch.heap);
+                              &scratch, &scratch.heap);
     std::optional<SortedFeatureStream::Item> first = probe.Next();
     set_has_relevant[i] =
         first.has_value() && first->id != kVirtualFeature;

@@ -28,9 +28,7 @@ void ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
                         TraversalScratch& scratch, VoronoiCell* out) {
   Span span(stats, QueryPhase::kVoronoi, index.set_ordinal(), center_id);
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
-  BufferPool* const pool = scratch.children.pool();
-  const BufferPoolStats before =
-      pool != nullptr ? pool->stats() : BufferPoolStats{};
+  const BufferPoolStats before = scratch.pool.stats();
   const Point center = index.table().Get(center_id).pos;
   VoronoiCell& cell = *out;
   cell.center = center_id;
@@ -40,8 +38,6 @@ void ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
 
   // Only relevant features define cells: the memo's views hold exactly
   // the entries that may lead to one.
-  ChildrenMemo::IndexMemo& children =
-      scratch.children.Bind(index, query_kw, lambda);
   // Min-heap on squared mindist from the center.
   BorrowedMinHeap heap(scratch.heap);
   if (index.RootId() != kInvalidNodeId) {
@@ -65,7 +61,8 @@ void ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
       max_vertex = cell.polygon.MaxDistanceFrom(center);
       continue;
     }
-    const NodeChildren node = children.Visit(top.id);
+    const NodeChildren node =
+        scratch.children.Visit(scratch.pool, index, top.id, query_kw, lambda);
     for (const FeatureBranch& b : node.relevant) {
       heap.push({MinSquaredDistance(center, b.mbr), b.id, b.is_feature});
     }
@@ -73,9 +70,7 @@ void ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
                     static_cast<uint32_t>(node.relevant.size()));
   }
 
-  if (pool != nullptr) {
-    stats.voronoi_reads += (pool->stats() - before).reads;
-  }
+  stats.voronoi_reads += (scratch.pool.stats() - before).feature_reads;
 }
 
 void IntersectConvex(ConvexPolygon* poly, const ConvexPolygon& other,

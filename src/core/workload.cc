@@ -60,6 +60,7 @@ Result<WorkloadReport> RunWorkload(const Engine& engine,
   threads = std::max<size_t>(1, std::min(threads, queries.size()));
 
   WorkloadReport report;
+  report.workers = threads;
   report.per_query.resize(queries.size());
   const ExecuteOptions exec_options{options.algorithm, options.slow_log};
 

@@ -62,15 +62,18 @@ struct WorkloadOptions {
 struct WorkloadReport {
   WorkloadSummary summary;
   std::vector<QueryResult> per_query;  ///< one entry per input query
+  /// Worker threads that ran: the requested count (hardware concurrency
+  /// for 0), capped at the number of queries, and at least 1.
+  size_t workers = 0;
   double wall_ms = 0.0;                ///< end-to-end batch wall time
   double queries_per_sec = 0.0;        ///< throughput over wall time
 };
 
-/// Runs `queries` on `engine` across `options.threads` workers.  Workers
-/// claim queries through an atomic cursor and write only their own result
-/// slots; the summary and aggregate counters are computed from the
-/// per-query results after the join.  Every query is
-/// validated up front, so InvalidArgument means nothing was executed.  A
+/// Runs `queries` on `engine` across `WorkloadReport::workers` threads.
+/// Workers claim queries through an atomic cursor and write only their
+/// own result slots; the summary and aggregate counters are computed from
+/// the per-query results after the join.  Every query is validated up
+/// front, so InvalidArgument means nothing was executed.  A
 /// query that fails while executing (a page fetch's IoError or
 /// Corruption) fails the batch: workers stop claiming, and the status of
 /// the lowest-index failing query is returned, prefixed "query i: ".

@@ -15,8 +15,8 @@
 #include "geom/rect.h"
 #include "index/build_params.h"
 #include "index/feature_table.h"
+#include "index/paged_tree.h"
 #include "rtree/rtree.h"
-#include "storage/buffer_pool.h"
 
 namespace stpq {
 
@@ -42,26 +42,23 @@ class FeatureIndex {
  public:
   virtual ~FeatureIndex() = default;
 
+  /// The index's node pages.  A query reads them through its pool, which
+  /// the relevant-children memo (core/scratch.h) does for it.
+  virtual const PagedTree& tree() const = 0;
+
   /// Root node id, or kInvalidNodeId for an empty index.
-  virtual NodeId RootId() const = 0;
+  NodeId RootId() const { return tree().root_id(); }
 
-  /// Evaluates node `node_id` against the query keywords `query_kw` and
-  /// the smoothing parameter `lambda`: appends to `out` (without clearing
-  /// it) the children whose text may match, with their score bounds, and
-  /// returns the node's level and how many entries it dropped.  The node
-  /// is read in place from its page, keyword column first, so a dropped
-  /// entry costs only its keyword words.  Charges one page access to
-  /// `pool` (none when it is null).
-  virtual NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,
-                                  const KeywordSet& query_kw, double lambda,
-                                  std::vector<FeatureBranch>* out) const = 0;
-
-  /// Charges `pool` the page access of visiting `node_id` exactly as
-  /// VisitChildren does, without evaluating its children.  The
-  /// relevant-children memo (core/scratch.h) calls it when it answers a
-  /// repeated visit from memory, so reads and hits stay those of one page
-  /// access per node visit.
-  virtual void TouchNode(BufferPool* pool, NodeId node_id) const = 0;
+  /// Evaluates `node`, a node of this index that the caller read, against
+  /// the query keywords `query_kw` and the smoothing parameter `lambda`:
+  /// appends to `out` (without clearing it) the children whose text may
+  /// match, with their score bounds, and returns the node's level and how
+  /// many entries it dropped.  The node is read in place from its page,
+  /// keyword column first, so a dropped entry costs only its keyword
+  /// words.
+  virtual NodeVisit EvaluateNode(const NodeView& node,
+                                 const KeywordSet& query_kw, double lambda,
+                                 std::vector<FeatureBranch>* out) const = 0;
 
   /// The record store this index was built over.
   virtual const FeatureTable& table() const = 0;

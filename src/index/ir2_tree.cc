@@ -57,10 +57,9 @@ Ir2Tree::Ir2Tree(const FeatureTable* table, const IndexBuildParams& params,
       tree_(std::move(meta), Layout(scheme_.signature_bits()), pages,
             PageBase(set_ordinal)) {}
 
-NodeVisit Ir2Tree::VisitChildren(BufferPool* pool, NodeId node_id,
-                                 const KeywordSet& query_kw, double lambda,
-                                 std::vector<FeatureBranch>* out) const {
-  const NodeView node = tree_.ReadNode(pool, node_id);
+NodeVisit Ir2Tree::EvaluateNode(const NodeView& node,
+                                const KeywordSet& query_kw, double lambda,
+                                std::vector<FeatureBranch>* out) const {
   const uint32_t query_count = query_kw.Count();
   const bool leaf = node.IsLeaf();
   NodeVisit visit{node.level(), 0};

@@ -53,18 +53,12 @@ class Ir2Tree : public FeatureIndex {
   static TreeImage Pack(const FeatureTable& table,
                         const IndexBuildParams& params);
 
-  NodeId RootId() const override { return tree_.root_id(); }
-  NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,
-                          const KeywordSet& query_kw, double lambda,
-                          std::vector<FeatureBranch>* out) const override;
-  void TouchNode(BufferPool* pool, NodeId node_id) const override {
-    static_cast<void>(tree_.ReadNode(pool, node_id));
-  }
+  const PagedTree& tree() const override { return tree_; }
+  NodeVisit EvaluateNode(const NodeView& node, const KeywordSet& query_kw,
+                         double lambda,
+                         std::vector<FeatureBranch>* out) const override;
   const FeatureTable& table() const override { return *table_; }
   const char* Name() const override { return "IR2"; }
-
-  /// The index's pages (tests, validators, Save).
-  const PagedTree& tree() const { return tree_; }
   const SignatureScheme& scheme() const { return scheme_; }
 
   /// Signature width: `configured_bits`, or when 0, scaled to the keyword

@@ -44,7 +44,7 @@ ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
       tree_(std::move(meta), Layout(), pages, TreePageBase(0)),
       domain_(DomainOf(*objects)) {}
 
-void ObjectIndex::RangeQuery(BufferPool* pool, const Point& center,
+void ObjectIndex::RangeQuery(BufferPool& pool, const Point& center,
                              double radius, std::vector<ObjectId>* out,
                              std::vector<NodeId>* stack,
                              QueryStats* stats) const {

@@ -50,24 +50,22 @@ class ObjectIndex {
   size_t size() const { return objects_->size(); }
 
   /// Ids of all objects within Euclidean distance `radius` of `center`,
-  /// into `out` (cleared first).  Every node read is charged to `pool`
-  /// (none when it is null).  `stack` is the traversal's working storage;
-  /// both keep their capacity for the caller's next walk.  With `stats`,
-  /// node expansions land in the object-tree traversal profile (and as
-  /// trace instants).
-  void RangeQuery(BufferPool* pool, const Point& center, double radius,
+  /// into `out` (cleared first).  Every node is read through `pool`.
+  /// `stack` is the traversal's working storage; both keep their capacity
+  /// for the caller's next walk.  With `stats`, node expansions land in
+  /// the object-tree traversal profile (and as trace instants).
+  void RangeQuery(BufferPool& pool, const Point& center, double radius,
                   std::vector<ObjectId>* out, std::vector<NodeId>* stack,
                   QueryStats* stats = nullptr) const;
 
   /// Calls `fn(std::span<const ObjectId> ids, const Rect2& mbr)` once per
-  /// leaf node with the leaf's object ids and its MBR, charging every node
-  /// read to `pool` (none when it is null).  Used by batched STDS: each
-  /// leaf is a spatially clustered batch.  `stack` and `ids` are the
-  /// walk's working storage (`fn` must not touch them).  With `stats`,
-  /// node expansions land in the object-tree traversal profile (and as
-  /// trace instants).
+  /// leaf node with the leaf's object ids and its MBR, reading every node
+  /// through `pool`.  Used by batched STDS: each leaf is a spatially
+  /// clustered batch.  `stack` and `ids` are the walk's working storage
+  /// (`fn` must not touch them).  With `stats`, node expansions land in
+  /// the object-tree traversal profile (and as trace instants).
   template <typename LeafFn>
-  void ForEachLeafBlock(BufferPool* pool, const LeafFn& fn,
+  void ForEachLeafBlock(BufferPool& pool, const LeafFn& fn,
                         std::vector<NodeId>* stack,
                         std::vector<ObjectId>* ids,
                         QueryStats* stats = nullptr) const;
@@ -79,8 +77,8 @@ class ObjectIndex {
   NodeId RootId() const { return tree_.root_id(); }
 
   /// Reads node `id` for a custom traversal (STPS object retrieval): one
-  /// page access charged to `pool` (none when it is null).
-  NodeView ReadNode(BufferPool* pool, NodeId id) const {
+  /// page access through `pool`.
+  NodeView ReadNode(BufferPool& pool, NodeId id) const {
     return tree_.ReadNode(pool, id);
   }
 
@@ -98,7 +96,7 @@ class ObjectIndex {
 };
 
 template <typename LeafFn>
-void ObjectIndex::ForEachLeafBlock(BufferPool* pool, const LeafFn& fn,
+void ObjectIndex::ForEachLeafBlock(BufferPool& pool, const LeafFn& fn,
                                    std::vector<NodeId>* stack,
                                    std::vector<ObjectId>* ids,
                                    QueryStats* stats) const {

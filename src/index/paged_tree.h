@@ -5,8 +5,9 @@
 // pages at page ids [base, base + node_count).  A built engine's trees
 // share its in-memory page array, an opened engine's trees share the
 // index file; a tree built on its own (tests, benches, ablations) owns a
-// private page array.  A read charges the BufferPool its caller passes
-// and views the frame's page; a null pool reads uncharged.
+// private page array.  A query's read goes through the BufferPool its
+// caller passes and views the frame's page; validators, statistics and
+// Save peek at pages outside any pool.
 #ifndef STPQ_INDEX_PAGED_TREE_H_
 #define STPQ_INDEX_PAGED_TREE_H_
 
@@ -43,22 +44,33 @@ class PagedTree {
   PagedTree(PagedTree&&) = default;
   PagedTree& operator=(PagedTree&&) = default;
 
-  /// Reads node `id`: one page access charged to `pool`, or none when
-  /// `pool` is null.  The pool must read this tree's store.
-  [[nodiscard]] NodeView ReadNode(BufferPool* pool, NodeId id) const {
-    if (pool == nullptr) return PeekNode(id);
-    STPQ_DCHECK(&pool->page_store() == pages_);
-    return NodeView(pool->Access(base_ + id), layout_, meta_.max_entries);
+  /// Reads node `id`: one page access through `pool`, which must read
+  /// this tree's store.
+  [[nodiscard]] NodeView ReadNode(BufferPool& pool, NodeId id) const {
+    return View(ReadPage(pool, id));
   }
 
   /// Reads node `id` without charging any pool (validators, statistics).
   [[nodiscard]] NodeView PeekNode(NodeId id) const {
-    return NodeView(PeekPage(id), layout_, meta_.max_entries);
+    return View(PeekPage(id));
+  }
+
+  /// The page of node `id`, read through `pool` as ReadNode does, for a
+  /// reader that views the node only on a miss (the relevant-children
+  /// memo).
+  [[nodiscard]] PageView ReadPage(BufferPool& pool, NodeId id) const {
+    STPQ_DCHECK(&pool.page_store() == pages_);
+    return pool.Access(base_ + id);
   }
 
   /// The raw page of node `id`, outside any pool (Save writes these).
   [[nodiscard]] PageView PeekPage(NodeId id) const {
     return PageView::Unpooled(*pages_, base_ + id);
+  }
+
+  /// The node on `page`, a page of this tree.
+  [[nodiscard]] NodeView View(PageView page) const {
+    return NodeView(std::move(page), layout_, meta_.max_entries);
   }
 
   /// Writable page of node `id` for deliberate-corruption tests; only a

@@ -51,10 +51,9 @@ SrtIndex::SrtIndex(const FeatureTable* table, uint32_t set_ordinal,
       tree_(std::move(meta), Layout(table->universe_size()), pages,
             PageBase(set_ordinal)) {}
 
-NodeVisit SrtIndex::VisitChildren(BufferPool* pool, NodeId node_id,
-                                  const KeywordSet& query_kw, double lambda,
-                                  std::vector<FeatureBranch>* out) const {
-  const NodeView node = tree_.ReadNode(pool, node_id);
+NodeVisit SrtIndex::EvaluateNode(const NodeView& node,
+                                 const KeywordSet& query_kw, double lambda,
+                                 std::vector<FeatureBranch>* out) const {
   const std::vector<uint64_t>& query = query_kw.blocks();
   const uint32_t words = node.keyword_words();
   STPQ_DCHECK(query.size() == words);

@@ -63,13 +63,10 @@ class SrtIndex : public FeatureIndex {
   static TreeImage Pack(const FeatureTable& table,
                         const IndexBuildParams& params);
 
-  NodeId RootId() const override { return tree_.root_id(); }
-  NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,
-                          const KeywordSet& query_kw, double lambda,
-                          std::vector<FeatureBranch>* out) const override;
-  void TouchNode(BufferPool* pool, NodeId node_id) const override {
-    static_cast<void>(tree_.ReadNode(pool, node_id));
-  }
+  const PagedTree& tree() const override { return tree_; }
+  NodeVisit EvaluateNode(const NodeView& node, const KeywordSet& query_kw,
+                         double lambda,
+                         std::vector<FeatureBranch>* out) const override;
   const FeatureTable& table() const override { return *table_; }
   const char* Name() const override { return "SRT"; }
 
@@ -86,9 +83,6 @@ class SrtIndex : public FeatureIndex {
   /// 4-D point {x, y, t.s, H(t.W)} of Section 4.2, with e.s = t.s and
   /// e.W = t.W.  The point is the Hilbert sort key; pages keep (x, y).
   static TreeEntry<4, SrtAug> LeafEntry(uint32_t id, const FeatureObject& f);
-
-  /// The index's pages (tests, validators, Save).
-  const PagedTree& tree() const { return tree_; }
 
   /// Mutable pages for deliberate-corruption invariant tests only.
   [[nodiscard]] PagedTree& mutable_tree_for_test() { return tree_; }

@@ -77,10 +77,12 @@ PageView BufferPool::Access(PageId page) {
                        static_cast<uint32_t>(page & 0xffffffffu), page);
     const Frame& frame = frames_[resident];
     PageView view(std::span<const uint8_t>(frame.data, frame.size));
+    view.frame_ = resident;
     view.hit_ = true;
     return view;
   }
   ++reads_;
+  if (page >= TreePageBase(1)) ++feature_reads_;
   STPQ_TRACE_INSTANT(TraceEventType::kPoolMiss, backend_tag_, 0,
                      static_cast<uint32_t>(page & 0xffffffffu), page);
   // The miss has been counted; now the store serves the page into the
@@ -106,12 +108,14 @@ PageView BufferPool::Access(PageId page) {
   }
   frames_[f] = Frame{page, bytes.data(), static_cast<uint32_t>(bytes.size())};
   table_.Insert(page, f);
+  view.frame_ = f;
   return view;
 }
 
 void BufferPool::Reset() {
   table_.Clear();
   reads_ = 0;
+  feature_reads_ = 0;
   hits_ = 0;
   fault_ = {};
 }

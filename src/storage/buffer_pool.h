@@ -20,7 +20,7 @@
 // the table's slots, so a warm query refills the pool without allocating.
 //
 // Concurrency model (DESIGN.md §11).  A pool is single-threaded: each query
-// reads through the two pools its ExecutionSession owns, so no pool is
+// reads through the one pool its ExecutionSession owns, so no pool is
 // ever reached from two threads at once and none takes a lock.  What
 // threads share is the PageStore under the pools, which is thread-safe.
 //
@@ -70,14 +70,19 @@ inline PageId TreePageBase(uint64_t tree) { return kIndexPageStride * tree; }
 /// Counters exposed by a BufferPool.
 struct BufferPoolStats {
   uint64_t reads = 0;  ///< misses: simulated page reads from disk
+  /// The reads of feature-tree pages (ids from TreePageBase(1) up); the
+  /// rest are object-tree reads.
+  uint64_t feature_reads = 0;
   uint64_t hits = 0;   ///< accesses served from the pool
 
   /// Per-field saturating difference: subtracting a *newer* snapshot from
   /// an older one (a caller bug, or counters reset between snapshots)
   /// yields 0 instead of wrapping around to ~2^64 bogus reads.
   BufferPoolStats operator-(const BufferPoolStats& other) const {
-    return {reads >= other.reads ? reads - other.reads : 0,
-            hits >= other.hits ? hits - other.hits : 0};
+    auto minus = [](uint64_t a, uint64_t b) { return a >= b ? a - b : 0; };
+    return {minus(reads, other.reads),
+            minus(feature_reads, other.feature_reads),
+            minus(hits, other.hits)};
   }
 };
 
@@ -122,6 +127,10 @@ class PageView {
   [[nodiscard]] std::span<const uint8_t> bytes() const { return bytes_; }
   /// Whether the pool served the page from a resident frame.
   [[nodiscard]] bool hit() const { return hit_; }
+  /// The pool frame holding the page (a hit, or a miss it admitted): the
+  /// same index for every access to the page until the pool's next Reset.
+  /// Meaningless for a failed fetch or an unpooled view.
+  [[nodiscard]] uint32_t frame() const { return frame_; }
   /// Why the page has no bytes, when its fetch failed.
   [[nodiscard]] const FetchFault& fault() const { return fault_; }
 
@@ -131,6 +140,7 @@ class PageView {
   std::span<const uint8_t> bytes_;
   FetchFault fault_;
   std::vector<uint8_t> owned_;
+  uint32_t frame_ = 0;
   bool hit_ = false;
 };
 
@@ -161,7 +171,7 @@ class BufferPool {
   void Reset();
 
   /// Counter snapshot.
-  BufferPoolStats stats() const { return {reads_, hits_}; }
+  BufferPoolStats stats() const { return {reads_, feature_reads_, hits_}; }
 
   /// The first fetch failure since Reset, as a typed Status (IoError or
   /// Corruption); OK when every fetch succeeded.  Cold: builds the message.
@@ -234,6 +244,7 @@ class BufferPool {
   /// events as arg_a.
   uint8_t backend_tag_ = 0;
   uint64_t reads_ = 0;
+  uint64_t feature_reads_ = 0;
   uint64_t hits_ = 0;
   /// First fetch failure since Reset.
   FetchFault fault_;
@@ -256,8 +267,11 @@ struct BufferPool::Corrupter {
     const uint32_t f = pool->table_.Find(page);
     if (f != kNilFrame) pool->frames_[f].page = as;
   }
-  /// Rewinds the read counter below the resident count.
-  static void RewindReads(BufferPool* pool) { pool->reads_ = 0; }
+  /// Rewinds the read counters below the resident count.
+  static void RewindReads(BufferPool* pool) {
+    pool->reads_ = 0;
+    pool->feature_reads_ = 0;
+  }
 };
 
 }  // namespace stpq

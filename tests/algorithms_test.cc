@@ -3,14 +3,18 @@
 // paper's worked example (Section 6.4).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <map>
+#include <cerrno>
+#include <filesystem>
 #include <memory>
 #include <string>
 
 #include "core/brute_force.h"
 #include "core/compute_score.h"
 #include "core/engine.h"
+#include "core/exec_session.h"
 #include "core/score.h"
 #include "core/stds.h"
 #include "core/stps.h"
@@ -18,7 +22,9 @@
 #include "gen/synthetic.h"
 #include "index/ir2_tree.h"
 #include "index/srt_index.h"
+#include "io/index_file.h"
 #include "paper_example.h"
+#include "storage/page_store.h"
 #include "util/rng.h"
 
 namespace stpq {
@@ -67,7 +73,8 @@ TEST(ComputeScoreTest, RangeMatchesBruteForce) {
   q.lambda = 0.5;
   q.keywords = {KeywordSet(32, {0, 1, 2})};
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   for (int i = 0; i < 60; ++i) {
     const Point& p = ds.objects[i].pos;
     double got = ComputeBestRange(index, p, q.keywords[0], q.lambda,
@@ -96,7 +103,8 @@ TEST(ComputeScoreTest, BatchAgreesWithSingle) {
   }
   std::vector<double> scores(batch.size());
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   ComputeScoresRangeBatch(index, batch, mbr, query, 0.5, 0.05, scores,
                           stats, scratch);
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -113,7 +121,8 @@ TEST(ComputeScoreTest, ZeroRadiusOnlyColocated) {
   SrtIndex index(&ds.feature_tables[0], opts);
   KeywordSet query = ex::Terms(ds.vocabularies[0], {"pizza"});
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   // p exactly at Ontario's Pizza: radius 0 still matches it.
   double at =
       ComputeBestRange(index, {7, 6}, query, 0.5, 0.0, stats, scratch).score;
@@ -333,46 +342,28 @@ TEST(StatsTest, ColdCachePerQueryIsDeterministic) {
 
 // ------------------------------------------------ relevant-children memo
 
-/// Forwards every call to `inner`, counting child evaluations per node and
-/// charge-only touches.
+/// Forwards every call to `inner`, counting node evaluations.
 class CountingIndex : public FeatureIndex {
  public:
   explicit CountingIndex(const FeatureIndex* inner)
       : FeatureIndex(inner->set_ordinal()), inner_(inner) {}
 
-  NodeId RootId() const override { return inner_->RootId(); }
-  NodeVisit VisitChildren(BufferPool* pool, NodeId node_id,
-                          const KeywordSet& query_kw, double lambda,
-                          std::vector<FeatureBranch>* out) const override {
-    ++evaluations_[node_id];
-    return inner_->VisitChildren(pool, node_id, query_kw, lambda, out);
-  }
-  void TouchNode(BufferPool* pool, NodeId node_id) const override {
-    ++touches_;
-    inner_->TouchNode(pool, node_id);
+  const PagedTree& tree() const override { return inner_->tree(); }
+  NodeVisit EvaluateNode(const NodeView& node, const KeywordSet& query_kw,
+                         double lambda,
+                         std::vector<FeatureBranch>* out) const override {
+    ++evaluations_;
+    return inner_->EvaluateNode(node, query_kw, lambda, out);
   }
   const FeatureTable& table() const override { return inner_->table(); }
   const char* Name() const override { return inner_->Name(); }
 
-  uint64_t Evaluations(NodeId node_id) const {
-    auto it = evaluations_.find(node_id);
-    return it == evaluations_.end() ? 0 : it->second;
-  }
-  uint64_t MaxEvaluationsPerNode() const {
-    uint64_t most = 0;
-    for (const auto& [node, n] : evaluations_) most = std::max(most, n);
-    return most;
-  }
-  uint64_t touches() const { return touches_; }
-  void ResetCounts() {
-    evaluations_.clear();
-    touches_ = 0;
-  }
+  uint64_t evaluations() const { return evaluations_; }
+  void ResetCounts() { evaluations_ = 0; }
 
  private:
   const FeatureIndex* inner_;
-  mutable std::map<NodeId, uint64_t> evaluations_;
-  mutable uint64_t touches_ = 0;
+  mutable uint64_t evaluations_ = 0;
 };
 
 std::unique_ptr<FeatureIndex> BuildFeatureIndex(
@@ -384,40 +375,30 @@ std::unique_ptr<FeatureIndex> BuildFeatureIndex(
   return std::make_unique<Ir2Tree>(table, opts);
 }
 
-/// The pages of `index`, an SRT-index or an IR2-tree.
-const PagedTree& PagesOf(const FeatureIndex& index) {
-  if (const auto* srt = dynamic_cast<const SrtIndex*>(&index)) {
-    return srt->tree();
-  }
-  return dynamic_cast<const Ir2Tree&>(index).tree();
-}
-
 /// Every node id of `index`, found by walking its pages from the root.
 std::vector<NodeId> AllNodes(const FeatureIndex& index) {
   std::vector<NodeId> nodes;
   if (index.RootId() == kInvalidNodeId) return nodes;
-  const PagedTree& pages = PagesOf(index);
   std::vector<NodeId> stack = {index.RootId()};
   while (!stack.empty()) {
     NodeId node = stack.back();
     stack.pop_back();
     nodes.push_back(node);
-    const NodeView view = pages.PeekNode(node);
+    const NodeView view = index.tree().PeekNode(node);
     if (view.IsLeaf()) continue;
     for (uint32_t i = 0; i < view.size(); ++i) stack.push_back(view.id(i));
   }
   return nodes;
 }
 
-/// The memo's view of `node` must be what VisitChildren reports, entry
-/// for entry, and account for every entry of the node's page.
-void ExpectViewMatchesVisit(const FeatureIndex& index, NodeId node,
-                               const KeywordSet& kw, double lambda,
-                               const NodeChildren& got) {
+/// The memo's view of `node` must be what evaluating the node reports,
+/// entry for entry, and account for every entry of the node's page.
+void ExpectViewMatchesEvaluation(const FeatureIndex& index, NodeId node,
+                                 const KeywordSet& kw, double lambda,
+                                 const NodeChildren& got) {
   std::vector<FeatureBranch> want;
-  const NodeVisit visit =
-      index.VisitChildren(/*pool=*/nullptr, node, kw, lambda, &want);
-  const NodeView page = PagesOf(index).PeekNode(node);
+  const NodeView page = index.tree().PeekNode(node);
+  const NodeVisit visit = index.EvaluateNode(page, kw, lambda, &want);
   EXPECT_EQ(got.level, visit.level) << "node " << node;
   EXPECT_EQ(got.level, page.level()) << "node " << node;
   EXPECT_EQ(got.text_pruned, visit.text_pruned) << "node " << node;
@@ -434,6 +415,17 @@ void ExpectViewMatchesVisit(const FeatureIndex& index, NodeId node,
   }
 }
 
+int g_pread_calls = 0;
+
+/// pread that fails its first call with EIO.
+ssize_t PreadEioOnce(int fd, void* buf, size_t count, off_t offset) {
+  if (++g_pread_calls == 1) {
+    errno = EIO;
+    return -1;
+  }
+  return ::pread(fd, buf, count, offset);
+}
+
 class ChildrenMemoTest : public ::testing::TestWithParam<FeatureIndexKind> {
  protected:
   static Dataset Features() {
@@ -446,106 +438,169 @@ class ChildrenMemoTest : public ::testing::TestWithParam<FeatureIndexKind> {
     cfg.num_clusters = 40;
     return GenerateSynthetic(cfg);
   }
+
+  /// A feature index over `features` at 512-byte pages: a deep tree.
+  std::unique_ptr<FeatureIndex> Build(const Dataset& features) const {
+    IndexBuildParams opts;
+    opts.page_size_bytes = 512;
+    return BuildFeatureIndex(GetParam(), &features.feature_tables[0], opts);
+  }
 };
 
-TEST_P(ChildrenMemoTest, ViewsAreVisitChildrenFilteredToTextMatches) {
+TEST_P(ChildrenMemoTest, ViewsAreTheEvaluatedNodesRelevantChildren) {
   Dataset ds = Features();
-  IndexBuildParams opts;
-  opts.page_size_bytes = 512;  // small pages: a deep tree
-  std::unique_ptr<FeatureIndex> index =
-      BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
+  std::unique_ptr<FeatureIndex> index = Build(ds);
   const std::vector<NodeId> nodes = AllNodes(*index);
   ASSERT_GT(nodes.size(), 20u);
   const std::vector<KeywordSet> keyword_sets = {
       KeywordSet(32, {0}), KeywordSet(32, {1, 7, 30}), KeywordSet(32)};
-  ChildrenMemo memo;
+  ExecutionSession session(&index->tree().pages());
+  TraversalScratch& scratch = session.scratch();
   for (const KeywordSet& kw : keyword_sets) {
     for (double lambda : {0.0, 0.3, 1.0}) {
-      ChildrenMemo::IndexMemo& bound = memo.Bind(*index, kw, lambda);
+      scratch.Reset();  // each (keywords, lambda) is a query of its own
       // The first pass evaluates every node, the second reads the memo.
       for (int pass = 0; pass < 2; ++pass) {
         for (NodeId node : nodes) {
-          ExpectViewMatchesVisit(*index, node, kw, lambda, bound.Visit(node));
+          ExpectViewMatchesEvaluation(
+              *index, node, kw, lambda,
+              scratch.children.Visit(scratch.pool, *index, node, kw, lambda));
         }
       }
+      EXPECT_EQ(scratch.pool.stats().feature_reads, nodes.size());
+      EXPECT_EQ(scratch.pool.stats().hits, nodes.size());
     }
   }
 }
 
 TEST_P(ChildrenMemoTest, RepeatVisitIsOnePoolHitAndNoEvaluation) {
   Dataset ds = Features();
-  IndexBuildParams opts;
-  opts.page_size_bytes = 512;
-  std::unique_ptr<FeatureIndex> index =
-      BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
-  BufferPool pool(&PagesOf(*index).pages());
+  std::unique_ptr<FeatureIndex> index = Build(ds);
   CountingIndex counting(index.get());
-
+  ExecutionSession session(&index->tree().pages());
+  TraversalScratch& scratch = session.scratch();
   const KeywordSet kw(32, {1, 2});
-  ChildrenMemo memo;
-  memo.set_pool(&pool);
-  ChildrenMemo::IndexMemo& bound = memo.Bind(counting, kw, 0.5);
-  const NodeId root = counting.RootId();
-  const size_t first_size = bound.Visit(root).relevant.size();
-  EXPECT_EQ(counting.Evaluations(root), 1u);
-  EXPECT_EQ(pool.stats().reads, 1u);
-  EXPECT_EQ(pool.stats().hits, 0u);
+  auto visit_root = [&] {
+    return scratch.children.Visit(scratch.pool, counting, counting.RootId(),
+                                  kw, 0.5);
+  };
+  const size_t first_size = visit_root().relevant.size();
+  EXPECT_EQ(counting.evaluations(), 1u);
+  EXPECT_EQ(scratch.pool.stats().reads, 1u);
+  EXPECT_EQ(scratch.pool.stats().hits, 0u);
   for (uint64_t repeat = 1; repeat <= 3; ++repeat) {
-    const NodeChildren again = bound.Visit(root);
+    const NodeChildren again = visit_root();
     EXPECT_EQ(again.relevant.size(), first_size);
-    EXPECT_EQ(counting.Evaluations(root), 1u);
-    EXPECT_EQ(counting.touches(), repeat);
-    EXPECT_EQ(pool.stats().reads, 1u);
-    EXPECT_EQ(pool.stats().hits, repeat);
+    EXPECT_EQ(counting.evaluations(), 1u);
+    EXPECT_EQ(scratch.pool.stats().reads, 1u);
+    EXPECT_EQ(scratch.pool.stats().hits, repeat);
   }
+  // A query start forgets the page, and its children with it.
+  scratch.Reset();
+  EXPECT_EQ(visit_root().relevant.size(), first_size);
+  EXPECT_EQ(counting.evaluations(), 2u);
+  EXPECT_EQ(scratch.pool.stats().reads, 1u);
+  EXPECT_EQ(scratch.pool.stats().hits, 0u);
 }
 
-TEST_P(ChildrenMemoTest, AnotherBindingReevaluates) {
-  Dataset ds = Features();
-  IndexBuildParams opts;
-  opts.page_size_bytes = 512;
-  std::unique_ptr<FeatureIndex> index =
-      BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
-  std::unique_ptr<FeatureIndex> twin =
-      BuildFeatureIndex(GetParam(), &ds.feature_tables[0], opts);
+// A failed fetch is never admitted to the pool, so its empty node is never
+// filed: the page's next access in the same query fetches it again and
+// evaluates what it read.
+TEST_P(ChildrenMemoTest, FailedFetchIsFetchedAndEvaluatedAgain) {
+  SyntheticConfig cfg;
+  cfg.seed = 43;
+  cfg.num_objects = 50;
+  cfg.num_features_per_set = 600;
+  cfg.num_feature_sets = 1;
+  cfg.vocabulary_size = 32;
+  cfg.num_clusters = 40;
+  Dataset ds = GenerateSynthetic(cfg);
+  EngineOptions eopts;
+  eopts.build.index_kind = GetParam();
+  eopts.build.page_size_bytes = 512;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("stpq_memo_eio_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "memo.stpqx").string();
+  ASSERT_TRUE(Engine::Build(ds.objects, ds.feature_tables, eopts)
+                  .TakeValue()
+                  .Save(path)
+                  .ok());
+  Result<LoadedIndex> loaded = LoadIndexFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Result<std::unique_ptr<FilePageStore>> store = FilePageStore::Open(
+      path, loaded.value().extents, FilePageStore::IoMode::kPread);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const FeatureTable& table = loaded.value().feature_tables[0];
+  TreeMeta meta = loaded.value().trees[1];
+  std::unique_ptr<FeatureIndex> index;
+  if (GetParam() == FeatureIndexKind::kSrt) {
+    index = std::make_unique<SrtIndex>(&table, 0, meta, store.value().get());
+  } else {
+    index = std::make_unique<Ir2Tree>(&table, loaded.value().params, 0, meta,
+                                      store.value().get());
+  }
   CountingIndex counting(index.get());
-  CountingIndex other(twin.get());
-  const NodeId root = counting.RootId();
-  ChildrenMemo memo;
-  KeywordSet kw(32, {0});
-  auto visit_root = [&](const CountingIndex& idx, double lambda) {
-    return memo.Bind(idx, kw, lambda).Visit(idx.RootId());
+  ExecutionSession session(store.value().get());
+  TraversalScratch& scratch = session.scratch();
+  const KeywordSet kw(32, {1, 2, 3});
+  auto visit_root = [&] {
+    return scratch.children.Visit(scratch.pool, counting, counting.RootId(),
+                                  kw, 0.5);
   };
+  std::vector<FeatureBranch> want;
+  index->EvaluateNode(index->tree().PeekNode(index->RootId()), kw, 0.5,
+                      &want);
+  ASSERT_FALSE(want.empty());
 
-  visit_root(counting, 0.5);
-  visit_root(counting, 0.5);
-  EXPECT_EQ(counting.Evaluations(root), 1u);
+  g_pread_calls = 0;
+  store.value()->SetPreadFnForTest(&PreadEioOnce);
+  EXPECT_TRUE(visit_root().relevant.empty());  // the failed read
+  EXPECT_EQ(session.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(counting.evaluations(), 1u);
+  // The same query's next access reads the page and evaluates it.
+  EXPECT_EQ(visit_root().relevant.size(), want.size());
+  EXPECT_EQ(counting.evaluations(), 2u);
+  EXPECT_EQ(scratch.pool.stats().reads, 2u);
+  EXPECT_EQ(scratch.pool.stats().hits, 0u);
+  // From then on it is filed like any other page.
+  EXPECT_EQ(visit_root().relevant.size(), want.size());
+  EXPECT_EQ(counting.evaluations(), 2u);
+  EXPECT_EQ(scratch.pool.stats().hits, 1u);
+  store.value()->SetPreadFnForTest(&::pread);
+  std::filesystem::remove_all(dir);
+}
 
-  kw.Insert(9);  // same object, new contents
-  ExpectViewMatchesVisit(*index, root, kw, 0.5, visit_root(counting, 0.5));
-  EXPECT_EQ(counting.Evaluations(root), 2u);
-
-  ExpectViewMatchesVisit(*index, root, kw, 0.25, visit_root(counting, 0.25));
-  EXPECT_EQ(counting.Evaluations(root), 3u);
-
-  // Another index under the same keywords and lambda is evaluated on its
-  // own and leaves the first index's entries in place.
-  visit_root(other, 0.25);
-  EXPECT_EQ(other.Evaluations(other.RootId()), 1u);
-  visit_root(counting, 0.25);
-  EXPECT_EQ(counting.Evaluations(root), 3u);
-
-  // A query start drops every binding.
-  memo.Clear();
-  visit_root(counting, 0.25);
-  EXPECT_EQ(counting.Evaluations(root), 4u);
+// The query is the memo's binding: within one query a feature set is read
+// under one keyword set and lambda, which debug builds check on every
+// visit.  A query start (Reset) takes a new binding.
+TEST_P(ChildrenMemoTest, OneKeywordSetAndLambdaPerSetWithinAQuery) {
+  Dataset ds = Features();
+  std::unique_ptr<FeatureIndex> index = Build(ds);
+  ExecutionSession session(&index->tree().pages());
+  TraversalScratch& scratch = session.scratch();
+  const NodeId root = index->RootId();
+  const KeywordSet first(32, {0});
+  const KeywordSet second(32, {0, 9});
+  scratch.children.Visit(scratch.pool, *index, root, first, 0.5);
+  EXPECT_DEBUG_DEATH(
+      scratch.children.Visit(scratch.pool, *index, root, second, 0.5),
+      "one keyword set and lambda per feature set");
+  EXPECT_DEBUG_DEATH(
+      scratch.children.Visit(scratch.pool, *index, root, first, 0.25),
+      "one keyword set and lambda per feature set");
+  scratch.Reset();
+  ExpectViewMatchesEvaluation(
+      *index, root, second, 0.25,
+      scratch.children.Visit(scratch.pool, *index, root, second, 0.25));
 }
 
 // STPS (range, both influence modes, NN) and STDS (batched and per object)
-// over decorated indexes: within one query every node of every feature
-// set is evaluated at most once, and entries, page reads and buffer hits
-// equal the undecorated run's.
-TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
+// over decorated indexes: a query evaluates each feature page once, so its
+// evaluations equal its feature reads, and entries, page reads and buffer
+// hits equal the undecorated run's.
+TEST_P(ChildrenMemoTest, QueriesEvaluateEachFeaturePageOnce) {
   SyntheticConfig cfg;
   cfg.seed = 5;
   cfg.num_objects = 400;
@@ -554,14 +609,14 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
   cfg.vocabulary_size = 32;
   cfg.num_clusters = 40;
   Dataset ds = GenerateSynthetic(cfg);
-  // An engine packs every tree into one page array, which both pools read.
+  // An engine packs every tree into one page array, which the session's
+  // one pool reads.
   EngineOptions eopts;
   eopts.build.index_kind = GetParam();
   eopts.build.page_size_bytes = 512;
   const Engine engine =
       Engine::Build(ds.objects, ds.feature_tables, eopts).TakeValue();
-  BufferPool object_pool(&engine.page_store());
-  BufferPool feature_pool(&engine.page_store());
+  ExecutionSession session(&engine.page_store());
   const ObjectIndex& objects = engine.object_index();
   std::vector<std::unique_ptr<CountingIndex>> counters;
   std::vector<const FeatureIndex*> plain;
@@ -574,35 +629,32 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
 
   struct Run {
     std::vector<ResultEntry> entries;
-    BufferPoolStats object_io;
-    BufferPoolStats feature_io;
+    BufferPoolStats io;
+    uint64_t feature_visits = 0;
   };
   enum class Executor { kStds, kStps, kStpsCombos };
   auto run = [&](Executor executor, const std::vector<const FeatureIndex*>& ix,
                  const Query& q) {
-    object_pool.Reset();
-    feature_pool.Reset();
-    TraversalScratch scratch;
-    scratch.object_pool = &object_pool;
-    scratch.children.set_pool(&feature_pool);
+    TraversalScratch& scratch = session.scratch();
     QueryResult r;
     switch (executor) {
       case Executor::kStds:
-        r = Stds(&objects, ix).Execute(q, &scratch);
+        r = Stds(&objects, ix).Execute(q, scratch);
         break;
       case Executor::kStps:
         r = Stps(&objects, ix).Execute(q, PullingStrategy::kPrioritized,
-                                       &scratch);
+                                       scratch);
         break;
       case Executor::kStpsCombos:
         r = Stps(&objects, ix, InfluenceMode::kCombinations)
-                .Execute(q, PullingStrategy::kPrioritized, &scratch);
+                .Execute(q, PullingStrategy::kPrioritized, scratch);
         break;
     }
-    return Run{r.entries, object_pool.stats(), feature_pool.stats()};
+    return Run{r.entries, scratch.pool.stats(),
+               r.stats.traversal.FeatureVisited()};
   };
 
-  uint64_t touches = 0;
+  uint64_t revisits = 0;
   for (ScoreVariant variant :
        {ScoreVariant::kRange, ScoreVariant::kInfluence,
         ScoreVariant::kNearestNeighbor}) {
@@ -625,24 +677,23 @@ TEST_P(ChildrenMemoTest, QueriesEvaluateEachNodeOncePerSet) {
         const Run want = run(executor, plain, q);
         for (auto& c : counters) c->ResetCounts();
         const Run got = run(executor, decorated, q);
-        for (const auto& c : counters) {
-          EXPECT_LE(c->MaxEvaluationsPerNode(), 1u) << label;
-          touches += c->touches();
-        }
+        uint64_t evaluations = 0;
+        for (const auto& c : counters) evaluations += c->evaluations();
+        EXPECT_EQ(evaluations, got.io.feature_reads) << label;
+        revisits += got.feature_visits - evaluations;
         ASSERT_EQ(got.entries.size(), want.entries.size()) << label;
         for (size_t i = 0; i < want.entries.size(); ++i) {
           EXPECT_EQ(got.entries[i].object, want.entries[i].object) << label;
           EXPECT_EQ(got.entries[i].score, want.entries[i].score) << label;
         }
-        EXPECT_EQ(got.object_io.reads, want.object_io.reads) << label;
-        EXPECT_EQ(got.object_io.hits, want.object_io.hits) << label;
-        EXPECT_EQ(got.feature_io.reads, want.feature_io.reads) << label;
-        EXPECT_EQ(got.feature_io.hits, want.feature_io.hits) << label;
+        EXPECT_EQ(got.io.reads, want.io.reads) << label;
+        EXPECT_EQ(got.io.feature_reads, want.io.feature_reads) << label;
+        EXPECT_EQ(got.io.hits, want.io.hits) << label;
       }
     }
   }
   // The queries did revisit nodes, so the memo answered from memory.
-  EXPECT_GT(touches, 0u);
+  EXPECT_GT(revisits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Indexes, ChildrenMemoTest,

@@ -1,10 +1,10 @@
 // Allocation-count checks for the query path (DESIGN.md §13).
 //
 // Replaces the global allocator with a counting shim.  Kernel level: a
-// *warm* traversal scratch executes the range-variant component-score
-// kernel with zero heap allocations — after one warm-up pass has grown the
-// scratch vectors to their steady-state capacity, repeating the same
-// queries must not allocate at all.  Query level: a warm Engine::Execute
+// *warm* session executes the range-variant component-score kernel with
+// zero heap allocations — after one warm-up pass has grown the scratch
+// vectors and the pool to their steady-state capacity, repeating the same
+// queries (each reset as a query start resets it) must not allocate.  Query level: a warm Engine::Execute
 // allocates only the entries it returns.
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 
 #include "core/compute_score.h"
 #include "core/engine.h"
+#include "core/exec_session.h"
 #include "gen/queries.h"
 #include "gen/synthetic.h"
 #include "index/srt_index.h"
@@ -76,10 +77,12 @@ TEST(AllocationTest, WarmTracedRangeTraversalAllocatesNothing) {
   }
 
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   auto run_all = [&] {
     double total = 0.0;
     for (size_t i = 0; i < points.size(); ++i) {
+      scratch.Reset();  // each (point, keywords) pair is a query of its own
       total += ComputeBestRange(index, points[i], queries[i], 0.5, 0.08,
                                 stats, scratch)
                    .score;
@@ -116,7 +119,7 @@ TEST(AllocationTest, WarmScratchRangeTraversalAllocatesNothing) {
   cfg.vocabulary_size = 64;
   cfg.num_clusters = 128;
   Dataset ds = GenerateSynthetic(cfg);
-  IndexBuildParams opts;  // no buffer pool: pure in-memory traversal
+  IndexBuildParams opts;  // in-memory pages, read through a session's pool
   SrtIndex index(&ds.feature_tables[0], opts);
 
   Rng rng(32);
@@ -131,10 +134,12 @@ TEST(AllocationTest, WarmScratchRangeTraversalAllocatesNothing) {
   }
 
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   auto run_all = [&] {
     double total = 0.0;
     for (size_t i = 0; i < points.size(); ++i) {
+      scratch.Reset();  // each (point, keywords) pair is a query of its own
       total += ComputeBestRange(index, points[i], queries[i], 0.5, 0.08,
                                 stats, scratch)
                    .score;
@@ -142,7 +147,8 @@ TEST(AllocationTest, WarmScratchRangeTraversalAllocatesNothing) {
     return total;
   };
 
-  // Warm-up: grows scratch.heap / scratch.children to steady state.
+  // Warm-up: grows scratch.heap, the memo and the pool's frames and page
+  // table to steady state.
   const double warm_total = run_all();
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);

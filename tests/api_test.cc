@@ -91,8 +91,18 @@ TEST(ExplainTest, PaperExampleContributions) {
   Engine engine = Engine::Build(ds.objects, std::vector<FeatureTable>(ds.feature_tables),
                 {}).TakeValue();
   // Hotel p6 (id 5): tau = s(Ontario's Pizza) + s(Royal Coffe Shop).
-  Explanation e = ExplainScore(&engine, q, 5);
+  Explanation e = ExplainScore(&engine, q, 5).TakeValue();
   EXPECT_NEAR(e.total, ex::kTopHotelScore, 1e-9);
+  // The re-derivation reads the feature trees through its own session.
+  EXPECT_GT(e.stats.feature_index_reads, 0u);
+  EXPECT_EQ(e.stats.object_index_reads, 0u);
+  // An unknown object or a malformed query is a typed error.
+  EXPECT_EQ(ExplainScore(&engine, q, 99).status().code(),
+            StatusCode::kInvalidArgument);
+  Query bad = q;
+  bad.keywords.pop_back();
+  EXPECT_EQ(ExplainScore(&engine, bad, 5).status().code(),
+            StatusCode::kInvalidArgument);
   ASSERT_EQ(e.contributions.size(), 2u);
   ASSERT_TRUE(e.contributions[0].has_feature);
   EXPECT_EQ(ds.feature_tables[0].Get(e.contributions[0].feature).name,
@@ -110,7 +120,7 @@ TEST(ExplainTest, NoFeatureContribution) {
   Query q = ex::TouristQuery(ds.vocabularies[0], ds.vocabularies[1], 3);
   q.radius = 0.5;  // nothing near hotel p7 at (10, 10)
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
-  Explanation e = ExplainScore(&engine, q, 6);
+  Explanation e = ExplainScore(&engine, q, 6).TakeValue();
   EXPECT_EQ(e.total, 0.0);
   for (const Contribution& c : e.contributions) {
     EXPECT_FALSE(c.has_feature);
@@ -140,7 +150,7 @@ TEST(ExplainTest, MatchesQueryScoresForAllVariants) {
     ScoreVariant v = q.variant;
     QueryResult r = engine.Execute(q, Algorithm::kStps).TakeValue();
     for (const ResultEntry& entry : r.entries) {
-      Explanation e = ExplainScore(&engine, q, entry.object);
+      Explanation e = ExplainScore(&engine, q, entry.object).TakeValue();
       EXPECT_NEAR(e.total, entry.score, 1e-9) << VariantName(v);
     }
   }

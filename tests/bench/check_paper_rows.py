@@ -7,9 +7,9 @@ Runs `bench_paper --json` at STPQ_SCALE=0.01 STPQ_QUERIES=2 and checks:
   * every record's exact object, feature and Voronoi page reads equal the
     committed rows (tests/bench/paper_rows.json), printing a row-by-row
     diff on mismatch;
-  * the thread sweep reads the same pages at 1, 2, 4 and 8 threads (its
-    own run at 16 queries, so that every thread count has queries to
-    share);
+  * the thread sweep reads the same pages at 1, 2, 4 and 8 threads, and
+    each row ran as many workers as its threads (its own run at 16
+    queries, so that every thread count has queries to share);
   * a malformed or out-of-range STPQ_SCALE, STPQ_QUERIES or STPQ_IO_MS,
     an unknown --figure and an unknown argument exit 2 with a message
     naming what was refused, before any dataset is generated.
@@ -111,6 +111,11 @@ def check_thread_sweep(records):
         if threads != [1, 2, 4, 8]:
             failures.append("%s/%s: thread counts %s" % (panel, variant,
                                                         threads))
+        short = [(r["threads"], r.get("workers")) for r in rows
+                 if r.get("workers") != r["threads"]]
+        if short:
+            failures.append("%s/%s: (threads, workers) ran %s"
+                            % (panel, variant, short))
         reads = {tuple(r[f] for f in READS) for r in rows}
         if len(reads) != 1:
             failures.append("%s/%s: reads differ across threads: %s"

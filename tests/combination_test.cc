@@ -5,6 +5,8 @@
 #include <map>
 
 #include "core/combination.h"
+#include "core/engine.h"
+#include "core/exec_session.h"
 #include "core/score.h"
 #include "index/ir2_tree.h"
 #include "index/srt_index.h"
@@ -33,14 +35,30 @@ FeatureTable RandomFeatures(uint64_t seed, uint32_t n, uint32_t universe) {
   return FeatureTable(std::move(f), universe);
 }
 
+/// `tables` indexed into one engine (SRT, default page size), so that one
+/// session's pool reads every feature set's pages.
+Engine FeatureEngine(std::vector<FeatureTable> tables) {
+  return Engine::Build({}, std::move(tables), EngineOptions{}).TakeValue();
+}
+
+/// The engine's feature indexes, in set order.
+std::vector<const FeatureIndex*> IndexesOf(const Engine& engine) {
+  std::vector<const FeatureIndex*> out;
+  for (size_t i = 0; i < engine.num_feature_sets(); ++i) {
+    out.push_back(&engine.feature_index(i));
+  }
+  return out;
+}
+
 TEST(SortedFeatureStreamTest, YieldsNonIncreasingScores) {
   FeatureTable table = RandomFeatures(1, 1000, 32);
   IndexBuildParams opts;
   SrtIndex index(&table, opts);
   KeywordSet query(32, {0, 1, 2});
   QueryStats stats;
-  TraversalScratch scratch;
-  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch.children,
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
+  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch,
                              &scratch.heap);
   double prev = std::numeric_limits<double>::infinity();
   size_t real_count = 0;
@@ -73,8 +91,9 @@ TEST(SortedFeatureStreamTest, EmptyIndexYieldsOnlyVirtual) {
   SrtIndex index(&table, opts);
   KeywordSet query(8, {0});
   QueryStats stats;
-  TraversalScratch scratch;
-  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch.children,
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
+  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch,
                              &scratch.heap);
   auto item = stream.Next();
   ASSERT_TRUE(item.has_value());
@@ -88,8 +107,9 @@ TEST(SortedFeatureStreamTest, NoRelevantFeaturesYieldsOnlyVirtual) {
   SrtIndex index(&table, opts);
   KeywordSet query(32);  // empty query: sim = 0 for everything
   QueryStats stats;
-  TraversalScratch scratch;
-  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch.children,
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
+  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch,
                              &scratch.heap);
   auto item = stream.Next();
   ASSERT_TRUE(item.has_value());
@@ -160,17 +180,16 @@ class CombinationIteratorTest
 TEST_P(CombinationIteratorTest, EmitsAllValidCombinationsInScoreOrder) {
   FeatureTable t1 = RandomFeatures(3, 60, 16);
   FeatureTable t2 = RandomFeatures(4, 50, 16);
-  IndexBuildParams opts;
-  SrtIndex i1(&t1, opts), i2(&t2, opts);
+  const Engine engine = FeatureEngine({t1, t2});
   Query q;
   q.radius = 0.1;
   q.lambda = 0.5;
   q.keywords = {KeywordSet(16, {0, 1, 2}), KeywordSet(16, {3, 4})};
   QueryStats stats;
-  TraversalScratch scratch;
-  const std::vector<const FeatureIndex*> indexes{&i1, &i2};
+  ExecutionSession session(&engine.page_store());
+  const std::vector<const FeatureIndex*> indexes = IndexesOf(engine);
   CombinationIterator it(indexes, q, /*enforce_range_constraint=*/true,
-                         GetParam(), &stats, scratch);
+                         GetParam(), &stats, session.scratch());
   std::vector<BruteCombo> expected = BruteCombos({&t1, &t2}, q, true);
   double prev = std::numeric_limits<double>::infinity();
   size_t count = 0;
@@ -187,16 +206,15 @@ TEST_P(CombinationIteratorTest, EmitsAllValidCombinationsInScoreOrder) {
 TEST_P(CombinationIteratorTest, UnconstrainedEnumeratesFullProduct) {
   FeatureTable t1 = RandomFeatures(5, 12, 8);
   FeatureTable t2 = RandomFeatures(6, 10, 8);
-  IndexBuildParams opts;
-  SrtIndex i1(&t1, opts), i2(&t2, opts);
+  const Engine engine = FeatureEngine({t1, t2});
   Query q;
   q.lambda = 0.3;
   q.keywords = {KeywordSet(8, {0, 1}), KeywordSet(8, {2, 3})};
   QueryStats stats;
-  TraversalScratch scratch;
-  const std::vector<const FeatureIndex*> indexes{&i1, &i2};
+  ExecutionSession session(&engine.page_store());
+  const std::vector<const FeatureIndex*> indexes = IndexesOf(engine);
   CombinationIterator it(indexes, q, /*enforce_range_constraint=*/false,
-                         GetParam(), &stats, scratch);
+                         GetParam(), &stats, session.scratch());
   std::vector<BruteCombo> expected = BruteCombos({&t1, &t2}, q, false);
   size_t count = 0;
   double prev = std::numeric_limits<double>::infinity();
@@ -214,18 +232,17 @@ TEST_P(CombinationIteratorTest, ThreeFeatureSets) {
   FeatureTable t1 = RandomFeatures(7, 25, 8);
   FeatureTable t2 = RandomFeatures(8, 20, 8);
   FeatureTable t3 = RandomFeatures(9, 15, 8);
-  IndexBuildParams opts;
-  SrtIndex i1(&t1, opts), i2(&t2, opts), i3(&t3, opts);
+  const Engine engine = FeatureEngine({t1, t2, t3});
   Query q;
   q.radius = 0.15;
   q.lambda = 0.5;
   q.keywords = {KeywordSet(8, {0, 1}), KeywordSet(8, {2, 3}),
                 KeywordSet(8, {4, 5})};
   QueryStats stats;
-  TraversalScratch scratch;
-  const std::vector<const FeatureIndex*> indexes{&i1, &i2, &i3};
+  ExecutionSession session(&engine.page_store());
+  const std::vector<const FeatureIndex*> indexes = IndexesOf(engine);
   CombinationIterator it(indexes, q, true, GetParam(), &stats,
-                         scratch);
+                         session.scratch());
   std::vector<BruteCombo> expected = BruteCombos({&t1, &t2, &t3}, q, true);
   size_t count = 0;
   while (auto c = it.Next()) {
@@ -239,12 +256,12 @@ TEST_P(CombinationIteratorTest, ThreeFeatureSets) {
 TEST_P(CombinationIteratorTest, FirstCombinationIsPaperExample) {
   Dataset ds = ex::ExampleDataset();
   Query q = ex::TouristQuery(ds.vocabularies[0], ds.vocabularies[1]);
-  IndexBuildParams opts;
-  SrtIndex i1(&ds.feature_tables[0], opts), i2(&ds.feature_tables[1], opts);
+  const Engine engine = FeatureEngine(ds.feature_tables);
   QueryStats stats;
-  TraversalScratch scratch;
-  const std::vector<const FeatureIndex*> indexes{&i1, &i2};
-  CombinationIterator it(indexes, q, true, GetParam(), &stats, scratch);
+  ExecutionSession session(&engine.page_store());
+  const std::vector<const FeatureIndex*> indexes = IndexesOf(engine);
+  CombinationIterator it(indexes, q, true, GetParam(), &stats,
+                         session.scratch());
   auto first = it.Next();
   ASSERT_TRUE(first.has_value());
   // {Ontario's Pizza, Royal Coffe Shop}: dist((7,6),(5,5)) = sqrt(5) <= 7.
@@ -258,15 +275,15 @@ TEST_P(CombinationIteratorTest, FirstCombinationIsPaperExample) {
 TEST_P(CombinationIteratorTest, LastCombinationIsAllVirtual) {
   FeatureTable t1 = RandomFeatures(10, 10, 8);
   FeatureTable t2 = RandomFeatures(11, 10, 8);
-  IndexBuildParams opts;
-  SrtIndex i1(&t1, opts), i2(&t2, opts);
+  const Engine engine = FeatureEngine({t1, t2});
   Query q;
   q.radius = 0.05;
   q.keywords = {KeywordSet(8, {0}), KeywordSet(8, {1})};
   QueryStats stats;
-  TraversalScratch scratch;
-  const std::vector<const FeatureIndex*> indexes{&i1, &i2};
-  CombinationIterator it(indexes, q, true, GetParam(), &stats, scratch);
+  ExecutionSession session(&engine.page_store());
+  const std::vector<const FeatureIndex*> indexes = IndexesOf(engine);
+  CombinationIterator it(indexes, q, true, GetParam(), &stats,
+                         session.scratch());
   // Members are a view valid until the next Next(): copy them out.
   std::vector<ObjectId> last_members;
   double last_score = -1.0;
@@ -296,16 +313,15 @@ TEST(CombinationIteratorTest, PrioritizedPullsFewerFeatures) {
   // round-robin (Definition 5 targets the threshold-defining set).
   FeatureTable t1 = RandomFeatures(12, 2000, 16);
   FeatureTable t2 = RandomFeatures(13, 50, 16);
-  IndexBuildParams opts;
-  SrtIndex i1(&t1, opts), i2(&t2, opts);
+  const Engine engine = FeatureEngine({t1, t2});
   Query q;
   q.radius = 0.05;
   q.keywords = {KeywordSet(16, {0, 1, 2}), KeywordSet(16, {3, 4, 5})};
   auto pulls = [&](PullingStrategy s) {
     QueryStats stats;
-    TraversalScratch scratch;
-    const std::vector<const FeatureIndex*> indexes{&i1, &i2};
-    CombinationIterator it(indexes, q, true, s, &stats, scratch);
+    ExecutionSession session(&engine.page_store());
+    const std::vector<const FeatureIndex*> indexes = IndexesOf(engine);
+    CombinationIterator it(indexes, q, true, s, &stats, session.scratch());
     for (int i = 0; i < 5; ++i) {
       if (!it.Next()) break;
     }
@@ -317,16 +333,15 @@ TEST(CombinationIteratorTest, PrioritizedPullsFewerFeatures) {
 
 TEST(CombinationIteratorTest, SingleFeatureSet) {
   FeatureTable t1 = RandomFeatures(14, 30, 8);
-  IndexBuildParams opts;
-  SrtIndex i1(&t1, opts);
+  const Engine engine = FeatureEngine({t1});
   Query q;
   q.radius = 0.1;
   q.keywords = {KeywordSet(8, {0, 1})};
   QueryStats stats;
-  TraversalScratch scratch;
-  const std::vector<const FeatureIndex*> indexes{&i1};
+  ExecutionSession session(&engine.page_store());
+  const std::vector<const FeatureIndex*> indexes = IndexesOf(engine);
   CombinationIterator it(indexes, q, true, PullingStrategy::kPrioritized,
-                         &stats, scratch);
+                         &stats, session.scratch());
   std::vector<BruteCombo> expected = BruteCombos({&t1}, q, true);
   size_t count = 0;
   while (auto c = it.Next()) {

@@ -8,6 +8,7 @@
 // sanitizer job runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -245,6 +246,28 @@ TEST(ConcurrencyTest, CountersIndependentOfThreadCount) {
       ExpectIdentical(base.per_query[i], r.per_query[i], i);
     }
   }
+}
+
+// The report says how many workers ran: the requested threads, capped at
+// the batch size, with 0 asking for the hardware's concurrency.
+TEST(ConcurrencyTest, ReportNamesTheWorkersThatRan) {
+  Dataset ds = MakeDataset(500, 400);
+  std::vector<Query> queries = MixedWorkload(ds, 3);
+  queries.resize(2);
+  Engine engine =
+      Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
+  WorkloadOptions opts;
+  for (size_t threads : {1u, 2u, 8u}) {
+    opts.threads = threads;
+    Result<WorkloadReport> r = RunWorkload(engine, queries, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().workers, std::min<size_t>(threads, 2)) << threads;
+  }
+  opts.threads = 0;
+  const size_t hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(RunWorkload(engine, queries, opts).value().workers,
+            std::min<size_t>(hardware, 2));
 }
 
 // Validation short-circuits the whole batch: nothing executes.

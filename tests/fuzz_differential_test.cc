@@ -12,6 +12,7 @@
 
 #include "core/brute_force.h"
 #include "core/engine.h"
+#include "core/exec_session.h"
 #include "core/score.h"
 #include "core/stds.h"
 #include "core/stps.h"
@@ -161,10 +162,10 @@ TEST(FuzzDifferentialTest, BatchedStdsRangeMatchesBruteForce) {
   }
 }
 
-// One TraversalScratch carried across a random mix of variants, keyword
-// sets, lambdas and executors: its relevant-children memo is rebound from
-// query to query, and every answer must equal both a fresh scratch's
-// (entry for entry) and brute force's.
+// One session carried across a random mix of variants, keyword sets,
+// lambdas and executors: each query's start resets its pool and the
+// relevant-children memo with it, and every answer must equal both a
+// fresh session's (entry for entry) and brute force's.
 TEST(FuzzDifferentialTest, SharedScratchAcrossQueriesMatchesFreshScratch) {
   const ScoreVariant variants[] = {ScoreVariant::kRange,
                                    ScoreVariant::kInfluence,
@@ -187,7 +188,7 @@ TEST(FuzzDifferentialTest, SharedScratchAcrossQueriesMatchesFreshScratch) {
                            InfluenceMode::kCombinations);
 
     Rng rng(kind == FeatureIndexKind::kSrt ? 4141 : 4242);
-    TraversalScratch shared;
+    ExecutionSession shared(&engine.page_store());
     Query prev;
     for (int trial = 0; trial < 40; ++trial) {
       const ScoreVariant variant = variants[rng.UniformInt(0, 2)];
@@ -197,7 +198,8 @@ TEST(FuzzDifferentialTest, SharedScratchAcrossQueriesMatchesFreshScratch) {
       if (trial > 0 && rng.Bernoulli(0.3)) q.keywords = prev.keywords;
       if (trial > 0 && rng.Bernoulli(0.3)) q.lambda = prev.lambda;
       const int executor = static_cast<int>(rng.UniformInt(0, 2));
-      auto execute = [&](TraversalScratch* scratch) {
+      auto execute = [&](ExecutionSession& session) {
+        TraversalScratch& scratch = session.scratch();
         switch (executor) {
           case 0:
             return stds.Execute(q, scratch);
@@ -211,9 +213,9 @@ TEST(FuzzDifferentialTest, SharedScratchAcrossQueriesMatchesFreshScratch) {
       const std::string label = std::string(VariantName(variant)) +
                                 "/trial" + std::to_string(trial) +
                                 "/executor" + std::to_string(executor);
-      const QueryResult got = execute(&shared);
-      TraversalScratch fresh;
-      const QueryResult want = execute(&fresh);
+      const QueryResult got = execute(shared);
+      ExecutionSession fresh(&engine.page_store());
+      const QueryResult want = execute(fresh);
       ASSERT_EQ(got.entries.size(), want.entries.size()) << label;
       for (size_t i = 0; i < want.entries.size(); ++i) {
         EXPECT_EQ(got.entries[i].object, want.entries[i].object) << label;

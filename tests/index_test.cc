@@ -63,15 +63,6 @@ struct IndexFactory {
       make;
 };
 
-/// The pages of `index`: whole-tree walks read them, since VisitChildren
-/// returns only the children whose text may match.
-const PagedTree& PagesOf(const FeatureIndex& index) {
-  if (const auto* srt = dynamic_cast<const SrtIndex*>(&index)) {
-    return srt->tree();
-  }
-  return dynamic_cast<const Ir2Tree&>(index).tree();
-}
-
 /// Ids of the features of `table` that share a keyword with `query`.
 std::set<uint32_t> MatchingFeatures(const FeatureTable& table,
                                     const KeywordSet& query) {
@@ -135,7 +126,8 @@ TEST_P(FeatureIndexConformance, BoundDominatesDescendants) {
       Frame f = stack.back();
       stack.pop_back();
       scratch.clear();
-      index->VisitChildren(/*pool=*/nullptr, f.id, query, lambda, &scratch);
+      index->EvaluateNode(index->tree().PeekNode(f.id), query, lambda,
+                          &scratch);
       for (const FeatureBranch& b : scratch) {
         EXPECT_TRUE(b.text_match);
         EXPECT_LE(b.score_bound, f.bound + 1e-9)
@@ -150,7 +142,7 @@ TEST_P(FeatureIndexConformance, BoundDominatesDescendants) {
           EXPECT_DOUBLE_EQ(b.mbr.lo[0], t.pos.x);
           EXPECT_DOUBLE_EQ(b.mbr.lo[1], t.pos.y);
         } else {
-          for (uint32_t id : RecordsBelow(PagesOf(*index), b.id)) {
+          for (uint32_t id : RecordsBelow(index->tree(), b.id)) {
             EXPECT_GE(b.score_bound,
                       PreferenceScore(table.Get(id), query, lambda) - 1e-9)
                 << "bound below a descendant's score";
@@ -169,7 +161,7 @@ TEST_P(FeatureIndexConformance, TextMatchNeverFalseNegative) {
   // of its node's entries as relevant or text-pruned.
   FeatureTable table = RandomFeatures(4, 1500, 128);
   std::unique_ptr<FeatureIndex> index = Build(&table);
-  const PagedTree& pages = PagesOf(*index);
+  const PagedTree& pages = index->tree();
   Rng rng(5);
   for (int q = 0; q < 10; ++q) {
     KeywordSet query(128);
@@ -183,9 +175,8 @@ TEST_P(FeatureIndexConformance, TextMatchNeverFalseNegative) {
       const NodeId nid = stack.back();
       stack.pop_back();
       scratch.clear();
-      const NodeVisit visit =
-          index->VisitChildren(/*pool=*/nullptr, nid, query, 0.5, &scratch);
       const NodeView node = pages.PeekNode(nid);
+      const NodeVisit visit = index->EvaluateNode(node, query, 0.5, &scratch);
       EXPECT_EQ(visit.level, node.level());
       EXPECT_EQ(scratch.size() + visit.text_pruned, node.size())
           << "node " << nid;
@@ -204,7 +195,7 @@ TEST_P(FeatureIndexConformance, TextMatchNeverFalseNegative) {
 TEST_P(FeatureIndexConformance, SpatialMbrCoversDescendants) {
   FeatureTable table = RandomFeatures(6, 1000, 32);
   std::unique_ptr<FeatureIndex> index = Build(&table);
-  const PagedTree& pages = PagesOf(*index);
+  const PagedTree& pages = index->tree();
   struct Frame {
     NodeId id;
     Rect2 mbr;
@@ -230,24 +221,31 @@ TEST_P(FeatureIndexConformance, SpatialMbrCoversDescendants) {
   EXPECT_EQ(records, table.size());
 }
 
-TEST_P(FeatureIndexConformance, ChargesBufferPool) {
+TEST_P(FeatureIndexConformance, EvaluatesTheNodeItsCallerRead) {
+  // A query reads the node through its pool (one read, then hits) and the
+  // index evaluates the view it got, exactly as a peeked copy.
   FeatureTable table = RandomFeatures(7, 2000, 64);
   std::unique_ptr<FeatureIndex> index = Build(&table);
-  BufferPool pool(&PagesOf(*index).pages());
+  BufferPool pool(&index->tree().pages());
   KeywordSet query(64, {1, 2, 3});
-  std::vector<FeatureBranch> scratch;
-  index->VisitChildren(&pool, index->RootId(), query, 0.5, &scratch);
-  EXPECT_EQ(pool.stats().reads, 1u);
-  index->VisitChildren(&pool, index->RootId(), query, 0.5, &scratch);
-  EXPECT_EQ(pool.stats().reads, 1u);
-  EXPECT_EQ(pool.stats().hits, 1u);
-  index->TouchNode(&pool, index->RootId());
-  EXPECT_EQ(pool.stats().hits, 2u);
-  // A null pool reads uncharged.
-  index->VisitChildren(nullptr, index->RootId(), query, 0.5, &scratch);
-  index->TouchNode(nullptr, index->RootId());
-  EXPECT_EQ(pool.stats().reads, 1u);
-  EXPECT_EQ(pool.stats().hits, 2u);
+  std::vector<FeatureBranch> peeked;
+  const NodeVisit want = index->EvaluateNode(
+      index->tree().PeekNode(index->RootId()), query, 0.5, &peeked);
+  for (uint64_t access = 1; access <= 2; ++access) {
+    std::vector<FeatureBranch> pooled;
+    const NodeVisit got = index->EvaluateNode(
+        index->tree().ReadNode(pool, index->RootId()), query, 0.5, &pooled);
+    EXPECT_EQ(pool.stats().reads, 1u);
+    EXPECT_EQ(pool.stats().feature_reads, 1u);
+    EXPECT_EQ(pool.stats().hits, access - 1);
+    EXPECT_EQ(got.level, want.level);
+    EXPECT_EQ(got.text_pruned, want.text_pruned);
+    ASSERT_EQ(pooled.size(), peeked.size());
+    for (size_t i = 0; i < peeked.size(); ++i) {
+      EXPECT_EQ(pooled[i].id, peeked[i].id);
+      EXPECT_EQ(pooled[i].score_bound, peeked[i].score_bound);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -307,7 +305,7 @@ TEST(SrtIndexTest, NodeSummariesAreExactKeywordUnions) {
 
 // SRT leaves are scored from the leaf entry's e.s and e.W (Section 4.1)
 // instead of the feature table.  Walks every relevant leaf of `index`
-// through VisitChildren and checks, bit for bit, the table-based
+// through EvaluateNode and checks, bit for bit, the table-based
 // preference score (1-lambda) * t.s + lambda * Jaccard(t.W, W), and that
 // exactly the records with sim > 0 are reached.
 void ExpectLeavesScoredAsTableRecords(const FeatureIndex& index,
@@ -323,7 +321,7 @@ void ExpectLeavesScoredAsTableRecords(const FeatureIndex& index,
         const NodeId nid = stack.back();
         stack.pop_back();
         branches.clear();
-        index.VisitChildren(/*pool=*/nullptr, nid, kw, lambda, &branches);
+        index.EvaluateNode(index.tree().PeekNode(nid), kw, lambda, &branches);
         for (const FeatureBranch& b : branches) {
           if (!b.is_feature) {
             stack.push_back(b.id);
@@ -552,12 +550,14 @@ TEST(ObjectIndexTest, RangeQueryMatchesBruteForce) {
   }
   IndexBuildParams opts;
   ObjectIndex index(&objects, opts);
+  BufferPool pool(&index.tree().pages());
   std::vector<ObjectId> got;
   std::vector<NodeId> stack;
   for (int q = 0; q < 30; ++q) {
     Point c{rng.Uniform(), rng.Uniform()};
     double r = rng.Uniform(0.01, 0.2);
-    index.RangeQuery(/*pool=*/nullptr, c, r, &got, &stack);
+    pool.Reset();
+    index.RangeQuery(pool, c, r, &got, &stack);
     std::set<ObjectId> got_set(got.begin(), got.end());
     std::set<ObjectId> expect;
     for (const DataObject& o : objects) {
@@ -579,7 +579,7 @@ TEST(ObjectIndexTest, SmallRangeTouchesFewPages) {
   BufferPool pool(&index.tree().pages());
   std::vector<ObjectId> got;
   std::vector<NodeId> stack;
-  index.RangeQuery(&pool, {0.505, 0.505}, 0.005, &got, &stack);
+  index.RangeQuery(pool, {0.505, 0.505}, 0.005, &got, &stack);
   EXPECT_LT(pool.stats().reads, index.tree().node_count() / 10);
 }
 
@@ -591,11 +591,12 @@ TEST(ObjectIndexTest, LeafBlocksPartitionObjects) {
   }
   IndexBuildParams opts;
   ObjectIndex index(&objects, opts);
+  BufferPool pool(&index.tree().pages());
   std::set<ObjectId> seen;
   std::vector<NodeId> stack;
   std::vector<ObjectId> ids_buffer;
   index.ForEachLeafBlock(
-      /*pool=*/nullptr,
+      pool,
       [&](std::span<const ObjectId> ids, const Rect2& mbr) {
         for (ObjectId id : ids) {
           EXPECT_TRUE(seen.insert(id).second) << "object in two leaf blocks";

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/engine.h"
+#include "core/explain.h"
 #include "core/workload.h"
 #include "gen/real_like.h"
 #include "gen/synthetic.h"
@@ -728,6 +729,12 @@ TEST_F(IndexFileTest, ChildPastTheNodeSegmentFailsQueriesWithCorruption) {
   EXPECT_EQ(cursor.value()->status().code(), StatusCode::kCorruption)
       << cursor.value()->status().ToString();
   EXPECT_FALSE(cursor.value()->Next().has_value());
+  // Explaining a score re-derives tau_0 through the damaged root too: the
+  // failed fetch must fail the explanation, not read as "no feature".
+  Result<Explanation> why = ExplainScore(&opened.value(), q, 0);
+  ASSERT_FALSE(why.ok());
+  EXPECT_EQ(why.status().code(), StatusCode::kCorruption)
+      << why.status().ToString();
 }
 
 TEST_F(IndexFileTest, RejectsEmptyNodeSlot) {

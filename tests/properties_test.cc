@@ -15,6 +15,7 @@
 #include "core/brute_force.h"
 #include "core/combination.h"
 #include "core/engine.h"
+#include "core/exec_session.h"
 #include "core/score.h"
 #include "core/voronoi.h"
 #include "gen/queries.h"
@@ -48,16 +49,18 @@ TEST(Lemma1Test, EveryObjectScoreIsAValidCombinationScore) {
   qcfg.count = 3;
   qcfg.radius = 0.06;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  IndexBuildParams opts;
-  SrtIndex i0(&ds.feature_tables[0], opts);
-  SrtIndex i1(&ds.feature_tables[1], opts);
+  // One engine holds both trees, so one session's pool reads them.
+  const Engine engine =
+      Engine::Build({}, ds.feature_tables, EngineOptions{}).TakeValue();
+  const std::vector<const FeatureIndex*> indexes{&engine.feature_index(0),
+                                                 &engine.feature_index(1)};
   for (const Query& q : queries) {
     // Enumerate every valid combination score.
     QueryStats stats;
-    TraversalScratch scratch;
-    const std::vector<const FeatureIndex*> indexes{&i0, &i1};
+    ExecutionSession session(&engine.page_store());
     CombinationIterator it(indexes, q, /*enforce_range_constraint=*/true,
-                           PullingStrategy::kPrioritized, &stats, scratch);
+                           PullingStrategy::kPrioritized, &stats,
+                           session.scratch());
     std::vector<double> combo_scores;
     while (auto c = it.Next()) combo_scores.push_back(c->score);
     for (const DataObject& p : ds.objects) {
@@ -104,7 +107,7 @@ TEST(BoundTightnessTest, SrtBoundsTighterThanIr2OnAverage) {
       NodeId nid = stack.back();
       stack.pop_back();
       children.clear();
-      index.VisitChildren(/*pool=*/nullptr, nid, query, lambda, &children);
+      index.EvaluateNode(pages.PeekNode(nid), query, lambda, &children);
       for (const FeatureBranch& b : children) {
         if (b.is_feature) continue;
         // True best descendant score below b.
@@ -150,7 +153,8 @@ TEST(VoronoiPartitionTest, RelevantCellsPartitionTheDomain) {
   KeywordSet query(8, {0, 1, 2});
   Rect2 domain = MakeRect2(0, 0, 1, 1);
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   double total_area = 0;
   std::vector<ObjectId> relevant;
   for (const FeatureObject& t : ds.feature_tables[0].All()) {

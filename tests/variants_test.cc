@@ -9,6 +9,7 @@
 #include "core/combination.h"
 #include "core/compute_score.h"
 #include "core/engine.h"
+#include "core/exec_session.h"
 #include "core/score.h"
 #include "core/voronoi.h"
 #include "gen/queries.h"
@@ -56,7 +57,8 @@ TEST(InfluenceScoreTest, MatchesBruteForce) {
   q.lambda = 0.5;
   q.keywords = {KeywordSet(32, {0, 1, 2})};
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   for (const DataObject& o : ds.objects) {
     double got = ComputeScoreInfluence(index, o.pos, q.keywords[0], q.lambda,
                                        q.radius, stats, scratch);
@@ -87,7 +89,8 @@ TEST(NnScoreTest, MatchesBruteForce) {
   q.lambda = 0.5;
   q.keywords = {KeywordSet(32, {0, 1, 2})};
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   for (const DataObject& o : ds.objects) {
     double got = ComputeScoreNearestNeighbor(index, o.pos, q.keywords[0],
                                              q.lambda, stats, scratch);
@@ -105,7 +108,8 @@ TEST(NnScoreTest, IgnoresIrrelevantNearerFeature) {
   SrtIndex index(&table, opts);
   KeywordSet query(4, {1});
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   double got = ComputeScoreNearestNeighbor(index, {0.49, 0.5}, query, 0.5,
                                            stats, scratch);
   EXPECT_NEAR(got, 0.5 * 0.6 + 0.5 * 1.0, 1e-12);
@@ -132,7 +136,8 @@ TEST(NnScoreTest, EquidistantTieBreaksByPreferenceScore) {
     SrtIndex index(&table, opts);
     KeywordSet query(4, {1});
     QueryStats stats;
-    TraversalScratch scratch;
+    ExecutionSession session(&index.tree().pages());
+    TraversalScratch& scratch = session.scratch();
     BestFeature best =
         ComputeBestNearestNeighbor(index, p, query, 0.5, stats, scratch);
     EXPECT_EQ(best.feature, high_first ? 0u : 1u)
@@ -160,7 +165,8 @@ TEST(VoronoiTest, CellContainsExactlyNearestRegion) {
   Rect2 domain = MakeRect2(0, 0, 1, 1);
   Rng rng(71);
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   // Pick several relevant features and verify their cells pointwise.
   std::vector<ObjectId> relevant;
   for (const FeatureObject& t : ds.feature_tables[0].All()) {
@@ -208,7 +214,8 @@ TEST(VoronoiTest, SingleFeatureOwnsWholeDomain) {
   SrtIndex index(&table, opts);
   KeywordSet query(4, {0});
   QueryStats stats;
-  TraversalScratch scratch;
+  ExecutionSession session(&index.tree().pages());
+  TraversalScratch& scratch = session.scratch();
   VoronoiCell cell;
   ComputeVoronoiCell(index, 0, query, 0.5, MakeRect2(0, 0, 1, 1), stats,
                      scratch, &cell);

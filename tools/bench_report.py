@@ -10,8 +10,9 @@ green even when a bench was skipped):
                          (records of other figures are ignored)
 
 The summary is one flat JSON object per CI run: per-micro-benchmark
-cpu_time rows, the parallel-throughput sweep keyed by algo/threads with
-each row's speedup over the 1-thread row called out, and enough context
+cpu_time rows, the parallel-throughput sweep keyed by algo/workers (the
+threads that ran) with each row's speedup over the 1-worker row called
+out, and enough context
 (host, cpu count, date) to compare runs across commits.
 
 Usage:
@@ -69,6 +70,7 @@ def sweep_row(record, base_qps):
     return {
         "algo": record.get("algo", "?"),
         "threads": record.get("threads", 0),
+        "workers": record.get("workers", 0),
         "wall_ms": record.get("wall_ms"),
         "queries_per_sec": qps,
         "speedup": qps / base_qps if base_qps else 0.0,
@@ -81,7 +83,9 @@ def sweep_row(record, base_qps):
 
 def summarize_parallel(payload):
     """bench_paper thread-sweep records -> sweep keyed by algo, with the
-    speedup over each algo's 1-thread row called out."""
+    speedup over each algo's 1-worker row called out.  A row asking for
+    more threads than it has queries runs fewer workers, so speedups are
+    keyed by the workers that ran, not the threads asked for."""
     by_algo = {}
     for record in payload:
         if record.get("figure") == "parallel":
@@ -89,15 +93,16 @@ def summarize_parallel(payload):
     summary = {"algos": {}}
     for algo, records in sorted(by_algo.items()):
         base_qps = next((r.get("queries_per_sec", 0.0) for r in records
-                         if r.get("threads") == 1), 0.0)
+                         if r.get("workers") == 1), 0.0)
         rows = sorted((sweep_row(r, base_qps) for r in records),
-                      key=lambda r: r["threads"])
+                      key=lambda r: (r["workers"], r["threads"]))
         best = max(rows, key=lambda r: r.get("queries_per_sec", 0.0))
         summary["algos"][algo] = {
             "sweep": rows,
             "max_queries_per_sec": best.get("queries_per_sec"),
             "max_speedup": max(r.get("speedup", 0.0) for r in rows),
             "threads_at_max": best.get("threads"),
+            "workers_at_max": best.get("workers"),
         }
     return summary
 

@@ -479,8 +479,9 @@ int RunQuery(const Args& args) {
     std::printf("%3zu. #%-8u %-20s tau = %.5f\n", rank + 1, e.object,
                 name.empty() ? "(unnamed)" : name.c_str(), e.score);
     if (args.Has(kExplain)) {
-      Explanation why = ExplainScore(&engine, query, e.object);
-      for (const Contribution& c : why.contributions) {
+      Result<Explanation> why = ExplainScore(&engine, query, e.object);
+      if (!why.ok()) return Fail(why.status());
+      for (const Contribution& c : why.value().contributions) {
         if (!c.has_feature) {
           std::printf("       set %zu: no relevant feature\n",
                       c.feature_set);
@@ -706,12 +707,13 @@ void PrintThroughputRow(const BatchRun& run) {
   if (run.first) {
     std::printf("%zu queries, %s, %s index\n", r.summary.queries,
                 AlgorithmName(run.options.algorithm), run.engine.IndexName());
-    std::printf("%8s %12s %12s %14s %10s %10s %10s\n", "threads", "wall_ms",
-                "queries/s", "reads/query", "p50_ms", "p95_ms", "p99_ms");
+    std::printf("%8s %8s %12s %12s %14s %10s %10s %10s\n", "threads",
+                "workers", "wall_ms", "queries/s", "reads/query", "p50_ms",
+                "p95_ms", "p99_ms");
   }
   const MetricSummary& latency = r.summary.total_ms;
-  std::printf("%8zu %12.2f %12.1f %14.1f %10.3f %10.3f %10.3f\n",
-              run.options.threads, r.wall_ms, r.queries_per_sec,
+  std::printf("%8zu %8zu %12.2f %12.1f %14.1f %10.3f %10.3f %10.3f\n",
+              run.options.threads, r.workers, r.wall_ms, r.queries_per_sec,
               r.summary.mean_page_reads, latency.p50, latency.p95,
               latency.p99);
 }
