@@ -25,46 +25,24 @@ int64_t CellIndex(double v, double cell) {
 
 }  // namespace
 
-SortedFeatureStream::SortedFeatureStream(const FeatureIndex* index,
-                                         const KeywordSet* query_kw,
-                                         double lambda, QueryStats* stats,
-                                         TraversalScratch* scratch,
-                                         std::vector<SearchHeapItem>* heap)
+SortedFeatureStream::SortedFeatureStream(const FeatureIndex& index,
+                                         const KeywordSet& query_kw,
+                                         double lambda, QueryStats& stats,
+                                         TraversalScratch& scratch,
+                                         std::vector<SearchHeapItem>& heap)
     : index_(index),
-      query_kw_(query_kw),
-      lambda_(lambda),
       stats_(stats),
-      scratch_(scratch),
-      heap_(*heap) {
-  STPQ_CHECK(stats_ != nullptr);
-  STPQ_CHECK(scratch_ != nullptr);
-  if (index_->RootId() != kInvalidNodeId) {
-    heap_.push({1.0, index_->RootId(), false});
-  }
-}
+      walk_(index, query_kw, lambda, heap, scratch, stats) {}
 
 std::optional<SortedFeatureStream::Item> SortedFeatureStream::Next() {
-  Span span(*stats_, QueryPhase::kComponentScore, index_->set_ordinal());
-  const uint8_t tree = TraceTreeForSet(index_->set_ordinal());
-  while (!heap_.empty()) {
-    SearchHeapItem top = heap_.top();
-    heap_.pop();
-    if (top.is_leaf_item) {
-      ++stats_->features_retrieved;
-      return Item{top.id, top.priority};
-    }
-    // Textual pruning only: sorted feature retrieval has no spatial
-    // constraint (the 2r test applies to combinations, not features).
-    const NodeChildren node = scratch_->children.Visit(
-        scratch_->pool, *index_, top.id, *query_kw_, lambda_);
-    uint32_t descended = 0;
-    for (const FeatureBranch& b : node.relevant) {
-      heap_.push({b.score_bound, b.id, b.is_feature});
-      ++descended;
-      ++stats_->heap_pushes;
-    }
-    RecordNodeVisit(*stats_, tree, node.level, top.id, node.text_pruned,
-                    descended);
+  Span span(stats_, QueryPhase::kComponentScore, index_.set_ordinal());
+  // Textual pruning only: sorted feature retrieval has no spatial
+  // constraint (the 2r test applies to combinations, not features).
+  const std::optional<SearchHeapItem> top =
+      walk_.Next([](const FeatureBranch& b) { return b.score_bound; });
+  if (top.has_value()) {
+    ++stats_.features_retrieved;
+    return Item{top->id, top->priority};
   }
   if (!virtual_emitted_) {
     // heap_i.pop() "returns a virtual feature object as final object".
@@ -93,8 +71,8 @@ CombinationIterator::CombinationIterator(
   buf_.in_use = true;
   for (size_t i = 0; i < c_; ++i) {
     indexes_[i] = indexes[i];
-    streams_[i].emplace(indexes_[i], &query_.keywords[i], query_.lambda,
-                        stats_, &scratch, &buf_.stream_heaps[i]);
+    streams_[i].emplace(*indexes_[i], query_.keywords[i], query_.lambda,
+                        *stats_, scratch, buf_.stream_heaps[i]);
     buf_.retrieved[i].clear();
     buf_.stalled[i].clear();
     buf_.grids[i].Clear();

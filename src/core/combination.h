@@ -41,6 +41,7 @@
 #include <span>
 #include <vector>
 
+#include "core/best_first_walk.h"
 #include "core/query.h"
 #include "core/scratch.h"
 #include "index/feature_index.h"
@@ -61,19 +62,19 @@ struct Combination {
 };
 
 /// Streams the features of one index in non-increasing s(t), filtered to
-/// sim(t, W) > 0, with the virtual feature appended last.
+/// sim(t, W) > 0, with the virtual feature appended last: a resumable
+/// BestFirstWalk (core/best_first_walk.h) ordered by s-hat(e).
 class SortedFeatureStream {
  public:
-  /// Pointers are not owned.  `query_kw`, `stats`, `scratch` and `heap`
-  /// must stay valid; `stats` and `scratch` must be non-null (checked at
-  /// construction).  The stream reads through the scratch's pool and
-  /// relevant-children memo (core/scratch.h), shared with every other
-  /// traversal of the query.  `heap` is the stream's search-heap storage
-  /// (cleared here), which no other live traversal may use.
-  SortedFeatureStream(const FeatureIndex* index, const KeywordSet* query_kw,
-                      double lambda, QueryStats* stats,
-                      TraversalScratch* scratch,
-                      std::vector<SearchHeapItem>* heap);
+  /// Every argument must outlive the stream.  The stream reads through the
+  /// scratch's pool and relevant-children memo (core/scratch.h), shared
+  /// with every other traversal of the query.  `heap` is the stream's
+  /// search-heap storage (cleared here), which no other live traversal
+  /// may use.
+  SortedFeatureStream(const FeatureIndex& index, const KeywordSet& query_kw,
+                      double lambda, QueryStats& stats,
+                      TraversalScratch& scratch,
+                      std::vector<SearchHeapItem>& heap);
 
   struct Item {
     ObjectId id;
@@ -87,12 +88,9 @@ class SortedFeatureStream {
   bool Exhausted() const { return virtual_emitted_; }
 
  private:
-  const FeatureIndex* index_;
-  const KeywordSet* query_kw_;
-  double lambda_;
-  QueryStats* stats_;
-  TraversalScratch* scratch_;
-  BorrowedMaxHeap heap_;
+  const FeatureIndex& index_;
+  QueryStats& stats_;
+  BestFirstWalk<SearchHeapMaxOrder, FeatureIndex> walk_;
   bool virtual_emitted_ = false;
 };
 

@@ -3,12 +3,14 @@
 // the batched improvement of Section 5.
 //
 // All traversals are best-first over s-hat(e) (or distance, for the NN
-// variant); sub-trees are pruned when the spatial constraint cannot be met
-// or no query keyword can occur below the entry.  Every function borrows
-// its heap from a caller-provided TraversalScratch and reads node children
-// through the scratch's relevant-children memo (see core/scratch.h), so a
-// warm session runs these kernels without allocating, and a node the
-// query already evaluated costs a memo lookup instead of a re-evaluation.
+// variant) — the one BestFirstWalk (core/best_first_walk.h) with each
+// kernel's bound and stop test; sub-trees are pruned when the spatial
+// constraint cannot be met or no query keyword can occur below the entry.
+// Every function borrows its heap from a caller-provided TraversalScratch
+// and reads node children through the scratch's relevant-children memo
+// (see core/scratch.h), so a warm session runs these kernels without
+// allocating, and a node the query already evaluated costs a memo lookup
+// instead of a re-evaluation.
 //
 // Stats contract: every function takes `QueryStats&` and unconditionally
 // accumulates its work counters — callers that do not care still pass a
@@ -45,13 +47,15 @@ STPQ_HOT BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
                              const KeywordSet& query_kw, double lambda,
                              double r, QueryStats& stats,
                              TraversalScratch& scratch);
-/// The influence counterpart (Definition 6) of ComputeBestRange.
+/// The influence counterpart (Definition 6) of ComputeBestRange: the best
+/// s(t) * 2^(-dist(p,t)/r) among relevant features (score 0 if none).
 STPQ_HOT BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
                                  const KeywordSet& query_kw, double lambda,
                                  double r, QueryStats& stats,
                                  TraversalScratch& scratch);
 
-/// NN variant (Definition 7).  Tie rule: among relevant features, the
+/// NN variant (Definition 7): s(t) of the nearest relevant feature (score
+/// 0 if none qualifies).  Tie rule: among relevant features, the
 /// nearest by *exact* squared distance wins; equidistant features (squared
 /// distances compared with ==, both computed by the same
 /// SquaredDistance(p, t.pos) expression — never by mixing heap bounds with
@@ -63,21 +67,6 @@ STPQ_HOT BestFeature ComputeBestNearestNeighbor(const FeatureIndex& index,
                                        const KeywordSet& query_kw,
                                        double lambda, QueryStats& stats,
                                        TraversalScratch& scratch);
-
-/// Definition 6 score: the best s(t) * 2^(-dist(p,t)/r) among relevant
-/// features, or 0 if none qualifies.
-STPQ_HOT double ComputeScoreInfluence(const FeatureIndex& index, const Point& p,
-                             const KeywordSet& query_kw, double lambda,
-                             double r, QueryStats& stats,
-                             TraversalScratch& scratch);
-
-/// Definition 7 score: s(t) of the nearest relevant feature (max s(t) among
-/// equidistant nearest, see ComputeBestNearestNeighbor), or 0 if none
-/// qualifies.
-STPQ_HOT double ComputeScoreNearestNeighbor(const FeatureIndex& index, const Point& p,
-                                   const KeywordSet& query_kw, double lambda,
-                                   QueryStats& stats,
-                                   TraversalScratch& scratch);
 
 /// Batched Definition 2 scores (the "performance improvements" of
 /// Section 5): one index traversal resolves every object in `batch`

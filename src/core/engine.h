@@ -8,7 +8,7 @@
 // apart from its list of idle execution sessions, and Execute/OpenCursor
 // are const and safe to call from any number of threads concurrently.
 // Each call runs inside its own ExecutionSession, which owns all per-query
-// mutable state including the query's cold buffer pools; Execute leases
+// mutable state including the query's cold buffer pool; Execute leases
 // one from the engine's SessionPool and returns it when the query ends.
 // The per-query page-read counters are therefore identical to a
 // sequential run regardless of thread count.
@@ -52,9 +52,9 @@ struct ExecuteOptions {
 
 /// Engine construction knobs: the build parameters, which fix every page
 /// (Engine::Open takes them from the file), and two runtime settings.
-/// Every query reads through two cold buffer pools of its own (object
-/// index, feature indexes), so its reported I/O is the number of distinct
-/// pages it touches.
+/// Every query reads through one cold buffer pool of its own (object index
+/// and feature indexes alike), so its reported I/O is the number of
+/// distinct pages it touches.
 /// The page source is not an option: Engine::Build serves the in-memory
 /// page array it packs, Engine::Open the index file it opens
 /// (Engine::page_store() reports which).
@@ -88,7 +88,7 @@ class Engine {
   /// the file (FilePageStore); no node is decoded into memory.
   /// `options.build` is replaced by the file's superblock, whose values
   /// and table count pass CheckBuildParams first (LoadIndexFile); the
-  /// runtime settings (pool capacity, pulling, influence mode) are taken
+  /// runtime settings (pulling, influence mode) are taken
   /// from `options`.  A reopened engine answers every query with results
   /// and per-query page-read counters identical to the engine that built
   /// the file.  Typed errors: IoError (unreadable/truncated),

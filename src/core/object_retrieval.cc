@@ -26,60 +26,29 @@ void CollectCombinationObjects(
             static_cast<uint32_t>(remaining),
             static_cast<uint64_t>(member_pos.size()));
   const double r2 = radius * radius;
-  size_t added = 0;
-  std::vector<NodeId>& stack = scratch.stack;
-  stack.assign(1, objects.RootId());
-  while (!stack.empty() && added < remaining) {
-    NodeId nid = stack.back();
-    stack.pop_back();
-    const NodeView node = objects.ReadNode(scratch.pool, nid);
-    uint32_t pruned = 0;
-    uint32_t descended = 0;
-    for (uint32_t i = 0; i < node.size(); ++i) {
-      const Rect2 rect = node.mbr(i);
-      if (added >= remaining) break;
-      // Prune entries out of range of any real member (Section 6.4).
-      bool ok = true;
-      for (const Point& t : member_pos) {
-        if (MinSquaredDistance(t, rect) > r2) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) {
-        ++pruned;
-        continue;
-      }
-      if (node.IsLeaf()) {
-        if ((*claimed)[node.id(i)]) {
-          ++pruned;
-          continue;
-        }
-        Point p{rect.lo[0], rect.lo[1]};
-        bool in_range = true;
-        for (const Point& t : member_pos) {
-          if (SquaredDistance(p, t) > r2) {
-            in_range = false;
-            break;
-          }
-        }
-        if (!in_range) {
-          ++pruned;
-          continue;
-        }
-        (*claimed)[node.id(i)] = true;
-        ++stats.objects_scored;
-        result->push_back(ResultEntry{node.id(i), combo.score});
-        ++added;
-        ++descended;
-      } else {
-        stack.push_back(node.id(i));
-        ++descended;
-      }
+  // Whether every real member t has dist2(t) <= r^2.
+  const auto all_within = [&](const auto& dist2) {
+    for (const Point& t : member_pos) {
+      if (dist2(t) > r2) return false;
     }
-    RecordNodeVisit(stats, kTraceObjectTree, node.level(), nid, pruned,
-                    descended);
-  }
+    return true;
+  };
+  objects.WalkRegion(
+      scratch.pool, remaining,
+      // Prune entries out of range of any real member (Section 6.4).
+      [&](const Rect2& rect) {
+        return all_within(
+            [&](const Point& t) { return MinSquaredDistance(t, rect); });
+      },
+      [&](ObjectId id, const Point& p) {
+        const auto dist2 = [&](const Point& t) { return SquaredDistance(p, t); };
+        if ((*claimed)[id] || !all_within(dist2)) return false;
+        (*claimed)[id] = true;
+        ++stats.objects_scored;
+        result->push_back(ResultEntry{id, combo.score});
+        return true;
+      },
+      &scratch.stack, &stats);
 }
 
 }  // namespace stpq

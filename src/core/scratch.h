@@ -127,9 +127,6 @@ class BorrowedHeap {
   std::vector<Item>* v_;
 };
 
-using BorrowedMaxHeap = BorrowedHeap<SearchHeapMaxOrder>;
-using BorrowedMinHeap = BorrowedHeap<SearchHeapMinOrder>;
-
 /// Open-addressing map from a 64-bit key to a small value, for per-query
 /// lookups.  Clear drops every entry in O(1) by bumping an epoch stamp and
 /// keeps the table, so a warm scratch refills it without allocating.

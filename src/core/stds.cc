@@ -28,14 +28,13 @@ double ScoreObjectPruned(std::span<const FeatureIndex* const> indexes,
     // tau-hat(p): known components + 1 for each unknown one.
     double bound = partial + static_cast<double>(c - i);
     if (bound < threshold) return -1.0;
-    partial += query.variant == ScoreVariant::kInfluence
-                   ? ComputeScoreInfluence(*indexes[i], pos,
-                                           query.keywords[i], query.lambda,
-                                           query.radius, stats, scratch)
-                   : ComputeScoreNearestNeighbor(*indexes[i], pos,
-                                                 query.keywords[i],
-                                                 query.lambda, stats,
-                                                 scratch);
+    const BestFeature best =
+        query.variant == ScoreVariant::kInfluence
+            ? ComputeBestInfluence(*indexes[i], pos, query.keywords[i],
+                                   query.lambda, query.radius, stats, scratch)
+            : ComputeBestNearestNeighbor(*indexes[i], pos, query.keywords[i],
+                                         query.lambda, stats, scratch);
+    partial += best.score;
   }
   return partial;
 }
@@ -64,8 +63,7 @@ QueryResult Stds::Execute(const Query& query,
     std::vector<BatchObject>& sub = b.sub;
     std::vector<uint32_t>& sub_index = b.sub_index;
     std::vector<double>& set_scores = b.set_scores;
-    objects_->ForEachLeafBlock(scr.pool, [&](std::span<const ObjectId> ids,
-                                             const Rect2& mbr) {
+    objects_->ForEachLeafBlock(scr.pool, [&](std::span<const ObjectId> ids) {
       batch.clear();
       for (ObjectId id : ids) {
         batch.push_back(BatchObject{id, objects_->Get(id).pos});
@@ -90,7 +88,6 @@ QueryResult Stds::Execute(const Query& query,
           sub_mbr.EnlargePoint({batch[j].pos.x, batch[j].pos.y});
         }
         if (sub.empty()) break;
-        (void)mbr;  // sub_mbr shrinks as objects are pruned
         set_scores.assign(sub.size(), 0.0);
         ComputeScoresRangeBatch(*feature_indexes_[i], sub, sub_mbr,
                                 query.keywords[i], query.lambda, query.radius,
@@ -108,8 +105,7 @@ QueryResult Stds::Execute(const Query& query,
   } else {
     // Per-object scan (Algorithm 1 verbatim) for the influence and NN
     // variants.
-    objects_->ForEachLeafBlock(scr.pool, [&](std::span<const ObjectId> ids,
-                                             const Rect2&) {
+    objects_->ForEachLeafBlock(scr.pool, [&](std::span<const ObjectId> ids) {
       for (ObjectId id : ids) {
         const Point& pos = objects_->Get(id).pos;
         double tau = ScoreObjectPruned(feature_indexes_, query, pos,

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "core/best_first_walk.h"
 #include "core/combination.h"
 #include "core/compute_score.h"
 #include "core/score.h"
@@ -33,52 +34,31 @@ void TopKInfluenceObjects(const ObjectIndex& objects,
   if (objects.RootId() == kInvalidNodeId) return;
   Span span(stats, QueryPhase::kObjectRetrieval, static_cast<uint32_t>(k),
             static_cast<uint64_t>(member_pos.size()));
-  HeapWatermark watermark;
-
-  auto bound_for = [&](const Rect2& rect, bool exact_point) {
+  // Root bound: the combination score itself (influence at distance 0).
+  double root_bound = 0.0;
+  for (double s : member_score) root_bound += s;
+  BestFirstWalk<SearchHeapMaxOrder, ObjectIndex> walk(
+      objects, root_bound, scratch.heap, scratch, stats);
+  const auto bound = [&](const Rect2& rect,
+                         bool is_object) -> std::optional<double> {
     double s = 0.0;
     for (size_t i = 0; i < member_pos.size(); ++i) {
-      double d = exact_point
+      double d = is_object
                      ? Distance(Point{rect.lo[0], rect.lo[1]}, member_pos[i])
                      : MinDistance(member_pos[i], rect);
       s += member_score[i] * InfluenceFactor(d, radius);
     }
+    if (s < stop_threshold) return std::nullopt;
     return s;
   };
-
-  // Root bound: the combination score itself (influence at distance 0).
-  double root_bound = 0.0;
-  for (double s : member_score) root_bound += s;
-  BorrowedMaxHeap heap(scratch.heap);
-  heap.push({root_bound, objects.RootId(), false});
-  while (!heap.empty() && out->size() < k) {
-    SearchHeapItem top = heap.top();
-    heap.pop();
-    // Strict comparison: candidates tied with the threshold may still fill
-    // result slots (e.g. all-zero scores when nothing is relevant).
-    if (top.priority < stop_threshold) break;
-    if (top.is_leaf_item) {
-      out->push_back(ResultEntry{top.id, top.priority});
-      ++stats.objects_scored;
-      continue;
-    }
-    const NodeView node = objects.ReadNode(scratch.pool, top.id);
-    uint32_t pruned = 0;
-    uint32_t descended = 0;
-    for (uint32_t i = 0; i < node.size(); ++i) {
-      const Rect2 rect = node.mbr(i);
-      double pri = bound_for(rect, node.IsLeaf());
-      if (pri < stop_threshold) {
-        ++pruned;
-        continue;
-      }
-      heap.push({pri, node.id(i), node.IsLeaf()});
-      ++descended;
-      ++stats.heap_pushes;
-    }
-    RecordNodeVisit(stats, kTraceObjectTree, node.level(), top.id, pruned,
-                    descended);
-    watermark.Observe(heap.size());
+  // Strict comparison: candidates tied with the threshold may still fill
+  // result slots (e.g. all-zero scores when nothing is relevant).
+  const auto stop = [&](const SearchHeapItem& top) {
+    return out->size() >= k || top.priority < stop_threshold;
+  };
+  while (const std::optional<SearchHeapItem> top = walk.Next(bound, stop)) {
+    out->push_back(ResultEntry{top->id, top->priority});
+    ++stats.objects_scored;
   }
 }
 
@@ -230,30 +210,17 @@ void NearestObjects(const ObjectIndex& objects, const Point& center,
   out->clear();
   if (objects.RootId() == kInvalidNodeId) return;
   Span span(stats, QueryPhase::kObjectRetrieval, static_cast<uint32_t>(k));
-  HeapWatermark watermark;
-  // Min-heap on squared distance.
-  BorrowedMinHeap heap(scratch.heap);
-  heap.push({0.0, objects.RootId(), false});
-  while (!heap.empty() && out->size() < k) {
-    SearchHeapItem top = heap.top();
-    heap.pop();
-    if (top.is_leaf_item) {
-      out->push_back(top.id);
-      continue;
-    }
-    const NodeView node = objects.ReadNode(scratch.pool, top.id);
-    for (uint32_t i = 0; i < node.size(); ++i) {
-      const Rect2 rect = node.mbr(i);
-      Point lo{rect.lo[0], rect.lo[1]};
-      double d2 = node.IsLeaf() ? SquaredDistance(center, lo)
-                                : MinSquaredDistance(center, rect);
-      heap.push({d2, node.id(i), node.IsLeaf()});
-      ++stats.heap_pushes;
-    }
-    // Incremental NN expands everything it reads: nothing is pruned.
-    RecordNodeVisit(stats, kTraceObjectTree, node.level(), top.id, 0,
-                    node.size());
-    watermark.Observe(heap.size());
+  // Min-heap on squared distance; incremental NN prunes nothing.
+  BestFirstWalk<SearchHeapMinOrder, ObjectIndex> walk(objects, 0.0,
+                                                      scratch.heap, scratch,
+                                                      stats);
+  const auto dist2 = [&](const Rect2& rect, bool is_object) {
+    return is_object ? SquaredDistance(center, Point{rect.lo[0], rect.lo[1]})
+                     : MinSquaredDistance(center, rect);
+  };
+  const auto enough = [&](const SearchHeapItem&) { return out->size() >= k; };
+  while (const std::optional<SearchHeapItem> top = walk.Next(dist2, enough)) {
+    out->push_back(top->id);
   }
 }
 
@@ -268,9 +235,9 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
   // The streams borrow the combination heaps: no iterator runs here.
   std::array<std::optional<SortedFeatureStream>, kMaxFeatureSets> streams;
   for (size_t i = 0; i < c; ++i) {
-    streams[i].emplace(feature_indexes_[i], &query.keywords[i], query.lambda,
-                       &result.stats, &scratch,
-                       &scratch.combination.stream_heaps[i]);
+    streams[i].emplace(*feature_indexes_[i], query.keywords[i], query.lambda,
+                       result.stats, scratch,
+                       scratch.combination.stream_heaps[i]);
   }
 
   // Per-set bookkeeping: the top score (fixed after the first pull) and
@@ -302,9 +269,10 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
     const Point& p = objects_->Get(id).pos;
     double tau = 0.0;
     for (size_t i = 0; i < c; ++i) {
-      tau += ComputeScoreInfluence(*feature_indexes_[i], p,
-                                   query.keywords[i], query.lambda,
-                                   query.radius, result.stats, scratch);
+      tau += ComputeBestInfluence(*feature_indexes_[i], p, query.keywords[i],
+                                  query.lambda, query.radius, result.stats,
+                                  scratch)
+                 .score;
     }
     topk.Push(tau, id);
   };

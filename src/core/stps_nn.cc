@@ -35,45 +35,17 @@ void CollectObjectsInRegion(const ObjectIndex& objects,
   Span span(stats, QueryPhase::kObjectRetrieval,
             static_cast<uint32_t>(remaining));
   const Rect2 bbox = region.BoundingBox();
-  size_t added = 0;
-  std::vector<NodeId>& stack = scratch.stack;
-  stack.assign(1, objects.RootId());
-  while (!stack.empty() && added < remaining) {
-    NodeId nid = stack.back();
-    stack.pop_back();
-    const NodeView node = objects.ReadNode(scratch.pool, nid);
-    uint32_t pruned = 0;
-    uint32_t descended = 0;
-    for (uint32_t i = 0; i < node.size(); ++i) {
-      const Rect2 rect = node.mbr(i);
-      if (added >= remaining) break;
-      if (!bbox.Intersects(rect)) {
-        ++pruned;
-        continue;
-      }
-      if (node.IsLeaf()) {
-        if ((*claimed)[node.id(i)]) {
-          ++pruned;
-          continue;
-        }
-        Point p{rect.lo[0], rect.lo[1]};
-        if (!region.Contains(p) || !owned(p)) {
-          ++pruned;
-          continue;
-        }
-        (*claimed)[node.id(i)] = true;
+  objects.WalkRegion(
+      scratch.pool, remaining,
+      [&](const Rect2& rect) { return bbox.Intersects(rect); },
+      [&](ObjectId id, const Point& p) {
+        if ((*claimed)[id] || !region.Contains(p) || !owned(p)) return false;
+        (*claimed)[id] = true;
         ++stats.objects_scored;
-        result->push_back(ResultEntry{node.id(i), score});
-        ++added;
-        ++descended;
-      } else {
-        stack.push_back(node.id(i));
-        ++descended;
-      }
-    }
-    RecordNodeVisit(stats, kTraceObjectTree, node.level(), nid, pruned,
-                    descended);
-  }
+        result->push_back(ResultEntry{id, score});
+        return true;
+      },
+      &scratch.stack, &stats);
 }
 
 }  // namespace
@@ -93,9 +65,9 @@ QueryResult Stps::ExecuteNearestNeighbor(const Query& query,
   // neighbor in F_i).  Probe each set once.
   std::array<bool, kMaxFeatureSets> set_has_relevant{};
   for (size_t i = 0; i < c; ++i) {
-    SortedFeatureStream probe(feature_indexes_[i], &query.keywords[i],
-                              query.lambda, &result.stats,
-                              &scratch, &scratch.heap);
+    SortedFeatureStream probe(*feature_indexes_[i], query.keywords[i],
+                              query.lambda, result.stats, scratch,
+                              scratch.heap);
     std::optional<SortedFeatureStream::Item> first = probe.Next();
     set_has_relevant[i] =
         first.has_value() && first->id != kVirtualFeature;

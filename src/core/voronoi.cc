@@ -1,5 +1,8 @@
 #include "core/voronoi.h"
 
+#include <optional>
+
+#include "core/best_first_walk.h"
 #include "core/scratch.h"
 #include "core/score.h"
 #include "obs/trace.h"
@@ -27,7 +30,6 @@ void ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
                         const Rect2& domain, QueryStats& stats,
                         TraversalScratch& scratch, VoronoiCell* out) {
   Span span(stats, QueryPhase::kVoronoi, index.set_ordinal(), center_id);
-  const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const BufferPoolStats before = scratch.pool.stats();
   const Point center = index.table().Get(center_id).pos;
   VoronoiCell& cell = *out;
@@ -37,37 +39,30 @@ void ComputeVoronoiCell(const FeatureIndex& index, ObjectId center_id,
   ++stats.voronoi_cells;
 
   // Only relevant features define cells: the memo's views hold exactly
-  // the entries that may lead to one.
-  // Min-heap on squared mindist from the center.
-  BorrowedMinHeap heap(scratch.heap);
-  if (index.RootId() != kInvalidNodeId) {
-    heap.push({0.0, index.RootId(), false});
-  }
+  // the entries that may lead to one.  Min-heap on squared mindist from
+  // the center.
+  BestFirstWalk<SearchHeapMinOrder, FeatureIndex> walk(
+      index, query_kw, lambda, scratch.heap, scratch, stats);
   double max_vertex = cell.polygon.MaxDistanceFrom(center);
-  while (!heap.empty() && !cell.polygon.IsEmpty()) {
-    SearchHeapItem top = heap.top();
-    // Termination: a feature at distance d can only cut the cell if
-    // d / 2 < max vertex distance.
-    if (top.priority >= 4.0 * max_vertex * max_vertex) break;
-    heap.pop();
-    if (top.is_leaf_item) {
-      if (top.id == center_id) continue;
-      const FeatureObject& t = index.table().Get(top.id);
-      cell.sites.push_back(top.id);
-      if (t.pos == center) continue;  // co-located: bisector undefined
-      ++stats.voronoi_clip_features;
-      cell.polygon.Clip(BisectorHalfPlane(center, t.pos),
-                        &scratch.voronoi.clip);
-      max_vertex = cell.polygon.MaxDistanceFrom(center);
-      continue;
-    }
-    const NodeChildren node =
-        scratch.children.Visit(scratch.pool, index, top.id, query_kw, lambda);
-    for (const FeatureBranch& b : node.relevant) {
-      heap.push({MinSquaredDistance(center, b.mbr), b.id, b.is_feature});
-    }
-    RecordNodeVisit(stats, tree, node.level, top.id, node.text_pruned,
-                    static_cast<uint32_t>(node.relevant.size()));
+  const auto mindist2 = [&](const FeatureBranch& b) {
+    return MinSquaredDistance(center, b.mbr);
+  };
+  // Termination: a feature at distance d can only cut the cell if
+  // d / 2 < max vertex distance.
+  const auto final_cell = [&](const SearchHeapItem& top) {
+    return cell.polygon.IsEmpty() ||
+           top.priority >= 4.0 * max_vertex * max_vertex;
+  };
+  while (const std::optional<SearchHeapItem> top =
+             walk.Next(mindist2, final_cell)) {
+    if (top->id == center_id) continue;
+    const FeatureObject& t = index.table().Get(top->id);
+    cell.sites.push_back(top->id);
+    if (t.pos == center) continue;  // co-located: bisector undefined
+    ++stats.voronoi_clip_features;
+    cell.polygon.Clip(BisectorHalfPlane(center, t.pos),
+                      &scratch.voronoi.clip);
+    max_vertex = cell.polygon.MaxDistanceFrom(center);
   }
 
   stats.voronoi_reads += (scratch.pool.stats() - before).feature_reads;

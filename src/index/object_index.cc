@@ -1,5 +1,7 @@
 #include "index/object_index.h"
 
+#include <cstdint>
+
 #include "debug/validate.h"
 #include "obs/trace.h"
 #include "rtree/bulk_load.h"
@@ -49,43 +51,17 @@ void ObjectIndex::RangeQuery(BufferPool& pool, const Point& center,
                              std::vector<NodeId>* stack,
                              QueryStats* stats) const {
   out->clear();
-  if (tree_.root_id() == kInvalidNodeId) return;
-  Rect2 box = MakeRect2(center.x - radius, center.y - radius,
-                        center.x + radius, center.y + radius);
+  const Rect2 box = MakeRect2(center.x - radius, center.y - radius,
+                              center.x + radius, center.y + radius);
   const double r2 = radius * radius;
-  // Depth-first with a LIFO stack, unrolled here so node expansions can
-  // feed the traversal profile.
-  stack->assign(1, tree_.root_id());
-  while (!stack->empty()) {
-    NodeId nid = stack->back();
-    stack->pop_back();
-    const NodeView node = tree_.ReadNode(pool, nid);
-    uint32_t pruned = 0;
-    uint32_t descended = 0;
-    for (uint32_t i = 0; i < node.size(); ++i) {
-      const Rect2 rect = node.mbr(i);
-      if (!box.Intersects(rect)) {
-        ++pruned;
-        continue;
-      }
-      if (node.IsLeaf()) {
-        Point p{rect.lo[0], rect.lo[1]};
-        if (SquaredDistance(p, center) <= r2) {
-          out->push_back(node.id(i));
-          ++descended;
-        } else {
-          ++pruned;
-        }
-      } else {
-        stack->push_back(node.id(i));
-        ++descended;
-      }
-    }
-    if (stats != nullptr) {
-      RecordNodeVisit(*stats, kTraceObjectTree, node.level(), nid, pruned,
-                      descended);
-    }
-  }
+  WalkRegion(
+      pool, SIZE_MAX, [&](const Rect2& rect) { return box.Intersects(rect); },
+      [&](ObjectId id, const Point& p) {
+        const bool in_range = SquaredDistance(p, center) <= r2;
+        if (in_range) out->push_back(id);
+        return in_range;
+      },
+      stack, stats);
 }
 
 }  // namespace stpq

@@ -2,6 +2,7 @@
 #ifndef STPQ_INDEX_OBJECT_INDEX_H_
 #define STPQ_INDEX_OBJECT_INDEX_H_
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -58,29 +59,37 @@ class ObjectIndex {
                   std::vector<ObjectId>* out, std::vector<NodeId>* stack,
                   QueryStats* stats = nullptr) const;
 
-  /// Calls `fn(std::span<const ObjectId> ids, const Rect2& mbr)` once per
-  /// leaf node with the leaf's object ids and its MBR, reading every node
-  /// through `pool`.  Used by batched STDS: each leaf is a spatially
-  /// clustered batch.  `stack` and `ids` are the walk's working storage
-  /// (`fn` must not touch them).  With `stats`, node expansions land in
-  /// the object-tree traversal profile (and as trace instants).
+  /// The one depth-first region walk: descends the entries whose MBR
+  /// passes `may_hold(const Rect2&)`, offers each object among them to
+  /// `take(ObjectId id, const Point& p)`, which returns whether it took
+  /// the object, and stops once `limit` objects were taken (the limit is
+  /// checked before each entry).  Every node is read through `pool`;
+  /// `stack` is the walk's working storage.  With `stats`, each node
+  /// visit lands in the object-tree traversal profile: an entry is
+  /// descended if it passes `may_hold` and, for an object, `take` takes
+  /// it; otherwise it is pruned.
+  template <typename MayHold, typename Take>
+  void WalkRegion(BufferPool& pool, size_t limit, const MayHold& may_hold,
+                  const Take& take, std::vector<NodeId>* stack,
+                  QueryStats* stats) const;
+
+  /// Calls `fn(std::span<const ObjectId> ids)` once per leaf node with the
+  /// leaf's object ids, reading every node through `pool`.  Used by
+  /// batched STDS: each leaf is a spatially clustered batch.  `stack` and
+  /// `ids` are the walk's working storage (`fn` must not touch them).
+  /// With `stats`, node expansions land in the object-tree traversal
+  /// profile (and as trace instants).
   template <typename LeafFn>
   void ForEachLeafBlock(BufferPool& pool, const LeafFn& fn,
                         std::vector<NodeId>* stack,
                         std::vector<ObjectId>* ids,
                         QueryStats* stats = nullptr) const;
 
-  /// The index's pages (validators, Save).
+  /// The index's pages (the best-first walk, validators, Save).
   const PagedTree& tree() const { return tree_; }
 
   /// Root node id, or kInvalidNodeId for an empty index.
   NodeId RootId() const { return tree_.root_id(); }
-
-  /// Reads node `id` for a custom traversal (STPS object retrieval): one
-  /// page access through `pool`.
-  NodeView ReadNode(BufferPool& pool, NodeId id) const {
-    return tree_.ReadNode(pool, id);
-  }
 
   /// Mutable pages for deliberate-corruption invariant tests only.
   [[nodiscard]] PagedTree& mutable_tree_for_test() { return tree_; }
@@ -95,6 +104,41 @@ class ObjectIndex {
   Rect2 domain_ = Rect2::Empty();
 };
 
+template <typename MayHold, typename Take>
+void ObjectIndex::WalkRegion(BufferPool& pool, size_t limit,
+                             const MayHold& may_hold, const Take& take,
+                             std::vector<NodeId>* stack,
+                             QueryStats* stats) const {
+  size_t taken = 0;
+  stack->clear();
+  if (tree_.root_id() != kInvalidNodeId) stack->push_back(tree_.root_id());
+  while (!stack->empty() && taken < limit) {
+    const NodeId nid = stack->back();
+    stack->pop_back();
+    const NodeView node = tree_.ReadNode(pool, nid);
+    uint32_t pruned = 0;
+    uint32_t descended = 0;
+    for (uint32_t i = 0; i < node.size() && taken < limit; ++i) {
+      const Rect2 rect = node.mbr(i);
+      if (!may_hold(rect)) {
+        ++pruned;
+      } else if (!node.IsLeaf()) {
+        stack->push_back(node.id(i));
+        ++descended;
+      } else if (take(node.id(i), Point{rect.lo[0], rect.lo[1]})) {
+        ++taken;
+        ++descended;
+      } else {
+        ++pruned;
+      }
+    }
+    if (stats != nullptr) {
+      RecordNodeVisit(*stats, kTraceObjectTree, node.level(), nid, pruned,
+                      descended);
+    }
+  }
+}
+
 template <typename LeafFn>
 void ObjectIndex::ForEachLeafBlock(BufferPool& pool, const LeafFn& fn,
                                    std::vector<NodeId>* stack,
@@ -108,10 +152,9 @@ void ObjectIndex::ForEachLeafBlock(BufferPool& pool, const LeafFn& fn,
     bool leaf = false;
     uint16_t level = 0;
     uint32_t entries = 0;
-    Rect2 mbr = Rect2::Empty();
     {
-      // The leaf's ids and MBR are copied out, so the page is released
-      // before `fn` runs.
+      // The leaf's ids are copied out, so the page is released before
+      // `fn` runs.
       const NodeView node = tree_.ReadNode(pool, nid);
       leaf = node.IsLeaf();
       level = node.level();
@@ -120,13 +163,12 @@ void ObjectIndex::ForEachLeafBlock(BufferPool& pool, const LeafFn& fn,
       for (uint32_t i = 0; i < entries; ++i) {
         if (leaf) {
           ids->push_back(node.id(i));
-          mbr.Enlarge(node.mbr(i));
         } else {
           stack->push_back(node.id(i));
         }
       }
     }
-    if (leaf) fn(std::span<const ObjectId>(*ids), mbr);
+    if (leaf) fn(std::span<const ObjectId>(*ids));
     if (stats != nullptr) {
       // A full scan prunes nothing: every entry is handed on.
       RecordNodeVisit(*stats, kTraceObjectTree, level, nid, 0, entries);

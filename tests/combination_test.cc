@@ -58,8 +58,8 @@ TEST(SortedFeatureStreamTest, YieldsNonIncreasingScores) {
   QueryStats stats;
   ExecutionSession session(&index.tree().pages());
   TraversalScratch& scratch = session.scratch();
-  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch,
-                             &scratch.heap);
+  SortedFeatureStream stream(index, query, 0.5, stats, scratch,
+                             scratch.heap);
   double prev = std::numeric_limits<double>::infinity();
   size_t real_count = 0;
   while (auto item = stream.Next()) {
@@ -93,8 +93,8 @@ TEST(SortedFeatureStreamTest, EmptyIndexYieldsOnlyVirtual) {
   QueryStats stats;
   ExecutionSession session(&index.tree().pages());
   TraversalScratch& scratch = session.scratch();
-  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch,
-                             &scratch.heap);
+  SortedFeatureStream stream(index, query, 0.5, stats, scratch,
+                             scratch.heap);
   auto item = stream.Next();
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->id, kVirtualFeature);
@@ -109,8 +109,8 @@ TEST(SortedFeatureStreamTest, NoRelevantFeaturesYieldsOnlyVirtual) {
   QueryStats stats;
   ExecutionSession session(&index.tree().pages());
   TraversalScratch& scratch = session.scratch();
-  SortedFeatureStream stream(&index, &query, 0.5, &stats, &scratch,
-                             &scratch.heap);
+  SortedFeatureStream stream(index, query, 0.5, stats, scratch,
+                             scratch.heap);
   auto item = stream.Next();
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->id, kVirtualFeature);

@@ -1,13 +1,15 @@
-// Golden I/O regression test: page-read counts and feature-tree traversal
-// totals for the paper-example workloads, a synthetic matrix at the
-// default page size and a mixed 40-query workload are checked against
-// constants captured before the buffer-pool rewrite, the keyword-signature
-// fast paths and the relevant-children memo.  The
+// Golden I/O regression test: page-read counts, traversal totals of both
+// trees and the leaf counters (features retrieved, objects scored) for the
+// paper-example workloads, a synthetic matrix at the default page size and
+// a mixed 40-query workload are checked against constants captured before
+// the buffer-pool rewrite, the keyword-signature fast paths, the
+// relevant-children memo and the shared best-first and region walks.  The
 // hot-path optimizations must change no query result, no I/O accounting
 // and no pruning verdict, so these counts are byte-identical by design.
 //
 // To re-capture after an *intentional* I/O-behavior change, run with
 // STPQ_GOLDEN_PRINT=1 and paste the printed tables over the constants.
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -35,13 +37,19 @@ struct GoldenRow {
   // over every feature-index node visit).
   uint64_t feature_pruned;
   uint64_t feature_descended;
+  // The same totals over every object-tree node visit.
+  uint64_t object_pruned;
+  uint64_t object_descended;
+  uint64_t features_retrieved;
+  uint64_t objects_scored;
 
+  std::array<uint64_t, 9> counts() const {
+    return {object_reads,     feature_reads,      buffer_hits,
+            feature_pruned,   feature_descended,  object_pruned,
+            object_descended, features_retrieved, objects_scored};
+  }
   bool operator==(const GoldenRow& other) const {
-    return object_reads == other.object_reads &&
-           feature_reads == other.feature_reads &&
-           buffer_hits == other.buffer_hits &&
-           feature_pruned == other.feature_pruned &&
-           feature_descended == other.feature_descended;
+    return counts() == other.counts();
   }
 };
 
@@ -54,7 +62,21 @@ GoldenRow MakeRow(const char* index, const char* algo, const char* variant,
           stats.feature_index_reads,
           stats.buffer_hits,
           stats.traversal.FeaturePruned(),
-          stats.traversal.FeatureDescended()};
+          stats.traversal.FeatureDescended(),
+          stats.traversal.object_tree.TotalPruned(),
+          stats.traversal.object_tree.TotalDescended(),
+          stats.features_retrieved,
+          stats.objects_scored};
+}
+
+/// The row's counts, in declaration order, separated by `sep`.
+std::string RowCounts(const GoldenRow& r, const char* sep) {
+  std::string out;
+  for (uint64_t v : r.counts()) {
+    if (!out.empty()) out += sep;
+    out += std::to_string(v);
+  }
+  return out;
 }
 
 const char* VariantName(ScoreVariant v) {
@@ -72,15 +94,8 @@ const char* VariantName(ScoreVariant v) {
 void PrintRows(const char* label, const std::vector<GoldenRow>& rows) {
   std::fprintf(stderr, "// %s\n", label);
   for (const GoldenRow& r : rows) {
-    std::fprintf(stderr,
-                 "    {\"%s\", \"%s\", \"%s\", %llu, %llu, %llu, %llu, "
-                 "%llu},\n",
-                 r.index, r.algo, r.variant,
-                 static_cast<unsigned long long>(r.object_reads),
-                 static_cast<unsigned long long>(r.feature_reads),
-                 static_cast<unsigned long long>(r.buffer_hits),
-                 static_cast<unsigned long long>(r.feature_pruned),
-                 static_cast<unsigned long long>(r.feature_descended));
+    std::fprintf(stderr, "    {\"%s\", \"%s\", \"%s\", %s},\n", r.index,
+                 r.algo, r.variant, RowCounts(r, ", ").c_str());
   }
 }
 
@@ -230,13 +245,10 @@ void ExpectRowsMatch(const std::vector<GoldenRow>& expected,
     EXPECT_EQ(expected[i] == actual[i], true)
         << label << " row " << i << " (" << actual[i].index << "/"
         << actual[i].algo << "/" << actual[i].variant << "): expected "
-        << expected[i].object_reads << "/" << expected[i].feature_reads << "/"
-        << expected[i].buffer_hits << "/" << expected[i].feature_pruned << "/"
-        << expected[i].feature_descended << " (object reads / feature reads "
-        << "/ hits / feature pruned / feature descended), got "
-        << actual[i].object_reads << "/" << actual[i].feature_reads << "/"
-        << actual[i].buffer_hits << "/" << actual[i].feature_pruned << "/"
-        << actual[i].feature_descended;
+        << RowCounts(expected[i], "/") << " (object reads / feature reads "
+        << "/ hits / feature pruned / feature descended / object pruned / "
+        << "object descended / features retrieved / objects scored), got "
+        << RowCounts(actual[i], "/");
     all_match = all_match && expected[i] == actual[i];
   }
   if (!all_match) PrintRows(label, actual);
@@ -245,21 +257,24 @@ void ExpectRowsMatch(const std::vector<GoldenRow>& expected,
 // Read/hit columns captured on the pre-rewrite seed (std::list LRU pool,
 // no keyword signatures); the feature-tree pruned/descended columns
 // captured before the relevant-children memo moved the text filter out of
-// the traversal kernels.  The optimizations must reproduce them exactly.
+// the traversal kernels; the object-tree pruned/descended, features
+// retrieved and objects scored columns (in every table) captured before
+// the hand-written index searches became the two shared walks.  The
+// optimizations must reproduce them exactly.
 const std::vector<GoldenRow>& ExpectedPaperMatrix() {
   static const std::vector<GoldenRow> kRows = {
-      {"SRT", "STDS", "range", 4, 5, 6, 21, 13},
-      {"SRT", "STDS", "influence", 4, 5, 33, 50, 70},
-      {"SRT", "STDS", "nn", 4, 5, 35, 52, 74},
-      {"SRT", "STPS", "range", 2, 5, 0, 7, 9},
-      {"SRT", "STPS", "influence", 3, 5, 24, 28, 36},
-      {"SRT", "STPS", "nn", 2, 5, 10, 21, 27},
-      {"IR2", "STDS", "range", 4, 5, 6, 21, 13},
-      {"IR2", "STDS", "influence", 4, 5, 33, 50, 70},
-      {"IR2", "STDS", "nn", 4, 5, 33, 46, 72},
-      {"IR2", "STPS", "range", 2, 5, 0, 7, 9},
-      {"IR2", "STPS", "influence", 3, 5, 24, 28, 36},
-      {"IR2", "STPS", "nn", 2, 5, 10, 21, 27},
+      {"SRT", "STDS", "range", 4, 5, 6, 21, 13, 0, 13, 7, 6},
+      {"SRT", "STDS", "influence", 4, 5, 33, 50, 70, 0, 13, 16, 6},
+      {"SRT", "STDS", "nn", 4, 5, 35, 52, 74, 0, 13, 18, 7},
+      {"SRT", "STPS", "range", 2, 5, 0, 7, 9, 2, 4, 2, 3},
+      {"SRT", "STPS", "influence", 3, 5, 24, 28, 36, 24, 15, 12, 3},
+      {"SRT", "STPS", "nn", 2, 5, 10, 21, 27, 1, 5, 4, 3},
+      {"IR2", "STDS", "range", 4, 5, 6, 21, 13, 0, 13, 7, 6},
+      {"IR2", "STDS", "influence", 4, 5, 33, 50, 70, 0, 13, 16, 6},
+      {"IR2", "STDS", "nn", 4, 5, 33, 46, 72, 0, 13, 18, 7},
+      {"IR2", "STPS", "range", 2, 5, 0, 7, 9, 2, 4, 2, 3},
+      {"IR2", "STPS", "influence", 3, 5, 24, 28, 36, 24, 15, 12, 3},
+      {"IR2", "STPS", "nn", 2, 5, 10, 21, 27, 1, 5, 4, 3},
   };
   return kRows;
 }
@@ -268,8 +283,10 @@ const std::vector<GoldenRow>& ExpectedPaperMatrix() {
 // deleted, with that code's unbounded cold pools (capacity 0).
 const std::vector<GoldenRow>& ExpectedMixedWorkload() {
   static const std::vector<GoldenRow> kRows = {
-      {"SRT", "mixed", "cold40", 3006, 7788, 215336, 405028, 477306},
-      {"IR2", "mixed", "cold40", 3006, 10166, 121218, 219101, 296977},
+      {"SRT", "mixed", "cold40", 3006, 7788, 215336, 405028, 477306,
+       11454, 17604, 15506, 9226},
+      {"IR2", "mixed", "cold40", 3006, 10166, 121218, 219101, 296977,
+       11454, 17604, 15585, 9226},
   };
   return kRows;
 }
@@ -278,18 +295,24 @@ const std::vector<GoldenRow>& ExpectedMixedWorkload() {
 // extents, SRT rows after (fan-out 44 -> 68 at 128 keywords).
 const std::vector<GoldenRow>& ExpectedDefaultPageMatrix() {
   static const std::vector<GoldenRow> kRows = {
-    {"SRT", "STDS", "range", 76, 553, 1720, 139724, 2977},
-    {"SRT", "STDS", "influence", 76, 557, 144486, 7754683, 1004939},
-    {"SRT", "STDS", "nn", 76, 557, 108538, 5715110, 803428},
-    {"SRT", "STPS", "range", 16, 529, 11, 33610, 1458},
-    {"SRT", "STPS", "influence", 76, 557, 40757, 2088085, 283529},
-    {"SRT", "STPS", "nn", 22, 555, 4427, 300151, 19998},
-    {"IR2", "STDS", "range", 76, 640, 831, 67277, 2197},
-    {"IR2", "STDS", "influence", 76, 706, 80637, 2703916, 830266},
-    {"IR2", "STDS", "nn", 76, 663, 55470, 1695244, 646120},
-    {"IR2", "STPS", "range", 16, 709, 11, 35061, 1672},
-    {"IR2", "STPS", "influence", 76, 709, 22315, 666615, 238161},
-    {"IR2", "STPS", "nn", 22, 709, 3789, 204909, 20046},
+    {"SRT", "STDS", "range", 76, 553, 1720, 139724, 2977, 0, 8072, 845, 3069},
+    {"SRT", "STDS", "influence", 76, 557, 144486, 7754683, 1004939,
+     0, 8072, 13656, 5656},
+    {"SRT", "STDS", "nn", 76, 557, 108538, 5715110, 803428,
+     0, 8072, 11204, 3204},
+    {"SRT", "STPS", "range", 16, 529, 11, 33610, 1458, 1677, 58, 267, 40},
+    {"SRT", "STPS", "influence", 76, 557, 40757, 2088085, 283529,
+     143315, 4611, 4735, 1964},
+    {"SRT", "STPS", "nn", 22, 555, 4427, 300151, 19998, 3042, 69, 193, 40},
+    {"IR2", "STDS", "range", 76, 640, 831, 67277, 2197, 0, 8072, 867, 3069},
+    {"IR2", "STDS", "influence", 76, 706, 80637, 2703916, 830266,
+     0, 8072, 13656, 5656},
+    {"IR2", "STDS", "nn", 76, 663, 55470, 1695244, 646120,
+     0, 8072, 11204, 3204},
+    {"IR2", "STPS", "range", 16, 709, 11, 35061, 1672, 1677, 58, 267, 40},
+    {"IR2", "STPS", "influence", 76, 709, 22315, 666615, 238161,
+     143315, 4611, 4735, 1964},
+    {"IR2", "STPS", "nn", 22, 709, 3789, 204909, 20046, 3042, 69, 193, 40},
   };
   return kRows;
 }

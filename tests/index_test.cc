@@ -597,10 +597,9 @@ TEST(ObjectIndexTest, LeafBlocksPartitionObjects) {
   std::vector<ObjectId> ids_buffer;
   index.ForEachLeafBlock(
       pool,
-      [&](std::span<const ObjectId> ids, const Rect2& mbr) {
+      [&](std::span<const ObjectId> ids) {
         for (ObjectId id : ids) {
           EXPECT_TRUE(seen.insert(id).second) << "object in two leaf blocks";
-          EXPECT_TRUE(mbr.Contains({objects[id].pos.x, objects[id].pos.y}));
         }
       },
       &stack, &ids_buffer);

@@ -1,14 +1,18 @@
 // Tests for src/obs/trace.h + trace_export.h: ring emission/drain/drop
 // semantics, slow-query capture, Chrome trace JSON rendering (balanced
 // B/E pairs, instants, drop counter), the reconciliation of trace events
-// with QueryStats timing, and the TraversalProfile invariant that per-tree
-// visited totals reconcile with the buffer-pool counters.
+// with QueryStats timing, and the TraversalProfile invariants that per-tree
+// visited totals reconcile with the buffer-pool counters and heap pushes
+// with the feature-tree descents.
 //
 // The global Tracer is process-wide state; every test that arms it stops
 // and discards before returning so suites stay order-independent.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -548,44 +552,66 @@ TEST(TraversalProfileInvariantTest, VisitedTotalsMatchPageAccesses) {
   }
 }
 
-TEST(TraversalProfileInvariantTest, HoldsForBothAlgorithms) {
-  Dataset ds = SmallDataset();
-  std::vector<Query> queries = SmallWorkload(ds, 4);
-  Engine engine = Engine::Build(std::move(ds.objects), std::move(ds.feature_tables), {}).TakeValue();
-  for (const Query& q : queries) {
-    for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
-      Result<QueryResult> r = engine.Execute(q, algo);
-      ASSERT_TRUE(r.ok());
-      const QueryStats& stats = r.value().stats;
-      EXPECT_EQ(stats.traversal.TotalVisited(),
-                stats.TotalReads() + stats.buffer_hits)
-          << "algorithm=" << static_cast<int>(algo);
+TEST(TraversalProfileInvariantTest, HoldsAcrossTheQueryMatrix) {
+  // The same accounting on both feature indexes, both algorithms and all
+  // three variants, on a built engine and on the same engine saved and
+  // reopened.  Range and NN queries run no object-tree heap (their object
+  // walks are depth-first), so every feature-tree child a best-first walk
+  // descends into is exactly one heap push.
+  const ScoreVariant kVariants[] = {ScoreVariant::kRange,
+                                    ScoreVariant::kInfluence,
+                                    ScoreVariant::kNearestNeighbor};
+  const char* const kVariantNames[] = {"range", "influence", "nn"};
+  std::vector<std::vector<Query>> queries;  // by variant
+  {
+    Dataset ds = SmallDataset();
+    QueryWorkloadConfig qcfg;
+    qcfg.count = 3;
+    qcfg.k = 5;
+    qcfg.radius = 0.05;
+    for (ScoreVariant variant : kVariants) {
+      qcfg.variant = variant;
+      queries.push_back(GenerateQueries(ds, qcfg));
     }
   }
-}
-
-TEST(TraversalProfileInvariantTest, HoldsForAllVariants) {
-  Dataset ds = SmallDataset();
-  QueryWorkloadConfig qcfg;
-  qcfg.count = 3;
-  qcfg.k = 5;
-  qcfg.radius = 0.05;
-  for (ScoreVariant variant : {ScoreVariant::kRange, ScoreVariant::kInfluence,
-                               ScoreVariant::kNearestNeighbor}) {
-    Dataset copy = SmallDataset();
-    qcfg.variant = variant;
-    std::vector<Query> queries = GenerateQueries(copy, qcfg);
-    Engine engine = Engine::Build(std::move(copy.objects), std::move(copy.feature_tables),
-                  {}).TakeValue();
-    for (const Query& q : queries) {
-      Result<QueryResult> r = engine.Execute(q, Algorithm::kStps);
-      ASSERT_TRUE(r.ok());
-      const QueryStats& stats = r.value().stats;
-      EXPECT_EQ(stats.traversal.TotalVisited(),
-                stats.TotalReads() + stats.buffer_hits)
-          << "variant=" << static_cast<int>(variant);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("stpq_traversal_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "engine.stpqx").string();
+  for (FeatureIndexKind kind :
+       {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
+    Dataset ds = SmallDataset();
+    EngineOptions opts;
+    opts.build.index_kind = kind;
+    Engine built = Engine::Build(std::move(ds.objects),
+                                 std::move(ds.feature_tables), opts)
+                       .TakeValue();
+    ASSERT_TRUE(built.Save(path).ok());
+    Result<Engine> reopened = Engine::Open(path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    for (const Engine* engine : {&built, &reopened.value()}) {
+      for (size_t v = 0; v < queries.size(); ++v) {
+        for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
+          for (const Query& q : queries[v]) {
+            SCOPED_TRACE(std::string(engine->IndexName()) +
+                         (engine == &built ? " built " : " reopened ") +
+                         (algo == Algorithm::kStds ? "STDS " : "STPS ") +
+                         kVariantNames[v]);
+            Result<QueryResult> r = engine->Execute(q, algo);
+            ASSERT_TRUE(r.ok()) << r.status().ToString();
+            const QueryStats& stats = r.value().stats;
+            EXPECT_EQ(stats.traversal.TotalVisited(),
+                      stats.TotalReads() + stats.buffer_hits);
+            if (kVariants[v] != ScoreVariant::kInfluence) {
+              EXPECT_EQ(stats.heap_pushes, stats.traversal.FeatureDescended());
+            }
+          }
+        }
+      }
     }
   }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

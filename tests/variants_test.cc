@@ -60,8 +60,9 @@ TEST(InfluenceScoreTest, MatchesBruteForce) {
   ExecutionSession session(&index.tree().pages());
   TraversalScratch& scratch = session.scratch();
   for (const DataObject& o : ds.objects) {
-    double got = ComputeScoreInfluence(index, o.pos, q.keywords[0], q.lambda,
-                                       q.radius, stats, scratch);
+    double got = ComputeBestInfluence(index, o.pos, q.keywords[0], q.lambda,
+                                      q.radius, stats, scratch)
+                     .score;
     EXPECT_NEAR(got, brute.ComponentScore(o.pos, 0, q), 1e-12);
   }
 }
@@ -92,8 +93,9 @@ TEST(NnScoreTest, MatchesBruteForce) {
   ExecutionSession session(&index.tree().pages());
   TraversalScratch& scratch = session.scratch();
   for (const DataObject& o : ds.objects) {
-    double got = ComputeScoreNearestNeighbor(index, o.pos, q.keywords[0],
-                                             q.lambda, stats, scratch);
+    double got = ComputeBestNearestNeighbor(index, o.pos, q.keywords[0],
+                                            q.lambda, stats, scratch)
+                     .score;
     EXPECT_NEAR(got, brute.ComponentScore(o.pos, 0, q), 1e-12);
   }
 }
@@ -110,8 +112,9 @@ TEST(NnScoreTest, IgnoresIrrelevantNearerFeature) {
   QueryStats stats;
   ExecutionSession session(&index.tree().pages());
   TraversalScratch& scratch = session.scratch();
-  double got = ComputeScoreNearestNeighbor(index, {0.49, 0.5}, query, 0.5,
-                                           stats, scratch);
+  double got = ComputeBestNearestNeighbor(index, {0.49, 0.5}, query, 0.5,
+                                          stats, scratch)
+                   .score;
   EXPECT_NEAR(got, 0.5 * 0.6 + 0.5 * 1.0, 1e-12);
 }
 
@@ -143,9 +146,9 @@ TEST(NnScoreTest, EquidistantTieBreaksByPreferenceScore) {
     EXPECT_EQ(best.feature, high_first ? 0u : 1u)
         << "high_first=" << high_first;
     EXPECT_NEAR(best.score, expected, 1e-12);
-    EXPECT_NEAR(ComputeScoreNearestNeighbor(index, p, query, 0.5, stats,
-                                            scratch),
-                expected, 1e-12);
+    EXPECT_NEAR(
+        ComputeBestNearestNeighbor(index, p, query, 0.5, stats, scratch).score,
+        expected, 1e-12);
   }
 }
 
