@@ -35,16 +35,24 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
 BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
                                  const KeywordSet& query_kw, double lambda,
                                  double r, QueryStats& stats,
-                                 TraversalScratch& scratch) {
+                                 TraversalScratch& scratch, double floor) {
   if (index.RootId() == kInvalidNodeId) return {};
   Span span(stats, QueryPhase::kComponentScore, index.set_ordinal());
   BestFirstWalk<SearchHeapMaxOrder, FeatureIndex> walk(
       index, query_kw, lambda, scratch.heap, scratch, stats);
   // s-hat(e) decayed at mindist upper-bounds the influence score of every
-  // feature below e (score <= s-hat, distance >= mindist).
+  // feature below e (score <= s-hat, distance >= mindist).  A child at or
+  // below the floor is never pushed: the unbounded walk would pop it only
+  // after its first feature, or find no feature above the floor.  s-hat
+  // is tested first, so such a child costs no exp2.  With no floor (minus
+  // infinity) neither test prunes.
   const std::optional<SearchHeapItem> top =
-      walk.Next([&](const FeatureBranch& b) {
-        return b.score_bound * InfluenceFactor(MinDistance(p, b.mbr), r);
+      walk.Next([&](const FeatureBranch& b) -> std::optional<double> {
+        if (b.score_bound <= floor) return std::nullopt;
+        const double bound =
+            b.score_bound * InfluenceFactor(MinDistance(p, b.mbr), r);
+        if (bound <= floor) return std::nullopt;
+        return bound;
       });
   if (!top.has_value()) return {};
   ++stats.features_retrieved;

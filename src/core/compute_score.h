@@ -12,6 +12,11 @@
 // allocating, and a node the query already evaluated costs a memo lookup
 // instead of a re-evaluation.
 //
+// Bounded search: ComputeBestInfluence also takes a floor and then looks
+// only for a score above it, pruning every child that cannot clear it;
+// anchored influence retrieval uses it to stop scoring a candidate that
+// cannot enter the top-k (DESIGN.md §4, note 2).
+//
 // Stats contract: every function takes `QueryStats&` and unconditionally
 // accumulates its work counters — callers that do not care still pass a
 // (stack) QueryStats.  The reference signature makes the "never null"
@@ -20,6 +25,7 @@
 #ifndef STPQ_CORE_COMPUTE_SCORE_H_
 #define STPQ_CORE_COMPUTE_SCORE_H_
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -47,12 +53,27 @@ STPQ_HOT BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
                              const KeywordSet& query_kw, double lambda,
                              double r, QueryStats& stats,
                              TraversalScratch& scratch);
+/// No floor: ComputeBestInfluence searches for the best score outright.
+inline constexpr double kNoScoreFloor =
+    -std::numeric_limits<double>::infinity();
+
 /// The influence counterpart (Definition 6) of ComputeBestRange: the best
 /// s(t) * 2^(-dist(p,t)/r) among relevant features (score 0 if none).
+///
+/// With a `floor`, the search looks only for a score above it.  It prunes
+/// every child whose s-hat is at or below the floor before computing the
+/// exp2, and every child whose decayed bound is.  If the unbounded score
+/// is above the floor, the call returns it bit for bit, with the same
+/// feature unless another one ties it exactly; otherwise it returns no
+/// feature (score 0).  It expands no node the unbounded call would not,
+/// exact ties at the top aside.  Anchored influence retrieval passes what
+/// a candidate still needs to beat the k-th score
+/// (core/stps_influence.cc); STDS and explanations pass no floor.
 STPQ_HOT BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
                                  const KeywordSet& query_kw, double lambda,
                                  double r, QueryStats& stats,
-                                 TraversalScratch& scratch);
+                                 TraversalScratch& scratch,
+                                 double floor = kNoScoreFloor);
 
 /// NN variant (Definition 7): s(t) of the nearest relevant feature (score
 /// 0 if none qualifies).  Tie rule: among relevant features, the

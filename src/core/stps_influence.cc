@@ -201,6 +201,12 @@ QueryResult Stps::ExecuteInfluence(const Query& query,
 
 namespace {
 
+/// Absolute slack subtracted from every exactify floor.  Scores are at
+/// most c <= kMaxFeatureSets, so the floor's and the sum's roundings stay
+/// orders of magnitude below it: a dismissed object's computed tau(p)
+/// could never have exceeded tau_k.
+constexpr double kFloorMargin = 1e-10;
+
 /// Ids of the `k` objects nearest to `center` (incremental NN on the
 /// object R-tree), into `out`; used to seed tau_k before any radius can be
 /// bounded.
@@ -259,21 +265,42 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
   double sum_max = 0.0;
   for (size_t i = 0; i < c; ++i) sum_max += max_score[i];
 
+  // rest_max[i] = sum_{j >= i} max_score[j] bounds what sets i.. can add.
+  std::array<double, kMaxFeatureSets + 1> rest_max{};
+  for (size_t i = c; i-- > 0;) rest_max[i] = rest_max[i + 1] + max_score[i];
+
   TopK<ObjectId> topk(query.k, &scratch.topk);
   std::vector<bool>& scored = scratch.flags;
   scored.assign(objects_->size(), false);
+  // Computes tau(p) exactly, or dismisses p once it cannot beat tau_k.
+  // With k objects held, set i's search looks only above the floor
+  // tau_k - tau_so_far - rest_max[i + 1] - kFloorMargin: if set i's top
+  // score cannot clear it, or the search finds nothing above it, tau(p)
+  // stays below tau_k, which TopK::Push would reject, so p is dismissed
+  // without searching the remaining sets.  Results, reads and tau_k's
+  // evolution are unchanged (DESIGN.md §4, note 2).
   auto exactify = [&](ObjectId id) {
     if (scored[id]) return;
     scored[id] = true;
-    ++result.stats.objects_scored;
     const Point& p = objects_->Get(id).pos;
+    const bool bounded = topk.Full();
+    const double tau_k = topk.Threshold();
     double tau = 0.0;
     for (size_t i = 0; i < c; ++i) {
-      tau += ComputeBestInfluence(*feature_indexes_[i], p, query.keywords[i],
-                                  query.lambda, query.radius, result.stats,
-                                  scratch)
-                 .score;
+      double floor = kNoScoreFloor;
+      if (bounded) {
+        floor = tau_k - tau - rest_max[i + 1] - kFloorMargin;
+        if (max_score[i] <= floor) return;
+      }
+      const double s =
+          ComputeBestInfluence(*feature_indexes_[i], p, query.keywords[i],
+                               query.lambda, query.radius, result.stats,
+                               scratch, floor)
+              .score;
+      if (s <= floor) return;
+      tau += s;
     }
+    ++result.stats.objects_scored;
     topk.Push(tau, id);
   };
 
@@ -329,8 +356,11 @@ QueryResult Stps::ExecuteInfluenceAnchored(const Query& query,
     double tau_now = topk.Threshold();
     if (topk.Full() && tau_now > 0.0 && cap > tau_now) {
       double radius = query.radius * std::log2(cap / tau_now);
-      objects_->RangeQuery(scratch.pool, anchor.pos, radius,
-                           &scratch.objects, &scratch.stack, &result.stats);
+      {
+        Span span(result.stats, QueryPhase::kObjectRetrieval);
+        objects_->RangeQuery(scratch.pool, anchor.pos, radius,
+                             &scratch.objects, &scratch.stack, &result.stats);
+      }
       for (ObjectId id : scratch.objects) exactify(id);
     }
   }

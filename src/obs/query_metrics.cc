@@ -33,7 +33,9 @@ QueryMetrics::QueryMetrics(MetricsRegistry& registry)
           "stpq_combinations_emitted_total",
           "Combinations emitted by Algorithm 4's iterator")),
       objects_scored_total(registry.GetCounter(
-          "stpq_objects_scored_total", "Data objects scored or fetched")),
+          "stpq_objects_scored_total",
+          "Data objects given an exact or a combination's score; objects "
+          "pruned or dismissed against the k-th score are not counted")),
       voronoi_cells_total(registry.GetCounter(
           "stpq_voronoi_cells_total", "Voronoi cells computed (NN variant)")),
       object_tree_nodes_visited_total(registry.GetCounter(

@@ -142,10 +142,17 @@ struct QueryStats {
 
   // Algorithm-internal work counters.
   uint64_t heap_pushes = 0;            ///< entries pushed on any search heap
-  uint64_t features_retrieved = 0;     ///< feature objects popped sorted by s(t)
+  /// Features popped from a search heap: each sorted-stream pull and each
+  /// feature a component search pops.  A bounded influence search that
+  /// finds nothing above its floor pops none.
+  uint64_t features_retrieved = 0;
   uint64_t combinations_generated = 0; ///< valid combinations materialized
   uint64_t combinations_emitted = 0;   ///< combinations returned by the iterator
-  uint64_t objects_scored = 0;         ///< data objects whose tau(p) was computed
+  /// Data objects given a score: an exact tau(p) (STDS, anchored
+  /// influence) or a combination's score (STPS range and NN, Algorithm 5
+  /// influence).  An object pruned (STDS) or dismissed (anchored
+  /// influence) against the k-th score is not counted.
+  uint64_t objects_scored = 0;
   uint64_t voronoi_cells = 0;          ///< Voronoi cells computed (NN variant)
   uint64_t voronoi_clip_features = 0;  ///< features streamed for cell clipping
   uint64_t voronoi_reads = 0;          ///< page reads charged to cell computation

@@ -3,7 +3,14 @@
 // with brute force.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
+#include <filesystem>
 #include <set>
+#include <span>
+#include <string>
 
 #include "core/brute_force.h"
 #include "core/combination.h"
@@ -11,9 +18,11 @@
 #include "core/engine.h"
 #include "core/exec_session.h"
 #include "core/score.h"
+#include "core/stps.h"
 #include "core/voronoi.h"
 #include "gen/queries.h"
 #include "gen/synthetic.h"
+#include "index/ir2_tree.h"
 #include "index/srt_index.h"
 #include "paper_example.h"
 #include "util/rng.h"
@@ -64,6 +73,94 @@ TEST(InfluenceScoreTest, MatchesBruteForce) {
                                       q.radius, stats, scratch)
                      .score;
     EXPECT_NEAR(got, brute.ComponentScore(o.pos, 0, q), 1e-12);
+  }
+}
+
+// The bounded kernel anchored influence retrieval runs: with a floor, the
+// search must return the unbounded call's feature and score, bit for bit,
+// when that score is above the floor, no feature when it is not, and never
+// visit more feature-tree nodes than the unbounded call.
+TEST(InfluenceScoreTest, FloorKeepsScoresAboveItAndDropsTheRest) {
+  SyntheticConfig cfg;
+  cfg.seed = 4711;
+  cfg.num_objects = 1;
+  cfg.num_features_per_set = 1500;
+  cfg.num_feature_sets = 1;
+  cfg.vocabulary_size = 32;
+  cfg.num_clusters = 60;
+  cfg.cluster_stddev = 0.02;
+  Dataset ds = GenerateSynthetic(cfg);
+  const KeywordSet kw(32, {0, 1, 2, 3});
+  const double lambda = 0.5;
+  const double radius = 0.1;
+  double max_s = 0.0;
+  for (const FeatureObject& t : ds.feature_tables[0].All()) {
+    if (TextRelevant(t, kw)) {
+      max_s = std::max(max_s, PreferenceScore(t, kw, lambda));
+    }
+  }
+  ASSERT_GT(max_s, 0.0);
+  const IndexBuildParams params;
+  const SrtIndex srt(&ds.feature_tables[0], params);
+  const Ir2Tree ir2(&ds.feature_tables[0], params);
+  for (const FeatureIndex* index : {static_cast<const FeatureIndex*>(&srt),
+                                    static_cast<const FeatureIndex*>(&ir2)}) {
+    const std::string label = index == &srt ? "SRT" : "IR2";
+    ExecutionSession session(&index->tree().pages());
+    TraversalScratch& scratch = session.scratch();
+    Rng rng(index == &srt ? 17 : 18);
+    int above = 0;
+    int at_or_below = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+      const Point p{rng.Uniform(), rng.Uniform()};
+      QueryStats free_stats;
+      const BestFeature free = ComputeBestInfluence(
+          *index, p, kw, lambda, radius, free_stats, scratch);
+      // Floors span [0, max s]: uniform draws, both ends, and floors
+      // straddling (and equal to) the unbounded score.
+      double floor = rng.Uniform(0.0, max_s);
+      switch (trial % 5) {
+        case 0:
+          floor = trial % 10 == 0 ? 0.0 : max_s;
+          break;
+        case 1:
+          floor = std::min(max_s, free.score * rng.Uniform(0.5, 1.5));
+          break;
+        case 2:
+          floor = free.score;
+          break;
+        default:
+          break;
+      }
+      QueryStats bounded_stats;
+      const BestFeature bounded = ComputeBestInfluence(
+          *index, p, kw, lambda, radius, bounded_stats, scratch, floor);
+      const std::string where = label + " trial " + std::to_string(trial) +
+                                " floor " + std::to_string(floor);
+      if (free.score > floor) {
+        ++above;
+        EXPECT_EQ(bounded.feature, free.feature) << where;
+        EXPECT_EQ(std::bit_cast<uint64_t>(bounded.score),
+                  std::bit_cast<uint64_t>(free.score))
+            << where;
+        EXPECT_EQ(std::bit_cast<uint64_t>(bounded.distance),
+                  std::bit_cast<uint64_t>(free.distance))
+            << where;
+      } else {
+        ++at_or_below;
+        EXPECT_EQ(bounded.feature, BestFeature{}.feature) << where;
+        EXPECT_EQ(bounded.score, 0.0) << where;
+      }
+      EXPECT_LE(bounded_stats.traversal.FeatureVisited(),
+                free_stats.traversal.FeatureVisited())
+          << where;
+      EXPECT_LE(bounded_stats.features_retrieved,
+                free_stats.features_retrieved)
+          << where;
+    }
+    // Both outcomes are exercised on each index.
+    EXPECT_GT(above, 100) << label;
+    EXPECT_GT(at_or_below, 100) << label;
   }
 }
 
@@ -346,6 +443,114 @@ TEST(VariantPaperExample, NearestNeighborAgreesWithBruteForce) {
 
 // ----------------------------------------------------------- edge cases
 
+/// Runs `q` on `engine`'s indexes under influence mode `mode`.
+QueryResult ExecuteInfluence(const Engine& engine, const Query& q,
+                             InfluenceMode mode) {
+  std::vector<const FeatureIndex*> indexes;
+  for (size_t i = 0; i < engine.num_feature_sets(); ++i) {
+    indexes.push_back(&engine.feature_index(i));
+  }
+  const Stps stps(&engine.object_index(), indexes, mode);
+  ExecutionSession session(&engine.page_store());
+  return stps.Execute(q, PullingStrategy::kPrioritized, session.scratch());
+}
+
+/// Runs `queries` through Algorithm 5 on `built` and through anchored
+/// influence retrieval on `built` and on `reopened`, its saved and reopened
+/// copy, and checks every answer against brute force: the same top-k
+/// scores (all are exact; ties may reorder objects), and each score
+/// anchored retrieval reports is its object's own tau(p).
+void ExpectInfluenceModesAgree(const Engine& built, const Engine& reopened,
+                               const BruteForceEvaluator& brute,
+                               const std::vector<Query>& queries,
+                               const std::string& label) {
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const Query& q = queries[qi];
+    const std::string where = label + " query " + std::to_string(qi);
+    const std::vector<ResultEntry> want = brute.TopK(q);
+    ExpectSameScores(
+        ExecuteInfluence(built, q, InfluenceMode::kCombinations).entries, want,
+        (where + " Algorithm 5").c_str());
+    for (const Engine* engine : {&built, &reopened}) {
+      const std::string on =
+          where + (engine == &built ? " built" : " reopened");
+      const QueryResult got =
+          ExecuteInfluence(*engine, q, InfluenceMode::kAnchored);
+      ExpectSameScores(got.entries, want, (on + " anchored").c_str());
+      for (const ResultEntry& e : got.entries) {
+        EXPECT_NEAR(e.score, brute.Tau(engine->objects()[e.object].pos, q),
+                    1e-9)
+            << on << " object " << e.object;
+      }
+    }
+  }
+}
+
+/// A dataset of ties: every third object sits on the one before it, every
+/// fifth on a feature of set 0, and features come in pairs that share a
+/// position, a score and a keyword set.
+Dataset TiedDataset(uint32_t c, uint32_t num_objects,
+                    uint32_t features_per_set) {
+  SyntheticConfig cfg;
+  cfg.seed = 900 + c;
+  cfg.num_objects = num_objects;
+  cfg.num_features_per_set = features_per_set;
+  cfg.num_feature_sets = c;
+  cfg.vocabulary_size = 8;
+  cfg.num_clusters = 6;
+  cfg.cluster_stddev = 0.05;
+  Dataset ds = GenerateSynthetic(cfg);
+  for (FeatureTable& table : ds.feature_tables) {
+    std::vector<FeatureObject> features(table.All().begin(),
+                                        table.All().end());
+    for (size_t j = 1; j < features.size(); j += 2) {
+      features[j].pos = features[j - 1].pos;
+      features[j].score = features[j - 1].score;
+      features[j].keywords = features[j - 1].keywords;
+    }
+    table = FeatureTable(std::move(features), table.universe_size());
+  }
+  for (size_t i = 0; i < ds.objects.size(); ++i) {
+    if (i % 3 == 1) ds.objects[i].pos = ds.objects[i - 1].pos;
+    if (i % 5 == 4) {
+      ds.objects[i].pos = ds.feature_tables[0].Get(
+          static_cast<ObjectId>(i % features_per_set)).pos;
+    }
+  }
+  return ds;
+}
+
+/// k = |O| - 1 with the object left out reached and dismissed: 29 objects
+/// around the best feature of each of two sets, and one on a far,
+/// lower-scored feature of set 0 with no feature of set 1 near it.  The
+/// first anchor's k nearest objects fill the top-k; the far feature's
+/// radius then reaches the lone object, whose set-1 search finds nothing
+/// above its floor.
+Dataset LoneObjectDataset() {
+  constexpr uint32_t kUniverse = 4;
+  Rng rng(5);
+  Dataset ds;
+  for (ObjectId id = 0; id < 29; ++id) {
+    ds.objects.push_back(DataObject{
+        id, Point{0.1 + rng.Uniform(-0.02, 0.02), 0.1 + rng.Uniform(-0.02, 0.02)},
+        ""});
+  }
+  ds.objects.push_back(DataObject{29, Point{0.9, 0.9}, ""});
+  const auto feature = [&](Point pos, double score) {
+    return FeatureObject{0, pos, score, KeywordSet(kUniverse, {0}), ""};
+  };
+  ds.feature_tables.emplace_back(
+      std::vector<FeatureObject>{feature({0.1, 0.1}, 1.0),
+                                 feature({0.9, 0.9}, 0.9),
+                                 feature({0.5, 0.2}, 0.3)},
+      kUniverse);
+  ds.feature_tables.emplace_back(
+      std::vector<FeatureObject>{feature({0.1, 0.12}, 1.0),
+                                 feature({0.2, 0.5}, 0.4)},
+      kUniverse);
+  return ds;
+}
+
 TEST(InfluenceModesTest, AnchoredAndCombinationModesAgree) {
   // The anchored strategy must return exactly the same top-k scores as the
   // paper's Algorithm 5 (both are exact; ties may reorder objects).
@@ -372,6 +577,61 @@ TEST(InfluenceModesTest, AnchoredAndCombinationModesAgree) {
     ExpectSameScores(a.Execute(q, Algorithm::kStps).TakeValue().entries, b.Execute(q, Algorithm::kStps).TakeValue().entries,
                      "influence modes");
   }
+
+  // Where anchored retrieval dismisses candidates against the k-th score,
+  // and at its edges: k = 1 and k = |O| - 1; one, two and five feature
+  // sets (with one set, every object inside an anchor's radius already
+  // reaches tau_k, so nothing may be dismissed); lambda 0 and 1;
+  // co-located objects and tied feature scores; on built engines and on
+  // the same engines saved and reopened.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("stpq_influence_modes_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto run = [&](const Dataset& data, std::span<const uint32_t> ks,
+                       uint32_t queries_per_case, const std::string& name) {
+    const BruteForceEvaluator brute(&data.objects, TablePtrs(data));
+    const uint32_t c = static_cast<uint32_t>(data.feature_tables.size());
+    for (FeatureIndexKind kind :
+         {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
+      EngineOptions opts;
+      opts.build.index_kind = kind;
+      opts.build.page_size_bytes = 256;
+      const Engine built =
+          Engine::Build(data.objects, data.feature_tables, opts).TakeValue();
+      const std::string path = (dir / "modes.stpqx").string();
+      ASSERT_TRUE(built.Save(path).ok());
+      const Engine reopened = Engine::Open(path).TakeValue();
+      for (uint32_t k : ks) {
+        for (double lambda : {0.0, 1.0}) {
+          QueryWorkloadConfig edge_cfg;
+          edge_cfg.seed = 70 + k;
+          edge_cfg.count = queries_per_case;
+          edge_cfg.k = k;
+          edge_cfg.radius = 0.05;
+          edge_cfg.lambda = lambda;
+          edge_cfg.variant = ScoreVariant::kInfluence;
+          const std::vector<Query> edge_queries =
+              GenerateQueries(data, edge_cfg);
+          const std::string label =
+              name + " " + built.IndexName() + " c=" + std::to_string(c) +
+              " k=" + std::to_string(k) + " lambda=" + std::to_string(lambda);
+          ExpectInfluenceModesAgree(built, reopened, brute, edge_queries,
+                                    label);
+        }
+      }
+    }
+  };
+  constexpr uint32_t kObjects = 30;
+  constexpr uint32_t kEdgeKs[] = {1, kObjects - 1};
+  for (uint32_t c : {1u, 2u, 5u}) {
+    run(TiedDataset(c, kObjects, c == 5 ? 6 : 40), kEdgeKs, 4, "tied");
+  }
+  // Every feature of the lone-object dataset has the one keyword 0, so
+  // one query per case is all there is.
+  constexpr uint32_t kAllButOne[] = {29};
+  run(LoneObjectDataset(), kAllButOne, 1, "lone object");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(InfluenceModesTest, AnchoredAvoidsCombinationEnumeration) {

@@ -10,10 +10,10 @@ green even when a bench was skipped):
                          (records of other figures are ignored)
 
 The summary is one flat JSON object per CI run: per-micro-benchmark
-cpu_time rows, the parallel-throughput sweep keyed by algo/workers (the
-threads that ran) with each row's speedup over the 1-worker row called
-out, and enough context
-(host, cpu count, date) to compare runs across commits.
+cpu_time rows (each the median over --benchmark_repetitions), the
+parallel-throughput sweep keyed by algo/workers (the threads that ran)
+with each row's speedup over the 1-worker row called out, and enough
+context (host, cpu count, date) to compare runs across commits.
 
 Usage:
   bench_report.py --micro bench_micro.json \\
@@ -24,6 +24,8 @@ Usage:
 import argparse
 import json
 import sys
+
+from check_bench_regression import fold_repetitions
 
 
 def load_json(path):
@@ -38,18 +40,14 @@ def load_json(path):
 
 
 def summarize_micro(payload):
-    """Google Benchmark JSON -> context + per-benchmark cpu_time rows."""
-    benchmarks = []
-    for row in payload.get("benchmarks", []):
-        if row.get("run_type", "iteration") != "iteration":
-            continue  # skip aggregate rows (mean/median/stddev)
-        benchmarks.append({
-            "name": row.get("name"),
-            "cpu_time": row.get("cpu_time"),
-            "real_time": row.get("real_time"),
-            "time_unit": row.get("time_unit", "ns"),
-            "iterations": row.get("iterations"),
-        })
+    """Google Benchmark JSON -> context + one row per benchmark: the median
+    cpu_time, real_time and iterations over its repetitions (aggregate
+    rows are skipped), as check_bench_regression.py compares them."""
+    benchmarks = [
+        dict(row, name=name)
+        for name, row in fold_repetitions(
+            payload, ["cpu_time", "real_time", "iterations"]).items()
+    ]
     context = payload.get("context", {})
     return {
         "context": {
@@ -124,7 +122,7 @@ def main():
     if micro is not None:
         try:
             summary["micro"] = summarize_micro(micro)
-        except (TypeError, AttributeError) as bad:
+        except (TypeError, AttributeError, KeyError) as bad:
             summary["inputs"]["micro"] = "unexpected shape: %s" % bad
 
     parallel, err = load_json(args.parallel)
