@@ -28,12 +28,9 @@ NodeChildren ChildrenMemo::Evaluate(const FeatureIndex& index, PageView page,
 void ChildrenMemo::Clear() {
   entries_.clear();
   children_.clear();
-#ifndef NDEBUG
   for (Binding& binding : bindings_) binding.bound = false;
-#endif
 }
 
-#ifndef NDEBUG
 void ChildrenMemo::CheckBinding(uint32_t set, const KeywordSet& query_kw,
                                 double lambda) {
   // Filed children would be wrong under another keyword set or lambda.
@@ -47,6 +44,5 @@ void ChildrenMemo::CheckBinding(uint32_t set, const KeywordSet& query_kw,
   STPQ_CHECK(binding.lambda == lambda && binding.keywords == query_kw &&
              "one keyword set and lambda per feature set within a query");
 }
-#endif
 
 }  // namespace stpq

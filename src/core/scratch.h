@@ -265,12 +265,14 @@ class ChildrenMemo {
   NodeChildren Evaluate(const FeatureIndex& index, PageView page,
                         const KeywordSet& query_kw, double lambda);
 
+  /// Binds feature set `set` to its first visit's (keyword set, lambda)
+  /// in the query, and checks every later visit against it.  Only debug
+  /// callers check, but every build declares the binding, so the memo has
+  /// one layout whether or not a caller defines NDEBUG.
+  void CheckBinding(uint32_t set, const KeywordSet& query_kw, double lambda);
+
   std::vector<Entry> entries_;  ///< by pool frame index
   std::vector<FeatureBranch> children_;  ///< every entry's children
-#ifndef NDEBUG
-  /// Binds feature set `set` to its first visit's (keyword set, lambda)
-  /// in the query, and checks every later visit against it.
-  void CheckBinding(uint32_t set, const KeywordSet& query_kw, double lambda);
 
   /// Each feature set's (keyword set, lambda) in the current query.
   struct Binding {
@@ -279,7 +281,6 @@ class ChildrenMemo {
     double lambda = 0.0;
   };
   std::array<Binding, kMaxFeatureSets> bindings_;
-#endif
 };
 
 /// The product-mode 2r grid over one retrieved list D_j (Algorithm 4): the

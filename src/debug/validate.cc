@@ -33,25 +33,23 @@ void CollectLeafIdsInOrder(const PagedTree& tree, NodeId nid,
 /// Checks that a tree's leaves appear in non-decreasing Hilbert-key order,
 /// the packing contract of every tree (Kamel & Faloutsos).  The pages keep
 /// no sort point (an SRT leaf's 4-D point least of all), so
-/// `leaf_entry(id)` re-derives each leaf's entry from the index's records
-/// — its class's LeafEntry — and the entry is keyed by HilbertSortKey
-/// inside the leaves' domain, as SortByHilbertKey and the external loader
-/// key it.  Every leaf id must name a record (CheckLeafIdBijection runs
-/// first).
-template <typename LeafEntryFn>
+/// `sort_point(id)` re-derives each leaf's from the index's records — its
+/// class's LeafSortPoint — and the point is keyed by HilbertSortKey inside
+/// the leaves' domain, as SortByHilbertKey and the external loader key it.
+/// Every leaf id must name a record (CheckLeafIdBijection runs first).
+template <typename SortPointFn>
 Status CheckHilbertLeafOrder(const PagedTree& tree,
-                             const LeafEntryFn& leaf_entry) {
+                             const SortPointFn& sort_point) {
   if (tree.root_id() == kInvalidNodeId) return Status::OK();
   std::vector<uint32_t> ids;
   ids.reserve(tree.size());
   CollectLeafIdsInOrder(tree, tree.root_id(), &ids);
-  using Box = decltype(leaf_entry(uint32_t{0}).rect);
-  std::vector<Box> points;
+  std::vector<SortPoint> points;
   points.reserve(ids.size());
-  Box domain = Box::Empty();
+  Rect4 domain = Rect4::Empty();
   for (uint32_t id : ids) {
-    points.push_back(leaf_entry(id).rect);
-    domain.Enlarge(points.back());
+    points.push_back(sort_point(id));
+    domain.EnlargePoint(points.back().coords);
   }
   uint64_t prev_key = 0;
   for (size_t i = 0; i < points.size(); ++i) {
@@ -218,7 +216,7 @@ Status ValidateSrtIndex(const SrtIndex& index) {
   st = CheckLeafIdBijection(seen, "SRT-index: feature");
   STPQ_RETURN_NOT_OK(st);
   st = CheckHilbertLeafOrder(tree, [&table](uint32_t id) {
-    return SrtIndex::LeafEntry(id, table.Get(id));
+    return SrtIndex::LeafSortPoint(table.Get(id));
   });
   if (!st.ok()) {
     return Status::Internal("SRT-index: " + st.message());
@@ -266,8 +264,8 @@ Status ValidateIr2Tree(const Ir2Tree& index) {
   }
   st = CheckLeafIdBijection(seen, "IR2-tree: feature");
   STPQ_RETURN_NOT_OK(st);
-  st = CheckHilbertLeafOrder(tree, [&table, &scheme](uint32_t id) {
-    return Ir2Tree::LeafEntry(id, table.Get(id), scheme);
+  st = CheckHilbertLeafOrder(tree, [&table](uint32_t id) {
+    return Ir2Tree::LeafSortPoint(table.Get(id));
   });
   if (!st.ok()) {
     return Status::Internal("IR2-tree: " + st.message());
@@ -321,7 +319,7 @@ Status ValidateObjectIndex(const ObjectIndex& index) {
   st = CheckLeafIdBijection(seen, "object index: object");
   STPQ_RETURN_NOT_OK(st);
   st = CheckHilbertLeafOrder(tree, [&index](uint32_t id) {
-    return ObjectIndex::LeafEntry(id, index.Get(id));
+    return ObjectIndex::LeafSortPoint(index.Get(id));
   });
   if (!st.ok()) {
     return Status::Internal("object index: " + st.message());

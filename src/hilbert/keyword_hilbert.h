@@ -57,7 +57,7 @@ KeywordSet DecodeKeywords(const HilbertValue& value, uint32_t universe_size);
 
 /// The SRT node-summary update (Section 4.2): both values are mapped back
 /// to binary vectors, OR-ed, and the disjunction is re-encoded.  The index
-/// folds e.W as the equivalent bitmap union (SrtAug::Merge); this is the
+/// folds e.W as the equivalent bitmap union (Summarize); this is the
 /// paper-literal reference that fold is tested against.
 HilbertValue AggregateHilbert(const HilbertValue& a, const HilbertValue& b,
                               uint32_t universe_size);

@@ -1,9 +1,9 @@
 // Index introspection: structural statistics of a built feature index.
 //
-// Used by the ablation benchmarks and tests to quantify *why* the
-// SRT-index helps: its leaves have smaller score spreads and fewer
-// distinct keywords than spatial-only leaves, which makes the s-hat(e)
-// bounds tight (Section 4.2's clustering argument).
+// Quantifies *why* the SRT-index helps: its leaves have smaller score
+// spreads and fewer distinct keywords than spatial-only leaves, which
+// makes the s-hat(e) bounds tight (Section 4.2's clustering argument).
+// Only the tests call it (api_test checks the SRT-vs-IR2 leaf statistics).
 #ifndef STPQ_INDEX_INDEX_STATS_H_
 #define STPQ_INDEX_INDEX_STATS_H_
 

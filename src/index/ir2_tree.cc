@@ -1,7 +1,6 @@
 #include "index/ir2_tree.h"
 
 #include "debug/validate.h"
-#include "rtree/bulk_load.h"
 
 namespace stpq {
 
@@ -11,30 +10,23 @@ uint32_t Ir2Tree::SignatureBits(uint32_t configured_bits,
                               : std::max(64u, 2 * universe_size);
 }
 
-uint32_t Ir2Tree::FanOut(uint32_t page_size, uint32_t signature_bits) {
-  return FanOutForPage(page_size, 2, 8 + signature_bits / 8);
-}
-
-TreeEntry<2, Ir2Aug> Ir2Tree::LeafEntry(uint32_t id, const FeatureObject& f,
-                                        const SignatureScheme& scheme) {
-  return {PointRect(f.pos), id,
-          Ir2Aug{f.score, scheme.SetSignature(f.keywords)}};
-}
-
 TreeImage Ir2Tree::Pack(const FeatureTable& table,
                         const IndexBuildParams& params) {
   const uint32_t bits =
       SignatureBits(params.signature_bits, table.universe_size());
   const SignatureScheme scheme(bits, params.signature_hashes);
-  std::vector<TreeEntry<2, Ir2Aug>> records;
-  records.reserve(table.size());
+  std::vector<PageEntry> entries;
+  std::vector<SortPoint> points;
+  entries.reserve(table.size());
+  points.reserve(table.size());
   for (const FeatureObject& f : table.All()) {
-    records.push_back(LeafEntry(f.id, f, scheme));
+    entries.push_back(LeafEntry(f.id, f, scheme));
+    points.push_back(LeafSortPoint(f));
   }
   // Spatial-only Hilbert packing: the IR2-tree clusters by location.
-  SortByHilbertKey(&records);
-  return PackTree(std::move(records), FanOut(params.page_size_bytes, bits),
-                  params.fill, Layout(bits), params.page_size_bytes);
+  SortByHilbertKey(&entries, points);
+  return PackTree(std::move(entries), Layout(bits), params.page_size_bytes,
+                  params.fill);
 }
 
 Ir2Tree::Ir2Tree(const FeatureTable* table, const IndexBuildParams& params,

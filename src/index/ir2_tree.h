@@ -13,26 +13,12 @@
 
 #include "index/feature_index.h"
 #include "index/paged_tree.h"
+#include "rtree/bulk_load.h"
 #include "rtree/node_page.h"
 #include "rtree/rtree.h"
 #include "text/signature.h"
 
 namespace stpq {
-
-/// Entry augmentation of the IR2-tree: max score + keyword signature.
-struct Ir2Aug {
-  double max_score = 0.0;
-  Signature signature;
-
-  /// The keyword column of the entry's page.
-  const std::vector<uint64_t>& words() const { return signature.words(); }
-
-  static Ir2Aug Merge(const Ir2Aug& a, const Ir2Aug& b) {
-    Ir2Aug out{std::max(a.max_score, b.max_score), a.signature};
-    out.signature.UnionWith(b.signature);
-    return out;
-  }
-};
 
 /// The modified IR2-tree over one feature set.
 class Ir2Tree : public FeatureIndex {
@@ -67,10 +53,6 @@ class Ir2Tree : public FeatureIndex {
   static uint32_t SignatureBits(uint32_t configured_bits,
                                 uint32_t universe_size);
 
-  /// Fan-out on a page of `page_size` bytes: an entry charges the 2-D
-  /// rect, the id, e.s and the signature's bytes.
-  static uint32_t FanOut(uint32_t page_size, uint32_t signature_bits);
-
   /// Page columns: the signature, e.s and the 2-D rect.
   static PageLayout Layout(uint32_t signature_bits) {
     return PageLayout{signature_bits, /*has_score=*/true};
@@ -78,8 +60,17 @@ class Ir2Tree : public FeatureIndex {
 
   /// Leaf entry of feature `f` stored under record id `id`: its location,
   /// with e.s = t.s and the signature of t.W under `scheme`.
-  static TreeEntry<2, Ir2Aug> LeafEntry(uint32_t id, const FeatureObject& f,
-                                        const SignatureScheme& scheme);
+  static PageEntry LeafEntry(uint32_t id, const FeatureObject& f,
+                             const SignatureScheme& scheme) {
+    return PageEntry{PointRect(f.pos), id, f.score,
+                     scheme.SetSignature(f.keywords).words()};
+  }
+
+  /// Hilbert sort point of feature `f`: its location (the IR2-tree
+  /// clusters by location only).
+  static SortPoint LeafSortPoint(const FeatureObject& f) {
+    return SpatialSortPoint(f.pos);
+  }
 
   /// Mutable pages for deliberate-corruption invariant tests only.
   [[nodiscard]] PagedTree& mutable_tree_for_test() { return tree_; }

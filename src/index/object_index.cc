@@ -4,24 +4,22 @@
 
 #include "debug/validate.h"
 #include "obs/trace.h"
-#include "rtree/bulk_load.h"
 
 namespace stpq {
 
-uint32_t ObjectIndex::FanOut(uint32_t page_size) {
-  return FanOutForPage(page_size, 2, /*aug_bytes=*/0);
-}
-
 TreeImage ObjectIndex::Pack(const std::vector<DataObject>& objects,
                             const IndexBuildParams& params) {
-  std::vector<TreeEntry<2>> records;
-  records.reserve(objects.size());
+  std::vector<PageEntry> entries;
+  std::vector<SortPoint> points;
+  entries.reserve(objects.size());
+  points.reserve(objects.size());
   for (size_t i = 0; i < objects.size(); ++i) {
-    records.push_back(LeafEntry(static_cast<uint32_t>(i), objects[i]));
+    entries.push_back(LeafEntry(static_cast<uint32_t>(i), objects[i]));
+    points.push_back(LeafSortPoint(objects[i]));
   }
-  SortByHilbertKey(&records);
-  return PackTree(std::move(records), FanOut(params.page_size_bytes),
-                  params.fill, Layout(), params.page_size_bytes);
+  SortByHilbertKey(&entries, points);
+  return PackTree(std::move(entries), Layout(), params.page_size_bytes,
+                  params.fill);
 }
 
 namespace {

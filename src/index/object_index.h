@@ -10,6 +10,7 @@
 #include "index/feature.h"
 #include "index/paged_tree.h"
 #include "obs/trace.h"
+#include "rtree/bulk_load.h"
 #include "rtree/node_page.h"
 #include "rtree/rtree.h"
 #include "util/metrics.h"
@@ -39,12 +40,14 @@ class ObjectIndex {
   /// Page columns: the id and the 2-D rect.
   static PageLayout Layout() { return PageLayout{}; }
 
-  /// Fan-out on a page of `page_size` bytes (2-D rect + id entries).
-  static uint32_t FanOut(uint32_t page_size);
-
   /// Leaf entry of object `o` stored under record id `id`: its location.
-  static TreeEntry<2> LeafEntry(uint32_t id, const DataObject& o) {
-    return {PointRect(o.pos), id, {}};
+  static PageEntry LeafEntry(uint32_t id, const DataObject& o) {
+    return PageEntry{PointRect(o.pos), id, 0.0, {}};
+  }
+
+  /// Hilbert sort point of object `o`: its location.
+  static SortPoint LeafSortPoint(const DataObject& o) {
+    return SpatialSortPoint(o.pos);
   }
 
   const DataObject& Get(ObjectId id) const { return (*objects_)[id]; }

@@ -4,35 +4,28 @@
 
 #include "debug/validate.h"
 #include "hilbert/keyword_hilbert.h"
-#include "rtree/bulk_load.h"
 
 namespace stpq {
 
-uint32_t SrtIndex::FanOut(uint32_t page_size, uint32_t universe_size) {
-  // Aug bytes: 8 (max score) + the aggregated Hilbert value.
-  return FanOutForPage(page_size, 2, 8 + 8 * ((universe_size + 63) / 64));
-}
-
-TreeEntry<4, SrtAug> SrtIndex::LeafEntry(uint32_t id,
-                                         const FeatureObject& f) {
+SortPoint SrtIndex::LeafSortPoint(const FeatureObject& f) {
   const HilbertValue hv = EncodeKeywords(f.keywords);
-  std::array<double, 4> p{f.pos.x, f.pos.y, f.score, hv.ToUnitDouble()};
-  return {Rect4::FromPoint(p), id, SrtAug{f.score, f.keywords}};
+  return SortPoint{{f.pos.x, f.pos.y, f.score, hv.ToUnitDouble()}, 4};
 }
 
 TreeImage SrtIndex::Pack(const FeatureTable& table,
                          const IndexBuildParams& params) {
-  std::vector<TreeEntry<4, SrtAug>> records;
-  records.reserve(table.size());
+  std::vector<PageEntry> entries;
+  std::vector<SortPoint> points;
+  entries.reserve(table.size());
+  points.reserve(table.size());
   for (const FeatureObject& f : table.All()) {
-    records.push_back(LeafEntry(f.id, f));
+    entries.push_back(LeafEntry(f.id, f));
+    points.push_back(LeafSortPoint(f));
   }
   // Bulk insertion [9]: sort by the Hilbert key of the mapped 4-D point.
-  SortByHilbertKey(&records);
-  return PackTree(std::move(records),
-                  FanOut(params.page_size_bytes, table.universe_size()),
-                  params.fill, Layout(table.universe_size()),
-                  params.page_size_bytes);
+  SortByHilbertKey(&entries, points);
+  return PackTree(std::move(entries), Layout(table.universe_size()),
+                  params.page_size_bytes, params.fill);
 }
 
 SrtIndex::SrtIndex(const FeatureTable* table, const IndexBuildParams& params,

@@ -1,7 +1,9 @@
-// The SRT-index (Section 4): an R-tree over the mapped 4-D space
-// (x, y, t.s, H(t.W)) whose entries keep the max descendant score and the
-// aggregated Hilbert value of all descendant keywords.  Its pages keep
-// only what queries read: e.s, e.W, the id and the 2-D MBR (DESIGN.md §3).
+// The SRT-index (Section 4): an R-tree packed in the Hilbert order of the
+// mapped 4-D space (x, y, t.s, H(t.W)) whose entries keep the max
+// descendant score and the aggregated keywords of all descendants.  Its
+// entries, at build time as on their pages, hold only what queries read:
+// e.s, e.W, the id and the 2-D MBR; the 4-D point is only the leaf's sort
+// point (DESIGN.md §3).
 //
 // Because the index clusters by spatial location, score AND textual
 // description simultaneously, the bound
@@ -15,32 +17,11 @@
 
 #include "index/feature_index.h"
 #include "index/paged_tree.h"
+#include "rtree/bulk_load.h"
 #include "rtree/node_page.h"
 #include "rtree/rtree.h"
 
 namespace stpq {
-
-/// Entry augmentation of the SRT-index: e.s and e.W of Section 4.1.
-///
-/// The paper's node entry stores the aggregated Hilbert value H(e.W); the
-/// order-1 mapping of Section 4.2 is a bijection onto ⌈U/64⌉ words, so the
-/// page stores e.W itself as its keyword bitmap at the same width, and
-/// EncodeKeywords re-derives H(e.W) wherever the build (the leaf's 4th
-/// coordinate) or a validator needs it.  Aggregation is the union the
-/// Hilbert update of Section 4.2 computes (decode, OR, re-encode).
-struct SrtAug {
-  double max_score = 0.0;
-  KeywordSet keywords;
-
-  /// The keyword column of the entry's page.
-  const std::vector<uint64_t>& words() const { return keywords.blocks(); }
-
-  static SrtAug Merge(const SrtAug& a, const SrtAug& b) {
-    SrtAug out{std::max(a.max_score, b.max_score), a.keywords};
-    out.keywords.UnionWith(b.keywords);
-    return out;
-  }
-};
 
 /// The SRT-index over one feature set.
 class SrtIndex : public FeatureIndex {
@@ -70,19 +51,27 @@ class SrtIndex : public FeatureIndex {
   const FeatureTable& table() const override { return *table_; }
   const char* Name() const override { return "SRT"; }
 
-  /// Fan-out on a page of `page_size` bytes: an entry charges the 2-D
-  /// MBR, the id, e.s and the aggregated Hilbert value of the universe.
-  static uint32_t FanOut(uint32_t page_size, uint32_t universe_size);
-
   /// Page columns: e.W over the universe, e.s, and the 2-D MBR.
+  ///
+  /// The paper's node entry stores the aggregated Hilbert value H(e.W);
+  /// the order-1 mapping of Section 4.2 is a bijection onto ⌈U/64⌉ words,
+  /// so the page stores e.W itself as its keyword bitmap at the same
+  /// width, and EncodeKeywords re-derives H(e.W) wherever the sort point
+  /// or a validator needs it.  Aggregation is the union the Hilbert update
+  /// of Section 4.2 computes (decode, OR, re-encode): Summarize's OR.
   static PageLayout Layout(uint32_t universe_size) {
     return PageLayout{universe_size, /*has_score=*/true};
   }
 
-  /// Leaf entry of feature `f` stored under record id `id`: the mapped
-  /// 4-D point {x, y, t.s, H(t.W)} of Section 4.2, with e.s = t.s and
-  /// e.W = t.W.  The point is the Hilbert sort key; pages keep (x, y).
-  static TreeEntry<4, SrtAug> LeafEntry(uint32_t id, const FeatureObject& f);
+  /// Leaf entry of feature `f` stored under record id `id`: its location,
+  /// with e.s = t.s and e.W = t.W.
+  static PageEntry LeafEntry(uint32_t id, const FeatureObject& f) {
+    return PageEntry{PointRect(f.pos), id, f.score, f.keywords.blocks()};
+  }
+
+  /// Hilbert sort point of feature `f`: the mapped 4-D point
+  /// {x, y, t.s, H(t.W)} of Section 4.2.  The pages keep only (x, y).
+  static SortPoint LeafSortPoint(const FeatureObject& f);
 
   /// Mutable pages for deliberate-corruption invariant tests only.
   [[nodiscard]] PagedTree& mutable_tree_for_test() { return tree_; }

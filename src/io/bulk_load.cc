@@ -29,112 +29,15 @@ namespace {
 
 constexpr uint64_t kMinMemoryBudget = 4096;
 
-// ------------------------------------------------------- sort-run rows
-//
-// The external sort moves leaf entries as fixed-width rows: D lo-doubles,
-// D hi-doubles, the uint32 record id, then the augmentation payload.
-// Each codec also names the page layout its tree's nodes are encoded
-// with once the packer closes them.
-
-struct NoAugCodec {
-  using Aug = NoAug;
-
-  PageLayout layout() const { return ObjectIndex::Layout(); }
-  uint32_t payload_bytes() const { return 0; }
-  void Write(std::string*, const NoAug&) const {}
-  bool Read(ByteReader&, NoAug*) const { return true; }
-};
-
-/// SrtAug rows carry {max score, e.W blocks}.
-struct SrtAugCodec {
-  using Aug = SrtAug;
-
-  uint32_t universe = 0;
-
-  PageLayout layout() const { return SrtIndex::Layout(universe); }
-  uint32_t payload_bytes() const { return 8 + 8 * layout().keyword_words(); }
-
-  void Write(std::string* out, const SrtAug& aug) const {
-    PutPod(out, aug.max_score);
-    for (uint64_t word : aug.keywords.blocks()) PutPod<uint64_t>(out, word);
-  }
-
-  bool Read(ByteReader& in, SrtAug* aug) const {
-    if (!in.Pod(&aug->max_score)) return false;
-    std::vector<uint64_t> blocks(layout().keyword_words(), 0);
-    for (uint64_t& word : blocks) {
-      if (!in.Pod(&word)) return false;
-    }
-    aug->keywords = KeywordSet::FromBlocks(universe, std::move(blocks));
-    return true;
-  }
-};
-
-/// Ir2Aug rows carry {max score, signature words}.
-struct Ir2AugCodec {
-  using Aug = Ir2Aug;
-
-  uint32_t signature_bits = 0;
-
-  PageLayout layout() const { return Ir2Tree::Layout(signature_bits); }
-  uint32_t payload_bytes() const { return 8 + 8 * layout().keyword_words(); }
-
-  void Write(std::string* out, const Ir2Aug& aug) const {
-    PutPod(out, aug.max_score);
-    for (uint64_t word : aug.signature.words()) PutPod<uint64_t>(out, word);
-  }
-
-  bool Read(ByteReader& in, Ir2Aug* aug) const {
-    if (!in.Pod(&aug->max_score)) return false;
-    std::vector<uint64_t> words(layout().keyword_words(), 0);
-    for (uint64_t& word : words) {
-      if (!in.Pod(&word)) return false;
-    }
-    aug->signature = Signature::FromWords(signature_bits, std::move(words));
-    return true;
-  }
-};
-
-template <int D, typename AugCodec>
-struct EntryCodec {
-  static constexpr int kDims = D;
-  using Aug = typename AugCodec::Aug;
-  using Entry = TreeEntry<D, Aug>;
-  using Node = TreeNode<D, Aug>;
-
-  AugCodec aug;
-
-  PageLayout layout() const { return aug.layout(); }
-  uint32_t bytes() const { return 16u * D + 4u + aug.payload_bytes(); }
-
-  void Write(std::string* out, const Entry& e) const {
-    for (int d = 0; d < D; ++d) PutPod(out, e.rect.lo[d]);
-    for (int d = 0; d < D; ++d) PutPod(out, e.rect.hi[d]);
-    PutPod<uint32_t>(out, e.id);
-    aug.Write(out, e.aug);
-  }
-
-  bool Read(ByteReader& in, Entry* e) const {
-    bool ok = true;
-    for (int d = 0; d < D && ok; ++d) ok = in.Pod(&e->rect.lo[d]);
-    for (int d = 0; d < D && ok; ++d) ok = in.Pod(&e->rect.hi[d]);
-    return ok && in.Pod(&e->id) && aug.Read(in, &e->aug);
-  }
-};
-
-using ObjectEntryCodec = EntryCodec<2, NoAugCodec>;
-using SrtEntryCodec = EntryCodec<4, SrtAugCodec>;
-using Ir2EntryCodec = EntryCodec<2, Ir2AugCodec>;
-
 // -------------------------------------------------------- external sort
 //
 // Fixed-width records [key u64][seq u64][entry blob]; the key is
-// HilbertSortKey and `seq` the record's arrival position, so the
-// (key, seq) order is exactly SortByHilbertKey's (key, original index)
-// total order.  Records
-// accumulate in a bounded buffer; full buffers sort and spill to run
-// files, runs merge with a bounded fan-in until one streaming pass can
-// feed the consumer.
+// HilbertSortKey, `seq` the record's arrival position, so the (key, seq)
+// order is exactly SortByHilbertKey's (key, original index) total order,
+// and the blob the leaf entry in its page's column encoding
+// (EncodeEntryRow, rtree/node_page.h).  Records accumulate in a bounded
+// buffer; full buffers sort and spill to run files, runs merge with a
+// bounded fan-in until one streaming pass can feed the consumer.
 
 class ExternalSorter {
  public:
@@ -418,44 +321,49 @@ struct TableSurvey {
   uint32_t universe = 0;
   uint64_t feature_count = 0;
   uint32_t vocab_terms = 0;
-  uint64_t vocab_bytes = 0;     ///< vocabulary segment size
-  uint64_t table_bytes = 0;     ///< feature_table segment size
-  uint32_t signature_bits = 0;  ///< IR2 signature width
-  Rect4 srt_domain = Rect4::Empty();
-  Rect2 ir2_domain = Rect2::Empty();
+  uint64_t vocab_bytes = 0;  ///< vocabulary segment size
+  uint64_t table_bytes = 0;  ///< feature_table segment size
+  Rect4 domain = Rect4::Empty();  ///< the feature tree's sort domain
 };
 
 struct Survey {
   uint64_t object_count = 0;
   uint64_t objects_bytes = 0;
-  Rect2 object_domain = Rect2::Empty();
+  Rect4 object_domain = Rect4::Empty();
   uint32_t table_count = 0;
   std::vector<TableSurvey> tables;
 };
 
-/// Calls `fn(codec, max_entries, domain, leaf)` with the feature-tree
-/// rules of table `t` for the index kind: the entry codec, the fan-out,
-/// the sort domain (mutable when `t` is), and `leaf(id, f)`, the index
-/// class's leaf entry.
-template <typename TableSurveyT, typename Fn>
-Status WithFeatureRules(const IndexBuildParams& params, TableSurveyT& t,
-                        const Fn& fn) {
-  const uint32_t page = params.page_size_bytes;
-  if (params.index_kind == FeatureIndexKind::kSrt) {
-    return fn(SrtEntryCodec{{t.universe}}, SrtIndex::FanOut(page, t.universe),
-              t.srt_domain, SrtIndex::LeafEntry);
+/// A feature tree's build rules for the index kind: its page layout, and
+/// the index class's sort point and leaf entry of each feature.
+class FeatureRules {
+ public:
+  FeatureRules(const IndexBuildParams& params, uint32_t universe)
+      : srt_(params.index_kind == FeatureIndexKind::kSrt),
+        scheme_(Ir2Tree::SignatureBits(params.signature_bits, universe),
+                params.signature_hashes),
+        layout_(FeatureTreeLayout(params, universe)) {}
+
+  [[nodiscard]] const PageLayout& layout() const { return layout_; }
+
+  [[nodiscard]] SortPoint Point(const FeatureObject& f) const {
+    return srt_ ? SrtIndex::LeafSortPoint(f) : Ir2Tree::LeafSortPoint(f);
   }
-  const SignatureScheme scheme(t.signature_bits, params.signature_hashes);
-  return fn(Ir2EntryCodec{{t.signature_bits}},
-            Ir2Tree::FanOut(page, t.signature_bits), t.ir2_domain,
-            [&scheme](uint32_t id, const FeatureObject& f) {
-              return Ir2Tree::LeafEntry(id, f, scheme);
-            });
-}
+
+  [[nodiscard]] PageEntry Entry(uint32_t id, const FeatureObject& f) const {
+    return srt_ ? SrtIndex::LeafEntry(id, f)
+                : Ir2Tree::LeafEntry(id, f, scheme_);
+  }
+
+ private:
+  bool srt_;
+  SignatureScheme scheme_;
+  PageLayout layout_;
+};
 
 /// First pass: counts, segment sizes (the record encoders over a
-/// ByteCounter) and the sort domains, which fold the index classes' leaf
-/// entries in dataset order exactly as the in-memory builds'
+/// ByteCounter) and the sort domains, which fold the index classes' sort
+/// points in dataset order exactly as the in-memory builds'
 /// SortByHilbertKey does.
 Status RunSurvey(const std::string& dataset_path,
                  const IndexBuildParams& params, Survey* survey) {
@@ -467,7 +375,8 @@ Status RunSurvey(const std::string& dataset_path,
   EncodeObjectsHeader(&objects, survey->object_count);
   STPQ_RETURN_NOT_OK(scan.ForEachObject([&](const DataObject& o) {
     EncodeObject(&objects, o.id, o);
-    survey->object_domain.Enlarge(ObjectIndex::LeafEntry(o.id, o).rect);
+    survey->object_domain.EnlargePoint(
+        ObjectIndex::LeafSortPoint(o).coords);
   }));
   survey->objects_bytes = objects.bytes();
   Result<uint32_t> tables_r = scan.ReadTableCount();
@@ -492,19 +401,14 @@ Status RunSurvey(const std::string& dataset_path,
     if (t.feature_count > kMaxRecordCount) {
       return Status::InvalidArgument("feature table too large to persist");
     }
-    t.signature_bits =
-        Ir2Tree::SignatureBits(params.signature_bits, t.universe);
+    const FeatureRules rules(params, t.universe);
     ByteCounter table;
     EncodeFeatureTableHeader(&table, t.universe, t.feature_count);
-    const auto fold = [&](const auto&, uint32_t, auto& domain,
-                          const auto& leaf) {
-      return scan.ForEachFeature(
-          t.universe, t.feature_count, [&](const FeatureObject& f) {
-            EncodeFeature(&table, f.id, f);
-            domain.Enlarge(leaf(f.id, f).rect);
-          });
-    };
-    STPQ_RETURN_NOT_OK(WithFeatureRules(params, t, fold));
+    STPQ_RETURN_NOT_OK(scan.ForEachFeature(
+        t.universe, t.feature_count, [&](const FeatureObject& f) {
+          EncodeFeature(&table, f.id, f);
+          t.domain.EnlargePoint(rules.Point(f).coords);
+        }));
     t.table_bytes = table.bytes();
   }
   return Status::OK();
@@ -529,39 +433,38 @@ std::string RunPrefix(const std::string& index_path,
   return base + ".s" + std::to_string(ordinal);
 }
 
-/// Plans tree `tree` of `count` leaf entries as the shared packer lays it
-/// out.
-template <typename Codec>
+/// Plans tree `tree` of `count` leaf entries laid out as `layout`, as the
+/// shared packer shapes it.
 Status PlanPackedTree(IndexFileWriter* writer, uint32_t tree, uint64_t count,
-                      uint32_t max_entries, double fill, const Codec& codec) {
-  const TreePacker<Codec::kDims, typename Codec::Aug> packer(
-      count, max_entries, fill);
-  return writer->PlanTree(tree, packer.meta(), codec.layout());
+                      const PageLayout& layout,
+                      const IndexBuildParams& params) {
+  const TreePacker packer(count, layout.max_entries(params.page_size_bytes),
+                          params.fill);
+  return writer->PlanTree(tree, packer.meta(), layout);
 }
 
 /// One tree of the external build.  Its leaf entries go through an
-/// external merge sort keyed by HilbertSortKey, then through the shared
+/// external merge sort keyed by the HilbertSortKey of their sort points,
+/// as rows in their page's column encoding, then through the shared
 /// packer, whose sink writes each closed node's slot.
-template <typename Codec>
 class ExternalTree {
  public:
-  using Entry = typename Codec::Entry;
-
-  ExternalTree(uint32_t tree, uint64_t count, uint32_t max_entries,
-               double fill, const Rect<Codec::kDims>& domain,
-               const Codec& codec, uint64_t memory_budget,
-               std::string run_prefix)
+  ExternalTree(uint32_t tree, uint64_t count, const PageLayout& layout,
+               const IndexBuildParams& params, const Rect4& domain,
+               uint64_t memory_budget, std::string run_prefix)
       : tree_(tree),
-        packer_(count, max_entries, fill),
+        layout_(layout),
+        packer_(count, layout.max_entries(params.page_size_bytes),
+                params.fill),
         domain_(domain),
-        codec_(codec),
-        sorter_(codec.bytes(), memory_budget, std::move(run_prefix)) {}
+        sorter_(layout.entry_bytes(), memory_budget, std::move(run_prefix)),
+        row_(layout.entry_bytes()) {}
 
-  /// Feeds one leaf entry to the sort.
-  [[nodiscard]] Status Add(const Entry& e) {
-    blob_.clear();
-    codec_.Write(&blob_, e);
-    return sorter_.Add(HilbertSortKey(e.rect, domain_), blob_.data());
+  /// Feeds one leaf entry, sorted by `point`, to the sort.
+  [[nodiscard]] Status Add(const SortPoint& point, const PageEntry& e) {
+    EncodeEntryRow(e, layout_, row_.data());
+    return sorter_.Add(HilbertSortKey(point, domain_),
+                       reinterpret_cast<const char*>(row_.data()));
   }
 
   /// Drains the sort through the packer into `writer`, finishes the tree
@@ -569,16 +472,13 @@ class ExternalTree {
   [[nodiscard]] Status Pack(IndexFileWriter* writer,
                             ExternalBuildStats* stats) {
     Status written = Status::OK();
-    const auto sink = [&](NodeId id, const typename Codec::Node& node) {
-      if (written.ok()) {
-        written = writer->WriteNode(tree_, id, node, codec_.layout());
-      }
+    const auto sink = [&](NodeId id, const PageNode& node) {
+      if (written.ok()) written = writer->WriteNode(tree_, id, node, layout_);
     };
-    STPQ_RETURN_NOT_OK(sorter_.Drain([&](const char* blob) {
-      ByteReader r(blob, codec_.bytes());
-      Entry e;
-      STPQ_CHECK(codec_.Read(r, &e) && "bulk-load entry blob decode failed");
-      packer_.Add(std::move(e), sink);
+    STPQ_RETURN_NOT_OK(sorter_.Drain([&](const char* row) {
+      packer_.Add(
+          DecodeEntryRow(reinterpret_cast<const uint8_t*>(row), layout_),
+          sink);
       return written;
     }));
     packer_.Finish(sink);
@@ -591,11 +491,11 @@ class ExternalTree {
 
  private:
   const uint32_t tree_;
-  TreePacker<Codec::kDims, typename Codec::Aug> packer_;
-  const Rect<Codec::kDims> domain_;
-  const Codec codec_;
+  const PageLayout layout_;
+  TreePacker packer_;
+  const Rect4 domain_;
   ExternalSorter sorter_;
-  std::string blob_;
+  std::vector<uint8_t> row_;
 };
 
 }  // namespace
@@ -626,22 +526,17 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   for (const TableSurvey& t : survey.tables) stats.features += t.feature_count;
 
   // Plan every segment and lay the file out.
-  const uint32_t object_fanout = ObjectIndex::FanOut(params.page_size_bytes);
   IndexFileWriter writer(params, survey.object_count, survey.table_count);
   writer.PlanRecords(kSegObjects, 0, survey.objects_bytes);
   STPQ_RETURN_NOT_OK(PlanPackedTree(&writer, 0, survey.object_count,
-                                    object_fanout, params.fill,
-                                    ObjectEntryCodec{}));
+                                    ObjectIndex::Layout(), params));
   for (uint32_t i = 0; i < survey.table_count; ++i) {
     const TableSurvey& t = survey.tables[i];
     writer.PlanRecords(kSegVocabulary, i, t.vocab_bytes);
     writer.PlanRecords(kSegFeatureTable, i, t.table_bytes);
-    const auto plan_tree = [&](const auto& codec, uint32_t fanout,
-                               const auto&, const auto&) {
-      return PlanPackedTree(&writer, i + 1, t.feature_count, fanout,
-                            params.fill, codec);
-    };
-    STPQ_RETURN_NOT_OK(WithFeatureRules(params, t, plan_tree));
+    STPQ_RETURN_NOT_OK(PlanPackedTree(&writer, i + 1, t.feature_count,
+                                      FeatureTreeLayout(params, t.universe),
+                                      params));
   }
   STPQ_RETURN_NOT_OK(writer.Open(index_path));
 
@@ -660,8 +555,8 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // Phase 1: stream the objects segment and pack the object tree.
   {
     Span span(TraceEventType::kBuildPhase, 1, survey.object_count);
-    ExternalTree tree(0, survey.object_count, object_fanout, params.fill,
-                      survey.object_domain, ObjectEntryCodec{}, budget,
+    ExternalTree tree(0, survey.object_count, ObjectIndex::Layout(), params,
+                      survey.object_domain, budget,
                       RunPrefix(index_path, options.temp_dir, 0));
     const auto objects = [&](SegmentWriter* seg) -> Status {
       EncodeObjectsHeader(seg, survey.object_count);
@@ -671,7 +566,10 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
         // Ids become positions, as Engine::Build assigns them.
         const auto id = static_cast<uint32_t>(position++);
         EncodeObject(seg, id, o);
-        if (fed.ok()) fed = tree.Add(ObjectIndex::LeafEntry(id, o));
+        if (fed.ok()) {
+          fed = tree.Add(ObjectIndex::LeafSortPoint(o),
+                         ObjectIndex::LeafEntry(id, o));
+        }
       }));
       STPQ_RETURN_NOT_OK(fed);
       if (position != survey.object_count) return DatasetDrifted(dataset_path);
@@ -709,30 +607,27 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
           h.value().feature_count != t.feature_count) {
         return DatasetDrifted(dataset_path);
       }
-      const auto features = [&](const auto& codec, uint32_t fanout,
-                                const auto& domain, const auto& leaf) {
-        ExternalTree tree(i + 1, t.feature_count, fanout, params.fill, domain,
-                          codec, budget,
-                          RunPrefix(index_path, options.temp_dir, i + 1));
-        const auto records = [&](SegmentWriter* seg) -> Status {
-          EncodeFeatureTableHeader(seg, t.universe, t.feature_count);
-          uint64_t position = 0;
-          Status fed = Status::OK();
-          STPQ_RETURN_NOT_OK(scan.ForEachFeature(
-              t.universe, t.feature_count, [&](const FeatureObject& f) {
-                // FeatureTable reassigns ids to positions.
-                const auto id = static_cast<uint32_t>(position++);
-                EncodeFeature(seg, id, f);
-                if (fed.ok()) fed = tree.Add(leaf(id, f));
-              }));
-          STPQ_RETURN_NOT_OK(fed);
-          if (position != t.feature_count) return DatasetDrifted(dataset_path);
-          return Status::OK();
-        };
-        STPQ_RETURN_NOT_OK(writer.WriteRecords(kSegFeatureTable, i, records));
-        return tree.Pack(&writer, &stats);
+      const FeatureRules rules(params, t.universe);
+      ExternalTree tree(i + 1, t.feature_count, rules.layout(), params,
+                        t.domain, budget,
+                        RunPrefix(index_path, options.temp_dir, i + 1));
+      const auto records = [&](SegmentWriter* seg) -> Status {
+        EncodeFeatureTableHeader(seg, t.universe, t.feature_count);
+        uint64_t position = 0;
+        Status fed = Status::OK();
+        STPQ_RETURN_NOT_OK(scan.ForEachFeature(
+            t.universe, t.feature_count, [&](const FeatureObject& f) {
+              // FeatureTable reassigns ids to positions.
+              const auto id = static_cast<uint32_t>(position++);
+              EncodeFeature(seg, id, f);
+              if (fed.ok()) fed = tree.Add(rules.Point(f), rules.Entry(id, f));
+            }));
+        STPQ_RETURN_NOT_OK(fed);
+        if (position != t.feature_count) return DatasetDrifted(dataset_path);
+        return Status::OK();
       };
-      STPQ_RETURN_NOT_OK(WithFeatureRules(params, t, features));
+      STPQ_RETURN_NOT_OK(writer.WriteRecords(kSegFeatureTable, i, records));
+      STPQ_RETURN_NOT_OK(tree.Pack(&writer, &stats));
     }
   }
 

@@ -11,16 +11,19 @@
 //                  shared packer to fix every tree's shape and node ids,
 //                  and for the writer to lay out the whole file up front.
 //   content pass   streams the record segments into place and feeds each
-//                  tree's leaf entries (the index classes' LeafEntry)
-//                  through an external merge sort keyed by HilbertSortKey
-//                  into the shared packer (rtree/bulk_load.h), whose sink
-//                  writes each node's fixed-width slot as it closes.
+//                  tree's leaf entries (the index classes' LeafEntry, the
+//                  entry the page stores) through an external merge sort
+//                  keyed by the HilbertSortKey of their sort points
+//                  (LeafSortPoint), spilled as rows in their page's
+//                  column encoding, into the shared packer
+//                  (rtree/bulk_load.h), whose sink writes each node's
+//                  fixed-width slot as it closes.
 //
 // Output: identical bytes to Engine::Build + Engine::Save over the same
 // dataset and parameters, by construction — both builds pack through
 // TreePacker, write through IndexFileWriter (io/index_writer.h), and take
-// fan-outs, leaf entries and signature widths from the index classes.
-// tests/bulk_load_test.cc guards it.
+// page layouts, leaf entries, sort points and signature widths from the
+// index classes.  tests/bulk_load_test.cc guards it.
 #ifndef STPQ_IO_BULK_LOAD_H_
 #define STPQ_IO_BULK_LOAD_H_
 

@@ -93,7 +93,10 @@ class IndexFileHandle {
 };
 
 /// Preads and parses superblock + catalog with bounds checks against the
-/// physical file size.
+/// physical file size.  The header checksum is checked right after the
+/// magic and the version, before any other field is used: only the
+/// segment count, which the checksum covers, is read first, to size the
+/// catalog.
 Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
                    std::vector<CatalogEntry>* catalog) {
   const std::string& path = file.path();
@@ -103,48 +106,59 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
   char super[kSuperblockBytes];
   STPQ_RETURN_NOT_OK(file.PreadExact(0, super, kSuperblockBytes));
   ByteReader r(super, kSuperblockBytes);
-  uint32_t magic = 0, index_kind = 0, packing = 0;
+  uint32_t magic = 0, index_kind = 0, checksum = 0;
   r.Pod(&magic);
   if (magic != kIndexMagic) {
     return Status::InvalidArgument("not a stpq index file: " + path);
   }
   r.Pod(&sb->version);
-  if (sb->version == 1 || sb->version == 2) {
+  if (sb->version >= 1 && sb->version < kIndexVersion) {
     return Status::InvalidArgument(
         "index file '" + path + "' has format version " +
         std::to_string(sb->version) + "; this build reads version " +
         std::to_string(kIndexVersion) +
-        " (columnar node pages without SRT score/H(W) extents) — rebuild "
-        "it with stpq_cli build");
+        " (nodes sized by their page entries, a checksummed header) — "
+        "rebuild it with stpq_cli build");
   }
   if (sb->version != kIndexVersion) {
     return Status::InvalidArgument("unsupported stpq index version " +
                                    std::to_string(sb->version));
   }
+  std::memcpy(&sb->segment_count, super + kSegmentCountOffset,
+              sizeof(sb->segment_count));
+  // No index has more segments than kMaxFeatureSets tables make, so the
+  // catalog read below stays small whatever the field says.
+  const uint64_t max_segments = 3 + 4 * uint64_t{kMaxFeatureSets};
+  if (sb->segment_count > max_segments) {
+    return Status::Corruption("superblock names " +
+                              std::to_string(sb->segment_count) +
+                              " segments; an index has at most " +
+                              std::to_string(max_segments));
+  }
+  const uint64_t catalog_bytes =
+      uint64_t{sb->segment_count} * kCatalogEntryBytes;
+  if (file.size() - kSuperblockBytes < catalog_bytes) {
+    return Status::IoError("truncated index catalog: " + path);
+  }
+  std::string header(kSuperblockBytes + catalog_bytes, '\0');
+  std::memcpy(header.data(), super, kSuperblockBytes);
+  STPQ_RETURN_NOT_OK(file.PreadExact(
+      kSuperblockBytes, header.data() + kSuperblockBytes, catalog_bytes));
+  std::memcpy(&checksum, super + kHeaderChecksumOffset, sizeof(checksum));
+  if (HeaderChecksum(header.data(), header.size()) != checksum) {
+    return Status::Corruption("header checksum mismatch in " + path);
+  }
   r.Pod(&sb->params.page_size_bytes);
   r.Pod(&index_kind);
-  r.Pod(&packing);
+  r.Pod(&checksum);  // verified above
   r.Pod(&sb->params.signature_bits);
   r.Pod(&sb->params.signature_hashes);
   r.Pod(&sb->params.fill);
   r.Pod(&sb->object_count);
   r.Pod(&sb->table_count);
-  if (!r.Pod(&sb->segment_count)) {
-    return Status::IoError("truncated index superblock: " + path);
-  }
   if (index_kind > static_cast<uint32_t>(FeatureIndexKind::kIr2)) {
     return Status::Corruption("unknown feature index kind " +
                               std::to_string(index_kind));
-  }
-  // Every tree is Hilbert-packed, recorded as 0.  Older builds could also
-  // pack in STR (1) or insertion (2) order; their files are refused, as
-  // versions 1 and 2 are.
-  if (packing != 0) {
-    return Status::InvalidArgument(
-        "index file '" + path + "' records bulk-load order " +
-        std::to_string(packing) +
-        " in its superblock; this build reads only Hilbert-packed trees "
-        "(bulk-load 0) — rebuild it with stpq_cli build");
   }
   sb->params.index_kind = static_cast<FeatureIndexKind>(index_kind);
   // Every reader refuses what every writer refuses, before any layout is
@@ -160,15 +174,7 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
         " segments; " + std::to_string(sb->table_count) + " tables need " +
         std::to_string(expected_segments));
   }
-  const uint64_t catalog_bytes =
-      uint64_t{sb->segment_count} * kCatalogEntryBytes;
-  if (file.size() - kSuperblockBytes < catalog_bytes) {
-    return Status::IoError("truncated index catalog: " + path);
-  }
-  std::string raw(catalog_bytes, '\0');
-  STPQ_RETURN_NOT_OK(
-      file.PreadExact(kSuperblockBytes, raw.data(), catalog_bytes));
-  ByteReader c(raw.data(), raw.size());
+  ByteReader c(header.data() + kSuperblockBytes, catalog_bytes);
   catalog->reserve(sb->segment_count);
   for (uint32_t i = 0; i < sb->segment_count; ++i) {
     CatalogEntry e;
@@ -181,9 +187,7 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
     c.Pod(&e.slot_count);
     c.Pod(&e.slot_bytes);
     c.Pod(&reserved);
-    if (!c.Pod(&e.checksum)) {
-      return Status::IoError("truncated index catalog: " + path);
-    }
+    c.Pod(&e.checksum);
     if (e.offset > file.size() || e.bytes > file.size() - e.offset) {
       return Status::IoError("truncated index file: segment '" +
                              std::string(SegmentName(e.type)) +
@@ -326,8 +330,8 @@ Status ParseFeatureTable(std::string_view sv, FeatureTable* out) {
 /// Parses the tree-metadata payload and cross-checks it against the node
 /// segment's catalog entry and the layout the parameters derive.
 Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
-                     const PageLayout& layout, uint32_t expected_max_entries,
-                     uint32_t page_size, TreeMeta* out) {
+                     const PageLayout& layout, uint32_t page_size,
+                     TreeMeta* out) {
   ByteReader m(meta.data(), meta.size());
   uint32_t root = 0, height = 0, node_count = 0, max_entries = 0;
   uint32_t aug_bits = 0, aug_words = 0, free_count = 0;
@@ -345,6 +349,7 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
         std::to_string(layout.keyword_bits) + " / " +
         std::to_string(layout.keyword_words()));
   }
+  const uint32_t expected_max_entries = layout.max_entries(page_size);
   if (max_entries != expected_max_entries) {
     return Status::Corruption(
         "node fan-out mismatch: file says " + std::to_string(max_entries) +
@@ -370,10 +375,8 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
     return Status::Corruption("node segment size does not match its slots");
   }
   // Page reads trust the catalog's fixed slot width, so it must equal the
-  // width the page-size parameters derive (the catalog itself is not
-  // checksummed).
-  const uint32_t expected_slot_bytes =
-      SlotBytesFor(max_entries, layout.entry_bytes(), page_size);
+  // width the page-size parameters derive.
+  const uint32_t expected_slot_bytes = layout.slot_bytes(page_size);
   if (nodes_entry.slot_bytes != expected_slot_bytes) {
     return Status::Corruption(
         "node slot width mismatch: catalog says " +
@@ -471,8 +474,8 @@ Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
 /// segment into the page-id namespace.
 Status LoadTree(const IndexFileHandle& file,
                 const std::vector<CatalogEntry>& catalog, uint32_t tree,
-                const PageLayout& layout, uint32_t expected_max_entries,
-                uint32_t page_size, uint64_t record_count, TreeMeta* out,
+                const PageLayout& layout, uint32_t page_size,
+                uint64_t record_count, TreeMeta* out,
                 std::vector<FilePageStore::Extent>* extents) {
   const TreeSegments segs = SegmentsOfTree(tree);
   Result<std::string> meta =
@@ -480,12 +483,12 @@ Status LoadTree(const IndexFileHandle& file,
   if (!meta.ok()) return meta.status();
   const CatalogEntry* entry = FindEntry(catalog, segs.nodes_type, segs.ordinal);
   if (entry == nullptr) return MissingSegment(segs.nodes_type, segs.ordinal);
-  STPQ_RETURN_NOT_OK(ParseTreeMeta(meta.value(), *entry, layout,
-                                   expected_max_entries, page_size, out));
+  STPQ_RETURN_NOT_OK(
+      ParseTreeMeta(meta.value(), *entry, layout, page_size, out));
   STPQ_RETURN_NOT_OK(
       VerifyNodeSegment(file, *entry, layout, *out, record_count));
-  // The catalog is not checksummed, and a wrong base would send every
-  // page fetch of this tree outside its extent.
+  // A wrong base would send every page fetch of this tree outside its
+  // extent.
   if (entry->first_page != TreePageBase(tree)) {
     return Status::Corruption(std::string(SegmentName(segs.nodes_type)) +
                               " segment #" + std::to_string(segs.ordinal) +
@@ -555,6 +558,15 @@ Status ForEachRecordSegment(const IndexFileWriteRequest& request,
 }  // namespace
 
 // ---------------------------------------------------------------- writer
+
+PageLayout FeatureTreeLayout(const IndexBuildParams& params,
+                             uint32_t universe) {
+  if (params.index_kind == FeatureIndexKind::kSrt) {
+    return SrtIndex::Layout(universe);
+  }
+  return Ir2Tree::Layout(Ir2Tree::SignatureBits(params.signature_bits,
+                                                universe));
+}
 
 Status WriteIndexFile(const std::string& path,
                       const IndexFileWriteRequest& request) {
@@ -640,29 +652,18 @@ Result<LoadedIndex> LoadIndexFile(const std::string& path) {
   }
 
   // Trees: the object tree, then one feature tree per table matching the
-  // persisted index kind.
+  // persisted index kind, each laid out as its index class lays it out.
   const uint32_t page = sb.params.page_size_bytes;
   out.trees.resize(size_t{sb.table_count} + 1);
-  STPQ_RETURN_NOT_OK(LoadTree(*file, catalog, 0, ObjectIndex::Layout(),
-                              ObjectIndex::FanOut(page), page,
+  STPQ_RETURN_NOT_OK(LoadTree(*file, catalog, 0, ObjectIndex::Layout(), page,
                               out.objects.size(), &out.trees[0],
                               &out.extents));
   for (uint32_t i = 0; i < sb.table_count; ++i) {
-    const uint32_t universe = out.feature_tables[i].universe_size();
-    const uint64_t records = out.feature_tables[i].size();
-    if (sb.params.index_kind == FeatureIndexKind::kSrt) {
-      STPQ_RETURN_NOT_OK(LoadTree(*file, catalog, i + 1,
-                                  SrtIndex::Layout(universe),
-                                  SrtIndex::FanOut(page, universe), page,
-                                  records, &out.trees[i + 1], &out.extents));
-    } else {
-      const uint32_t bits =
-          Ir2Tree::SignatureBits(sb.params.signature_bits, universe);
-      STPQ_RETURN_NOT_OK(LoadTree(*file, catalog, i + 1,
-                                  Ir2Tree::Layout(bits),
-                                  Ir2Tree::FanOut(page, bits), page, records,
-                                  &out.trees[i + 1], &out.extents));
-    }
+    const FeatureTable& table = out.feature_tables[i];
+    STPQ_RETURN_NOT_OK(LoadTree(
+        *file, catalog, i + 1,
+        FeatureTreeLayout(sb.params, table.universe_size()), page,
+        table.size(), &out.trees[i + 1], &out.extents));
   }
   return out;
 }

@@ -11,7 +11,8 @@
 //
 // Layout (little-endian throughout, like the .stpq dataset format):
 //
-//   superblock   magic "STQX", version, build parameters, counts
+//   superblock   magic "STQX", version, build parameters, counts, and a
+//                checksum over the superblock and the catalog
 //   catalog      one entry per segment: type, ordinal, offset, length,
 //                page-id range + slot width (node segments), FNV-1a64
 //                checksum
@@ -21,12 +22,11 @@
 //
 // Versioning policy: the major version is bumped on any change an older
 // reader cannot skip; readers reject files whose version they do not know
-// (InvalidArgument — a version 1 or 2 file is named as such, with a
-// request to rebuild it), a superblock whose bulk-load field is not 0 (the
-// STR- or insertion-built trees of older builds; InvalidArgument with the
-// same request), build parameters or a table count CheckBuildParams
-// refuses (InvalidArgument), bad magic (InvalidArgument), short reads
-// (IoError), and checksum mismatches or structural damage (Corruption).
+// (InvalidArgument — a version 1, 2 or 3 file is named as such, with a
+// request to rebuild it), build parameters or a table count
+// CheckBuildParams refuses (InvalidArgument), bad magic
+// (InvalidArgument), short reads (IoError), and header or segment
+// checksum mismatches or structural damage (Corruption).
 #ifndef STPQ_IO_INDEX_FILE_H_
 #define STPQ_IO_INDEX_FILE_H_
 
@@ -44,6 +44,12 @@
 #include "util/status.h"
 
 namespace stpq {
+
+/// The page layout of a feature tree over a table of `universe` keywords
+/// built with `params`: SrtIndex::Layout or Ir2Tree::Layout for the index
+/// kind.
+[[nodiscard]] PageLayout FeatureTreeLayout(const IndexBuildParams& params,
+                                           uint32_t universe);
 
 /// Borrowed views of everything WriteIndexFile persists.  The feature
 /// indexes must match `params.index_kind` (SrtIndex / Ir2Tree), one per

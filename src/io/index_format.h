@@ -22,16 +22,23 @@ namespace stpq {
 namespace index_format {
 
 inline constexpr uint32_t kIndexMagic = 0x58515453;  // "STQX" little-endian
-/// Version 3 stores node slots as columnar pages (rtree/node_page.h) whose
-/// SRT entries keep only the 2-D MBR.  Version 2 pages also carried the
-/// SRT entries' score and H(W) extents, and version 1 stored row-wise
-/// entries; both are rejected with a request to rebuild.
-inline constexpr uint32_t kIndexVersion = 3;
+/// Version 4 sizes every tree's nodes by the entry its page stores
+/// (PageLayout::max_entries), so an IR2 node fits its page whatever the
+/// signature width, and seals the superblock and catalog with a header
+/// checksum.  Version 3 sized IR2 nodes by an older entry model, version 2
+/// pages also carried the SRT entries' score and H(W) extents, and version
+/// 1 stored row-wise entries; each is rejected with a request to rebuild.
+inline constexpr uint32_t kIndexVersion = 4;
 
 /// Fixed superblock / catalog-entry widths; the catalog starts right after
 /// the superblock, segments after the catalog (node segments page-aligned).
 inline constexpr size_t kSuperblockBytes = 52;
 inline constexpr size_t kCatalogEntryBytes = 56;
+/// Offset of the header checksum, a u32 in the superblock (the field
+/// version 3 kept for its bulk-load order).
+inline constexpr size_t kHeaderChecksumOffset = 16;
+/// Offset of the segment count, the superblock's last field.
+inline constexpr size_t kSegmentCountOffset = 48;
 
 /// Sanity caps against absurd counts in damaged headers (checksums cover
 /// the segments, these cover the header itself).  CheckBuildParams bounds
@@ -109,6 +116,26 @@ class Fnv1a64Stream {
  private:
   uint64_t h_ = 1469598103934665603ULL;
 };
+
+/// The header checksum over `n` bytes of superblock and catalog: FNV-1a64
+/// with the checksum field read as 0, folded to 32 bits.
+inline uint32_t HeaderChecksum(const char* header, size_t n) {
+  static constexpr char kZero[4] = {};
+  Fnv1a64Stream fnv;
+  fnv.Update(header, kHeaderChecksumOffset);
+  fnv.Update(kZero, sizeof(kZero));
+  fnv.Update(header + kHeaderChecksumOffset + sizeof(kZero),
+             n - kHeaderChecksumOffset - sizeof(kZero));
+  const uint64_t h = fnv.Digest();
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+/// Writes the checksum of `header` (superblock and catalog) into it.
+inline void SealHeader(std::string* header) {
+  const uint32_t checksum = HeaderChecksum(header->data(), header->size());
+  std::memcpy(header->data() + kHeaderChecksumOffset, &checksum,
+              sizeof(checksum));
+}
 
 inline uint64_t AlignUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
@@ -245,11 +272,9 @@ inline void AppendCatalogEntry(std::string* out, const CatalogEntry& e) {
 }
 
 /// Appends the 52-byte superblock: the build parameters, with the index
-/// kind as its raw enum value.  The u32 after the kind is the bulk-load
-/// field: older builds could pack a tree in STR or insertion order and
-/// recorded 1 or 2 there; every tree is now Hilbert-packed, the writer
-/// records 0, and a reader rejects any other value with a request to
-/// rebuild.
+/// kind as its raw enum value.  The u32 after the kind is the header
+/// checksum, written as 0 here and sealed (SealHeader) once the catalog
+/// follows.
 inline void AppendSuperblock(std::string* out, const IndexBuildParams& params,
                              uint64_t object_count, uint32_t table_count,
                              uint32_t segment_count) {
@@ -257,7 +282,7 @@ inline void AppendSuperblock(std::string* out, const IndexBuildParams& params,
   PutPod<uint32_t>(out, kIndexVersion);
   PutPod<uint32_t>(out, params.page_size_bytes);
   PutPod<uint32_t>(out, static_cast<uint32_t>(params.index_kind));
-  PutPod<uint32_t>(out, 0u);  // bulk-load field
+  PutPod<uint32_t>(out, 0u);  // header checksum
   PutPod<uint32_t>(out, params.signature_bits);
   PutPod<uint32_t>(out, params.signature_hashes);
   PutPod<double>(out, params.fill);

@@ -15,8 +15,9 @@
 //            encoder (rtree/node_page.h) or verbatim from an engine's page
 //            store — are written by id in any order, and each tree's
 //            metadata follows once its slots are written.
-//   commit   the header (superblock + catalog with every checksum) goes
-//            last; then the file is sized and committed atomically.
+//   commit   the header (superblock + catalog with every checksum, sealed
+//            by the header checksum) goes last; then the file is sized
+//            and committed atomically.
 //
 // Trees are numbered as in TreePageBase: 0 is the object tree, i + 1 is
 // feature index i.  Nothing here holds more than one stream buffer and
@@ -136,8 +137,7 @@ class IndexFileWriter {
     MetaRow(tree).bytes = blob.size();
     CatalogEntry& nodes = NodesRow(tree);
     nodes.slot_count = meta.node_count;
-    nodes.slot_bytes = SlotBytesFor(meta.max_entries, layout.entry_bytes(),
-                                    params_.page_size_bytes);
+    nodes.slot_bytes = layout.slot_bytes(params_.page_size_bytes);
     nodes.bytes = nodes.slot_count * nodes.slot_bytes;
     return Status::OK();
   }
@@ -185,9 +185,8 @@ class IndexFileWriter {
 
   /// Encodes `node` as slot `id` of tree `tree` with the page encoder and
   /// writes it.
-  template <int D, typename Aug>
   [[nodiscard]] Status WriteNode(uint32_t tree, NodeId id,
-                                 const TreeNode<D, Aug>& node,
+                                 const PageNode& node,
                                  const PageLayout& layout) {
     const CatalogEntry& row = NodesRow(tree);
     if (kNodeHeaderBytes + node.entries.size() * layout.entry_bytes() >
@@ -237,8 +236,9 @@ class IndexFileWriter {
     return Status::OK();
   }
 
-  /// Writes the superblock and the catalog, sizes the file and commits it
-  /// atomically (AtomicFile: fsync, rename, directory fsync).
+  /// Writes the superblock and the catalog, sealed by the header checksum,
+  /// sizes the file and commits it atomically (AtomicFile: fsync, rename,
+  /// directory fsync).
   [[nodiscard]] Status Commit() {
     std::string header;
     header.reserve(header_bytes_);
@@ -246,6 +246,7 @@ class IndexFileWriter {
                      static_cast<uint32_t>(catalog_.size()));
     for (const CatalogEntry& e : catalog_) AppendCatalogEntry(&header, e);
     STPQ_CHECK(header.size() == header_bytes_);
+    SealHeader(&header);
     STPQ_RETURN_NOT_OK(out_->Truncate(file_end_));
     STPQ_RETURN_NOT_OK(out_->WriteAt(0, header.data(), header.size()));
     return out_->Commit();

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,7 +45,16 @@ struct TreeMeta {
   uint32_t max_entries = 0;
 };
 
-/// Which columns a tree's node pages carry.
+/// Bytes of the node header (level, reserved, count).
+inline constexpr uint32_t kNodeHeaderBytes = 8;
+
+/// Bytes every slot keeps free for a per-slot checksum.
+inline constexpr uint32_t kSlotChecksumBytes = 8;
+
+/// The one entry format of a tree: which columns its node pages carry.
+/// It alone decides an entry's width, how many entries fit a page and
+/// how wide a node's slot is; the packer, the writer, the reader and the
+/// external sort all ask it.
 struct PageLayout {
   /// Width of the keyword column: the keyword universe (SRT), the
   /// signature width (IR2), 0 for the object tree.
@@ -60,29 +68,38 @@ struct PageLayout {
   [[nodiscard]] uint32_t entry_bytes() const {
     return 8 * keyword_words() + (has_score ? 8 : 0) + 4 + 32;
   }
+
+  /// Fan-out on a page of `page_size` bytes: the entries that fit beside
+  /// the node header and the slot checksum, at least 4.
+  [[nodiscard]] uint32_t max_entries(uint32_t page_size) const {
+    const uint32_t budget = kNodeHeaderBytes + kSlotChecksumBytes;
+    const uint32_t fit =
+        page_size > budget ? (page_size - budget) / entry_bytes() : 0;
+    return std::max(fit, 4u);
+  }
+
+  /// Fixed slot width of a node on pages of `page_size` bytes: the header
+  /// plus max_entries() entries, rounded up to the page.  That is one page
+  /// unless the 4-entry floor fires.
+  [[nodiscard]] uint32_t slot_bytes(uint32_t page_size) const {
+    const uint64_t node_bytes =
+        uint64_t{kNodeHeaderBytes} +
+        uint64_t{max_entries(page_size)} * entry_bytes();
+    return static_cast<uint32_t>((node_bytes + page_size - 1) / page_size *
+                                 page_size);
+  }
 };
-
-/// Bytes of the node header (level, reserved, count).
-inline constexpr uint32_t kNodeHeaderBytes = 8;
-
-/// Page-aligned fixed slot width of a tree's pages: the header plus
-/// max_entries entries, rounded up to the page.
-inline uint32_t SlotBytesFor(uint32_t max_entries, uint32_t entry_bytes,
-                             uint32_t page_size) {
-  const uint64_t node_bytes =
-      uint64_t{kNodeHeaderBytes} + uint64_t{max_entries} * entry_bytes;
-  return static_cast<uint32_t>((node_bytes + page_size - 1) / page_size *
-                               page_size);
-}
 
 namespace node_page_internal {
 
-/// Column start offsets of a page holding `count` entries.
+/// Column start offsets of `count` entries laid out from byte `base`: a
+/// page's columns follow its header, a spill row's start at 0.
 struct Columns {
   uint32_t keywords, scores, ids, mbrs;
 
-  Columns(const PageLayout& layout, uint32_t count) {
-    keywords = kNodeHeaderBytes;
+  Columns(const PageLayout& layout, uint32_t count,
+          uint32_t base = kNodeHeaderBytes) {
+    keywords = base;
     scores = keywords + count * 8 * layout.keyword_words();
     ids = scores + (layout.has_score ? count * 8 : 0);
     mbrs = ids + count * 4;
@@ -189,7 +206,7 @@ class NodePageWriter {
   /// `count` entries.
   NodePageWriter(uint8_t* page, const PageLayout& layout, uint16_t level,
                  uint32_t count)
-      : page_(page), layout_(layout), count_(count), at_(layout, count) {
+      : page_(page), layout_(layout), at_(layout, count) {
     node_page_internal::Store<uint16_t>(page, level);
     node_page_internal::Store<uint16_t>(page + 2, 0);
     node_page_internal::Store<uint32_t>(page + 4, count);
@@ -199,9 +216,22 @@ class NodePageWriter {
   NodePageWriter(uint8_t* page, const PageLayout& layout)
       : page_(page),
         layout_(layout),
-        count_(node_page_internal::Load<uint32_t>(page + 4)),
-        at_(layout, count_) {}
+        at_(layout, node_page_internal::Load<uint32_t>(page + 4)) {}
 
+  /// Writes the spill row at `row` (EncodeEntryRow): one entry's columns
+  /// from byte 0, no header.
+  static NodePageWriter Row(uint8_t* row, const PageLayout& layout) {
+    return NodePageWriter(row, layout,
+                          node_page_internal::Columns(layout, 1, /*base=*/0));
+  }
+
+  /// Every column of entry `i`.
+  void SetEntry(uint32_t i, const PageEntry& e) {
+    SetKeywords(i, e.keywords);
+    if (layout_.has_score) SetScore(i, e.score);
+    SetId(i, e.id);
+    SetMbr(i, e.mbr);
+  }
   void SetId(uint32_t i, uint32_t id) {
     node_page_internal::Store(page_ + at_.ids + 4 * size_t{i}, id);
   }
@@ -242,6 +272,10 @@ class NodePageWriter {
   }
 
  private:
+  NodePageWriter(uint8_t* page, const PageLayout& layout,
+                 const node_page_internal::Columns& at)
+      : page_(page), layout_(layout), at_(at) {}
+
   /// Calls `fn(column offset, field width)` for every column.
   template <typename Fn>
   void ForEachField(const Fn& fn) const {
@@ -255,29 +289,40 @@ class NodePageWriter {
 
   uint8_t* page_;
   PageLayout layout_;
-  uint32_t count_;
   node_page_internal::Columns at_;
 };
 
 /// The page encoder: writes `node` into the zero-filled slot at `page`.
-/// An augmented entry's Aug supplies `max_score` and `words()`, its
-/// keyword column.
-template <int D, typename Aug>
-void EncodeNodePage(const TreeNode<D, Aug>& node, const PageLayout& layout,
-                    uint8_t* page) {
+inline void EncodeNodePage(const PageNode& node, const PageLayout& layout,
+                           uint8_t* page) {
   NodePageWriter out(page, layout, node.level,
                      static_cast<uint32_t>(node.entries.size()));
   for (uint32_t i = 0; i < node.entries.size(); ++i) {
-    const auto& e = node.entries[i];
-    // The page keeps the spatial projection of a D-dimensional rect.
-    out.SetMbr(i, Rect2{{e.rect.lo[0], e.rect.lo[1]},
-                        {e.rect.hi[0], e.rect.hi[1]}});
-    out.SetId(i, e.id);
-    if constexpr (!std::is_same_v<Aug, NoAug>) {
-      out.SetScore(i, e.aug.max_score);
-      out.SetKeywords(i, e.aug.words());
-    }
+    out.SetEntry(i, node.entries[i]);
   }
+}
+
+/// The external sort's spill row: `e` alone in its page's column encoding
+/// (a one-entry page without the header), entry_bytes() wide.
+inline void EncodeEntryRow(const PageEntry& e, const PageLayout& layout,
+                           uint8_t* row) {
+  NodePageWriter::Row(row, layout).SetEntry(0, e);
+}
+
+/// The entry a spill row holds; the inverse of EncodeEntryRow.
+inline PageEntry DecodeEntryRow(const uint8_t* row, const PageLayout& layout) {
+  using node_page_internal::Load;
+  const node_page_internal::Columns at(layout, 1, /*base=*/0);
+  PageEntry e;
+  e.keywords.resize(layout.keyword_words());
+  for (uint32_t w = 0; w < e.keywords.size(); ++w) {
+    e.keywords[w] = Load<uint64_t>(row + at.keywords + 8 * w);
+  }
+  if (layout.has_score) e.score = Load<double>(row + at.scores);
+  e.id = Load<uint32_t>(row + at.ids);
+  std::memcpy(e.mbr.lo.data(), row + at.mbrs, 16);
+  std::memcpy(e.mbr.hi.data(), row + at.mbrs + 16, 16);
+  return e;
 }
 
 /// A packed tree's pages (PackTree, rtree/bulk_load.h): node id i at

@@ -20,6 +20,7 @@
 #include "io/bulk_load.h"
 #include "io/dataset_io.h"
 #include "io/index_file.h"
+#include "rtree/node_page.h"
 #include "util/rng.h"
 
 namespace stpq {
@@ -230,6 +231,149 @@ TEST_F(BulkLoadTest, OpenedExternalIndexMatchesInMemoryEngine) {
     }
   }
 }
+
+// ------------------------------------------------- page fit and identity
+//
+// One cell per (feature index, page size, keyword universe): the object
+// tree and the feature trees of an engine built at that page size.  Each
+// node must fit its page, so every node slot is one page wide unless the
+// fan-out is the 4-entry floor; the in-memory and the external build must
+// write the same bytes; and the reopened file must answer as the built
+// engine does, read for read.
+
+struct PageFitCase {
+  FeatureIndexKind kind;
+  uint32_t signature_bits;  ///< IR2: 0 picks the automatic width
+  uint32_t page_size;
+  uint32_t universe;
+};
+
+class PageFitTest : public BulkLoadTest,
+                    public ::testing::WithParamInterface<PageFitCase> {};
+
+TEST_P(PageFitTest, NodesFitTheirPagesAndBuildsAgree) {
+  const PageFitCase& c = GetParam();
+  SyntheticConfig cfg;
+  cfg.seed = 3;
+  cfg.num_objects = 200;
+  cfg.num_features_per_set = 200;
+  cfg.num_feature_sets = 2;
+  cfg.vocabulary_size = c.universe;
+  cfg.num_clusters = 16;
+  const Dataset ds = GenerateSynthetic(cfg);
+  IndexBuildParams params;
+  params.index_kind = c.kind;
+  params.page_size_bytes = c.page_size;
+  params.signature_bits = c.signature_bits;
+
+  // The in-memory and the external build write the same bytes.
+  EngineOptions opts;
+  opts.build = params;
+  Result<Engine> built = Engine::Build(
+      ds.objects, std::vector<FeatureTable>(ds.feature_tables), opts);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string mem = Path("mem.stpqx");
+  ASSERT_TRUE(built.value().Save(mem, ds.vocabularies).ok());
+  ExternalBuildOptions ext_opts;
+  ext_opts.params = params;
+  std::string ext;
+  Result<ExternalBuildStats> stats =
+      BuildExternal(ds, ext_opts, "ext.stpqx", &ext);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(ReadAll(mem) == ReadAll(ext))
+      << "external build bytes differ from Engine::Save";
+
+  // Every node slot is one page, unless the 4-entry floor fires.
+  Result<IndexFileInfo> info = ReadIndexFileInfo(mem);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  size_t node_segments = 0;
+  for (const IndexSegmentInfo& seg : info.value().segments) {
+    if (seg.name.find("_tree_nodes") == std::string::npos) continue;
+    ++node_segments;
+    const PageLayout layout =
+        seg.name == "object_tree_nodes"
+            ? ObjectIndex::Layout()
+            : FeatureTreeLayout(params, c.universe);
+    const uint32_t fit =
+        (c.page_size - kNodeHeaderBytes - kSlotChecksumBytes) /
+        layout.entry_bytes();
+    const uint32_t fan_out = layout.max_entries(c.page_size);
+    EXPECT_LE(kNodeHeaderBytes + uint64_t{fan_out} * layout.entry_bytes(),
+              seg.slot_bytes)
+        << seg.name << " #" << seg.ordinal;
+    if (fit >= 4) {
+      EXPECT_EQ(fan_out, fit);
+      EXPECT_EQ(seg.slot_bytes, c.page_size)
+          << seg.name << " #" << seg.ordinal << ": a " << fan_out
+          << "-entry node of " << layout.entry_bytes()
+          << "-byte entries spans pages";
+    } else {
+      EXPECT_EQ(fan_out, 4u);
+      EXPECT_EQ(seg.slot_bytes, layout.slot_bytes(c.page_size));
+    }
+  }
+  EXPECT_EQ(node_segments, 3u);
+
+  // The reopened file answers as the built engine does, read for read.
+  Result<Engine> reopened = Engine::Open(mem);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  Rng rng(c.page_size + c.universe);
+  for (int i = 0; i < 6; ++i) {
+    Query q;
+    q.k = 4;
+    q.radius = 0.05;
+    q.lambda = 0.5;
+    q.variant = (i % 3 == 1)   ? ScoreVariant::kInfluence
+                : (i % 3 == 2) ? ScoreVariant::kNearestNeighbor
+                               : ScoreVariant::kRange;
+    for (uint32_t set = 0; set < 2; ++set) {
+      KeywordSet kw(c.universe);
+      kw.Insert(static_cast<TermId>(rng.UniformInt(0, c.universe - 1)));
+      kw.Insert(static_cast<TermId>(rng.UniformInt(0, c.universe - 1)));
+      q.keywords.push_back(std::move(kw));
+    }
+    for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
+      Result<QueryResult> a = built.value().Execute(q, algo);
+      Result<QueryResult> b = reopened.value().Execute(q, algo);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(a.value().entries, b.value().entries);
+      EXPECT_EQ(a.value().stats.object_index_reads,
+                b.value().stats.object_index_reads);
+      EXPECT_EQ(a.value().stats.feature_index_reads,
+                b.value().stats.feature_index_reads);
+    }
+  }
+}
+
+std::vector<PageFitCase> PageFitCases() {
+  std::vector<PageFitCase> cases;
+  for (uint32_t page : {128u, 512u, 4096u}) {
+    for (uint32_t universe : {13u, 60u, 64u, 100u, 128u, 130u}) {
+      cases.push_back({FeatureIndexKind::kSrt, 0, page, universe});
+      for (uint32_t bits : {0u, 100u, 120u}) {
+        cases.push_back({FeatureIndexKind::kIr2, bits, page, universe});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, PageFitTest, ::testing::ValuesIn(PageFitCases()),
+    [](const ::testing::TestParamInfo<PageFitCase>& param_info) {
+      const PageFitCase& c = param_info.param;
+      // Appended, not "a" + ...: see hilbert_test.cc.
+      std::string name = c.kind == FeatureIndexKind::kSrt ? "Srt" : "Ir2";
+      if (c.kind == FeatureIndexKind::kIr2) {
+        name += c.signature_bits == 0 ? "Auto"
+                                      : "Bits" + std::to_string(c.signature_bits);
+      }
+      name += "_Page";
+      name += std::to_string(c.page_size);
+      name += "_Universe";
+      name += std::to_string(c.universe);
+      return name;
+    });
 
 TEST_F(BulkLoadTest, RejectsUnsupportedParameters) {
   Dataset ds = SmallDataset();

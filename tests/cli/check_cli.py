@@ -18,9 +18,11 @@ Checks seven things against a built stpq_cli:
     memory and --external alike, with the same message) and query exit 1
     with InvalidArgument naming the parameter, under the address-space
     cap, leaving no index, .tmp or sort-run file behind;
-  * an index whose superblock records STR or insertion packing (the
-    bulk-load field older builds could set to 1 or 2) makes query exit 1
-    with a request to rebuild;
+  * the header checksum guards every index: an index of an older format
+    version (3) makes query exit 1 naming the version with a request to
+    rebuild, and an IR2 index whose superblock signature_hashes was edited
+    from 3 to 7 without resealing the header makes query exit 1 with
+    Corruption (unchecked, it answers a top-5 of tau = 0);
   * a damaged dataset fails cleanly: a .stpq header claiming ~2^60
     objects makes query exit 1, not abort;
   * hostile files fail cleanly under an address-space cap: a 72-byte
@@ -45,7 +47,10 @@ import tempfile
 
 # .stpqx layout (src/io/index_format.h, src/rtree/node_page.h).
 SUPERBLOCK_BYTES = 52
-SUPERBLOCK_BULK_LOAD = 16  # u32 offset: 0 = Hilbert, the only packing
+SUPERBLOCK_VERSION = 4  # u32 offsets into the superblock
+SUPERBLOCK_HEADER_CHECKSUM = 16
+SUPERBLOCK_SIGNATURE_HASHES = 24
+SUPERBLOCK_SEGMENT_COUNT = 48
 CATALOG_ENTRY_BYTES = 56
 SEG_FEATURE_TABLE = 2
 SEG_FEATURE_TREE_META = 5
@@ -85,9 +90,23 @@ def fnv1a64(data):
     return h
 
 
+def reseal_header(data):
+    """Recomputes the header checksum over the superblock and catalog:
+    FNV-1a64 with the checksum field read as 0, folded to 32 bits."""
+    (segment_count,) = struct.unpack_from("<I", data,
+                                          SUPERBLOCK_SEGMENT_COUNT)
+    header = bytearray(data[:SUPERBLOCK_BYTES +
+                            segment_count * CATALOG_ENTRY_BYTES])
+    struct.pack_into("<I", header, SUPERBLOCK_HEADER_CHECKSUM, 0)
+    h = fnv1a64(header)
+    struct.pack_into("<I", data, SUPERBLOCK_HEADER_CHECKSUM,
+                     (h ^ (h >> 32)) & 0xFFFFFFFF)
+
+
 def read_catalog(data):
     """{(segment type, ordinal): (row, offset, size, slots, slot_bytes)}"""
-    (segment_count,) = struct.unpack_from("<I", data, 48)
+    (segment_count,) = struct.unpack_from("<I", data,
+                                          SUPERBLOCK_SEGMENT_COUNT)
     rows = {}
     for i in range(segment_count):
         row = SUPERBLOCK_BYTES + i * CATALOG_ENTRY_BYTES
@@ -99,9 +118,11 @@ def read_catalog(data):
 
 def write_resealed(path, data, row, offset, size):
     """Writes `data` to `path` with the catalog checksum in `row`
-    recomputed over the segment's edited payload."""
+    recomputed over the segment's edited payload and the header resealed,
+    so the damage reaches the check past both checksums."""
     struct.pack_into("<Q", data, row + 48,
                      fnv1a64(bytes(data[offset:offset + size])))
+    reseal_header(data)
     with open(path, "wb") as f:
         f.write(data)
 
@@ -125,12 +146,14 @@ def damage_feature_table(src, dst, universe=None, count=None):
     write_resealed(dst, data, row, offset, size)
 
 
-def set_bulk_load_field(src, dst, value):
-    """Copies index `src` to `dst` with the superblock's bulk-load field
-    set to `value` (the superblock carries no checksum)."""
+def set_superblock_field(src, dst, offset, value, reseal):
+    """Copies index `src` to `dst` with the superblock's u32 at `offset`
+    set to `value`, the header resealed over it or not."""
     with open(src, "rb") as f:
         data = bytearray(f.read())
-    struct.pack_into("<I", data, SUPERBLOCK_BULK_LOAD, value)
+    struct.pack_into("<I", data, offset, value)
+    if reseal:
+        reseal_header(data)
     with open(dst, "wb") as f:
         f.write(data)
 
@@ -289,13 +312,35 @@ def main():
         hostile_universe = os.path.join(tmp, "universe.stpqx")
         damage_feature_table(index, hostile_count, count=1 << 33)
         damage_feature_table(index, hostile_universe, universe=0xFFFFFFFF)
-        str_built = os.path.join(tmp, "str_built.stpqx")
-        set_bulk_load_field(index, str_built, 1)
-        code, _, err = run(cli, ["query", "--index", str_built, "--keywords",
+        # ---- the header checksum guards every index
+        older = os.path.join(tmp, "v3.stpqx")
+        set_superblock_field(index, older, SUPERBLOCK_VERSION, 3,
+                             reseal=False)
+        code, _, err = run(cli, ["query", "--index", older, "--keywords",
                                  "kw001;kw002"], tmp)
-        check(code == 1 and "bulk-load" in err and "rebuild" in err,
-              "query on an index recording STR packing exits 1 asking for "
-              "a rebuild (got %d: %s)" % (code, err.strip()))
+        check(code == 1 and "InvalidArgument" in err and "version 3" in err
+              and "rebuild" in err,
+              "query on a version 3 index exits 1 asking for a rebuild "
+              "(got %d: %s)" % (code, err.strip()))
+        ir2_index = os.path.join(tmp, "ir2.stpqx")
+        code, _, err = run(cli, ["build", "--data", data, "--index",
+                                 ir2_index, "--kind", "ir2"], tmp)
+        check(code == 0, "build --kind ir2 exits 0 " + err.strip())
+        with open(ir2_index, "rb") as f:
+            (hashes,) = struct.unpack_from("<I", f.read(),
+                                           SUPERBLOCK_SIGNATURE_HASHES)
+        check(hashes == 3, "the IR2 index records 3 signature hashes "
+              "(got %d)" % hashes)
+        unsealed = os.path.join(tmp, "unsealed.stpqx")
+        set_superblock_field(ir2_index, unsealed,
+                             SUPERBLOCK_SIGNATURE_HASHES, 7, reseal=False)
+        code, out, err = run(cli, ["query", "--index", unsealed,
+                                   "--keywords", "kw001;kw002", "--k", "5"],
+                             tmp)
+        check(code == 1 and "Corruption" in err and not out,
+              "query on an index whose signature_hashes was edited without "
+              "resealing exits 1 with Corruption (got %d: %s%s)" %
+              (code, out.strip(), err.strip()))
         point_root_past_segment(index)
         damaged = ["--index", index]
         for argv in (["query"] + damaged + ["--keywords", "kw001;kw002"],

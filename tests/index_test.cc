@@ -392,23 +392,26 @@ TEST(SrtIndexTest, LeafRecordsScoreAsTheFeatureTable) {
 }
 
 TEST(SrtIndexTest, MergeIsTheHilbertAggregation) {
-  // SrtAug::Merge folds e.W as a union of bitmaps; Section 4.2 states the
+  // Summarize folds e.W as a union of bitmaps; Section 4.2 states the
   // node update on Hilbert values (decode, OR, re-encode).  The two must
   // agree pair by pair and over every internal entry of a built index.
   const uint32_t w = 150;
   Rng rng(61);
   for (int iter = 0; iter < 100; ++iter) {
-    SrtAug a{rng.Uniform(), KeywordSet(w)};
-    SrtAug b{rng.Uniform(), KeywordSet(w)};
+    KeywordSet a(w);
+    KeywordSet b(w);
     for (int i = 0; i < 5; ++i) {
-      a.keywords.Insert(static_cast<TermId>(rng.UniformInt(0, w - 1)));
-      b.keywords.Insert(static_cast<TermId>(rng.UniformInt(0, w - 1)));
+      a.Insert(static_cast<TermId>(rng.UniformInt(0, w - 1)));
+      b.Insert(static_cast<TermId>(rng.UniformInt(0, w - 1)));
     }
-    const SrtAug merged = SrtAug::Merge(a, b);
-    EXPECT_EQ(EncodeKeywords(merged.keywords),
-              AggregateHilbert(EncodeKeywords(a.keywords),
-                               EncodeKeywords(b.keywords), w));
-    EXPECT_EQ(merged.max_score, std::max(a.max_score, b.max_score));
+    const FeatureObject fa{0, {0.25, 0.5}, rng.Uniform(), a, ""};
+    const FeatureObject fb{1, {0.75, 0.5}, rng.Uniform(), b, ""};
+    const PageEntry merged = Summarize(
+        7, {SrtIndex::LeafEntry(0, fa), SrtIndex::LeafEntry(1, fb)});
+    EXPECT_EQ(EncodeKeywords(KeywordSet::FromBlocks(w, merged.keywords)),
+              AggregateHilbert(EncodeKeywords(a), EncodeKeywords(b), w));
+    EXPECT_EQ(merged.score, std::max(fa.score, fb.score));
+    EXPECT_EQ(merged.id, 7u);
   }
 
   FeatureTable table = RandomFeatures(62, 600, w);
@@ -458,7 +461,7 @@ TEST(SrtIndexTest, LeavesKeepMappedHilbertOrderAndRecordSummaries) {
   ASSERT_GE(tree.height(), 3u);
   Rect4 domain = Rect4::Empty();
   for (const FeatureObject& t : table.All()) {
-    domain.Enlarge(SrtIndex::LeafEntry(t.id, t).rect);
+    domain.EnlargePoint(SrtIndex::LeafSortPoint(t).coords);
   }
   uint64_t prev_key = 0;
   size_t leaves = 0;
@@ -471,7 +474,7 @@ TEST(SrtIndexTest, LeavesKeepMappedHilbertOrderAndRecordSummaries) {
       }
       const FeatureObject& t = table.Get(node.id(i));
       const uint64_t key =
-          HilbertSortKey(SrtIndex::LeafEntry(t.id, t).rect, domain);
+          HilbertSortKey(SrtIndex::LeafSortPoint(t), domain);
       EXPECT_GE(key, prev_key) << "leaf record " << leaves;
       prev_key = key;
       ++leaves;

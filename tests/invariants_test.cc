@@ -84,15 +84,19 @@ TEST(ObjectIndexValidatorTest, AcceptsFreshIndex) {
 TEST(RTreeValidatorTest, AcceptsDeepPackedImage) {
   // Fan-out 4 over 201 boxes: a four-level tree whose levels below the
   // root each end in a partial node (1, 3 and 1 entries, bottom up).
-  std::vector<TreeEntry<2>> boxes;
+  std::vector<PageEntry> boxes;
+  std::vector<SortPoint> centers;
   for (uint32_t i = 0; i < 201; ++i) {
     double x = 0.01 * i, y = 0.02 * (i % 7);
-    boxes.push_back({MakeRect2(x, y, x + 0.005, y + 0.005), i, {}});
+    boxes.push_back({MakeRect2(x, y, x + 0.005, y + 0.005), i, 0.0, {}});
+    centers.push_back(SpatialSortPoint({x + 0.0025, y + 0.0025}));
   }
-  SortByHilbertKey(&boxes);
+  SortByHilbertKey(&boxes, centers);
   const PageLayout layout;
-  const PagedTree tree(PackTree(std::move(boxes), 4, 1.0, layout, 256),
-                       layout, /*base=*/0);
+  // 128-byte pages hold three 36-byte entries: the 4-entry floor fires.
+  ASSERT_EQ(layout.max_entries(128), 4u);
+  const PagedTree tree(PackTree(std::move(boxes), layout, 128, 1.0), layout,
+                       /*base=*/0);
   ASSERT_EQ(tree.height(), 4u);
   auto no_summary = [](const NodeView&, uint32_t, const NodeView&,
                        uint32_t) { return Status::OK(); };

@@ -338,9 +338,25 @@ class IndexFileTest : public IoTest {
     return std::nullopt;
   }
 
+  /// Writes the file image `bytes` to `path` with its header checksum
+  /// recomputed over the edited superblock and catalog, so header damage
+  /// gets past the header check.
+  static void WriteHeaderResealed(const std::string& path, std::string bytes) {
+    uint32_t segments = 0;
+    std::memcpy(&segments, bytes.data() + index_format::kSegmentCountOffset,
+                sizeof(segments));
+    std::string header = bytes.substr(
+        0, index_format::kSuperblockBytes +
+               size_t{segments} * index_format::kCatalogEntryBytes);
+    index_format::SealHeader(&header);
+    bytes.replace(0, header.size(), header);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
   /// Writes the file image `bytes` to `path` with `seg`'s catalog checksum
-  /// recomputed over its edited payload, so the damage gets past the
-  /// checksum check.
+  /// recomputed over its edited payload, and the header resealed, so the
+  /// damage gets past both checksum checks.
   static void WriteResealed(const std::string& path, std::string bytes,
                             const Segment& seg) {
     const uint64_t checksum =
@@ -349,8 +365,25 @@ class IndexFileTest : public IoTest {
     std::memcpy(bytes.data() + index_format::kSuperblockBytes +
                     seg.row * index_format::kCatalogEntryBytes + 48,
                 &checksum, sizeof(checksum));
+    WriteHeaderResealed(path, std::move(bytes));
+  }
+
+  /// Copies the index at `path` with `patch` written at byte `offset`,
+  /// resealed or not.
+  static void PatchIndex(const std::string& path, size_t offset,
+                         const std::string& patch, bool reseal) {
+    std::string bytes = ReadAll(path);
+    bytes.replace(offset, patch.size(), patch);
+    if (reseal) {
+      WriteHeaderResealed(path, std::move(bytes));
+      return;
+    }
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  static std::string U32(uint32_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
   }
 
   /// Build -> Save -> Open.
@@ -493,45 +526,37 @@ TEST_F(IndexFileTest, RejectsChecksumDamage) {
 }
 
 TEST_F(IndexFileTest, RejectsWrongObjectTreePageBase) {
-  // The catalog has no checksum, so a damaged page-id base is caught only
-  // by the base check: the object tree's node segment starts at page 0.
+  // A damaged page-id base, header resealed so the file gets past the
+  // header checksum, is caught by the base check: the object tree's node
+  // segment starts at page 0.
   std::string path = SaveSmallIndex("base.stpqx");
-  Result<IndexFileInfo> info = ReadIndexFileInfo(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  const std::vector<IndexSegmentInfo>& segments = info.value().segments;
-  size_t row = 0;
-  while (row < segments.size() && segments[row].name != "object_tree_nodes") {
-    ++row;
-  }
-  ASSERT_LT(row, segments.size());
-  {
-    // first_page follows the row's type, ordinal, offset and length.
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(index_format::kSuperblockBytes +
-                                        row * index_format::kCatalogEntryBytes +
-                                        24));
-    const uint64_t bad_first_page = 12345;
-    f.write(reinterpret_cast<const char*>(&bad_first_page),
-            sizeof(bad_first_page));
-  }
+  const std::optional<Segment> seg = FindSegment(path, "object_tree_nodes", 0);
+  ASSERT_TRUE(seg.has_value());
+  // first_page follows the row's type, ordinal, offset and length.
+  const uint64_t bad_first_page = 12345;
+  PatchIndex(path,
+             index_format::kSuperblockBytes +
+                 seg->row * index_format::kCatalogEntryBytes + 24,
+             std::string(reinterpret_cast<const char*>(&bad_first_page),
+                         sizeof(bad_first_page)),
+             /*reseal=*/true);
   Result<LoadedIndex> r = LoadIndexFile(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(r.status().message().find("page-id base"), std::string::npos)
+      << r.status().ToString();
   Result<Engine> e = Engine::Open(path);
   ASSERT_FALSE(e.ok());
   EXPECT_EQ(e.status().code(), StatusCode::kCorruption);
 }
 
-TEST_F(IndexFileTest, RejectsVersionOneWithRebuildHint) {
-  // Versions 1 and 2 are the older layouts: each is named, with a request
-  // to rebuild.
-  for (const uint32_t version : {1u, 2u}) {
+TEST_F(IndexFileTest, RejectsOlderVersionsWithRebuildHint) {
+  // Versions 1, 2 and 3 are the older layouts: each is named, with a
+  // request to rebuild, before the header checksum (which version 3 files
+  // do not carry) is looked at.
+  for (const uint32_t version : {1u, 2u, 3u}) {
     std::string path = SaveSmallIndex("old.stpqx");
-    {
-      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-      f.seekp(4);
-      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    }
+    PatchIndex(path, 4, U32(version), /*reseal=*/false);
     Result<Engine> e = Engine::Open(path);
     ASSERT_FALSE(e.ok());
     EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
@@ -544,35 +569,62 @@ TEST_F(IndexFileTest, RejectsVersionOneWithRebuildHint) {
   }
 }
 
-TEST_F(IndexFileTest, RejectsStrOrInsertionBuiltFiles) {
-  // The superblock's bulk-load field (the u32 after the index kind) once
-  // recorded STR (1) or insertion (2) packing.  Every tree is now
-  // Hilbert-packed and the field is written as 0, so a file recording
-  // either is refused by name, with a request to rebuild.
-  for (const uint32_t packing : {1u, 2u}) {
-    std::string path = SaveSmallIndex("packing.stpqx");
-    {
-      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-      f.seekp(16);
-      f.write(reinterpret_cast<const char*>(&packing), sizeof(packing));
-    }
-    Result<Engine> e = Engine::Open(path);
-    ASSERT_FALSE(e.ok());
-    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
-    std::string named = "bulk-load order ";
-    named += std::to_string(packing);
-    EXPECT_NE(e.status().message().find(named), std::string::npos)
-        << e.status().ToString();
-    EXPECT_NE(e.status().message().find("rebuild"), std::string::npos)
-        << e.status().ToString();
-  }
+TEST_F(IndexFileTest, RejectsHeaderEditedWithoutResealing) {
+  // An IR2 index whose superblock's signature_hashes (the u32 at byte 24)
+  // goes from 3 to 7: every parameter stays in range, so only the header
+  // checksum can tell.  Unchecked, the queries would hash keywords to
+  // other signature bits and silently lose every match.  Every reader of
+  // the header refuses the file.
+  Dataset ds = SmallDataset();
+  std::string path = Path("hashes.stpqx");
+  ASSERT_TRUE(BuildEngine(ds, FeatureIndexKind::kIr2)
+                  .Save(path, ds.vocabularies)
+                  .ok());
+  uint32_t hashes = 0;
+  std::memcpy(&hashes, ReadAll(path).data() + 24, sizeof(hashes));
+  ASSERT_EQ(hashes, 3u);
+  PatchIndex(path, 24, U32(7), /*reseal=*/false);
+  Result<Engine> e = Engine::Open(path);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kCorruption)
+      << e.status().ToString();
+  EXPECT_NE(e.status().message().find("header checksum"), std::string::npos)
+      << e.status().ToString();
+  EXPECT_EQ(ReadIndexFileInfo(path).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(ReadIndexVocabularies(path).status().code(),
+            StatusCode::kCorruption);
+
+  // A segment count no index has is refused before the catalog is read.
+  std::string counted = SaveSmallIndex("segments.stpqx");
+  PatchIndex(counted, index_format::kSegmentCountOffset, U32(0xFFFFFFFFu),
+             /*reseal=*/false);
+  Result<Engine> n = Engine::Open(counted);
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.status().code(), StatusCode::kCorruption)
+      << n.status().ToString();
+
+  // A catalog edit is caught the same way: the header checksum covers it.
+  std::string other = SaveSmallIndex("catalog.stpqx");
+  const std::optional<Segment> seg = FindSegment(other, "objects", 0);
+  ASSERT_TRUE(seg.has_value());
+  PatchIndex(other,
+             index_format::kSuperblockBytes +
+                 seg->row * index_format::kCatalogEntryBytes + 48,
+             U32(0x5eed), /*reseal=*/false);
+  Result<Engine> c = Engine::Open(other);
+  ASSERT_FALSE(c.ok());
+  EXPECT_EQ(c.status().code(), StatusCode::kCorruption)
+      << c.status().ToString();
+  EXPECT_NE(c.status().message().find("header checksum"), std::string::npos)
+      << c.status().ToString();
 }
 
 TEST_F(IndexFileTest, RejectsOutOfRangeBuildParameters) {
-  // The superblock carries no checksum, so Engine::Open puts its build
-  // parameters and table count through CheckBuildParams, the check both
-  // writers use, before it derives any layout from them.  Each value out
-  // of range is refused as InvalidArgument naming the parameter.
+  // Engine::Open puts the superblock's build parameters and table count
+  // through CheckBuildParams, the check both writers use, before it
+  // derives any layout from them.  Each value out of range, with the
+  // header resealed over it, is refused as InvalidArgument naming the
+  // parameter.
   struct Patch {
     size_t offset;  // into the superblock (io/index_format.h)
     std::string bytes;
@@ -596,12 +648,7 @@ TEST_F(IndexFileTest, RejectsOutOfRangeBuildParameters) {
   };
   for (const Patch& patch : patches) {
     std::string path = SaveSmallIndex("params.stpqx");
-    {
-      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-      f.seekp(static_cast<std::streamoff>(patch.offset));
-      f.write(patch.bytes.data(),
-              static_cast<std::streamsize>(patch.bytes.size()));
-    }
+    PatchIndex(path, patch.offset, patch.bytes, /*reseal=*/true);
     Result<Engine> e = Engine::Open(path);
     ASSERT_FALSE(e.ok()) << patch.name;
     EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument)
