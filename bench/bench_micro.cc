@@ -459,55 +459,56 @@ void BM_TraceSpanIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSpanIdle);
 
-// Recording cost: timestamp + ring store.  The thread's ring is drained
-// (discarded) periodically so the steady state measures the emit path,
-// not the ring-full drop path.
+// Recording cost: timestamp + ring store.  The thread hands its ring off
+// periodically, as a query's end does, so the steady state measures the
+// emit path (plus the amortized hand-off), not the ring-full drop path.
 void BM_TraceInstantActive(benchmark::State& state) {
   Tracer::Global().Start();
   uint64_t i = 0;
   for (auto _ : state) {
     STPQ_TRACE_INSTANT(TraceEventType::kPoolHit, 0, 0, 0, i);
-    if ((++i & 0x3fff) == 0) Tracer::DrainCurrentThread(0, nullptr);
+    if ((++i & 0x3fff) == 0) Tracer::HandOff();
   }
   Tracer::Global().Stop();
   Tracer::Global().Discard();
 }
 BENCHMARK(BM_TraceInstantActive);
 
+// A trace-only span hands the thread's events off where it closes: begin
+// and end recorded, then one hand-off per span.
 void BM_TraceSpanActive(benchmark::State& state) {
   Tracer::Global().Start();
-  uint64_t i = 0;
   for (auto _ : state) {
-    {
-      Span span(TraceEventType::kComponentScore);
-      benchmark::ClobberMemory();
-    }
-    if ((++i & 0x1fff) == 0) Tracer::DrainCurrentThread(0, nullptr);
+    Span span(TraceEventType::kComponentScore);
+    benchmark::ClobberMemory();
   }
   Tracer::Global().Stop();
   Tracer::Global().Discard();
 }
 BENCHMARK(BM_TraceSpanActive);
 
-// Raw SPSC ring throughput: amortized emit + periodic full drain into a
-// reused buffer (the collector side of the slow-query log).
+// Raw ring throughput: amortized ring store (EmitAt reads no clock) + a
+// hand-off every 4096 events that also copies the query's events into a
+// reused buffer, as a captured slow query's hand-off does.
 void BM_TraceRingEmitDrain(benchmark::State& state) {
-  TraceRing ring(0, 4096);
-  TraceEvent e;
-  e.type = TraceEventType::kNodeVisit;
-  e.mark = TraceMark::kInstant;
+  Tracer::Global().Start();
+  Tracer::SetCurrentTraceId(1);
+  const int64_t clock_ns = SteadyClockNs();
   std::vector<TraceEvent> out;
   out.reserve(4096);
   uint64_t i = 0;
   for (auto _ : state) {
-    e.ts_ns = i;
-    ring.TryEmit(e);
+    Tracer::EmitAt(clock_ns, TraceEventType::kNodeVisit, TraceMark::kInstant,
+                   0, i);
     if ((++i & 0xfff) == 0) {
       out.clear();
-      ring.Drain(/*keep_all=*/true, 0, &out);
+      Tracer::HandOff(/*trace_id=*/1, &out);
       benchmark::DoNotOptimize(out.data());
     }
   }
+  Tracer::SetCurrentTraceId(0);
+  Tracer::Global().Stop();
+  Tracer::Global().Discard();
 }
 BENCHMARK(BM_TraceRingEmitDrain);
 

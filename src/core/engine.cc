@@ -2,6 +2,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/exec_session.h"
 #include "core/stds.h"
@@ -200,13 +201,19 @@ Result<QueryResult> Engine::Execute(const Query& query,
     Stps stps(object_index_.get(), index_ptrs_, options_.influence_mode);
     result = stps.Execute(query, options_.pulling, session.scratch());
   }
-  // Closing the query span sets cpu_ms.  It closes before the slow log
-  // drains this thread's ring so the end event is part of any captured
-  // record.
+  // Closing the query span sets cpu_ms.  It closes before this thread
+  // hands the query's events off, so the end event is part of the hand-off.
   query_span.End();
   // A page that could not be fetched read as an empty node, so the result
   // may be missing entries: fail the query with the fetch's typed error.
   st = session.status();
+  std::vector<TraceEvent> slow_events;
+  if (query_span.trace_id() != 0) {
+    // Failed or not, a traced query's events leave the ring here, once.
+    Tracer::HandOff(query_span.trace_id(),
+                    options.slow_log != nullptr && st.ok() ? &slow_events
+                                                           : nullptr);
+  }
   if (!st.ok()) {
     QueryMetrics::Global().io_failed_total.Increment();
     return st;
@@ -214,7 +221,7 @@ Result<QueryResult> Engine::Execute(const Query& query,
   session.ExportIoCounters(result.stats);
   if (options.slow_log != nullptr) {
     options.slow_log->Offer(query_span.trace_id(), result.stats.cpu_ms,
-                            result.stats);
+                            result.stats, std::move(slow_events));
   }
   // Feed the process-wide registry once per completed query: a fixed set
   // of relaxed atomic adds, never inside the search loops.

@@ -363,79 +363,32 @@ AdminResponse AdminServer::RenderSlowz() {
 }
 
 AdminResponse AdminServer::RenderTracez() {
-  // A consuming read of the process tracer: drained events are folded
-  // into the rolling summary below and are no longer available to other
-  // consumers (trace-out export, slow-query capture).  Documented in the
-  // endpoint table; the CLI only wires /tracez users who accept that.
-  TraceCollection collection = Tracer::Global().Collect();
-
-  MutexLock lock(tracez_mu_);
-  tracez_dropped_total_ += collection.dropped;
-  for (const TraceThreadEvents& thread : collection.threads) {
-    // Per-type open-span begin timestamps; ring truncation can only lose
-    // the newest events, so an unmatched end (begin consumed by an
-    // earlier drain) is skipped rather than mispaired.
-    std::vector<uint64_t> open_begin_ns[kNumTraceEventTypes];
-    std::vector<uint32_t> open_trace_id[kNumTraceEventTypes];
-    for (const TraceEvent& e : thread.events) {
-      ++tracez_events_total_;
-      const size_t t = static_cast<size_t>(e.type);
-      if (t >= kNumTraceEventTypes) continue;
-      switch (e.mark) {
-        case TraceMark::kInstant:
-          ++tracez_types_[t].instants;
-          break;
-        case TraceMark::kBegin:
-          open_begin_ns[t].push_back(e.ts_ns);
-          open_trace_id[t].push_back(
-              e.type == TraceEventType::kQuery ? e.arg_c : e.trace_id);
-          break;
-        case TraceMark::kEnd: {
-          if (open_begin_ns[t].empty()) break;  // orphan end
-          const double ms = static_cast<double>(e.ts_ns -
-                                                open_begin_ns[t].back()) /
-                            1e6;
-          ++tracez_types_[t].spans_closed;
-          tracez_types_[t].span_total_ms += ms;
-          if (e.type == TraceEventType::kQuery) {
-            tracez_recent_queries_.emplace_back(open_trace_id[t].back(), ms);
-            while (tracez_recent_queries_.size() > 32) {
-              tracez_recent_queries_.pop_front();
-            }
-          }
-          open_begin_ns[t].pop_back();
-          open_trace_id[t].pop_back();
-          break;
-        }
-      }
-    }
-  }
-
+  const TraceSummary summary = Tracer::Global().Summary();
   std::string body = "{\"armed\":";
   body += Tracer::Active() ? "true" : "false";
-  body += ",\"events_total\":" + std::to_string(tracez_events_total_);
-  body += ",\"dropped_total\":" + std::to_string(tracez_dropped_total_);
+  body += ",\"events_total\":" + std::to_string(summary.events);
+  body += ",\"dropped_total\":" + std::to_string(summary.dropped);
   body += ",\"types\":[";
   bool first = true;
   for (size_t t = 0; t < kNumTraceEventTypes; ++t) {
-    const TraceTypeSummary& s = tracez_types_[t];
-    if (s.instants == 0 && s.spans_closed == 0) continue;
+    const TraceSummary::TypeTotals& s = summary.types[t];
+    if (s.instants == 0 && s.spans == 0) continue;
     if (!first) body += ",";
     first = false;
     body += "{\"type\":\"";
     body += TraceEventTypeName(static_cast<TraceEventType>(t));
     body += "\",\"instants\":" + std::to_string(s.instants);
-    body += ",\"spans\":" + std::to_string(s.spans_closed);
+    body += ",\"spans\":" + std::to_string(s.spans);
     body += ",\"span_total_ms\":";
     AppendJsonDouble(&body, s.span_total_ms);
     body += "}";
   }
   body += "],\"recent_queries\":[";
-  for (size_t i = 0; i < tracez_recent_queries_.size(); ++i) {
+  for (size_t i = 0; i < summary.recent_queries.size(); ++i) {
     if (i > 0) body += ",";
     body += "{\"trace_id\":" +
-            std::to_string(tracez_recent_queries_[i].first) + ",\"ms\":";
-    AppendJsonDouble(&body, tracez_recent_queries_[i].second);
+            std::to_string(summary.recent_queries[i].first) + ",\"ms\":";
+    AppendJsonDouble(&body, summary.recent_queries[i].second);
     body += "}";
   }
   body += "]}\n";

@@ -10,7 +10,7 @@
 //   GET /healthz   liveness JSON (+ optional engine health callback)
 //   GET /statusz   build info, uptime, server + engine/storage status rows
 //   GET /slowz     JSON snapshot of the SlowQueryLog
-//   GET /tracez    rolling span/event summary drained from the Tracer
+//   GET /tracez    span/event summary from the Tracer's record
 //   GET /varz      interval deltas from the MetricsRecorder
 //                  (?window=Ns trims to the trailing N seconds)
 //
@@ -27,16 +27,18 @@
 // The server knows nothing about the engine: /statusz and /healthz detail
 // comes from caller-supplied callbacks, so the CLI wires an Engine in and
 // ROADMAP item 1's shard router can wire a router in, against this same
-// admin plane.  The server's own handling is observable too: it counts
-// stpq_admin_* metrics into the same registry it serves and brackets each
-// request in a kAdminRequest trace span.
+// admin plane.  Every endpoint only reads its source: /tracez copies the
+// summary the Tracer folds from each thread's hand-off (obs/trace.h), so a
+// scrape takes no event from the trace file or the slow-query log.  The
+// server's own handling is observable too: it counts stpq_admin_* metrics
+// into the same registry it serves and brackets each request in a
+// kAdminRequest trace span.
 #ifndef STPQ_OBS_ADMIN_SERVER_H_
 #define STPQ_OBS_ADMIN_SERVER_H_
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <thread>
@@ -48,7 +50,6 @@
 #include "obs/trace.h"
 #include "util/net.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace stpq {
 
@@ -119,13 +120,6 @@ class AdminServer {
   }
 
  private:
-  /// Per-event-type rolling aggregate built from drained trace events.
-  struct TraceTypeSummary {
-    uint64_t instants = 0;
-    uint64_t spans_closed = 0;
-    double span_total_ms = 0.0;
-  };
-
   void WorkerLoop();
   void ServeConnection(int fd);
 
@@ -136,7 +130,7 @@ class AdminServer {
   AdminResponse RenderHealthz();
   AdminResponse RenderStatusz();
   AdminResponse RenderSlowz();
-  AdminResponse RenderTracez() STPQ_EXCLUDES(tracez_mu_);
+  AdminResponse RenderTracez();
   AdminResponse RenderVarz(const std::string& query_string);
 
   double UptimeSeconds() const;
@@ -155,17 +149,6 @@ class AdminServer {
   SelfPipe shutdown_pipe_;
   std::vector<std::thread> workers_;
   std::chrono::steady_clock::time_point started_at_;
-
-  /// /tracez drains the process tracer (a consuming read — see the class
-  /// comment in obs/trace.h) and folds events into this rolling summary.
-  mutable Mutex tracez_mu_;
-  TraceTypeSummary tracez_types_[kNumTraceEventTypes]
-      STPQ_GUARDED_BY(tracez_mu_);
-  uint64_t tracez_events_total_ STPQ_GUARDED_BY(tracez_mu_) = 0;
-  uint64_t tracez_dropped_total_ STPQ_GUARDED_BY(tracez_mu_) = 0;
-  /// Most recent completed query spans (trace id, duration).
-  std::deque<std::pair<uint32_t, double>> tracez_recent_queries_
-      STPQ_GUARDED_BY(tracez_mu_);
 };
 
 }  // namespace stpq

@@ -4,18 +4,29 @@ namespace stpq {
 
 namespace {
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 /// Epoch every timestamp is relative to (a SteadyClockNs() reading): fixed
-/// once per process so rings from different threads share one timeline.
+/// once per process so lanes from different threads share one timeline.
 int64_t EpochNs() {
   static const int64_t epoch = SteadyClockNs();
   return epoch;
 }
+
+/// The calling thread's ring, null until its first event.  The emission
+/// path reads only this pointer; the owner below is touched once per
+/// thread, when the ring is allocated.
+thread_local TraceRing* tls_ring = nullptr;
+
+/// Owns the thread's ring: hands its last events off and frees it when the
+/// thread exits.
+struct ThreadRingOwner {
+  std::unique_ptr<TraceRing> ring;
+  ~ThreadRingOwner() {
+    Tracer::HandOff();
+    tls_ring = nullptr;
+  }
+};
+
+thread_local ThreadRingOwner tls_ring_owner;
 
 }  // namespace
 
@@ -47,39 +58,11 @@ const char* TraceEventTypeName(TraceEventType type) {
   return "unknown";
 }
 
-TraceRing::TraceRing(uint32_t thread_ordinal, size_t capacity)
+TraceRing::TraceRing(uint32_t thread_ordinal)
     : thread_ordinal_(thread_ordinal),
-      mask_(RoundUpPow2(capacity < 2 ? 2 : capacity) - 1),
-      buf_(mask_ + 1) {}
-
-bool TraceRing::TryEmit(const TraceEvent& e) {
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  if (head - tail > mask_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  buf_[head & mask_] = e;
-  head_.store(head + 1, std::memory_order_release);
-  return true;
-}
-
-void TraceRing::Drain(bool keep_all, uint32_t filter_trace_id,
-                      std::vector<TraceEvent>* out) {
-  MutexLock lock(consume_mu_);
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  uint64_t tail = tail_.load(std::memory_order_relaxed);
-  for (; tail != head; ++tail) {
-    const TraceEvent& e = buf_[tail & mask_];
-    if (out != nullptr && (keep_all || e.trace_id == filter_trace_id)) {
-      out->push_back(e);
-    }
-  }
-  tail_.store(tail, std::memory_order_release);
-}
+      slots_(std::make_unique<TraceEvent[]>(kCapacity)) {}
 
 std::atomic<bool> Tracer::active_{false};
-thread_local TraceRing* Tracer::tls_ring_ = nullptr;
 thread_local uint32_t Tracer::tls_trace_id_ = 0;
 
 // stpq-lint: allow(hot-alloc) leaky singleton: one allocation per process
@@ -90,67 +73,98 @@ Tracer& Tracer::Global() {
   return *tracer;
 }
 
-void Tracer::Start(size_t ring_capacity) {
-  {
-    MutexLock lock(mu_);
-    ring_capacity_ = ring_capacity < 2 ? 2 : ring_capacity;
-  }
-  active_.store(true, std::memory_order_release);
-}
+void Tracer::Start() { active_.store(true, std::memory_order_release); }
 
 void Tracer::Stop() { active_.store(false, std::memory_order_release); }
 
-TraceCollection Tracer::Collect() {
-  TraceCollection out;
-  MutexLock lock(mu_);
-  for (const std::unique_ptr<TraceRing>& ring : rings_) {
-    TraceThreadEvents t;
-    t.thread_ordinal = ring->thread_ordinal();
-    ring->Drain(/*keep_all=*/true, 0, &t.events);
-    t.dropped = ring->TakeDropped();
-    out.dropped += t.dropped;
-    if (!t.events.empty() || t.dropped > 0) {
-      out.threads.push_back(std::move(t));
+void Tracer::HandOff(uint32_t trace_id, std::vector<TraceEvent>* query_events) {
+  TraceRing* const ring = tls_ring;
+  if (ring == nullptr) return;
+  if (query_events != nullptr) {
+    for (const TraceEvent& e : ring->events()) {
+      if (e.trace_id == trace_id) query_events->push_back(e);
     }
   }
+  Global().Fold(*ring);
+  ring->Clear();
+}
+
+void Tracer::Fold(const TraceRing& ring) {
+  const std::span<const TraceEvent> batch = ring.events();
+  const uint32_t ordinal = ring.thread_ordinal();
+  MutexLock lock(mu_);
+  if (lanes_.size() <= ordinal) lanes_.resize(ordinal + 1);
+  std::vector<TraceEvent>& lane = lanes_[ordinal];
+  const size_t kept =
+      std::min(batch.size(), TraceRing::kCapacity - lane.size());
+  lane.insert(lane.end(), batch.begin(), batch.begin() + kept);
+  summary_.events += batch.size();
+  summary_.dropped += ring.dropped();
+  for (const TraceEvent& e : batch) {
+    TraceSummary::TypeTotals& totals =
+        summary_.types[static_cast<size_t>(e.type)];
+    if (e.mark == TraceMark::kInstant) {
+      ++totals.instants;
+    } else if (e.mark == TraceMark::kEnd) {
+      const double ms = static_cast<double>(e.arg_d) / 1e6;
+      ++totals.spans;
+      totals.span_total_ms += ms;
+      if (e.type == TraceEventType::kQuery) {
+        summary_.recent_queries.emplace_back(e.arg_c, ms);
+        if (summary_.recent_queries.size() > TraceSummary::kRecentQueries) {
+          summary_.recent_queries.pop_front();
+        }
+      }
+    }
+  }
+}
+
+TraceCollection Tracer::Lanes() const {
+  TraceCollection out;
+  MutexLock lock(mu_);
+  for (uint32_t ordinal = 0; ordinal < lanes_.size(); ++ordinal) {
+    if (lanes_[ordinal].empty()) continue;
+    out.threads.push_back({ordinal, lanes_[ordinal]});
+  }
+  // The events a full lane turned away were handed off, so they are in
+  // the summary, but not in this export.
+  out.dropped = summary_.dropped + (summary_.events - out.TotalEvents());
   return out;
 }
 
-void Tracer::Discard() {
+TraceSummary Tracer::Summary() const {
   MutexLock lock(mu_);
-  for (const std::unique_ptr<TraceRing>& ring : rings_) {
-    ring->Drain(/*keep_all=*/false, 0, nullptr);
-    (void)ring->TakeDropped();
-  }
+  return summary_;
 }
 
-TraceRing* Tracer::RingForThisThread() {
-  if (tls_ring_ == nullptr) {
-    MutexLock lock(mu_);
-    rings_.push_back(std::make_unique<TraceRing>(
-        static_cast<uint32_t>(rings_.size()), ring_capacity_));
-    tls_ring_ = rings_.back().get();
-  }
-  return tls_ring_;
+void Tracer::Discard() {
+  if (tls_ring != nullptr) tls_ring->Clear();
+  MutexLock lock(mu_);
+  lanes_.clear();
+  summary_ = TraceSummary{};
 }
 
 void Tracer::Emit(TraceEventType type, TraceMark mark, uint8_t arg_a,
                   uint8_t arg_b, uint32_t arg_c, uint64_t arg_d) {
   if (!Active()) return;
-  Record(NowNs(), type, mark, arg_a, arg_b, arg_c, arg_d);
+  Record(SteadyClockNs(), type, mark, arg_a, arg_b, arg_c, arg_d);
 }
 
 void Tracer::EmitAt(int64_t clock_ns, TraceEventType type, TraceMark mark,
                     uint32_t arg_c, uint64_t arg_d) {
-  Record(static_cast<uint64_t>(clock_ns - EpochNs()), type, mark, 0, 0, arg_c,
-         arg_d);
+  Record(clock_ns, type, mark, 0, 0, arg_c, arg_d);
 }
 
-void Tracer::Record(uint64_t ts_ns, TraceEventType type, TraceMark mark,
+void Tracer::Record(int64_t clock_ns, TraceEventType type, TraceMark mark,
                     uint8_t arg_a, uint8_t arg_b, uint32_t arg_c,
                     uint64_t arg_d) {
+  if (tls_ring == nullptr) {
+    tls_ring_owner.ring = std::make_unique<TraceRing>(
+        Global().next_thread_ordinal_.fetch_add(1, std::memory_order_relaxed));
+    tls_ring = tls_ring_owner.ring.get();
+  }
   TraceEvent e;
-  e.ts_ns = ts_ns;
+  e.ts_ns = static_cast<uint64_t>(clock_ns - EpochNs());
   e.trace_id = tls_trace_id_;
   e.type = type;
   e.mark = mark;
@@ -158,26 +172,16 @@ void Tracer::Record(uint64_t ts_ns, TraceEventType type, TraceMark mark,
   e.arg_b = arg_b;
   e.arg_c = arg_c;
   e.arg_d = arg_d;
-  Global().RingForThisThread()->TryEmit(e);
+  tls_ring->TryEmit(e);
 }
 
-void Tracer::DrainCurrentThread(uint32_t trace_id,
-                                std::vector<TraceEvent>* out) {
-  if (tls_ring_ == nullptr) return;
-  tls_ring_->Drain(/*keep_all=*/false, trace_id, out);
-}
-
-uint64_t Tracer::NowNs() {
-  return static_cast<uint64_t>(SteadyClockNs() - EpochNs());
+uint32_t Tracer::CurrentThreadOrdinal() {
+  return tls_ring != nullptr ? tls_ring->thread_ordinal() : 0;
 }
 
 void SlowQueryLog::Offer(uint32_t trace_id, double elapsed_ms,
-                         const QueryStats& stats) {
-  std::vector<TraceEvent> events;
-  // Consume this thread's pending events whether or not the query was
-  // slow: discarding fast queries keeps the ring from filling up over a
-  // long capture session.
-  Tracer::DrainCurrentThread(trace_id, &events);
+                         const QueryStats& stats,
+                         std::vector<TraceEvent> events) {
   if (elapsed_ms < threshold_ms_) return;
   SlowQueryRecord record;
   record.trace_id = trace_id;

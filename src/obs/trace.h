@@ -6,20 +6,29 @@
 // tracer is armed — emits begin/end events carrying the same two readings,
 // so trace durations and QueryStats agree to the nanosecond.
 //
-// Every worker thread owns one fixed-capacity SPSC ring of 32-byte POD
-// trace events.  Emission is wait-free and allocation-free after the
-// thread's first event (which registers the ring): one relaxed flag load
-// when the tracer is idle, plus a bounds check and a store when it is
-// recording.  When a ring fills, new events are *dropped and counted* —
-// recording never blocks and never reallocates, so the alloc_test and
-// golden-I/O guarantees of §13 hold with tracing active.
+// Every thread that traces owns one fixed-capacity ring of 32-byte POD
+// trace events, and only that thread reads or writes it.  Emission is
+// allocation-free after the thread's first event (which allocates the
+// ring): one relaxed flag load when the tracer is idle, plus a bounds check
+// and a store when it is recording.  When a ring fills, new events are
+// *dropped and counted* — recording never blocks and never reallocates, so
+// the alloc_test and golden-I/O guarantees of §13 hold with tracing active.
+//
+// The thread hands its pending events off once, into the tracer's one
+// process-wide record: where Engine::Execute ends a traced query, where a
+// trace-only span closes, and when the thread exits.  The record keeps the
+// export lanes (the first TraceRing::kCapacity events each thread handed
+// off), folds the /tracez summary and its one drop count (the events a
+// full ring refused) from every batch, and passes the slow-query log the
+// events of the query that ended.  The trace file, /tracez and tests read
+// the record; reading it consumes nothing.
 //
 // Span events (query, component-score search, combination round, retrieval
 // batch, Voronoi construction, build phase, admin request) are begin/end
 // pairs; instant events record individual node visits (tree, level,
 // prune/descend verdicts), buffer-pool hits and misses, and search heap
 // high-water marks.  Each event carries the per-query trace id
-// assigned by the query span in Engine::Execute, so one ring can hold
+// assigned by the query span in Engine::Execute, so one lane can hold
 // interleaved queries and the exporter (obs/trace_export.h) can still
 // attribute every event.  The TraversalProfile counters in QueryStats are
 // not part of tracing and are always recorded.
@@ -32,8 +41,11 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/thread_annotations.h"
 
@@ -83,6 +95,8 @@ inline constexpr uint8_t kTraceObjectTree = 0xff;
 ///                    kPoolMiss: arg_a = storage backend tag
 ///                    (static_cast<uint8_t>(StorageBackend), 0 = simulated)
 ///   kHeapHighWater:  arg_d = max heap size observed by the span
+/// and every span's end event: arg_d = the span's elapsed nanoseconds
+/// (its two clock readings; the query span's end keeps arg_c = trace id).
 struct TraceEvent {
   uint64_t ts_ns = 0;    ///< steady-clock nanos since the tracer epoch
   uint32_t trace_id = 0; ///< per-query id (0 = outside any query)
@@ -97,58 +111,57 @@ struct TraceEvent {
 static_assert(sizeof(TraceEvent) == 32, "TraceEvent must stay one cache "
                                         "half-line: fix the field packing");
 
-/// Single-producer single-consumer ring of trace events.  The producer is
-/// the owning thread (TryEmit); consumers (Collect, slow-query capture)
-/// serialize against each other on an internal mutex the producer never
-/// touches.
+/// The calling thread's buffer of trace events.  Only the owning thread
+/// touches it: it appends events as they are emitted and empties the ring
+/// into the tracer's record at each hand-off.
 class TraceRing {
  public:
-  /// `capacity` is rounded up to a power of two; allocation happens here
-  /// and never again.
-  TraceRing(uint32_t thread_ordinal, size_t capacity);
+  /// Events a ring holds between hand-offs (2 MiB); also the number of
+  /// events each export lane keeps.
+  static constexpr size_t kCapacity = size_t{1} << 16;
 
-  /// Appends `e`; returns false (and counts a drop) when full.  Producer
-  /// thread only.  Never allocates.
-  bool TryEmit(const TraceEvent& e);
+  /// Allocates the ring's slots, here and never again.
+  explicit TraceRing(uint32_t thread_ordinal);
 
-  /// Consumes every pending event.  Events are appended to `out` (may be
-  /// nullptr to discard); when `keep_all` is false only events whose
-  /// trace id equals `filter_trace_id` are kept.
-  void Drain(bool keep_all, uint32_t filter_trace_id,
-             std::vector<TraceEvent>* out) STPQ_EXCLUDES(consume_mu_);
+  /// Appends `e`; returns false (and counts a drop) when full.  Never
+  /// allocates.
+  bool TryEmit(const TraceEvent& e) {
+    if (size_ == kCapacity) {
+      ++dropped_;
+      return false;
+    }
+    slots_[size_++] = e;
+    return true;
+  }
 
-  /// Drops recorded since the last TakeDropped call.
-  uint64_t TakeDropped() {
-    return dropped_.exchange(0, std::memory_order_relaxed);
+  /// The events appended since the last Clear, oldest first.
+  std::span<const TraceEvent> events() const { return {slots_.get(), size_}; }
+  /// Events refused since the last Clear because the ring was full.
+  uint64_t dropped() const { return dropped_; }
+  void Clear() {
+    size_ = 0;
+    dropped_ = 0;
   }
 
   uint32_t thread_ordinal() const { return thread_ordinal_; }
 
  private:
   const uint32_t thread_ordinal_;
-  size_t mask_;
-  std::vector<TraceEvent> buf_;
-  /// Serializes concurrent consumers (Collect vs. slow-query capture);
-  /// the ring state itself is the SPSC atomic head_/tail_ pair, which the
-  /// lock-free producer also touches, so no member can be GUARDED_BY it.
-  // stpq-lint: allow(mutex-guard) consumer-ordering lock over atomics
-  Mutex consume_mu_;
-  alignas(64) std::atomic<uint64_t> head_{0};  ///< next slot to write
-  alignas(64) std::atomic<uint64_t> tail_{0};  ///< next slot to read
-  std::atomic<uint64_t> dropped_{0};
+  size_t size_ = 0;
+  uint64_t dropped_ = 0;
+  std::unique_ptr<TraceEvent[]> slots_;
 };
 
-/// Events drained from one ring, tagged with the owning thread's ordinal.
+/// One export lane: the events one thread handed off, in emission order.
 struct TraceThreadEvents {
   uint32_t thread_ordinal = 0;
   std::vector<TraceEvent> events;
-  uint64_t dropped = 0;
 };
 
-/// Everything collected from the tracer at one point in time.
+/// What a trace file holds: its lanes and one drop count.
 struct TraceCollection {
   std::vector<TraceThreadEvents> threads;
-  uint64_t dropped = 0;  ///< sum over threads
+  uint64_t dropped = 0;  ///< events emitted but not in any lane
 
   size_t TotalEvents() const {
     size_t n = 0;
@@ -158,6 +171,23 @@ struct TraceCollection {
   bool Empty() const { return TotalEvents() == 0; }
 };
 
+/// What /tracez serves: a fold of every event handed off to the record.
+struct TraceSummary {
+  /// Query spans kept in `recent_queries`.
+  static constexpr size_t kRecentQueries = 32;
+
+  struct TypeTotals {
+    uint64_t instants = 0;
+    uint64_t spans = 0;  ///< closed spans (end events)
+    double span_total_ms = 0.0;
+  };
+  TypeTotals types[kNumTraceEventTypes];
+  uint64_t events = 0;   ///< events handed off, kept in a lane or not
+  uint64_t dropped = 0;  ///< events a full ring refused: never handed off
+  /// The most recent query spans: (trace id, duration in ms), oldest first.
+  std::deque<std::pair<uint32_t, double>> recent_queries;
+};
+
 /// Steady-clock reading in nanoseconds: the clock every Span reads.
 inline int64_t SteadyClockNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -165,20 +195,16 @@ inline int64_t SteadyClockNs() {
       .count();
 }
 
-/// The process-wide tracer.  Start() arms recording; rings register
-/// lazily on each thread's first emission and live for the process
-/// lifetime (reused if the same thread traces again).
+/// The process-wide tracer: the armed flag, trace ids, and the one record
+/// every thread's ring is handed off to (see the file comment).
 class Tracer {
  public:
-  static constexpr size_t kDefaultRingCapacity = size_t{1} << 16;
-
   static Tracer& Global();
 
-  /// Arms recording.  `ring_capacity` applies to rings created after this
-  /// call; existing rings keep their size.
-  void Start(size_t ring_capacity = kDefaultRingCapacity) STPQ_EXCLUDES(mu_);
+  /// Arms recording.
+  void Start();
 
-  /// Disarms recording; already-recorded events stay collectable.
+  /// Disarms recording; the record keeps what was handed off.
   void Stop();
 
   /// Whether emission points should record.  One relaxed atomic load.
@@ -193,10 +219,21 @@ class Tracer {
                    : id;
   }
 
-  /// Drains every ring into a collection (consumes the events).
-  TraceCollection Collect() STPQ_EXCLUDES(mu_);
+  /// Hands the calling thread's pending events and drops to the record and
+  /// empties its ring: its lane keeps what fits of the first
+  /// TraceRing::kCapacity events, and the summary folds the whole batch
+  /// and the ring's drops.  When `query_events` is non-null, the batch's
+  /// events stamped with `trace_id` are appended to it (a slow query's
+  /// record).  Nothing happens if the thread has never emitted.
+  static void HandOff(uint32_t trace_id = 0,
+                      std::vector<TraceEvent>* query_events = nullptr);
 
-  /// Discards all pending events and drop counts (tests / re-arming).
+  /// Copies of the record.  Reading it consumes nothing.  The lanes' drop
+  /// count adds the events that reached a full lane to the ring drops.
+  TraceCollection Lanes() const STPQ_EXCLUDES(mu_);
+  TraceSummary Summary() const STPQ_EXCLUDES(mu_);
+
+  /// Empties the record and the calling thread's ring (tests / re-arming).
   void Discard() STPQ_EXCLUDES(mu_);
 
   /// Records one event on the calling thread's ring, stamped now.  No-op
@@ -211,41 +248,33 @@ class Tracer {
   static void EmitAt(int64_t clock_ns, TraceEventType type, TraceMark mark,
                      uint32_t arg_c, uint64_t arg_d);
 
-  /// Consumes the calling thread's pending events, keeping those with
-  /// `trace_id` (slow-query capture).  Nothing happens if the thread has
-  /// never emitted.
-  static void DrainCurrentThread(uint32_t trace_id,
-                                 std::vector<TraceEvent>* out);
-
   /// The trace id stamped on events emitted by this thread.
   static uint32_t CurrentTraceId() { return tls_trace_id_; }
   static void SetCurrentTraceId(uint32_t id) { tls_trace_id_ = id; }
 
-  /// Ordinal of the calling thread's ring (0 before the first emission).
-  static uint32_t CurrentThreadOrdinal() {
-    return tls_ring_ != nullptr ? tls_ring_->thread_ordinal() : 0;
-  }
-
-  /// Nanoseconds since the tracer epoch (pinned by the first Global()).
-  static uint64_t NowNs();
+  /// The calling thread's lane (0 before its first emission).
+  static uint32_t CurrentThreadOrdinal();
 
  private:
   Tracer() = default;
 
-  TraceRing* RingForThisThread() STPQ_EXCLUDES(mu_);
+  /// Folds one ring's batch into the record.
+  void Fold(const TraceRing& ring) STPQ_EXCLUDES(mu_);
 
-  /// Appends one event to the calling thread's ring.
-  static void Record(uint64_t ts_ns, TraceEventType type, TraceMark mark,
+  /// Appends one event to the calling thread's ring, stamped with a
+  /// SteadyClockNs() reading.
+  static void Record(int64_t clock_ns, TraceEventType type, TraceMark mark,
                      uint8_t arg_a, uint8_t arg_b, uint32_t arg_c,
                      uint64_t arg_d);
 
-  Mutex mu_;
-  std::vector<std::unique_ptr<TraceRing>> rings_ STPQ_GUARDED_BY(mu_);
-  size_t ring_capacity_ STPQ_GUARDED_BY(mu_) = kDefaultRingCapacity;
+  mutable Mutex mu_;
+  /// Export lanes, indexed by thread ordinal.
+  std::vector<std::vector<TraceEvent>> lanes_ STPQ_GUARDED_BY(mu_);
+  TraceSummary summary_ STPQ_GUARDED_BY(mu_);
   std::atomic<uint32_t> next_trace_id_{1};
+  std::atomic<uint32_t> next_thread_ordinal_{0};
 
   static std::atomic<bool> active_;
-  static thread_local TraceRing* tls_ring_;
   static thread_local uint32_t tls_trace_id_;
 };
 
@@ -269,14 +298,17 @@ inline constexpr TraceEventType kPhaseSpanEvent[kNumQueryPhases] = {
 /// to — to `stats.phase_ms[phase]`, so phase entries never double-count.
 /// The query span sets `stats.cpu_ms` to its elapsed time; when the tracer
 /// is armed it also assigns a fresh trace id and stamps it on the thread
-/// until it closes.  Such spans nest through a thread-local slot and must
-/// close in LIFO order on the thread that opened them.
+/// until it closes.  Such spans nest through a thread-local depth, at most
+/// kMaxDepth deep, and must close in LIFO order on the thread that opened
+/// them.
 ///
 /// When the tracer is armed at open, a span emits a begin event and, at
 /// close, an end event, stamped with those same two clock readings; the
 /// event type of a phase span comes from kPhaseSpanEvent.  A trace-only
 /// span (build phases, admin requests) has no stats target: it reads no
-/// clock while the tracer is idle and takes no part in self-time.
+/// clock while the tracer is idle and takes no part in self-time.  When it
+/// recorded, its close hands the thread's events off (Tracer::HandOff), so
+/// trace-only spans do not nest.
 class Span {
  public:
   Span(QueryStats& stats, QueryPhase phase, uint32_t arg_c = 0,
@@ -304,26 +336,32 @@ class Span {
 
   ~Span() { End(); }
 
-  /// Closes the span early (the query span closes before the slow-query
-  /// log drains the ring); later calls and the destructor do nothing.
+  /// Closes the span early (the query span closes before Engine::Execute
+  /// hands the query's events off); later calls and the destructor do
+  /// nothing.
   void End() {
     if (closed_) return;
     closed_ = true;
     const int64_t end_ns =
         stats_ != nullptr || recording_ ? SteadyClockNs() : 0;
+    const int64_t elapsed_ns = end_ns - begin_ns_;
     if (stats_ != nullptr) {
-      const int64_t elapsed_ns = end_ns - begin_ns_;
       if (phase_ == kQuerySpan) {
         stats_->cpu_ms = NsToMillis(elapsed_ns);
       } else {
-        stats_->phase_ms[phase_] += NsToMillis(elapsed_ns - child_ns_);
+        stats_->phase_ms[phase_] += NsToMillis(elapsed_ns - child_ns_[depth_]);
       }
-      if (parent_ != nullptr) parent_->child_ns_ += elapsed_ns;
-      current_ = parent_;
+      open_depth_ = depth_;
+      if (depth_ > 0) child_ns_[depth_ - 1] += elapsed_ns;
     }
     if (recording_) {
-      Tracer::EmitAt(end_ns, type_, TraceMark::kEnd, trace_id_, 0);
-      if (trace_id_ != 0) Tracer::SetCurrentTraceId(prev_trace_id_);
+      Tracer::EmitAt(end_ns, type_, TraceMark::kEnd, trace_id_,
+                     static_cast<uint64_t>(elapsed_ns));
+      if (trace_id_ != 0) {
+        Tracer::SetCurrentTraceId(prev_trace_id_);
+      } else if (stats_ == nullptr) {
+        Tracer::HandOff();
+      }
     }
   }
 
@@ -334,6 +372,9 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// Stats-target spans that may be open at once on one thread.
+  static constexpr uint32_t kMaxDepth = 32;
+
  private:
   static constexpr uint8_t kQuerySpan = kNumQueryPhases;
 
@@ -343,8 +384,10 @@ class Span {
 
   void Open(uint32_t arg_c, uint64_t arg_d) {
     if (stats_ != nullptr) {
-      parent_ = current_;
-      current_ = this;
+      depth_ = open_depth_;
+      STPQ_CHECK(depth_ < kMaxDepth);
+      open_depth_ = depth_ + 1;
+      child_ns_[depth_] = 0;
     }
     if (stats_ != nullptr || recording_) begin_ns_ = SteadyClockNs();
     if (recording_) {
@@ -352,8 +395,10 @@ class Span {
     }
   }
 
-  /// Innermost open stats-target span on this thread.
-  static inline thread_local Span* current_ = nullptr;
+  /// Stats-target spans open on this thread, and for the span at each
+  /// depth, the elapsed time of the spans nested in it so far.
+  static inline thread_local uint32_t open_depth_ = 0;
+  static inline thread_local int64_t child_ns_[kMaxDepth] = {};
 
   // recording_ comes first: the tracer flag is read before any other field
   // is stored, so an idle trace-only span folds down to that one load.
@@ -361,12 +406,11 @@ class Span {
   bool closed_ = false;
   TraceEventType type_;
   uint8_t phase_ = kQuerySpan;  ///< QueryPhase, or kQuerySpan
+  uint32_t depth_ = 0;          ///< this span's slot in child_ns_
   uint32_t trace_id_ = 0;
   uint32_t prev_trace_id_ = 0;
   QueryStats* stats_ = nullptr;
-  Span* parent_ = nullptr;
   int64_t begin_ns_ = 0;
-  int64_t child_ns_ = 0;  ///< elapsed time of the spans nested in this one
 };
 
 /// Tracks a search heap's high-water mark and emits one kHeapHighWater
@@ -428,7 +472,7 @@ inline void RecordNodeVisit(QueryStats& stats, uint8_t tree, unsigned level,
 /// idle).
 struct SlowQueryRecord {
   uint32_t trace_id = 0;
-  uint32_t thread_ordinal = 0;  ///< ring the events came from
+  uint32_t thread_ordinal = 0;  ///< lane the events came from
   double elapsed_ms = 0.0;
   QueryStats stats;
   std::vector<TraceEvent> events;
@@ -437,17 +481,16 @@ struct SlowQueryRecord {
 /// Thread-safe bounded retention of the most recent queries at or above a
 /// latency threshold; the oldest record is evicted, and counted, when a
 /// new one would exceed `max_records`.  Engine::Execute offers every
-/// completed query; the offer additionally drains the executing thread's
-/// ring (keeping only the offered query's events), which doubles as
-/// per-query ring hygiene during long captures.
+/// completed query, with the events the query's hand-off (Tracer::HandOff)
+/// passed back.
 class SlowQueryLog {
  public:
   explicit SlowQueryLog(double threshold_ms, size_t max_records = 32)
       : threshold_ms_(threshold_ms), max_records_(max_records) {}
 
   /// Called on the thread that executed the query, after completion.
-  void Offer(uint32_t trace_id, double elapsed_ms, const QueryStats& stats)
-      STPQ_EXCLUDES(mu_);
+  void Offer(uint32_t trace_id, double elapsed_ms, const QueryStats& stats,
+             std::vector<TraceEvent> events = {}) STPQ_EXCLUDES(mu_);
 
   /// Copies the retained records, most recent last.
   std::vector<SlowQueryRecord> Snapshot() const STPQ_EXCLUDES(mu_);

@@ -82,10 +82,9 @@ void AppendArgs(std::string* out, const TraceEvent& e) {
 void RenderThread(std::string* out, const TraceThreadEvents& thread,
                   bool* first) {
   const uint32_t tid = thread.thread_ordinal;
-  // Open-span stack for B/E balancing; ring truncation can only lose the
-  // *newest* events, so orphans are either dangling begins (end dropped —
-  // closed below at the last timestamp) or ends whose begin was consumed
-  // by an earlier collection (skipped).
+  // Open-span stack for B/E balancing.  A lane is a prefix of its
+  // thread's events, so truncation leaves only dangling begins (closed
+  // below at the last timestamp); an end without its begin is skipped.
   std::vector<TraceEventType> open;
   uint64_t last_ts = 0;
   for (const TraceEvent& e : thread.events) {
@@ -132,7 +131,7 @@ std::string RenderChromeTrace(const TraceCollection& collection) {
   out.append("{\"traceEvents\":[\n");
   bool first = true;
   for (const TraceThreadEvents& thread : collection.threads) {
-    // Name the lane after the ring so Perfetto shows stable track labels.
+    // Name the lane after its thread so Perfetto shows stable track labels.
     if (!first) out.append(",\n");
     first = false;
     out.append(
@@ -169,8 +168,8 @@ TraceCollection CollectionFromSlowQueries(
     const std::vector<SlowQueryRecord>& records, uint64_t dropped) {
   TraceCollection out;
   out.dropped = dropped;
-  // Group by originating ring; records arrive in completion order, so the
-  // per-ring concatenation stays in timestamp order.
+  // Group by originating lane; records arrive in completion order, so the
+  // per-lane concatenation stays in timestamp order.
   std::map<uint32_t, std::vector<TraceEvent>> by_thread;
   for (const SlowQueryRecord& r : records) {
     std::vector<TraceEvent>& lane = by_thread[r.thread_ordinal];

@@ -1,14 +1,15 @@
-// Chrome trace-event export for collected trace rings (DESIGN.md §14).
+// Chrome trace-event export of the tracer's record (DESIGN.md §14).
 //
 // RenderChromeTrace produces the JSON object format of the Trace Event
 // specification — {"traceEvents": [...], ...} — loadable in Perfetto
 // (ui.perfetto.dev) and chrome://tracing.  Spans render as B/E pairs,
 // instants as "i" events; timestamps are microseconds on one shared
-// steady-clock timeline, pid is fixed and tid is the ring's thread
-// ordinal.  The renderer sanitizes ring truncation: end events whose
-// begin was dropped are skipped, and spans left open at the end of a ring
-// are closed at the ring's last timestamp, so the output always balances.
-// The total drop count is exported under otherData.droppedEvents.
+// steady-clock timeline, pid is fixed and tid is the lane's thread
+// ordinal.  The renderer sanitizes truncation: spans left open at the end
+// of a lane (their end was dropped) are closed at the lane's last
+// timestamp, and an end event without its begin is skipped, so the output
+// always balances.  The drop count is exported under
+// otherData.droppedEvents.
 #ifndef STPQ_OBS_TRACE_EXPORT_H_
 #define STPQ_OBS_TRACE_EXPORT_H_
 

@@ -12,7 +12,10 @@ concurrently — and validates the payloads:
   * /varz has closed intervals whose query counts sum to the workload's
     query count, and every active interval has p50 <= p99;
   * /slowz (threshold 0) retained queries;
-  * an unknown endpoint answers 404.
+  * an unknown endpoint answers 404;
+  * the --trace-out file parses, holds a balanced `query` span for every
+    trace id /slowz retained, and reports the same droppedEvents as
+    /tracez's dropped_total (both count the events a full ring refused).
 
 With --out DIR every scraped payload is saved there (the CI admin-smoke
 step uploads the directory as an artifact).
@@ -50,6 +53,26 @@ def fetch(port, path):
         return err.code, err.read().decode("utf-8", "replace")
 
 
+def balanced_query_spans(trace):
+    """Trace ids whose `query` begin is closed by a `query` end in the
+    same lane.  End events carry no args, so spans are paired per lane
+    with a stack, as the Chrome trace viewer pairs them."""
+    open_spans = {}
+    closed = set()
+    for event in trace["traceEvents"]:
+        if event.get("ph") not in ("B", "E"):
+            continue
+        stack = open_spans.setdefault(event.get("tid"), [])
+        if event["ph"] == "B":
+            stack.append((event["name"],
+                          event.get("args", {}).get("trace_id")))
+        elif stack:
+            name, trace_id = stack.pop()
+            if name == "query" and event["name"] == "query":
+                closed.add(trace_id)
+    return closed
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--cli", required=True, help="path to stpq_cli")
@@ -65,6 +88,7 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="stpq_admin_smoke.") as tmp:
         data = os.path.join(tmp, "smoke.stpq")
+        trace_path = os.path.join(tmp, "smoke_trace.json")
         subprocess.run(
             [args.cli, "generate", "--out", data, "--scale", "0.02",
              "--seed", "7"],
@@ -74,7 +98,8 @@ def main():
             [args.cli, "workload", "--data", data,
              "--queries", str(QUERIES), "--threads", "2",
              "--serve-admin", "0", "--metrics-interval", "50",
-             "--slow-ms", "0", "--linger-ms", "15000"],
+             "--slow-ms", "0", "--trace-out", trace_path,
+             "--linger-ms", "15000"],
             stdout=subprocess.PIPE, text=True)
         try:
             port = None
@@ -166,7 +191,30 @@ def main():
                   "/slowz armed")
             check(slowz.get("count", 0) > 0, "/slowz retained queries")
 
-            check(results["/tracez"][0] == 200, "/tracez answers 200")
+            status, body = results["/tracez"]
+            check(status == 200, "/tracez answers 200")
+            tracez = json.loads(body)
+
+            # The process wrote the trace file before lingering.
+            try:
+                with open(trace_path) as f:
+                    trace = json.load(f)
+            except (OSError, ValueError) as err:
+                trace = None
+                print("     " + str(err))
+            check(trace is not None, "the --trace-out file parses")
+            if trace is not None:
+                retained = {q["trace_id"] for q in slowz.get("queries", [])}
+                missing = retained - balanced_query_spans(trace)
+                check(retained and not missing,
+                      "the trace file holds a balanced query span for "
+                      "each of the %d queries /slowz retained (missing %s)"
+                      % (len(retained), sorted(missing)[:5]))
+                dropped = trace.get("otherData", {}).get("droppedEvents")
+                check(dropped == tracez.get("dropped_total"),
+                      "trace file droppedEvents equals /tracez "
+                      "dropped_total (%s == %s)"
+                      % (dropped, tracez.get("dropped_total")))
             check(results["/"][0] == 200, "/ lists the endpoints")
             check(results["/definitely-missing"][0] == 404,
                   "unknown endpoint answers 404")

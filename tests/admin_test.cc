@@ -1,12 +1,16 @@
 // Tests for the live introspection service (DESIGN.md §18): util/net
 // socket helpers, AdminServer routing and HTTP framing at the socket
-// level, and the concurrent scrape-while-query contract that the TSan CI
-// job exercises.
+// level, and the concurrent scrape-while-query contracts that the TSan CI
+// job exercises: scrapes stay consistent, and a /tracez scrape changes
+// neither the trace export nor the slow-query log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.h"
@@ -17,6 +21,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "obs/trace_export.h"
 #include "util/net.h"
 
 namespace stpq {
@@ -443,6 +448,189 @@ TEST(AdminConcurrencyTest, ScrapesStayConsistentWhileQueriesRun) {
   // sampler closed intervals while scrapes were in flight.
   EXPECT_GT(slow_log.size(), 0u);
   EXPECT_GT(recorder.sample_count(), 0u);
+}
+
+// ----------------------------------- /tracez reads, never takes (TSan)
+
+/// A traced 4-thread workload, with or without 3 threads scraping /tracez
+/// throughout and with or without a threshold-0 slow-query log.
+struct TracedRun {
+  TraceCollection lanes;                ///< the tracer's record
+  std::vector<SlowQueryRecord> records; ///< empty without the slow log
+  TraceCollection exported;             ///< what --trace-out writes
+};
+
+TracedRun RunTracedWorkload(const Engine& engine,
+                            const std::vector<Query>& queries, bool scrape,
+                            bool slow) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Discard();
+  SlowQueryLog slow_log(/*threshold_ms=*/0.0, queries.size());
+  MetricsRegistry registry;
+  AdminServerOptions opts;
+  opts.registry = &registry;
+  AdminServer server(std::move(opts));  // routed without sockets
+  tracer.Start();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scrapes{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> scrapers;
+  for (int t = 0; scrape && t < 3; ++t) {
+    scrapers.emplace_back([&] {
+      while (!stop.load()) {
+        if (server.HandleForTest("GET", "/tracez").status != 200) {
+          failures.fetch_add(1);
+        }
+        scrapes.fetch_add(1);
+        // Paced so the scrapes' own admin_request spans stay well inside
+        // their lanes: no scrape event is dropped.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  }
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      ExecuteOptions exec;
+      exec.slow_log = slow ? &slow_log : nullptr;
+      for (size_t i = next++; i < queries.size(); i = next++) {
+        // Each query starts only after a scrape that follows this thread's
+        // last hand-off, so scrapes interleave with hand-offs on every run.
+        const uint64_t seen = scrapes.load();
+        while (scrape && scrapes.load() == seen) std::this_thread::yield();
+        if (!engine.Execute(queries[i], exec).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  stop.store(true);
+  for (std::thread& t : scrapers) t.join();
+  tracer.Stop();
+  EXPECT_EQ(failures.load(), 0);
+
+  // What --trace-out writes for this run (WriteTraceFile in stpq_cli).
+  TracedRun run;
+  const TraceSummary summary = tracer.Summary();
+  run.lanes = tracer.Lanes();
+  run.records = slow_log.Snapshot();
+  run.exported = slow ? CollectionFromSlowQueries(run.records, summary.dropped)
+                      : run.lanes;
+  // /tracez serves the same record: every query span and the drop count.
+  EXPECT_EQ(summary.types[static_cast<size_t>(TraceEventType::kQuery)].spans,
+            queries.size());
+  const std::string body = server.HandleForTest("GET", "/tracez").body;
+  EXPECT_NE(body.find("\"dropped_total\":" +
+                      std::to_string(summary.dropped) + ","),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find("{\"type\":\"query\",\"instants\":0,\"spans\":" +
+                      std::to_string(queries.size()) + ","),
+            std::string::npos)
+      << body;
+  tracer.Discard();
+  return run;
+}
+
+/// Checks that `c` holds one balanced `query` span per query: each query
+/// trace id begins once and ends once, after its begin, in one lane.
+void ExpectOneBalancedQuerySpanPerQuery(const TraceCollection& c,
+                                        size_t queries) {
+  std::map<uint32_t, int> state;  // trace id -> 1 open, 2 closed
+  for (const TraceThreadEvents& lane : c.threads) {
+    for (const TraceEvent& e : lane.events) {
+      if (e.type != TraceEventType::kQuery) continue;
+      if (e.mark == TraceMark::kBegin) {
+        EXPECT_EQ(state[e.arg_c], 0) << "query " << e.arg_c << " began twice";
+        state[e.arg_c] = 1;
+      } else if (e.mark == TraceMark::kEnd) {
+        EXPECT_EQ(state[e.arg_c], 1) << "query " << e.arg_c << " end unpaired";
+        state[e.arg_c] = 2;
+      }
+    }
+  }
+  EXPECT_EQ(state.size(), queries);
+  for (const auto& [trace_id, s] : state) {
+    EXPECT_EQ(s, 2) << "query " << trace_id << " never ended";
+  }
+}
+
+using EventKey = std::tuple<int, int, int, int, uint32_t, uint64_t>;
+
+/// The query events of `c` as a sorted multiset of (type, phase, args).
+/// Timestamps, lanes and trace ids are left out (a query span's arg_c is
+/// its trace id, an end's arg_d its duration), and so are the scrapes'
+/// own admin_request spans, which carry no trace id.
+std::vector<EventKey> QueryEventKeys(const TraceCollection& c) {
+  std::vector<EventKey> keys;
+  for (const TraceThreadEvents& lane : c.threads) {
+    for (const TraceEvent& e : lane.events) {
+      if (e.trace_id == 0) continue;
+      const bool end = e.mark == TraceMark::kEnd;
+      keys.emplace_back(static_cast<int>(e.type), static_cast<int>(e.mark),
+                        e.arg_a, e.arg_b,
+                        e.type == TraceEventType::kQuery || end ? 0 : e.arg_c,
+                        end ? 0 : e.arg_d);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST(AdminConcurrencyTest, TracezScrapesLeaveTheExportWhole) {
+  SyntheticConfig config;
+  config.seed = 5;
+  config.num_objects = 600;
+  config.num_features_per_set = 500;
+  config.num_feature_sets = 2;
+  config.vocabulary_size = 32;
+  config.num_clusters = 40;
+  Dataset ds = GenerateSynthetic(config);
+  QueryWorkloadConfig qcfg;
+  qcfg.count = 24;
+  qcfg.seed = 3;
+  const std::vector<Query> queries = GenerateQueries(ds, qcfg);
+  Result<Engine> engine =
+      Engine::Build(ds.objects, std::move(ds.feature_tables), {});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  for (bool slow : {false, true}) {
+    SCOPED_TRACE(slow ? "slow-query log armed" : "no slow-query log");
+    const TracedRun quiet =
+        RunTracedWorkload(engine.value(), queries, /*scrape=*/false, slow);
+    const TracedRun scraped =
+        RunTracedWorkload(engine.value(), queries, /*scrape=*/true, slow);
+    for (const TracedRun* run : {&quiet, &scraped}) {
+      ExpectOneBalancedQuerySpanPerQuery(run->exported, queries.size());
+      EXPECT_EQ(run->exported.dropped, 0u);
+    }
+    const std::vector<EventKey> quiet_keys = QueryEventKeys(quiet.exported);
+    EXPECT_FALSE(quiet_keys.empty());
+    EXPECT_TRUE(quiet_keys == QueryEventKeys(scraped.exported))
+        << "a /tracez scrape changed the exported query events";
+    EXPECT_EQ(quiet.exported.dropped, scraped.exported.dropped);
+    if (!slow) continue;
+    // Every retained record holds its whole query: exactly the events its
+    // lane holds under its trace id, in order.
+    for (const TracedRun* run : {&quiet, &scraped}) {
+      ASSERT_EQ(run->records.size(), queries.size());
+      for (const SlowQueryRecord& r : run->records) {
+        std::vector<uint64_t> in_lane;
+        for (const TraceThreadEvents& lane : run->lanes.threads) {
+          for (const TraceEvent& e : lane.events) {
+            if (e.trace_id == r.trace_id) in_lane.push_back(e.ts_ns);
+          }
+        }
+        std::vector<uint64_t> in_record;
+        for (const TraceEvent& e : r.events) in_record.push_back(e.ts_ns);
+        EXPECT_FALSE(in_record.empty());
+        EXPECT_TRUE(in_lane == in_record)
+            << "slow record " << r.trace_id << " holds " << in_record.size()
+            << " of its query's " << in_lane.size() << " events";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ namespace stpq {
 namespace {
 
 // Tracing variant of the invariant: with the tracer recording into an
-// already-registered ring, the warm kernel still performs zero heap
+// already-allocated ring, the warm kernel still performs zero heap
 // allocations — TryEmit writes into preallocated ring slots, and a full
 // ring drops events instead of growing.
 TEST(AllocationTest, WarmTracedRangeTraversalAllocatesNothing) {
@@ -91,8 +91,8 @@ TEST(AllocationTest, WarmTracedRangeTraversalAllocatesNothing) {
   };
 
   Tracer::Global().Start();
-  // Warm-up: grows the scratch vectors *and* registers this thread's
-  // trace ring (its single allocation happens here, once per process).
+  // Warm-up: grows the scratch vectors *and* allocates this thread's
+  // trace ring (its single allocation happens here, once per thread).
   const double warm_total = run_all();
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);

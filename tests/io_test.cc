@@ -18,6 +18,7 @@
 #include "io/index_file.h"
 #include "io/index_format.h"
 #include "obs/query_metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace stpq {
@@ -749,14 +750,55 @@ TEST_F(IndexFileTest, ChildPastTheNodeSegmentFailsQueriesWithCorruption) {
   const QueryMetrics& metrics = QueryMetrics::Global();
   const uint64_t completed_before = metrics.queries_total.value();
   const uint64_t io_failed_before = metrics.io_failed_total.value();
+  // Traced, a failed query still hands its events off where Execute
+  // returns: its balanced `query` span is in the tracer's record before
+  // the next query runs on this thread.
+  Tracer& tracer = Tracer::Global();
+  tracer.Discard();
+  tracer.Start();
+  size_t failed = 0;
   for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
     Result<QueryResult> r = opened.value().Execute(q, algo);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
         << r.status().ToString();
+    ++failed;
+    const TraceCollection lanes = tracer.Lanes();
+    ASSERT_EQ(lanes.threads.size(), 1u);
+    const std::vector<TraceEvent>& events = lanes.threads[0].events;
+    size_t begins = 0, ends = 0;
+    for (const TraceEvent& e : events) {
+      if (e.type != TraceEventType::kQuery) continue;
+      if (e.mark == TraceMark::kBegin) ++begins;
+      if (e.mark == TraceMark::kEnd) ++ends;
+    }
+    EXPECT_EQ(begins, failed);
+    EXPECT_EQ(ends, failed);
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back().type, TraceEventType::kQuery);
+    EXPECT_EQ(events.back().mark, TraceMark::kEnd);
   }
   EXPECT_EQ(metrics.io_failed_total.value(), io_failed_before + 2);
   EXPECT_EQ(metrics.queries_total.value(), completed_before);
+  // The next query on this thread, on an undamaged engine, is captured
+  // with its own events only.
+  const Engine undamaged = BuildEngine(SmallDataset(), FeatureIndexKind::kSrt);
+  SlowQueryLog slow_log(/*threshold_ms=*/0.0);
+  ExecuteOptions traced;
+  traced.slow_log = &slow_log;
+  ASSERT_TRUE(undamaged.Execute(SomeQueries(48, 2)[0], traced).ok());
+  tracer.Stop();
+  const std::vector<SlowQueryRecord> records = slow_log.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_FALSE(records[0].events.empty());
+  for (const TraceEvent& e : records[0].events) {
+    EXPECT_EQ(e.trace_id, records[0].trace_id);
+  }
+  EXPECT_EQ(records[0].events.front().type, TraceEventType::kQuery);
+  EXPECT_EQ(records[0].events.front().mark, TraceMark::kBegin);
+  EXPECT_EQ(records[0].events.back().type, TraceEventType::kQuery);
+  EXPECT_EQ(records[0].events.back().mark, TraceMark::kEnd);
+  tracer.Discard();
   // The batch runner fails the batch with the same typed error, naming the
   // lowest failing query, on one worker and on several.
   const std::vector<Query> batch(8, q);

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -109,6 +110,21 @@ TEST(PhaseSpanTest, NestedSpansMayTargetDifferentStats) {
   // The parent's self time is tiny compared to the child's span.
   EXPECT_LT(parent_stats.PhaseMillis(QueryPhase::kCombination),
             child_stats.PhaseMillis(QueryPhase::kObjectRetrieval));
+}
+
+TEST(PhaseSpanTest, NestingPastTheDepthBoundAborts) {
+  // Each open span owns one thread-local child-time slot; one span more
+  // than there are slots must stop the program, not write past them.
+  QueryStats stats;
+  EXPECT_DEATH(
+      {
+        std::vector<std::unique_ptr<Span>> spans;
+        for (uint32_t i = 0; i <= Span::kMaxDepth; ++i) {
+          spans.push_back(
+              std::make_unique<Span>(stats, QueryPhase::kCombination));
+        }
+      },
+      "depth_ < kMaxDepth");
 }
 
 TEST(PhaseSpanTest, UntracedMillisCoversCrossStatsNesting) {

@@ -296,7 +296,7 @@ TEST(IoModelTest, EachQueryReadsEveryPageItTouchesOnce) {
             Result<QueryResult> r = engine->Execute(q, algo);
             tracer.Stop();
             ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
-            const TraceCollection trace = tracer.Collect();
+            const TraceCollection trace = tracer.Lanes();
             ASSERT_EQ(trace.dropped, 0u) << label;
             std::set<PageId> pages;
             uint64_t misses = 0;

@@ -1,7 +1,8 @@
-// Tests for src/obs/trace.h + trace_export.h: ring emission/drain/drop
-// semantics, slow-query capture, Chrome trace JSON rendering (balanced
-// B/E pairs, instants, drop counter), the reconciliation of trace events
-// with QueryStats timing, and the TraversalProfile invariants that per-tree
+// Tests for src/obs/trace.h + trace_export.h: ring emission and drop
+// semantics, the hand-off of each thread's events into the tracer's one
+// record, slow-query capture, Chrome trace JSON rendering (balanced B/E
+// pairs, instants, drop counter), the reconciliation of trace events with
+// QueryStats timing, and the TraversalProfile invariants that per-tree
 // visited totals reconcile with the buffer-pool counters and heap pushes
 // with the feature-tree descents.
 //
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -68,61 +70,41 @@ std::vector<Query> SmallWorkload(const Dataset& ds, uint32_t count) {
 
 // --------------------------------------------------------------- TraceRing
 
-TEST(TraceRingTest, EmitAndDrainRoundTrip) {
-  TraceRing ring(3, 16);
+TEST(TraceRingTest, EmitAndClearRoundTrip) {
+  TraceRing ring(3);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(ring.TryEmit(MakeEvent(TraceEventType::kNodeVisit,
                                        TraceMark::kInstant, 100 + i)));
   }
-  std::vector<TraceEvent> out;
-  ring.Drain(/*keep_all=*/true, 0, &out);
-  ASSERT_EQ(out.size(), 5u);
+  ASSERT_EQ(ring.events().size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(out[i].ts_ns, static_cast<uint64_t>(100 + i));
-    EXPECT_EQ(out[i].type, TraceEventType::kNodeVisit);
+    EXPECT_EQ(ring.events()[i].ts_ns, static_cast<uint64_t>(100 + i));
+    EXPECT_EQ(ring.events()[i].type, TraceEventType::kNodeVisit);
   }
-  // A second drain yields nothing: events are consumed.
-  out.clear();
-  ring.Drain(true, 0, &out);
-  EXPECT_TRUE(out.empty());
+  // Clearing empties the ring for the next batch.
+  ring.Clear();
+  EXPECT_TRUE(ring.events().empty());
   EXPECT_EQ(ring.thread_ordinal(), 3u);
 }
 
-TEST(TraceRingTest, DrainFiltersByTraceId) {
-  TraceRing ring(0, 16);
-  ring.TryEmit(MakeEvent(TraceEventType::kQuery, TraceMark::kBegin, 1, 7));
-  ring.TryEmit(MakeEvent(TraceEventType::kQuery, TraceMark::kBegin, 2, 8));
-  ring.TryEmit(MakeEvent(TraceEventType::kQuery, TraceMark::kEnd, 3, 7));
-  std::vector<TraceEvent> out;
-  ring.Drain(/*keep_all=*/false, /*filter_trace_id=*/7, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].trace_id, 7u);
-  EXPECT_EQ(out[1].trace_id, 7u);
-  // Filtering still consumes the mismatching events.
-  out.clear();
-  ring.Drain(true, 0, &out);
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(TraceRingTest, FullRingDropsAndCounts) {
-  TraceRing ring(0, 8);  // capacity rounds to a power of two: 8 slots
+  TraceRing ring(0);
   uint64_t accepted = 0;
-  for (int i = 0; i < 20; ++i) {
+  for (size_t i = 0; i < TraceRing::kCapacity + 12; ++i) {
     if (ring.TryEmit(
             MakeEvent(TraceEventType::kPoolHit, TraceMark::kInstant, i))) {
       ++accepted;
     }
   }
-  EXPECT_EQ(accepted, 8u);
-  EXPECT_EQ(ring.TakeDropped(), 12u);
-  EXPECT_EQ(ring.TakeDropped(), 0u);  // TakeDropped resets the counter
-  std::vector<TraceEvent> out;
-  ring.Drain(true, 0, &out);
-  ASSERT_EQ(out.size(), 8u);
+  EXPECT_EQ(accepted, TraceRing::kCapacity);
+  EXPECT_EQ(ring.dropped(), 12u);
+  ASSERT_EQ(ring.events().size(), TraceRing::kCapacity);
   // The *oldest* events survive; drops lose the newest.
-  EXPECT_EQ(out.front().ts_ns, 0u);
-  EXPECT_EQ(out.back().ts_ns, 7u);
-  // Draining frees the slots for new events.
+  EXPECT_EQ(ring.events().front().ts_ns, 0u);
+  EXPECT_EQ(ring.events().back().ts_ns, TraceRing::kCapacity - 1);
+  // Clearing frees the slots for new events and resets the drop count.
+  ring.Clear();
+  EXPECT_EQ(ring.dropped(), 0u);
   EXPECT_TRUE(ring.TryEmit(
       MakeEvent(TraceEventType::kPoolHit, TraceMark::kInstant, 99)));
 }
@@ -134,25 +116,147 @@ TEST(TracerTest, IdleTracerRecordsNothing) {
   tracer.Stop();
   tracer.Discard();
   Tracer::Emit(TraceEventType::kPoolHit, TraceMark::kInstant, 0, 0, 0, 1);
-  EXPECT_TRUE(tracer.Collect().Empty());
+  Tracer::HandOff();
+  EXPECT_TRUE(tracer.Lanes().Empty());
+  EXPECT_EQ(tracer.Summary().events, 0u);
 }
 
-TEST(TracerTest, StartCollectStopRoundTrip) {
+TEST(TracerTest, HandOffMovesEventsToTheRecord) {
   Tracer& tracer = Tracer::Global();
   tracer.Discard();
   tracer.Start();
   Tracer::Emit(TraceEventType::kPoolMiss, TraceMark::kInstant, 0, 0, 0, 42);
   Tracer::Emit(TraceEventType::kPoolHit, TraceMark::kInstant, 0, 0, 0, 42);
   tracer.Stop();
-  TraceCollection collection = tracer.Collect();
+  // Nothing reaches the record before the thread hands its events off.
+  EXPECT_TRUE(tracer.Lanes().Empty());
+  Tracer::HandOff();
+  const TraceCollection collection = tracer.Lanes();
   ASSERT_EQ(collection.TotalEvents(), 2u);
   EXPECT_EQ(collection.dropped, 0u);
+  EXPECT_EQ(collection.threads[0].thread_ordinal,
+            Tracer::CurrentThreadOrdinal());
   const std::vector<TraceEvent>& events = collection.threads[0].events;
   EXPECT_EQ(events[0].type, TraceEventType::kPoolMiss);
   EXPECT_EQ(events[1].type, TraceEventType::kPoolHit);
   EXPECT_EQ(events[0].arg_d, 42u);
-  // Timestamps are monotone within a thread's ring.
+  // Timestamps are monotone within a thread's lane.
   EXPECT_LE(events[0].ts_ns, events[1].ts_ns);
+  // Reading the record consumes nothing; a second hand-off of the now
+  // empty ring adds nothing.
+  Tracer::HandOff();
+  EXPECT_EQ(tracer.Lanes().TotalEvents(), 2u);
+  const TraceSummary summary = tracer.Summary();
+  EXPECT_EQ(summary.events, 2u);
+  EXPECT_EQ(summary.types[static_cast<size_t>(TraceEventType::kPoolMiss)]
+                .instants,
+            1u);
+  tracer.Discard();
+  EXPECT_TRUE(tracer.Lanes().Empty());
+}
+
+TEST(TracerTest, HandOffPassesBackOnlyTheQuerysEvents) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Discard();
+  tracer.Start();
+  Tracer::SetCurrentTraceId(7);
+  Tracer::Emit(TraceEventType::kPoolMiss, TraceMark::kInstant, 0, 0, 0, 1);
+  Tracer::SetCurrentTraceId(8);
+  Tracer::Emit(TraceEventType::kPoolMiss, TraceMark::kInstant, 0, 0, 0, 2);
+  Tracer::SetCurrentTraceId(7);
+  Tracer::Emit(TraceEventType::kPoolHit, TraceMark::kInstant, 0, 0, 0, 3);
+  Tracer::SetCurrentTraceId(0);
+  tracer.Stop();
+  std::vector<TraceEvent> query_events;
+  Tracer::HandOff(7, &query_events);
+  ASSERT_EQ(query_events.size(), 2u);
+  EXPECT_EQ(query_events[0].arg_d, 1u);
+  EXPECT_EQ(query_events[1].arg_d, 3u);
+  // The record keeps the whole batch, whichever query asked for it.
+  EXPECT_EQ(tracer.Lanes().TotalEvents(), 3u);
+  tracer.Discard();
+}
+
+TEST(TracerTest, LaneKeepsTheFirstRingCapacityEvents) {
+  // Two batches that together overflow the lane, the second also past its
+  // ring: the lane keeps the first kCapacity events in emission order, and
+  // the lanes' drop count adds the events the full lane turned away to
+  // those the full ring refused, so the file holds what one never-emptied
+  // ring would have held.
+  Tracer& tracer = Tracer::Global();
+  tracer.Discard();
+  tracer.Start();
+  const size_t first = TraceRing::kCapacity - 10;
+  for (size_t i = 0; i < first; ++i) {
+    Tracer::Emit(TraceEventType::kPoolHit, TraceMark::kInstant, 0, 0, 0, i);
+  }
+  Tracer::HandOff();
+  for (size_t i = 0; i < TraceRing::kCapacity + 5; ++i) {
+    Tracer::Emit(TraceEventType::kPoolHit, TraceMark::kInstant, 0, 0, 0,
+                 first + i);
+  }
+  tracer.Stop();
+  Tracer::HandOff();
+  const TraceCollection collection = tracer.Lanes();
+  ASSERT_EQ(collection.threads.size(), 1u);
+  const std::vector<TraceEvent>& lane = collection.threads[0].events;
+  ASSERT_EQ(lane.size(), TraceRing::kCapacity);
+  for (size_t i = 0; i < lane.size(); ++i) ASSERT_EQ(lane[i].arg_d, i);
+  EXPECT_EQ(collection.dropped, 5 + (TraceRing::kCapacity - 10));
+  // The summary folds every handed-off event, kept in the lane or not, and
+  // counts as dropped only what the ring refused: /tracez never saw those.
+  const TraceSummary summary = tracer.Summary();
+  EXPECT_EQ(summary.events, first + TraceRing::kCapacity);
+  EXPECT_EQ(summary.types[static_cast<size_t>(TraceEventType::kPoolHit)]
+                .instants,
+            first + TraceRing::kCapacity);
+  EXPECT_EQ(summary.dropped, 5u);
+  tracer.Discard();
+}
+
+TEST(TracerTest, ThreadExitHandsOff) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Discard();
+  tracer.Start();
+  uint32_t ordinal = 0;
+  std::thread worker([&ordinal] {
+    Tracer::Emit(TraceEventType::kPoolMiss, TraceMark::kInstant, 0, 0, 0, 5);
+    ordinal = Tracer::CurrentThreadOrdinal();
+  });
+  worker.join();
+  tracer.Stop();
+  const TraceCollection collection = tracer.Lanes();
+  ASSERT_EQ(collection.threads.size(), 1u);
+  EXPECT_EQ(collection.threads[0].thread_ordinal, ordinal);
+  ASSERT_EQ(collection.threads[0].events.size(), 1u);
+  EXPECT_EQ(collection.threads[0].events[0].arg_d, 5u);
+  tracer.Discard();
+}
+
+TEST(TracerTest, TraceOnlySpanHandsOffWhereItCloses) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Discard();
+  tracer.Start();
+  {
+    Span build(TraceEventType::kBuildPhase, 1, 2);
+    Tracer::Emit(TraceEventType::kPoolMiss, TraceMark::kInstant, 0, 0, 0, 9);
+    EXPECT_TRUE(tracer.Lanes().Empty());
+  }
+  tracer.Stop();
+  const TraceCollection collection = tracer.Lanes();
+  ASSERT_EQ(collection.TotalEvents(), 3u);
+  const std::vector<TraceEvent>& events = collection.threads[0].events;
+  EXPECT_EQ(events[0].mark, TraceMark::kBegin);
+  EXPECT_EQ(events[2].mark, TraceMark::kEnd);
+  // The end event carries the span's elapsed time, which the summary
+  // totals without pairing events.
+  EXPECT_EQ(events[2].arg_d, events[2].ts_ns - events[0].ts_ns);
+  const TraceSummary summary = tracer.Summary();
+  const TraceSummary::TypeTotals& build =
+      summary.types[static_cast<size_t>(TraceEventType::kBuildPhase)];
+  EXPECT_EQ(build.spans, 1u);
+  EXPECT_DOUBLE_EQ(build.span_total_ms,
+                   static_cast<double>(events[2].arg_d) / 1e6);
   tracer.Discard();
 }
 
@@ -161,14 +265,17 @@ TEST(TracerTest, QuerySpanBracketsAndRestoresId) {
   tracer.Discard();
   tracer.Start();
   QueryStats stats;
+  uint32_t trace_id = 0;
   {
     Span scope(stats);
-    EXPECT_NE(scope.trace_id(), 0u);
-    EXPECT_EQ(Tracer::CurrentTraceId(), scope.trace_id());
+    trace_id = scope.trace_id();
+    EXPECT_NE(trace_id, 0u);
+    EXPECT_EQ(Tracer::CurrentTraceId(), trace_id);
   }
   EXPECT_EQ(Tracer::CurrentTraceId(), 0u);
   tracer.Stop();
-  TraceCollection collection = tracer.Collect();
+  Tracer::HandOff();
+  TraceCollection collection = tracer.Lanes();
   ASSERT_EQ(collection.TotalEvents(), 2u);
   const std::vector<TraceEvent>& events = collection.threads[0].events;
   EXPECT_EQ(events[0].mark, TraceMark::kBegin);
@@ -178,6 +285,11 @@ TEST(TracerTest, QuerySpanBracketsAndRestoresId) {
   EXPECT_DOUBLE_EQ(stats.cpu_ms,
                    static_cast<double>(events[1].ts_ns - events[0].ts_ns) /
                        1e6);
+  // /tracez lists the query span under its trace id.
+  const TraceSummary summary = tracer.Summary();
+  ASSERT_EQ(summary.recent_queries.size(), 1u);
+  EXPECT_EQ(summary.recent_queries[0].first, trace_id);
+  EXPECT_DOUBLE_EQ(summary.recent_queries[0].second, stats.cpu_ms);
   tracer.Discard();
 }
 
@@ -190,7 +302,8 @@ TEST(TracerTest, TraceOnlySpanIsSilentWhenIdle) {
     Span build(TraceEventType::kBuildPhase, 1, 2);
     Span phase(stats, QueryPhase::kCombination);
   }
-  EXPECT_TRUE(tracer.Collect().Empty());
+  Tracer::HandOff();
+  EXPECT_TRUE(tracer.Lanes().Empty());
   EXPECT_EQ(stats.cpu_ms, 0.0);  // only the query span sets cpu_ms
 }
 
@@ -366,10 +479,11 @@ TEST(EngineTracingTest, WorkloadProducesBalancedChromeTrace) {
     ASSERT_TRUE(engine.Execute(q, Algorithm::kStps).ok());
   }
   tracer.Stop();
-  TraceCollection collection = tracer.Collect();
+  // Each Execute handed its query's events off where it ended.
+  TraceCollection collection = tracer.Lanes();
   ASSERT_FALSE(collection.Empty());
 
-  // Within each ring the timestamps are monotone and raw B/E marks of each
+  // Within each lane the timestamps are monotone and raw B/E marks of each
   // type balance (nothing dropped in this small run).
   EXPECT_EQ(collection.dropped, 0u);
   size_t node_visits = 0;
@@ -437,9 +551,25 @@ TEST(EngineTracingTest, SlowQueryLogCapturesPerQueryEvents) {
     EXPECT_TRUE(saw_query_end);
     EXPECT_GT(r.stats.TotalReads(), 0u);
   }
-  // The offer drained the executing thread's ring query-by-query, so
-  // nothing is left to collect.
-  EXPECT_TRUE(tracer.Collect().Empty());
+  // The record keeps the lanes too: each record's events are exactly the
+  // lane's events with its trace id, in order.
+  const TraceCollection collection = tracer.Lanes();
+  ASSERT_EQ(collection.threads.size(), 1u);
+  size_t from_records = 0;
+  for (const SlowQueryRecord& r : records) {
+    EXPECT_EQ(r.thread_ordinal, collection.threads[0].thread_ordinal);
+    std::vector<TraceEvent> in_lane;
+    for (const TraceEvent& e : collection.threads[0].events) {
+      if (e.trace_id == r.trace_id) in_lane.push_back(e);
+    }
+    ASSERT_EQ(in_lane.size(), r.events.size());
+    for (size_t i = 0; i < in_lane.size(); ++i) {
+      EXPECT_EQ(in_lane[i].ts_ns, r.events[i].ts_ns);
+      EXPECT_EQ(in_lane[i].type, r.events[i].type);
+    }
+    from_records += r.events.size();
+  }
+  EXPECT_EQ(from_records, collection.TotalEvents());
   tracer.Discard();
 }
 
@@ -484,7 +614,7 @@ TEST(EngineTracingTest, SpanEventsReconcileWithQueryStats) {
     }
   }
   tracer.Stop();
-  EXPECT_EQ(tracer.Collect().dropped, 0u);
+  EXPECT_EQ(tracer.Lanes().dropped, 0u);
 
   std::vector<SlowQueryRecord> records = log.Snapshot();
   ASSERT_EQ(records.size(), executed);

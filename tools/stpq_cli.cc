@@ -602,15 +602,19 @@ bool WriteMetricsFile(const std::string& path) {
   return static_cast<bool>(out);
 }
 
-/// Drains the global tracer into a Chrome trace-event JSON file.  With a
-/// slow-query log armed only its captured queries are exported: the log
-/// drained every query's events from the rings as it finished.
+/// Writes the tracer's record as a Chrome trace-event JSON file.  With a
+/// slow-query log armed only its captured queries are exported; a record
+/// lacks only events that a full ring refused, the drop count /tracez
+/// serves.
 bool WriteTraceFile(const std::string& path, const SlowQueryLog* slow_log) {
-  TraceCollection collection = Tracer::Global().Collect();
+  TraceCollection collection;
   std::vector<SlowQueryRecord> records;
   if (slow_log != nullptr) {
     records = slow_log->Snapshot();
-    collection = CollectionFromSlowQueries(records, collection.dropped);
+    collection = CollectionFromSlowQueries(records,
+                                           Tracer::Global().Summary().dropped);
+  } else {
+    collection = Tracer::Global().Lanes();
   }
   Status st = WriteChromeTraceFile(collection, path);
   if (!st.ok()) {
